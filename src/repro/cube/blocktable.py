@@ -59,6 +59,41 @@ class BaseBlockTable:
             self._row_index[bid] = {int(tid): row for row, tid in enumerate(tids)}
 
     # ------------------------------------------------------------------
+    # maintenance
+    # ------------------------------------------------------------------
+    def insert(self, tid: int, values: Sequence[float]) -> int:
+        """Append tuple ``tid`` to its base-block page; return its bid.
+
+        ``values`` are the tuple's ranking values in :attr:`dims` order and
+        must lie inside the grid domain — clamping an outside point into an
+        edge block would put a tuple below that block's lower bound.  Tids
+        arrive densely (``tid`` is the number of tuples covered so far), so
+        the new row lands last on its page and page order stays tid order.
+        One page write (a fresh page when the block was empty).
+        """
+        if tid != len(self.bids):
+            raise CubeError(
+                f"tuple {tid} is not the next row of a table covering "
+                f"{len(self.bids)}")
+        point = dict(zip(self.dims, values))
+        if not self.grid.domain().contains_point(point):
+            raise CubeError(f"tuple {tid} lies outside the grid domain")
+        bid = self.grid.bid_of_point(point)
+        new_tid = np.array([tid], dtype=np.int64)
+        new_values = np.array([values], dtype=np.float64)
+        page_id = self._block_pages.get(bid)
+        if page_id is None:
+            self._block_pages[bid] = self.buffer.allocate((new_tid, new_values))
+            self._row_index[bid] = {tid: 0}
+        else:
+            tids, block_values = self.buffer.read(page_id)
+            self._row_index[bid][tid] = len(tids)
+            self.buffer.write(page_id, (np.concatenate((tids, new_tid)),
+                                        np.concatenate((block_values, new_values))))
+        self.bids = np.append(self.bids, bid)
+        return bid
+
+    # ------------------------------------------------------------------
     # data access methods
     # ------------------------------------------------------------------
     def block_arrays(self, bid: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -95,8 +130,8 @@ class BaseBlockTable:
     def block_row_index(self, bid: int) -> Dict[int, int]:
         """``{tid: row}`` positions inside :meth:`block_arrays` of ``bid``.
 
-        Derived metadata built during construction (no I/O is charged): the
-        table is immutable, so the mapping never goes stale.
+        Derived metadata kept in step with the pages by construction and
+        :meth:`insert` (no I/O is charged).
         """
         return self._row_index.get(int(bid), {})
 

@@ -16,7 +16,7 @@ import numpy as np
 from repro.errors import CubeError
 from repro.partition.grid import GridPartition
 from repro.storage.buffer import BufferPool
-from repro.storage.pager import Pager
+from repro.storage.pager import Pager, estimate_size
 from repro.storage.table import Relation
 
 CellKey = Tuple[int, ...]
@@ -44,18 +44,52 @@ class Cuboid:
         return "".join(self.dims) + "_" + "".join(self.grid.dims)
 
     def _build(self, relation: Relation, bids: np.ndarray) -> None:
+        if not relation.num_tuples:
+            return
+        bids = np.asarray(bids, dtype=np.int64)
         columns = [relation.selection_column(d) for d in self.dims]
-        pids = np.array(
-            [self.grid.pid_of_bid(int(bid), self.scale_factor) for bid in bids],
-            dtype=np.int64,
-        )
-        groups: Dict[Tuple[CellKey, int], List[Tuple[int, int]]] = {}
-        for tid in range(relation.num_tuples):
-            cell: CellKey = tuple(int(col[tid]) for col in columns)
-            key = (cell, int(pids[tid]))
-            groups.setdefault(key, []).append((tid, int(bids[tid])))
-        for key, entries in groups.items():
-            self._pages[key] = self.pager.allocate(entries)
+        pids = self.grid.pids_of_bids(bids, self.scale_factor)
+        # One stable sort groups the tuples by (cell, pid) and keeps tid
+        # order inside every group; pages are then allocated in order of
+        # each group's first tid, i.e. in first-seen order of a tid scan.
+        order = np.lexsort([pids] + columns[::-1])
+        keys = [column[order] for column in columns] + [pids[order]]
+        changed = np.zeros(len(order) - 1, dtype=bool)
+        for key in keys:
+            changed |= key[1:] != key[:-1]
+        starts = np.concatenate(([0], np.flatnonzero(changed) + 1))
+        ends = np.concatenate((starts[1:], [len(order)]))
+        first_seen = np.argsort(order[starts], kind="stable")
+        tids = order.tolist()
+        tid_bids = bids[order].tolist()
+        group_keys = [key[starts].tolist() for key in keys]
+        for group in first_seen.tolist():
+            start, end = int(starts[group]), int(ends[group])
+            cell: CellKey = tuple(key[group] for key in group_keys[:-1])
+            self._pages[(cell, group_keys[-1][group])] = self.pager.allocate(
+                list(zip(tids[start:end], tid_bids[start:end])))
+
+    # ------------------------------------------------------------------
+    # maintenance
+    # ------------------------------------------------------------------
+    def insert(self, tid: int, bid: int, row: Mapping[str, object]) -> None:
+        """Append ``(tid, bid)`` to the (cell, pseudo block) page of ``row``.
+
+        ``tid`` must exceed every tid already stored, so page order stays
+        tid order.  One page write (a fresh page for an unseen cell or an
+        empty pseudo block).  The scale factor keeps its build-time value:
+        it only decides how base blocks group into pages, never an answer.
+        """
+        key = (self.cell_of_predicate(row),
+               self.grid.pid_of_bid(bid, self.scale_factor))
+        entry = (tid, bid)
+        page_id = self._pages.get(key)
+        if page_id is None:
+            self._pages[key] = self.buffer.allocate([entry])
+        else:
+            self.buffer.write(
+                page_id, self.buffer.read(page_id) + [entry],
+                size=self.pager.page_bytes(page_id) + estimate_size(entry))
 
     # ------------------------------------------------------------------
     # data access method: get_pseudo_block (Section 3.3.1)

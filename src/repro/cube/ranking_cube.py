@@ -13,7 +13,7 @@ online (Section 3.4.2).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.cube.blocktable import BaseBlockTable
 from repro.cube.model import Cuboid
@@ -55,6 +55,9 @@ class RankingCube:
     ) -> None:
         self.relation = relation
         self.block_size = block_size
+        self.buffer_capacity = buffer_capacity
+        #: Rows the relation held when this cube (and its grid) was built.
+        self.built_rows = relation.num_tuples
         self.grid = grid or equidepth_partition(relation, block_size=block_size)
         self.pager = pager or Pager()
         self.block_table = BaseBlockTable(relation, self.grid, pager=Pager(),
@@ -82,9 +85,10 @@ class RankingCube:
         Only cuboids whose dimensions are a subset of the query dimensions
         are usable.  Among those, maximal ones are preferred and a greedy
         minimum cover is selected.  The materialized cuboid set is fixed
-        after construction, so covers are memoized per dimension set — the
-        engine consults this several times per routed query (supports,
-        plan details, execution) for the price of one computation.
+        after construction (inserts add pages, never cuboids), so covers
+        are memoized per dimension set — the engine consults this several
+        times per routed query (supports, plan details, execution) for the
+        price of one computation.
         """
         memo_key = tuple(sorted(set(query_dims)))
         cached = self._cover_memo.get(memo_key)
@@ -183,6 +187,40 @@ class RankingCube:
         for result, covering in zip(results, chosen_counts):
             result.extra["covering_cuboids"] = float(covering)
         return results
+
+    # ------------------------------------------------------------------
+    # maintenance
+    # ------------------------------------------------------------------
+    @property
+    def num_rows(self) -> int:
+        """Tuples covered: the build's plus every :meth:`insert` since."""
+        return len(self.block_table.bids)
+
+    def insert(self, tid: int, row: Mapping[str, object]) -> None:
+        """Absorb tuple ``tid`` of the relation in place (Section 3.2).
+
+        A tuple belongs on exactly one base-block page and one page per
+        cuboid, so an insert is ``1 + num_cuboids`` page writes.  The grid,
+        and with it every cached block lower bound, is untouched.  Raises
+        :class:`~repro.errors.CubeError` (before writing anything) when
+        ``tid`` is not the next uncovered row or the point lies outside the
+        grid domain; such rows need :meth:`rebuilt`.
+        """
+        bid = self.block_table.insert(
+            tid, [float(row[dim]) for dim in self.grid.dims])
+        for cuboid in self.cuboids.values():
+            cuboid.insert(tid, bid, row)
+
+    def rebuilt(self) -> "RankingCube":
+        """A fresh cube over the relation as it is now, same shape.
+
+        Same cuboids, block size, buffer capacity and bound cache; the
+        grid is re-partitioned, so cached bounds of the old grid go cold.
+        """
+        return RankingCube(self.relation, cuboid_dims=list(self.cuboids),
+                           block_size=self.block_size,
+                           buffer_capacity=self.buffer_capacity,
+                           bound_cache=self._executor.bound_cache)
 
     def attach_bound_cache(self, bound_cache) -> None:
         """Share a per-(function, block) lower-bound cache with the executor."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.errors import CubeError
 from repro.query import Predicate, SkylineQuery, TopKQuery
 from repro.storage.table import Relation
 
@@ -32,6 +33,7 @@ class RankingCubeBackend(Backend):
 
     kind = KIND_TOPK
     supports_fusion = True
+    maintains_inserts = True
 
     def __init__(self, cube, name: str = "ranking-cube", priority: int = 10) -> None:
         self.cube = cube
@@ -74,6 +76,28 @@ class RankingCubeBackend(Backend):
 
     def attach_bound_cache(self, bound_cache) -> None:
         self.cube.attach_bound_cache(bound_cache)
+
+    def insert(self, tid: int, row) -> None:
+        """Maintain the cube in place; rebuild it only when that is unsound.
+
+        Rows appended to the relation behind the cube's back (everything
+        between its coverage and ``tid``) are absorbed first.  A fresh
+        build replaces :attr:`cube` when a row falls outside the grid
+        domain — clamping it into an edge block would break that block's
+        lower bound — or once the relation has doubled since the build,
+        when the equi-depth blocks no longer hold what they were sized for.
+        """
+        cube = self.cube
+        relation = cube.relation
+        if relation.num_tuples >= 2 * cube.built_rows:
+            self.cube = cube.rebuilt()
+            return
+        try:
+            for missing in range(cube.num_rows, tid):
+                cube.insert(missing, relation.tuple_dict(missing))
+            cube.insert(tid, row)
+        except CubeError:
+            self.cube = cube.rebuilt()
 
     def run(self, query):
         return self.cube.query(query)
@@ -145,6 +169,7 @@ class TableScanBackend(Backend):
     """Sequential-scan fallback (``TS``): always applicable, never fast."""
 
     kind = KIND_TOPK
+    maintains_inserts = True  # scans the live relation
 
     def __init__(self, scanner, name: str = "table-scan", priority: int = 90) -> None:
         # ``scanner`` is a repro.baselines.TableScanTopK.
@@ -208,6 +233,7 @@ class SkylineScanBackend(Backend):
     """Boolean-first block-nested-loop skyline fallback."""
 
     kind = KIND_SKYLINE
+    maintains_inserts = True  # scans the live relation
 
     def __init__(self, engine, name: str = "skyline-scan", priority: int = 90) -> None:
         # ``engine`` is a repro.skyline.BooleanFirstSkyline.

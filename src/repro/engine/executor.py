@@ -460,16 +460,37 @@ class Executor:
         self.result_cache.invalidate(row=row)
         self.statistics.invalidate()
 
+    def insert(self, relation: Relation, tid: int,
+               row: Mapping[str, object]) -> bool:
+        """Bring the stack up to date with row ``tid`` just appended.
+
+        Asks first: unless every registered backend
+        :attr:`~repro.engine.registry.Backend.maintains_inserts`, nothing
+        is touched and ``False`` comes back — the caller then has to
+        rebuild the stack (or accept that its static indexes do not see
+        the row).  Otherwise every backend over ``relation`` absorbs the
+        row and :meth:`note_mutation` drops only the cached answers it can
+        affect; the executor, its planner and its bound cache stay.
+        """
+        if not all(backend.maintains_inserts for backend in self.registry):
+            return False
+        for backend in self.registry:
+            if backend.relation is relation:
+                backend.insert(tid, row)
+        self.note_mutation(relation, row=row)
+        return True
+
     def note_mutation(self, relation: Relation,
                       row: Optional[Mapping[str, object]] = None) -> None:
         """Record an out-of-band mutation of ``relation`` right away.
 
-        Callers that append to a watched relation directly (the serving
-        layer's unsharded write path) call this instead of letting
+        :meth:`insert` ends with this, and callers that append to a watched
+        relation directly call it instead of letting
         :meth:`_watched_mutated` discover the version change on the next
         query: syncing the watched version *first* lets the invalidation
         stay predicate-aware (``row=...``) — the deferred discovery path
-        can only widen it to a blanket clear.
+        can only widen it to a blanket clear.  It only syncs the caches;
+        it is :meth:`insert` that shows the row to the backends.
         """
         if id(relation) in self._watched_versions:
             self._watched_versions[id(relation)] = relation.version
@@ -481,13 +502,18 @@ class Executor:
         ``for_relation`` / ``for_system`` wire this up for the relations
         they build over, so after a direct ``Relation.append`` (the
         incremental maintenance path) the next execution re-runs instead of
-        replaying a pre-mutation answer.  Scope of the guarantee: the
-        result cache never adds staleness *beyond the backends themselves*
-        — backends with static indexes (the grid cube's block table, a
-        pre-built R-tree) still answer from the data they were built over
-        until rebuilt or maintained through their own insert paths.
-        Custom stacks should call this for every relation their backends
-        serve.
+        replaying a pre-mutation answer.  Scope of the guarantee: watching
+        keeps the *caches* honest, nothing more.  A row reaches the
+        backends through :meth:`insert`, which the write paths
+        (``ShardManager.insert``, ``QueryService.insert``) call: the grid
+        cube absorbs it in place and the scan backends read the live
+        relation, so a stack of those answers over the current rows.
+        Backends with ``maintains_inserts = False`` (the signature cube and
+        the skyline engine over its R-tree, ranked joins) answer from the
+        rows they were built over; :meth:`insert` refuses a stack holding
+        one, the shard manager then rebuilds that shard's stack, and after a
+        bare ``Relation.append`` nothing does.  Custom stacks should call
+        this for every relation their backends serve.
         """
         if id(relation) not in self._watched_versions:
             self._watched_relations.append(relation)

@@ -11,7 +11,7 @@ touching the planner or the executor.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Mapping, Optional
 
 from repro.errors import PlanningError
 from repro.query import SkylineQuery, TopKQuery
@@ -53,6 +53,11 @@ class Backend(ABC):
     #: same-function group (one frontier sweep / one tree traversal) rather
     #: than falling back to the per-query loop.
     supports_fusion: bool = False
+    #: Whether :meth:`insert` keeps this backend exact after a row is
+    #: appended to :attr:`relation`.  ``False`` means its indexes only
+    #: cover the rows they were built over, so a stack holding it has to
+    #: be rebuilt to see a new row.
+    maintains_inserts: bool = False
 
     @abstractmethod
     def supports(self, query) -> bool:
@@ -72,6 +77,13 @@ class Backend(ABC):
         so non-batchable backends keep exact per-query semantics.
         """
         return [self.run(query) for query in queries]
+
+    def insert(self, tid: int, row: Mapping[str, object]) -> None:
+        """Absorb row ``tid``, already appended to :attr:`relation`.
+
+        Only called when :attr:`maintains_inserts` is true.  The default
+        suits backends that read the live relation on every query.
+        """
 
     def plan_details(self, query) -> Dict[str, object]:
         """Backend-specific plan properties (e.g. covering cuboids)."""

@@ -164,6 +164,19 @@ class GridPartition:
             pid = pid * pseudo_count + min(coord // scale_factor, pseudo_count - 1)
         return pid
 
+    def pids_of_bids(self, bids: np.ndarray, scale_factor: int) -> np.ndarray:
+        """:meth:`pid_of_bid` of a whole array of base-block ids (vectorized)."""
+        coords = []
+        for count in reversed(self._bins_per_dim):
+            coords.append(bids % count)
+            bids = bids // count
+        pids = np.zeros(len(bids), dtype=np.int64)
+        for coord, pseudo_count in zip(reversed(coords),
+                                       self.pseudo_bins_per_dim(scale_factor)):
+            pids = pids * pseudo_count + np.minimum(coord // scale_factor,
+                                                    pseudo_count - 1)
+        return pids
+
     def pseudo_bins_per_dim(self, scale_factor: int) -> Tuple[int, ...]:
         """Number of pseudo bins along each dimension under ``scale_factor``."""
         return tuple(

@@ -36,6 +36,7 @@ import asyncio
 import functools
 import inspect
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, List, Mapping, Optional, Set
 
@@ -84,13 +85,15 @@ class QueryService:
         scatter/gather executor; without one, :meth:`insert` needs
         ``relation`` and :meth:`reshard` is unavailable.
     relation:
-        Unsharded write target: :meth:`insert` appends to it directly and
-        narrows the engine's cache invalidation to the inserted row.
-        Note the unsharded engine's scope caveat
-        (:meth:`~repro.engine.Executor.watch_relation`): backends with
-        static indexes keep answering from the data they were built over.
-        The manager-backed path rebuilds the owning shard's stack instead
-        and has no such caveat.
+        Unsharded write target: :meth:`insert` appends to it and hands the
+        row to :meth:`~repro.engine.Executor.insert`, so a stack whose
+        backends all maintain inserts (grid cube, scans) answers over the
+        current rows.  A stack holding one that does not (the signature
+        cube, the skyline engine) cannot be rebuilt from here: the row is
+        appended, the caches are invalidated, a ``RuntimeWarning`` names
+        the backends, and they keep answering from the rows they were
+        built over.  The manager-backed path rebuilds the owning shard's
+        stack instead and has no such caveat.
     clock:
         Monotonic time source, injected by tests.
     metrics:
@@ -777,11 +780,16 @@ class QueryService:
 
     def _apply_unsharded_insert(self, row: Mapping[str, object]) -> int:
         tid = self.relation.append(row)
-        note = getattr(self.engine, "note_mutation", None)
-        if note is not None:
-            note(self.relation, row=row)
-        else:
-            self.engine.invalidate_results(row=row)
+        if not self.engine.insert(self.relation, tid, row):
+            static = [backend.name for backend in self.engine.registry
+                      if not backend.maintains_inserts]
+            # No row number: one warning per process, not one per insert.
+            warnings.warn(
+                f"inserted rows are appended, but backends {static} do not "
+                f"maintain inserts and still answer from the rows they were "
+                f"built over; serve through a ShardManager to have the "
+                f"stack rebuilt", RuntimeWarning, stacklevel=2)
+            self.engine.note_mutation(self.relation, row=row)
         return tid
 
     async def reshard(self, policy) -> None:

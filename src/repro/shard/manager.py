@@ -8,10 +8,14 @@ per-shard engine stacks lazily through ``Executor.for_relation`` — a shard
 the planner always prunes never pays index construction.
 
 Mutation goes through the manager: :meth:`insert` routes a new row to its
-owning shard and :meth:`reshard` re-splits under a new policy.  Both drop
-the affected per-shard stacks and fire the registered invalidation hooks so
-every result cache layered on top (per-shard and scatter/gather) is cleared
-before a stale answer can be served.
+owning shard and :meth:`reshard` re-splits under a new policy.  An insert
+is absorbed by the owner's built stack in place (``Executor.insert``: the
+grid cube gains one page entry per structure, its caches stay warm); only
+a stack holding a backend that cannot maintain inserts is dropped and
+rebuilt on its next use, as every stack is on a reshard.  Both fire the
+registered invalidation hooks so every result cache layered on top
+(per-shard and scatter/gather) is cleared before a stale answer can be
+served.
 """
 
 from __future__ import annotations
@@ -167,14 +171,16 @@ class ShardManager:
         except TypeError:
             self._invalidation_hooks.append(lambda: hook)
 
-    def _invalidate(self, row: Optional[Mapping[str, object]] = None) -> None:
+    def _invalidate(self, row: Optional[Mapping[str, object]] = None,
+                    absorbed: Optional[int] = None) -> None:
         for index, executor in self._executors.items():
-            executor.invalidate_results(row=row)
-            # invalidate_results also drops the executor's statistics
-            # catalog; the surviving executors belong to shards the
-            # mutation did not touch (the owner's stack was popped), so
-            # their ShardStatistics are still exact — re-seed them rather
-            # than letting the next plan re-scan an unchanged shard.
+            if index != absorbed:
+                # Executor.insert already invalidated the absorbing stack.
+                executor.invalidate_results(row=row)
+            # Invalidation also drops the executor's statistics catalog,
+            # but every shard's ShardStatistics are exact (insert folds
+            # the row into its owner's) — re-seed them rather than
+            # letting the next plan re-scan the shard.
             catalog = getattr(executor, "statistics", None)
             if catalog is not None:
                 shard = self.shards[index]
@@ -201,14 +207,16 @@ class ShardManager:
     def insert(self, row: Mapping[str, object]) -> int:
         """Append ``row`` to the base relation and its owning shard.
 
-        Returns the new global tid.  The owning shard's engine stack is
-        dropped (its indexes no longer cover the shard) and every
-        invalidation hook fires, so no cached result survives the insert.
+        Returns the new global tid.  The owning shard's built engine stack
+        absorbs the row in place; one that cannot (see
+        :meth:`~repro.engine.Executor.insert`) is dropped, since its
+        indexes no longer cover the shard.  Every invalidation hook fires,
+        so no cached result the row can affect survives the insert.
         """
         global_tid = self.relation.append(row)
         owner = self.policy.shard_for_row(self.relation, row, global_tid)
         shard = self.shards[owner]
-        shard.relation.append(row)
+        local_tid = shard.relation.append(row)
         shard.tid_map = np.append(shard.tid_map, global_tid)
         if shard.relation.num_tuples == 1:
             # First row of a previously empty shard: initialize the stats
@@ -217,8 +225,14 @@ class ShardManager:
             shard.stats = ShardStatistics.of(owner, shard.relation)
         else:
             shard.stats.add_row(row)
-        self._executors.pop(owner, None)
-        self._invalidate(row=row)
+        absorbed = None
+        executor = self._executors.get(owner)
+        if executor is not None:
+            if executor.insert(shard.relation, local_tid, row):
+                absorbed = owner
+            else:
+                del self._executors[owner]
+        self._invalidate(row=row, absorbed=absorbed)
         return global_tid
 
     def reshard(self, policy: ShardingPolicy) -> None:

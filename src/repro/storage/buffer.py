@@ -46,9 +46,13 @@ class BufferPool:
         self._insert(page_id, payload)
         return payload
 
-    def write(self, page_id: int, payload: Any) -> None:
-        """Write through to the pager and refresh the cached copy."""
-        self.pager.write(page_id, payload)
+    def write(self, page_id: int, payload: Any, *,
+              size: Optional[int] = None) -> None:
+        """Write through to the pager and refresh the cached copy.
+
+        ``size`` is forwarded to :meth:`Pager.write`.
+        """
+        self.pager.write(page_id, payload, size=size)
         if page_id in self._cache or self.capacity <= 0 or len(self._cache) < self.capacity:
             self._insert(page_id, payload)
 

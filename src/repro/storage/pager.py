@@ -167,12 +167,19 @@ class Pager:
             self.stats.physical_reads += 1
         return self._pages[page_id]
 
-    def write(self, page_id: int, payload: Any) -> None:
-        """Overwrite the payload of an existing page."""
+    def write(self, page_id: int, payload: Any, *,
+              size: Optional[int] = None) -> None:
+        """Overwrite the payload of an existing page.
+
+        ``size`` is ``estimate_size(payload)`` when the caller already
+        knows it — a list page that grew by one entry grew by that entry's
+        estimate (see :meth:`page_bytes`), no need to walk the whole page.
+        """
         if page_id not in self._pages:
             raise PageNotFoundError(page_id)
         self._pages[page_id] = payload
-        size = estimate_size(payload)
+        if size is None:
+            size = estimate_size(payload)
         self._page_sizes[page_id] = size
         self.stats.writes += 1
         self.stats.bytes_written += size
@@ -188,6 +195,12 @@ class Pager:
     def num_pages(self) -> int:
         """Number of currently allocated pages."""
         return len(self._pages)
+
+    def page_bytes(self, page_id: int) -> int:
+        """Estimated size of the payload currently on ``page_id``."""
+        if page_id not in self._page_sizes:
+            raise PageNotFoundError(page_id)
+        return self._page_sizes[page_id]
 
     def total_bytes(self) -> int:
         """Sum of the estimated sizes of all allocated pages."""

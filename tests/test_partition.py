@@ -156,3 +156,13 @@ def test_every_point_lands_in_its_block_box(bx, by, px, py):
     box = grid.block_box(bid)
     assert box.interval("x").low - 1e-9 <= px <= box.interval("x").high + 1e-9
     assert box.interval("y").low - 1e-9 <= py <= box.interval("y").high + 1e-9
+
+
+def test_pids_of_bids_matches_pid_of_bid():
+    grid = GridPartition(("X", "Y", "Z"), {
+        "X": np.linspace(0.0, 1.0, 6), "Y": np.linspace(0.0, 1.0, 4),
+        "Z": np.linspace(0.0, 1.0, 8)})
+    bids = np.arange(grid.num_blocks, dtype=np.int64)
+    for scale_factor in (1, 2, 3, 7):
+        assert grid.pids_of_bids(bids, scale_factor).tolist() == [
+            grid.pid_of_bid(int(bid), scale_factor) for bid in bids]

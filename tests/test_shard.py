@@ -32,6 +32,7 @@ from repro.workloads import (
     make_sharded_engine,
     pruned_predicate_queries,
 )
+from tests.conftest import brute_force_topk
 
 SHARD_COUNTS = (1, 2, 7)
 POLICY_KINDS = ("hash", "range-width", "range-depth")
@@ -382,26 +383,69 @@ class TestCostOrderedScatter:
             seeded += 1
         assert seeded > 0
 
-    def test_insert_keeps_seeded_stats_on_untouched_shards(self):
+    @staticmethod
+    def _insert_into_built_stacks(**stack):
         base = generate_relation(SyntheticSpec(num_tuples=400,
                                                num_selection_dims=2,
                                                num_ranking_dims=2,
                                                cardinality=4, seed=21))
         manager = ShardManager(base, RangeShardingPolicy(base, "A1", 4),
-                               block_size=50, rtree_max_entries=16,
-                               with_signature=False, with_skyline=False)
+                               block_size=50, rtree_max_entries=16, **stack)
         engine = ScatterGatherExecutor(manager)
-        engine.execute(TopKQuery(Predicate.of(), sum_function(["N1", "N2"]), 5))
+        query = TopKQuery(Predicate.of(), sum_function(["N1", "N2"]), 5)
+        engine.execute(query)
+        before = manager.built_executors()
+        assert len(before) == 4
         row = {"A1": 0, "A2": 1, "N1": 0.2, "N2": 0.2}
         owner = manager.policy.shard_for_row(base, row, base.num_tuples)
-        manager.insert(row)
+        return manager, engine, query, before, owner, row
+
+    def test_insert_is_absorbed_by_the_owners_grid_stack(self):
+        manager, engine, query, before, owner, row = (
+            self._insert_into_built_stacks(with_signature=False,
+                                           with_skyline=False))
+        cube = before[owner].registry.get("ranking-cube").cube
+        pagers = (cube.pager, cube.block_table.pager)
+        writes = sum(pager.stats.writes for pager in pagers)
+        tid = manager.insert(row)
+        # Every stack survives, the owner's included — same Executor, same
+        # cube, one page write per structure.
+        after = manager.built_executors()
+        assert all(after[index] is before[index] for index in range(4))
+        assert after[owner].registry.get("ranking-cube").cube is cube
+        assert (sum(pager.stats.writes for pager in pagers) - writes
+                == 1 + cube.num_cuboids())
         for shard in manager.shards:
-            executor = manager._executors.get(shard.index)
-            if executor is None:
-                continue
-            # Untouched shards keep their exact profile without re-scanning.
-            assert shard.index != owner  # the owner's stack was dropped
-            assert executor.statistics.of(shard.relation) is shard.stats
+            # Seeded profiles are served as-is (no re-scan) and exact.
+            assert after[shard.index].statistics.of(
+                shard.relation) is shard.stats
+            assert shard.stats == ShardStatistics.of(shard.index,
+                                                     shard.relation)
+        result = engine.execute(query)
+        assert result.extra["result_cache"] == "miss"
+        expected = brute_force_topk(manager.relation, query)
+        assert (result.tids, result.scores) == expected
+        assert tid == 400
+
+    def test_insert_drops_an_owner_stack_that_cannot_absorb_it(self):
+        manager, engine, query, before, owner, row = (
+            self._insert_into_built_stacks())  # signature + skyline engines
+        manager.insert(row)
+        after = manager.built_executors()
+        assert sorted(after) == [i for i in range(4) if i != owner]
+        for shard in manager.shards:
+            if shard.index != owner:
+                # Untouched shards keep their stack and their exact profile.
+                assert after[shard.index] is before[shard.index]
+                assert after[shard.index].statistics.of(
+                    shard.relation) is shard.stats
+        result = engine.execute(query)
+        assert (result.tids, result.scores) == brute_force_topk(
+            manager.relation, query)
+        rebuilt = manager.built_executors()[owner]
+        assert rebuilt is not before[owner]
+        cube = rebuilt.registry.get("ranking-cube").cube
+        assert cube.num_rows == manager.shards[owner].relation.num_tuples
 
     def test_gathered_plan_reports_cost_mode(self):
         # Every per-shard planner runs cost-based by default, and explain
