@@ -53,6 +53,7 @@ from repro.functions.linear import skewed_linear_function  # noqa: E402
 from repro.query import Predicate, TopKQuery  # noqa: E402
 from repro.shard import (  # noqa: E402
     HashShardingPolicy,
+    InProcessLegs,
     ScatterGatherExecutor,
     ShardManager,
 )
@@ -111,18 +112,24 @@ def surviving_oracle(relation, query, surviving_tids):
     return tuple(t for _, t in top), tuple(s for s, _ in top)
 
 
-def fail_shard(engine, bad_index: int) -> None:
-    """Make every leg to one shard raise, leaving the others honest."""
-    original = engine._shard_execute
+class FailingLegs(InProcessLegs):
+    """A fake leg runner: legs to one shard raise, the rest run for real."""
 
-    def failing(shard, query, leg, deadline=None):
-        if shard.index == bad_index:
+    def __init__(self, manager, bad_index):
+        super().__init__(manager)
+        self.bad_index = bad_index
+
+    def run(self, shard, queries, leg_span, deadline):
+        if shard.index == self.bad_index:
             raise ShardWorkerError(
                 f"shard {shard.index} worker process died (exit code -9)",
                 shard_index=shard.index)
-        return original(shard, query, leg, deadline=deadline)
+        return super().run(shard, queries, leg_span, deadline)
 
-    engine._shard_execute = failing
+
+def fail_shard(engine, bad_index: int) -> None:
+    """Make every leg to one shard raise, leaving the others honest."""
+    engine.legs = FailingLegs(engine.manager, bad_index)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -37,6 +37,7 @@ from repro.fault import BreakerPolicy, FaultInjector, RetryPolicy
 from repro.functions import LinearFunction
 from repro.query import Predicate, TopKQuery
 from repro.serve import QueryService, ServiceConfig, ShardUnavailableError
+from repro.shard import InProcessLegs
 from repro.workloads import SyntheticSpec, generate_relation, make_sharded_engine
 
 
@@ -46,18 +47,24 @@ def build_engine(relation, range_dim="A1", **fault_kwargs):
                                with_skyline=False, **fault_kwargs)
 
 
-def fail_shard(engine, bad_index):
-    """Simulate a shard that stays down (every leg to it raises)."""
-    original = engine._shard_execute
+class FailingLegs(InProcessLegs):
+    """A fake leg runner: legs to one shard raise, the rest run for real."""
 
-    def failing(shard, query, leg, deadline=None):
-        if shard.index == bad_index:
+    def __init__(self, manager, bad_index):
+        super().__init__(manager)
+        self.bad_index = bad_index
+
+    def run(self, shard, queries, leg_span, deadline):
+        if shard.index == self.bad_index:
             raise ShardWorkerError(
                 f"shard {shard.index} worker process died (exit code -9)",
                 shard_index=shard.index)
-        return original(shard, query, leg, deadline=deadline)
+        return super().run(shard, queries, leg_span, deadline)
 
-    engine._shard_execute = failing
+
+def fail_shard(engine, bad_index):
+    """Simulate a shard that stays down (every leg to it raises)."""
+    engine.legs = FailingLegs(engine.manager, bad_index)
 
 
 async def main() -> None:

@@ -4,7 +4,7 @@ The serving layer's micro-batcher already drains priority *classes* by
 weighted round-robin; this module adds the missing axis for a shared
 front door: fairness **across clients**.  Requests queue per
 ``(priority class, client id)``; the scheduler picks the next class by
-the same smooth weighted round-robin as the batcher
+the batcher's own :class:`~repro.serve.batcher.WeightedRoundRobin`
 (:data:`~repro.serve.batcher.DEFAULT_CLASS_WEIGHTS`), then round-robins
 the clients inside it — so one chatty batch client cannot starve its
 peers, and interactive traffic overtakes background backlogs without
@@ -33,6 +33,7 @@ from repro.serve.batcher import (
     DEFAULT_CLASS_WEIGHTS,
     DEFAULT_PRIORITY,
     PRIORITY_CLASSES,
+    WeightedRoundRobin,
 )
 from repro.serve.errors import (
     RequestTimeoutError,
@@ -100,19 +101,16 @@ class _ClassQueue:
 class FairShareScheduler:
     """Synchronous fair-share order over ``(class, client)`` queues.
 
-    Smooth weighted round-robin across priority classes (identical math
-    to the batcher's drain — one scheduling dialect across layers),
-    plain round-robin across clients within a class, FIFO per client.
+    :class:`~repro.serve.batcher.WeightedRoundRobin` across priority
+    classes (the batcher's own drain order), plain round-robin across
+    clients within a class, FIFO per client.
     """
 
     def __init__(self, weights: Optional[Dict[str, float]] = None) -> None:
-        self.weights = dict(DEFAULT_CLASS_WEIGHTS)
-        if weights:
-            self.weights.update(weights)
+        self._wrr = WeightedRoundRobin(
+            {**DEFAULT_CLASS_WEIGHTS, **(weights or {})})
         self._classes: Dict[str, _ClassQueue] = {
             name: _ClassQueue() for name in PRIORITY_CLASSES}
-        self._credits: Dict[str, float] = {
-            name: 0.0 for name in PRIORITY_CLASSES}
 
     def __len__(self) -> int:
         return sum(len(q) for q in self._classes.values())
@@ -132,14 +130,7 @@ class FairShareScheduler:
         active = [name for name in PRIORITY_CLASSES if self._classes[name]]
         if not active:
             return None
-        if len(active) == 1:
-            return self._classes[active[0]].pop()
-        total = sum(self.weights[name] for name in active)
-        for name in active:
-            self._credits[name] += self.weights[name]
-        best = max(active, key=lambda name: self._credits[name])
-        self._credits[best] -= total
-        return self._classes[best].pop()
+        return self._classes[self._wrr.pick(active)].pop()
 
     def drain(self) -> List[Ticket]:
         tickets: List[Ticket] = []

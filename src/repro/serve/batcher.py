@@ -36,10 +36,10 @@ import asyncio
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Mapping, Optional, Sequence
 
 #: Admission priority classes, most to least urgent.  The batcher drains
-#: them by smooth weighted round-robin (:data:`DEFAULT_CLASS_WEIGHTS`),
+#: them by :class:`WeightedRoundRobin` (:data:`DEFAULT_CLASS_WEIGHTS`),
 #: so interactive traffic jumps most of the queue under saturation while
 #: background work still makes progress instead of starving.
 PRIORITY_CLASSES = ("interactive", "batch", "background")
@@ -51,6 +51,33 @@ DEFAULT_PRIORITY = "interactive"
 DEFAULT_CLASS_WEIGHTS: Dict[str, float] = {
     "interactive": 8.0, "batch": 3.0, "background": 1.0,
 }
+
+
+class WeightedRoundRobin:
+    """Smooth weighted round-robin over named classes.
+
+    Each pick adds every *active* class's weight to its credit, takes
+    the class with the most credit, and charges it the total — so over a
+    sustained backlog the picks converge to the weight ratios, while a
+    lone active class is returned as is (no credit moves).  Shared by
+    the micro-batcher's drain and the HTTP tier's
+    :class:`~repro.net.admission.FairShareScheduler`: one scheduling
+    dialect across layers.
+    """
+
+    def __init__(self, weights: Mapping[str, float]) -> None:
+        self._weights = dict(weights)
+        self._credits = {name: 0.0 for name in self._weights}
+
+    def pick(self, active: Sequence[str]) -> str:
+        """The next class among ``active`` (non-empty; earlier wins ties)."""
+        if len(active) == 1:
+            return active[0]
+        for name in active:
+            self._credits[name] += self._weights[name]
+        best = max(active, key=self._credits.__getitem__)
+        self._credits[best] -= sum(self._weights[name] for name in active)
+        return best
 
 
 @dataclass
@@ -110,9 +137,7 @@ class MicroBatcher:
         self.clock = clock
         self._pending: Dict[str, Deque[QueuedRequest]] = {
             name: deque() for name in PRIORITY_CLASSES}
-        self._weights = dict(DEFAULT_CLASS_WEIGHTS)
-        self._credits: Dict[str, float] = {
-            name: 0.0 for name in PRIORITY_CLASSES}
+        self._wrr = WeightedRoundRobin(DEFAULT_CLASS_WEIGHTS)
 
     def __len__(self) -> int:
         return sum(len(q) for q in self._pending.values())
@@ -165,23 +190,10 @@ class MicroBatcher:
         return now >= self.next_deadline()
 
     def _take_next(self) -> QueuedRequest:
-        """Pop one request by smooth weighted round-robin across classes.
-
-        Each pick adds every non-empty class's weight to its credit,
-        takes the class with the most credit, and charges it the total —
-        so over a sustained backlog the drained mix converges to the
-        weight ratios, while a lone class degenerates to plain FIFO.
-        Within a class order is strictly FIFO.
-        """
+        """Pop one request: :class:`WeightedRoundRobin` across the
+        non-empty classes, strictly FIFO within a class."""
         active = [name for name in PRIORITY_CLASSES if self._pending[name]]
-        if len(active) == 1:
-            return self._pending[active[0]].popleft()
-        total = sum(self._weights[name] for name in active)
-        for name in active:
-            self._credits[name] += self._weights[name]
-        best = max(active, key=lambda name: self._credits[name])
-        self._credits[best] -= total
-        return self._pending[best].popleft()
+        return self._pending[self._wrr.pick(active)].popleft()
 
     def drain(self, now: Optional[float] = None,
               force: bool = False) -> List[QueuedRequest]:

@@ -13,15 +13,20 @@ entry points:
   routes ``insert``/``reshard`` with cache invalidation;
 * :class:`~repro.shard.scatter.ScatterGatherExecutor` — the same
   ``execute`` / ``execute_many`` / ``plan`` / ``explain`` surface as
-  :class:`repro.engine.Executor`: statistics-prune shards, scatter the
-  query (optionally on a thread pool), k-way-merge top-k answers under the
-  canonical ``(score, tid)`` order, and re-check skylines for cross-shard
-  dominance;
-* :class:`~repro.shard.scatter.ProcessScatterExecutor` — the same surface
-  again, but heavy legs run in long-lived per-shard worker processes
-  (:class:`~repro.shard.worker.ShardWorker`) over shared-memory copies of
+  :class:`repro.engine.Executor`, behind it ONE scatter algorithm (a solo
+  query is a group of one): statistics-prune shards, scatter the group
+  with one leg per shard (optionally on a thread pool), k-way-merge top-k
+  answers under the canonical ``(score, tid)`` order, and re-check
+  skylines for cross-shard dominance;
+* :class:`~repro.shard.legs.LegRunner` — the one seam a leg is planned
+  and run through: :class:`~repro.shard.legs.InProcessLegs` (the
+  manager's own stacks) or :class:`~repro.shard.legs.WorkerProcessLegs`
+  (long-lived per-shard worker processes,
+  :class:`~repro.shard.worker.ShardWorker`, over shared-memory copies of
   the shard data, so Python scoring is no longer capped at one core; the
-  cost model prices the thread/process crossover per scatter.
+  cost model prices the thread/process crossover per scatter);
+* :class:`~repro.shard.scatter.ProcessScatterExecutor` — the scatter
+  constructed over the worker-process runner.
 
 Usage::
 
@@ -37,6 +42,7 @@ Usage::
     print(result.extra["shard_backends"])   # what each consulted shard ran
 """
 
+from repro.shard.legs import InProcessLegs, LegRunner, WorkerProcessLegs
 from repro.shard.manager import Shard, ShardManager
 from repro.shard.policy import (
     HashShardingPolicy,
@@ -49,6 +55,8 @@ from repro.shard.worker import ShardWorker
 
 __all__ = [
     "HashShardingPolicy",
+    "InProcessLegs",
+    "LegRunner",
     "ProcessScatterExecutor",
     "RangeShardingPolicy",
     "ScatterGatherExecutor",
@@ -57,4 +65,5 @@ __all__ = [
     "ShardStatistics",
     "ShardWorker",
     "ShardingPolicy",
+    "WorkerProcessLegs",
 ]

@@ -14,6 +14,14 @@
    skylines are re-checked for cross-shard dominance (a point on one
    shard's local skyline may be dominated by another shard's point).
 
+There is ONE scatter algorithm, :meth:`ScatterGatherExecutor._execute_group`:
+``execute_many`` groups top-k misses by ranking function and scatters
+each group with one leg per shard, and a solo query — ``execute``, a
+lone function in a batch, a skyline — is a group of one on the same
+path.  *Where* a leg runs is behind one seam, the
+:class:`~repro.shard.legs.LegRunner` in ``self.legs`` (in-process, or
+per-shard worker processes for :class:`ProcessScatterExecutor`).
+
 Sequential top-k scatters are additionally *ordered and bounded* by the
 engine's :class:`~repro.engine.cost.CostModel`: legs run most-promising
 first (lowest attainable score over the shard's ranking ranges, fewer
@@ -29,8 +37,10 @@ order, and the backend each consulted shard chose — the whole scatter is
 explainable end-to-end, just like a single-engine plan.
 
 Scatter legs are additionally *fault-tolerant* (see :mod:`repro.fault`):
-a per-call :class:`~repro.fault.deadline.Deadline` is checked between
-legs and converted into bounded pipe waits on process legs; a
+every ``legs.run`` call is wrapped by one guard
+(:meth:`ScatterGatherExecutor._guarded`); a per-call
+:class:`~repro.fault.deadline.Deadline` is checked between legs and
+converted into bounded pipe waits on process legs; a
 :class:`~repro.fault.retry.RetryPolicy` re-runs failed legs with
 jittered exponential backoff under a budget; per-shard
 :class:`~repro.fault.breaker.CircuitBreaker`\\ s fail persistent
@@ -45,13 +55,12 @@ and degraded results are never stored in the result cache.
 from __future__ import annotations
 
 import heapq
-import multiprocessing
 import random
 import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.engine.cache import (
     ResultCache,
@@ -76,12 +85,11 @@ from repro.errors import (
     ShardWorkerError,
 )
 from repro.fault.breaker import BreakerOpenError, CircuitBreaker
-from repro.fault.inject import InjectedFaultError
 from repro.obs.metrics import MetricsRegistry, merged_snapshot
 from repro.obs.trace import NULL_SPAN, NULL_TRACER
 from repro.query import QueryResult, TopKQuery, topk_order_key
+from repro.shard.legs import InProcessLegs, LegRunner, WorkerProcessLegs
 from repro.shard.manager import Shard, ShardManager
-from repro.shard.worker import ShardWorker
 from repro.skyline.dominance import skyline_of, transform_dynamic
 from repro.skyline.engine import SkylineResult
 
@@ -90,8 +98,8 @@ class _LegLedger:
     """Per-gathered-result record of leg attempts and final failures.
 
     One ledger backs one gathered :class:`~repro.query.QueryResult` —
-    the solo scatter keeps one, a fused group keeps one per rider (a
-    failed leg only taints the riders it carried).  Thread-safe because
+    a scattered group keeps one per rider (a failed leg only taints the
+    riders it carried).  Thread-safe because
     parallel legs of one scatter write concurrently.
     """
 
@@ -159,15 +167,20 @@ class ScatterGatherExecutor:
         per-shard circuit breakers (default: no breakers).
     fault_injector:
         A :class:`~repro.fault.inject.FaultInjector` planting seeded
-        chaos in the legs (thread legs raise
-        :class:`~repro.fault.inject.InjectedFaultError`; process legs
-        hand the injector to their workers for real crashes and hangs).
+        chaos in the legs.  It is handed to the leg runner: in-process
+        legs raise :class:`~repro.fault.inject.InjectedFaultError`,
+        worker-process legs suffer real crashes and hangs.
     allow_partial:
         Default partiality: when a shard stays down past retries (or
         its breaker is open), gather the exact answer over the surviving
         shards — flagged ``degraded`` in ``extra`` — instead of raising.
         Per-call ``allow_partial=`` overrides; ``False`` keeps the
         strict raise-on-failure contract.
+    legs:
+        The :class:`~repro.shard.legs.LegRunner` every leg is planned
+        and run through (default: :class:`~repro.shard.legs.InProcessLegs`
+        over the manager's own stacks).  The attribute is assignable, so
+        a test can wrap it in a failing fake.
     """
 
     def __init__(self, manager: ShardManager, parallel: bool = False,
@@ -179,8 +192,10 @@ class ScatterGatherExecutor:
                  retry_policy=None,
                  breaker_policy=None,
                  fault_injector=None,
-                 allow_partial: bool = False) -> None:
+                 allow_partial: bool = False,
+                 legs: Optional[LegRunner] = None) -> None:
         self.manager = manager
+        self.legs: LegRunner = legs or InProcessLegs(manager)
         self.parallel = parallel
         self.max_workers = max_workers
         self.cost_model = cost_model or CostModel()
@@ -213,7 +228,8 @@ class ScatterGatherExecutor:
         # --- fault tolerance (see repro.fault) -------------------------
         self.retry_policy = retry_policy
         self.breaker_policy = breaker_policy
-        self.fault_injector = fault_injector
+        if fault_injector is not None:
+            self.fault_injector = fault_injector
         self.allow_partial = bool(allow_partial)
         #: Jitter RNG for retry backoff; seeded from the policy so chaos
         #: runs replay the same sleeps.  Guarded by a lock — parallel
@@ -229,11 +245,6 @@ class ScatterGatherExecutor:
         #: Clock handed to lazily built breakers (tests pin a fake one
         #: before the first leg to step cooldowns deterministically).
         self._breaker_clock = time.monotonic
-        #: Whether the injector fires *in the legs themselves* (thread
-        #: mode).  ProcessScatterExecutor turns this off and attaches
-        #: the injector to its workers instead, so injected crashes are
-        #: real process deaths, not simulated exceptions.
-        self._leg_injection = True
         self._m_retries = self.metrics.counter("fault.retries")
         self._m_leg_failures = self.metrics.counter("fault.leg_failures")
         self._m_hung = self.metrics.counter("fault.hung_legs")
@@ -248,6 +259,15 @@ class ScatterGatherExecutor:
             "breaker.half_open_probes")
         self._m_breaker_rejected = self.metrics.counter("breaker.rejected")
         manager.add_invalidation_hook(self._on_mutation)
+
+    @property
+    def fault_injector(self):
+        """The leg runner's injector (``leg.delay`` fires in the guard)."""
+        return self.legs.injector
+
+    @fault_injector.setter
+    def fault_injector(self, injector) -> None:
+        self.legs.injector = injector
 
     def _on_mutation(self, row=None) -> None:
         """Manager-fired invalidation: predicate-aware drop + version sync.
@@ -267,6 +287,7 @@ class ScatterGatherExecutor:
             # must keep failing loudly in _check_base_relation.
             self._relation_version = self.manager.relation.version
         self.result_cache.invalidate(row=row)
+        self.legs.on_mutation(row)
 
     def _check_base_relation(self) -> None:
         """Detect base-relation mutation and refuse to serve from stale shards.
@@ -327,17 +348,20 @@ class ScatterGatherExecutor:
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Deterministically tear down every pool this executor created.
+        """Deterministically tear down the leg runner and every pool.
 
-        Joins the live scatter pool *and* every pool retired by an
-        :meth:`ensure_pool` upsize (those were shut down with
-        ``wait=False`` and could still be draining legs) — after
-        :meth:`close` returns, no thread started by this executor is
-        alive.  The executor stays usable: a later parallel scatter
-        lazily recreates the pool, so owners like the serving layer can
-        close a shared engine without making it unusable for the next
-        owner.  Idempotent and safe to call on a never-parallel executor.
+        Closes the leg runner (worker processes stopped, their shared
+        memory unlinked), then joins the live scatter pool *and* every
+        pool retired by an :meth:`ensure_pool` upsize (those were shut
+        down with ``wait=False`` and could still be draining legs) —
+        after :meth:`close` returns, no thread or process started by
+        this executor is alive.  The executor stays usable: a later
+        scatter lazily recreates the pool and respawns workers, so
+        owners like the serving layer can close a shared engine without
+        making it unusable for the next owner.  Idempotent and safe to
+        call on a never-parallel executor.
         """
+        self.legs.close()
         with self._pool_lock:
             pools = list(self._retired_pools)
             self._retired_pools.clear()
@@ -376,18 +400,15 @@ class ScatterGatherExecutor:
     def _scatter_details(self, query, consulted: List[Shard],
                          pruned: List[Tuple[int, str]],
                          shard_backends: Dict[int, str],
-                         skipped: Tuple[Tuple[int, str], ...] = (),
-                         order: Optional[List[Shard]] = None,
-                         ) -> Dict[str, object]:
+                         skipped: Tuple[Tuple[int, str], ...],
+                         order: List[Shard]) -> Dict[str, object]:
         """One rendering of the scatter set, shared by plans and results.
 
-        ``order`` is the planned leg order over every surviving shard;
-        after a bounded scatter it covers skipped legs too, so the default
-        (re-derived from ``consulted``) only serves the un-skipped paths.
+        ``order`` is the planned leg order over every surviving shard,
+        skipped legs included.  ``scatter_mode`` appears when the leg
+        runner has more than one mode to report.
         """
-        if order is None:
-            order = self._leg_order(query, consulted)
-        return {
+        details = {
             "policy": self.manager.policy.describe(),
             "shards_total": self.manager.num_shards,
             "shards_consulted": ",".join(str(s.index) for s in consulted) or "-",
@@ -400,21 +421,10 @@ class ScatterGatherExecutor:
                 f"{index}:{name}" for index, name in sorted(shard_backends.items()))
                 or "-",
         }
-
-    # ------------------------------------------------------------------
-    # cost-ordered scatter
-    # ------------------------------------------------------------------
-    def _leg_order(self, query, consulted: List[Shard]) -> List[Shard]:
-        """Scatter legs ordered by the cost model: most promising first.
-
-        The primary key is the shard's attainable-score floor for the
-        query's function (so the gathered k-th score tightens as early as
-        possible), then the expected matching tuples, then the shard index
-        — a deterministic total order.
-        """
-        return sorted(consulted,
-                      key=lambda shard: self.cost_model.scatter_key(
-                          query, shard.stats) + (shard.index,))
+        mode = self.legs.mode([query])
+        if mode is not None:
+            details["scatter_mode"] = mode
+        return details
 
     # ------------------------------------------------------------------
     # planning / explain
@@ -429,7 +439,7 @@ class ScatterGatherExecutor:
         self._check_base_relation()
         consulted, pruned = self._scatter_set(query)
         shard_plans = {
-            shard.index: self._shard_plan(shard, query)
+            shard.index: self.legs.plan(shard, query)
             for shard in consulted
         }
         shard_backends = {index: plan.backend
@@ -447,8 +457,9 @@ class ScatterGatherExecutor:
             reason=(f"scatter to {len(consulted)}/{self.manager.num_shards} shards "
                     f"under {self.manager.policy.describe()}, "
                     f"{len(pruned)} pruned by statistics"),
-            details=self._scatter_details(query, consulted, pruned,
-                                          shard_backends),
+            details=self._scatter_details(
+                query, consulted, pruned, shard_backends, (),
+                self._leg_order([query], consulted)),
             candidates=tuple(f"shard{s.index}" for s in consulted),
             mode=mode,
         )
@@ -549,11 +560,11 @@ class ScatterGatherExecutor:
         if leg:
             leg.set("failed", reason)
 
-    def _guarded(self, shard: Shard, runner, ctx: Optional[_FaultContext],
-                 ledgers, leg):
-        """Run one leg under deadline/breaker/retry/injection guards.
+    def _guarded(self, shard: Shard, queries: List,
+                 ctx: Optional[_FaultContext], ledgers, leg):
+        """Run one leg on the leg runner under deadline/breaker/retry guards.
 
-        With no fault context this is a plain ``runner()`` — the
+        With no fault context this is a plain ``legs.run`` — the
         pre-fault zero-overhead path.  Otherwise the leg loops: deadline
         checked first (expiry always raises, even under
         ``allow_partial`` — a late answer is not a partial answer), the
@@ -566,9 +577,8 @@ class ScatterGatherExecutor:
         degrading (partial).
         """
         if ctx is None:
-            return runner()
+            return self.legs.run(shard, queries, leg, None)
         breaker = self._breaker_for(shard.index)
-        injector = self.fault_injector
         attempts = 0
         while True:
             self._check_deadline(ctx, f"scatter leg to shard {shard.index}")
@@ -579,17 +589,10 @@ class ScatterGatherExecutor:
                 raise error
             attempts += 1
             try:
-                if injector is not None:
-                    if injector.fires("leg.delay"):
-                        self._sleep(injector.delay_seconds)
-                    if (self._leg_injection
-                            and injector.fires("worker.crash.pre")):
-                        raise InjectedFaultError("worker.crash.pre",
-                                                 shard.index)
-                result = runner()
-                if (injector is not None and self._leg_injection
-                        and injector.fires("worker.crash.post")):
-                    raise InjectedFaultError("worker.crash.post", shard.index)
+                injector = self.fault_injector
+                if injector is not None and injector.fires("leg.delay"):
+                    self._sleep(injector.delay_seconds)
+                result = self.legs.run(shard, queries, leg, ctx.deadline)
             except ShardWorkerError as exc:
                 if breaker is not None:
                     breaker.record_failure()
@@ -646,12 +649,13 @@ class ScatterGatherExecutor:
                 deadline=None, allow_partial=None):
         """Prune, scatter, execute per shard, and gather one merged result.
 
-        ``parent_span`` threads an enabled trace through: the tree gains
-        a ``shard.execute`` span with one ``shard.leg`` child per
-        consulted *and* per skipped shard (skipped legs carry their skip
-        reason) and a ``shard.gather`` child.  ``use_result_cache=False``
-        bypasses the front-door result cache both ways — the
-        ``explain_analyze`` contract.
+        A cache lookup, else the scatter of a group of one (see
+        :meth:`_execute_group`).  ``parent_span`` threads an enabled
+        trace through: the tree gains a ``shard.execute`` span with one
+        ``shard.leg`` child per consulted *and* per skipped shard
+        (skipped legs carry their skip reason) and a ``shard.gather``
+        child.  ``use_result_cache=False`` bypasses the front-door
+        result cache both ways — the ``explain_analyze`` contract.
 
         ``deadline`` (a :class:`~repro.fault.deadline.Deadline`) bounds
         the whole call: it is checked before every leg and tightens
@@ -676,64 +680,14 @@ class ScatterGatherExecutor:
                 if hit is not None:
                     span.set("result_cache", "hit")
                     return hit
-            return self._execute_miss(query, key, span, ctx)
+            (result,) = self._execute_group([(0, query, key)], span, ctx,
+                                            scatter_span=span)
+            if isinstance(result, Exception):
+                raise result
+            return result
         finally:
             self._m_latency.observe(time.perf_counter() - started)
             span.finish()
-
-    def _execute_miss(self, query, key, span=NULL_SPAN, ctx=None):
-        """The scatter/gather body of :meth:`execute` after a cache miss."""
-        start = time.perf_counter()
-        consulted, pruned = self._scatter_set(query)
-        self._m_pruned.inc(float(len(pruned)))
-        if span and pruned:
-            span.set("shards_pruned", tuple(pruned))
-        kind = kind_of(query)
-        planned_order = self._leg_order(query, consulted)
-        planned = len(consulted)
-        ledger = _LegLedger() if ctx is not None else None
-        skipped: Tuple[Tuple[int, str], ...] = ()
-        if (kind == KIND_TOPK and not self.parallel
-                and isinstance(query, TopKQuery) and len(consulted) > 1):
-            consulted, shard_results, skipped = self._run_shards_bounded(
-                planned_order, query, span, ctx, ledger)
-        else:
-            consulted, shard_results = self._run_shards(consulted, query,
-                                                        span, ctx, ledger)
-        if (ledger is not None and ledger.failed and not consulted
-                and planned):
-            # Every consulted shard failed: there is nothing to degrade
-            # to — even a partial call must fail rather than answer
-            # "empty" from zero evidence.
-            raise ledger.errors[-1]
-        gather_span = span.child("shard.gather")
-        if kind == KIND_TOPK:
-            result = self._gather_topk(query, consulted, shard_results)
-        else:
-            result = self._gather_skyline(query, consulted, shard_results)
-        gather_span.set("merged_rows", len(result.tids)).finish()
-        self._m_tuples.inc(float(getattr(result, "tuples_evaluated", 0)))
-        result.elapsed_seconds = time.perf_counter() - start
-        shard_backends = {
-            shard.index: str(res.extra.get("backend", "?"))
-            for shard, res in zip(consulted, shard_results)
-        }
-        result.extra["backend"] = "scatter-gather"
-        result.extra.update(
-            self._scatter_details(query, consulted, pruned, shard_backends,
-                                  skipped, order=planned_order))
-        result.extra["plan"] = (
-            f"scatter to {len(consulted)}/{self.manager.num_shards} shards "
-            f"[policy={result.extra['policy']} "
-            f"pruned={result.extra['shards_pruned']} "
-            f"skipped={result.extra['shards_skipped']} "
-            f"backends={result.extra['shard_backends']}]")
-        self._apply_fault_extra(result, ctx, ledger, planned)
-        if key is not None and (ledger is None or not ledger.failed):
-            # A degraded result is exact only over the surviving shards;
-            # caching it would keep serving the gap after recovery.
-            self.result_cache.store(key, result)
-        return result
 
     def execute_many(self, queries: Iterable, *, parent_span=None,
                      deadline=None, allow_partial=None) -> List:
@@ -741,27 +695,27 @@ class ScatterGatherExecutor:
 
         Results come back in submission order and bit-identical to looping
         :meth:`execute`.  Cached queries are served first; the remaining
-        top-k misses are grouped by canonical ranking-function key and each
-        group scatters as a unit: every shard consulted by at least one
-        group member receives *one* leg carrying exactly the members whose
+        top-k misses are grouped by canonical ranking-function key (a
+        lone function, or a skyline, is a group of one) and each group
+        scatters as a unit: every shard consulted by at least one group
+        member receives *one* leg carrying exactly the members whose
         statistics did not prune it (one thread-pool task per shard per
         batch when parallel), the shard runs its own fused
         ``execute_many``, and answers are gathered per query.  Sequential
-        scatters stay cost-ordered and bounded like the single-query path,
-        with one difference: legs follow one *group-level* cost order (see
-        :meth:`_group_leg_order`) rather than each member's solo order, so
-        a member's ``shards_skipped`` / work counters may differ from its
-        solo run even though the k-th-score skip bound is applied per query
-        and answers stay bit-identical.  Gathered results record
-        ``fused_group_size``, the legs' aggregated ``plans_reused``, and
-        the solo-equivalent ``tuples_evaluated`` in ``extra``.
+        scatters are cost-ordered and bounded; legs follow one
+        *group-level* cost order (see :meth:`_leg_order`) rather than each
+        member's solo order, so a member's ``shards_skipped`` / work
+        counters may differ from its solo run even though the k-th-score
+        skip bound is applied per query and answers stay bit-identical.
+        Members of a group of two or more record ``fused_group_size``,
+        the legs' aggregated ``plans_reused``, and the solo-equivalent
+        ``tuples_evaluated`` in ``extra``.
 
-        Failures are *contained*: a leg failure for one fused group (or
-        one single) fails only that group's queries — the rest of the
-        batch completes — and the batch raises
-        :class:`~repro.errors.PartialBatchError` carrying the completed
-        results aligned with the failed positions' exceptions.  A batch
-        with no failures returns plainly, exactly as before.
+        Failures are *contained*: a leg failure for one group fails only
+        that group's queries — the rest of the batch completes — and the
+        batch raises :class:`~repro.errors.PartialBatchError` carrying the
+        completed results aligned with the failed positions' exceptions.
+        A batch with no failures returns plainly.
         """
         queries = list(queries)
         if not queries:
@@ -781,48 +735,32 @@ class ScatterGatherExecutor:
                 queries, self._cache_scope, self.result_cache)
             errors: Dict[int, Exception] = {}
 
-            groups: Dict[tuple, List[int]] = {}
-            singles: List[int] = []
-            for position, (_, query, _) in enumerate(units):
-                if isinstance(query, TopKQuery):
-                    groups.setdefault(function_fuse_key(query.function),
-                                      []).append(position)
-                else:
-                    singles.append(position)
-            for members in groups.values():
-                if len(members) == 1:
-                    singles.append(members[0])
-                    continue
-                self.fused_groups += 1
-                self.fused_queries += len(members)
+            def scatter(group) -> None:
                 try:
-                    group_results = self._execute_group(
-                        [units[position] for position in members], span, ctx)
+                    outcomes = self._execute_group(group, span, ctx)
                 except (ShardWorkerError, DeadlineExceededError) as exc:
-                    for position in members:
-                        errors[units[position][0]] = exc
-                    continue
-                for position, result in zip(members, group_results):
-                    i = units[position][0]
-                    if isinstance(result, Exception):
-                        errors[i] = result
+                    outcomes = [exc] * len(group)
+                for (i, _, _), outcome in zip(group, outcomes):
+                    if isinstance(outcome, Exception):
+                        errors[i] = outcome
                     else:
-                        results[i] = result
-            for position in sorted(singles):
-                i, query, key = units[position]
-                try:
-                    results[i] = self._run_single(query, key, span, ctx)
-                except (ShardWorkerError, DeadlineExceededError) as exc:
-                    errors[i] = exc
+                        results[i] = outcome
+
+            groups: Dict[tuple, List] = {}
+            for unit in units:
+                query = unit[1]
+                fuse_key = (function_fuse_key(query.function)
+                            if isinstance(query, TopKQuery)
+                            else ("ungrouped", unit[0]))
+                groups.setdefault(fuse_key, []).append(unit)
+            for group in groups.values():
+                scatter(group)
             for i, query, key in followers:
                 hit = self.result_cache.lookup(key)
                 if hit is not None:
                     results[i] = hit
-                    continue
-                try:
-                    results[i] = self._run_single(query, key, span, ctx)
-                except (ShardWorkerError, DeadlineExceededError) as exc:
-                    errors[i] = exc
+                else:
+                    scatter([(i, query, key)])
             if errors:
                 raise PartialBatchError(results, errors)
             return results
@@ -830,420 +768,249 @@ class ScatterGatherExecutor:
             self._m_latency.observe(time.perf_counter() - started)
             span.finish()
 
-    def _run_single(self, query, key, span=NULL_SPAN, ctx=None):
-        """One ungrouped batch member under its own ``shard.execute`` span."""
-        single_span = (span.child("shard.execute") if span else NULL_SPAN)
-        try:
-            return self._execute_miss(query, key, single_span, ctx)
-        finally:
-            single_span.finish()
-
     def _execute_group(self, group: List[Tuple[int, object, Optional[tuple]]],
-                       span=NULL_SPAN, ctx=None) -> List[QueryResult]:
-        """Scatter one same-function top-k group with one leg per shard.
+                       span=NULL_SPAN, ctx=None, scatter_span=None) -> List:
+        """Scatter one group (size >= 1) with one leg per shard: THE scatter.
 
-        Per-query prune decisions are taken exactly as in :meth:`execute`;
-        a shard's leg carries the union of group members that consulted it.
-        Sequential scatters walk the legs in cost order (lowest attainable
+        A group is one query, or several top-k queries sharing a ranking
+        function.  Prune decisions are taken per query; a shard's leg
+        carries the union of members that consulted it.  Sequential
+        scatters walk the legs in cost order (lowest attainable
         score floor over the group first) and apply the k-th-score skip
-        bound *per query*: a member whose gathered k-th score strictly
+        bound *per top-k query*: a member whose gathered k-th score strictly
         beats a shard's floor drops out of that leg (recorded in its
         ``shards_skipped``), and a leg every member dropped never runs.
+        The k-th score only tightens as legs run, so a skip decided
+        against an early bound stays sound: answers are bit-identical to
+        the exhaustive scatter.  Parallel scatters dispatch every leg at
+        once and skip nothing; a skyline member never takes the skip.
 
-        Under an enabled trace the group gets one ``shard.fused_scatter``
-        span whose ``shard.leg`` children carry the rider indices; a
-        member skipped by the k-th-score bound shows up on the leg as a
-        ``skipped_q<i>`` attribute, and a leg every member dropped is
-        recorded with ``skipped="all riders"`` instead of running.
+        Span shape and result ``extra`` follow the group's size, decided
+        here only.  A group of one renders ``shard.execute`` (opened
+        here, or the caller's ``scatter_span``; carries
+        ``shards_pruned``) > ``shard.leg`` (``backend``; a skipped leg
+        carries ``skipped=<reason>``) + ``shard.gather``.  A larger group
+        renders ``shard.fused_scatter`` > ``shard.leg`` (``riders``;
+        ``skipped_q<i>`` per dropped member, ``skipped="all riders"``
+        when none is left) beside a ``shard.gather`` on ``span``, and its
+        results add the fusion keys to ``extra``.
 
         Fault handling is per *rider*: a failed leg taints only the
         members it carried.  Under ``allow_partial`` those members
         degrade to the surviving legs' answer; a member whose every leg
         failed comes back as its exception *in the returned list* (the
-        caller maps it into :class:`~repro.errors.PartialBatchError`).
+        caller raises it or maps it into
+        :class:`~repro.errors.PartialBatchError`).
         Strict mode re-raises the leg failure for the whole group.
         """
         start = time.perf_counter()
-        group_queries = [query for _, query, _ in group]
-        group_span = (span.child("shard.fused_scatter")
-                      .set("group_size", len(group)))
-        consulted_sets: List[Dict[int, Shard]] = []
+        queries = [query for _, query, _ in group]
+        solo = len(group) == 1
+        opened = scatter_span is None
+        if opened:
+            scatter_span = span.child("shard.execute" if solo
+                                      else "shard.fused_scatter")
+        shards: Dict[int, Shard] = {}
+        carried: Dict[int, List[int]] = {}  # shard index -> consulting members
+        planned: List[int] = []  # legs per member, before any skip
         pruned_lists: List[List[Tuple[int, str]]] = []
-        for query in group_queries:
+        for qi, query in enumerate(queries):
             consulted, pruned = self._scatter_set(query)
-            consulted_sets.append({shard.index: shard for shard in consulted})
+            planned.append(len(consulted))
             pruned_lists.append(pruned)
-        involved = sorted({index for by_index in consulted_sets
-                           for index in by_index})
-        shard_of = {shard.index: shard
-                    for by_index in consulted_sets
-                    for shard in by_index.values()}
-        order = self._group_leg_order(group_queries,
-                                      [shard_of[index] for index in involved])
+            self._m_pruned.inc(float(len(pruned)))
+            for shard in consulted:
+                shards[shard.index] = shard
+                carried.setdefault(shard.index, []).append(qi)
+        if not solo:
+            self.fused_groups += 1
+            self.fused_queries += len(group)
+            scatter_span.set("group_size", len(group))
+        elif scatter_span and pruned_lists[0]:
+            scatter_span.set("shards_pruned", tuple(pruned_lists[0]))
+        legs = [(shard, carried[shard.index])
+                for shard in self._leg_order(queries, list(shards.values()))]
 
-        gathered: List[List[float]] = [[] for _ in group]
+        # Per top-k member: its k best scores gathered so far, sorted.
+        gathered: List[Optional[List[float]]] = [
+            [] if isinstance(query, TopKQuery) else None for query in queries]
         skipped: List[List[Tuple[int, str]]] = [[] for _ in group]
-        executed: List[List[Tuple[Shard, QueryResult]]] = [[] for _ in group]
+        executed: List[List[Tuple[Shard, object]]] = [[] for _ in group]
         ledgers = ([_LegLedger() for _ in group] if ctx is not None
                    else None)
 
-        def rider_ledgers(riders):
-            return ([ledgers[qi] for qi in riders] if ledgers is not None
-                    else ())
+        def open_leg(shard):
+            return (scatter_span.child("shard.leg").set("shard", shard.index)
+                    if scatter_span else NULL_SPAN)
 
-        sequential = not self.parallel
-        if sequential:
-            for shard in order:
-                carried = [qi for qi in range(len(group_queries))
-                           if shard.index in consulted_sets[qi]]
-                if not carried:
-                    continue
-                self._check_deadline(ctx,
-                                     f"fused leg to shard {shard.index}")
-                leg = (group_span.child("shard.leg")
-                       .set("shard", shard.index) if group_span
-                       else NULL_SPAN)
-                riders = []
-                for qi in carried:
-                    reason = self._leg_skip_reason(shard, group_queries[qi],
-                                                   gathered[qi])
-                    if reason is not None:
+        def run_leg(shard, riders, leg):
+            if leg and not solo:
+                leg.set("riders", tuple(riders))
+            try:
+                leg_results = self._guarded(
+                    shard, [queries[qi] for qi in riders], ctx,
+                    [ledgers[qi] for qi in riders] if ledgers else (), leg)
+                self._m_legs.inc()
+                if leg:
+                    if solo:
+                        leg.set("backend", str(
+                            leg_results[0].extra.get("backend", "?")))
+                    leg.set("tuples_evaluated", sum(
+                        float(getattr(result, "tuples_evaluated", 0))
+                        for result in leg_results))
+                return leg_results
+            except ShardWorkerError:
+                if ctx is None or not ctx.allow_partial:
+                    raise
+                return ()  # the riders degrade to their surviving legs
+            finally:
+                leg.finish()
+
+        def fold(shard, riders, leg_results):
+            for qi, result in zip(riders, leg_results):
+                executed[qi].append((shard, result))
+                best = gathered[qi]
+                if best is not None and result.scores:
+                    best.extend(map(float, result.scores))
+                    best.sort()
+                    del best[queries[qi].k:]
+
+        try:
+            if self.parallel and len(legs) > 1:
+                # Spans open at dispatch: their durations include pool
+                # queueing, which is real wait.
+                self._check_deadline(ctx, "scatter dispatch")
+                outputs = self.ensure_pool().map(
+                    lambda leg: run_leg(*leg),
+                    [(shard, riders, open_leg(shard))
+                     for shard, riders in legs])
+                for (shard, riders), leg_results in zip(legs, outputs):
+                    fold(shard, riders, leg_results)
+            else:
+                for shard, members in legs:
+                    self._check_deadline(
+                        ctx, f"scatter leg to shard {shard.index}")
+                    leg = open_leg(shard)
+                    riders = []
+                    for qi in members:
+                        reason = self._leg_skip_reason(shard, queries[qi],
+                                                       gathered[qi])
+                        if reason is None:
+                            riders.append(qi)
+                            continue
                         skipped[qi].append((shard.index, reason))
                         self._m_legs_skipped.inc()
                         if leg:
-                            leg.set(f"skipped_q{qi}", reason)
-                        continue
-                    riders.append(qi)
-                if not riders:
-                    leg.set("skipped", "all riders").finish()
-                    continue
-                try:
-                    leg_results = self._leg_execute_many(
-                        shard, [group_queries[qi] for qi in riders], riders,
-                        leg, ctx, rider_ledgers(riders))
-                except ShardWorkerError:
-                    if ctx is None or not ctx.allow_partial:
-                        raise
-                    continue
-                for qi, result in zip(riders, leg_results):
-                    executed[qi].append((shard, result))
-                    self._fold_gathered(gathered[qi], result,
-                                        group_queries[qi].k)
-        else:
-            legs = []
-            for shard in order:
-                riders = [qi for qi in range(len(group_queries))
-                          if shard.index in consulted_sets[qi]]
-                if riders:
-                    legs.append((shard, riders))
-            if legs:
-                self._check_deadline(ctx, "fused scatter dispatch")
-                leg_spans = ([group_span.child("shard.leg")
-                              .set("shard", shard.index)
-                              for shard, _ in legs] if group_span
-                             else [NULL_SPAN] * len(legs))
+                            leg.set("skipped" if solo else f"skipped_q{qi}",
+                                    reason)
+                    if riders:
+                        fold(shard, riders, run_leg(shard, riders, leg))
+                    else:
+                        if not solo:
+                            leg.set("skipped", "all riders")
+                        leg.finish()
+        except BaseException:
+            scatter_span.finish()
+            raise
+        if not solo:
+            scatter_span.finish()
 
-                def run_leg(pair):
-                    (shard, riders), leg = pair
-                    try:
-                        return self._leg_execute_many(
-                            shard, [group_queries[qi] for qi in riders],
-                            riders, leg, ctx, rider_ledgers(riders))
-                    except ShardWorkerError:
-                        if ctx is None or not ctx.allow_partial:
-                            raise
-                        return None
-
-                if len(legs) > 1:
-                    leg_outputs = list(self.ensure_pool().map(
-                        run_leg, zip(legs, leg_spans)))
-                else:
-                    leg_outputs = [run_leg(pair)
-                                   for pair in zip(legs, leg_spans)]
-                for (shard, riders), leg_results in zip(legs, leg_outputs):
-                    if leg_results is None:
-                        continue
-                    for qi, result in zip(riders, leg_results):
-                        executed[qi].append((shard, result))
-        group_span.finish()
-
-        gather_span = span.child("shard.gather")
-        group_size = float(len(group))
+        gather_span = (scatter_span if solo else span).child("shard.gather")
         merged_rows = 0
-        out: List[QueryResult] = []
-        for qi, (i, query, key) in enumerate(group):
-            if (ledgers is not None and ledgers[qi].failed
-                    and not executed[qi]):
+        out: List = []
+        for qi, (_, query, key) in enumerate(group):
+            ledger = ledgers[qi] if ledgers else None
+            if ledger is not None and ledger.failed and not executed[qi]:
                 # Every leg carrying this rider failed: nothing survives
                 # to degrade to — report the rider's failure, not an
-                # empty answer (the caller maps it per batch position).
-                out.append(ledgers[qi].errors[-1])
+                # "empty" answer from zero evidence.
+                out.append(ledger.errors[-1])
                 continue
             legs_run = sorted(executed[qi], key=lambda pair: pair[0].index)
             consulted = [shard for shard, _ in legs_run]
             shard_results = [result for _, result in legs_run]
-            result = self._gather_topk(query, consulted, shard_results)
+            gather = (self._gather_topk if kind_of(query) == KIND_TOPK
+                      else self._gather_skyline)
+            result = gather(query, consulted, shard_results)
             merged_rows += len(result.tids)
-            self._m_tuples.inc(float(result.tuples_evaluated))
+            self._m_tuples.inc(float(getattr(result, "tuples_evaluated", 0)))
             result.elapsed_seconds = time.perf_counter() - start
             shard_backends = {
                 shard.index: str(res.extra.get("backend", "?"))
                 for shard, res in legs_run
             }
-            planned_order = [shard for shard in order
-                             if shard.index in consulted_sets[qi]]
             result.extra["backend"] = "scatter-gather"
             result.extra.update(self._scatter_details(
                 query, consulted, pruned_lists[qi], shard_backends,
-                tuple(skipped[qi]), order=planned_order))
+                tuple(skipped[qi]),
+                [shard for shard, members in legs if qi in members]))
             result.extra["plan"] = (
                 f"scatter to {len(consulted)}/{self.manager.num_shards} shards "
                 f"[policy={result.extra['policy']} "
                 f"pruned={result.extra['shards_pruned']} "
                 f"skipped={result.extra['shards_skipped']} "
                 f"backends={result.extra['shard_backends']}]")
-            result.extra["fused_group_size"] = group_size
-            result.extra["plans_reused"] = sum(
-                float(res.extra.get("plans_reused", 0.0))
-                for res in shard_results)
-            result.extra["tuples_evaluated"] = sum(
-                float(res.extra.get("tuples_evaluated",
-                                    res.tuples_evaluated))
-                for res in shard_results)
-            self._apply_fault_extra(result, ctx,
-                                    ledgers[qi] if ledgers else None,
-                                    len(consulted_sets[qi]))
-            if key is not None and (ledgers is None
-                                    or not ledgers[qi].failed):
+            if not solo:
+                result.extra["fused_group_size"] = float(len(group))
+                result.extra["plans_reused"] = sum(
+                    float(res.extra.get("plans_reused", 0.0))
+                    for res in shard_results)
+                result.extra["tuples_evaluated"] = sum(
+                    float(res.extra.get("tuples_evaluated",
+                                        res.tuples_evaluated))
+                    for res in shard_results)
+            self._apply_fault_extra(result, ctx, ledger, planned[qi])
+            if key is not None and (ledger is None or not ledger.failed):
+                # A degraded result is exact only over the surviving
+                # shards; caching it would keep serving the gap after
+                # recovery.
                 self.result_cache.store(key, result)
             out.append(result)
-        (gather_span.set("group_size", len(group))
-         .set("merged_rows", merged_rows).finish())
+        if not solo:
+            gather_span.set("group_size", len(group))
+        gather_span.set("merged_rows", merged_rows).finish()
+        if opened:
+            scatter_span.finish()
         return out
 
-    def _group_leg_order(self, group_queries: List, shards: List[Shard],
-                         ) -> List[Shard]:
-        """Cost order of a fused group's legs: most promising member first.
+    def _leg_order(self, queries: List, shards: List[Shard]) -> List[Shard]:
+        """Cost order of a group's legs: most promising member first.
 
         A leg's promise is its best promise for *any* member (lowest score
-        floor, then fewest expected matches), so the leg that can tighten
+        floor, so the gathered k-th score tightens as early as possible,
+        then fewest expected matches), so the leg that can tighten
         some member's k-th score fastest runs first; the shard index keeps
         the order total and deterministic.
         """
         def leg_key(shard: Shard):
             keys = [self.cost_model.scatter_key(query, shard.stats)
-                    for query in group_queries]
+                    for query in queries]
             return (min(key[0] for key in keys),
                     min(key[1] for key in keys),
                     shard.index)
 
         return sorted(shards, key=leg_key)
 
-    def _shard_plan(self, shard: Shard, query) -> QueryPlan:
-        """How ``shard`` would serve ``query`` — overridable leg routing.
-
-        The base implementation consults the shard's in-process stack;
-        :class:`ProcessScatterExecutor` overrides this (and the two
-        ``_shard_execute*`` hooks below) to route heavy legs to worker
-        processes instead.
-        """
-        return self.manager.executor_for(shard).plan(query)
-
-    def _shard_execute(self, shard: Shard, query, leg,
-                       deadline=None) -> QueryResult:
-        """Run ``query`` on one shard's engine — overridable leg routing.
-
-        The ``parent_span`` keyword is only passed when the leg span is
-        real — contextvars do not cross ``run_in_executor`` / pool
-        threads, so explicit parenthood is the one reliable channel — and
-        custom shard stacks without the keyword keep working untraced.
-        ``deadline`` is advisory for in-process legs (a running leg is
-        not interruptible); :class:`ProcessScatterExecutor` converts it
-        into a bounded pipe wait.
-        """
-        executor = self.manager.executor_for(shard)
-        if leg:
-            return executor.execute(query, parent_span=leg)
-        return executor.execute(query)
-
-    def _shard_execute_many(self, shard: Shard, leg_queries: List,
-                            leg, deadline=None) -> List:
-        """Run one shard's fused ``execute_many`` — overridable leg routing."""
-        executor = self.manager.executor_for(shard)
-        if leg:
-            return executor.execute_many(leg_queries, parent_span=leg)
-        return executor.execute_many(leg_queries)
-
-    def _leg_execute(self, shard: Shard, query, leg, ctx=None,
-                     ledgers=()) -> QueryResult:
-        """Run one scatter leg (guarded) and record its span bookkeeping."""
-        deadline = ctx.deadline if ctx is not None else None
-        if deadline is None:
-            runner = lambda: self._shard_execute(shard, query, leg)
-        else:
-            runner = lambda: self._shard_execute(shard, query, leg,
-                                                 deadline=deadline)
-        try:
-            result = self._guarded(shard, runner, ctx, ledgers, leg)
-        except BaseException:
-            leg.finish()
-            raise
-        self._m_legs.inc()
-        if leg:
-            leg.set("backend", str(result.extra.get("backend", "?")))
-            leg.set("tuples_evaluated",
-                    float(getattr(result, "tuples_evaluated", 0)))
-        leg.finish()
-        return result
-
-    def _leg_execute_many(self, shard: Shard, leg_queries: List, riders: List,
-                          leg, ctx=None, ledgers=()) -> List:
-        """Run one fused-group leg (the shard's own ``execute_many``)."""
-        if leg:
-            leg.set("riders", tuple(riders))
-        deadline = ctx.deadline if ctx is not None else None
-        if deadline is None:
-            runner = lambda: self._shard_execute_many(shard, leg_queries, leg)
-        else:
-            runner = lambda: self._shard_execute_many(shard, leg_queries,
-                                                      leg, deadline=deadline)
-        try:
-            leg_results = self._guarded(shard, runner, ctx, ledgers, leg)
-        except BaseException:
-            leg.finish()
-            raise
-        self._m_legs.inc()
-        if leg:
-            leg.set("tuples_evaluated", sum(
-                float(getattr(result, "tuples_evaluated", 0))
-                for result in leg_results))
-        leg.finish()
-        return leg_results
-
-    def _run_shards(self, consulted: List[Shard], query,
-                    span=NULL_SPAN, ctx=None, ledger=None,
-                    ) -> Tuple[List[Shard], List]:
-        """Surviving shards and their results, in ``consulted`` order.
-
-        The thread pool is created once on first parallel use and reused
-        for the executor's lifetime — per-query pool startup would dominate
-        small scattered queries.  Leg spans are opened on the calling
-        thread (the span list is lock-protected) and finished by whichever
-        thread runs the leg.  Without fault machinery the returned shard
-        list is exactly ``consulted``; under ``allow_partial`` a finally
-        failed leg drops its shard from the gather (booked in the
-        ledger) instead of raising.
-        """
-        ledgers = (ledger,) if ledger is not None else ()
-
-        def run(shard, leg):
-            try:
-                return self._leg_execute(shard, query, leg, ctx, ledgers)
-            except ShardWorkerError:
-                if ctx is None or not ctx.allow_partial:
-                    raise
-                return None
-
-        if self.parallel and len(consulted) > 1:
-            # Parallel legs: spans open when the legs are dispatched (their
-            # durations include pool queueing, which is real wait).
-            legs = ([span.child("shard.leg").set("shard", shard.index)
-                     for shard in consulted] if span
-                    else [NULL_SPAN] * len(consulted))
-            outputs = list(self.ensure_pool().map(
-                lambda pair: run(pair[0], pair[1]),
-                zip(consulted, legs)))
-        else:
-            outputs = []
-            for shard in consulted:
-                self._check_deadline(ctx,
-                                     f"scatter leg to shard {shard.index}")
-                leg = (span.child("shard.leg").set("shard", shard.index)
-                       if span else NULL_SPAN)
-                outputs.append(run(shard, leg))
-        survivors = [(shard, result)
-                     for shard, result in zip(consulted, outputs)
-                     if result is not None]
-        return ([shard for shard, _ in survivors],
-                [result for _, result in survivors])
-
-    def _leg_skip_reason(self, shard: Shard, query: TopKQuery,
-                         gathered: List[float]) -> Optional[str]:
+    @staticmethod
+    def _leg_skip_reason(shard: Shard, query,
+                         gathered: Optional[List[float]]) -> Optional[str]:
         """Why ``shard`` can be skipped for ``query``, or ``None`` to run it.
 
-        ``gathered`` holds the query's k best scores seen so far, sorted.
+        ``gathered`` holds a top-k query's k best scores seen so far,
+        sorted (``None`` for a skyline, which is never skipped).
         A shard whose ranking-range score floor *strictly* exceeds the
         gathered k-th score cannot contribute: every tuple it holds scores
         at least the floor, so none can enter the top-k or tie its
-        boundary.  Shared by the single-query bounded scatter and the
-        fused-group legs so both paths skip (and report) identically.
+        boundary (a tie would need a score exactly equal to the k-th,
+        which a strictly larger floor rules out).
         """
-        if len(gathered) < query.k:
+        if gathered is None or len(gathered) < query.k:
             return None
         floor = shard.stats.score_floor(query.function)
         kth = gathered[-1]
         if floor > kth:
             return f"score floor {floor:.6g} > k-th score {kth:.6g}"
         return None
-
-    @staticmethod
-    def _fold_gathered(gathered: List[float], result: QueryResult,
-                       k: int) -> None:
-        """Fold one leg's scores into the query's sorted k-best prefix."""
-        if result.scores:
-            gathered.extend(float(score) for score in result.scores)
-            gathered.sort()
-            del gathered[k:]
-
-    def _run_shards_bounded(self, ordered: List[Shard], query: TopKQuery,
-                            span=NULL_SPAN, ctx=None, ledger=None,
-                            ) -> Tuple[List[Shard], List[QueryResult],
-                                       Tuple[Tuple[int, str], ...]]:
-        """Cost-ordered sequential scatter with bound-based leg skipping.
-
-        ``ordered`` is the :meth:`_leg_order` of the surviving shards;
-        once k candidates are gathered, a
-        remaining shard whose ranking-range score floor *strictly* exceeds
-        the current k-th gathered score is skipped — every tuple it holds
-        scores at least the floor, so none can enter the top-k or tie its
-        boundary (a tie would need a score exactly equal to the k-th, which
-        a strictly larger floor rules out).  The k-th score only tightens
-        as more legs run, so a skip decided against an early bound stays
-        sound for the final answer: gathered results are bit-identical to
-        the exhaustive scatter.
-
-        Returns the executed shards (restored to index order, so gathering
-        and reporting are unchanged), their results, and the skipped legs
-        with reasons.
-        """
-        gathered: List[float] = []  # k smallest scores seen so far, sorted
-        executed: List[Tuple[Shard, QueryResult]] = []
-        skipped: List[Tuple[int, str]] = []
-        ledgers = (ledger,) if ledger is not None else ()
-        for shard in ordered:
-            self._check_deadline(ctx, f"scatter leg to shard {shard.index}")
-            reason = self._leg_skip_reason(shard, query, gathered)
-            if reason is not None:
-                skipped.append((shard.index, reason))
-                self._m_legs_skipped.inc()
-                if span:
-                    (span.child("shard.leg").set("shard", shard.index)
-                     .set("skipped", reason).finish())
-                continue
-            leg = (span.child("shard.leg").set("shard", shard.index)
-                   if span else NULL_SPAN)
-            try:
-                result = self._leg_execute(shard, query, leg, ctx, ledgers)
-            except ShardWorkerError:
-                if ctx is None or not ctx.allow_partial:
-                    raise
-                continue
-            executed.append((shard, result))
-            self._fold_gathered(gathered, result, query.k)
-        executed.sort(key=lambda pair: pair[0].index)
-        return ([shard for shard, _ in executed],
-                [result for _, result in executed],
-                tuple(skipped))
 
     # ------------------------------------------------------------------
     # gathering
@@ -1331,9 +1098,11 @@ class ScatterGatherExecutor:
           actually fused it, so the shard sums can exceed the front-door
           counts);
         * ``shard_result_*`` — the per-shard result caches, summed;
-        * ``shards_built`` — how many shard stacks exist at all (lazily
-          built stacks the statistics always pruned are absent from every
-          sum above).
+        * ``shards_built`` — how many in-process shard stacks exist at all
+          (lazily built stacks the statistics always pruned are absent
+          from every sum above);
+        * ``shard_workers`` — live worker processes (process scatter
+          only; their shipped counters are in the ``shard_*`` sums).
 
         The historically bare merged keys — ``entries`` / ``hits`` /
         ``misses`` / ``hit_rate`` / ``plans_reused`` — warned as
@@ -1341,58 +1110,39 @@ class ScatterGatherExecutor:
         prefixed spellings are emitted.
         """
         stats: Dict[str, float] = OrderedDict(self.result_cache.stats())
-        summed = ("entries", "hits", "misses", "plans_reused")
-        totals = {name: 0.0 for name in summed}
-        shard_sums = {"shard_fused_groups": "fused_groups",
-                      "shard_fused_queries": "fused_queries",
-                      "shard_result_entries": "result_entries",
-                      "shard_result_hits": "result_hits",
-                      "shard_result_misses": "result_misses",
-                      "shard_result_invalidations": "result_invalidations"}
-        shard_totals = {name: 0.0 for name in shard_sums}
-        built = self.manager.built_executors()
-        for executor in built.values():
-            shard_stats = executor.cache_stats()
-            for name in summed:
-                totals[name] += float(shard_stats.get(name, 0.0))
-            for name, source in shard_sums.items():
-                shard_totals[name] += float(shard_stats.get(source, 0.0))
-        lookups = totals["hits"] + totals["misses"]
-        stats["shard_bound_entries"] = totals["entries"]
-        stats["shard_bound_hits"] = totals["hits"]
-        stats["shard_bound_misses"] = totals["misses"]
-        stats["shard_bound_hit_rate"] = (totals["hits"] / lookups
-                                         if lookups else 0.0)
-        stats["shard_plans_reused"] = totals["plans_reused"]
+        observed = self.legs.observed()
+
+        def total(name: str) -> float:
+            return sum(float(cache.get(name, 0.0))
+                       for cache in observed.caches)
+
+        hits, misses = total("hits"), total("misses")
+        stats["shard_bound_entries"] = total("entries")
+        stats["shard_bound_hits"] = hits
+        stats["shard_bound_misses"] = misses
+        stats["shard_bound_hit_rate"] = (hits / (hits + misses)
+                                         if hits + misses else 0.0)
+        stats["shard_plans_reused"] = total("plans_reused")
         stats["fused_groups"] = float(self.fused_groups)
         stats["fused_queries"] = float(self.fused_queries)
-        stats.update(shard_totals)
-        stats["shards_built"] = float(len(built))
+        for name in ("fused_groups", "fused_queries", "result_entries",
+                     "result_hits", "result_misses", "result_invalidations"):
+            stats[f"shard_{name}"] = total(name)
+        stats["shards_built"] = float(len(self.manager.built_executors()))
+        stats.update(observed.gauges)
         return stats
-
-    def _metric_registries(self) -> List[MetricsRegistry]:
-        """Every registry :meth:`metrics_snapshot` merges — overridable.
-
-        The base list is this front door's own registry plus every built
-        in-process shard engine's; :class:`ProcessScatterExecutor` extends
-        it with replicas rebuilt from the worker-shipped registry states.
-        """
-        registries = [self.metrics]
-        for executor in self.manager.built_executors().values():
-            registry = getattr(executor, "metrics", None)
-            if registry is not None:
-                registries.append(registry)
-        return registries
 
     def metrics_snapshot(self) -> Dict[str, float]:
         """One flat view over the whole sharded stack's registries.
 
-        Merges this front door's ``shard.*`` registry with every built
-        shard engine's ``engine.*`` registry (counters summed, histogram
-        reservoirs pooled — see :func:`repro.obs.merged_snapshot`), then
+        Merges this front door's ``shard.*`` registry with every shard
+        engine's ``engine.*`` registry the leg runner has observed —
+        in-process stacks and worker-shipped replicas alike (counters
+        summed, histogram reservoirs pooled — see
+        :func:`repro.obs.merged_snapshot`), then
         folds :meth:`cache_stats` in under the ``shard.`` prefix.
         """
-        snap = merged_snapshot(self._metric_registries())
+        snap = merged_snapshot([self.metrics] + self.legs.observed().registries)
         for name, value in self.cache_stats().items():
             snap[f"shard.{name}"] = float(value)
         return snap
@@ -1414,42 +1164,21 @@ class ProcessScatterExecutor(ScatterGatherExecutor):
     """Scatter/gather whose heavy legs run in per-shard worker *processes*.
 
     The thread-pool scatter interleaves Python scoring on one core; this
-    executor keeps the same prune/scatter/gather machinery (and the same
-    bit-identical answers) but routes each heavy leg to a long-lived
-    :class:`~repro.shard.worker.ShardWorker` process:
-
-    * workers spawn **lazily**, exactly like the manager's lazy in-process
-      stacks — the first offloaded leg to a shard pays the spawn, later
-      legs reuse the worker;
-    * the shard's relation data is copied **once** into
-      ``multiprocessing.shared_memory`` at spawn; after that, legs send
-      only pickled queries and gather only top-k tuples over a pipe;
-    * the thread/process crossover is priced by the cost model: a scatter
-      offloads only when some shard's
-      :meth:`~repro.engine.cost.CostModel.scatter_leg_cost` exceeds
-      :attr:`~repro.engine.cost.CostModel.process_leg_overhead` (the
-      calibratable per-leg IPC term).  Small relations therefore keep
-      running in-process/threaded — spawning a worker to score a thousand
-      rows would cost more than it saves.  Setting the overhead to ``0``
-      forces processes; ``float("inf")`` forces threads;
-    * with ``parallel=True`` the legs are dispatched on the inherited
-      thread pool; each dispatching thread blocks on its worker's pipe
-      with the GIL released, so N shards score on N cores;
-    * ``insert``/``reshard`` reach workers through the manager's
-      serialized write path: :meth:`_on_mutation` tears down workers whose
-      shard data changed (their shared-memory copy is stale; the next leg
-      respawns them over fresh data) and broadcasts a predicate-aware
-      ``invalidate`` to the untouched ones so worker-side result caches
-      never serve a stale answer;
-    * every reply ships the worker engine's metrics-registry state and
-      ``cache_stats()`` back; :meth:`cache_stats` and
-      :meth:`metrics_snapshot` fold them in alongside the in-process
-      stacks, so observability is one merged view regardless of where a
-      leg ran;
-    * a killed worker surfaces as
-      :class:`~repro.errors.ShardWorkerError` naming the shard and exit
-      code — never a hang — and is respawned on the next leg to that
-      shard.
+    executor is the same scatter (same prune/order/guard/gather, same
+    bit-identical answers) constructed over a
+    :class:`~repro.shard.legs.WorkerProcessLegs` runner — see there for
+    worker lifecycle, the shared-memory hand-off, freshness under
+    mutation and observability.  The thread/process crossover is priced
+    per scatter by the cost model
+    (:meth:`~repro.engine.cost.CostModel.scatter_leg_cost` against
+    :attr:`~repro.engine.cost.CostModel.process_leg_overhead`; ``0``
+    forces processes, ``float("inf")`` threads) and recorded as
+    ``extra["scatter_mode"]``.  With ``parallel=True`` legs are
+    dispatched on the inherited thread pool; each dispatching thread
+    blocks on its worker's pipe with the GIL released, so N shards score
+    on N cores.  A killed worker surfaces as
+    :class:`~repro.errors.ShardWorkerError` naming the shard and exit
+    code — never a hang — and is respawned on the next leg.
 
     Workers rebuild their engines from ``Executor.for_relation`` keyword
     arguments, so a manager constructed with a custom ``executor_factory``
@@ -1460,16 +1189,16 @@ class ProcessScatterExecutor(ScatterGatherExecutor):
     ``"spawn"`` is safe with the serving layer's threads and ships the
     parent's ``sys.path`` so workers import this package uninstalled.
 
-    ``recv_timeout`` bounds every worker reply wait (default two
-    minutes — generous enough that no honest leg ever trips it, tight
-    enough that a genuinely wedged worker always surfaces; ``None``
-    restores the old unbounded wait).  A per-request deadline tightens
-    the bound further, and a worker that misses it is killed — reported
-    with ``timed_out=True`` — and respawned on the next leg.  The fault
-    kwargs inherited from the base class apply here too, with one
-    difference: an attached ``fault_injector`` is handed to the workers,
-    so injected crashes are real process deaths and injected hangs are
-    real unresponsive pipes.
+    ``recv_timeout`` bounds every worker reply wait once the worker has
+    booted (default two minutes — generous enough that no honest leg
+    ever trips it, tight enough that a genuinely wedged worker always
+    surfaces; ``None`` restores the old unbounded wait).  A per-request
+    deadline tightens the bound further, and a worker that misses it is
+    killed — reported with ``timed_out=True`` — and respawned on the
+    next leg.  The fault kwargs inherited from the base class apply here
+    too, with one difference: an attached ``fault_injector`` is handed
+    to the workers, so injected crashes are real process deaths and
+    injected hangs are real unresponsive pipes.
     """
 
     def __init__(self, manager: ShardManager, parallel: bool = False,
@@ -1483,212 +1212,17 @@ class ProcessScatterExecutor(ScatterGatherExecutor):
                  breaker_policy=None,
                  fault_injector=None,
                  allow_partial: bool = False) -> None:
-        if manager.has_custom_factory:
-            raise PlanningError(
-                "ProcessScatterExecutor rebuilds shard engines inside "
-                "worker processes from Executor.for_relation keyword "
-                "arguments; a custom executor_factory cannot be shipped "
-                "to a spawned process — use ScatterGatherExecutor (threads) "
-                "for custom shard stacks")
+        cost_model = cost_model or CostModel()
+        metrics = metrics or MetricsRegistry()
+        legs = WorkerProcessLegs(manager, cost_model, metrics,
+                                 mp_context=mp_context,
+                                 recv_timeout=recv_timeout)
         super().__init__(manager, parallel=parallel, max_workers=max_workers,
                          result_cache=result_cache, cost_model=cost_model,
                          metrics=metrics, tracer=tracer,
                          retry_policy=retry_policy,
                          breaker_policy=breaker_policy,
                          fault_injector=fault_injector,
-                         allow_partial=allow_partial)
-        self.recv_timeout = recv_timeout
-        # Injection moves into the workers: crashes are real process
-        # deaths there, and legs that stay in-process (below the
-        # thread/process crossover) run un-injected.
-        self._leg_injection = False
-        self._ctx = (multiprocessing.get_context(mp_context)
-                     if isinstance(mp_context, str) else mp_context)
-        self._workers: Dict[int, ShardWorker] = {}
-        self._worker_lock = threading.Lock()
-        #: Latest worker-shipped ``(metrics state, cache stats)`` per
-        #: shard index.  Kept after a worker is torn down so its last
-        #: observed work stays in the merged views until a respawned
-        #: worker reports fresh numbers.
-        self._worker_obs: Dict[int, Tuple[dict, Dict[str, float]]] = {}
-        self._m_proc_legs = self.metrics.counter("shard.process_legs")
-
-    # ------------------------------------------------------------------
-    # routing
-    # ------------------------------------------------------------------
-    def _offload(self, queries: List) -> bool:
-        """Whether this scatter clears the thread/process crossover.
-
-        True when any (query, shard) leg's modeled cost exceeds the
-        per-leg IPC overhead — one heavy leg is enough to offload the
-        whole scatter, keeping every leg of one query (and every rider of
-        one fused leg) in the same mode.
-        """
-        overhead = self.cost_model.process_leg_overhead
-        return any(
-            self.cost_model.scatter_leg_cost(query, shard.stats) > overhead
-            for query in queries for shard in self.manager.shards)
-
-    def _worker_for(self, shard: Shard) -> ShardWorker:
-        """The shard's worker process, spawned on first use, respawned if dead."""
-        with self._worker_lock:
-            worker = self._workers.get(shard.index)
-            if worker is not None and not worker.alive:
-                self._workers.pop(shard.index, None)
-                worker.close()
-                worker = None
-            if worker is None:
-                worker = ShardWorker(shard, self.manager.executor_kwargs,
-                                     self._ctx,
-                                     recv_timeout=self.recv_timeout,
-                                     injector=self.fault_injector)
-                self._workers[shard.index] = worker
-            return worker
-
-    def _note_worker_obs(self, index: int, obs) -> None:
-        if obs is not None:
-            with self._worker_lock:
-                self._worker_obs[index] = obs
-
-    def _shard_plan(self, shard: Shard, query) -> QueryPlan:
-        if not self._offload([query]):
-            return super()._shard_plan(shard, query)
-        plan, obs = self._worker_for(shard).request("plan", query)
-        self._note_worker_obs(shard.index, obs)
-        return plan
-
-    def _leg_timeout(self, deadline) -> Optional[float]:
-        """The pipe-wait bound for one leg: recv timeout ∧ deadline room.
-
-        A request deadline tightens (never loosens) the configured
-        ``recv_timeout``, so a hung worker is detected within whichever
-        bound is closer.
-        """
-        if deadline is None:
-            return None  # the worker applies its own recv_timeout
-        return deadline.bound(self.recv_timeout)
-
-    def _shard_execute(self, shard: Shard, query, leg,
-                       deadline=None) -> QueryResult:
-        if not self._offload([query]):
-            return super()._shard_execute(shard, query, leg,
-                                          deadline=deadline)
-        result, obs = self._worker_for(shard).request(
-            "execute", query, timeout=self._leg_timeout(deadline))
-        self._note_worker_obs(shard.index, obs)
-        self._m_proc_legs.inc()
-        if leg:
-            leg.set("worker", "process")
-        return result
-
-    def _shard_execute_many(self, shard: Shard, leg_queries: List,
-                            leg, deadline=None) -> List:
-        if not self._offload(leg_queries):
-            return super()._shard_execute_many(shard, leg_queries, leg,
-                                               deadline=deadline)
-        results, obs = self._worker_for(shard).request(
-            "execute_many", leg_queries, timeout=self._leg_timeout(deadline))
-        self._note_worker_obs(shard.index, obs)
-        self._m_proc_legs.inc()
-        if leg:
-            leg.set("worker", "process")
-        return results
-
-    def _scatter_details(self, query, consulted, pruned, shard_backends,
-                         skipped=(), order=None):
-        """The base details plus which mode this query's own cost selects.
-
-        A fused-group rider can piggyback on a heavier member's process
-        leg, so a rider's ``scatter_mode`` reflects its solo choice, not
-        necessarily where every one of its legs ran.
-        """
-        details = super()._scatter_details(query, consulted, pruned,
-                                           shard_backends, skipped, order)
-        details["scatter_mode"] = ("processes" if self._offload([query])
-                                   else "threads")
-        return details
-
-    # ------------------------------------------------------------------
-    # invalidation
-    # ------------------------------------------------------------------
-    def _on_mutation(self, row=None) -> None:
-        super()._on_mutation(row=row)
-        with self._worker_lock:
-            workers = list(self._workers.items())
-        shards = {shard.index: shard for shard in self.manager.shards}
-        for index, worker in workers:
-            shard = shards.get(index)
-            stale = (shard is None
-                     or id(shard.relation) != worker.relation_id
-                     or shard.relation.num_tuples != worker.num_rows)
-            if stale:
-                # The worker's shared-memory copy no longer matches the
-                # shard (the row landed there, or a reshard replaced it);
-                # drop it — the next leg respawns over fresh data.
-                with self._worker_lock:
-                    self._workers.pop(index, None)
-                worker.close()
-            else:
-                try:
-                    worker.request("invalidate", row)
-                except ShardWorkerError:
-                    with self._worker_lock:
-                        self._workers.pop(index, None)
-
-    # ------------------------------------------------------------------
-    # statistics
-    # ------------------------------------------------------------------
-    def cache_stats(self) -> Dict[str, float]:
-        """The merged view of :meth:`ScatterGatherExecutor.cache_stats`,
-        with the worker-shipped per-shard counters folded into the same
-        ``shard_*`` sums as the in-process stacks, plus ``shard_workers``
-        (live worker processes).
-        """
-        stats = super().cache_stats()
-        folds = {"shard_bound_entries": "entries",
-                 "shard_bound_hits": "hits",
-                 "shard_bound_misses": "misses",
-                 "shard_plans_reused": "plans_reused",
-                 "shard_fused_groups": "fused_groups",
-                 "shard_fused_queries": "fused_queries",
-                 "shard_result_entries": "result_entries",
-                 "shard_result_hits": "result_hits",
-                 "shard_result_misses": "result_misses",
-                 "shard_result_invalidations": "result_invalidations"}
-        with self._worker_lock:
-            observed = [cache for _, cache in self._worker_obs.values()]
-            live = sum(1 for worker in self._workers.values() if worker.alive)
-        for cache in observed:
-            for target, source in folds.items():
-                stats[target] += float(cache.get(source, 0.0))
-        lookups = stats["shard_bound_hits"] + stats["shard_bound_misses"]
-        stats["shard_bound_hit_rate"] = (stats["shard_bound_hits"] / lookups
-                                         if lookups else 0.0)
-        stats["shard_workers"] = float(live)
-        return stats
-
-    def _metric_registries(self) -> List[MetricsRegistry]:
-        registries = super()._metric_registries()
-        with self._worker_lock:
-            states = [state for state, _ in self._worker_obs.values()]
-        registries.extend(MetricsRegistry.from_state(state)
-                          for state in states)
-        return registries
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Shut down every worker process, then the thread pools.
-
-        Deterministic: after :meth:`close` returns no worker process is
-        alive and both shared-memory blocks of every worker are unlinked.
-        Like the base class, the executor stays usable — the next
-        offloaded leg respawns its worker.
-        """
-        with self._worker_lock:
-            workers = list(self._workers.values())
-            self._workers.clear()
-        for worker in workers:
-            worker.close()
-        super().close()
+                         allow_partial=allow_partial, legs=legs)
+        #: Live workers by shard index (the runner's own mapping).
+        self._workers = legs.workers

@@ -9,9 +9,12 @@ long-lived worker *process*:
   :mod:`multiprocessing.shared_memory`-backed numpy arrays — scatter legs
   send only pickled queries over a pipe and gather only top-k tuples,
   never the relation;
-* the worker builds its :class:`~repro.engine.Executor` lazily on the
-  first request, exactly like the manager's lazy in-process stacks — a
-  worker whose shard every query prunes never pays index construction;
+* the worker builds its :class:`~repro.engine.Executor` at boot (a
+  worker is only spawned when a leg is about to run on it) and then
+  sends one ``ready`` frame; the parent consumes it before the first
+  request under the fixed :data:`SPAWN_TIMEOUT`, so the cold start
+  (interpreter, numpy import, shared-memory attach, index build) is
+  never charged to a leg's ``recv_timeout`` or deadline;
 * every reply rides the worker-side observability back to the parent: the
   worker engine's :class:`~repro.obs.metrics.MetricsRegistry` state
   (raw histogram reservoirs, so merged percentiles pool correctly) and
@@ -22,8 +25,9 @@ in-flight request per pipe, serialized by :class:`ShardWorker`'s lock —
 and crash-safe: a killed worker surfaces as
 :class:`~repro.errors.ShardWorkerError` (the pipe reports end-of-file
 immediately), never as a hang.  A *wedged* worker (alive but not
-answering) is bounded too: ``recv_timeout`` caps every reply wait, and
-a worker that misses it is killed and reported with
+answering) is bounded too: ``recv_timeout`` caps every reply wait
+(and :data:`SPAWN_TIMEOUT` the wait for the ``ready`` frame), and a
+worker that misses the bound is killed and reported with
 ``ShardWorkerError.timed_out`` set — the scatter executor respawns it
 on the next leg.  :class:`ShardWorker.close` is deterministic: ask the
 worker to exit, escalate to ``terminate`` if it does not, and unlink
@@ -50,19 +54,24 @@ import numpy as np
 from repro.errors import ShardWorkerError
 from repro.storage.table import Relation, Schema
 
-#: Operations a worker understands.  ``execute``/``execute_many``/``plan``
-#: are the engine front-door surface; ``invalidate`` broadcasts the
+#: Operations a worker understands.  ``execute_many``/``plan`` are the
+#: engine front-door surface (every leg, one rider or many, is an
+#: ``execute_many``); ``invalidate`` broadcasts the
 #: manager's cache invalidation (predicate-aware when a row is attached);
 #: ``ping`` checks liveness; ``hang`` naps (fault injection: a simulated
 #: wedge the bounded recv must catch); ``close`` asks the worker to exit
 #: its loop.
-_OPS = ("execute", "execute_many", "plan", "invalidate", "ping", "hang",
-        "close")
+_OPS = ("execute_many", "plan", "invalidate", "ping", "hang", "close")
 
 #: Leg-shaped operations the fault injector may sabotage.  Lifecycle and
 #: invalidation traffic is never injected — chaos must not break the
 #: write path's correctness contract, only exercise leg recovery.
-_INJECTABLE_OPS = ("execute", "execute_many")
+_INJECTABLE_OPS = ("execute_many",)
+
+#: Seconds a freshly spawned worker may take to send its ``ready`` frame.
+#: Fixed and generous: a healthy boot takes well under a second, and the
+#: bound only exists so a worker wedged *while booting* still surfaces.
+SPAWN_TIMEOUT = 60.0
 
 
 @dataclass(frozen=True)
@@ -83,14 +92,24 @@ class WorkerSpec:
     executor_kwargs: Tuple[Tuple[str, object], ...]
 
 
+def _send_error(conn, exc: Exception) -> None:
+    """Ship ``exc`` to the parent (a summary when it does not pickle)."""
+    try:
+        pickle.dumps(exc)
+    except Exception:
+        exc = ShardWorkerError(f"{type(exc).__name__}: {exc}")
+    conn.send(("error", exc, None))
+
+
 def shard_worker_main(conn, spec: WorkerSpec) -> None:
     """Worker-process entry point: attach the shard, serve the pipe.
 
-    Runs until the parent sends ``close`` or its end of the pipe
-    disappears (parent exit), then detaches from the shared memory.  Any
-    exception an operation raises is shipped back as a reply — the worker
-    itself stays up, mirroring how an in-process engine survives a failed
-    query.
+    Builds the shard's engine stack, announces it with a ``ready`` frame
+    (an ``error`` frame, then exit, when the build fails), and serves
+    until the parent sends ``close`` or its end of the pipe disappears
+    (parent exit), then detaches from the shared memory.  Any exception
+    an operation raises is shipped back as a reply — the worker itself
+    stays up, mirroring how an in-process engine survives a failed query.
     """
     from multiprocessing.shared_memory import SharedMemory
 
@@ -109,8 +128,15 @@ def shard_worker_main(conn, spec: WorkerSpec) -> None:
                          buffer=rank_shm.buf)
     relation = Relation(spec.schema, selection, ranking,
                         name=spec.relation_name)
-    executor: Optional[Executor] = None
+    executor = None
     try:
+        try:
+            executor = Executor.for_relation(relation,
+                                             **dict(spec.executor_kwargs))
+        except Exception as exc:
+            _send_error(conn, exc)
+            return
+        conn.send(("ready", None, None))
         while True:
             try:
                 op, payload = conn.recv()
@@ -120,10 +146,9 @@ def shard_worker_main(conn, spec: WorkerSpec) -> None:
                 conn.send(("ok", None, None))
                 break
             try:
+                out = None
                 if op == "invalidate":
-                    if executor is not None:
-                        executor.invalidate_results(row=payload)
-                    out = None
+                    executor.invalidate_results(row=payload)
                 elif op == "ping":
                     out = relation.num_tuples
                 elif op == "hang":
@@ -131,27 +156,14 @@ def shard_worker_main(conn, spec: WorkerSpec) -> None:
                     # through the request, so only the parent's bounded
                     # recv (not a cooperative error reply) can surface it.
                     time.sleep(float(payload))
-                    out = None
-                elif op in ("execute", "execute_many", "plan"):
-                    if executor is None:
-                        executor = Executor.for_relation(
-                            relation, **dict(spec.executor_kwargs))
+                elif op in ("execute_many", "plan"):
                     out = getattr(executor, op)(payload)
                 else:
                     raise ShardWorkerError(f"unknown worker op {op!r}")
-                stats = None
-                if executor is not None:
-                    stats = (executor.metrics.state(),
-                             dict(executor.cache_stats()))
-                conn.send(("ok", out, stats))
+                conn.send(("ok", out, (executor.metrics.state(),
+                                       dict(executor.cache_stats()))))
             except Exception as exc:  # ship the failure, stay alive
-                try:
-                    pickle.dumps(exc)
-                    conn.send(("error", exc, None))
-                except Exception:
-                    conn.send(("error",
-                               ShardWorkerError(
-                                   f"{type(exc).__name__}: {exc}"), None))
+                _send_error(conn, exc)
     finally:
         # Drop the arrays' buffer views before detaching, otherwise
         # SharedMemory.close() raises about exported memoryview pointers.
@@ -172,11 +184,10 @@ class ShardWorker:
     boundary) and starts the worker on the configured multiprocessing
     context.  :meth:`request` is the synchronous RPC surface; it returns
     ``(result, observability)`` where observability is the worker's
-    ``(metrics state, cache stats)`` pair or ``None`` before the worker
-    engine exists.
+    ``(metrics state, cache stats)`` pair.
 
     ``relation_id``/``num_rows`` snapshot the shard the worker was built
-    over; :class:`~repro.shard.scatter.ProcessScatterExecutor` compares
+    over; :class:`~repro.shard.legs.WorkerProcessLegs` compares
     them after every mutation to decide between a cheap ``invalidate``
     broadcast (data unchanged) and a teardown (the shard grew or was
     replaced — the worker's shared-memory copy is stale).
@@ -184,8 +195,10 @@ class ShardWorker:
     ``recv_timeout`` bounds every reply wait (per-request ``timeout``
     overrides it, e.g. from a request deadline): a worker that misses
     the bound is killed and reported with a ``timed_out`` error, so a
-    wedged worker can never stall the parent indefinitely.  ``injector``
-    attaches deterministic chaos to leg requests only.
+    wedged worker can never stall the parent indefinitely.  Neither
+    covers the boot: the first request first consumes the worker's
+    ``ready`` frame under :data:`SPAWN_TIMEOUT`.  ``injector`` attaches
+    deterministic chaos to leg requests only.
     """
 
     def __init__(self, shard, executor_kwargs: Dict[str, object],
@@ -202,6 +215,7 @@ class ShardWorker:
         self.num_rows = int(relation.num_tuples)
         self._lock = threading.Lock()
         self._alive = False
+        self._ready = False
         selection = np.ascontiguousarray(relation.selection_matrix(),
                                          dtype=np.int64)
         ranking = np.ascontiguousarray(relation.ranking_matrix(),
@@ -245,7 +259,8 @@ class ShardWorker:
         ``timeout`` overrides the worker's ``recv_timeout`` for this
         request — the scatter layer passes the request deadline's
         remaining time here, so a per-request deadline tightens the
-        bound and a hung worker is detected within it.
+        bound and a hung worker is detected within it.  The bound starts
+        once the worker has booted (see :data:`SPAWN_TIMEOUT`).
 
         Raises :class:`~repro.errors.ShardWorkerError` when the worker
         process died (the pipe EOFs immediately — a killed worker is a
@@ -279,6 +294,12 @@ class ShardWorker:
                     # below EOFs and takes the died-error path.
                     self.process.kill()
                     self.process.join(5.0)
+                if not self._ready:
+                    status, out, _ = self._recv_bounded(SPAWN_TIMEOUT, "boot")
+                    if status == "error":  # the engine build failed
+                        self._teardown(terminate=True)
+                        raise out
+                    self._ready = True
                 if hang:
                     # Wedge the worker for real: it naps well past the
                     # recv bound, so detection (not the nap ending) is

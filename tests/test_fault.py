@@ -44,6 +44,7 @@ from repro.functions.linear import sum_function
 from repro.query import Predicate, TopKQuery
 from repro.shard import (
     HashShardingPolicy,
+    InProcessLegs,
     ProcessScatterExecutor,
     ScatterGatherExecutor,
     ShardManager,
@@ -295,19 +296,28 @@ def surviving_oracle(relation, query, surviving_tids):
     return tuple(t for _, t in top), tuple(s for s, _ in top)
 
 
-def fail_shard(engine, bad_index, error=None):
+class FailingLegs(InProcessLegs):
+    """A fake leg runner: legs to one shard raise, the rest run for real."""
+
+    def __init__(self, manager, bad_index):
+        super().__init__(manager)
+        self.bad_index = bad_index
+
+    def run(self, shard, queries, leg_span, deadline):
+        if shard.index == self.bad_index:
+            raise ShardWorkerError(
+                f"shard {shard.index} worker process died (exit code -9)",
+                shard_index=shard.index)
+        return super().run(shard, queries, leg_span, deadline)
+
+
+def fail_shard(engine, bad_index):
     """Make every leg to one shard raise, leaving the others honest."""
-    original = engine._shard_execute
+    engine.legs = FailingLegs(engine.manager, bad_index)
 
-    def failing(shard, query, leg, deadline=None):
-        if shard.index == bad_index:
-            raise (error if error is not None
-                   else ShardWorkerError(f"shard {shard.index} worker "
-                                         f"process died (exit code -9)",
-                                         shard_index=shard.index))
-        return original(shard, query, leg, deadline=deadline)
 
-    engine._shard_execute = failing
+def heal_shards(engine):
+    engine.legs = InProcessLegs(engine.manager)
 
 
 class TestRetries:
@@ -410,7 +420,7 @@ class TestPartialResults:
             assert degraded.extra["degraded"] == 1.0
             # The shard recovers; the next call must recompute, not serve
             # the gap from the result cache.
-            engine._shard_execute = ScatterGatherExecutor._shard_execute.__get__(engine)
+            heal_shards(engine)
             healed = engine.execute(query)
             assert "degraded" not in healed.extra
             assert healed.tids == brute_force_topk(relation, query)[0]
@@ -473,7 +483,7 @@ class TestBreakerIntegration:
         with engine:
             engine.execute(topk(k=2))  # trips shard 0's breaker
             # The shard heals while the breaker cools down.
-            engine._shard_execute = ScatterGatherExecutor._shard_execute.__get__(engine)
+            heal_shards(engine)
             clock.advance(30.0)
             query = topk(k=5, A1=2)
             result = engine.execute(query)  # the half-open probe succeeds

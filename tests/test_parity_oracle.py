@@ -280,6 +280,40 @@ def test_fused_batch_matches_loop_and_oracle(universe, spec_index):
             assert result.tids == tids, (count, scatter.explain(query))
             assert result.scores == scores, count
 
+    # One scatter algorithm: in a mixed batch (a same-function pair, a
+    # lone function, a skyline) every member must agree with the solo
+    # front door and with a batch of one — answer and scatter set —
+    # sequentially and on the pool.
+    skyline = next(q for q in queries if isinstance(q, SkylineQuery))
+    mixed = [batch[0], TopKQuery(batch[1].predicate, batch[0].function, 4),
+             batch[2], skyline]
+    mixed_oracle = [brute_force_topk(relation, query) for query in mixed[:3]]
+    mixed_oracle.append((brute_force_skyline(relation, skyline), None))
+
+    def answer(result):
+        return (result.tids, getattr(result, "scores", None),
+                result.extra["shards_consulted"],
+                result.extra["shards_pruned"])
+
+    for count, scatter in sharded.items():
+        for parallel in (False, True):
+            scatter.parallel = parallel
+            try:
+                scatter.manager.invalidate_caches()
+                together = scatter.execute_many(mixed)
+                for query, member, expected in zip(mixed, together,
+                                                   mixed_oracle):
+                    scatter.manager.invalidate_caches()
+                    solo = scatter.execute(query)
+                    scatter.manager.invalidate_caches()
+                    (single,) = scatter.execute_many([query])
+                    assert answer(solo)[:2] == expected, (count, parallel)
+                    assert answer(member) == answer(solo), (count, parallel)
+                    assert answer(single) == answer(solo), (count, parallel)
+            finally:
+                scatter.parallel = False
+                scatter.close()
+
 
 @pytest.mark.parametrize("spec_index", range(len(SPECS)))
 def test_traced_execution_keeps_oracle_parity(universe, spec_index):

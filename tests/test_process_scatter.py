@@ -259,6 +259,24 @@ class TestFaultContainment:
             assert engine._workers[0] is not worker
             assert engine._workers[0].alive
 
+    def test_cold_start_is_not_charged_to_the_recv_timeout(self, relation):
+        """A booting worker is bounded by its ``ready`` frame, not the leg's.
+
+        The spawn-context cold start (interpreter, numpy import, shared
+        memory attach, index build) takes several times this
+        ``recv_timeout``; a warm leg takes a few hundredths of it.
+        """
+        from tests.conftest import brute_force_topk
+
+        manager, engine = make_process_engine(relation, recv_timeout=0.1)
+        with engine:
+            query = topk()
+            result = engine.execute(query)
+            assert result.extra["scatter_mode"] == "processes"
+            assert (result.tids, result.scores) == brute_force_topk(
+                relation, query)
+            assert all(worker.alive for worker in engine._workers.values())
+
     def test_genuine_worker_death_is_not_flagged_timed_out(self, relation):
         manager, engine = make_process_engine(relation)
         with engine:
