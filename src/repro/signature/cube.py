@@ -184,13 +184,16 @@ class SignatureRankingCube:
                 cells.setdefault(cell, []).append(tid)
             for cell, tids in cells.items():
                 signature = self.store.load_signature(dims, cell)
+                # Clear every old path before setting any new one: a split
+                # can move one tuple into the slot another tuple of the same
+                # cell just vacated, and clearing after setting would wipe
+                # the bit that now belongs to the mover.
                 for tid in tids:
-                    old = old_paths.get(tid)
-                    if old is not None:
-                        signature.clear_path(old)
-                    new = new_paths.get(tid)
-                    if new is not None:
-                        signature.set_path(new)
+                    if tid in old_paths:
+                        signature.clear_path(old_paths[tid])
+                for tid in tids:
+                    if tid in new_paths:
+                        signature.set_path(new_paths[tid])
                 self.store.put(dims, cell, signature)
                 report.cells_updated += 1
 

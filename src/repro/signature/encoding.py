@@ -22,7 +22,7 @@ them.
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.errors import EncodingError
 
@@ -242,6 +242,40 @@ def encode_adaptive(bits: List[int], fanout: int) -> str:
     if not best:
         raise EncodingError("no scheme could encode the node")
     return best
+
+
+def adaptive_code_bits(bits: Sequence[int], fanout: int) -> int:
+    """``len(encode_adaptive(bits, fanout))`` without building any code.
+
+    Sizing a cell's signature (``decompose_signature``) needs only the
+    length of each node's shortest code; every scheme's coding region has a
+    closed-form length, so no bit string is materialized.
+    """
+    count = len(bits)
+    if count >= 1 << _LEN_FIELD_BITS:
+        raise EncodingError("no scheme could encode the node")
+    width = _bits_needed(fanout)
+    prefix_bits = _pc_prefix_bits(fanout)
+    suffix_bits = width - prefix_bits
+    best = None
+    for mark in (1, 0):  # the sparse variants mark the 1s, the dense ones the 0s
+        marked = [i for i, b in enumerate(bits) if b == mark]
+        # BL: the array up to its last marked position.
+        sizes = [marked[-1] + 1 if marked else 0]
+        # RL: one gamma code (2 * ceil(log2(run + 2)) bits) per run of
+        # unmarked bits, each marked bit ending a run, plus the trailing run.
+        runs = [b - a - 1 for a, b in zip([-1] + marked, marked + [count])]
+        sizes.append(sum(2 * (run + 1).bit_length() for run in runs))
+        if not marked or marked[-1] < 1 << width:
+            # PI: one fixed-width position per marked bit.
+            sizes.append(len(marked) * width)
+            # PC: per shared prefix, the prefix and a count; per position, a suffix.
+            groups = len({position >> suffix_bits for position in marked})
+            sizes.append(groups * width + len(marked) * suffix_bits)
+        smallest = min(sizes)
+        if best is None or smallest < best:
+            best = smallest
+    return 3 + _LEN_FIELD_BITS + best
 
 
 def code_size_bits(code: str) -> int:

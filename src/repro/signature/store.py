@@ -6,6 +6,21 @@ fits a data page with room for in-place growth.  Each partial signature is
 referenced by the path (equivalently, SID) of its shallowest node; at query
 time partial signatures are loaded lazily — only when the search asks about
 a node they encode — and every load costs one counted page access.
+
+Page layout
+-----------
+A partial-signature page is ``{"ref": path, "nodes": {path: bits}}`` where
+``bits`` is a read-only ``bool`` array, one element per entry position,
+truncated after the node's last set bit (position ``p`` is ``bits[p - 1]``;
+positions past the end are 0).  A reader merges a loaded page's ``nodes``
+into its own map and answers a single entry (:meth:`CellSignatureReader.test`)
+or a whole node at a time (:meth:`CellSignatureReader.mask`) from the same
+arrays.
+
+**Pages are immutable once handed out; writers replace arrays.**
+:meth:`SignatureStore.put` frees a cell's old pages and allocates new ones;
+it never flips a bit inside an array a reader may still hold (the rule
+``BaseBlockTable.insert`` follows for base blocks).
 """
 
 from __future__ import annotations
@@ -14,9 +29,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.errors import SignatureError
-from repro.signature.encoding import code_size_bits, encode_adaptive
-from repro.signature.signature import Path, Signature, path_to_sid
+from repro.signature.encoding import adaptive_code_bits
+from repro.signature.signature import Path, Signature
 from repro.storage.buffer import BufferPool
 from repro.storage.pager import Pager
 
@@ -29,7 +46,7 @@ class PartialSignature:
     """One decomposed chunk of a signature tree."""
 
     ref_path: Path
-    nodes: Dict[Path, List[int]]
+    nodes: Dict[Path, np.ndarray]
     size_bits: int
 
     @property
@@ -55,7 +72,7 @@ def decompose_signature(signature: Signature, budget_bits: int
         start = pending.popleft()
         if start in assigned or start not in signature.nodes:
             continue
-        nodes: Dict[Path, List[int]] = {}
+        nodes: Dict[Path, np.ndarray] = {}
         size = 0
         queue: deque = deque([start])
         while queue:
@@ -65,8 +82,10 @@ def decompose_signature(signature: Signature, budget_bits: int
             if path in assigned or path not in signature.nodes:
                 continue
             bits = signature.node_bits(path)
-            size += code_size_bits(encode_adaptive(bits, signature.fanout))
-            nodes[path] = bits
+            size += adaptive_code_bits(bits, signature.fanout)
+            page_bits = np.array(bits, dtype=bool)
+            page_bits.setflags(write=False)
+            nodes[path] = page_bits
             assigned.add(path)
             for position in sorted(signature.nodes[path]):
                 child = path + (position,)
@@ -83,7 +102,7 @@ def reassemble_signature(partials: Iterable[PartialSignature], fanout: int) -> S
     nodes: Dict[Path, Set[int]] = {}
     for partial in partials:
         for path, bits in partial.nodes.items():
-            nodes[path] = {i + 1 for i, b in enumerate(bits) if b == 1}
+            nodes[path] = set((np.flatnonzero(bits) + 1).tolist())
     return Signature(fanout, nodes)
 
 
@@ -117,7 +136,8 @@ class SignatureStore:
         total_bits = 0
         for partial in partials:
             payload = {"ref": partial.ref_path, "nodes": dict(partial.nodes)}
-            refs[partial.ref_path] = self.pager.allocate(payload)
+            refs[partial.ref_path] = self.pager.allocate(
+                payload, size=-(-partial.size_bits // 8))
             total_bits += partial.size_bits
         self._index[key] = refs
         self._size_bits[key] = total_bits
@@ -173,7 +193,7 @@ class CellSignatureReader:
     def __init__(self, store: SignatureStore, refs: Dict[Path, int]) -> None:
         self.store = store
         self.refs = dict(refs)
-        self._nodes: Dict[Path, Set[int]] = {}
+        self._nodes: Dict[Path, np.ndarray] = {}
         self._loaded_refs: Set[Path] = set()
         self.pages_loaded = 0
 
@@ -183,12 +203,13 @@ class CellSignatureReader:
         payload = self.store.buffer.read(self.refs[ref])
         self.pages_loaded += 1
         self._loaded_refs.add(ref)
-        for path, bits in payload["nodes"].items():
-            self._nodes[path] = {i + 1 for i, b in enumerate(bits) if b == 1}
+        self._nodes.update(payload["nodes"])
 
-    def _ensure_node(self, path: Path) -> None:
-        if path in self._nodes:
-            return
+    def _node_bits(self, path: Path) -> Optional[np.ndarray]:
+        """The bit array of the node at ``path``, loading pages as needed."""
+        bits = self._nodes.get(path)
+        if bits is not None:
+            return bits
         # Load the partial signatures referenced by prefixes of the path,
         # shallowest first (the thesis walks the first-level node, then the
         # second-level node, and so on).
@@ -196,20 +217,34 @@ class CellSignatureReader:
             prefix = path[:depth]
             if prefix in self.refs and prefix not in self._loaded_refs:
                 self._load_ref(prefix)
-                if path in self._nodes:
-                    return
+                bits = self._nodes.get(path)
+                if bits is not None:
+                    return bits
+        return None
 
     def test(self, path: Path) -> bool:
         """Whether the node / entry at ``path`` may hold a qualifying tuple."""
         if not self.refs:
             return False
         if not path:
-            self._ensure_node(())
-            return bool(self._nodes.get(()))
-        parent = path[:-1]
-        self._ensure_node(parent)
-        bits = self._nodes.get(parent)
-        return bits is not None and path[-1] in bits
+            return self._node_bits(()) is not None
+        bits = self._node_bits(path[:-1])
+        return bits is not None and 0 < path[-1] <= len(bits) and bool(bits[path[-1] - 1])
+
+    def mask(self, parent: Path, count: int) -> np.ndarray:
+        """``test(parent + (i,))`` for ``i = 1..count`` as one ``bool`` array.
+
+        Loads exactly the pages the first of those ``test`` calls would.
+        The result may be a view of the stored page: read it, do not write.
+        """
+        bits = self._node_bits(parent)
+        if bits is None:
+            return np.zeros(count, dtype=bool)
+        if count <= len(bits):
+            return bits[:count]
+        padded = np.zeros(count, dtype=bool)
+        padded[:len(bits)] = bits
+        return padded
 
 
 class CombinedSignatureReader:
@@ -227,6 +262,19 @@ class CombinedSignatureReader:
 
     def test(self, path: Path) -> bool:
         return all(reader.test(path) for reader in self.readers)
+
+    def mask(self, parent: Path, count: int) -> np.ndarray:
+        """Entry-wise conjunction of the member readers' masks.
+
+        A later reader is consulted — and so page-loaded — only while some
+        entry survives the earlier ones, the short-circuit of :meth:`test`.
+        """
+        mask = self.readers[0].mask(parent, count)
+        for reader in self.readers[1:]:
+            if not mask.any():
+                break
+            mask = mask & reader.mask(parent, count)
+        return mask
 
     @property
     def pages_loaded(self) -> int:

@@ -3,11 +3,17 @@
 All preference dimensions are minimized.  For *dynamic* skylines the raw
 values are first mapped to their absolute distance from a per-dimension
 target (Section 7.2.3); dominance is then evaluated in the mapped space.
+
+The scalar functions are the definitions (and the oracle's tools);
+:func:`mapped_corners` and :func:`dominated_rows` are the same tests over a
+whole R-tree node at a time, which is how the engine runs them.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.geometry import Box
 
@@ -74,3 +80,27 @@ def box_min_corner(box: Box, dims: Sequence[str],
 def mindist(corner: Sequence[float]) -> float:
     """Sum of the mapped coordinates — the BBS priority of a node or point."""
     return float(sum(corner))
+
+
+def mapped_corners(lows: np.ndarray, highs: np.ndarray,
+                   targets: Optional[np.ndarray]) -> np.ndarray:
+    """:func:`box_min_corner` of every box of an ``(n, d)`` pair of corner arrays.
+
+    ``highs is lows`` says the boxes are points, for which this is
+    :func:`transform_dynamic`.  May return ``lows`` itself: read, do not write.
+    """
+    if targets is None:
+        return lows
+    nearest = lows if highs is lows else np.minimum(np.maximum(targets, lows), highs)
+    return np.abs(nearest - targets)
+
+
+def dominated_rows(corners: np.ndarray, found: np.ndarray) -> np.ndarray:
+    """Per row of ``corners (n, d)``: does some row of ``found (m, d)`` dominate it?"""
+    no_worse = found[:, 0, None] <= corners[:, 0]
+    better = found[:, 0, None] < corners[:, 0]
+    for column in range(1, corners.shape[1]):
+        no_worse &= found[:, column, None] <= corners[:, column]
+        better |= found[:, column, None] < corners[:, column]
+    no_worse &= better
+    return no_worse.any(axis=0)

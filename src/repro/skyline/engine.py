@@ -25,9 +25,8 @@ from repro.errors import QueryError
 from repro.query import Predicate, SkylineQuery
 from repro.signature.cube import SignatureRankingCube
 from repro.skyline.dominance import (
-    box_min_corner,
-    dominated_by_any,
-    mindist,
+    dominated_rows,
+    mapped_corners,
     skyline_of,
     transform_dynamic,
 )
@@ -62,6 +61,10 @@ class SkylineResult:
         return len(self.tids)
 
 
+#: Page id of heap items that are data points, not R-tree nodes.
+_POINT = -1
+
+
 class SkylineEngine:
     """BBS-style skyline computation over a signature ranking cube."""
 
@@ -75,7 +78,14 @@ class SkylineEngine:
     # main query entry point
     # ------------------------------------------------------------------
     def query(self, query: SkylineQuery) -> SkylineResult:
-        """Compute the (dynamic) skyline restricted by the boolean predicate."""
+        """Compute the (dynamic) skyline restricted by the boolean predicate.
+
+        BBS as written — one heap keyed ``(mindist, counter)``, entries
+        pushed in stored order — but a node is processed as arrays: one
+        signature mask, one mapped-corner matrix, one dominance test against
+        the skyline found so far, one left-to-right row sum.  Python loops
+        only over the survivors it pushes.
+        """
         for dim in query.preference_dims:
             if dim not in self.rtree.dims:
                 raise QueryError(
@@ -84,73 +94,86 @@ class SkylineEngine:
         rtree_before = self.rtree.pager.stats.physical_reads
         sig_before = self.cube.store.pager.stats.physical_reads
 
-        dims = tuple(query.preference_dims)
-        targets = list(query.targets) if query.targets is not None else None
-        reader = (self.cube.signature_reader(query.predicate)
-                  if self.use_signature and not query.predicate.is_empty() else None)
-        verify = reader is None and not query.predicate.is_empty()
+        columns = [self.rtree.dims.index(d) for d in query.preference_dims]
+        targets = (np.array(query.targets, dtype=np.float64)
+                   if query.targets is not None else None)
+        predicate = query.predicate
+        reader = (self.cube.signature_reader(predicate)
+                  if self.use_signature and not predicate.is_empty() else None)
+        verify = reader is None and not predicate.is_empty()
 
-        skyline: List[Tuple[int, Tuple[float, ...]]] = []
+        if reader is not None and not reader.test(()):
+            elapsed = time.perf_counter() - start
+            return SkylineResult(tids=(), elapsed_seconds=elapsed)
+
+        # Every R-tree dimension in stored order is the common case: a slice
+        # (a view) instead of a gathered copy of the page's columns.
+        select = (slice(None) if columns == list(range(len(self.rtree.dims)))
+                  else columns)
+
+        # Skyline points in the order found: tids, and their mapped values as
+        # the first ``len(skyline_tids)`` rows of a matrix that doubles when full.
+        skyline_tids: List[int] = []
+        skyline_values = np.empty((64, len(columns)))
+
         peak_heap = 0
         expanded = 0
         verifications = 0
         counter = 0
 
-        root = self.rtree.root()
-        if reader is not None and not reader.test(()):
-            elapsed = time.perf_counter() - start
-            return SkylineResult(tids=(), elapsed_seconds=elapsed)
-
-        root_corner = box_min_corner(root.box.project(dims), dims, targets)
-        heap: List[Tuple[float, int, object]] = [(mindist(root_corner), counter, root)]
-        dim_positions = [self.rtree.dims.index(d) for d in dims]
+        # Heap items: (mindist, counter, page id, path, corner, seen) for a
+        # node, (mindist, counter, _POINT, tid, mapped values, seen) for a data
+        # point.  ``seen`` is how many skyline points the item was already
+        # tested against when pushed; the skyline only grows, so a pop tests
+        # the later ones only.  The root has no corner worth computing: it is
+        # popped while the skyline is empty.
+        heap: List[Tuple[float, int, int, object, np.ndarray, int]] = [
+            (0.0, counter, self.rtree.root().page_id, (), np.zeros(len(columns)), 0)]
 
         while heap:
             peak_heap = max(peak_heap, len(heap))
-            _, _, item = heapq.heappop(heap)
-
-            if isinstance(item, tuple):  # a data point: (tid, mapped values)
-                tid, mapped = item
-                if dominated_by_any(mapped, (vals for _, vals in skyline)):
-                    continue
-                skyline.append((tid, mapped))
+            _, _, page_id, path, corner, seen = heapq.heappop(heap)
+            if seen < len(skyline_tids) and dominated_rows(
+                    corner[None, :], skyline_values[seen:len(skyline_tids)])[0]:
+                continue
+            if page_id == _POINT:
+                if len(skyline_tids) == len(skyline_values):
+                    skyline_values = np.concatenate(
+                        [skyline_values, np.empty_like(skyline_values)])
+                skyline_values[len(skyline_tids)] = corner
+                skyline_tids.append(path)
                 continue
 
-            node = item
-            node_corner = box_min_corner(node.box.project(dims), dims, targets)
-            if dominated_by_any(node_corner, (vals for _, vals in skyline)):
-                continue
             expanded += 1
-            if node.is_leaf:
-                for entry in self.rtree.leaf_entries(node):
-                    entry_path = node.path + (entry.position,)
-                    if reader is not None and not reader.test(entry_path):
-                        continue
-                    if verify:
-                        verifications += 1
-                        if not query.predicate.matches(self.relation, entry.tid):
-                            continue
-                    raw = [entry.values[i] for i in dim_positions]
-                    mapped = transform_dynamic(raw, targets)
-                    if dominated_by_any(mapped, (vals for _, vals in skyline)):
-                        continue
-                    counter += 1
-                    heapq.heappush(heap, (mindist(mapped), counter, (entry.tid, mapped)))
-            else:
-                for child in self.rtree.children(node):
-                    if reader is not None and not reader.test(child.path):
-                        continue
-                    child_corner = box_min_corner(child.box.project(dims), dims, targets)
-                    if dominated_by_any(child_corner, (vals for _, vals in skyline)):
-                        continue
-                    counter += 1
-                    heapq.heappush(heap, (mindist(child_corner), counter, child))
+            leaf, ids, lows, highs = self.rtree.node_arrays(page_id)
+            keep = (reader.mask(path, len(ids)) if reader is not None
+                    else np.ones(len(ids), dtype=bool))
+            if leaf and verify:
+                verifications += len(ids)
+                for dim, value in predicate.conditions:
+                    keep = keep & (self.relation.selection_column(dim)[ids] == value)
+            lows = lows[:, select]
+            corners = mapped_corners(lows, lows if leaf else highs[:, select], targets)
+            seen = len(skyline_tids)
+            if seen:
+                keep = keep & ~dominated_rows(corners, skyline_values[:seen])
+            # Column by column, left to right: equals float(sum(corner)).
+            mindist = corners[:, 0].copy()
+            for column in range(1, corners.shape[1]):
+                mindist += corners[:, column]
+            rows = keep.nonzero()[0]
+            for row, entry, dist, corner in zip(rows.tolist(), ids[rows].tolist(),
+                                                mindist[rows].tolist(), corners[rows]):
+                counter += 1
+                heapq.heappush(heap, (
+                    (dist, counter, _POINT, entry, corner, seen) if leaf else
+                    (dist, counter, entry, path + (row + 1,), corner, seen)))
 
         elapsed = time.perf_counter() - start
         rtree_io = self.rtree.pager.stats.physical_reads - rtree_before
         sig_io = self.cube.store.pager.stats.physical_reads - sig_before
         return SkylineResult(
-            tids=tuple(sorted(tid for tid, _ in skyline)),
+            tids=tuple(sorted(skyline_tids)),
             disk_accesses=rtree_io + sig_io + verifications,
             signature_accesses=sig_io,
             peak_heap_size=peak_heap,

@@ -130,12 +130,17 @@ class Pager:
     # ------------------------------------------------------------------
     # allocation
     # ------------------------------------------------------------------
-    def allocate(self, payload: Any = None) -> int:
-        """Allocate a fresh page, optionally writing ``payload`` into it."""
+    def allocate(self, payload: Any = None, *, size: Optional[int] = None) -> int:
+        """Allocate a fresh page, optionally writing ``payload`` into it.
+
+        ``size`` replaces ``estimate_size(payload)`` when the caller knows
+        the page's stored size, as in :meth:`write`.
+        """
         page_id = self._next_id
         self._next_id += 1
         self._pages[page_id] = payload
-        size = estimate_size(payload)
+        if size is None:
+            size = estimate_size(payload)
         self._page_sizes[page_id] = size
         self.stats.pages_allocated += 1
         if payload is not None:

@@ -11,6 +11,23 @@ use Guttman's least-enlargement descent with quadratic node splits.  Because
 signature maintenance (Section 4.2.5) needs the *old* and *new* paths of
 every tuple whose position changes, :meth:`RTree.insert` reports exactly
 that in its :class:`InsertOutcome`.
+
+Page layout
+-----------
+A node page is columnar: the tuple ``(leaf, ids, lows, highs)`` with
+``ids`` an ``int64[n]`` array and ``lows`` / ``highs`` ``float64[n, d]``
+arrays, row ``i`` describing the node's entry at 1-based path position
+``i + 1``.  In an internal node ``ids`` are child page ids and
+``lows[i]`` / ``highs[i]`` the child's MBR; in a leaf ``ids`` are tids and
+``highs is lows`` — a point is its own MBR, stored once.
+:meth:`RTree.node_arrays` hands the page out as stored, so a consumer can
+process a whole node at a time; :meth:`RTree.children` and
+:meth:`RTree.leaf_entries` are row-wise views of the same page.
+
+**Pages are immutable once handed out; writers replace arrays.**  An insert
+or a split builds new arrays and writes a new page tuple — it never assigns
+into an array a reader may still hold (the rule
+``BaseBlockTable.insert`` follows for base blocks).
 """
 
 from __future__ import annotations
@@ -22,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import IndexError_
-from repro.geometry import Box, Interval
+from repro.geometry import Box
 from repro.storage.buffer import BufferPool
 from repro.storage.hierindex import HierarchicalIndex, LeafEntry, NodeHandle
 from repro.storage.pager import Pager
@@ -31,6 +48,9 @@ from repro.storage.pager import Pager
 #: capacity from the page size (the thesis quotes M=204 for 2-d, 94 for 5-d
 #: nodes at 4 KB pages).
 _BYTES_PER_DIM = 10
+
+#: One node page: ``(leaf, ids, lows, highs)`` — see the module docstring.
+NodePage = Tuple[bool, np.ndarray, np.ndarray, np.ndarray]
 
 
 def capacity_for_page_size(page_size: int, num_dims: int) -> int:
@@ -62,28 +82,22 @@ class InsertOutcome:
         ]
 
 
-def _mbr_of_points(points: Sequence[Sequence[float]]) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
-    array = np.asarray(points, dtype=np.float64)
-    return tuple(array.min(axis=0).tolist()), tuple(array.max(axis=0).tolist())
+def _page_bytes(page: NodePage) -> int:
+    """Stored size of a node page: ids, and each coordinate once."""
+    leaf, ids, lows, highs = page
+    return ids.nbytes + lows.nbytes + (0 if leaf else highs.nbytes)
 
 
-def _mbr_union(lows_a, highs_a, lows_b, highs_b):
-    lows = tuple(min(a, b) for a, b in zip(lows_a, lows_b))
-    highs = tuple(max(a, b) for a, b in zip(highs_a, highs_b))
-    return lows, highs
+def _frozen(page: NodePage) -> NodePage:
+    """The page with its arrays read-only: a write through a view raises."""
+    for array in page[1:]:
+        array.setflags(write=False)
+    return page
 
 
-def _mbr_area(lows, highs) -> float:
-    area = 1.0
-    for lo, hi in zip(lows, highs):
-        area *= max(0.0, hi - lo)
-    return area
-
-
-def _enlargement(lows, highs, point) -> float:
-    new_lows = tuple(min(lo, p) for lo, p in zip(lows, point))
-    new_highs = tuple(max(hi, p) for hi, p in zip(highs, point))
-    return _mbr_area(new_lows, new_highs) - _mbr_area(lows, highs)
+def _areas(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+    """Area of each box of a ``(..., d)`` pair of corner arrays."""
+    return np.clip(highs - lows, 0.0, None).prod(axis=-1)
 
 
 class RTree(HierarchicalIndex):
@@ -135,44 +149,33 @@ class RTree(HierarchicalIndex):
         self._num_entries = points.shape[0]
 
         if self._num_entries == 0:
-            payload = {"leaf": True, "entries": []}
-            self._root_page = self.pager.allocate(payload)
-            self._node_count = 1
+            self._root_page = self._allocate(True, tids, points, points)
             self._height = 1
             return
 
-        groups = self._str_pack(np.arange(self._num_entries), points, 0)
-        leaf_pages: List[int] = []
-        leaf_mbrs: List[Tuple[Tuple[float, ...], Tuple[float, ...]]] = []
-        for group in groups:
-            entries = [
-                {"tid": int(tids[i]), "point": tuple(points[i].tolist())}
-                for i in group
-            ]
-            payload = {"leaf": True, "entries": entries}
-            leaf_pages.append(self.pager.allocate(payload))
-            leaf_mbrs.append(_mbr_of_points([e["point"] for e in entries]))
-        self._node_count = len(leaf_pages)
+        level_pages: List[int] = []
+        level_lows: List[np.ndarray] = []
+        level_highs: List[np.ndarray] = []
+        for group in self._str_pack(np.arange(self._num_entries), points, 0):
+            leaf_points = points[group]
+            level_pages.append(self._allocate(True, tids[group], leaf_points, leaf_points))
+            level_lows.append(leaf_points.min(axis=0))
+            level_highs.append(leaf_points.max(axis=0))
 
-        level_pages, level_mbrs = leaf_pages, leaf_mbrs
         height = 1
         while len(level_pages) > 1:
             parent_pages: List[int] = []
-            parent_mbrs: List[Tuple[Tuple[float, ...], Tuple[float, ...]]] = []
+            parent_lows: List[np.ndarray] = []
+            parent_highs: List[np.ndarray] = []
             for start in range(0, len(level_pages), self.max_entries):
-                end = min(start + self.max_entries, len(level_pages))
-                entries = []
-                lows, highs = level_mbrs[start]
-                for child_id, (child_lows, child_highs) in zip(
-                        level_pages[start:end], level_mbrs[start:end]):
-                    entries.append({"child": child_id, "low": tuple(child_lows),
-                                    "high": tuple(child_highs)})
-                    lows, highs = _mbr_union(lows, highs, child_lows, child_highs)
-                payload = {"leaf": False, "entries": entries}
-                parent_pages.append(self.pager.allocate(payload))
-                parent_mbrs.append((lows, highs))
-            self._node_count += len(parent_pages)
-            level_pages, level_mbrs = parent_pages, parent_mbrs
+                end = start + self.max_entries
+                lows = np.array(level_lows[start:end])
+                highs = np.array(level_highs[start:end])
+                parent_pages.append(self._allocate(
+                    False, np.array(level_pages[start:end], dtype=np.int64), lows, highs))
+                parent_lows.append(lows.min(axis=0))
+                parent_highs.append(highs.max(axis=0))
+            level_pages, level_lows, level_highs = parent_pages, parent_lows, parent_highs
             height += 1
         self._root_page = level_pages[0]
         self._height = height
@@ -208,7 +211,7 @@ class RTree(HierarchicalIndex):
         """Insert a point, reporting every tuple whose path changed."""
         if self._root_page is None:
             raise IndexError_("R-tree has not been built (bulk-load first)")
-        point = tuple(float(v) for v in point)
+        point = np.array([float(v) for v in point], dtype=np.float64)
         if len(point) != len(self.dims):
             raise IndexError_("point dimensionality does not match the tree")
 
@@ -235,18 +238,16 @@ class RTree(HierarchicalIndex):
 
         new_paths: Dict[int, Tuple[int, ...]] = {}
         if split_occurred:
-            if root_will_split or self._root_split_happened:
+            if root_will_split:
                 new_paths = dict(self.iter_tuple_paths())
-                old_restricted = old_paths
             else:
                 top_index = len(descent) - split_chain
                 parent_index = max(0, top_index - 1)
                 parent_page = descent[parent_index][0]
                 parent_path = tuple(pos for _, pos in descent[1:parent_index + 1])
                 new_paths = dict(self._paths_under(parent_page, parent_path))
-                old_restricted = old_paths
             changed_old = {
-                t: p for t, p in old_restricted.items()
+                t: p for t, p in old_paths.items()
                 if new_paths.get(t) is not None and new_paths[t] != p
             }
             changed_new = {t: new_paths[t] for t in changed_old}
@@ -254,28 +255,24 @@ class RTree(HierarchicalIndex):
             return InsertOutcome(tid=tid, split_occurred=True,
                                  old_paths=changed_old, new_paths=changed_new)
 
-        leaf_payload = self.pager.read(descent[-1][0], physical=False)
         leaf_path = tuple(pos for _, pos in descent[1:])
-        new_path = leaf_path + (len(leaf_payload["entries"]),)
+        new_path = leaf_path + (len(self._peek(descent[-1][0])[1]),)
         return InsertOutcome(
             tid=tid, split_occurred=False, old_paths={}, new_paths={tid: new_path})
 
-    def _choose_path(self, point: Tuple[float, ...]) -> List[Tuple[int, int]]:
+    def _choose_path(self, point: np.ndarray) -> List[Tuple[int, int]]:
         """Least-enlargement descent.  Returns [(page_id, entry_pos_in_parent)]
         from the root (position 0, unused) down to the target leaf."""
         path: List[Tuple[int, int]] = [(self._root_page, 0)]
-        page_id = self._root_page
-        payload = self.buffer.read(page_id)
-        while not payload["leaf"]:
-            best_pos, best_child, best_cost, best_area = 0, None, float("inf"), float("inf")
-            for pos, entry in enumerate(payload["entries"], start=1):
-                cost = _enlargement(entry["low"], entry["high"], point)
-                area = _mbr_area(entry["low"], entry["high"])
-                if cost < best_cost or (cost == best_cost and area < best_area):
-                    best_pos, best_child, best_cost, best_area = pos, entry["child"], cost, area
-            path.append((best_child, best_pos))
-            page_id = best_child
-            payload = self.buffer.read(page_id)
+        leaf, ids, lows, highs = self.node_arrays(self._root_page)
+        while not leaf:
+            area = _areas(lows, highs)
+            cost = _areas(np.minimum(lows, point), np.maximum(highs, point)) - area
+            # Least enlargement, then least area, then the first such entry.
+            best = int(np.lexsort((area, cost))[0])
+            child = int(ids[best])
+            path.append((child, best + 1))
+            leaf, ids, lows, highs = self.node_arrays(child)
         return path
 
     def _predict_splits(self, descent: List[Tuple[int, int]]) -> int:
@@ -283,149 +280,144 @@ class RTree(HierarchicalIndex):
         that will split when one entry is added at the leaf."""
         chain = 0
         for page_id, _ in reversed(descent):
-            payload = self.pager.read(page_id, physical=False)
-            if len(payload["entries"]) >= self.max_entries:
+            if len(self._peek(page_id)[1]) >= self.max_entries:
                 chain += 1
             else:
                 break
         return chain
 
     def _insert_at_leaf(self, descent: List[Tuple[int, int]],
-                        point: Tuple[float, ...], tid: int) -> bool:
-        self._root_split_happened = False
+                        point: np.ndarray, tid: int) -> bool:
         leaf_id = descent[-1][0]
-        payload = self.buffer.read(leaf_id)
-        payload["entries"].append({"tid": tid, "point": point})
-        self.buffer.write(leaf_id, payload)
+        _, ids, points, _ = self.node_arrays(leaf_id)
+        points = np.vstack([points, point])
+        self._write(leaf_id, True, np.append(ids, tid), points, points)
         self._adjust_mbrs(descent, point)
 
         split_occurred = False
-        level = len(descent) - 1
-        while level >= 0:
+        for level in range(len(descent) - 1, -1, -1):
             page_id = descent[level][0]
-            payload = self.pager.read(page_id, physical=False)
-            if len(payload["entries"]) <= self.max_entries:
+            if len(self._peek(page_id)[1]) <= self.max_entries:
                 break
             split_occurred = True
             new_page_id = self._split_node(page_id)
             if level == 0:
                 self._grow_root(page_id, new_page_id)
-                self._root_split_happened = True
                 break
             parent_id = descent[level - 1][0]
-            parent = self.pager.read(parent_id, physical=False)
-            lows, highs = self._node_mbr(new_page_id)
-            parent["entries"].append({"child": new_page_id, "low": lows, "high": highs})
-            old_lows, old_highs = self._node_mbr(page_id)
-            for entry in parent["entries"]:
-                if entry["child"] == page_id:
-                    entry["low"], entry["high"] = old_lows, old_highs
-                    break
-            self.buffer.write(parent_id, parent)
-            level -= 1
+            _, ids, lows, highs = self._peek(parent_id)
+            new_low, new_high = self._node_mbr(new_page_id)
+            old_low, old_high = self._node_mbr(page_id)
+            slot = int(np.flatnonzero(ids == page_id)[0])
+            lows, highs = lows.copy(), highs.copy()
+            lows[slot], highs[slot] = old_low, old_high
+            self._write(parent_id, False, np.append(ids, new_page_id),
+                        np.vstack([lows, new_low]), np.vstack([highs, new_high]))
         return split_occurred
 
-    def _adjust_mbrs(self, descent: List[Tuple[int, int]], point: Tuple[float, ...]) -> None:
+    def _adjust_mbrs(self, descent: List[Tuple[int, int]], point: np.ndarray) -> None:
         for level in range(len(descent) - 1):
             parent_id = descent[level][0]
-            child_id = descent[level + 1][0]
-            parent = self.pager.read(parent_id, physical=False)
-            for entry in parent["entries"]:
-                if entry["child"] == child_id:
-                    entry["low"] = tuple(min(lo, p) for lo, p in zip(entry["low"], point))
-                    entry["high"] = tuple(max(hi, p) for hi, p in zip(entry["high"], point))
-                    break
-            self.buffer.write(parent_id, parent)
+            slot = descent[level + 1][1] - 1
+            _, ids, lows, highs = self._peek(parent_id)
+            lows, highs = lows.copy(), highs.copy()
+            lows[slot] = np.minimum(lows[slot], point)
+            highs[slot] = np.maximum(highs[slot], point)
+            self._write(parent_id, False, ids, lows, highs)
 
     def _split_node(self, page_id: int) -> int:
         """Quadratic split: distribute the node's entries into two nodes,
         keeping the original page for group 1 and allocating a new page for
         group 2.  Returns the new page id."""
-        payload = self.pager.read(page_id, physical=False)
-        entries = payload["entries"]
-        mbrs = [self._entry_mbr(e) for e in entries]
+        leaf, ids, lows, highs = self._peek(page_id)
+        count = len(ids)
+        areas = _areas(lows, highs)
 
-        # Pick seed pair with the largest dead area.
-        worst, seeds = -1.0, (0, 1)
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                lows, highs = _mbr_union(*mbrs[i], *mbrs[j])
-                waste = _mbr_area(lows, highs) - _mbr_area(*mbrs[i]) - _mbr_area(*mbrs[j])
-                if waste > worst:
-                    worst, seeds = waste, (i, j)
+        # Pick the first seed pair (i < j) with the largest dead area; pairs
+        # that overlap so much that none wastes more than -1.0 leave (0, 1).
+        waste = (_areas(np.minimum(lows[:, None], lows[None, :]),
+                        np.maximum(highs[:, None], highs[None, :]))
+                 - areas[:, None] - areas[None, :])
+        waste[np.tril_indices(count)] = -np.inf
+        seeds = divmod(int(np.argmax(waste)), count)
+        if not waste[seeds] > -1.0:
+            seeds = (0, 1)
 
-        group1, group2 = [seeds[0]], [seeds[1]]
-        mbr1, mbr2 = mbrs[seeds[0]], mbrs[seeds[1]]
-        remaining = [i for i in range(len(entries)) if i not in seeds]
-        for i in remaining:
-            need1 = self.min_entries - len(group1)
-            need2 = self.min_entries - len(group2)
-            left = len(remaining) - (len(group1) + len(group2) - 2)
-            if need1 >= left:
+        groups: Tuple[List[int], List[int]] = ([seeds[0]], [seeds[1]])
+        group_lows, group_highs = lows[list(seeds)], highs[list(seeds)]
+        remaining = [i for i in range(count) if i not in seeds]
+        for placed, i in enumerate(remaining):
+            left = len(remaining) - placed
+            if self.min_entries - len(groups[0]) >= left:
+                target = 0
+            elif self.min_entries - len(groups[1]) >= left:
                 target = 1
-            elif need2 >= left:
-                target = 2
             else:
-                enlarge1 = _mbr_area(*_mbr_union(*mbr1, *mbrs[i])) - _mbr_area(*mbr1)
-                enlarge2 = _mbr_area(*_mbr_union(*mbr2, *mbrs[i])) - _mbr_area(*mbr2)
-                target = 1 if enlarge1 <= enlarge2 else 2
-            if target == 1:
-                group1.append(i)
-                mbr1 = _mbr_union(*mbr1, *mbrs[i])
-            else:
-                group2.append(i)
-                mbr2 = _mbr_union(*mbr2, *mbrs[i])
+                enlarge = (_areas(np.minimum(group_lows, lows[i]),
+                                  np.maximum(group_highs, highs[i]))
+                           - _areas(group_lows, group_highs))
+                target = 0 if enlarge[0] <= enlarge[1] else 1
+            groups[target].append(i)
+            group_lows[target] = np.minimum(group_lows[target], lows[i])
+            group_highs[target] = np.maximum(group_highs[target], highs[i])
 
-        payload["entries"] = [entries[i] for i in group1]
-        self.buffer.write(page_id, payload)
-        new_payload = {"leaf": payload["leaf"], "entries": [entries[i] for i in group2]}
-        new_page_id = self.pager.allocate(new_payload)
-        self._node_count += 1
-        return new_page_id
+        def half(rows: List[int]) -> NodePage:
+            half_lows = lows[rows]
+            return leaf, ids[rows], half_lows, half_lows if leaf else highs[rows]
+
+        self._write(page_id, *half(groups[0]))
+        return self._allocate(*half(groups[1]))
 
     def _grow_root(self, old_root: int, sibling: int) -> None:
-        lows1, highs1 = self._node_mbr(old_root)
-        lows2, highs2 = self._node_mbr(sibling)
-        payload = {
-            "leaf": False,
-            "entries": [
-                {"child": old_root, "low": lows1, "high": highs1},
-                {"child": sibling, "low": lows2, "high": highs2},
-            ],
-        }
-        self._root_page = self.pager.allocate(payload)
-        self._node_count += 1
+        low1, high1 = self._node_mbr(old_root)
+        low2, high2 = self._node_mbr(sibling)
+        self._root_page = self._allocate(
+            False, np.array([old_root, sibling], dtype=np.int64),
+            np.array([low1, low2]), np.array([high1, high2]))
         self._height += 1
 
-    def _entry_mbr(self, entry: dict) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
-        if "point" in entry:
-            return tuple(entry["point"]), tuple(entry["point"])
-        return tuple(entry["low"]), tuple(entry["high"])
-
-    def _node_mbr(self, page_id: int) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
-        payload = self.pager.read(page_id, physical=False)
-        entries = payload["entries"]
-        if not entries:
-            zero = tuple(0.0 for _ in self.dims)
+    def _node_mbr(self, page_id: int) -> Tuple[np.ndarray, np.ndarray]:
+        _, ids, lows, highs = self._peek(page_id)
+        if not len(ids):
+            zero = np.zeros(len(self.dims))
             return zero, zero
-        lows, highs = self._entry_mbr(entries[0])
-        for entry in entries[1:]:
-            lows, highs = _mbr_union(lows, highs, *self._entry_mbr(entry))
-        return lows, highs
+        return lows.min(axis=0), highs.max(axis=0)
+
+    # ------------------------------------------------------------------
+    # pages
+    # ------------------------------------------------------------------
+    def node_arrays(self, page_id: int) -> NodePage:
+        """The node's page ``(leaf, ids, lows, highs)`` as stored.
+
+        One counted read through the buffer pool — the same single access
+        :meth:`children` and :meth:`leaf_entries` make.  The arrays are the
+        page: read them, never assign into them.
+        """
+        return self.buffer.read(page_id)
+
+    def _peek(self, page_id: int) -> NodePage:
+        """The node's page without touching the buffer pool (maintenance)."""
+        return self.pager.read(page_id, physical=False)
+
+    def _allocate(self, *page) -> int:
+        self._node_count += 1
+        return self.pager.allocate(_frozen(page), size=_page_bytes(page))
+
+    def _write(self, page_id: int, *page) -> None:
+        self.buffer.write(page_id, _frozen(page), size=_page_bytes(page))
 
     # ------------------------------------------------------------------
     # path utilities
     # ------------------------------------------------------------------
     def _paths_under(self, page_id: int, prefix: Tuple[int, ...]
                      ) -> List[Tuple[int, Tuple[int, ...]]]:
+        leaf, ids, _, _ = self._peek(page_id)
+        if leaf:
+            return [(tid, prefix + (pos,))
+                    for pos, tid in enumerate(ids.tolist(), start=1)]
         result: List[Tuple[int, Tuple[int, ...]]] = []
-        payload = self.pager.read(page_id, physical=False)
-        if payload["leaf"]:
-            for pos, entry in enumerate(payload["entries"], start=1):
-                result.append((entry["tid"], prefix + (pos,)))
-            return result
-        for pos, entry in enumerate(payload["entries"], start=1):
-            result.extend(self._paths_under(entry["child"], prefix + (pos,)))
+        for pos, child in enumerate(ids.tolist(), start=1):
+            result.extend(self._paths_under(child, prefix + (pos,)))
         return result
 
     def path_of_tid(self, tid: int) -> Tuple[int, ...]:
@@ -442,31 +434,32 @@ class RTree(HierarchicalIndex):
         if self._root_page is None:
             raise IndexError_("R-tree has not been built")
         lows, highs = self._node_mbr(self._root_page)
-        payload = self.pager.read(self._root_page, physical=False)
-        box = Box.from_bounds(self.dims, lows, highs)
-        return NodeHandle(page_id=self._root_page, box=box,
-                          is_leaf=payload["leaf"], level=self._height, path=())
+        return NodeHandle(page_id=self._root_page,
+                          box=Box.from_bounds(self.dims, lows, highs),
+                          is_leaf=self._height == 1, level=self._height, path=())
 
     def children(self, node: NodeHandle) -> List[NodeHandle]:
         if node.is_leaf:
             return []
-        payload = self.buffer.read(node.page_id)
-        handles: List[NodeHandle] = []
-        for position, entry in enumerate(payload["entries"], start=1):
-            child_payload = self.pager.read(entry["child"], physical=False)
-            box = Box.from_bounds(self.dims, entry["low"], entry["high"])
-            handles.append(NodeHandle(
-                page_id=entry["child"], box=box, is_leaf=child_payload["leaf"],
-                level=node.level - 1, path=node.path + (position,)))
-        return handles
+        _, ids, lows, highs = self.node_arrays(node.page_id)
+        # The tree is balanced (STR packing, Guttman splits), so the level
+        # says whether the children are leaves; no child page is read.
+        return [
+            NodeHandle(page_id=child, box=Box.from_bounds(self.dims, low, high),
+                       is_leaf=node.level == 2, level=node.level - 1,
+                       path=node.path + (position,))
+            for position, (child, low, high) in enumerate(
+                zip(ids.tolist(), lows.tolist(), highs.tolist()), start=1)
+        ]
 
     def leaf_entries(self, node: NodeHandle) -> List[LeafEntry]:
-        payload = self.buffer.read(node.page_id)
-        if not payload["leaf"]:
+        leaf, ids, points, _ = self.node_arrays(node.page_id)
+        if not leaf:
             raise IndexError_(f"page {node.page_id} is not a leaf")
         return [
-            LeafEntry(tid=int(entry["tid"]), values=tuple(entry["point"]), position=i)
-            for i, entry in enumerate(payload["entries"], start=1)
+            LeafEntry(tid=tid, values=tuple(values), position=position)
+            for position, (tid, values) in enumerate(
+                zip(ids.tolist(), points.tolist()), start=1)
         ]
 
     def height(self) -> int:

@@ -1,0 +1,247 @@
+"""Seams of the columnar pages: the array-at-a-time accessors must agree with
+the row-wise ones they sit beside, and cost exactly the same page loads."""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from repro.geometry import Box
+from repro.query import Predicate, SkylineQuery
+from repro.signature import Signature, SignatureRankingCube, SignatureStore
+from repro.signature.encoding import adaptive_code_bits, encode_adaptive
+from repro.signature.store import CombinedSignatureReader
+from repro.skyline import BooleanFirstSkyline, SkylineEngine
+from repro.skyline.dominance import (
+    box_min_corner,
+    dominated_by_any,
+    dominated_rows,
+    mapped_corners,
+    transform_dynamic,
+)
+from repro.storage.pager import Pager
+from repro.storage.rtree import RTree
+from repro.workloads import SyntheticSpec, generate_relation
+
+FANOUT = 5
+DEPTH = 3
+
+positions = st.integers(min_value=1, max_value=FANOUT)
+tuple_paths = st.lists(st.tuples(*[positions] * DEPTH), min_size=1, max_size=40)
+# Parent paths to probe: real nodes, pruned nodes and paths below a leaf slot.
+probes = st.lists(st.lists(positions, min_size=0, max_size=DEPTH + 1).map(tuple),
+                  min_size=1, max_size=25)
+# 24..64-byte pages: budgets of 96..256 bits against ~22 bits a node, so a
+# signature is cut into several partial pages that probes load one at a time.
+page_sizes = st.integers(min_value=24, max_value=64)
+
+
+def _readers(cells, page_size):
+    store = SignatureStore(fanout=FANOUT, pager=Pager(page_size=page_size))
+    for number, paths in enumerate(cells):
+        store.put(("A",), (number,), Signature.from_paths(paths, FANOUT))
+    return [store.reader(("A",), (number,)) for number in range(len(cells))]
+
+
+def _assert_mask_is_test(by_mask, by_test, probe_paths):
+    for parent in probe_paths:
+        for count in (FANOUT, FANOUT + 2, 2):
+            mask = by_mask.mask(parent, count)
+            assert mask.dtype == bool and mask.shape == (count,)
+            assert mask.tolist() == [by_test.test(parent + (i,))
+                                     for i in range(1, count + 1)]
+            assert by_mask.pages_loaded == by_test.pages_loaded
+
+
+class TestSignatureMask:
+    @settings(max_examples=60, deadline=None)
+    @given(tuple_paths, probes, page_sizes)
+    def test_single_reader(self, paths, probe_paths, page_size):
+        by_mask, = _readers([paths], page_size)
+        by_test, = _readers([paths], page_size)
+        _assert_mask_is_test(by_mask, by_test, probe_paths)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(tuple_paths, min_size=2, max_size=3), probes, page_sizes)
+    def test_combined_reader_short_circuits_like_test(self, cells, probe_paths,
+                                                      page_size):
+        by_mask = CombinedSignatureReader(_readers(cells, page_size))
+        by_test = CombinedSignatureReader(_readers(cells, page_size))
+        _assert_mask_is_test(by_mask, by_test, probe_paths)
+        assert ([r.pages_loaded for r in by_mask.readers]
+                == [r.pages_loaded for r in by_test.readers])
+
+    def test_the_page_sizes_drawn_cut_a_signature_into_several_pages(self):
+        paths = [(a, b, c) for a in (1, 2, 3, 4) for b in (1, 3, 5) for c in (2, 4)]
+        assert all(len(_readers([paths], size)[0].refs) >= 3 for size in (24, 64))
+
+    def test_missing_cell_masks_everything_out(self):
+        reader = SignatureStore(fanout=FANOUT).reader(("A",), (9,))
+        assert not reader.mask((), FANOUT).any()
+        assert reader.pages_loaded == 0
+
+    def test_stored_bits_cannot_be_written_through_a_mask(self):
+        reader, = _readers([[(1, 2, 3), (4, 2, 1)]], 96)
+        mask = reader.mask((), 4)
+        assert mask.tolist() == [True, False, False, True]
+        assert not mask.flags.writeable
+
+
+def _assert_arrays_are_the_row_views(tree):
+    leaves = internals = 0
+    for node in tree.iter_nodes():
+        leaf, ids, lows, highs = tree.node_arrays(node.page_id)
+        assert leaf == node.is_leaf
+        assert ids.dtype == np.int64 and lows.dtype == np.float64
+        assert lows.shape == highs.shape == (len(ids), len(tree.dims))
+        if leaf:
+            leaves += 1
+            assert highs is lows
+            entries = tree.leaf_entries(node)
+            assert [e.tid for e in entries] == ids.tolist()
+            assert [e.values for e in entries] == [tuple(row) for row in lows.tolist()]
+            assert [e.position for e in entries] == list(range(1, len(ids) + 1))
+        else:
+            internals += 1
+            children = tree.children(node)
+            assert [c.page_id for c in children] == ids.tolist()
+            assert [c.path for c in children] == [
+                node.path + (i,) for i in range(1, len(ids) + 1)]
+            for child, low, high in zip(children, lows.tolist(), highs.tolist()):
+                assert [child.box.interval(d).low for d in tree.dims] == low
+                assert [child.box.interval(d).high for d in tree.dims] == high
+                # children() derives the leaf flag from the level alone.
+                assert child.is_leaf == tree.node_arrays(child.page_id)[0]
+    assert leaves and (internals or tree.height() == 1)
+
+
+class TestNodeArrays:
+    def test_rows_equal_the_row_wise_views_after_bulk_load(self):
+        points = np.random.default_rng(21).random((700, 3))
+        _assert_arrays_are_the_row_views(
+            RTree.build(["X", "Y", "Z"], points, max_entries=8))
+
+    def test_rows_equal_the_row_wise_views_after_inserts_with_splits(self):
+        rng = np.random.default_rng(22)
+        # 14 points in one level of 4-entry leaves under one root: 200
+        # inserts split leaves, internal nodes and the root itself.
+        tree = RTree.build(["X", "Y"], rng.random((14, 2)), max_entries=4)
+        height = tree.height()
+        splits = 0
+        for tid in range(14, 214):
+            splits += tree.insert(rng.random(2).tolist(), tid).split_occurred
+        assert splits > 20 and tree.height() > height
+        assert sorted(tid for tid, _ in tree.iter_tuple_paths()) == list(range(214))
+        _assert_arrays_are_the_row_views(tree)
+
+    def test_one_counted_read_like_children(self):
+        tree = RTree.build(["X", "Y"], np.random.default_rng(23).random((300, 2)),
+                           max_entries=8)
+        root = tree.root()
+        reads = (tree.buffer.hits + tree.buffer.misses,
+                 tree.pager.stats.logical_reads)
+        tree.node_arrays(root.page_id)
+        after_arrays = (tree.buffer.hits + tree.buffer.misses,
+                        tree.pager.stats.logical_reads)
+        tree.children(root)
+        after_children = (tree.buffer.hits + tree.buffer.misses,
+                          tree.pager.stats.logical_reads)
+        assert after_arrays == (reads[0] + 1, reads[1] + 1)
+        assert after_children == (reads[0] + 2, reads[1] + 2)
+
+    def test_an_insert_replaces_arrays_a_reader_holds(self):
+        tree = RTree.build(["X", "Y"], np.random.default_rng(24).random((6, 2)),
+                           max_entries=8)
+        _, ids, points, _ = tree.node_arrays(tree.root().page_id)
+        held = ids.copy(), points.copy()
+        tree.insert([0.5, 0.5], 6)
+        assert np.array_equal(ids, held[0]) and np.array_equal(points, held[1])
+        assert not ids.flags.writeable and not points.flags.writeable
+        assert tree.node_arrays(tree.root().page_id)[1].tolist() == list(range(7))
+
+
+# A coarse grid, so equal coordinates (ties are not dominance) are common.
+grid = st.integers(0, 4).map(lambda v: v / 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+    st.lists(st.tuples(*[grid] * d), min_size=0, max_size=6),
+    st.lists(st.tuples(*[grid] * d, *[grid] * d), min_size=1, max_size=8),
+    st.one_of(st.none(), st.tuples(*[grid] * d)))))
+def test_array_dominance_is_the_scalar_definition(case):
+    found, boxes, targets = case
+    d = len(boxes[0]) // 2
+    one, other = np.array([b[:d] for b in boxes]), np.array([b[d:] for b in boxes])
+    lows, highs = np.minimum(one, other), np.maximum(one, other)
+    target_array = None if targets is None else np.array(targets)
+    dims = [f"N{i}" for i in range(d)]
+
+    corners = mapped_corners(lows, highs, target_array)
+    assert corners.tolist() == [
+        list(box_min_corner(Box.from_bounds(dims, low, high), dims, targets))
+        for low, high in zip(lows.tolist(), highs.tolist())]
+    points = mapped_corners(lows, lows, target_array)
+    assert points.tolist() == [list(transform_dynamic(row, targets))
+                               for row in lows.tolist()]
+    assert dominated_rows(corners, np.array(found).reshape(len(found), d)).tolist() == [
+        dominated_by_any(corner, found) for corner in corners.tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=2, max_value=204).flatmap(
+    lambda fanout: st.tuples(
+        st.just(fanout),
+        st.lists(st.integers(0, 1), min_size=0, max_size=fanout + 8))))
+def test_adaptive_code_bits_is_the_length_of_the_adaptive_code(case):
+    fanout, bits = case
+    assert adaptive_code_bits(bits, fanout) == len(encode_adaptive(bits, fanout))
+
+
+def test_sparse_and_dense_extremes_size_like_their_codes():
+    for fanout in (2, 16, 32, 204):
+        for bits in ([1] * fanout, [0] * (fanout - 1) + [1], [1] + [0] * (fanout - 1),
+                     [1, 0] * (fanout // 2), [1]):
+            assert adaptive_code_bits(bits, fanout) == len(encode_adaptive(bits, fanout))
+
+
+class TestMaintenanceClearsBeforeItSets:
+    """A split can move tuple B into the slot tuple A of the same cell just
+    left; patching per tid would let A's clear wipe the bit B just set."""
+
+    def _grown_cube(self):
+        relation = generate_relation(SyntheticSpec(
+            num_tuples=3000, num_selection_dims=3, num_ranking_dims=2,
+            cardinality=5, seed=3))
+        cube = SignatureRankingCube(relation, rtree_max_entries=16)
+        rng = np.random.default_rng(4)
+        splits = 0
+        for _ in range(60):
+            row = {d: int(rng.integers(0, 5)) for d in relation.selection_dims}
+            row.update({d: float(rng.random()) for d in relation.ranking_dims})
+            splits += cube.insert([row]).node_splits
+        assert splits >= 20
+        return relation, cube, rng
+
+    def test_stored_signatures_equal_a_rebuild_and_skylines_the_baseline(self):
+        relation, cube, rng = self._grown_cube()
+        paths = dict(cube.rtree.iter_tuple_paths())
+        assert len(paths) == relation.num_tuples == 3060
+        for dims in cube.cuboid_dims:
+            columns = [relation.selection_column(d) for d in dims]
+            cells = {}
+            for tid, path in paths.items():
+                cells.setdefault(tuple(int(c[tid]) for c in columns), []).append(path)
+            for cell, cell_paths in cells.items():
+                assert (cube.store.load_signature(dims, cell)
+                        == Signature.from_paths(cell_paths, cube.store.fanout)), (dims, cell)
+
+        engine, baseline = SkylineEngine(cube), BooleanFirstSkyline(relation)
+        for number in range(60):
+            dims = rng.choice(3, size=int(rng.integers(1, 3)), replace=False)
+            query = SkylineQuery(
+                Predicate.of({relation.selection_dims[int(d)]: int(rng.integers(0, 5))
+                              for d in dims}),
+                relation.ranking_dims,
+                targets=tuple(rng.random(2)) if number % 2 else None)
+            assert engine.query(query).tids == baseline.query(query).tids, query
