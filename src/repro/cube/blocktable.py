@@ -97,7 +97,7 @@ class BaseBlockTable:
     # data access methods
     # ------------------------------------------------------------------
     def block_arrays(self, bid: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``get_base_block`` in columnar form: ``(tids, values)`` arrays.
+        """The paper's ``get_base_block``, columnar: ``(tids, values)`` arrays.
 
         ``tids`` has shape ``(n,)`` and ``values`` shape ``(n, len(dims))``;
         both are contiguous so ranking functions can score the whole block
@@ -111,19 +111,8 @@ class BaseBlockTable:
                     np.empty((0, len(self.dims)), dtype=np.float64))
         return self.buffer.read(page_id)
 
-    def get_base_block(self, bid: int) -> List[Tuple[int, Tuple[float, ...]]]:
-        """``get_base_block``: tids and ranking values of one base block.
-
-        Row-wise view kept for callers that want python objects; costs the
-        same single (possibly buffered) page read as :meth:`block_arrays`.
-        """
-        tids, values = self.block_arrays(bid)
-        return [
-            (int(tid), tuple(row.tolist())) for tid, row in zip(tids, values)
-        ]
-
     def block_tids(self, bid: int) -> List[int]:
-        """Tids of one base block (single page read, like ``get_base_block``)."""
+        """Tids of one base block (the single page read of :meth:`block_arrays`)."""
         tids, _ = self.block_arrays(bid)
         return [int(tid) for tid in tids]
 
@@ -134,10 +123,6 @@ class BaseBlockTable:
         :meth:`insert` (no I/O is charged).
         """
         return self._row_index.get(int(bid), {})
-
-    def block_values(self, bid: int) -> Dict[int, Tuple[float, ...]]:
-        """The same block as a ``{tid: values}`` dict."""
-        return {tid: vals for tid, vals in self.get_base_block(bid)}
 
     def bid_of_tid(self, tid: int) -> int:
         """Base block that tuple ``tid`` was assigned to."""

@@ -9,13 +9,16 @@ the current k-th best seen score strictly beats the best possible score of
 any unexplored block (``S_k < S_unseen``; blocks whose bound ties ``S_k``
 are still examined so the canonical (score, tid) tie-break sees every
 candidate).
+
+One sweep, :meth:`GridTopKExecutor.execute_fused`, serves a group of one or
+more same-function queries; ``execute`` is that sweep over a group of one.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -24,7 +27,7 @@ from repro.cube.providers import CellProvider
 from repro.errors import QueryError
 from repro.functions.base import RankingFunction
 from repro.partition.grid import GridPartition
-from repro.query import QueryResult, topk_order_key
+from repro.query import QueryResult
 
 
 class TopKAccumulator:
@@ -68,8 +71,9 @@ class TopKAccumulator:
 
     def ranked(self) -> List[Tuple[int, float]]:
         """``(tid, score)`` pairs in canonical ``(score, tid)`` order."""
-        return sorted(((-neg_tid, -neg_score) for neg_score, neg_tid in self._heap),
-                      key=lambda p: topk_order_key(p[0], p[1]))
+        # Entries are (-score, -tid): their descending order is that order.
+        return [(-neg_tid, -neg_score)
+                for neg_score, neg_tid in sorted(self._heap, reverse=True)]
 
     def verified_count(self, bound: float) -> int:
         """Length of the ranked prefix that is final given ``bound``.
@@ -117,31 +121,33 @@ def find_start_block(grid: GridPartition, function: RankingFunction) -> int:
     return grid.bid_of_point(point)
 
 
-class _FusedQueryState:
-    """Book-keeping of one query inside a fused frontier sweep."""
+class _SweepState:
+    """Book-keeping of one query inside a frontier sweep."""
 
-    __slots__ = ("provider", "topk", "live", "blocks", "tuples", "charged",
-                 "peak")
+    __slots__ = ("provider", "topk", "on_progress", "emitted", "live",
+                 "blocks", "tuples", "charged", "peak")
 
-    def __init__(self, provider: CellProvider, k: int) -> None:
+    def __init__(self, provider: CellProvider, k: int, on_progress) -> None:
         self.provider = provider
         self.topk = TopKAccumulator(k)
+        self.on_progress = on_progress
+        #: Ranks already streamed to ``on_progress``.
+        self.emitted = 0
         self.live = True
-        #: Blocks examined while live — what a solo run of this query would
-        #: report as ``states_generated``.
-        self.blocks = 0
-        #: Tuples this query consumed (fed to its accumulator) — the solo
-        #: ``tuples_evaluated``.
+        #: Blocks popped while live (``states_generated``) and the frontier's
+        #: peak up to then (``peak_heap_size``), set when the query retires.
+        self.blocks = self.peak = 0
+        #: Tuples this query consumed (fed to its accumulator) — what it
+        #: would evaluate running alone.
         self.tuples = 0
         #: Unique scoring work attributed to this query: each tuple scored
         #: by the sweep is charged to exactly one consumer, so the group's
         #: charges sum to the tuples actually evaluated.
         self.charged = 0
-        self.peak = 0
 
 
 class GridTopKExecutor:
-    """Runs one top-k query against a grid ranking cube.
+    """Runs top-k queries against a grid ranking cube.
 
     ``bound_cache`` is an optional per-(function, block) lower-bound cache
     (duck-typed: anything with ``lower_bound(grid, function, bid)``, see
@@ -163,232 +169,151 @@ class GridTopKExecutor:
 
     def execute(self, provider: CellProvider, function: RankingFunction, k: int,
                 on_progress=None) -> QueryResult:
-        """Execute the neighborhood-search algorithm of Section 3.3.2.
-
-        ``on_progress`` (optional) streams verified top-k prefixes while
-        the sweep runs: whenever the frontier minimum rises above more of
-        the accumulator, the newly finalized ranks are emitted as
-        ``on_progress(start_rank, [(tid, score), ...])`` — those entries
-        are bit-identical to the same positions of the final answer (see
-        :meth:`TopKAccumulator.verified_count`).  The callback runs on
-        the sweep's thread and must be cheap; ``None`` (the default) adds
-        zero work to the hot loop.
-        """
-        for dim in function.dims:
-            if dim not in self.grid.dims:
-                raise QueryError(
-                    f"ranking dimension {dim!r} is not covered by the grid partition")
-        start_time = time.perf_counter()
-        provider.reset()
-        pagers = {
-            id(self.block_table.pager): self.block_table.pager,
-        }
-        cuboid_pagers = getattr(provider, "providers", [provider])
-        for sub in cuboid_pagers:
-            cuboid = getattr(sub, "cuboid", None)
-            if cuboid is not None:
-                pagers[id(cuboid.pager)] = cuboid.pager
-        io_before = {key: p.stats.physical_reads for key, p in pagers.items()}
-
-        topk = TopKAccumulator(k)
-        start_bid = find_start_block(self.grid, function)
-        frontier: List[Tuple[float, int]] = []
-        inserted: Set[int] = set()
-        blocks_examined = 0
-        peak_frontier = 0
-        tuples_evaluated = 0
-        dim_index = [self.grid.dims.index(d) for d in function.dims]
-        whole_grid = dim_index == list(range(len(self.grid.dims)))
-
-        heapq.heappush(frontier, (self._block_bound(function, start_bid), start_bid))
-        inserted.add(start_bid)
-        emitted = 0
-
-        while frontier:
-            peak_frontier = max(peak_frontier, len(frontier))
-            unseen_score, bid = frontier[0]
-            if on_progress is not None and len(topk) > emitted:
-                # Every unseen tuple scores >= the frontier minimum (the
-                # halt test's invariant), so ranks below it are final —
-                # stream the ones not yet emitted.
-                verified = topk.verified_count(unseen_score)
-                if verified > emitted:
-                    on_progress(emitted, topk.ranked()[emitted:verified])
-                    emitted = verified
-            # Strict halt: a block whose bound *equals* the k-th score may
-            # still hold a tied tuple with a smaller tid, which the
-            # canonical (score, tid) order must admit — only provably worse
-            # blocks are pruned.
-            if topk.is_full() and topk.kth_score < unseen_score:
-                break
-            heapq.heappop(frontier)
-            blocks_examined += 1
-
-            tids = provider.tids_in_block(bid)
-            if tids:
-                block_tids, block_values = self.block_table.block_arrays(bid)
-                if len(tids) == len(block_tids) and np.array_equal(tids, block_tids):
-                    # Unfiltered block: every row qualifies, in page order.
-                    kept = tids
-                    selected = block_values
-                else:
-                    row_of = self.block_table.block_row_index(bid)
-                    kept = [tid for tid in tids if tid in row_of]
-                    selected = block_values[[row_of[tid] for tid in kept]]
-                if kept:
-                    if not whole_grid:
-                        selected = selected[:, dim_index]
-                    scores = function.evaluate_batch(selected)
-                    for tid, score in zip(kept, scores):
-                        topk.offer(tid, float(score))
-                    tuples_evaluated += len(kept)
-
-            for neighbor in self.grid.neighbors(bid):
-                if neighbor in inserted:
-                    continue
-                inserted.add(neighbor)
-                bound = self._block_bound(function, neighbor)
-                heapq.heappush(frontier, (bound, neighbor))
-
-        elapsed = time.perf_counter() - start_time
-        disk = sum(
-            p.stats.physical_reads - io_before[key] for key, p in pagers.items()
-        )
-        ranked = topk.ranked()
-        return QueryResult(
-            tids=tuple(tid for tid, _ in ranked),
-            scores=tuple(score for _, score in ranked),
-            disk_accesses=disk,
-            states_generated=blocks_examined,
-            peak_heap_size=peak_frontier,
-            tuples_evaluated=tuples_evaluated,
-            elapsed_seconds=elapsed,
-        )
+        """One query: :meth:`execute_fused` over a group of one."""
+        return self.execute_fused(function, [(provider, k)], [on_progress])[0]
 
     def execute_fused(self, function: RankingFunction,
                       requests: Sequence[Tuple[CellProvider, int]],
+                      on_progress: Optional[Sequence] = None,
                       ) -> List[QueryResult]:
-        """One frontier sweep answering a whole group of same-function queries.
+        """The neighborhood search of Section 3.3.2, for a same-function group.
 
         ``requests`` pairs each query's cell provider with its ``k``; every
         query must rank by ``function`` (the engine groups batches by the
         function's canonical value key, so value-equal function objects
         share one sweep).  The frontier's evolution — which blocks are
         popped and expanded, in which order — depends only on the function
-        and the grid geometry, never on a predicate or ``k``, so a solo run
-        of any query is exactly a prefix of this shared sweep.  Each query
-        keeps its own accumulator and *retires* at the same frontier state
-        where its solo run would halt (k-th score strictly beats the best
-        unseen bound); each popped block's union of needed tuples is scored
-        once with :meth:`~repro.functions.base.RankingFunction.evaluate_batch`
-        and fed to every live accumulator that asked for them.  Answers are
-        bit-identical to the per-query loop; the shared scoring work is the
-        saving.
+        and the grid geometry, never on a predicate or ``k``, so the sweep
+        a query would make alone is exactly a prefix of the group's.  Each
+        query keeps its own accumulator and *retires* at the frontier state
+        where that prefix ends (k-th score strictly beats the best unseen
+        bound); each popped block's union of needed tuples is scored once
+        with :meth:`~repro.functions.base.RankingFunction.evaluate_batch`
+        and fed to every live accumulator that asked for them.  A group's
+        answers are bit-identical to running its members one by one; the
+        shared scoring work is the saving.
 
         Per-result accounting: ``tuples_evaluated`` is each query's
         *attributed* share of the unique scoring work (a tuple scored once
         for three queries is charged to exactly one of them), so summing
-        the group's results counts shared work once.  The solo-equivalent
-        consumption lands in ``extra["tuples_evaluated"]``;
-        ``states_generated`` / ``peak_heap_size`` stay solo-equivalent, and
-        the sweep's disk accesses are attributed to the first result.
+        the group's results counts shared work once.  What the query would
+        evaluate alone lands in ``extra["tuples_evaluated"]`` — recorded
+        only for groups of two or more, for a lone query it is the field
+        itself; ``states_generated`` / ``peak_heap_size`` are per query,
+        and the sweep's disk accesses are attributed to the first result.
+
+        ``on_progress`` holds one callback or ``None`` per request and
+        streams that query's verified prefixes while the sweep runs:
+        whenever the frontier minimum rises above more of its accumulator,
+        the newly finalized ranks leave as ``callback(start_rank, [(tid,
+        score), ...])`` — bit-identical to the same positions of the final
+        answer (see :meth:`TopKAccumulator.verified_count`).  A callback
+        runs on the sweep's thread and must be cheap; ``None`` costs one
+        comparison per frontier state.
         """
         for dim in function.dims:
             if dim not in self.grid.dims:
                 raise QueryError(
                     f"ranking dimension {dim!r} is not covered by the grid partition")
         start_time = time.perf_counter()
-        pagers = {
-            id(self.block_table.pager): self.block_table.pager,
-        }
-        states: List[_FusedQueryState] = []
-        for provider, k in requests:
+        pagers = {id(self.block_table.pager): self.block_table.pager}
+        states: List[_SweepState] = []
+        for (provider, k), callback in zip(
+                requests, on_progress or [None] * len(requests)):
             provider.reset()
             for sub in getattr(provider, "providers", [provider]):
                 cuboid = getattr(sub, "cuboid", None)
                 if cuboid is not None:
                     pagers[id(cuboid.pager)] = cuboid.pager
-            states.append(_FusedQueryState(provider, k))
+            states.append(_SweepState(provider, k, callback))
         io_before = {key: p.stats.physical_reads for key, p in pagers.items()}
 
         start_bid = find_start_block(self.grid, function)
-        frontier: List[Tuple[float, int]] = []
+        frontier: List[Tuple[float, int]] = [
+            (self._block_bound(function, start_bid), start_bid)]
         inserted: Set[int] = {start_bid}
         live = len(states)
-        peak_frontier = 0
+        popped = peak_frontier = 0
         dim_index = [self.grid.dims.index(d) for d in function.dims]
         whole_grid = dim_index == list(range(len(self.grid.dims)))
 
-        heapq.heappush(frontier, (self._block_bound(function, start_bid), start_bid))
-
         while frontier and live:
-            peak_frontier = max(peak_frontier, len(frontier))
+            if len(frontier) > peak_frontier:
+                peak_frontier = len(frontier)
             unseen_score, bid = frontier[0]
-            for state in states:
-                # Same strict halt as the solo loop, checked at the same
-                # frontier state — only the retirement is per query.
-                if (state.live and state.topk.is_full()
-                        and state.topk.kth_score < unseen_score):
-                    state.live = False
-                    state.peak = peak_frontier
-                    live -= 1
-            if not live:
-                break
-            heapq.heappop(frontier)
-
-            needs: List[Tuple[_FusedQueryState, List[int]]] = []
+            needs: List[Tuple[_SweepState, List[int]]] = []
             for state in states:
                 if not state.live:
                     continue
-                state.blocks += 1
+                topk = state.topk
+                if state.on_progress is not None and len(topk) > state.emitted:
+                    # Every unseen tuple scores >= the frontier minimum (the
+                    # halt test's invariant), so ranks below it are final —
+                    # stream the ones not yet emitted.
+                    verified = topk.verified_count(unseen_score)
+                    if verified > state.emitted:
+                        state.on_progress(
+                            state.emitted, topk.ranked()[state.emitted:verified])
+                        state.emitted = verified
+                # Strict halt: a block whose bound *equals* the k-th score may
+                # still hold a tied tuple with a smaller tid, which the
+                # canonical (score, tid) order must admit — only provably
+                # worse blocks are pruned.  The k-th score is +inf until k
+                # tuples are held; only the retirement is per query.
+                if topk.kth_score < unseen_score:
+                    state.live = False
+                    state.blocks, state.peak = popped, peak_frontier
+                    live -= 1
+                    continue
                 tids = state.provider.tids_in_block(bid)
                 if tids:
                     needs.append((state, tids))
+            if not live:
+                break
+            heapq.heappop(frontier)
+            popped += 1
+
             if needs:
                 block_tids, block_values = self.block_table.block_arrays(bid)
-                row_of = self.block_table.block_row_index(bid)
                 if len(needs) == 1:
                     union = needs[0][1]
                 else:
                     seen: Set[int] = set()
                     union = [tid for _, tids in needs for tid in tids
                              if not (tid in seen or seen.add(tid))]
-                kept = [tid for tid in union if tid in row_of]
-                score_of: Dict[int, float] = {}
+                if (len(union) == len(block_tids)
+                        and np.array_equal(union, block_tids)):
+                    # Unfiltered block: every row qualifies, in page order.
+                    kept = union
+                    selected = block_values
+                else:
+                    row_of = self.block_table.block_row_index(bid)
+                    kept = [tid for tid in union if tid in row_of]
+                    selected = block_values[[row_of[tid] for tid in kept]]
                 if kept:
-                    if (len(kept) == len(block_tids)
-                            and np.array_equal(kept, block_tids)):
-                        selected = block_values
-                    else:
-                        selected = block_values[[row_of[tid] for tid in kept]]
                     if not whole_grid:
                         selected = selected[:, dim_index]
-                    scores = function.evaluate_batch(selected)
+                    scores = function.evaluate_batch(selected).tolist()
                     if len(needs) == 1:
-                        # Single consumer: feed the accumulator directly,
-                        # exactly like the solo loop — no per-tuple dict.
+                        # Single consumer: feed the accumulator directly —
+                        # no per-tuple dict.
                         state = needs[0][0]
+                        offer = state.topk.offer
                         for tid, score in zip(kept, scores):
-                            state.topk.offer(tid, float(score))
+                            offer(tid, score)
                         state.tuples += len(kept)
                         state.charged += len(kept)
                     else:
-                        score_of = {tid: float(score)
-                                    for tid, score in zip(kept, scores)}
-                if score_of:
-                    charged: Set[int] = set()
-                    for state, tids in needs:
-                        consumed = 0
-                        for tid in tids:
-                            score = score_of.get(tid)
-                            if score is None:
-                                continue
-                            state.topk.offer(tid, score)
-                            consumed += 1
-                            if tid not in charged:
-                                charged.add(tid)
-                                state.charged += 1
-                        state.tuples += consumed
+                        score_of = dict(zip(kept, scores))
+                        charged: Set[int] = set()
+                        for state, tids in needs:
+                            mine = [tid for tid in tids if tid in score_of]
+                            for tid in mine:
+                                state.topk.offer(tid, score_of[tid])
+                            state.tuples += len(mine)
+                            fresh = set(mine) - charged
+                            state.charged += len(fresh)
+                            charged |= fresh
 
             for neighbor in self.grid.neighbors(bid):
                 if neighbor in inserted:
@@ -398,13 +323,12 @@ class GridTopKExecutor:
                 heapq.heappush(frontier, (bound, neighbor))
 
         elapsed = time.perf_counter() - start_time
-        disk = sum(
-            p.stats.physical_reads - io_before[key] for key, p in pagers.items()
-        )
+        disk = sum(p.stats.physical_reads - io_before[key]
+                   for key, p in pagers.items())
         results: List[QueryResult] = []
         for position, state in enumerate(states):
             if state.live:
-                state.peak = peak_frontier
+                state.blocks, state.peak = popped, peak_frontier
             ranked = state.topk.ranked()
             results.append(QueryResult(
                 tids=tuple(tid for tid, _ in ranked),
@@ -414,6 +338,7 @@ class GridTopKExecutor:
                 peak_heap_size=state.peak,
                 tuples_evaluated=state.charged,
                 elapsed_seconds=elapsed,
-                extra={"tuples_evaluated": float(state.tuples)},
+                extra=({"tuples_evaluated": float(state.tuples)}
+                       if len(states) > 1 else {}),
             ))
         return results

@@ -149,21 +149,17 @@ class RankingCube:
     # query execution
     # ------------------------------------------------------------------
     def query(self, query: TopKQuery, on_progress=None) -> QueryResult:
-        """Answer one top-k query using the materialized cube.
+        """Answer one top-k query: :meth:`query_batch` over a group of one.
 
         ``on_progress`` streams verified top-k prefixes during the sweep
-        (see :meth:`~repro.cube.query.GridTopKExecutor.execute`); the
-        returned result is identical with or without it.
+        (see :meth:`~repro.cube.query.GridTopKExecutor.execute_fused`);
+        the returned result is identical with or without it.
         """
-        query.validate(self.relation)
-        provider, chosen = self.plan_for(query.predicate)
-        result = self._executor.execute(provider, query.function, query.k,
-                                        on_progress=on_progress)
-        result.extra["covering_cuboids"] = float(len(chosen) if chosen else 1)
-        return result
+        return self.query_batch([query], on_progress=[on_progress])[0]
 
-    def query_batch(self, queries: Sequence[TopKQuery]) -> List[QueryResult]:
-        """Answer a same-function batch of top-k queries with one fused sweep.
+    def query_batch(self, queries: Sequence[TopKQuery],
+                    on_progress: Optional[Sequence] = None) -> List[QueryResult]:
+        """Answer a same-function batch of top-k queries with one sweep.
 
         Every query must rank by the same function (by value — the engine
         layer groups batches by the function's canonical key before calling
@@ -183,7 +179,8 @@ class RankingCube:
             provider, chosen = self.plan_for(query.predicate)
             requests.append((provider, query.k))
             chosen_counts.append(len(chosen) if chosen else 1)
-        results = self._executor.execute_fused(queries[0].function, requests)
+        results = self._executor.execute_fused(queries[0].function, requests,
+                                               on_progress)
         for result, covering in zip(results, chosen_counts):
             result.extra["covering_cuboids"] = float(covering)
         return results

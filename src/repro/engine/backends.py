@@ -100,19 +100,20 @@ class RankingCubeBackend(Backend):
             self.cube = cube.rebuilt()
 
     def run(self, query):
+        """A group of one through the sweep of :meth:`execute_batch`."""
         return self.cube.query(query)
 
     def run_stream(self, query, on_progress):
-        """Streaming run: verified prefixes emitted mid-sweep.
+        """:meth:`run`, streaming: verified prefixes emitted mid-sweep.
 
-        Same answer as :meth:`run`; ``on_progress(start_rank, pairs)``
-        additionally fires as accumulator ranks become provably final
-        (see :meth:`repro.cube.query.GridTopKExecutor.execute`).
+        Same answer; ``on_progress(start_rank, pairs)`` additionally fires
+        as accumulator ranks become provably final (see
+        :meth:`repro.cube.query.GridTopKExecutor.execute_fused`).
         """
         return self.cube.query(query, on_progress=on_progress)
 
     def execute_batch(self, queries) -> List:
-        """Fused path: one frontier sweep serves the whole group."""
+        """One frontier sweep serves the whole group."""
         return self.cube.query_batch(list(queries))
 
 
@@ -158,10 +159,11 @@ class SignatureCubeBackend(Backend):
         return {"rtree_dims": ",".join(self.cube.rtree.dims)}
 
     def run(self, query):
+        """A group of one through the traversal of :meth:`execute_batch`."""
         return self.executor.query(query)
 
     def execute_batch(self, queries) -> List:
-        """Fused path: one root-to-leaf traversal serves the whole group."""
+        """One root-to-leaf traversal serves the whole group."""
         return self.executor.query_batch(list(queries))
 
 

@@ -5,6 +5,11 @@ examples, services) talks to.  It owns an :class:`EngineRegistry`, a
 :class:`Planner` over it, and one :class:`LowerBoundCache` shared by every
 registered backend that can use it — so a batch of queries reusing the same
 ranking function never re-derives a block bound.
+
+Both front doors end in one private group runner: ``execute`` is a cache
+lookup, else a group of one; ``execute_many`` partitions a batch into
+groups.  A backend is invoked, its span named, and a result annotated,
+cost-fed and cached in :meth:`Executor._run_group` only.
 """
 
 from __future__ import annotations
@@ -171,23 +176,8 @@ class Executor:
                     span.set("result_cache", "hit")
                     return hit
             plan = self._plan_traced(query, span)
-            backend = self.registry.get(plan.backend)
-            run_span = span.child("engine.run").set("backend", plan.backend)
-            run_stream = (getattr(backend, "run_stream", None)
-                          if on_progress is not None else None)
-            if run_stream is not None:
-                result = run_stream(query, on_progress)
-            else:
-                result = backend.run(query)
-            actual = float(getattr(result, "tuples_evaluated", 0))
-            run_span.set("tuples_evaluated", actual).finish()
-            self._m_tuples.inc(actual)
-            self._record_cost_feedback(plan, actual)
-            result.extra["backend"] = plan.backend
-            result.extra["plan"] = plan.describe()
-            if key is not None:
-                self.result_cache.store(key, result)
-            return result
+            return self._run_group(span, [(query, plan, key)],
+                                   on_progress=on_progress)[0]
         finally:
             self._m_latency.observe(time.perf_counter() - started)
             span.finish()
@@ -250,7 +240,8 @@ class Executor:
         execute once and hit the cache afterwards, so each distinct logical
         query is planned exactly once per batch.  The remaining misses are
         grouped by ``(chosen backend, canonical ranking-function key)`` and
-        each group of two or more is handed to the backend's
+        each group runs exactly as :meth:`execute` runs its group of one;
+        a group of two or more is handed to the backend's
         :meth:`~repro.engine.registry.Backend.execute_batch` — fusion-aware
         backends (grid and signature cubes) answer the whole group with one
         frontier sweep / tree traversal, scoring shared tuples once;
@@ -299,52 +290,12 @@ class Executor:
                 groups.setdefault(group_key, []).append(position)
 
             for members in groups.values():
-                backend = self.registry.get(plans[members[0]].backend)
-                if len(members) > 1:
-                    if backend.supports_fusion:
-                        group_span = (span.child("engine.fused_sweep")
-                                      .set("backend", backend.name)
-                                      .set("group_size", len(members)))
-                    else:
-                        group_span = (span.child("engine.run_batch")
-                                      .set("backend", backend.name))
-                    group_results = backend.execute_batch(
-                        [units[position][1] for position in members])
-                    if backend.supports_fusion:
-                        self.fused_groups += 1
-                        self.fused_queries += len(members)
-                        fused_size = len(members)
-                        if group_span:
-                            # The per-member shares of the one shared
-                            # sweep: summing them never double-counts a
-                            # tuple the sweep scored once.
-                            shares = [float(getattr(r, "tuples_evaluated", 0))
-                                      for r in group_results]
-                            group_span.set("tuples_evaluated", sum(shares))
-                            group_span.set("attributed_shares",
-                                           tuple(shares))
-                    else:
-                        # The default execute_batch is a per-query loop: no
-                        # work was shared, so do not report a fused group.
-                        fused_size = 1
-                        if group_span:
-                            group_span.set("tuples_evaluated", sum(
-                                float(getattr(r, "tuples_evaluated", 0))
-                                for r in group_results))
-                    group_span.finish()
-                else:
-                    backend_name = plans[members[0]].backend
-                    run_span = (span.child("engine.run")
-                                .set("backend", backend_name))
-                    group_results = [backend.run(units[members[0]][1])]
-                    run_span.set("tuples_evaluated", float(getattr(
-                        group_results[0], "tuples_evaluated", 0))).finish()
-                    fused_size = 1
+                group_results = self._run_group(
+                    span, [(units[position][1], plans[position],
+                            units[position][2]) for position in members],
+                    batch=True)
                 for position, result in zip(members, group_results):
-                    i, _, key = units[position]
-                    self._finish_batch_result(result, plans[position], key,
-                                              fused_size)
-                    results[i] = result
+                    results[units[position][0]] = result
 
             batch_plans_reused = 0
             for i, query, key in followers:
@@ -355,13 +306,9 @@ class Executor:
                     # the hoisted plan and re-execute.
                     self.plans_reused += 1
                     batch_plans_reused += 1
-                    plan = plans[unit_index[key]]
-                    run_span = (span.child("engine.run")
-                                .set("backend", plan.backend))
-                    hit = self.registry.get(plan.backend).run(query)
-                    run_span.set("tuples_evaluated", float(getattr(
-                        hit, "tuples_evaluated", 0))).finish()
-                    self._finish_batch_result(hit, plan, key, 1)
+                    [hit] = self._run_group(
+                        span, [(query, plans[unit_index[key]], key)],
+                        batch=True)
                 results[i] = hit
 
             for result in results:
@@ -371,25 +318,67 @@ class Executor:
             self._m_latency.observe(time.perf_counter() - started)
             span.finish()
 
-    def _finish_batch_result(self, result, plan: QueryPlan,
-                             key: Optional[tuple], group_size: int) -> None:
-        """Annotate and cache one batch-executed result."""
-        result.extra["backend"] = plan.backend
-        result.extra["plan"] = plan.describe()
-        result.extra["fused_group_size"] = float(group_size)
-        # Fused sweeps record the solo-equivalent count themselves; for
-        # per-query execution the field already is that count (skyline
-        # results carry no tuple counter).
-        result.extra.setdefault("tuples_evaluated",
-                                float(getattr(result, "tuples_evaluated", 0)))
-        # The attributed share is the honest work counter; the cost
-        # feedback compares the *solo-equivalent* count against the
-        # estimate, which priced a solo run.
-        self._m_tuples.inc(float(getattr(result, "tuples_evaluated", 0)))
-        self._record_cost_feedback(plan,
-                                   float(result.extra["tuples_evaluated"]))
-        if key is not None:
-            self.result_cache.store(key, result)
+    def _run_group(self, span, members: Sequence[tuple], *,
+                   batch: bool = False, on_progress=None) -> List:
+        """Run one ``(query, plan, cache key)`` group on its backend.
+
+        The one place a backend is invoked and a result annotated, fed to
+        the cost counters and cached.  A group of one goes through
+        :meth:`~repro.engine.registry.Backend.run` (``run_stream`` when the
+        caller streams and the backend can) under ``engine.run``; a larger
+        group through ``execute_batch``, under ``engine.fused_sweep`` when
+        the backend shares work across it and ``engine.run_batch`` when it
+        loops.  ``batch`` marks the :meth:`execute_many` front door, whose
+        results also carry ``fused_group_size`` and the ``tuples_evaluated``
+        the query would have cost alone.
+        """
+        backend = self.registry.get(members[0][1].backend)
+        queries = [query for query, _, _ in members]
+        fused = len(members) > 1 and backend.supports_fusion
+        if len(members) == 1:
+            group_span = span.child("engine.run").set("backend", backend.name)
+            run_stream = (getattr(backend, "run_stream", None)
+                          if on_progress is not None else None)
+            results = [run_stream(queries[0], on_progress)
+                       if run_stream is not None else backend.run(queries[0])]
+        else:
+            group_span = (span.child("engine.fused_sweep" if fused
+                                     else "engine.run_batch")
+                          .set("backend", backend.name))
+            if fused:
+                group_span.set("group_size", len(members))
+            results = backend.execute_batch(queries)
+        # The per-member shares of a shared sweep: summing them never
+        # double-counts a tuple the sweep scored once.
+        shares = [float(getattr(result, "tuples_evaluated", 0))
+                  for result in results]
+        group_span.set("tuples_evaluated", sum(shares))
+        if fused:
+            group_span.set("attributed_shares", tuple(shares))
+            self.fused_groups += 1
+            self.fused_queries += len(members)
+        group_span.finish()
+        for (_, plan, key), result, share in zip(members, results, shares):
+            result.extra["backend"] = plan.backend
+            result.extra["plan"] = plan.describe()
+            if batch:
+                # A default execute_batch is a per-query loop: no work was
+                # shared, so it does not report a fused group.
+                result.extra["fused_group_size"] = float(
+                    len(members) if fused else 1)
+                # Fused sweeps record the solo-equivalent count themselves;
+                # for per-query execution the field already is that count
+                # (skyline results carry no tuple counter).
+                result.extra.setdefault("tuples_evaluated", share)
+            # The attributed share is the honest work counter; the cost
+            # feedback compares the *solo-equivalent* count against the
+            # estimate, which priced a solo run.
+            self._m_tuples.inc(share)
+            self._record_cost_feedback(
+                plan, float(result.extra.get("tuples_evaluated", share)))
+            if key is not None:
+                self.result_cache.store(key, result)
+        return results
 
     def statistics_for(self, relation: Relation) -> RelationStatistics:
         """The cached :class:`RelationStatistics` profile of ``relation``.

@@ -6,6 +6,14 @@ multi-relation join), whether it can answer a concrete query, and how to run
 it.  The :class:`EngineRegistry` holds named backends; the planner consults
 it to route queries, and operators can swap or extend backends without
 touching the planner or the executor.
+
+What a backend implements: :meth:`Backend.supports` and :meth:`Backend.run`,
+always.  One that can share work across a same-function group also
+overrides :meth:`Backend.execute_batch` and sets ``supports_fusion``; it
+then owes one algorithm, not two — ``run(q)`` is ``execute_batch([q])[0]``
+field for field (the grid and signature cubes run a lone query as a group
+of one through the same sweep), so neither an answer nor its counters
+depend on the batch the query arrived in.
 """
 
 from __future__ import annotations
@@ -65,16 +73,22 @@ class Backend(ABC):
 
     @abstractmethod
     def run(self, query):
-        """Execute ``query`` and return its result object."""
+        """Execute ``query`` and return its result object.
+
+        On a backend with :attr:`supports_fusion` this is the group of one
+        of :meth:`execute_batch`, equal to ``execute_batch([query])[0]`` in
+        every field.
+        """
 
     def execute_batch(self, queries) -> List:
         """Answer a group of queries sharing one ranking function (by value).
 
         The executor groups each batch by (backend, canonical function key)
-        after planning and hands every group here.  Backends that can share
-        work across the group override this with a fused implementation and
-        set :attr:`supports_fusion`; this default is the per-query fallback,
-        so non-batchable backends keep exact per-query semantics.
+        after planning and hands every group of two or more here (a lone
+        query goes through :meth:`run`).  Backends that can share work
+        across the group override this with a fused implementation and set
+        :attr:`supports_fusion`; this default is the per-query fallback, so
+        non-batchable backends keep exact per-query semantics.
         """
         return [self.run(query) for query in queries]
 

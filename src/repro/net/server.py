@@ -61,9 +61,18 @@ from repro.serve.batcher import DEFAULT_PRIORITY
 _WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-            405: "Method Not Allowed", 429: "Too Many Requests",
+            405: "Method Not Allowed", 413: "Payload Too Large",
+            429: "Too Many Requests",
             500: "Internal Server Error", 503: "Service Unavailable",
             504: "Gateway Timeout"}
+
+
+class _Unframed(Exception):
+    """A request whose head cannot be framed: answered ``status``, then closed."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 @dataclass(frozen=True)
@@ -198,6 +207,15 @@ class QueryServer:
                     request = await self._read_request(reader)
                 except (asyncio.IncompleteReadError, ConnectionError):
                     return
+                except _Unframed as bad:
+                    # The body was never read, so the stream cannot be
+                    # resynchronised: answer once and close.
+                    self._m_errors.inc()
+                    payload = encode_error(ProtocolError(str(bad)))
+                    payload["error"]["status"] = bad.status
+                    await self._send_json(writer, bad.status, payload,
+                                          keep_alive=False)
+                    return
                 if request is None:
                     return
                 method, path, headers, body = request
@@ -226,7 +244,7 @@ class QueryServer:
         try:
             method, target, _version = line.decode("latin-1").split(None, 2)
         except ValueError:
-            raise ProtocolError("malformed request line")
+            raise _Unframed(400, "malformed request line")
         headers: Dict[str, str] = {}
         while True:
             raw = await reader.readline()
@@ -234,11 +252,14 @@ class QueryServer:
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or 0)
+        declared = headers.get("content-length", "0") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            raise _Unframed(400, f"malformed Content-Length {declared!r}")
+        length = int(declared)
         if length > self.config.max_body_bytes:
-            raise ProtocolError(
-                f"request body of {length} bytes exceeds the "
-                f"{self.config.max_body_bytes}-byte limit")
+            raise _Unframed(
+                413, f"request body of {length} bytes exceeds the "
+                     f"{self.config.max_body_bytes}-byte limit")
         body = await reader.readexactly(length) if length else b""
         path = target.split("?", 1)[0]
         return method.upper(), path, headers, body

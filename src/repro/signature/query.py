@@ -5,6 +5,11 @@ bounds and consults the (lazily loaded) signatures to skip any node or leaf
 entry whose subtree contains no tuple satisfying the boolean predicate.
 Because leaf-entry signature bits are exact, results need no further
 boolean verification.
+
+One traversal, :meth:`SignatureTopKExecutor.query_batch`, serves a group of
+one or more same-function queries; ``query`` is that traversal over a group
+of one, so what a query reports having read does not depend on the door it
+came through.
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ from repro.query import Predicate, QueryResult, TopKQuery
 from repro.signature.cube import SignatureRankingCube
 
 
-class _FusedSignatureState:
-    """Book-keeping of one query inside a fused branch-and-bound traversal."""
+class _TraversalState:
+    """Book-keeping of one query inside a branch-and-bound traversal."""
 
     __slots__ = ("reader", "topk", "live", "nodes", "charged", "peak")
 
@@ -45,95 +50,35 @@ class SignatureTopKExecutor:
         self.rtree = cube.rtree
 
     def query(self, query: TopKQuery) -> QueryResult:
-        """Execute Algorithm 3: ranking pruning + signature boolean pruning."""
-        query.validate(self.relation)
-        start = time.perf_counter()
-        rtree_io_before = self.rtree.pager.stats.physical_reads
-        sig_io_before = self.cube.store.pager.stats.physical_reads
-
-        function = query.function
-        dims = self.rtree.dims
-        dim_positions = [dims.index(d) for d in function.dims]
-        reader = self.cube.signature_reader(query.predicate)
-
-        topk = TopKAccumulator(query.k)
-        states = 0
-        peak_heap = 0
-        counter = 0
-
-        root = self.rtree.root()
-        if reader is not None and not reader.test(()):
-            elapsed = time.perf_counter() - start
-            return QueryResult(tids=(), scores=(), elapsed_seconds=elapsed)
-
-        heap: List[Tuple[float, int, object]] = [
-            (function.lower_bound(root.box), counter, root)]
-        while heap:
-            peak_heap = max(peak_heap, len(heap))
-            bound, _, node = heapq.heappop(heap)
-            # Strict halt/skip (here and below): a node whose bound equals
-            # the k-th score may hold a tied tuple with a smaller tid, which
-            # the canonical (score, tid) order must admit.
-            if topk.is_full() and topk.kth_score < bound:
-                break
-            states += 1
-            if node.is_leaf:
-                for entry in self.rtree.leaf_entries(node):
-                    entry_path = node.path + (entry.position,)
-                    if reader is not None and not reader.test(entry_path):
-                        continue
-                    score = function.evaluate([entry.values[i] for i in dim_positions])
-                    topk.offer(entry.tid, score)
-            else:
-                for child in self.rtree.children(node):
-                    if reader is not None and not reader.test(child.path):
-                        continue
-                    child_bound = function.lower_bound(child.box)
-                    if topk.is_full() and child_bound > topk.kth_score:
-                        continue
-                    counter += 1
-                    heapq.heappush(heap, (child_bound, counter, child))
-
-        rtree_io = self.rtree.pager.stats.physical_reads - rtree_io_before
-        sig_io = self.cube.store.pager.stats.physical_reads - sig_io_before
-        elapsed = time.perf_counter() - start
-        ranked = topk.ranked()
-        return QueryResult(
-            tids=tuple(tid for tid, _ in ranked),
-            scores=tuple(score for _, score in ranked),
-            disk_accesses=rtree_io + sig_io,
-            states_generated=states,
-            peak_heap_size=peak_heap,
-            tuples_evaluated=states,
-            elapsed_seconds=elapsed,
-            extra={"rtree_accesses": float(rtree_io),
-                   "signature_accesses": float(sig_io)},
-        )
+        """One query: :meth:`query_batch` over a group of one."""
+        return self.query_batch([query])[0]
 
     def query_batch(self, queries) -> List[QueryResult]:
-        """One root-to-leaf traversal serving a same-function query group.
+        """Algorithm 3 over a same-function group, in one root-to-leaf traversal.
 
+        Ranking pruning is shared, signature boolean pruning is per query.
         Every query must rank by the same function (by value); predicates
         and ``k`` differ freely.  A single best-first heap drives the
-        traversal; each heap entry carries the set of queries for which the
-        node is *reachable* (every ancestor passed that query's signature
-        test and could still beat its k-th score).  A node is expanded once
-        for the whole group, its child bounds and leaf-entry scores are
+        traversal; each heap entry carries the queries for which the node
+        is *reachable* (every ancestor passed that query's signature test
+        and could still beat its k-th score).  A node is expanded once for
+        the whole group, its child bounds and leaf-entry scores are
         computed once, and each query consumes only the entries its own
         signatures admit.
 
-        Bit-identical to the per-query loop: leaf-entry signature bits are
-        exact, so every entry fed to a query is a true match, and the
-        per-query pruning rules (signature test, strict k-th-score bound)
-        only ever drop nodes whose subtree provably cannot contribute — a
-        query's fed set is therefore a superset of its solo run's that
-        still contains only matches, which yields the same canonical
-        ``(score, tid)`` top-k.
+        A group's answers are bit-identical to running its members one by
+        one: leaf-entry signature bits are exact, so every entry fed to a
+        query is a true match, and the per-query pruning rules (signature
+        test, strict k-th-score bound) only ever drop nodes whose subtree
+        provably cannot contribute — a query's fed set is therefore a
+        superset of what it would be fed alone that still contains only
+        matches, which yields the same canonical ``(score, tid)`` top-k.
 
-        Accounting mirrors the grid sweep: ``tuples_evaluated`` (= nodes,
-        as in :meth:`query`) is the attributed share of the shared
-        traversal, the solo-equivalent count lands in
-        ``extra["tuples_evaluated"]``, and the traversal's disk accesses
+        Accounting mirrors the grid sweep: ``tuples_evaluated`` (= nodes)
+        is the attributed share of the shared traversal, the count the
+        query would reach alone lands in ``extra["tuples_evaluated"]``
+        (groups of two or more only — alone it is the field itself), and
+        the pages the traversal read, the root signature tests included,
         are attributed to the first result.
         """
         queries = list(queries)
@@ -147,77 +92,77 @@ class SignatureTopKExecutor:
         dims = self.rtree.dims
         dim_positions = [dims.index(d) for d in function.dims]
 
-        states: List[_FusedSignatureState] = []
+        states: List[_TraversalState] = []
         for query in queries:
             query.validate(self.relation)
-            states.append(_FusedSignatureState(
+            states.append(_TraversalState(
                 self.cube.signature_reader(query.predicate), query.k))
 
         root = self.rtree.root()
-        initial = []
-        live = 0
-        for index, state in enumerate(states):
+        for state in states:
             if state.reader is not None and not state.reader.test(()):
                 state.live = False  # provably no match anywhere
-            else:
-                initial.append(index)
-                live += 1
+        initial = tuple(state for state in states if state.live)
+        live = len(initial)
 
         counter = 0
         peak_heap = 0
-        heap: List[Tuple[float, int, object, Tuple[int, ...]]] = []
-        if initial:
-            heap.append((function.lower_bound(root.box), counter, root,
-                         tuple(initial)))
+        heap: List[Tuple[float, int, object, Tuple[_TraversalState, ...]]] = [
+            (function.lower_bound(root.box), counter, root, initial)]
         while heap:
-            peak_heap = max(peak_heap, len(heap))
+            if len(heap) > peak_heap:
+                peak_heap = len(heap)
             bound = heap[0][0]
-            for state in states:
+            for state in initial:
                 # Strict per-query halt: every node still reachable for the
                 # query bounds at least the heap minimum, so once that
-                # minimum exceeds its k-th score the query is finished.
-                if (state.live and state.topk.is_full()
-                        and state.topk.kth_score < bound):
+                # minimum exceeds its k-th score (+inf until k tuples are
+                # held) the query is finished.  Strict, here and below: a
+                # node whose bound equals the k-th score may hold a tied
+                # tuple with a smaller tid, which the canonical
+                # (score, tid) order must admit.
+                if state.live and state.topk.kth_score < bound:
                     state.live = False
                     state.peak = peak_heap
                     live -= 1
             if not live:
                 break
-            bound, _, node, active = heapq.heappop(heap)
-            consumers = [index for index in active if states[index].live]
+            _, _, node, active = heapq.heappop(heap)
+            consumers = [state for state in active if state.live]
             if not consumers:
                 continue
-            states[consumers[0]].charged += 1
-            for index in consumers:
-                states[index].nodes += 1
+            consumers[0].charged += 1
+            for state in consumers:
+                state.nodes += 1
             if node.is_leaf:
-                for entry in self.rtree.leaf_entries(node):
-                    entry_path = node.path + (entry.position,)
+                feeds = [(state.reader, state.topk) for state in consumers]
+                # The leaf page as stored (the one counted read
+                # ``leaf_entries`` makes), walked in entry order.
+                _, tids, points, _ = self.rtree.node_arrays(node.page_id)
+                for position, (tid, values) in enumerate(
+                        zip(tids.tolist(), points.tolist()), start=1):
+                    entry_path = node.path + (position,)
                     score: Optional[float] = None
-                    for index in consumers:
-                        state = states[index]
-                        if (state.reader is not None
-                                and not state.reader.test(entry_path)):
+                    for reader, topk in feeds:
+                        if reader is not None and not reader.test(entry_path):
                             continue
                         if score is None:
                             score = function.evaluate(
-                                [entry.values[i] for i in dim_positions])
-                        state.topk.offer(entry.tid, score)
+                                [values[i] for i in dim_positions])
+                        topk.offer(tid, score)
             else:
                 for child in self.rtree.children(node):
                     child_bound: Optional[float] = None
-                    child_active: List[int] = []
-                    for index in consumers:
-                        state = states[index]
+                    child_active: List[_TraversalState] = []
+                    for state in consumers:
                         if (state.reader is not None
                                 and not state.reader.test(child.path)):
                             continue
                         if child_bound is None:
                             child_bound = function.lower_bound(child.box)
-                        if (state.topk.is_full()
-                                and child_bound > state.topk.kth_score):
+                        if child_bound > state.topk.kth_score:
                             continue
-                        child_active.append(index)
+                        child_active.append(state)
                     if child_active:
                         counter += 1
                         heapq.heappush(heap, (child_bound, counter, child,
@@ -232,6 +177,10 @@ class SignatureTopKExecutor:
                 state.peak = peak_heap
             ranked = state.topk.ranked()
             first = position == 0
+            extra = {"rtree_accesses": float(rtree_io) if first else 0.0,
+                     "signature_accesses": float(sig_io) if first else 0.0}
+            if len(states) > 1:
+                extra["tuples_evaluated"] = float(state.nodes)
             results.append(QueryResult(
                 tids=tuple(tid for tid, _ in ranked),
                 scores=tuple(score for _, score in ranked),
@@ -240,9 +189,7 @@ class SignatureTopKExecutor:
                 peak_heap_size=state.peak,
                 tuples_evaluated=state.charged,
                 elapsed_seconds=elapsed,
-                extra={"tuples_evaluated": float(state.nodes),
-                       "rtree_accesses": float(rtree_io) if first else 0.0,
-                       "signature_accesses": float(sig_io) if first else 0.0},
+                extra=extra,
             ))
         return results
 

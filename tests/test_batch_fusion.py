@@ -11,11 +11,15 @@ never double-counts a tuple scored once), the predicate-aware
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.cube import RankingCube
 from repro.engine import CostModel, Executor, ResultCache
 from repro.functions import Add, ExpressionFunction, Mul, Var
+from repro.functions.distance import SquaredDistanceFunction
 from repro.functions.linear import LinearFunction, sum_function
 from repro.query import Predicate, SkylineQuery, TopKQuery
 from repro.signature import SignatureRankingCube, SignatureTopKExecutor
@@ -161,6 +165,89 @@ class TestCubeAndSignatureBatch:
         assert fused[-1].tids == ()
         assert (sum(r.tuples_evaluated for r in fused)
                 < sum(r.tuples_evaluated for r in solo))
+
+
+def stream_queries():
+    """20 seeded queries whose streamed frames are pinned below."""
+    rng = np.random.default_rng(1620)
+    functions = [LinearFunction(["N1", "N2"], [1.0, 2.0]),
+                 SquaredDistanceFunction(["N1", "N2"], [0.4, 0.7]),
+                 LinearFunction(["N2"], [1.0])]
+    queries = []
+    for position in range(20):
+        dims = rng.choice(3, size=position % 3, replace=False)
+        predicate = Predicate.of({f"A{int(d) + 1}": int(rng.integers(0, 6))
+                                  for d in dims})
+        queries.append(TopKQuery(predicate, functions[position % 3],
+                                 int(rng.choice([5, 30, 200]))))
+    return queries
+
+
+#: Per query of :func:`stream_queries`, the ``(start_rank, length)`` of every
+#: frame ``RankingCube(relation, block_size=40).query(q, on_progress=...)``
+#: emitted at the commit before the solo loop was folded into the fused one.
+#: A frame leaves at the frontier state that verified it, so equal frame
+#: boundaries mean the same ranks were released at the same states.
+PINNED_FRAMES = [[(0, 11), (11, 17), (28, 8), (36, 54), (90, 3), (93, 57), (150, 7),
+  (157, 43)],
+ [(0, 4), (4, 1), (5, 12), (17, 5), (22, 2), (24, 6)],
+ [(0, 8), (8, 7), (15, 8), (23, 12), (35, 7), (42, 10), (52, 6)],
+ [(0, 11), (11, 17), (28, 2)],
+ [(0, 1), (1, 6), (7, 1), (8, 4), (12, 7), (19, 1), (20, 10)],
+ [(0, 12), (12, 6), (18, 10), (28, 7), (35, 6), (41, 9), (50, 2)],
+ [(0, 11), (11, 17), (28, 2)], [(0, 5)], [(0, 5)], [(0, 5)],
+ [(0, 3), (3, 1), (4, 1), (5, 4), (9, 5), (14, 2), (16, 14)],
+ [(0, 10), (10, 7), (17, 12), (29, 4), (33, 12), (45, 7), (52, 13)], [(0, 5)],
+ [(0, 5)], [(0, 13), (13, 2), (15, 12), (27, 9), (36, 7), (43, 9), (52, 14)],
+ [(0, 11), (11, 17), (28, 8), (36, 54), (90, 3), (93, 57), (150, 7),
+  (157, 43)],
+ [(0, 6), (6, 1), (7, 7), (14, 3), (17, 1), (18, 13), (31, 6), (37, 4),
+  (41, 4), (45, 1), (46, 9), (55, 1), (56, 8), (64, 5), (69, 1), (70, 1),
+  (71, 23), (94, 3), (97, 2), (99, 10), (109, 1), (110, 6), (116, 12),
+  (128, 1), (129, 9), (138, 9), (147, 4), (151, 1), (152, 19), (171, 10),
+  (181, 8), (189, 11)],
+ [(0, 5)], [(0, 11), (11, 17), (28, 2)],
+ [(0, 1), (1, 6), (7, 1), (8, 4), (12, 7), (19, 1), (20, 10)]]
+
+
+class TestGroupOfOneSeams:
+    """A solo run is a fused group of one, at every layer below the engine."""
+
+    @pytest.mark.parametrize("name", ["ranking-cube", "fragments",
+                                      "signature-cube"])
+    def test_run_equals_batch_of_one(self, relation, name):
+        function = LinearFunction(["N1", "N2"], [1.0, 2.0])
+        queries = shared_function_batch(function)
+        queries.append(TopKQuery(Predicate.of(A1=2, A2=99), function, 3))
+        # Twin stacks: both doors see the same buffer-pool history.
+        run_door, batch_door = (
+            Executor.for_relation(relation, block_size=120,
+                                  include_fragments=True).registry.get(name)
+            for _ in range(2))
+        assert run_door.supports_fusion
+        for query in queries:
+            alone = dataclasses.replace(run_door.run(query),
+                                        elapsed_seconds=0.0)
+            [batched] = batch_door.execute_batch([query])
+            assert alone == dataclasses.replace(batched, elapsed_seconds=0.0)
+            assert "tuples_evaluated" not in alone.extra
+
+    def test_streamed_frames_are_the_pinned_frames(self, relation):
+        cube = RankingCube(relation, block_size=40)
+        recorded = []
+        for query in stream_queries():
+            frames = []
+            result = cube.query(query, on_progress=lambda start, pairs:
+                                frames.append((start, list(pairs))))
+            assert result.tids == cube.query(query).tids
+            streamed = [pair for _, pairs in frames for pair in pairs]
+            assert [start for start, _ in frames] == [
+                sum(len(pairs) for _, pairs in frames[:i])
+                for i in range(len(frames))]
+            assert streamed == list(zip(result.tids, result.scores))[
+                :len(streamed)]
+            recorded.append([(start, len(pairs)) for start, pairs in frames])
+        assert recorded == PINNED_FRAMES
 
 
 class TestScatterBatchFusion:

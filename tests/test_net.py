@@ -548,6 +548,28 @@ class TestHttpErrorMapping:
         assert statuses == {"bad_json": 400, "not_found": 404,
                             "bad_method": 405}
 
+    @pytest.mark.parametrize("declared, status", [
+        (b"abc", 400), (b"-5", 400), (b"99999999999", 413)])
+    def test_unframeable_content_length_is_answered_then_closed(
+            self, declared, status):
+        async def handler(service, server, client):
+            reader, writer = await client._open()
+            writer.write(b"POST /v1/query HTTP/1.1\r\nContent-Length: "
+                         + declared + b"\r\n\r\n{}")
+            await writer.drain()
+            got, headers = await client._read_head(reader)
+            body = json.loads(await reader.readexactly(
+                int(headers["content-length"])))
+            closed = await reader.read() == b""
+            writer.close()
+            # The server survived: a well-formed request still answers.
+            healthy = (await client._request("GET", "/healthz"))[0]
+            return got, headers["connection"], body["error"], closed, healthy
+
+        got, connection, error, closed, healthy = run_served(handler)
+        assert (got, connection, closed, healthy) == (status, "close", True, 200)
+        assert (error["type"], error["status"]) == ("ProtocolError", status)
+
     def test_unknown_function_priority_and_query_shape_are_400(self):
         async def handler(service, server, client):
             statuses = []
