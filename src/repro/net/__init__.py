@@ -1,12 +1,13 @@
 """repro.net — the HTTP/websocket serving tier over ``repro.serve``.
 
 The network front door of the ranking-cube engine: JSON queries in,
-full result envelopes (plan metadata included) out, with priority-class
-fair-share admission, per-client token-bucket rate limits, and streamed
-verified top-k prefixes.  See ``docs/network_serving.md``.
+full result envelopes (plan metadata included) out, with per-client
+token-bucket rate limits and streamed verified top-k prefixes.  The tier
+queues nothing: client id and priority class ride into ``QueryService``,
+whose queue bounds and schedules the request.  See
+``docs/network_serving.md``.
 """
 
-from repro.net.admission import AdmissionController, FairShareScheduler
 from repro.net.client import AsyncQueryClient, WebSocketSession
 from repro.net.protocol import (
     PROTOCOL_VERSION,
@@ -30,9 +31,7 @@ from repro.net.stream import StreamAssembler
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "AdmissionController",
     "AsyncQueryClient",
-    "FairShareScheduler",
     "FunctionRegistry",
     "NetConfig",
     "ProtocolError",

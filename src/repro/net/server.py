@@ -3,12 +3,16 @@
 Stdlib-asyncio only — requests are parsed straight off the stream reader
 (the repo bakes in no web framework), in the thin-web-layer shape of the
 slicer servers: translate the wire request into an engine call, return
-structured JSON carrying the engine's full plan metadata.
+structured JSON carrying the engine's full plan metadata.  The server
+holds no queue, worker pool or scheduler of its own: past the per-client
+rate limit a request goes straight into ``QueryService.submit`` /
+``submit_many`` / ``submit_stream`` with the client id and priority it
+was sent, and waits in the service's queue.
 
 Routes
 ------
-* ``POST /v1/query`` — one query through rate limiting and fair-share
-  admission; ``{"result": ...}`` on 200, typed error envelopes otherwise.
+* ``POST /v1/query`` — one query through the rate limit into the
+  service; ``{"result": ...}`` on 200, typed error envelopes otherwise.
 * ``POST /v1/query/batch`` — ``{"queries": [...]}`` through
   ``submit_many`` (one micro-batch candidate); ``{"results": [...]}``.
 * ``POST /v1/query/stream`` — chunked NDJSON stream of verified top-k
@@ -22,12 +26,13 @@ Routes
 * ``GET /v1/functions`` — names in the server's function registry.
 
 Request headers ``X-Client-Id`` and ``X-Priority`` (or body fields
-``client_id`` / ``priority``, which win) select the token bucket and the
-admission class.  Failures map to typed status codes via
-:data:`repro.net.protocol.ERROR_STATUS` — 429 with ``Retry-After`` for
-an exhausted token bucket, 503 with ``Retry-After`` for a full admission
-queue, 504 for deadline misses, 400 for malformed requests — and
-degraded (partial) answers are flagged in the response envelope.
+``client_id`` / ``priority``, which win) select the token bucket, the
+fair-share queue and the priority class.  Failures map to typed status
+codes via :data:`repro.net.protocol.ERROR_STATUS` — 429 with
+``Retry-After`` for an exhausted token bucket, 503 with ``Retry-After``
+for a full service queue (``ServiceConfig.max_pending``), 504 for
+deadline misses, 400 for malformed requests — and degraded (partial)
+answers are flagged in the response envelope.
 """
 
 from __future__ import annotations
@@ -38,10 +43,9 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
-from repro.net.admission import AdmissionController
 from repro.net.protocol import (
     PROTOCOL_VERSION,
     FunctionRegistry,
@@ -68,7 +72,8 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
 
 
 class _Unframed(Exception):
-    """A request whose head cannot be framed: answered ``status``, then closed."""
+    """Bytes that cannot be framed: answered ``status`` (an HTTP status for
+    a request head, an RFC 6455 close code after the upgrade), then closed."""
 
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
@@ -81,30 +86,16 @@ class NetConfig:
 
     host: str = "127.0.0.1"
     port: int = 0  # 0: ephemeral, read the bound port off ``server.port``
-    #: Admission queue capacity (503 + Retry-After beyond it).
-    max_pending: int = 1024
-    #: Fair-share worker slots — how many requests may be inside the
-    #: QueryService at once; the backlog beyond them queues *here*, in
-    #: priority order, instead of FIFO in a socket buffer.
-    concurrency: int = 8
-    #: Per-class weight overrides (merged over the serve defaults).
-    class_weights: Mapping[str, float] = field(default_factory=dict)
     #: Default token-bucket rate (requests/second) and burst per client;
     #: ``rate=None`` disables rate limiting for clients without explicit
     #: overrides (``TokenBucketLimiter.configure``).
     rate: Optional[float] = None
     burst: float = 10.0
-    #: Server-side timeout (seconds) applied when a request names none.
-    default_timeout: Optional[float] = None
     #: Client id assumed when neither header nor body names one.
     default_client_id: str = "anonymous"
     max_body_bytes: int = 8 * 1024 * 1024
 
     def __post_init__(self) -> None:
-        if self.max_pending <= 0:
-            raise ValueError("max_pending must be positive")
-        if self.concurrency <= 0:
-            raise ValueError("concurrency must be positive")
         if self.max_body_bytes <= 0:
             raise ValueError("max_body_bytes must be positive")
 
@@ -132,10 +123,6 @@ class QueryServer:
         self.functions = functions
         self._clock = clock
         self.metrics = service.metrics
-        self.admission = AdmissionController(
-            service, weights=dict(self.config.class_weights),
-            max_pending=self.config.max_pending,
-            concurrency=self.config.concurrency, clock=clock)
         self.limiter = TokenBucketLimiter(self.config.rate, self.config.burst,
                                           clock=clock)
         self._server: Optional[asyncio.base_events.Server] = None
@@ -154,7 +141,6 @@ class QueryServer:
     async def start(self) -> "QueryServer":
         if self._server is not None:
             raise RuntimeError("QueryServer is already started")
-        await self.admission.start()
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port)
         return self
@@ -176,7 +162,6 @@ class QueryServer:
         self._server.close()
         await self._server.wait_closed()
         self._server = None
-        await self.admission.close()
 
     async def __aenter__(self) -> "QueryServer":
         return await self.start()
@@ -322,10 +307,8 @@ class QueryServer:
                                      keep_alive=keep_alive)
                 return True
             if path == "/v1/stats":
-                snap = dict(self.service.stats_snapshot())
-                for name, depth in self.admission.pending_by_class().items():
-                    snap[f"net_pending_{name}"] = float(depth)
-                await self._send_json(writer, 200, snap,
+                await self._send_json(writer, 200,
+                                      self.service.stats_snapshot(),
                                       keep_alive=keep_alive)
                 return True
             if path == "/v1/functions":
@@ -356,23 +339,30 @@ class QueryServer:
             return True
 
     def _request_context(self, headers: Dict[str, str], envelope: Mapping
-                         ) -> Tuple[str, str, Optional[float], Optional[bool]]:
-        """(client_id, priority, timeout, allow_partial) of one request."""
-        client_id = str(envelope.get("client_id")
-                        or headers.get("x-client-id")
-                        or self.config.default_client_id)
-        priority = decode_priority(envelope.get("priority")
-                                   or headers.get("x-priority"),
-                                   default=DEFAULT_PRIORITY)
-        timeout = envelope.get("timeout", self.config.default_timeout)
+                         ) -> Tuple[Dict[str, object], Optional[bool]]:
+        """The service-call keywords of one request, and ``allow_partial``.
+
+        The keywords are ``client_id``, ``priority`` and — only when the
+        envelope names one — ``timeout``: a request that names none
+        leaves the keyword out, so ``ServiceConfig.default_timeout``
+        applies over the wire exactly as it does in process.
+        """
+        call: Dict[str, object] = {
+            "client_id": str(envelope.get("client_id")
+                             or headers.get("x-client-id")
+                             or self.config.default_client_id),
+            "priority": decode_priority(envelope.get("priority")
+                                        or headers.get("x-priority"),
+                                        default=DEFAULT_PRIORITY)}
+        timeout = envelope.get("timeout")
         if timeout is not None:
-            timeout = float(timeout)
+            call["timeout"] = timeout = float(timeout)
             if timeout <= 0:
                 raise ProtocolError("timeout must be positive")
         allow_partial = envelope.get("allow_partial")
         if allow_partial is not None:
             allow_partial = bool(allow_partial)
-        return client_id, priority, timeout, allow_partial
+        return call, allow_partial
 
     def _check_rate(self, client_id: str) -> None:
         allowed, retry_after = self.limiter.check(client_id)
@@ -395,37 +385,38 @@ class QueryServer:
                            body: bytes, writer: asyncio.StreamWriter,
                            keep_alive: bool) -> bool:
         envelope = self._parse_envelope(body)
-        client_id, priority, timeout, allow_partial = \
-            self._request_context(headers, envelope)
+        call, allow_partial = self._request_context(headers, envelope)
         started = self._clock()
         try:
-            self._check_rate(client_id)
+            self._check_rate(call["client_id"])
             if path == "/v1/query/stream":
                 query = decode_query(envelope.get("query"), self.functions)
-                await self._serve_stream(query, priority, timeout, writer)
+                await self._serve_stream(query, call, writer)
                 return False  # connection taken over; loop must not reuse it
             if path == "/v1/query/batch":
-                raw = envelope.get("queries")
-                if not isinstance(raw, (list, tuple)):
-                    raise ProtocolError("'queries' must be a JSON array")
-                queries = [decode_query(q, self.functions) for q in raw]
-                results = await self.admission.submit(
-                    queries, client_id=client_id, priority=priority,
-                    timeout=timeout, allow_partial=allow_partial, many=True)
+                results = await self._submit_many(envelope, call,
+                                                  allow_partial)
                 payload = {"results": [encode_result(r) for r in results]}
             else:
                 query = decode_query(envelope.get("query"), self.functions)
-                result = await self.admission.submit(
-                    query, client_id=client_id, priority=priority,
-                    timeout=timeout, allow_partial=allow_partial)
+                result = await self.service.submit(
+                    query, allow_partial=allow_partial, **call)
                 payload = {"result": encode_result(result)}
         finally:
-            self._observe_latency(priority, self._clock() - started)
+            self._observe_latency(call["priority"], self._clock() - started)
         await self._send_json(writer, 200, payload, keep_alive=keep_alive)
         return True
 
-    async def _serve_stream(self, query, priority: str,
-                            timeout: Optional[float],
+    async def _submit_many(self, envelope: Mapping, call: Dict[str, object],
+                           allow_partial: Optional[bool]):
+        raw = envelope.get("queries")
+        if not isinstance(raw, (list, tuple)):
+            raise ProtocolError("'queries' must be a JSON array")
+        return await self.service.submit_many(
+            [decode_query(q, self.functions) for q in raw],
+            allow_partial=allow_partial, **call)
+
+    async def _serve_stream(self, query, call: Dict[str, object],
                             writer: asyncio.StreamWriter) -> None:
         """Chunked NDJSON: one frame per chunk, flushed as verified."""
         self._m_streams.inc()
@@ -444,8 +435,7 @@ class QueryServer:
             await writer.drain()
 
         try:
-            async for frame in self.service.submit_stream(
-                    query, timeout=timeout, priority=priority):
+            async for frame in self.service.submit_stream(query, **call):
                 if frame[0] == "prefix":
                     await send_frame(prefix_frame(frame[1], frame[2]))
                 else:
@@ -488,8 +478,17 @@ class QueryServer:
                                      self.config.default_client_id)
         try:
             while True:
-                message = await self._ws_read_message(reader, writer,
-                                                      send_lock)
+                try:
+                    message = await self._ws_read_message(reader, writer,
+                                                          send_lock)
+                except _Unframed as bad:
+                    # The frame stream cannot be resynchronised: say why
+                    # in an RFC 6455 close frame, then drop the connection.
+                    self._m_errors.inc()
+                    await self._ws_write(writer, send_lock, 0x8,
+                                         bad.status.to_bytes(2, "big")
+                                         + str(bad).encode("utf-8"))
+                    break
                 if message is None:
                     break
                 task = asyncio.get_running_loop().create_task(
@@ -507,8 +506,16 @@ class QueryServer:
 
     async def _ws_read_message(self, reader, writer, send_lock
                                ) -> Optional[str]:
-        """One text message (fragments reassembled); None on close."""
+        """One text message (fragments reassembled); None on close.
+
+        Raises :class:`_Unframed` with the close code for what cannot be
+        read as one: 1002 an unknown opcode, 1007 text that is not UTF-8,
+        1009 a frame — or the fragments of one message together — above
+        ``max_body_bytes`` (refused from the declared length, before any
+        of the payload is read).
+        """
         parts = []
+        total = 0
         while True:
             first = await reader.readexactly(2)
             fin = bool(first[0] & 0x80)
@@ -519,31 +526,33 @@ class QueryServer:
                 length = int.from_bytes(await reader.readexactly(2), "big")
             elif length == 127:
                 length = int.from_bytes(await reader.readexactly(8), "big")
-            if length > self.config.max_body_bytes:
-                raise ProtocolError("websocket message exceeds the body limit")
+            if opcode <= 0x2:  # a data frame: part of the message
+                total += length
+            if max(length, total) > self.config.max_body_bytes:
+                raise _Unframed(1009, "websocket message exceeds the "
+                                      f"{self.config.max_body_bytes}-byte limit")
             mask = await reader.readexactly(4) if masked else b""
             payload = await reader.readexactly(length) if length else b""
             if masked:
                 payload = bytes(b ^ mask[i % 4]
                                 for i, b in enumerate(payload))
             if opcode == 0x8:  # close
-                async with send_lock:
-                    writer.write(self._ws_frame(0x8, payload[:2]))
-                    await writer.drain()
+                await self._ws_write(writer, send_lock, 0x8, payload[:2])
                 return None
             if opcode == 0x9:  # ping → pong
-                async with send_lock:
-                    writer.write(self._ws_frame(0xA, payload))
-                    await writer.drain()
+                await self._ws_write(writer, send_lock, 0xA, payload)
                 continue
             if opcode == 0xA:  # unsolicited pong
                 continue
             if opcode in (0x1, 0x2, 0x0):
                 parts.append(payload)
-                if fin:
+                if not fin:
+                    continue
+                try:
                     return b"".join(parts).decode("utf-8")
-                continue
-            raise ProtocolError(f"unsupported websocket opcode {opcode}")
+                except UnicodeDecodeError:
+                    raise _Unframed(1007, "websocket message is not UTF-8")
+            raise _Unframed(1002, f"unsupported websocket opcode {opcode}")
 
     @staticmethod
     def _ws_frame(opcode: int, payload: bytes) -> bytes:
@@ -558,11 +567,15 @@ class QueryServer:
             head += bytes([127]) + length.to_bytes(8, "big")
         return head + payload
 
-    async def _ws_send(self, writer, send_lock, obj: dict) -> None:
-        data = json.dumps(obj).encode("utf-8")
+    async def _ws_write(self, writer, send_lock, opcode: int,
+                        payload: bytes) -> None:
         async with send_lock:
-            writer.write(self._ws_frame(0x1, data))
+            writer.write(self._ws_frame(opcode, payload))
             await writer.drain()
+
+    async def _ws_send(self, writer, send_lock, obj: dict) -> None:
+        await self._ws_write(writer, send_lock, 0x1,
+                             json.dumps(obj).encode("utf-8"))
 
     async def _ws_handle_message(self, message: str,
                                  writer: asyncio.StreamWriter,
@@ -580,15 +593,14 @@ class QueryServer:
             if not isinstance(envelope, Mapping):
                 raise ProtocolError("websocket message must be a JSON object")
             request_id = envelope.get("id")
-            client_id, priority, timeout, allow_partial = \
-                self._request_context({"x-client-id": default_client},
-                                      envelope)
-            self._check_rate(client_id)
+            call, allow_partial = self._request_context(
+                {"x-client-id": default_client}, envelope)
+            priority = call["priority"]
+            self._check_rate(call["client_id"])
             if envelope.get("stream"):
                 self._m_streams.inc()
                 query = decode_query(envelope.get("query"), self.functions)
-                async for frame in self.service.submit_stream(
-                        query, timeout=timeout, priority=priority):
+                async for frame in self.service.submit_stream(query, **call):
                     if frame[0] == "prefix":
                         payload = prefix_frame(frame[1], frame[2])
                     else:
@@ -597,21 +609,15 @@ class QueryServer:
                     self._m_stream_frames.inc()
                     await self._ws_send(writer, send_lock, payload)
             elif "queries" in envelope:
-                raw = envelope.get("queries")
-                if not isinstance(raw, (list, tuple)):
-                    raise ProtocolError("'queries' must be a JSON array")
-                queries = [decode_query(q, self.functions) for q in raw]
-                results = await self.admission.submit(
-                    queries, client_id=client_id, priority=priority,
-                    timeout=timeout, allow_partial=allow_partial, many=True)
+                results = await self._submit_many(envelope, call,
+                                                  allow_partial)
                 await self._ws_send(writer, send_lock, {
                     "id": request_id, "frame": "batch",
                     "results": [encode_result(r) for r in results]})
             else:
                 query = decode_query(envelope.get("query"), self.functions)
-                result = await self.admission.submit(
-                    query, client_id=client_id, priority=priority,
-                    timeout=timeout, allow_partial=allow_partial)
+                result = await self.service.submit(
+                    query, allow_partial=allow_partial, **call)
                 frame = final_frame(result)
                 frame["id"] = request_id
                 await self._ws_send(writer, send_lock, frame)

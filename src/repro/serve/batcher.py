@@ -25,6 +25,12 @@ The current linger never exceeds ``max_linger``, so the configuration's
 deadline guarantee — flush on max-batch-size or max-linger, whichever
 first — holds regardless of adaptation.
 
+This module is also the stack's one scheduling policy.  When the backlog
+exceeds one batch, *which* requests ride the next one is decided here and
+nowhere else: :class:`WeightedRoundRobin` across the priority classes
+(:data:`DEFAULT_CLASS_WEIGHTS`), round-robin across the clients inside a
+class, FIFO per client (:class:`_ClassQueue`).
+
 The batcher is deliberately synchronous and clock-injected (no asyncio in
 this module): :class:`~repro.serve.service.QueryService` drives it from
 the event loop, and tests drive it with a fake clock.
@@ -34,7 +40,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Mapping, Optional, Sequence
 
@@ -59,10 +65,7 @@ class WeightedRoundRobin:
     Each pick adds every *active* class's weight to its credit, takes
     the class with the most credit, and charges it the total — so over a
     sustained backlog the picks converge to the weight ratios, while a
-    lone active class is returned as is (no credit moves).  Shared by
-    the micro-batcher's drain and the HTTP tier's
-    :class:`~repro.net.admission.FairShareScheduler`: one scheduling
-    dialect across layers.
+    lone active class is returned as is (no credit moves).
     """
 
     def __init__(self, weights: Mapping[str, float]) -> None:
@@ -110,6 +113,48 @@ class QueuedRequest:
     #: dispatcher propagates it engine-ward only when every live batch
     #: member opted in (mirroring the deadline rule).
     allow_partial: Optional[bool] = field(default=None)
+    #: Whose request this is: the fair-share key inside its priority
+    #: class.  The wire passes the caller's ``X-Client-Id``; in-process
+    #: callers that name none share the ``""`` queue (plain FIFO).
+    client_id: str = field(default="")
+    #: Set for a stream: the dispatcher runs the query alone through the
+    #: engine's ``execute`` and hands it this callback, which receives
+    #: ``(start_rank, pairs)`` for every newly verified top-k prefix.
+    on_progress: Optional[Callable] = field(default=None)
+
+
+class _ClassQueue:
+    """Round-robin of per-client FIFO queues inside one priority class."""
+
+    def __init__(self) -> None:
+        self._clients: "OrderedDict[str, Deque[QueuedRequest]]" = OrderedDict()
+        self._size = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def push(self, request: QueuedRequest) -> None:
+        queue = self._clients.get(request.client_id)
+        if queue is None:
+            queue = self._clients[request.client_id] = deque()
+        queue.append(request)
+        self._size += 1
+
+    def pop(self) -> QueuedRequest:
+        client_id, queue = next(iter(self._clients.items()))
+        request = queue.popleft()
+        self._size -= 1
+        if queue:
+            # The client goes to the back of the rotation: one request
+            # per turn, however deep its personal backlog.
+            self._clients.move_to_end(client_id)
+        else:
+            del self._clients[client_id]
+        return request
+
+    def oldest_enqueued(self) -> float:
+        """Admission time of the oldest request (the queue is non-empty)."""
+        return min(queue[0].enqueued_at for queue in self._clients.values())
 
 
 class MicroBatcher:
@@ -135,22 +180,21 @@ class MicroBatcher:
         #: Current adaptive linger, always within [min_linger, max_linger].
         self.linger = max_linger
         self.clock = clock
-        self._pending: Dict[str, Deque[QueuedRequest]] = {
-            name: deque() for name in PRIORITY_CLASSES}
+        self._pending: Dict[str, _ClassQueue] = {
+            name: _ClassQueue() for name in PRIORITY_CLASSES}
         self._wrr = WeightedRoundRobin(DEFAULT_CLASS_WEIGHTS)
 
     def __len__(self) -> int:
         return sum(len(q) for q in self._pending.values())
 
     def append(self, request: QueuedRequest) -> None:
-        """Admit one request to the tail of its priority class's queue."""
-        priority = getattr(request, "priority", DEFAULT_PRIORITY)
-        queue = self._pending.get(priority)
+        """Admit one request to the tail of its client's queue in its class."""
+        queue = self._pending.get(request.priority)
         if queue is None:
             raise ValueError(
-                f"unknown priority class {priority!r}; expected one of "
-                f"{PRIORITY_CLASSES}")
-        queue.append(request)
+                f"unknown priority class {request.priority!r}; expected one "
+                f"of {PRIORITY_CLASSES}")
+        queue.push(request)
 
     def pending_by_class(self) -> Dict[str, int]:
         """Live queue depth per priority class (the accounting view)."""
@@ -164,20 +208,14 @@ class MicroBatcher:
         """Absolute time the oldest pending request must flush by.
 
         ``None`` when the queue is empty.  Computed over the oldest
-        request of *any* class — the linger guarantee is priority-blind,
-        only batch composition under backlog is weighted — from the
-        *current* adaptive linger, so the deadline a caller sleeps toward
-        tightens and relaxes with the traffic.
+        request of *any* class or client — the linger guarantee is blind
+        to both, only batch composition under backlog is scheduled — from
+        the *current* adaptive linger, so the deadline a caller sleeps
+        toward tightens and relaxes with the traffic.
         """
-        oldest = self._oldest_enqueued()
-        if oldest is None:
-            return None
-        return oldest + self.linger
-
-    def _oldest_enqueued(self) -> Optional[float]:
-        heads = [queue[0].enqueued_at
+        heads = [queue.oldest_enqueued()
                  for queue in self._pending.values() if queue]
-        return min(heads) if heads else None
+        return min(heads) + self.linger if heads else None
 
     def due(self, now: Optional[float] = None) -> bool:
         """Whether a flush is due at ``now`` (size or deadline trigger)."""
@@ -191,9 +229,10 @@ class MicroBatcher:
 
     def _take_next(self) -> QueuedRequest:
         """Pop one request: :class:`WeightedRoundRobin` across the
-        non-empty classes, strictly FIFO within a class."""
+        non-empty classes, round-robin across a class's clients, FIFO
+        per client."""
         active = [name for name in PRIORITY_CLASSES if self._pending[name]]
-        return self._pending[self._wrr.pick(active)].popleft()
+        return self._pending[self._wrr.pick(active)].pop()
 
     def drain(self, now: Optional[float] = None,
               force: bool = False) -> List[QueuedRequest]:
@@ -202,9 +241,9 @@ class MicroBatcher:
         At most ``max_batch_size`` requests come out per call.  When the
         whole backlog fits in one batch the drain is exhaustive and order
         inside the batch is irrelevant (one engine call serves them all);
-        when it does not, the weighted round-robin of :meth:`_take_next`
-        decides *which* requests ride the next batch — that is where the
-        priority classes earn their latency separation.  A forced drain
+        when it does not, :meth:`_take_next` decides *which* requests ride
+        the next batch — that is where the priority classes earn their
+        latency separation and a quiet client its turn.  A forced drain
         (service shutdown) flushes without waiting for a trigger and
         without distorting the adaptation.
         """

@@ -8,17 +8,22 @@ service:
 
 * ``await service.submit(query)`` admits one query to a bounded request
   queue (rejecting beyond the high-water mark) and resolves with the
-  engine's :class:`~repro.query.QueryResult`;
-* a drain loop flushes the queue through the adaptive
-  :class:`~repro.serve.batcher.MicroBatcher` — flush on max-batch-size or
-  the linger deadline, whichever first — into **one**
-  ``engine.execute_many`` call per tick, so concurrent clients issuing
-  same-function queries transparently share one fused frontier sweep /
-  R-tree traversal (PR 4) without coordinating with each other;
+  engine's :class:`~repro.query.QueryResult`; ``submit_stream`` admits
+  one the same way and relays its verified top-k prefixes;
+* that queue — the :class:`~repro.serve.batcher.MicroBatcher` — is the
+  one place between a caller (in process or on the wire) and the engine
+  where work waits.  The drain loop takes an engine slot *before* it
+  drains, so under load the backlog stays where it is ordered (classes
+  by weighted round-robin, clients round-robin inside a class);
+* a due batch — flush on max-batch-size or the linger deadline,
+  whichever first — goes into **one** ``engine.execute_many`` call, so
+  concurrent clients issuing same-function queries transparently share
+  one fused frontier sweep / R-tree traversal (PR 4) without
+  coordinating with each other;
 * engine work runs on a thread pool via ``loop.run_in_executor`` — a
   scatter engine's own leg pool is reused (``ensure_pool`` with a reserve
-  for the front-door calls) rather than duplicated — gated by a global
-  concurrency semaphore and optional per-backend semaphores;
+  for the front-door calls) rather than duplicated — gated by the global
+  engine slots and optional per-backend semaphores;
 * ``await service.insert(row)`` / ``await service.reshard(policy)`` form
   a serialized write path: writers drain the in-flight engine calls
   before mutating, so the invalidation hooks a mutation fires can never
@@ -38,7 +43,8 @@ import inspect
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, List, Mapping, Optional, Set
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional, Set,
+                    Tuple)
 
 from repro.errors import (
     DeadlineExceededError,
@@ -48,12 +54,7 @@ from repro.errors import (
 from repro.fault.deadline import Deadline
 from repro.obs.metrics import MetricsRegistry, merged_snapshot
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.serve.batcher import (
-    DEFAULT_PRIORITY,
-    PRIORITY_CLASSES,
-    MicroBatcher,
-    QueuedRequest,
-)
+from repro.serve.batcher import DEFAULT_PRIORITY, MicroBatcher, QueuedRequest
 from repro.serve.config import ServiceConfig
 from repro.serve.errors import (
     RequestTimeoutError,
@@ -149,16 +150,14 @@ class QueryService:
         self._engine_takes_deadline = "deadline" in params
         self._engine_takes_partial = "allow_partial" in params
         # Whether the engine's single-query execute can stream verified
-        # top-k prefixes (the unsharded Executor can; scatter engines and
-        # duck-typed fakes fall back to a single final frame).
-        execute = getattr(engine, "execute", None)
-        self._engine_execute = execute
+        # top-k prefixes (the unsharded Executor can).  On an engine that
+        # cannot (scatter engines, duck-typed fakes) a stream is a plain
+        # batch member whose answer is its single final frame.
         try:
-            execute_params = (inspect.signature(execute).parameters
-                              if execute is not None else {})
-        except (TypeError, ValueError):
-            execute_params = {}
-        self._engine_takes_progress = "on_progress" in execute_params
+            self._engine_streams = "on_progress" in inspect.signature(
+                engine.execute).parameters
+        except (AttributeError, TypeError, ValueError):
+            self._engine_streams = False
         self.batcher = MicroBatcher(self.config.max_batch_size,
                                     self.config.max_linger,
                                     self.config.min_linger,
@@ -293,12 +292,10 @@ class QueryService:
 
     def _admit(self, query, timeout=None,
                priority: str = DEFAULT_PRIORITY,
-               allow_partial: Optional[bool] = None) -> QueuedRequest:
+               allow_partial: Optional[bool] = None,
+               client_id: str = "",
+               on_progress: Optional[Callable] = None) -> QueuedRequest:
         self._require_running()
-        if priority not in PRIORITY_CLASSES:
-            raise ValueError(
-                f"unknown priority class {priority!r}; expected one of "
-                f"{PRIORITY_CLASSES}")
         if len(self.batcher) >= self.config.max_pending:
             self.stats.record_rejection()
             raise ServiceOverloadedError(
@@ -315,7 +312,9 @@ class QueryService:
                                 enqueued_at=self._clock(),
                                 deadline=deadline,
                                 priority=priority,
-                                allow_partial=allow_partial)
+                                allow_partial=allow_partial,
+                                client_id=client_id,
+                                on_progress=on_progress)
         self.batcher.append(request)
         self.stats.record_admission(priority)
         self._wake.set()
@@ -323,7 +322,8 @@ class QueryService:
 
     async def submit(self, query, *, timeout=_UNSET,
                      priority: str = DEFAULT_PRIORITY,
-                     allow_partial: Optional[bool] = None):
+                     allow_partial: Optional[bool] = None,
+                     client_id: str = ""):
         """Admit one query; resolve with its engine result.
 
         ``timeout`` (seconds) overrides the config's ``default_timeout``
@@ -340,22 +340,23 @@ class QueryService:
         client stopped waiting.
 
         ``priority`` picks the admission class (one of
-        ``interactive``/``batch``/``background``): under backlog the
-        batcher's weighted drain decides which classes ride the next
-        micro-batch.  ``allow_partial=True`` opts in to a degraded answer
+        ``interactive``/``batch``/``background``) and ``client_id`` the
+        fair-share queue inside it: under backlog the batcher's weighted
+        drain decides which classes ride the next micro-batch, and takes
+        one request per client per turn within a class.
+        ``allow_partial=True`` opts in to a degraded answer
         over surviving shards (flagged ``degraded`` in ``extra``) when
         the engine supports it; the opt-in reaches the engine only for
         batches whose every live member opted in.
         """
         if timeout is _UNSET:
             timeout = self.config.default_timeout
-        request = self._admit(query, timeout, priority, allow_partial)
+        request = self._admit(query, timeout, priority, allow_partial,
+                              client_id)
         return await self._await_request(request, timeout)
 
     async def _await_request(self, request: QueuedRequest, timeout):
         """Await one admitted request under the submit timeout contract."""
-        if timeout is _UNSET:
-            timeout = self.config.default_timeout
         if timeout is None:
             return await request.future
         # Shield the future so the deadline path — not wait_for — cancels
@@ -366,9 +367,7 @@ class QueryService:
             return await asyncio.wait_for(asyncio.shield(request.future),
                                           timeout)
         except asyncio.TimeoutError:
-            request.timed_out = True
-            self.stats.record_timeout()
-            request.future.cancel()
+            self._expire(request)
             raise RequestTimeoutError(
                 f"query timed out after {float(timeout):.4g}s in the "
                 f"serving queue") from None
@@ -376,24 +375,35 @@ class QueryService:
             request.future.cancel()
             raise
 
+    def _expire(self, request: QueuedRequest) -> None:
+        """Abandon a request whose submit timeout elapsed.
+
+        Marked timed out strictly *before* its future is cancelled, so
+        the dispatcher never counts it a second time as a cancellation.
+        """
+        request.timed_out = True
+        self.stats.record_timeout()
+        request.future.cancel()
+
     async def submit_many(self, queries: Iterable, *, timeout=_UNSET,
                           priority: str = DEFAULT_PRIORITY,
-                          allow_partial: Optional[bool] = None) -> List:
+                          allow_partial: Optional[bool] = None,
+                          client_id: str = "") -> List:
         """Fan one client's batch into the shared queue; gather in order.
 
         Admission is all-or-nothing: if the queue's high-water mark cuts
         the batch short, the already-admitted requests are abandoned and
         the admission error propagates.  ``timeout`` spans the whole
-        batch; ``priority`` and ``allow_partial`` apply to every member
-        (see :meth:`submit`).
+        batch; ``priority``, ``allow_partial`` and ``client_id`` apply to
+        every member (see :meth:`submit`).
         """
         if timeout is _UNSET:
             timeout = self.config.default_timeout
         requests: List[QueuedRequest] = []
         try:
             for query in queries:
-                requests.append(
-                    self._admit(query, timeout, priority, allow_partial))
+                requests.append(self._admit(query, timeout, priority,
+                                            allow_partial, client_id))
         except ServeError:
             for request in requests:
                 request.future.cancel()
@@ -410,23 +420,21 @@ class QueryService:
         except asyncio.TimeoutError:
             for request in requests:
                 if not request.future.done():
-                    request.timed_out = True
-                    self.stats.record_timeout()
-                    request.future.cancel()
+                    self._expire(request)
             raise RequestTimeoutError(
                 f"batch timed out after {float(timeout):.4g}s in the "
                 f"serving queue") from None
         except asyncio.CancelledError:
             for request in requests:
-                if not request.future.done():
-                    request.future.cancel()
+                request.future.cancel()
             raise
 
     # ------------------------------------------------------------------
     # streaming
     # ------------------------------------------------------------------
     async def submit_stream(self, query, *, timeout=_UNSET,
-                            priority: str = DEFAULT_PRIORITY):
+                            priority: str = DEFAULT_PRIORITY,
+                            client_id: str = ""):
         """Execute one query, yielding verified top-k prefixes as frames.
 
         An async generator of ``("prefix", start_rank, pairs)`` frames —
@@ -436,26 +444,19 @@ class QueryService:
         result is bit-identical to a non-streaming :meth:`submit` answer
         for the same query.
 
-        Streaming bypasses the micro-batcher (a stream cannot share a
-        fused sweep) but honors everything else the dispatch path does:
-        the engine concurrency semaphore, the writer gate, engine-error
-        mapping, the submit timeout, and the service stats.  Engines
+        A stream is a request: admitted (or refused at the high-water
+        mark), scheduled by ``priority`` and ``client_id`` and dispatched
+        like any other, except that the dispatcher runs it alone through
+        the engine's ``execute`` with a progress callback (a stream
+        cannot share a fused sweep).  One abandoned while queued
+        (timeout, consumer gone) never reaches the engine.  On engines
         whose ``execute`` cannot stream (scatter engines, duck-typed
-        fakes) and result-cache hits produce a single final frame, which
-        still satisfies the bit-identical contract.
+        fakes) it simply rides its batch; they and result-cache hits
+        produce a single final frame, which still satisfies the
+        bit-identical contract.
         """
         if timeout is _UNSET:
             timeout = self.config.default_timeout
-        self._require_running()
-        if priority not in PRIORITY_CLASSES:
-            raise ValueError(
-                f"unknown priority class {priority!r}; expected one of "
-                f"{PRIORITY_CLASSES}")
-        if self._engine_execute is None:
-            raise ServeError("this engine has no single-query execute; "
-                             "streaming is unavailable")
-        self.stats.record_admission(priority)
-        started = self._clock()
         frames: asyncio.Queue = asyncio.Queue()
         loop = self._loop
 
@@ -464,54 +465,33 @@ class QueryService:
             loop.call_soon_threadsafe(
                 frames.put_nowait, ("prefix", start, list(pairs)))
 
-        def run_engine():
-            if self._engine_takes_progress:
-                return self._engine_execute(query, on_progress=on_progress)
-            return self._engine_execute(query)
-
-        async def produce() -> None:
-            async with self._engine_sem:
-                await self._engine_enter()
+        request = self._admit(
+            query, timeout, priority, client_id=client_id,
+            on_progress=on_progress if self._engine_streams else None)
+        # The resolved future ends the relay.  Its callback is scheduled
+        # after every prefix the worker thread posted before returning.
+        request.future.add_done_callback(frames.put_nowait)
+        try:
+            while True:
+                remaining = (None if request.deadline is None
+                             else request.deadline.remaining())
                 try:
-                    result = await self._in_executor(run_engine)
-                    frames.put_nowait(("final", result))
-                except Exception as exc:
-                    frames.put_nowait(("error", self._map_engine_error(exc)))
-                finally:
-                    self._engine_exit()
-
-        task = loop.create_task(produce())
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
-        while True:
-            if timeout is None:
-                frame = await frames.get()
-            else:
-                remaining = float(timeout) - (self._clock() - started)
-                try:
-                    frame = await asyncio.wait_for(frames.get(),
-                                                   max(remaining, 0.0))
+                    frame = await asyncio.wait_for(frames.get(), remaining)
                 except asyncio.TimeoutError:
-                    self.stats.record_timeout()
+                    self._expire(request)
                     raise RequestTimeoutError(
                         f"stream timed out after {float(timeout):.4g}s"
                     ) from None
-            kind = frame[0]
-            if kind == "prefix":
+                if frame is request.future:
+                    break
                 yield frame
-            elif kind == "error":
-                self.stats.record_failure()
-                raise frame[1]
-            else:
-                result = frame[1]
-                now = self._clock()
-                result.extra.setdefault("queue_wait", 0.0)
-                result.extra.setdefault("batch_size", 1.0)
-                result.extra.setdefault("fused_group_size", 1.0)
-                result.extra["streamed"] = 1.0
-                self.stats.record_completion(0.0, now - started, priority)
-                yield frame
-                return
+            result = request.future.result()
+            result.extra["streamed"] = 1.0
+            yield ("final", result)
+        finally:
+            # Consumer gone mid-stream: abandon the request like a
+            # cancelled submit (a resolved future ignores this).
+            request.future.cancel()
 
     # ------------------------------------------------------------------
     # drain loop / dispatch
@@ -520,11 +500,16 @@ class QueryService:
         while True:
             now = self._clock()
             if self.batcher.due(now) or (self._closing and len(self.batcher)):
-                batch = self.batcher.drain(now, force=self._closing)
-                if batch:
-                    task = self._loop.create_task(self._dispatch(batch))
-                    self._tasks.add(task)
-                    task.add_done_callback(self._tasks.discard)
+                # Take the engine slot BEFORE draining: while every slot
+                # is busy the backlog stays in the batcher, and whoever
+                # the scheduler picks once a batch can run rides it.  On
+                # an idle engine acquire() does not suspend.  Only this
+                # loop removes requests, so the batch is still due after.
+                await self._engine_sem.acquire()
+                batch = self.batcher.drain(self._clock(), force=self._closing)
+                task = self._loop.create_task(self._dispatch(batch))
+                self._tasks.add(task)
+                task.add_done_callback(self._tasks.discard)
                 continue
             if self._closing:
                 break
@@ -537,15 +522,24 @@ class QueryService:
                 pass
 
     async def _dispatch(self, batch: List[QueuedRequest]) -> None:
+        """Run one drained batch under the engine slot the drain loop took.
+
+        The one dispatch path: plain requests and streams alike wait out
+        writers, hold the backend semaphores, have engine errors typed
+        and abandoned members dropped, and are counted here.
+        """
+        try:
+            await self._run_batch(batch)
+        finally:
+            self._engine_sem.release()
+
+    async def _run_batch(self, batch: List[QueuedRequest]) -> None:
         live: List[QueuedRequest] = []
         for request in batch:
             if request.future.done():
-                # Abandoned while queued: timeouts were counted by the
-                # submit path, everything else is a caller cancellation.
-                if request.future.cancelled() and not request.timed_out:
-                    self.stats.record_cancellation()
-                continue
-            live.append(request)
+                self._count_abandoned(request)  # while queued: dropped
+            else:
+                live.append(request)
         if not live:
             return
         queries = [request.query for request in live]
@@ -579,83 +573,108 @@ class QueryService:
             # Same unanimity rule as the deadline: degrading is opted
             # into per batch, and a member that did not ask for a partial
             # answer must never receive one.
-            if live and all(request.allow_partial for request in live):
+            if all(request.allow_partial for request in live):
                 engine_call = functools.partial(engine_call,
                                                 allow_partial=True)
-        async with self._engine_sem:
-            await self._engine_enter()
-            acquired: List[asyncio.Semaphore] = []
-            try:
-                if self._backend_sems:
-                    names = await self._in_executor(self._route, queries)
-                    for name in sorted(names):
-                        sem = self._backend_sems.get(name)
-                        if sem is not None:
-                            await sem.acquire()
-                            acquired.append(sem)
-                dispatched_at = self._clock()
-                if batch_span:
-                    batch_span.set("batch_size", len(live))
-                    (batch_span.child("serve.queue_wait",
-                                      start=first_enqueued)
-                     .finish(end=dispatched_at))
-                if analyzed is not None:
-                    for request in live:
-                        if request.span is not None:
-                            (request.span.child("serve.queue_wait",
-                                                start=request.enqueued_at)
-                             .set("batch_size", len(live))
-                             .finish(end=dispatched_at))
-                self.stats.record_batch(len(live))
-                try:
-                    results = await self._in_executor(engine_call, queries)
-                    errors: dict = {}
-                except PartialBatchError as exc:
-                    # Failure containment (scatter layer): some positions
-                    # failed, the rest completed — resolve per request
-                    # instead of failing the whole batch.
-                    results = exc.results
-                    errors = exc.errors
-            except Exception as exc:
-                mapped = self._map_engine_error(exc)
+        await self._engine_enter()
+        acquired: List[asyncio.Semaphore] = []
+        try:
+            if self._backend_sems:
+                names = await self._in_executor(self._route, queries)
+                for name in sorted(names):
+                    sem = self._backend_sems.get(name)
+                    if sem is not None:
+                        await sem.acquire()
+                        acquired.append(sem)
+            dispatched_at = self._clock()
+            if batch_span:
+                batch_span.set("batch_size", len(live))
+                (batch_span.child("serve.queue_wait", start=first_enqueued)
+                 .finish(end=dispatched_at))
+            if analyzed is not None:
                 for request in live:
-                    if not request.future.done():
-                        request.future.set_exception(mapped)
-                        self.stats.record_failure()
-                    elif (request.future.cancelled()
-                          and not request.timed_out):
-                        self.stats.record_cancellation()
-                batch_span.finish()
-                return
-            finally:
-                for sem in acquired:
-                    sem.release()
-                self._engine_exit()
+                    if request.span is not None:
+                        (request.span.child("serve.queue_wait",
+                                            start=request.enqueued_at)
+                         .set("batch_size", len(live))
+                         .finish(end=dispatched_at))
+            self.stats.record_batch(len(live))
+            results, errors = await self._in_executor(
+                self._call_engine, engine_call, live)
+        except Exception as exc:
+            # Nothing ran (routing or the pool itself failed): the
+            # failure is every position's.
+            results = [None] * len(live)
+            errors = dict.fromkeys(range(len(live)), exc)
+        finally:
+            for sem in acquired:
+                sem.release()
+            self._engine_exit()
         now = self._clock()
         batch_span.finish(end=now)
         batch_size = float(len(live))
         for position, (request, result) in enumerate(zip(live, results)):
-            error = errors.get(position)
-            if error is not None:
-                if not request.future.done():
-                    request.future.set_exception(self._map_engine_error(error))
-                    self.stats.record_failure()
-                elif request.future.cancelled() and not request.timed_out:
-                    self.stats.record_cancellation()
-                continue
-            queue_wait = dispatched_at - request.enqueued_at
-            result.extra["queue_wait"] = queue_wait
-            result.extra["batch_size"] = batch_size
-            result.extra.setdefault("fused_group_size", 1.0)
-            if not request.future.done():
+            if request.future.done():
+                # Abandoned while the batch was already executing: the
+                # outcome is discarded, but a cancellation still counts.
+                self._count_abandoned(request)
+            elif position in errors:
+                request.future.set_exception(
+                    self._map_engine_error(errors[position]))
+                self.stats.record_failure()
+            else:
+                queue_wait = dispatched_at - request.enqueued_at
+                result.extra["queue_wait"] = queue_wait
+                result.extra["batch_size"] = batch_size
+                result.extra.setdefault("fused_group_size", 1.0)
                 request.future.set_result(result)
                 self.stats.record_completion(queue_wait,
                                              now - request.enqueued_at,
                                              request.priority)
-            elif request.future.cancelled() and not request.timed_out:
-                # Abandoned while the batch was already executing: the
-                # result is discarded, but the cancellation still counts.
-                self.stats.record_cancellation()
+
+    def _count_abandoned(self, request: QueuedRequest) -> None:
+        """Count a request whose caller stopped waiting for it: timeouts
+        were counted by the submit path, anything else is a cancellation."""
+        if request.future.cancelled() and not request.timed_out:
+            self.stats.record_cancellation()
+
+    def _call_engine(self, engine_call, live: List[QueuedRequest]
+                     ) -> Tuple[List, Dict[int, Exception]]:
+        """Worker thread: answer one batch, failures kept per position.
+
+        The plain members ride **one** ``execute_many`` (a scatter
+        engine's :class:`~repro.errors.PartialBatchError` already reports
+        per position; any other failure is every plain member's); each
+        stream runs alone through ``execute`` with its progress callback.
+        Returns ``(results, errors)`` indexed like ``live``.
+        """
+        results: List = [None] * len(live)
+        errors: Dict[int, Exception] = {}
+        plain = [position for position, request in enumerate(live)
+                 if request.on_progress is None]
+        if plain:
+            try:
+                answers = engine_call([live[position].query
+                                       for position in plain])
+                failed: Mapping[int, Exception] = {}
+            except PartialBatchError as exc:
+                answers, failed = exc.results, exc.errors
+            except Exception as exc:
+                answers = [None] * len(plain)
+                failed = dict.fromkeys(range(len(plain)), exc)
+            for slot, position in enumerate(plain):
+                results[position] = answers[slot]
+                if slot in failed:
+                    errors[position] = failed[slot]
+        for position, request in enumerate(live):
+            if request.on_progress is None:
+                continue
+            try:
+                results[position] = self.engine.execute(
+                    request.query, on_progress=request.on_progress)
+            except Exception as exc:
+                errors[position] = exc
+        return results, errors
 
     def _map_engine_error(self, exc: Exception) -> Exception:
         """Type an engine failure for clients of the serving layer.

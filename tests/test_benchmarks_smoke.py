@@ -124,24 +124,6 @@ class TestCalibrateMetricsOption:
         assert "misestimates (>4x off)" in out
 
 
-class TestBenchHttpServing:
-    def test_quick_mode_gates_pass_at_tiny_n(self, capsys, tmp_path):
-        import json
-
-        bench = load_benchmark("bench_http_serving")
-        output = tmp_path / "BENCH_http.json"
-        assert bench.main(["--quick", "--tuples", "800", "--per-class", "8",
-                           "--output", str(output)]) == 0
-        out = capsys.readouterr().out
-        assert "0 mismatches" in out
-        payload = json.loads(output.read_text())
-        assert payload["stream_mismatches"] == 0
-        assert payload["throttled_bounced"] > 0
-        assert payload["unthrottled_bounced"] == 0
-        assert payload["interactive_p99"] < payload["background_p99"]
-        assert payload["failures"] == []
-
-
 class TestBenchFaultTolerance:
     def test_quick_mode_gates_pass_at_tiny_n(self, capsys, tmp_path):
         import json

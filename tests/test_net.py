@@ -11,8 +11,9 @@ Covers the network-tier acceptance gates:
   map back to the same exception classes in-process callers catch, with
   ``Retry-After`` on 429 (token bucket) and 503 (queue full), and the
   degraded-answer flag riding the response envelope;
-* **fair-share admission** — weighted interleaving across priority
-  classes, round-robin across clients inside a class;
+* **fair share** — weighted interleaving across priority classes,
+  round-robin across clients inside a class, by the service's one queue
+  (``X-Client-Id`` / ``X-Priority`` are its inputs, not a second queue);
 * **streaming** — verified top-k prefixes arrive before the final frame,
   the assembled answer is bit-identical to the non-streaming one, and a
   mid-stream failure surfaces as a typed error frame — over chunked
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import time
 
 import pytest
@@ -49,6 +51,7 @@ from repro.net import (
     QueryServer,
     RateLimitedError,
     StreamAssembler,
+    WebSocketSession,
     decode_function,
     decode_query,
     decode_result,
@@ -56,7 +59,7 @@ from repro.net import (
     encode_query,
     encode_result,
 )
-from repro.net.admission import AdmissionController, FairShareScheduler, Ticket
+
 from repro.net.protocol import (
     decode_error,
     decode_priority,
@@ -68,12 +71,15 @@ from repro.net.ratelimit import TokenBucket, TokenBucketLimiter
 from repro.net.stream import error_frame, final_frame, prefix_frame
 from repro.query import Predicate, QueryResult, SkylineQuery, TopKQuery
 from repro.serve import (
+    MicroBatcher,
     QueryService,
+    QueuedRequest,
     RequestTimeoutError,
     ServiceConfig,
     ServiceOverloadedError,
 )
 from repro.workloads import SyntheticSpec, generate_relation
+from tests.test_serve import BACKLOG, BACKLOG_ORDER, URGENT, HeldEngine
 from tests.test_parity_oracle import (
     SHARD_COUNTS,
     SPECS,
@@ -256,44 +262,53 @@ class TestTokenBucket:
 
 
 # ----------------------------------------------------------------------
-# fair-share scheduler units
+# fair-share scheduler units (the micro-batcher is the scheduler)
 # ----------------------------------------------------------------------
-def ticket(priority: str, client: str, tag: int) -> Ticket:
-    return Ticket(query=tag, future=None, client_id=client,
-                  priority=priority, enqueued_at=0.0)
+def queued(priority: str, client: str, tag: int) -> QueuedRequest:
+    return QueuedRequest(query=tag, future=None, enqueued_at=0.0,
+                         priority=priority, client_id=client)
+
+
+def scheduler(*requests: QueuedRequest) -> MicroBatcher:
+    """A batcher holding ``requests`` whose drains pop up to a dozen."""
+    batcher = MicroBatcher(max_batch_size=12, max_linger=0.0,
+                           clock=FakeClock())
+    for request in requests:
+        batcher.append(request)
+    return batcher
 
 
 class TestFairShareScheduler:
     def test_weighted_interleave_favors_interactive(self):
-        scheduler = FairShareScheduler()
-        for i in range(12):
-            scheduler.push(ticket("interactive", "a", i))
-            scheduler.push(ticket("background", "b", i))
-        order = [scheduler.pop().priority for _ in range(12)]
+        batcher = scheduler(*(queued(priority, client, i)
+                              for i in range(12)
+                              for priority, client in (("interactive", "a"),
+                                                       ("background", "b"))))
+        order = [request.priority for request in batcher.drain()]
+        assert len(order) == 12
         # 8:1 weights — the first stretch is dominated by interactive,
         # yet background is never starved out of the first dozen slots.
         assert order.count("interactive") >= 9
         assert "background" in order
 
     def test_round_robin_across_clients_within_a_class(self):
-        scheduler = FairShareScheduler()
-        for i in range(3):
-            scheduler.push(ticket("batch", "chatty", 10 + i))
-        scheduler.push(ticket("batch", "quiet", 99))
-        clients = [scheduler.pop().client_id for _ in range(4)]
+        batcher = scheduler(*(queued("batch", "chatty", 10 + i)
+                              for i in range(3)),
+                            queued("batch", "quiet", 99))
+        clients = [request.client_id for request in batcher.drain()]
         # The quiet client is served second, not behind the whole backlog.
         assert clients == ["chatty", "quiet", "chatty", "chatty"]
 
     def test_single_class_degrades_to_fifo(self):
-        scheduler = FairShareScheduler()
-        for i in range(5):
-            scheduler.push(ticket("interactive", "a", i))
-        assert [scheduler.pop().query for _ in range(5)] == list(range(5))
-        assert scheduler.pop() is None
+        batcher = scheduler(*(queued("interactive", "a", i)
+                              for i in range(5)))
+        assert [request.query for request in batcher.drain()] \
+            == list(range(5))
+        assert batcher.drain(force=True) == []
 
     def test_unknown_class_is_rejected(self):
         with pytest.raises(ValueError):
-            FairShareScheduler().push(ticket("urgent", "a", 0))
+            scheduler(queued("urgent", "a", 0))
 
 
 # ----------------------------------------------------------------------
@@ -343,23 +358,14 @@ class TestRetryAfterHints:
 
     def test_admission_hint_tracks_depth_over_drain_rate(self):
         clock = FakeClock()
-
-        async def run():
-            controller = AdmissionController(object(), max_pending=4,
-                                             concurrency=1, clock=clock)
-            await controller.start()
-            try:
-                assert controller.retry_after_hint() is None  # no history
-                controller._completed = 20
-                clock.t = 10.0  # 2 completions/s
-                for i in range(3):
-                    controller.scheduler.push(ticket("batch", "c", i))
-                assert controller.retry_after_hint() == pytest.approx(1.5)
-            finally:
-                controller.scheduler.drain()
-                await controller.close()
-
-        asyncio.run(run())
+        service = QueryService(SlowStubEngine(), clock=clock)
+        assert service.retry_after_hint() is None  # no history
+        for _ in range(20):
+            service.stats.record_completion(0.0, 0.0)
+        clock.t = 10.0  # 2 completions/s
+        for i in range(3):
+            service.batcher.append(queued("batch", "c", i))
+        assert service.retry_after_hint() == pytest.approx(1.5)
 
     def test_service_hint_clamped_and_none_before_history(self):
         relation = generate_relation(SyntheticSpec(
@@ -516,11 +522,16 @@ def simple_query():
 
 
 def run_served(handler, *, engine=None, net_config=None, service_config=None):
-    """Stand up service + server around ``engine`` and run ``handler``."""
+    """Stand up service + server around ``engine`` and run ``handler``.
+
+    ``engine`` may be a class (``HeldEngine``): it is then built inside
+    the running loop, which its asyncio event needs.
+    """
     engine = engine if engine is not None else SlowStubEngine()
 
     async def main():
-        async with QueryService(engine, service_config) as service:
+        built = engine() if isinstance(engine, type) else engine
+        async with QueryService(built, service_config) as service:
             async with QueryServer(service, net_config or NetConfig()) \
                     as server:
                 client = AsyncQueryClient("127.0.0.1", server.port)
@@ -633,8 +644,7 @@ class TestHttpErrorMapping:
             return outcomes
 
         outcomes = run_served(
-            engine=engine,
-            net_config=NetConfig(max_pending=1, concurrency=1),
+            engine=engine, service_config=ServiceConfig(max_pending=1),
             handler=handler)
         overloaded = [o for o in outcomes
                       if isinstance(o, ServiceOverloadedError)]
@@ -655,6 +665,22 @@ class TestHttpErrorMapping:
 
         assert run_served(handler, engine=engine) == 504
 
+    def test_service_default_timeout_applies_over_the_wire(self):
+        """A request naming no timeout gets the service's, not "forever"."""
+        engine = SlowStubEngine(delay=0.4)
+
+        async def handler(service, server, client):
+            with pytest.raises(RequestTimeoutError):
+                await service.submit(simple_query())
+            status, _, body = await client._request(
+                "POST", "/v1/query", {"query": encode_query(simple_query())})
+            return status, json.loads(body.decode())["error"]["type"]
+
+        assert run_served(
+            handler, engine=engine,
+            service_config=ServiceConfig(default_timeout=0.05)
+        ) == (504, "RequestTimeoutError")
+
     def test_degraded_answer_is_flagged_in_the_envelope(self):
         engine = SlowStubEngine(extra={"degraded": 1.0, "completeness": 0.5,
                                        "shards_failed": 1.0})
@@ -672,6 +698,50 @@ class TestHttpErrorMapping:
         assert payload["result"]["degraded"] is True
         assert result.extra["degraded"] == 1.0
         assert result.extra["completeness"] == 0.5
+
+
+class TestBacklogOrderOverHttp:
+    """``tests/test_serve.py::TestBacklogOrder`` driven through the socket."""
+
+    def test_client_and_priority_headers_feed_the_one_scheduler(self):
+        names = ["primer"] + [name for name, _, _ in BACKLOG + URGENT]
+        k_of = {name: k for k, name in enumerate(names, start=1)}
+
+        async def handler(service, server, client):
+            engine = service.engine
+
+            def send(name, priority="interactive", client_id="primer"):
+                caller = AsyncQueryClient("127.0.0.1", server.port,
+                                          client_id=client_id,
+                                          priority=priority)
+                query = TopKQuery(Predicate.of(),
+                                  LinearFunction(["N1"], [1.0]), k_of[name])
+                # A raw request: the body names neither client nor class,
+                # only the X-Client-Id / X-Priority headers do.
+                return asyncio.ensure_future(caller._request(
+                    "POST", "/v1/query", {"query": encode_query(query)}))
+
+            async def admitted(depth):
+                while len(service.batcher) < depth:
+                    await asyncio.sleep(0)
+
+            tasks = [send("primer")]
+            await engine.busy.wait()  # the engine's one slot is held
+            for depth, (name, priority, client_id) in enumerate(
+                    BACKLOG + URGENT, start=1):
+                tasks.append(send(name, priority, client_id))
+                # One at a time, so the queue sees them in this order.
+                await asyncio.wait_for(admitted(depth), timeout=10.0)
+            engine.release.set()
+            responses = await asyncio.gather(*tasks)
+            return ([status for status, _, _ in responses],
+                    [query.k for query in engine.executed])
+
+        statuses, executed = run_served(
+            handler, engine=HeldEngine,
+            service_config=ServiceConfig(max_batch_size=4, max_linger=0.0))
+        assert statuses == [200] * len(names)
+        assert executed == [k_of[name] for name in ["primer"] + BACKLOG_ORDER]
 
 
 # ----------------------------------------------------------------------
@@ -751,6 +821,33 @@ class TestStreaming:
 
         assert run_served(handler, engine=engine)
 
+    def test_stream_at_the_high_water_mark_gets_one_typed_error_frame(self):
+        """A stream is a request: it counts against ``max_pending``."""
+        async def handler(service, server, client):
+            engine = service.engine
+            held = [asyncio.ensure_future(service.submit("primer"))]
+            await engine.busy.wait()
+            held.append(asyncio.ensure_future(service.submit("waiting")))
+            await asyncio.sleep(0)  # queue depth 1 == max_pending
+            status, _, body = await client._request(
+                "POST", "/v1/query/stream",
+                {"query": encode_query(simple_query())})
+            frames = [json.loads(line) for line in body.splitlines()]
+            async with client.websocket() as ws:
+                with pytest.raises(ServiceOverloadedError):
+                    await ws.stream(simple_query())
+            engine.release.set()
+            await asyncio.gather(*held)
+            return status, frames, engine.executed
+
+        status, frames, executed = run_served(
+            handler, engine=HeldEngine,
+            service_config=ServiceConfig(max_pending=1, max_linger=0.0))
+        assert status == 200
+        assert [frame["frame"] for frame in frames] == ["error"]
+        assert frames[0]["error"]["type"] == "ServiceOverloadedError"
+        assert executed == ["primer", "waiting"]  # no stream reached it
+
     def test_websocket_error_frames_carry_request_ids(self):
         async def handler(service, server, client):
             async with client.websocket() as ws:
@@ -763,6 +860,47 @@ class TestStreaming:
 
         result = run_served(handler)
         assert result.tids == (1, 2)
+
+
+def _fragment(opcode: int, payload: bytes, fin: bool) -> bytes:
+    frame = WebSocketSession._frame(opcode, payload)
+    return frame if fin else bytes([frame[0] & 0x7F]) + frame[1:]
+
+
+class TestWebsocketFraming:
+    """Unframeable websocket input is answered with a close code."""
+
+    @pytest.mark.parametrize("raw, code", [
+        pytest.param(_fragment(0x3, b"x", True), 1002, id="bad-opcode"),
+        pytest.param(_fragment(0x1, b"\xff\xfe\xfd", True), 1007,
+                     id="not-utf8"),
+        # Refused from the declared length: no payload is ever sent.
+        pytest.param(bytes([0x81, 0x80 | 127]) + (1 << 40).to_bytes(8, "big"),
+                     1009, id="frame-of-2^40-bytes"),
+        # Each fragment fits max_body_bytes (64 below); their sum does not.
+        pytest.param(_fragment(0x1, b"a" * 40, False)
+                     + _fragment(0x0, b"a" * 40, True)[:2],
+                     1009, id="fragments-above-the-limit"),
+    ])
+    def test_close_frame_then_close_and_the_server_survives(
+            self, raw, code, caplog):
+        async def handler(service, server, client):
+            async with client.websocket() as ws:
+                ws._writer.write(raw)
+                await ws._writer.drain()
+                head = await asyncio.wait_for(ws._reader.readexactly(2),
+                                              timeout=10.0)
+                payload = await ws._reader.readexactly(head[1] & 0x7F)
+                closed = await ws._reader.read() == b""
+            healthy = (await client._request("GET", "/healthz"))[0]
+            return head[0], int.from_bytes(payload[:2], "big"), closed, healthy
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            got = run_served(handler,
+                             net_config=NetConfig(max_body_bytes=64))
+        assert got == (0x88, code, True, 200)
+        assert not [record for record in caplog.records
+                    if "Unhandled" in record.getMessage()]
 
 
 # ----------------------------------------------------------------------
@@ -784,4 +922,4 @@ class TestOpsEndpoints:
         assert "repro_net_latency_seconds_interactive" in metrics
         assert "repro_serve_completed" in metrics
         assert stats["completed"] >= 1.0
-        assert "net_pending_interactive" in stats
+        assert stats["pending_interactive"] == 0.0

@@ -24,7 +24,7 @@ import pytest
 
 from repro.engine import Executor
 from repro.functions.linear import LinearFunction, sum_function
-from repro.query import Predicate, SkylineQuery, TopKQuery
+from repro.query import Predicate, QueryResult, SkylineQuery, TopKQuery
 from repro.serve import (
     MicroBatcher,
     QueryService,
@@ -947,3 +947,100 @@ class TestDeadlinePropagation:
 
         asyncio.run(run())
         assert seen and all(deadline is None for deadline in seen)
+
+
+class HeldEngine:
+    """A stub engine that records what it executes, in order.
+
+    Its first call blocks on a ``threading.Event`` — after telling the
+    event loop (``call_soon_threadsafe``) that the engine is now busy —
+    so a test can build a backlog behind a held engine and release it
+    without a single ``sleep`` or latency comparison.
+    """
+
+    def __init__(self) -> None:
+        self.executed = []
+        self.release = threading.Event()
+        self.busy = asyncio.Event()
+        self._loop = asyncio.get_running_loop()
+        self._held = False
+
+    def _hold_first_call(self) -> None:
+        if not self._held:
+            self._held = True
+            self._loop.call_soon_threadsafe(self.busy.set)
+            assert self.release.wait(timeout=30.0)
+
+    def execute_many(self, queries):
+        self._hold_first_call()
+        self.executed.extend(queries)
+        return [QueryResult(tids=(), scores=()) for _ in queries]
+
+    def execute(self, query):
+        return self.execute_many([query])[0]
+
+    def cache_stats(self):
+        return {}
+
+
+#: The backlog of ``TestBacklogOrder`` as ``(name, priority, client_id)``
+#: in admission order: 8 background requests from three clients, then 6
+#: interactive ones from a chatty client and 1 from a quiet one.
+BACKLOG = [(f"ba{i}", "background", "abc"[i % 3]) for i in range(8)]
+URGENT = ([(f"chatty{i}", "interactive", "chatty") for i in range(6)]
+          + [("quiet0", "interactive", "quiet")])
+#: What one scheduler makes of it, four per batch: interactive overtakes
+#: the older background backlog 8:1 without starving it (``ba0`` rides
+#: the second batch), and the quiet client is served second, not seventh.
+BACKLOG_ORDER = (["chatty0", "quiet0", "chatty1", "chatty2",
+                  "ba0", "chatty3", "chatty4", "chatty5"]
+                 + [f"ba{i}" for i in range(1, 8)])
+
+
+class TestBacklogOrder:
+    """The backlog waits where it is ordered — pinned without a clock."""
+
+    def test_backlog_behind_a_held_engine_runs_in_scheduler_order(self):
+        async def run():
+            engine = HeldEngine()
+            config = ServiceConfig(max_batch_size=4, max_linger=0.0)
+            async with QueryService(engine, config) as service:
+                tasks = [asyncio.ensure_future(service.submit("primer"))]
+                await engine.busy.wait()  # the engine's one slot is held
+                for wave in (BACKLOG, URGENT):
+                    tasks += [asyncio.ensure_future(service.submit(
+                        name, priority=priority, client_id=client_id))
+                        for name, priority, client_id in wave]
+                    await asyncio.sleep(0)  # every submit admits its request
+                assert len(service.batcher) == len(BACKLOG) + len(URGENT)
+                engine.release.set()
+                await asyncio.gather(*tasks)
+                return engine.executed, service.stats_snapshot()
+
+        executed, snap = asyncio.run(run())
+        assert executed == ["primer"] + BACKLOG_ORDER
+        # 1 + 15 requests in 1 + 4 engine calls: the backlog rode full
+        # batches, it was not dispatched as it arrived.
+        assert snap["batches"] == 5.0
+
+    def test_stream_timed_out_while_queued_never_reaches_the_engine(self):
+        async def run():
+            engine = HeldEngine()
+            config = ServiceConfig(max_linger=0.0)
+            async with QueryService(engine, config) as service:
+                primer = asyncio.ensure_future(service.submit("primer"))
+                await engine.busy.wait()
+                with pytest.raises(RequestTimeoutError):
+                    async for _frame in service.submit_stream(
+                            "stream", timeout=0.02, priority="batch"):
+                        pass
+                engine.release.set()
+                await primer
+                snap = service.stats_snapshot()
+            return engine.executed, snap
+
+        executed, snap = asyncio.run(run())
+        assert executed == ["primer"]
+        assert snap["submitted"] == 2.0  # the stream was admitted, counted
+        assert snap["timed_out"] == 1.0
+        assert snap["cancelled"] == 0.0
