@@ -5,6 +5,12 @@ After the geometry partition, the original relation is decomposed into a
 ranking cube) and a *base block table* holding, per base block, the tids and
 their real ranking values.  The query algorithm's ``get_base_block`` data
 access method (Section 3.3.1) reads one of these pages.
+
+Page layout: a page is the pair ``(tids int64[n], values float64[n, R])`` in
+ascending tid order (the build's stable sort keeps it, an insert appends the
+next tid), so the row of a tid is ``tids.searchsorted(tid)`` and no side
+index is kept.  Pages are immutable once handed out, like cuboid pages (see
+:mod:`repro.cube.model`): read-only arrays, and an insert writes a new pair.
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ class BaseBlockTable:
             raise CubeError("bids must assign a block to every tuple")
         self.bids = bids
         self._block_pages: Dict[int, int] = {}
-        self._row_index: Dict[int, Dict[int, int]] = {}
         self._build()
 
     def _build(self) -> None:
@@ -55,8 +60,8 @@ class BaseBlockTable:
             bid = int(sorted_bids[start])
             tids = np.ascontiguousarray(order[start:end], dtype=np.int64)
             block_values = np.ascontiguousarray(values[tids], dtype=np.float64)
+            tids.flags.writeable = block_values.flags.writeable = False
             self._block_pages[bid] = self.pager.allocate((tids, block_values))
-            self._row_index[bid] = {int(tid): row for row, tid in enumerate(tids)}
 
     # ------------------------------------------------------------------
     # maintenance
@@ -69,7 +74,8 @@ class BaseBlockTable:
         edge block would put a tuple below that block's lower bound.  Tids
         arrive densely (``tid`` is the number of tuples covered so far), so
         the new row lands last on its page and page order stays tid order.
-        One page write (a fresh page when the block was empty).
+        One page write (a fresh page when the block was empty) of new
+        arrays; the pair a reader holds is never touched.
         """
         if tid != len(self.bids):
             raise CubeError(
@@ -79,17 +85,18 @@ class BaseBlockTable:
         if not self.grid.domain().contains_point(point):
             raise CubeError(f"tuple {tid} lies outside the grid domain")
         bid = self.grid.bid_of_point(point)
-        new_tid = np.array([tid], dtype=np.int64)
-        new_values = np.array([values], dtype=np.float64)
+        tids = np.array([tid], dtype=np.int64)
+        block_values = np.array([values], dtype=np.float64)
         page_id = self._block_pages.get(bid)
+        if page_id is not None:
+            old_tids, old_values = self.buffer.read(page_id)
+            tids = np.concatenate((old_tids, tids))
+            block_values = np.concatenate((old_values, block_values))
+        tids.flags.writeable = block_values.flags.writeable = False
         if page_id is None:
-            self._block_pages[bid] = self.buffer.allocate((new_tid, new_values))
-            self._row_index[bid] = {tid: 0}
+            self._block_pages[bid] = self.buffer.allocate((tids, block_values))
         else:
-            tids, block_values = self.buffer.read(page_id)
-            self._row_index[bid][tid] = len(tids)
-            self.buffer.write(page_id, (np.concatenate((tids, new_tid)),
-                                        np.concatenate((block_values, new_values))))
+            self.buffer.write(page_id, (tids, block_values))
         self.bids = np.append(self.bids, bid)
         return bid
 
@@ -110,19 +117,6 @@ class BaseBlockTable:
             return (np.empty(0, dtype=np.int64),
                     np.empty((0, len(self.dims)), dtype=np.float64))
         return self.buffer.read(page_id)
-
-    def block_tids(self, bid: int) -> List[int]:
-        """Tids of one base block (the single page read of :meth:`block_arrays`)."""
-        tids, _ = self.block_arrays(bid)
-        return [int(tid) for tid in tids]
-
-    def block_row_index(self, bid: int) -> Dict[int, int]:
-        """``{tid: row}`` positions inside :meth:`block_arrays` of ``bid``.
-
-        Derived metadata kept in step with the pages by construction and
-        :meth:`insert` (no I/O is charged).
-        """
-        return self._row_index.get(int(bid), {})
 
     def bid_of_tid(self, tid: int) -> int:
         """Base block that tuple ``tid`` was assigned to."""

@@ -1,25 +1,44 @@
 """Cuboid storage for the grid ranking cube (Section 3.2.3).
 
 A *cuboid* is named by its selection dimensions (e.g. ``A1A2_N1N2``) and
-stores, for every (cell, pseudo block) combination, the list of
-``(tid, bid)`` pairs of tuples that fall in that cell and pseudo block.
-Each such list occupies one page, mirroring the thesis' clustered index on
-``(selection dims, pid)``.
+stores, for every (cell, pseudo block) combination, the tuples that fall in
+that cell and pseudo block.  Each combination occupies one page, mirroring
+the thesis' clustered index on ``(selection dims, pid)``.
+
+Page layout: a page is the pair ``(tids int64[n], bids int64[n])`` — entry
+``i`` says tuple ``tids[i]`` lies in base block ``bids[i]`` — in ascending
+tid order, sized at 16 bytes per entry.  Pages are immutable once handed
+out: the arrays are stored ``writeable=False`` and a writer replaces the
+pair instead of touching it, so a reader may keep what
+:meth:`Cuboid.get_pseudo_block` returned across an insert.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import CubeError
 from repro.partition.grid import GridPartition
 from repro.storage.buffer import BufferPool
-from repro.storage.pager import Pager, estimate_size
+from repro.storage.pager import Pager
 from repro.storage.table import Relation
 
 CellKey = Tuple[int, ...]
+#: One cuboid page: ``(tids, bids)``, see the module docstring.
+CuboidPage = Tuple[np.ndarray, np.ndarray]
+#: Stored size of one ``(tid, bid)`` page entry.
+ENTRY_BYTES = 16
+
+
+def _read_only(values) -> np.ndarray:
+    array = np.asarray(values, dtype=np.int64)
+    array.flags.writeable = False
+    return array
+
+
+_EMPTY_PAGE: CuboidPage = (_read_only([]), _read_only([]))
 
 
 class Cuboid:
@@ -60,14 +79,16 @@ class Cuboid:
         starts = np.concatenate(([0], np.flatnonzero(changed) + 1))
         ends = np.concatenate((starts[1:], [len(order)]))
         first_seen = np.argsort(order[starts], kind="stable")
-        tids = order.tolist()
-        tid_bids = bids[order].tolist()
+        # Pages are slices of the two sorted arrays: views, never copies.
+        tids = _read_only(order)
+        tid_bids = _read_only(bids[order])
         group_keys = [key[starts].tolist() for key in keys]
         for group in first_seen.tolist():
             start, end = int(starts[group]), int(ends[group])
             cell: CellKey = tuple(key[group] for key in group_keys[:-1])
             self._pages[(cell, group_keys[-1][group])] = self.pager.allocate(
-                list(zip(tids[start:end], tid_bids[start:end])))
+                (tids[start:end], tid_bids[start:end]),
+                size=ENTRY_BYTES * (end - start))
 
     # ------------------------------------------------------------------
     # maintenance
@@ -77,28 +98,32 @@ class Cuboid:
 
         ``tid`` must exceed every tid already stored, so page order stays
         tid order.  One page write (a fresh page for an unseen cell or an
-        empty pseudo block).  The scale factor keeps its build-time value:
-        it only decides how base blocks group into pages, never an answer.
+        empty pseudo block) of a *new* array pair — the pair a reader holds
+        is never touched.  The scale factor keeps its build-time value: it
+        only decides how base blocks group into pages, never an answer.
         """
         key = (self.cell_of_predicate(row),
                self.grid.pid_of_bid(bid, self.scale_factor))
-        entry = (tid, bid)
         page_id = self._pages.get(key)
+        tids, bids = (_EMPTY_PAGE if page_id is None
+                      else self.buffer.read(page_id))
+        page = (_read_only(np.concatenate((tids, (tid,)))),
+                _read_only(np.concatenate((bids, (bid,)))))
+        size = ENTRY_BYTES * len(page[0])
         if page_id is None:
-            self._pages[key] = self.buffer.allocate([entry])
+            self._pages[key] = self.buffer.allocate(page, size=size)
         else:
-            self.buffer.write(
-                page_id, self.buffer.read(page_id) + [entry],
-                size=self.pager.page_bytes(page_id) + estimate_size(entry))
+            self.buffer.write(page_id, page, size=size)
 
     # ------------------------------------------------------------------
     # data access method: get_pseudo_block (Section 3.3.1)
     # ------------------------------------------------------------------
-    def get_pseudo_block(self, cell: CellKey, pid: int) -> List[Tuple[int, int]]:
-        """``(tid, bid)`` list of one (cell, pseudo block), one page read."""
+    def get_pseudo_block(self, cell: CellKey, pid: int) -> CuboidPage:
+        """The ``(tids, bids)`` page of one (cell, pseudo block), one page
+        read (an empty pair, for free, when nothing was ever stored there)."""
         page_id = self._pages.get((tuple(cell), int(pid)))
         if page_id is None:
-            return []
+            return _EMPTY_PAGE
         return self.buffer.read(page_id)
 
     def cell_of_predicate(self, conditions: Mapping[str, int]) -> CellKey:
@@ -114,11 +139,9 @@ class Cuboid:
         return len(self._pages)
 
     def size_in_bytes(self) -> int:
-        """Estimated size of this cuboid's pages."""
-        total = 0
-        for page_id in self._pages.values():
-            total += len(self.pager.read(page_id, physical=False)) * 16
-        return total
+        """Stored size of this cuboid's pages (``ENTRY_BYTES`` per entry)."""
+        return sum(self.pager.page_bytes(page_id)
+                   for page_id in self._pages.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Cuboid({self.name}, sf={self.scale_factor}, pages={len(self._pages)})"

@@ -58,6 +58,27 @@ class TopKAccumulator:
                                        and tid < -self._heap[0][1]):
                 heapq.heapreplace(self._heap, (-score, -tid))
 
+    def offer_many(self, tids: np.ndarray, scores: np.ndarray) -> None:
+        """Consider aligned arrays of scored tuples: :meth:`offer` in bulk.
+
+        Candidates that cannot be retained are cut as arrays and only the
+        survivors walk the heap.  The retained set is the k best under
+        ``(score, tid)`` whatever the arrival order, so the outcome is that
+        of offering every tuple one by one.
+        """
+        if len(self._heap) >= self.k:
+            # <=, not <: a tie with the k-th score still enters when its
+            # tid is smaller.
+            keep = scores <= -self._heap[0][0]
+            tids, scores = tids[keep], scores[keep]
+        if len(tids) > self.k:
+            # Ties at the cut are decided by tid, hence a full lexsort
+            # rather than a partition on score alone.
+            best = np.lexsort((tids, scores))[:self.k]
+            tids, scores = tids[best], scores[best]
+        for tid, score in zip(tids.tolist(), scores.tolist()):
+            self.offer(tid, score)
+
     @property
     def kth_score(self) -> float:
         """Current k-th best score (``+inf`` until k tuples have been seen)."""
@@ -119,6 +140,22 @@ def find_start_block(grid: GridPartition, function: RankingFunction) -> int:
         return 0
     point = {dim: best_corner.get(dim, domain.interval(dim).low) for dim in grid.dims}
     return grid.bid_of_point(point)
+
+
+def _rows_of(block_tids: np.ndarray, tids: np.ndarray):
+    """Rows of ``tids`` on a base-block page, and the tids the page holds.
+
+    Both arrays ascend, so a row is one ``searchsorted``; a tid the page
+    does not hold is dropped.  The unfiltered provider hands out the
+    page's own array, recognised by identity: every row, in page order.
+    """
+    if tids is block_tids:
+        return slice(None), tids
+    rows = block_tids.searchsorted(tids)
+    held = block_tids.take(rows, mode="clip") == tids
+    if not held.all():
+        rows, tids = rows[held], tids[held]
+    return rows, tids
 
 
 class _SweepState:
@@ -194,8 +231,9 @@ class GridTopKExecutor:
         shared scoring work is the saving.
 
         Per-result accounting: ``tuples_evaluated`` is each query's
-        *attributed* share of the unique scoring work (a tuple scored once
-        for three queries is charged to exactly one of them), so summing
+        *attributed* share of the unique scoring work (a row scored once
+        for three queries is charged to the first of them, by a per-block
+        boolean mask of the rows already charged), so summing
         the group's results counts shared work once.  What the query would
         evaluate alone lands in ``extra["tuples_evaluated"]`` — recorded
         only for groups of two or more, for a lone query it is the field
@@ -241,7 +279,7 @@ class GridTopKExecutor:
             if len(frontier) > peak_frontier:
                 peak_frontier = len(frontier)
             unseen_score, bid = frontier[0]
-            needs: List[Tuple[_SweepState, List[int]]] = []
+            needs: List[Tuple[_SweepState, np.ndarray]] = []
             for state in states:
                 if not state.live:
                     continue
@@ -266,7 +304,7 @@ class GridTopKExecutor:
                     live -= 1
                     continue
                 tids = state.provider.tids_in_block(bid)
-                if tids:
+                if len(tids):
                     needs.append((state, tids))
             if not live:
                 break
@@ -275,45 +313,36 @@ class GridTopKExecutor:
 
             if needs:
                 block_tids, block_values = self.block_table.block_arrays(bid)
+                if not whole_grid:
+                    block_values = block_values[:, dim_index]
                 if len(needs) == 1:
-                    union = needs[0][1]
+                    # Single consumer: score its rows straight into its
+                    # accumulator — no union, no attribution mask.
+                    state, tids = needs[0]
+                    rows, tids = _rows_of(block_tids, tids)
+                    state.topk.offer_many(
+                        tids, function.evaluate_batch(block_values[rows]))
+                    state.tuples += len(tids)
+                    state.charged += len(tids)
                 else:
-                    seen: Set[int] = set()
-                    union = [tid for _, tids in needs for tid in tids
-                             if not (tid in seen or seen.add(tid))]
-                if (len(union) == len(block_tids)
-                        and np.array_equal(union, block_tids)):
-                    # Unfiltered block: every row qualifies, in page order.
-                    kept = union
-                    selected = block_values
-                else:
-                    row_of = self.block_table.block_row_index(bid)
-                    kept = [tid for tid in union if tid in row_of]
-                    selected = block_values[[row_of[tid] for tid in kept]]
-                if kept:
-                    if not whole_grid:
-                        selected = selected[:, dim_index]
-                    scores = function.evaluate_batch(selected).tolist()
-                    if len(needs) == 1:
-                        # Single consumer: feed the accumulator directly —
-                        # no per-tuple dict.
-                        state = needs[0][0]
-                        offer = state.topk.offer
-                        for tid, score in zip(kept, scores):
-                            offer(tid, score)
-                        state.tuples += len(kept)
-                        state.charged += len(kept)
-                    else:
-                        score_of = dict(zip(kept, scores))
-                        charged: Set[int] = set()
-                        for state, tids in needs:
-                            mine = [tid for tid in tids if tid in score_of]
-                            for tid in mine:
-                                state.topk.offer(tid, score_of[tid])
-                            state.tuples += len(mine)
-                            fresh = set(mine) - charged
-                            state.charged += len(fresh)
-                            charged |= fresh
+                    # The union of the needed rows is scored once; a
+                    # consumer takes its rows' scores and is charged for
+                    # the rows no earlier consumer was charged for.
+                    wanted = np.zeros(len(block_tids), dtype=bool)
+                    takers = []
+                    for state, tids in needs:
+                        rows, tids = _rows_of(block_tids, tids)
+                        wanted[rows] = True
+                        takers.append((state, rows, tids))
+                    scores = np.empty(len(block_tids), dtype=np.float64)
+                    scores[wanted] = function.evaluate_batch(block_values[wanted])
+                    charged = np.zeros(len(block_tids), dtype=bool)
+                    for state, rows, tids in takers:
+                        state.topk.offer_many(tids, scores[rows])
+                        state.tuples += len(tids)
+                        state.charged += (len(tids)
+                                          - np.count_nonzero(charged[rows]))
+                        charged[rows] = True
 
             for neighbor in self.grid.neighbors(bid):
                 if neighbor in inserted:

@@ -21,11 +21,27 @@ one of two modes:
 Both modes see the same candidate *set*; only the winner may differ.
 Every decision is recorded on the returned
 :class:`repro.engine.plan.QueryPlan`.
+
+Plan once per shape
+-------------------
+A costed decision is a function of a top-k query's function dims and
+shape, ``k`` and predicate *dims* (a skyline's preference dims and whether
+it is dynamic); predicate *values* enter only through the profile's
+selectivity (0 when a value is provably absent).  The planner keeps each
+decision under that key and hands every caller a fresh :class:`QueryPlan`
+over a copy of its details.  Kept decisions live as long as what they were
+derived from: the registered backends and their priorities, the cost model
+object, and the profile of every relation a backend answers over — the
+object the statistics provider hands out, which every invalidation
+replaces, plus its row count, which an in-place fold
+(``ShardStatistics.add_row``) raises.  Any difference drops them all; no
+hook exists.  Lists the cost model cannot price (custom adapters, joins)
+and static mode are decided afresh every time.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import PlanningError
 
@@ -69,10 +85,55 @@ class Planner:
         self.cost_model = cost_model or CostModel()
         self.statistics = statistics or StatisticsCatalog().of
         self.mode = mode
+        #: ``(what they were derived from, key -> decision)``, swapped as
+        #: one pair: a racing thread stores into the dict it looked up in.
+        self._kept: Tuple[list, Dict[tuple, QueryPlan]] = ([], {})
 
     def plan(self, query) -> QueryPlan:
         """Choose a backend for ``query`` and explain the choice."""
         kind = kind_of(query)
+        kept, key = self._kept_for(kind, query)
+        decision = kept.get(key)
+        if decision is None:
+            decision = self._decide(kind, query)
+            # A list the cost model could not price was decided by code
+            # the planner cannot see into: never kept.
+            if key is not None and decision.mode == MODE_COST:
+                kept[key] = decision
+        # A fresh plan over copied details: callers may annotate theirs.
+        return QueryPlan(decision.backend, kind, decision.reason,
+                         dict(decision.details), decision.candidates,
+                         decision.mode, decision.estimates)
+
+    def _kept_for(self, kind: str, query) -> Tuple[Dict, Optional[tuple]]:
+        """The decisions still valid, and the key of ``query`` among them
+        (``None``: not to be kept).  See the module docstring."""
+        if self.mode != MODE_COST or kind not in (KIND_TOPK, KIND_SKYLINE):
+            return {}, None
+        basis: list = [self.cost_model]
+        profiles = {}
+        for backend in self.registry:
+            basis += (backend, backend.priority)
+            relation = backend.relation
+            if relation is not None and id(relation) not in profiles:
+                profile = profiles[id(relation)] = self.statistics(relation)
+                if profile is None:
+                    return {}, None
+                basis += (profile, profile.num_tuples)
+        derived_from, kept = self._kept
+        if derived_from != basis:
+            kept = {}
+            self._kept = (basis, kept)
+        predicate = query.predicate
+        if kind == KIND_TOPK:
+            shape = (tuple(query.function.dims), query.function.shape, query.k)
+        else:
+            shape = (tuple(query.preference_dims), query.is_dynamic)
+        return kept, (kind, shape, predicate.dims) + tuple(
+            profile.selectivity(predicate) for profile in profiles.values())
+
+    def _decide(self, kind: str, query) -> QueryPlan:
+        """Derive the decision for ``query`` from scratch."""
         serving = self.registry.backends_for(kind)
         if not serving:
             raise PlanningError(f"no backend registered for {kind!r} queries")

@@ -11,6 +11,11 @@ The class below owns the bin boundaries (the cube's *meta information*),
 maps points to bids/pids, exposes the geometric box of any block (used for
 ranking-function lower bounds), and enumerates block neighborhoods (Lemma 1
 expansion in the query algorithm).
+
+A grid never changes after construction (a cube that outgrows its grid
+builds a new one), so ``neighbors``, the un-projected ``block_box`` and
+``pid_of_bid`` are kept after their first derivation; nothing can
+invalidate them, so nothing does.
 """
 
 from __future__ import annotations
@@ -43,6 +48,11 @@ class GridPartition:
         self._bins_per_dim: Tuple[int, ...] = tuple(
             len(self.boundaries[d]) - 1 for d in self.dims
         )
+        # Derived-once geometry.  Plain dict get / set: a sweep on another
+        # thread can at worst derive an entry twice.
+        self._boxes: Dict[int, Box] = {}
+        self._neighbors: Dict[int, Tuple[int, ...]] = {}
+        self._pids: Dict[Tuple[int, int], int] = {}
 
     # ------------------------------------------------------------------
     # basic shape
@@ -116,28 +126,34 @@ class GridPartition:
     # ------------------------------------------------------------------
     def block_box(self, bid: int, dims: Optional[Sequence[str]] = None) -> Box:
         """Axis-aligned box of a base block, optionally projected onto ``dims``."""
-        coords = self.coords_of_bid(bid)
-        intervals: Dict[str, Interval] = {}
-        for dim, coord in zip(self.dims, coords):
-            bounds = self.boundaries[dim]
-            intervals[dim] = Interval(float(bounds[coord]), float(bounds[coord + 1]))
-        box = Box(intervals)
+        box = self._boxes.get(bid)
+        if box is None:
+            coords = self.coords_of_bid(bid)
+            intervals: Dict[str, Interval] = {}
+            for dim, coord in zip(self.dims, coords):
+                bounds = self.boundaries[dim]
+                intervals[dim] = Interval(float(bounds[coord]),
+                                          float(bounds[coord + 1]))
+            box = self._boxes[bid] = Box(intervals)
         if dims is not None:
             box = box.project(dims)
         return box
 
-    def neighbors(self, bid: int) -> List[int]:
+    def neighbors(self, bid: int) -> Tuple[int, ...]:
         """Base blocks sharing a face with ``bid`` (±1 along one dimension)."""
-        coords = self.coords_of_bid(bid)
-        result: List[int] = []
-        for axis, count in enumerate(self._bins_per_dim):
-            for delta in (-1, 1):
-                coord = coords[axis] + delta
-                if 0 <= coord < count:
-                    neighbor = list(coords)
-                    neighbor[axis] = coord
-                    result.append(self.bid_of_coords(neighbor))
-        return result
+        kept = self._neighbors.get(bid)
+        if kept is None:
+            coords = self.coords_of_bid(bid)
+            result: List[int] = []
+            for axis, count in enumerate(self._bins_per_dim):
+                for delta in (-1, 1):
+                    coord = coords[axis] + delta
+                    if 0 <= coord < count:
+                        neighbor = list(coords)
+                        neighbor[axis] = coord
+                        result.append(self.bid_of_coords(neighbor))
+            kept = self._neighbors[bid] = tuple(result)
+        return kept
 
     def iter_bids(self) -> Iterator[int]:
         """Iterate over every base-block id."""
@@ -157,11 +173,15 @@ class GridPartition:
 
     def pid_of_bid(self, bid: int, scale_factor: int) -> int:
         """Pseudo-block id of a base block under a given scale factor."""
-        coords = self.coords_of_bid(bid)
-        pseudo_counts = self.pseudo_bins_per_dim(scale_factor)
-        pid = 0
-        for coord, pseudo_count in zip(coords, pseudo_counts):
-            pid = pid * pseudo_count + min(coord // scale_factor, pseudo_count - 1)
+        pid = self._pids.get((bid, scale_factor))
+        if pid is None:
+            coords = self.coords_of_bid(bid)
+            pseudo_counts = self.pseudo_bins_per_dim(scale_factor)
+            pid = 0
+            for coord, pseudo_count in zip(coords, pseudo_counts):
+                pid = pid * pseudo_count + min(coord // scale_factor,
+                                               pseudo_count - 1)
+            self._pids[(bid, scale_factor)] = pid
         return pid
 
     def pids_of_bids(self, bids: np.ndarray, scale_factor: int) -> np.ndarray:

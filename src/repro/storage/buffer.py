@@ -56,9 +56,11 @@ class BufferPool:
         if page_id in self._cache or self.capacity <= 0 or len(self._cache) < self.capacity:
             self._insert(page_id, payload)
 
-    def allocate(self, payload: Any = None) -> int:
-        """Allocate a new page through the pager and cache it."""
-        page_id = self.pager.allocate(payload)
+    def allocate(self, payload: Any = None, *,
+                 size: Optional[int] = None) -> int:
+        """Allocate a new page through the pager (``size`` as in
+        :meth:`Pager.allocate`) and cache it."""
+        page_id = self.pager.allocate(payload, size=size)
         self._insert(page_id, payload)
         return page_id
 

@@ -176,9 +176,8 @@ class Pager:
               size: Optional[int] = None) -> None:
         """Overwrite the payload of an existing page.
 
-        ``size`` is ``estimate_size(payload)`` when the caller already
-        knows it — a list page that grew by one entry grew by that entry's
-        estimate (see :meth:`page_bytes`), no need to walk the whole page.
+        ``size`` replaces ``estimate_size(payload)`` when the caller knows
+        the page's stored size (array pages: bytes per entry times entries).
         """
         if page_id not in self._pages:
             raise PageNotFoundError(page_id)

@@ -6,7 +6,15 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.cube import RankingCube, build_ranking_fragments
+from repro.cube.providers import (
+    CuboidCellProvider,
+    IntersectionCellProvider,
+    UnfilteredCellProvider,
+)
+from repro.cube.query import TopKAccumulator
 from repro.geometry import Box
+from repro.partition.grid import GridPartition
 from repro.query import Predicate, SkylineQuery
 from repro.signature import Signature, SignatureRankingCube, SignatureStore
 from repro.signature.encoding import adaptive_code_bits, encode_adaptive
@@ -245,3 +253,147 @@ class TestMaintenanceClearsBeforeItSets:
                 relation.ranking_dims,
                 targets=tuple(rng.random(2)) if number % 2 else None)
             assert engine.query(query).tids == baseline.query(query).tids, query
+
+
+# ----------------------------------------------------------------------
+# the grid cube's columnar pages
+# ----------------------------------------------------------------------
+# Three distinct scores: ties at the k-th position and at the lexsort cut
+# are the common case, so the tid tie-break decides most examples.
+scored_tuples = st.lists(st.integers(0, 80), unique=True, max_size=50).flatmap(
+    lambda tids: st.tuples(
+        st.just(tids),
+        st.lists(st.sampled_from([0.25, 0.5, 0.5, 1.0]),
+                 min_size=len(tids), max_size=len(tids))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(scored_tuples, st.integers(1, 60),
+       st.lists(st.integers(1, 30), min_size=1, max_size=8))
+def test_offer_many_is_offer_one_by_one(scored, k, chunk_sizes):
+    """Whatever the chunking (chunks above and below ``k``, ``k`` beyond the
+    input), the bulk path retains what the per-tuple path retains."""
+    tids, scores = scored
+    one_by_one, bulk = TopKAccumulator(k), TopKAccumulator(k)
+    start = 0
+    for number in range(len(tids) + 1):
+        size = chunk_sizes[number % len(chunk_sizes)]
+        chunk = slice(start, start + size)
+        for tid, score in zip(tids[chunk], scores[chunk]):
+            one_by_one.offer(tid, score)
+        bulk.offer_many(np.array(tids[chunk], dtype=np.int64),
+                        np.array(scores[chunk], dtype=np.float64))
+        assert bulk.ranked() == one_by_one.ranked()
+        assert bulk.kth_score == one_by_one.kth_score
+        assert len(bulk) == len(one_by_one)
+        for bound in (0.25, 0.5, 1.0, float("inf")):
+            assert (bulk.verified_count(bound)
+                    == one_by_one.verified_count(bound))
+        start += size
+        if start >= len(tids):
+            break
+    assert all(type(tid) is int and type(score) is float
+               for tid, score in bulk.ranked())
+
+
+PROVIDER_SPEC = SyntheticSpec(num_tuples=400, num_selection_dims=3,
+                              num_ranking_dims=2, cardinality=3, seed=31)
+
+
+def _assert_provider_is_brute_force(cube, provider, predicate):
+    relation, table = cube.relation, cube.block_table
+    matches = relation.mask_equal(predicate.as_dict)
+    provider.reset()
+    for bid in cube.grid.iter_bids():
+        tids = provider.tids_in_block(bid)
+        assert isinstance(tids, np.ndarray) and tids.dtype == np.int64
+        assert (np.diff(tids) > 0).all()  # ascending, no duplicates
+        assert np.isin(tids, table.block_arrays(bid)[0]).all()
+        assert tids.tolist() == np.flatnonzero(
+            matches & (table.bids == bid)).tolist()
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 6))
+def test_providers_hand_out_the_brute_force_tids_ascending(seed):
+    rng = np.random.default_rng(seed)
+    relation = generate_relation(PROVIDER_SPEC)
+    cubes = [RankingCube(relation, block_size=25),
+             build_ranking_fragments(relation, fragment_size=1, block_size=25)]
+    values = {dim: int(rng.integers(0, 3)) for dim in relation.selection_dims}
+    predicates = [Predicate.of(), Predicate.of(A2=values["A2"]),
+                  Predicate.of(A1=values["A1"], A3=values["A3"]),
+                  Predicate.of(values), Predicate.of(A1=values["A1"], A2=7)]
+    expected_kinds = [
+        {UnfilteredCellProvider, CuboidCellProvider},
+        {UnfilteredCellProvider, CuboidCellProvider, IntersectionCellProvider}]
+
+    def check():
+        for cube, kinds in zip(cubes, expected_kinds):
+            seen = set()
+            for predicate in predicates:
+                provider = cube.provider_for(predicate)
+                seen.add(type(provider))
+                _assert_provider_is_brute_force(cube, provider, predicate)
+            assert seen == kinds
+
+    check()
+    domain = cubes[0].grid.domain()  # one relation, one block size: one grid
+    for _ in range(40):
+        # Codes run 0..2: a 3 opens cells no page exists for yet.
+        row = {dim: int(rng.integers(0, 4)) for dim in relation.selection_dims}
+        for dim in relation.ranking_dims:
+            interval = domain.interval(dim)
+            row[dim] = float(rng.uniform(interval.low, interval.high))
+        tid = relation.append(row)
+        for cube in cubes:
+            cube.insert(tid, row)
+    check()
+
+
+def test_an_empty_first_fragment_spares_the_second_fragments_pages():
+    relation = generate_relation(PROVIDER_SPEC)
+    cube = build_ranking_fragments(relation, fragment_size=1, block_size=25)
+    probe = cube.provider_for(Predicate.of(A1=0, A2=0))
+    assert isinstance(probe, IntersectionCellProvider)
+    first, second = (p.cuboid.dims[0] for p in probe.providers)
+    provider = cube.provider_for(Predicate.of({first: 99, second: 0}))
+    spared = provider.providers[1].cuboid.buffer
+    reads = spared.hits + spared.misses
+    for bid in cube.grid.iter_bids():
+        assert provider.tids_in_block(bid).tolist() == []
+    assert spared.hits + spared.misses == reads
+    # The other way round the second fragment is read, and still nothing
+    # qualifies.
+    provider = cube.provider_for(Predicate.of({first: 0, second: 99}))
+    assert all(not len(provider.tids_in_block(bid))
+               for bid in cube.grid.iter_bids())
+    assert spared.hits + spared.misses == reads
+
+
+boundaries = st.lists(st.integers(0, 40), min_size=2, max_size=6,
+                      unique=True).map(lambda cuts: sorted(c / 8 for c in cuts))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(boundaries, min_size=1, max_size=3), st.integers(0, 2))
+def test_kept_grid_geometry_is_what_a_fresh_grid_derives(cuts, single_bin):
+    """1-, 2- and 3-dim grids, one dimension forced down to a single bin."""
+    cuts = [list(c) for c in cuts]
+    if single_bin < len(cuts):
+        cuts[single_bin] = cuts[single_bin][:2]
+    dims = [f"N{i}" for i in range(len(cuts))]
+    bounds = {dim: np.array(c) for dim, c in zip(dims, cuts)}
+    grid = GridPartition(dims, bounds)
+    for bid in grid.iter_bids():
+        fresh = GridPartition(dims, bounds)
+        for _ in range(2):  # first derivation, then the kept value
+            assert grid.neighbors(bid) == fresh.neighbors(bid)
+            assert grid.block_box(bid) == fresh.block_box(bid)
+            assert (grid.block_box(bid, dims=dims[:1])
+                    == fresh.block_box(bid).project(dims[:1]))
+            for scale_factor in (1, 2, 3):
+                assert (grid.pid_of_bid(bid, scale_factor)
+                        == fresh.pid_of_bid(bid, scale_factor))
+        # What is kept cannot be changed through what is handed out.
+        assert isinstance(grid.neighbors(bid), tuple)

@@ -84,10 +84,9 @@ class TestWorkedExample:
         cuboid = cube.cuboids[("A1", "A2")]
         bid = int(grid.assign(relation)[0])
         pid = grid.pid_of_bid(bid, cuboid.scale_factor)
-        entries = cuboid.get_pseudo_block((1, 1), pid)
-        tids = {tid for tid, _ in entries}
+        tids, _ = cuboid.get_pseudo_block((1, 1), pid)
         # t1, t3 and t4 all fall in the first pseudo block of cell (1, 1).
-        assert tids == {0, 2, 3}
+        assert tids.tolist() == [0, 2, 3]
 
     def test_query_with_single_condition_uses_smaller_cuboid(self, example_setup):
         relation, _, cube = example_setup

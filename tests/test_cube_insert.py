@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.cube import RankingCube
-from repro.cube.model import Cuboid
+from repro.cube.model import ENTRY_BYTES, Cuboid
 from repro.engine import Executor
 from repro.errors import CubeError
 from repro.functions.distance import SquaredDistanceFunction
@@ -69,16 +69,21 @@ def test_vectorised_build_lays_out_the_loop_builds_pages(spec):
         expected = reference_pages(dims, relation, grid, bids,
                                    cuboid.scale_factor)
         reference_pager = Pager()
-        expected_ids = {key: reference_pager.allocate(entries)
-                        for key, entries in expected.items()}
+        expected_ids = {
+            key: reference_pager.allocate(entries,
+                                          size=ENTRY_BYTES * len(entries))
+            for key, entries in expected.items()}
         # Same keys, allocated in the same order under the same page ids.
         assert list(cuboid._pages.items()) == list(expected_ids.items())
         for key, entries in expected.items():
             page = pager.read(cuboid._pages[key], physical=False)
-            assert page == entries
-            assert all(type(v) is int for entry in page for v in entry)
+            # Same entries in the same order, as two read-only columns.
+            assert all(column.dtype == np.int64 and column.ndim == 1
+                       and not column.flags.writeable for column in page)
+            np.testing.assert_array_equal(np.column_stack(page), entries)
             assert all(type(v) is int for v in key[0]) and type(key[1]) is int
         assert pager.total_bytes() == reference_pager.total_bytes()
+        assert cuboid.size_in_bytes() == ENTRY_BYTES * relation.num_tuples
 
 
 # ----------------------------------------------------------------------
@@ -164,22 +169,53 @@ def test_insert_costs_one_write_per_structure_and_keeps_sizes_exact():
         cube.insert(relation.append(row), row)
         after = cube.pager.stats.writes + cube.block_table.pager.stats.writes
         assert after - before == 1 + cube.num_cuboids()
-    # The size ledger, advanced by one entry's estimate per write, equals
-    # a from-scratch estimate of every page.
-    for pager in (cube.pager, cube.block_table.pager):
-        assert pager.total_bytes() == sum(
-            estimate_size(pager.read(page_id, physical=False))
-            for page_id in pager.page_ids())
-    # Base-block pages stay in tid order with the row index in step.
+    # The size ledger, advanced per write, equals the from-scratch size of
+    # every page: 16 B per cuboid entry (fresh pages of unseen cells
+    # included), the estimate of the arrays for base blocks.
+    assert cube.pager.total_bytes() == sum(
+        ENTRY_BYTES * len(cube.pager.read(page_id, physical=False)[0])
+        for page_id in cube.pager.page_ids())
+    assert sum(c.size_in_bytes() for c in cube.cuboids.values()) == \
+        cube.pager.total_bytes()
     table = cube.block_table
+    assert table.pager.total_bytes() == sum(
+        estimate_size(table.pager.read(page_id, physical=False))
+        for page_id in table.pager.page_ids())
+    # Base-block pages stay in strict tid order, so a binary search finds
+    # every tid at its row — no side index to keep in step.
     for bid in table.non_empty_bids():
         tids, values = table.block_arrays(bid)
-        assert list(tids) == sorted(tids)
-        assert table.block_row_index(bid) == {
-            int(tid): i for i, tid in enumerate(tids)}
+        assert (np.diff(tids) > 0).all()
+        assert tids.searchsorted(tids).tolist() == list(range(len(tids)))
         np.testing.assert_array_equal(
             values, relation.ranking_values_bulk(tids, table.dims))
     assert np.array_equal(table.bids, cube.grid.assign(relation))
+
+
+def test_pages_handed_out_before_an_insert_are_unchanged_and_read_only():
+    relation = generate_relation(SPEC)
+    cube = RankingCube(relation, block_size=40)
+    row = in_domain_row(relation, cube.grid, np.random.default_rng(15))
+    bid = cube.grid.bid_of_point(row)
+    cuboid = cube.cuboids[("A1",)]
+    cell = cuboid.cell_of_predicate(row)
+    pid = cube.grid.pid_of_bid(bid, cuboid.scale_factor)
+    held = (cuboid.get_pseudo_block(cell, pid)
+            + cube.block_table.block_arrays(bid))
+    before = [array.copy() for array in held]
+    tid = relation.append(row)
+    cube.insert(tid, row)
+    for array, copy in zip(held, before):
+        np.testing.assert_array_equal(array, copy)
+    # The writer replaced the pairs; the new ones end with the new row.
+    after = (cuboid.get_pseudo_block(cell, pid)
+             + cube.block_table.block_arrays(bid))
+    assert [len(array) for array in after] == [len(a) + 1 for a in held]
+    assert after[0][-1] == after[2][-1] == tid and after[1][-1] == bid
+    for array in held + after:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 def test_unseen_cell_and_empty_block_get_fresh_pages():
