@@ -47,9 +47,7 @@ def build_engine():
                                  with_signature=False, with_skyline=False)
 
 
-async def interactive_session(port: int) -> None:
-    client = AsyncQueryClient("127.0.0.1", port, client_id="dashboard",
-                              priority="interactive")
+async def interactive_session(client: AsyncQueryClient) -> None:
     function = LinearFunction(["N1", "N2"], [1.0, 2.0])
     result = await client.query(TopKQuery(Predicate.of(A1=2), function, 5))
     print(f"[interactive] top-5 for A1=2: {result.tids}")
@@ -66,9 +64,7 @@ async def interactive_session(port: int) -> None:
           f"{named.tids}")
 
 
-async def throttled_session(port: int) -> None:
-    client = AsyncQueryClient("127.0.0.1", port, client_id="crawler",
-                              priority="background")
+async def throttled_session(client: AsyncQueryClient) -> None:
     function = LinearFunction(["N1", "N2"], [3.0, 1.0])
     query = TopKQuery(Predicate.of(), function, 3)
     served = bounced = 0
@@ -84,8 +80,7 @@ async def throttled_session(port: int) -> None:
           f"{bounced} bounced with 429 (Retry-After ≈ {retry_after:.2f}s)")
 
 
-async def streaming_session(port: int) -> None:
-    client = AsyncQueryClient("127.0.0.1", port, client_id="ticker")
+async def streaming_session(client: AsyncQueryClient) -> None:
     function = LinearFunction(["N1", "N2"], [2.0, 3.0])
     query = TopKQuery(Predicate.of(), function, 10)
 
@@ -114,14 +109,24 @@ async def main() -> None:
             # Only the crawler gets a bucket; everyone else is unlimited.
             server.limiter.configure("crawler", rate=5.0, burst=4.0)
             print(f"serving on 127.0.0.1:{server.port}\n")
-            await interactive_session(server.port)
+
+            def client(client_id: str, priority=None) -> AsyncQueryClient:
+                return AsyncQueryClient("127.0.0.1", server.port,
+                                        client_id=client_id,
+                                        priority=priority)
+
+            # Each client keeps its connection between calls; ``async
+            # with`` closes it.
+            async with client("dashboard", "interactive") as dashboard:
+                await interactive_session(dashboard)
             print()
-            await throttled_session(server.port)
+            async with client("crawler", "background") as crawler:
+                await throttled_session(crawler)
             print()
-            await streaming_session(server.port)
-            print()
-            metrics = await AsyncQueryClient(
-                "127.0.0.1", server.port).metrics_text()
+            async with client("ticker") as ticker:
+                await streaming_session(ticker)
+                print()
+                metrics = await ticker.metrics_text()
             interesting = [line for line in metrics.splitlines()
                            if line.startswith("repro_net_")
                            and not line.startswith("#")]

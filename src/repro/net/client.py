@@ -25,20 +25,38 @@ from repro.net.protocol import (
     decode_error,
     decode_result,
     encode_query,
+    read_head,
+    ws_mask,
 )
 from repro.net.stream import StreamAssembler
 
 _WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 
+#: Idle keep-alive connections one client keeps; a burst of concurrent
+#: calls may open more, the surplus is closed as the calls finish.
+MAX_IDLE_CONNECTIONS = 16
+
+
+class _NoReply(RemoteServerError):
+    """The peer closed the connection before the first byte of a reply."""
+
 
 class AsyncQueryClient:
     """One logical client (one ``client_id``) against one server.
 
-    Plain request/response calls open short-lived connections (the
-    server supports keep-alive, but independent connections keep the
-    client trivially safe under ``asyncio.gather``); :meth:`stream`
-    consumes a chunked NDJSON response; :meth:`websocket` yields a
-    multiplexing session over a single upgraded socket.
+    Plain request/response calls reuse keep-alive connections: a call
+    takes an idle connection (or opens one), owns it until its response
+    is read to the last byte, and hands it back only if that response was
+    ``Content-Length``-framed and not ``Connection: close``.  So
+    ``asyncio.gather`` over one client is safe — N concurrent calls hold N
+    connections and no caller reads another's answer.  A kept connection
+    the server closed while it idled (EOF or a reset before the first
+    response byte) is dropped and the request re-sent once on a fresh one;
+    that is safe because no wire route writes — a future write route must
+    not be retried this way.  ``await client.close()`` / ``async with``
+    closes what is idle.  :meth:`stream` (a chunked NDJSON response) and
+    :meth:`websocket` (a multiplexing session over one upgraded socket)
+    each open and close a socket of their own.
     """
 
     def __init__(self, host: str, port: int, *,
@@ -50,6 +68,19 @@ class AsyncQueryClient:
         self.client_id = client_id
         self.priority = priority
         self.timeout = timeout
+        self._idle: List[Tuple[asyncio.StreamReader,
+                               asyncio.StreamWriter]] = []
+
+    async def close(self) -> None:
+        """Close the idle connections; a later call opens a new one."""
+        while self._idle:
+            await self._discard(self._idle.pop()[1])
+
+    async def __aenter__(self) -> "AsyncQueryClient":
+        return self
+
+    async def __aexit__(self, exc_type, exc, tb) -> None:
+        await self.close()
 
     # ------------------------------------------------------------------
     # low-level HTTP
@@ -61,7 +92,7 @@ class AsyncQueryClient:
         headers = {"Host": f"{self.host}:{self.port}",
                    "Content-Type": "application/json",
                    "Content-Length": str(len(body)),
-                   "Connection": "close"}
+                   "Connection": "keep-alive"}
         if self.client_id is not None:
             headers["X-Client-Id"] = self.client_id
         if self.priority is not None:
@@ -76,46 +107,73 @@ class AsyncQueryClient:
                        ) -> Tuple[int, Mapping[str, str], bytes]:
         body = json.dumps(payload).encode("utf-8") if payload is not None \
             else b""
-        reader, writer = await self._open()
+        message = (f"{method} {path} HTTP/1.1\r\n" + self._headers(body)
+                   + "\r\n").encode("latin-1") + body
+        kept = bool(self._idle)
+        reader, writer = self._idle.pop() if kept else await self._open()
+        reusable = False
         try:
-            writer.write((f"{method} {path} HTTP/1.1\r\n"
-                          + self._headers(body) + "\r\n").encode("latin-1")
-                         + body)
-            await writer.drain()
-            status, headers = await self._read_head(reader)
+            try:
+                status, headers = await self._send(reader, writer, message)
+            except (_NoReply, ConnectionError):
+                if not kept:
+                    raise
+                # The server closed this connection while it idled; nothing
+                # of a response arrived, so the request goes out once more.
+                await self._discard(writer)
+                reader, writer = await self._open()
+                status, headers = await self._send(reader, writer, message)
             if headers.get("transfer-encoding", "").lower() == "chunked":
                 chunks = [chunk async for chunk in self._iter_chunks(reader)]
                 return status, headers, b"".join(chunks)
-            length = int(headers.get("content-length", "0") or 0)
-            data = await reader.readexactly(length) if length \
+            declared = headers.get("content-length")
+            data = await reader.readexactly(int(declared)) if declared \
                 else await reader.read()
+            reusable = (bool(declared) and len(self._idle) < MAX_IDLE_CONNECTIONS
+                        and headers.get("connection", "").lower() != "close")
             return status, headers, data
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            # Kept only after a complete, length-framed answer: unread bytes
+            # on a kept connection would hand the next caller this answer.
+            if reusable:
+                self._idle.append((reader, writer))
+            else:
+                await self._discard(writer)
+
+    @classmethod
+    async def _send(cls, reader: asyncio.StreamReader,
+                    writer: asyncio.StreamWriter, message: bytes
+                    ) -> Tuple[int, Mapping[str, str]]:
+        """Write one request, read the head of its response."""
+        writer.write(message)
+        await writer.drain()
+        return await cls._read_head(reader)
+
+    @staticmethod
+    async def _discard(writer: asyncio.StreamWriter) -> None:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionError, OSError):
+            pass
 
     @staticmethod
     async def _read_head(reader: asyncio.StreamReader
                          ) -> Tuple[int, Mapping[str, str]]:
-        line = await reader.readline()
-        if not line:
-            raise RemoteServerError("server closed the connection "
-                                    "before sending a status line")
-        parts = line.decode("latin-1").split(None, 2)
+        try:
+            line, headers = await read_head(reader)
+        except asyncio.IncompleteReadError as eof:
+            if eof.partial:
+                raise RemoteServerError("server closed the connection "
+                                        "inside a response head")
+            raise _NoReply("server closed the connection "
+                           "before sending a status line")
+        except asyncio.LimitOverrunError:
+            raise ProtocolError("response head exceeds the reader's limit")
+        parts = line.split(None, 2)
         if len(parts) < 2 or not parts[1].isdigit():
             raise ProtocolError(f"malformed status line {line!r}")
-        status = int(parts[1])
-        headers = {}
-        while True:
-            raw = await reader.readline()
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = raw.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        return status, headers
+        return int(parts[1]), headers
 
     @staticmethod
     async def _iter_chunks(reader: asyncio.StreamReader
@@ -204,11 +262,10 @@ class AsyncQueryClient:
         reader, writer = await self._open()
         assembler = StreamAssembler()
         try:
-            writer.write(("POST /v1/query/stream HTTP/1.1\r\n"
-                          + self._headers(body) + "\r\n").encode("latin-1")
-                         + body)
-            await writer.drain()
-            status, headers = await self._read_head(reader)
+            status, headers = await self._send(
+                reader, writer, ("POST /v1/query/stream HTTP/1.1\r\n"
+                                 + self._headers(body)
+                                 + "\r\n").encode("latin-1") + body)
             if status != 200:
                 length = int(headers.get("content-length", "0") or 0)
                 data = await reader.readexactly(length) if length \
@@ -228,11 +285,7 @@ class AsyncQueryClient:
                     if done:
                         break
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            await self._discard(writer)
         if assembler.error is not None:
             raise assembler.error
         if not assembler.done:
@@ -311,11 +364,7 @@ class WebSocketSession:
             await self._writer.drain()
         except (ConnectionError, OSError):
             pass
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+        await AsyncQueryClient._discard(self._writer)
         self._reader = self._writer = None
 
     # -- framing (client→server frames must be masked) ------------------
@@ -330,8 +379,7 @@ class WebSocketSession:
         else:
             head += bytes([0x80 | 127]) + length.to_bytes(8, "big")
         mask = os.urandom(4)
-        masked = bytes(b ^ mask[i % 4] for i, b in enumerate(payload))
-        return head + mask + masked
+        return head + mask + ws_mask(payload, mask)
 
     async def _send(self, obj: Mapping) -> None:
         if self._writer is None:
@@ -361,8 +409,7 @@ class WebSocketSession:
             mask = await reader.readexactly(4) if masked else b""
             payload = await reader.readexactly(length) if length else b""
             if masked:
-                payload = bytes(b ^ mask[i % 4]
-                                for i, b in enumerate(payload))
+                payload = ws_mask(payload, mask)
             if opcode == 0x8:
                 return None
             if opcode == 0x9:  # server ping → masked pong

@@ -99,6 +99,35 @@ class RemoteServerError(ReproError):
         self.status = status
 
 
+async def read_head(reader) -> Tuple[str, Dict[str, str]]:
+    """One bounded read of an HTTP/1.1 head: ``(first line, headers)``.
+
+    Header names are lower-cased and the last duplicate wins.  The read is
+    bounded by the ``StreamReader``'s limit, and what ``readuntil`` raises
+    is the caller's to map: ``IncompleteReadError`` for an EOF (an empty
+    ``partial`` means before the first byte), ``LimitOverrunError`` for a
+    head above the limit — raised before any of it is parsed.
+    """
+    head = await reader.readuntil(b"\r\n\r\n")
+    first, *lines = head.decode("latin-1").split("\r\n")
+    headers: Dict[str, str] = {}
+    for line in lines:
+        if line:
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+    return first, headers
+
+
+def ws_mask(payload: bytes, mask: bytes) -> bytes:
+    """``payload`` XOR the 4-byte ``mask`` repeated (RFC 6455 §5.3; its own
+    inverse), as one big-integer XOR: a byte at a time costs 1.5 ms per
+    8.8 kB message."""
+    size = len(payload)
+    key = (mask * (size // 4 + 1))[:size]
+    return (int.from_bytes(payload, "big")
+            ^ int.from_bytes(key, "big")).to_bytes(size, "big")
+
+
 # ----------------------------------------------------------------------
 # predicates
 # ----------------------------------------------------------------------
@@ -475,6 +504,8 @@ __all__ = [
     "encode_query",
     "encode_result",
     "is_degraded",
+    "read_head",
     "retry_after_of",
     "status_of",
+    "ws_mask",
 ]

@@ -44,7 +44,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Set, Tuple
 
 from repro.net.protocol import (
     PROTOCOL_VERSION,
@@ -55,8 +55,10 @@ from repro.net.protocol import (
     decode_query,
     encode_error,
     encode_result,
+    read_head,
     retry_after_of,
     status_of,
+    ws_mask,
 )
 from repro.net.ratelimit import TokenBucketLimiter
 from repro.net.stream import error_frame, final_frame, prefix_frame
@@ -67,8 +69,24 @@ _WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 413: "Payload Too Large",
             429: "Too Many Requests",
+            431: "Request Header Fields Too Large",
             500: "Internal Server Error", 503: "Service Unavailable",
             504: "Gateway Timeout"}
+
+
+#: The head of almost every answer, built once (see ``_send_raw``).
+_OK_JSON_HEAD = (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                 b"Content-Length: %d\r\nConnection: keep-alive\r\n\r\n")
+
+
+@dataclass(eq=False)
+class _Connection:
+    """One accepted socket; ``close()`` may drop it while it is ``idle``,
+    i.e. awaiting a request head (an upgraded socket stays idle)."""
+
+    task: asyncio.Task
+    writer: asyncio.StreamWriter
+    idle: bool = True
 
 
 class _Unframed(Exception):
@@ -113,6 +131,12 @@ class QueryServer:
     clients rank by registered name; structural function encodings work
     without one.  ``metrics`` defaults to the service's registry so one
     scrape covers ``net.*``, ``serve.*``, and the engine.
+
+    The server owns every connection it accepted (``net.connections``
+    counts them) and serves requests on each until the peer closes it or
+    sends ``Connection: close``.  :meth:`close` stops the listener, closes
+    the idle connections at once, lets a busy one finish its answer (sent
+    with ``Connection: close``) and returns when no handler is left.
     """
 
     def __init__(self, service, config: Optional[NetConfig] = None, *,
@@ -126,6 +150,9 @@ class QueryServer:
         self.limiter = TokenBucketLimiter(self.config.rate, self.config.burst,
                                           clock=clock)
         self._server: Optional[asyncio.base_events.Server] = None
+        self._connections: Set[_Connection] = set()
+        self._closing = False
+        self._m_connections = self.metrics.counter("net.connections")
         self._m_requests = self.metrics.counter("net.requests")
         self._m_rate_limited = self.metrics.counter("net.rate_limited")
         self._m_errors = self.metrics.counter("net.errors")
@@ -141,6 +168,7 @@ class QueryServer:
     async def start(self) -> "QueryServer":
         if self._server is not None:
             raise RuntimeError("QueryServer is already started")
+        self._closing = False
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port)
         return self
@@ -159,7 +187,16 @@ class QueryServer:
     async def close(self) -> None:
         if self._server is None:
             return
+        self._closing = True
         self._server.close()
+        # A handler parked on a keep-alive peer would otherwise outlive the
+        # server (holding service and engine) and, from Python 3.12 on,
+        # keep ``wait_closed`` waiting for good.
+        for connection in self._connections:
+            if connection.idle:
+                connection.writer.close()
+        await asyncio.gather(*(c.task for c in self._connections),
+                             return_exceptions=True)
         await self._server.wait_closed()
         self._server = None
 
@@ -185,13 +222,15 @@ class QueryServer:
     # ------------------------------------------------------------------
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
+        connection = _Connection(asyncio.current_task(), writer)
+        self._connections.add(connection)
+        self._m_connections.inc()
         self._m_active.inc(1.0)
         try:
-            while True:
+            while not self._closing:
+                connection.idle = True
                 try:
                     request = await self._read_request(reader)
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    return
                 except _Unframed as bad:
                     # The body was never read, so the stream cannot be
                     # resynchronised: answer once and close.
@@ -201,19 +240,23 @@ class QueryServer:
                     await self._send_json(writer, bad.status, payload,
                                           keep_alive=False)
                     return
-                if request is None:
-                    return
                 method, path, headers, body = request
                 if (path == "/v1/ws"
                         and "websocket" in headers.get("upgrade", "").lower()):
+                    # Stays idle: an upgraded socket has no one answer to
+                    # wait for, so close() drops it like a disconnect would.
                     await self._serve_websocket(reader, writer, headers)
                     return
+                connection.idle = False
                 keep_alive = headers.get("connection", "").lower() != "close"
                 done = await self._dispatch_http(method, path, headers, body,
                                                  writer, keep_alive)
                 if not done or not keep_alive:
                     return
+        except (asyncio.IncompleteReadError, ConnectionError):
+            pass  # the peer went away: EOF at or inside a head, or a reset
         finally:
+            self._connections.discard(connection)
             self._m_active.inc(-1.0)
             writer.close()
             try:
@@ -222,21 +265,15 @@ class QueryServer:
                 pass
 
     async def _read_request(self, reader: asyncio.StreamReader
-                            ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-        line = await reader.readline()
-        if not line:
-            return None
+                            ) -> Tuple[str, str, Dict[str, str], bytes]:
         try:
-            method, target, _version = line.decode("latin-1").split(None, 2)
+            line, headers = await read_head(reader)
+        except asyncio.LimitOverrunError:
+            raise _Unframed(431, "request head exceeds the reader's limit")
+        try:
+            method, target, _version = line.split(None, 2)
         except ValueError:
             raise _Unframed(400, "malformed request line")
-        headers: Dict[str, str] = {}
-        while True:
-            raw = await reader.readline()
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = raw.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
         declared = headers.get("content-length", "0") or "0"
         if not (declared.isascii() and declared.isdigit()):
             raise _Unframed(400, f"malformed Content-Length {declared!r}")
@@ -272,14 +309,20 @@ class QueryServer:
                         keep_alive: bool = True,
                         extra_headers: Optional[Dict[str, str]] = None
                         ) -> None:
-        reason = _REASONS.get(status, "OK")
-        lines = [f"HTTP/1.1 {status} {reason}",
-                 f"Content-Type: {content_type}",
-                 f"Content-Length: {len(body)}",
-                 f"Connection: {'keep-alive' if keep_alive else 'close'}"]
-        for name, value in (extra_headers or {}).items():
-            lines.append(f"{name}: {value}")
-        head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+        # A closing server's last answer on a connection says so.
+        keep_alive = keep_alive and not self._closing
+        if (status == 200 and keep_alive and not extra_headers
+                and content_type == "application/json"):
+            head = _OK_JSON_HEAD % len(body)
+        else:
+            reason = _REASONS.get(status, "OK")
+            lines = [f"HTTP/1.1 {status} {reason}",
+                     f"Content-Type: {content_type}",
+                     f"Content-Length: {len(body)}",
+                     f"Connection: {'keep-alive' if keep_alive else 'close'}"]
+            for name, value in (extra_headers or {}).items():
+                lines.append(f"{name}: {value}")
+            head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
         writer.write(head + body)
         await writer.drain()
 
@@ -534,8 +577,7 @@ class QueryServer:
             mask = await reader.readexactly(4) if masked else b""
             payload = await reader.readexactly(length) if length else b""
             if masked:
-                payload = bytes(b ^ mask[i % 4]
-                                for i, b in enumerate(payload))
+                payload = ws_mask(payload, mask)
             if opcode == 0x8:  # close
                 await self._ws_write(writer, send_lock, 0x8, payload[:2])
                 return None

@@ -440,12 +440,13 @@ def test_http_wire_parity_unsharded_and_sharded(spec_index):
         config = ServiceConfig(max_linger=0.001, max_batch_size=32)
         async with QueryService(engine, config) as service:
             async with QueryServer(service, NetConfig()) as server:
-                client = AsyncQueryClient("127.0.0.1", server.port,
-                                          client_id=f"parity{spec_index}")
                 expected = await asyncio.gather(
                     *(service.submit(query) for query in queries))
-                remote = await asyncio.gather(
-                    *(client.query(query) for query in queries))
+                async with AsyncQueryClient(
+                        "127.0.0.1", server.port,
+                        client_id=f"parity{spec_index}") as client:
+                    remote = await asyncio.gather(
+                        *(client.query(query) for query in queries))
                 return expected, remote
 
     for count, engine in engines.items():
@@ -477,9 +478,10 @@ def test_http_batch_endpoint_matches_submit_many():
     async def run():
         async with QueryService(engine) as service:
             async with QueryServer(service, NetConfig()) as server:
-                client = AsyncQueryClient("127.0.0.1", server.port)
                 expected = await service.submit_many(batch)
-                remote = await client.query_many(batch)
+                async with AsyncQueryClient("127.0.0.1",
+                                            server.port) as client:
+                    remote = await client.query_many(batch)
                 return expected, remote
 
     expected, remote = asyncio.run(run())
@@ -534,8 +536,9 @@ def run_served(handler, *, engine=None, net_config=None, service_config=None):
         async with QueryService(built, service_config) as service:
             async with QueryServer(service, net_config or NetConfig()) \
                     as server:
-                client = AsyncQueryClient("127.0.0.1", server.port)
-                return await handler(service, server, client)
+                async with AsyncQueryClient("127.0.0.1",
+                                            server.port) as client:
+                    return await handler(service, server, client)
 
     return asyncio.run(main())
 
@@ -624,6 +627,8 @@ class TestHttpErrorMapping:
                 header_value = headers.get("retry-after")
             unthrottled = [await dashboard.query(simple_query())
                            for _ in range(6)]
+            await crawler.close()
+            await dashboard.close()
             return served, bounced, retry_after, header_value, unthrottled
 
         served, bounced, retry_after, header_value, unthrottled = \
@@ -710,26 +715,28 @@ class TestBacklogOrderOverHttp:
         async def handler(service, server, client):
             engine = service.engine
 
-            def send(name, priority="interactive", client_id="primer"):
-                caller = AsyncQueryClient("127.0.0.1", server.port,
-                                          client_id=client_id,
-                                          priority=priority)
-                query = TopKQuery(Predicate.of(),
-                                  LinearFunction(["N1"], [1.0]), k_of[name])
-                # A raw request: the body names neither client nor class,
-                # only the X-Client-Id / X-Priority headers do.
-                return asyncio.ensure_future(caller._request(
-                    "POST", "/v1/query", {"query": encode_query(query)}))
+            async def send(name, priority="interactive", client_id="primer"):
+                async with AsyncQueryClient("127.0.0.1", server.port,
+                                            client_id=client_id,
+                                            priority=priority) as caller:
+                    query = TopKQuery(Predicate.of(),
+                                      LinearFunction(["N1"], [1.0]),
+                                      k_of[name])
+                    # A raw request: the body names neither client nor
+                    # class, only the X-Client-Id / X-Priority headers do.
+                    return await caller._request(
+                        "POST", "/v1/query", {"query": encode_query(query)})
 
             async def admitted(depth):
                 while len(service.batcher) < depth:
                     await asyncio.sleep(0)
 
-            tasks = [send("primer")]
+            tasks = [asyncio.ensure_future(send("primer"))]
             await engine.busy.wait()  # the engine's one slot is held
             for depth, (name, priority, client_id) in enumerate(
                     BACKLOG + URGENT, start=1):
-                tasks.append(send(name, priority, client_id))
+                tasks.append(asyncio.ensure_future(
+                    send(name, priority, client_id)))
                 # One at a time, so the queue sees them in this order.
                 await asyncio.wait_for(admitted(depth), timeout=10.0)
             engine.release.set()
