@@ -112,27 +112,6 @@ class Executor:
         """One-line explanation of how ``query`` would be routed."""
         return self.planner.explain(query)
 
-    def plan_backends(self, queries: Iterable) -> set:
-        """Distinct backend names the planner routes ``queries`` to.
-
-        The async serving layer keys its per-backend concurrency
-        semaphores on these names before dispatching a batch, so it asks
-        "what could this batch occupy" — duplicates of one canonical query
-        key are planned once, but cache hits are *not* excluded (a hit
-        costs the backend nothing, yet the conservative answer keeps the
-        gate sound if the entry is evicted between routing and execution).
-        """
-        names = set()
-        seen = set()
-        for query in queries:
-            key = query_cache_key(query)
-            if key is not None:
-                if key in seen:
-                    continue
-                seen.add(key)
-            names.add(self.planner.plan(query).backend)
-        return names
-
     def execute(self, query, *, parent_span=None, use_result_cache=True,
                 on_progress=None):
         """Plan ``query``, run it on the chosen backend, annotate the result.

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.serve.errors import ServeError
 
@@ -35,22 +35,6 @@ class ServiceConfig:
     default_timeout:
         Per-request timeout in seconds applied when ``submit`` /
         ``submit_many`` pass none explicitly; ``None`` waits forever.
-    engine_concurrency:
-        Maximum engine batches in flight at once (the global semaphore).
-        The default of 1 serializes engine calls: the single-relation
-        engine stacks share mutable structures (buffer pools, statistics
-        catalogs) that are not hardened for concurrent batches, and a
-        scatter engine parallelizes *inside* one call via its per-shard
-        legs.  Raise it only for stacks known to tolerate concurrent
-        batches.
-    backend_limits:
-        Optional per-backend concurrency limits, backend name → max
-        batches concurrently touching that backend (``"ranking-cube"``,
-        ``"table-scan"``, ``"scatter-gather"``, ...).  When non-empty,
-        every batch is routed first (``plan_backends`` — an extra
-        planning pass per dispatch; plans are cheap next to execution,
-        but leave this empty when no limit is needed) and must hold the
-        semaphore of each backend it can occupy before executing.
     latency_window:
         How many recent completions the latency/queue-wait percentile
         reservoirs retain.
@@ -58,8 +42,8 @@ class ServiceConfig:
         Record a span tree per dispatched batch (and per analyzed
         request) into the service tracer's ring buffer.  Off by default:
         the disabled tracer is a no-op object adding zero allocations to
-        the hot path; enabling it costs < 5% on the serving benchmark
-        (gated by ``benchmarks/bench_obs_overhead.py`` in CI).
+        the hot path; what enabling it costs is the benchmark ledger's
+        ``trace.overhead_ratio`` (``benchmarks/e2e/run.py --traced``).
     slow_query_threshold:
         Root-span duration (seconds) at or above which a completed trace
         is also kept in the slow-query log.  Setting it implies tracing
@@ -73,8 +57,6 @@ class ServiceConfig:
     min_linger: float = 0.0
     max_pending: int = 1024
     default_timeout: Optional[float] = None
-    engine_concurrency: int = 1
-    backend_limits: Mapping[str, int] = field(default_factory=dict)
     latency_window: int = 2048
     tracing: bool = False
     slow_query_threshold: Optional[float] = None
@@ -95,10 +77,6 @@ class ServiceConfig:
                 f"max_pending must be >= 1, got {self.max_pending}")
         if self.default_timeout is not None and self.default_timeout <= 0:
             raise ServeError("default_timeout must be positive or None")
-        if self.engine_concurrency < 1:
-            raise ServeError(
-                f"engine_concurrency must be >= 1, got "
-                f"{self.engine_concurrency}")
         if self.latency_window < 1:
             raise ServeError("latency_window must be >= 1")
         if (self.slow_query_threshold is not None
@@ -108,7 +86,3 @@ class ServiceConfig:
         if self.trace_ring_size < 1:
             raise ServeError(
                 f"trace_ring_size must be >= 1, got {self.trace_ring_size}")
-        for name, limit in dict(self.backend_limits).items():
-            if int(limit) < 1:
-                raise ServeError(
-                    f"backend limit for {name!r} must be >= 1, got {limit}")

@@ -20,10 +20,9 @@ service:
   concurrent clients issuing same-function queries transparently share
   one fused frontier sweep / R-tree traversal (PR 4) without
   coordinating with each other;
-* engine work runs on a thread pool via ``loop.run_in_executor`` — a
-  scatter engine's own leg pool is reused (``ensure_pool`` with a reserve
-  for the front-door calls) rather than duplicated — gated by the global
-  engine slots and optional per-backend semaphores;
+* engine work runs one call at a time on the service's own
+  ``repro-serve`` thread via ``loop.run_in_executor`` — never on the pool
+  a scatter engine runs its legs on;
 * ``await service.insert(row)`` / ``await service.reshard(policy)`` form
   a serialized write path: writers drain the in-flight engine calls
   before mutating, so the invalidation hooks a mutation fires can never
@@ -78,8 +77,7 @@ class QueryService:
         :class:`~repro.shard.scatter.ScatterGatherExecutor`.
     config:
         :class:`~repro.serve.config.ServiceConfig` tunables (micro-batch
-        size and linger, admission high-water mark, timeouts, concurrency
-        limits).
+        size and linger, admission high-water mark, timeouts).
     manager:
         The :class:`~repro.shard.manager.ShardManager` backing the write
         path.  Defaults to ``engine.manager`` when the engine is a
@@ -164,27 +162,17 @@ class QueryService:
                                     clock=clock)
         self.stats = ServiceStats(window=self.config.latency_window,
                                   clock=clock, metrics=self.metrics)
-        self._ensure_pool = getattr(engine, "ensure_pool", None)
-        if self._ensure_pool is not None:
-            # Reuse the scatter layer's leg pool; the reserve keeps the
-            # front-door calls from starving the legs they fan out to.
-            # The handle is re-fetched per dispatch (never cached): a
-            # later ensure_pool with a larger reserve replaces the pool,
-            # invalidating old handles.
-            self._pool: ThreadPoolExecutor = self._ensure_pool(
-                reserve=self.config.engine_concurrency)
-            self._owns_pool = False
-        else:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.config.engine_concurrency,
-                thread_name_prefix="repro-serve")
-            self._owns_pool = True
+        # One thread, one engine call at a time: the engine stacks share
+        # mutable structures (buffer pools, statistics catalogs) that are
+        # not hardened for concurrent batches, and a scatter engine
+        # parallelizes inside one call on a leg pool of its own.
+        self._pool = ThreadPoolExecutor(max_workers=1,
+                                        thread_name_prefix="repro-serve")
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._drain_task: Optional[asyncio.Task] = None
         self._tasks: Set[asyncio.Task] = set()
         self._closing = False
         self._closed = False
-        self._engine_calls = 0
         self._fused_baseline = 0.0
 
     # ------------------------------------------------------------------
@@ -201,11 +189,7 @@ class QueryService:
         self._engine_idle = asyncio.Event()
         self._engine_idle.set()
         self._mutation_lock = asyncio.Lock()
-        self._engine_sem = asyncio.Semaphore(self.config.engine_concurrency)
-        self._backend_sems = {
-            name: asyncio.Semaphore(int(limit))
-            for name, limit in dict(self.config.backend_limits).items()
-        }
+        self._engine_slot = asyncio.Lock()
         # Fusion the engine did before the service attached (warm-ups,
         # direct use) must not inflate the service's fusion rate.
         self._fused_baseline = float(
@@ -225,13 +209,11 @@ class QueryService:
         :class:`~repro.serve.errors.ServiceClosedError` rather than left
         waiting forever, and the drain loop's error is re-raised.
 
-        Every pool this service stood up is torn down deterministically:
-        the private thread pool when the service owns one, or the shared
-        engine's pools (thread *and* worker-process, via the engine's own
-        resettable ``close()``) when serving reused them — a stopped
-        service leaves no live executor threads or worker processes
-        behind, while the engine itself stays usable (its pools are
-        lazily recreated on next use).
+        Then the engine's own resettable ``close()`` (a scatter engine's
+        leg pool and worker processes) and the service's thread are torn
+        down — a stopped service leaves no live thread or worker process
+        behind, while the engine itself stays usable (its pool and
+        workers are lazily recreated on next use).
         """
         if self._loop is None or self._closed:
             return
@@ -258,12 +240,12 @@ class QueryService:
                         "dispatched"))
                     self.stats.record_failure()
         self._closed = True
-        if self._owns_pool:
-            self._pool.shutdown(wait=True)
-        else:
-            engine_close = getattr(self.engine, "close", None)
+        engine_close = getattr(self.engine, "close", None)
+        try:
             if engine_close is not None:
-                await self._loop.run_in_executor(None, engine_close)
+                await self._in_executor(engine_close)
+        finally:
+            self._pool.shutdown(wait=True)
         if drain_error is not None:
             raise drain_error
 
@@ -500,12 +482,12 @@ class QueryService:
         while True:
             now = self._clock()
             if self.batcher.due(now) or (self._closing and len(self.batcher)):
-                # Take the engine slot BEFORE draining: while every slot
+                # Take the engine slot BEFORE draining: while the engine
                 # is busy the backlog stays in the batcher, and whoever
                 # the scheduler picks once a batch can run rides it.  On
                 # an idle engine acquire() does not suspend.  Only this
                 # loop removes requests, so the batch is still due after.
-                await self._engine_sem.acquire()
+                await self._engine_slot.acquire()
                 batch = self.batcher.drain(self._clock(), force=self._closing)
                 task = self._loop.create_task(self._dispatch(batch))
                 self._tasks.add(task)
@@ -525,13 +507,13 @@ class QueryService:
         """Run one drained batch under the engine slot the drain loop took.
 
         The one dispatch path: plain requests and streams alike wait out
-        writers, hold the backend semaphores, have engine errors typed
-        and abandoned members dropped, and are counted here.
+        writers, have engine errors typed and abandoned members dropped,
+        and are counted here.
         """
         try:
             await self._run_batch(batch)
         finally:
-            self._engine_sem.release()
+            self._engine_slot.release()
 
     async def _run_batch(self, batch: List[QueuedRequest]) -> None:
         live: List[QueuedRequest] = []
@@ -542,7 +524,6 @@ class QueryService:
                 live.append(request)
         if not live:
             return
-        queries = [request.query for request in live]
         first_enqueued = min(request.enqueued_at for request in live)
         # An explain_analyze request carries its own root span; the
         # batch's engine spans parent under it so its tree is complete.
@@ -577,15 +558,7 @@ class QueryService:
                 engine_call = functools.partial(engine_call,
                                                 allow_partial=True)
         await self._engine_enter()
-        acquired: List[asyncio.Semaphore] = []
         try:
-            if self._backend_sems:
-                names = await self._in_executor(self._route, queries)
-                for name in sorted(names):
-                    sem = self._backend_sems.get(name)
-                    if sem is not None:
-                        await sem.acquire()
-                        acquired.append(sem)
             dispatched_at = self._clock()
             if batch_span:
                 batch_span.set("batch_size", len(live))
@@ -602,14 +575,12 @@ class QueryService:
             results, errors = await self._in_executor(
                 self._call_engine, engine_call, live)
         except Exception as exc:
-            # Nothing ran (routing or the pool itself failed): the
-            # failure is every position's.
+            # Nothing ran (the pool itself failed): the failure is every
+            # position's.
             results = [None] * len(live)
             errors = dict.fromkeys(range(len(live)), exc)
         finally:
-            for sem in acquired:
-                sem.release()
-            self._engine_exit()
+            self._engine_idle.set()  # a waiting writer may go
         now = self._clock()
         batch_span.finish(end=now)
         batch_size = float(len(live))
@@ -700,58 +671,26 @@ class QueryService:
             return mapped
         return exc
 
-    def _current_pool(self) -> ThreadPoolExecutor:
-        """The pool to dispatch on *right now* (engine pools can be grown)."""
-        if self._ensure_pool is not None:
-            return self._ensure_pool(reserve=self.config.engine_concurrency)
-        return self._pool
-
     async def _in_executor(self, fn, *args):
-        """``run_in_executor`` on the current pool, surviving a pool swap.
-
-        A concurrent ``ensure_pool`` with a larger reserve (another
-        service attaching to the same engine) can shut the fetched pool
-        down between the fetch and the submit; that exact failure — and
-        only it, identified by its message so an engine-raised
-        ``RuntimeError`` is never swallowed — is retried once on the
-        replacement pool.
-        """
-        try:
-            return await self._loop.run_in_executor(self._current_pool(),
-                                                    fn, *args)
-        except RuntimeError as exc:
-            if "after shutdown" not in str(exc):
-                raise
-            return await self._loop.run_in_executor(self._current_pool(),
-                                                    fn, *args)
-
-    def _route(self, queries: List) -> Set[str]:
-        """Backend names this batch could occupy (worker-thread planning)."""
-        plan_backends = getattr(self.engine, "plan_backends", None)
-        if plan_backends is None:
-            return set()
-        return set(plan_backends(queries))
+        """Run ``fn`` on the service's one engine thread."""
+        return await self._loop.run_in_executor(self._pool, fn, *args)
 
     # ------------------------------------------------------------------
     # engine/writer gate
     # ------------------------------------------------------------------
     async def _engine_enter(self) -> None:
-        """Wait out any writer, then count this engine call as in flight.
+        """Wait out any writer, then mark the engine call as in flight.
 
-        The re-check loop closes the race where a writer slips in between
-        the event firing and this task resuming; the count update is
-        synchronous after the final check, so a writer observing the
-        engine idle can never miss a call that already passed the gate.
+        Only the holder of the engine slot gets here, so at most one call
+        is ever in flight.  The re-check loop closes the race where a
+        writer slips in between the event firing and this task resuming;
+        the mark is synchronous after the final check, so a writer
+        observing the engine idle can never miss a call that already
+        passed the gate.
         """
         while not self._no_writer.is_set():
             await self._no_writer.wait()
-        self._engine_calls += 1
         self._engine_idle.clear()
-
-    def _engine_exit(self) -> None:
-        self._engine_calls -= 1
-        if self._engine_calls == 0:
-            self._engine_idle.set()
 
     # ------------------------------------------------------------------
     # serialized write path
@@ -760,7 +699,7 @@ class QueryService:
         """Run one mutation with the engine drained: the write contract.
 
         Writers serialize among themselves (``_mutation_lock``), bar new
-        engine calls (``_no_writer``), wait for the in-flight ones to
+        engine calls (``_no_writer``), wait for the in-flight one to
         finish (``_engine_idle``), and only then mutate — so the
         invalidation hooks the mutation fires can never race a sweep.
         Requests admitted before the write but not yet dispatched simply

@@ -60,7 +60,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.engine.cache import (
     ResultCache,
@@ -149,11 +149,10 @@ class ScatterGatherExecutor:
     manager:
         The :class:`~repro.shard.manager.ShardManager` owning the shards.
     parallel:
-        Run surviving shards on a :class:`ThreadPoolExecutor` instead of
-        sequentially.  Gathered results are identical either way — the merge
-        consumes per-shard answers in shard order.
-    max_workers:
-        Thread-pool size when ``parallel`` (default: one per shard).
+        Run surviving shards on a private :class:`ThreadPoolExecutor` of
+        one thread per shard instead of sequentially.  Gathered results
+        are identical either way — the merge consumes per-shard answers
+        in shard order.
     cost_model:
         The :class:`~repro.engine.cost.CostModel` ordering sequential
         top-k scatter legs and bounding the gather (default: a fresh
@@ -184,7 +183,6 @@ class ScatterGatherExecutor:
     """
 
     def __init__(self, manager: ShardManager, parallel: bool = False,
-                 max_workers: Optional[int] = None,
                  result_cache: Optional[ResultCache] = None,
                  cost_model: Optional[CostModel] = None,
                  metrics: Optional[MetricsRegistry] = None,
@@ -197,7 +195,6 @@ class ScatterGatherExecutor:
         self.manager = manager
         self.legs: LegRunner = legs or InProcessLegs(manager)
         self.parallel = parallel
-        self.max_workers = max_workers
         self.cost_model = cost_model or CostModel()
         self.result_cache = result_cache or ResultCache()
         self.fused_groups = 0
@@ -205,13 +202,7 @@ class ScatterGatherExecutor:
         self._cache_scope = new_cache_scope()
         self._relation_version = manager.relation.version
         self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_workers = 0
         self._pool_lock = threading.Lock()
-        #: Pools replaced by an :meth:`ensure_pool` upsize.  They were
-        #: shut down with ``wait=False`` so queued legs could finish, but
-        #: their threads may still be draining — :meth:`close` joins them
-        #: so a closed executor provably leaves no threads behind.
-        self._retired_pools: List[ThreadPoolExecutor] = []
         #: ``shard.*`` counters of the scatter front door itself; the
         #: per-shard engines keep their own ``engine.*`` registries,
         #: merged on demand by :meth:`metrics_snapshot`.
@@ -288,6 +279,10 @@ class ScatterGatherExecutor:
             self._relation_version = self.manager.relation.version
         self.result_cache.invalidate(row=row)
         self.legs.on_mutation(row)
+        if row is None:
+            # A blanket change may be a reshard: the next parallel scatter
+            # sizes a fresh pool for the shard count it finds.
+            self._join_pool()
 
     def _check_base_relation(self) -> None:
         """Detect base-relation mutation and refuse to serve from stale shards.
@@ -313,64 +308,41 @@ class ScatterGatherExecutor:
         self.result_cache.invalidate()
 
     # ------------------------------------------------------------------
-    # thread pool
+    # leg pool / lifecycle
     # ------------------------------------------------------------------
-    def ensure_pool(self, reserve: int = 0) -> ThreadPoolExecutor:
-        """The scatter thread pool, created on first use and then reused.
+    def _leg_pool(self) -> ThreadPoolExecutor:
+        """The parallel scatter's private pool: one thread per shard.
 
-        ``reserve`` adds workers beyond the per-shard legs for callers
-        that dispatch whole front-door calls onto the *same* pool (the
-        async serving layer reuses this pool instead of duplicating it):
-        with at most ``reserve`` such outer calls in flight at once, the
-        legs they fan out to always find a free worker, so nesting
-        front-door work and scatter legs on one pool cannot deadlock.
-        A pool created earlier with fewer workers (a parallel scatter ran
-        before the serving layer attached) is replaced by a larger one —
-        otherwise the reserve, and the deadlock-freedom argument with it,
-        would be silently lost; the old pool finishes its queued legs and
-        is shut down without blocking.  Because a replacement invalidates
-        previously returned handles, callers that dispatch onto this pool
-        across await points must re-fetch it per call rather than caching
-        the return value (the serving layer does).
+        Created on first use.  Only legs run on it — a front-door call
+        stays on its caller's thread (the serving layer's own) — so a
+        scatter never waits for a worker that is itself waiting on legs.
         """
-        needed = (self.max_workers or self.manager.num_shards) + max(0, reserve)
         with self._pool_lock:
-            if self._pool is not None and needed > self._pool_workers:
-                self._pool.shutdown(wait=False)
-                self._retired_pools.append(self._pool)
-                self._pool = None
             if self._pool is None:
-                self._pool = ThreadPoolExecutor(max_workers=needed)
-                self._pool_workers = needed
+                self._pool = ThreadPoolExecutor(
+                    max_workers=self.manager.num_shards,
+                    thread_name_prefix="repro-leg")
             return self._pool
 
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
+    def _join_pool(self) -> None:
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
+
     def close(self) -> None:
-        """Deterministically tear down the leg runner and every pool.
+        """Deterministically tear down the leg runner and the leg pool.
 
         Closes the leg runner (worker processes stopped, their shared
-        memory unlinked), then joins the live scatter pool *and* every
-        pool retired by an :meth:`ensure_pool` upsize (those were shut
-        down with ``wait=False`` and could still be draining legs) —
-        after :meth:`close` returns, no thread or process started by
-        this executor is alive.  The executor stays usable: a later
-        scatter lazily recreates the pool and respawns workers, so
-        owners like the serving layer can close a shared engine without
-        making it unusable for the next owner.  Idempotent and safe to
-        call on a never-parallel executor.
+        memory unlinked), then joins the leg pool — after :meth:`close`
+        returns, no thread or process started by this executor is alive.
+        The executor stays usable: a later scatter lazily recreates the
+        pool and respawns workers, so owners like the serving layer can
+        close an engine without making it unusable for the next owner.
+        Idempotent and safe to call on a never-parallel executor.
         """
         self.legs.close()
-        with self._pool_lock:
-            pools = list(self._retired_pools)
-            self._retired_pools.clear()
-            if self._pool is not None:
-                pools.append(self._pool)
-                self._pool = None
-                self._pool_workers = 0
-        for pool in pools:
-            pool.shutdown(wait=True)
+        self._join_pool()
 
     def __enter__(self) -> "ScatterGatherExecutor":
         return self
@@ -467,17 +439,6 @@ class ScatterGatherExecutor:
     def explain(self, query) -> str:
         """One-line explanation of how ``query`` scatters."""
         return self.plan(query).describe()
-
-    def plan_backends(self, queries: Iterable) -> Set[str]:
-        """Backend names a batch would occupy — here, the scatter itself.
-
-        The serving layer keys its per-backend concurrency semaphores on
-        these names.  For a scatter engine the unit of contention is the
-        whole scatter front door (the per-shard backend choices run
-        *inside* its legs), so every non-empty batch maps to
-        ``{"scatter-gather"}``.
-        """
-        return {"scatter-gather"} if list(queries) else set()
 
     # ------------------------------------------------------------------
     # fault machinery
@@ -880,7 +841,7 @@ class ScatterGatherExecutor:
                 # Spans open at dispatch: their durations include pool
                 # queueing, which is real wait.
                 self._check_deadline(ctx, "scatter dispatch")
-                outputs = self.ensure_pool().map(
+                outputs = self._leg_pool().map(
                     lambda leg: run_leg(*leg),
                     [(shard, riders, open_leg(shard))
                      for shard, riders in legs])
@@ -1103,11 +1064,6 @@ class ScatterGatherExecutor:
           from every sum above);
         * ``shard_workers`` — live worker processes (process scatter
           only; their shipped counters are in the ``shard_*`` sums).
-
-        The historically bare merged keys — ``entries`` / ``hits`` /
-        ``misses`` / ``hit_rate`` / ``plans_reused`` — warned as
-        deprecated aliases for three releases and are now gone; only the
-        prefixed spellings are emitted.
         """
         stats: Dict[str, float] = OrderedDict(self.result_cache.stats())
         observed = self.legs.observed()
@@ -1174,7 +1130,7 @@ class ProcessScatterExecutor(ScatterGatherExecutor):
     :attr:`~repro.engine.cost.CostModel.process_leg_overhead`; ``0``
     forces processes, ``float("inf")`` threads) and recorded as
     ``extra["scatter_mode"]``.  With ``parallel=True`` legs are
-    dispatched on the inherited thread pool; each dispatching thread
+    dispatched on the inherited leg pool; each dispatching thread
     blocks on its worker's pipe with the GIL released, so N shards score
     on N cores.  A killed worker surfaces as
     :class:`~repro.errors.ShardWorkerError` naming the shard and exit
@@ -1202,7 +1158,6 @@ class ProcessScatterExecutor(ScatterGatherExecutor):
     """
 
     def __init__(self, manager: ShardManager, parallel: bool = False,
-                 max_workers: Optional[int] = None,
                  result_cache: Optional[ResultCache] = None,
                  cost_model: Optional[CostModel] = None,
                  metrics: Optional[MetricsRegistry] = None,
@@ -1217,7 +1172,7 @@ class ProcessScatterExecutor(ScatterGatherExecutor):
         legs = WorkerProcessLegs(manager, cost_model, metrics,
                                  mp_context=mp_context,
                                  recv_timeout=recv_timeout)
-        super().__init__(manager, parallel=parallel, max_workers=max_workers,
+        super().__init__(manager, parallel=parallel,
                          result_cache=result_cache, cost_model=cost_model,
                          metrics=metrics, tracer=tracer,
                          retry_policy=retry_policy,

@@ -11,6 +11,7 @@ never double-counts a tuple scored once), the predicate-aware
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 
 import numpy as np
@@ -74,6 +75,39 @@ class TestEngineBatchFusion:
         stats = fused_engine.cache_stats()
         assert stats["fused_groups"] == 1.0
         assert stats["fused_queries"] == float(len(queries))
+
+    def test_shared_function_groups_score_at_most_half_the_loops_tuples(self):
+        """The fusion gate at its benchmark size, in counts: two functions,
+        twelve queries each; answers bit-identical, no fused group scores
+        more tuples than its loop, the batch at most half."""
+        big = generate_relation(SyntheticSpec(
+            num_tuples=6000, num_selection_dims=3, num_ranking_dims=2,
+            cardinality=8, seed=23))
+        loop_engine, fused_engine = (
+            Executor.for_relation(big, block_size=200, with_signature=False,
+                                  with_skyline=False) for _ in range(2))
+        queries = []
+        for weights in ([1.0, 2.0], [3.0, 1.0]):
+            function = LinearFunction(["N1", "N2"], weights)
+            queries += [TopKQuery(Predicate.of(), function, k)
+                        for k in (1, 3, 5, 10, 20, 40)]
+            queries += [TopKQuery(Predicate.of(A1=value), function, 10)
+                        for value in range(4)]
+            queries += [TopKQuery(Predicate.of(A2=value), function, 5)
+                        for value in range(2)]
+        looped = [loop_engine.execute(query) for query in queries]
+        fused = fused_engine.execute_many(queries)
+        loop_tuples, fused_tuples = collections.Counter(), collections.Counter()
+        for query, alone, batched in zip(queries, looped, fused):
+            assert alone.tids == batched.tids
+            assert alone.scores == batched.scores
+            group = (batched.extra["backend"], query.function.weights)
+            loop_tuples[group] += alone.tuples_evaluated
+            fused_tuples[group] += batched.tuples_evaluated
+        assert len(loop_tuples) >= 2
+        for group, tuples in loop_tuples.items():
+            assert fused_tuples[group] <= tuples
+        assert sum(fused_tuples.values()) * 2 <= sum(loop_tuples.values())
 
     def test_value_equal_function_objects_fuse(self, relation):
         engine = Executor.for_relation(relation, block_size=120,

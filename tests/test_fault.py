@@ -40,7 +40,7 @@ from repro.fault import (
     InjectedFaultError,
     RetryPolicy,
 )
-from repro.functions.linear import sum_function
+from repro.functions.linear import skewed_linear_function, sum_function
 from repro.query import Predicate, TopKQuery
 from repro.shard import (
     HashShardingPolicy,
@@ -286,6 +286,28 @@ def topk(k=8, **conditions):
     return TopKQuery(Predicate.of(conditions), sum_function(["N1", "N2"]), k)
 
 
+@pytest.fixture(scope="module")
+def chaos_case():
+    """The fault benchmark's relation and seeded 40-query mix (varying
+    predicates, skewed functions and k), shared by its two count gates."""
+    big = generate_relation(SyntheticSpec(
+        num_tuples=4000, num_selection_dims=3, num_ranking_dims=2,
+        cardinality=6, seed=4242))
+    rng = np.random.default_rng(4242)
+    queries = []
+    for _ in range(40):
+        conditions = {}
+        if rng.random() < 0.5:
+            dim = str(rng.choice(big.selection_dims))
+            column = big.selection_column(dim)
+            conditions[dim] = int(column[rng.integers(0, len(column))])
+        function = skewed_linear_function(
+            list(big.ranking_dims), float(rng.uniform(1, 3)), rng=rng)
+        queries.append(TopKQuery(Predicate.of(conditions), function,
+                                 int(rng.choice([1, 5, 10, 25]))))
+    return big, queries
+
+
 def surviving_oracle(relation, query, surviving_tids):
     """Brute force restricted to the surviving shards' global tids."""
     mask = relation.mask_equal(query.predicate.as_dict)
@@ -346,6 +368,30 @@ class TestRetries:
             pair.split(":") for pair in
             result.extra["leg_attempts"].split(","))
         assert sum(int(n) for n in attempts.values()) >= len(attempts) + 2
+
+    def test_seeded_chaos_workload_has_zero_wrong_answers(self, chaos_case):
+        """The chaos gate in counts: crashes before and after legs plus
+        delays, capped below the attempts a leg may spend, so every
+        answer recovers — and equals brute force."""
+        big, queries = chaos_case
+        injector = FaultInjector(
+            seed=1337, max_faults=10, delay_seconds=0.0005,
+            rates={"worker.crash.pre": 0.15, "worker.crash.post": 0.08,
+                   "leg.delay": 0.05})
+        _, engine = make_engine(
+            big, fault_injector=injector,
+            retry_policy=RetryPolicy(max_attempts=12, base_delay=0.0005,
+                                     cap_delay=0.002, budget=None,
+                                     jitter_seed=1337))
+        engine._sleep = lambda seconds: None
+        with engine:
+            for query in queries:
+                result = engine.execute(query)
+                assert (result.tids, result.scores) == brute_force_topk(
+                    big, query)
+                assert "degraded" not in result.extra
+        assert injector.total_fired > 0
+        assert engine.metrics.snapshot()["fault.retries"] > 0
 
     def test_backoff_sleeps_follow_the_seeded_jitter(self, relation):
         policy = RetryPolicy(max_attempts=3, base_delay=0.01, cap_delay=0.04,
@@ -472,6 +518,31 @@ class TestBreakerIntegration:
             assert "0:0" in result.extra["leg_attempts"].split(",")
             assert result.extra["shards_failed"] == "0:BreakerOpenError"
             assert engine.metrics.snapshot()["breaker.rejected"] == 1.0
+
+    def test_dead_shard_workload_degrades_to_the_surviving_oracle(
+            self, chaos_case):
+        """The degradation gate in counts: shard 0 never answers; every
+        answer is flagged and exact over the survivors, the third failure
+        trips the breaker, and every later leg to it is refused unrun."""
+        big, queries = chaos_case
+        manager, engine = make_engine(
+            big, allow_partial=True,
+            breaker_policy=BreakerPolicy(failure_threshold=3, cooldown=3600.0))
+        engine._breaker_clock = FakeClock()
+        fail_shard(engine, bad_index=0)
+        surviving = {int(tid) for shard in manager.shards
+                     if shard.index != 0 for tid in shard.tid_map}
+        with engine:
+            for position, query in enumerate(queries):
+                result = engine.execute(query, use_result_cache=False)
+                assert result.extra["degraded"] == 1.0
+                assert (result.tids, result.scores) == surviving_oracle(
+                    big, query, surviving)
+                attempts = "0:0" if position >= 3 else "0:1"
+                assert attempts in result.extra["leg_attempts"].split(",")
+        snap = engine.metrics.snapshot()
+        assert snap["breaker.opened"] == 1.0
+        assert snap["breaker.rejected"] == len(queries) - 3
 
     def test_half_open_probe_closes_after_recovery(self, relation):
         clock = FakeClock()

@@ -34,7 +34,12 @@ from repro.obs import (
 from repro.query import Predicate, TopKQuery
 from repro.shard import RangeShardingPolicy, ScatterGatherExecutor, ShardManager
 from repro.storage.table import Relation, Schema
-from repro.workloads import SyntheticSpec, generate_relation, make_sharded_engine
+from repro.workloads import (
+    SyntheticSpec,
+    distinct_serving_queries,
+    generate_relation,
+    make_sharded_engine,
+)
 
 
 def small_relation(seed: int = 400):
@@ -290,6 +295,34 @@ class TestNullObjects:
         # A real per-call allocation would cost >= 50 blocks every trial;
         # the min filters one-off interpreter noise (e.g. gc bookkeeping).
         assert min(deltas) == 0, deltas
+
+
+    def test_a_live_tracer_changes_no_answer_and_records_its_traces(self):
+        """The tracing gate at its benchmark size, in counts: one engine,
+        its tracer swapped from the null object to a live one, answers the
+        repeat-free serving workload identically, solo and fused."""
+        relation = generate_relation(SyntheticSpec(
+            num_tuples=6000, num_selection_dims=3, num_ranking_dims=2,
+            cardinality=8, seed=23))
+        engine = Executor.for_relation(relation, block_size=200,
+                                       with_signature=False,
+                                       with_skyline=False)
+        queries = distinct_serving_queries(relation)
+
+        def answers():
+            engine.invalidate_results()
+            solo = [engine.execute(query) for query in queries]
+            engine.invalidate_results()
+            return [(result.tids, result.scores)
+                    for result in solo + engine.execute_many(queries)]
+
+        assert engine.tracer is NULL_TRACER
+        untraced = answers()
+        engine.tracer = Tracer(ring_size=64, slow_threshold=10.0)
+        assert answers() == untraced
+        # One trace per solo query, one for the fused batch.
+        assert engine.tracer.traces_recorded == len(queries) + 1
+        assert engine.metrics_snapshot()["engine.queries"] == 4 * len(queries)
 
 
 class TestExplainAnalyzeEngine:

@@ -251,3 +251,25 @@ class TestCostVsStaticAnswers:
             static_result = static_executor.execute(query)
             assert cost_result.tids == static_result.tids
             assert cost_result.scores == static_result.scores
+
+    def test_cost_choice_scores_no_more_tuples_than_the_static_choice(self):
+        """The routing-quality gate at its benchmark size, in counts: per
+        query the cost-chosen backend answers as the statically chosen one
+        does and scores at most its tuples; strictly fewer in aggregate."""
+        relation = generate_relation(SyntheticSpec(
+            num_tuples=8000, num_selection_dims=3, num_ranking_dims=2,
+            cardinality=12, seed=17))
+        executor = Executor.for_relation(relation, block_size=250,
+                                         with_skyline=False)
+        static_planner = Planner(executor.registry, mode=MODE_STATIC)
+        cost_total = static_total = 0
+        for query in skewed_planner_workload(relation, seed=29, count=24):
+            by_cost, by_priority = (
+                executor.registry.get(planner.plan(query).backend).run(query)
+                for planner in (executor.planner, static_planner))
+            assert by_cost.tids == by_priority.tids
+            assert by_cost.scores == by_priority.scores
+            assert by_cost.tuples_evaluated <= by_priority.tuples_evaluated
+            cost_total += by_cost.tuples_evaluated
+            static_total += by_priority.tuples_evaluated
+        assert cost_total < static_total

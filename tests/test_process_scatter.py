@@ -18,6 +18,7 @@ subjects are the edges:
 
 from __future__ import annotations
 
+import asyncio
 import multiprocessing
 import threading
 
@@ -27,6 +28,7 @@ from repro.engine.cost import CostModel
 from repro.errors import PlanningError, ShardWorkerError
 from repro.functions.linear import sum_function
 from repro.query import Predicate, TopKQuery
+from repro.serve import QueryService
 from repro.shard import (
     HashShardingPolicy,
     ProcessScatterExecutor,
@@ -166,10 +168,35 @@ class TestLifecycle:
                                with_skyline=False)
         with ScatterGatherExecutor(manager, parallel=True) as engine:
             engine.execute(topk())
-            # Upsizing the pool retires the old one; close() must join the
-            # retired pool's threads too, not only the live pool's.
-            engine.ensure_pool(reserve=4)
+            assert set(threading.enumerate()) - threads_before
+            # A reshard joins the pool sized for the old shard count; the
+            # next parallel scatter starts one for the count it finds.
+            manager.reshard(HashShardingPolicy(5))
+            assert set(threading.enumerate()) - threads_before == set()
             engine.execute_many([topk(k=2), topk(k=3, A1=1)])
+            legs = {thread.name
+                    for thread in set(threading.enumerate()) - threads_before}
+            assert legs and legs <= {f"repro-leg_{i}" for i in range(5)}
+        leaked = set(threading.enumerate()) - threads_before
+        assert leaked == set()
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_stopped_service_leaves_no_workers_or_threads(self, relation,
+                                                          parallel):
+        threads_before = set(threading.enumerate())
+        manager, engine = make_process_engine(relation, parallel=parallel)
+
+        async def serve():
+            async with QueryService(engine) as service:
+                await service.submit(topk())
+                assert engine.cache_stats()["shard_workers"] == 2.0
+                return {thread.name for thread in threading.enumerate()}
+
+        while_serving = asyncio.run(serve())
+        assert "repro-serve_0" in while_serving
+        # QueryService.close() closed the engine it served: the service's
+        # thread, the leg pool and the worker processes are all gone.
+        assert multiprocessing.active_children() == []
         leaked = set(threading.enumerate()) - threads_before
         assert leaked == set()
 

@@ -4,7 +4,7 @@ Covers the serving parity gate (answers through :class:`QueryService` are
 bit-identical to direct ``execute`` on the same engine, unsharded and
 across shard counts {1, 2, 7}), the adaptive micro-batcher's flush
 triggers and linger adaptation, admission control, per-request timeouts
-and cancellation, per-backend concurrency limits, the serialized write
+and cancellation, the serialized write
 path interleaved with queued work (the predicate-aware invalidation
 contract), and the merged statistics views
 (``ScatterGatherExecutor.cache_stats`` + ``ServiceStats``).
@@ -17,6 +17,7 @@ correctness).
 from __future__ import annotations
 
 import asyncio
+import functools
 import threading
 import time
 
@@ -35,8 +36,10 @@ from repro.serve import (
     ServiceConfig,
     ServiceOverloadedError,
 )
+from repro.shard import InProcessLegs
 from repro.workloads import (
     SyntheticSpec,
+    distinct_serving_queries,
     generate_relation,
     make_sharded_engine,
     serving_client_queries,
@@ -50,12 +53,12 @@ def relation():
         cardinality=6, seed=77))
 
 
-def make_engine(relation, num_shards=0):
+def make_engine(relation, num_shards=0, parallel=False):
     """A grid-only stack, unsharded (0) or scatter/gather over N shards."""
     if num_shards:
         manager, engine = make_sharded_engine(
-            relation, num_shards, range_dim="A1", block_size=100,
-            with_signature=False, with_skyline=False)
+            relation, num_shards, range_dim="A1", parallel=parallel,
+            block_size=100, with_signature=False, with_skyline=False)
         return manager, engine
     return None, Executor.for_relation(relation, block_size=100,
                                        with_signature=False,
@@ -162,13 +165,40 @@ class TestMicroBatcher:
         assert batcher.linger == linger_before
 
 
+class RecordingLegs(InProcessLegs):
+    """The real in-process runner, noting the thread each leg ran on."""
+
+    def __init__(self, manager):
+        super().__init__(manager)
+        self.threads = set()
+
+    def run(self, shard, queries, leg_span, deadline):
+        self.threads.add(threading.current_thread().name)
+        return super().run(shard, queries, leg_span, deadline)
+
+
 class TestServingParity:
-    @pytest.mark.parametrize("num_shards", [0, 1, 2, 7])
-    def test_service_answers_match_direct_execute(self, relation, num_shards):
+    @pytest.mark.parametrize(
+        "num_shards, parallel",
+        [(0, False), (1, False), (2, False), (7, False), (2, True), (7, True)],
+        ids=["0", "1", "2", "7", "2-parallel", "7-parallel"])
+    def test_service_answers_match_direct_execute(self, relation, num_shards,
+                                                  parallel):
         _, reference = make_engine(relation, num_shards)
-        _, engine = make_engine(relation, num_shards)
+        _, engine = make_engine(relation, num_shards, parallel)
         queries = mixed_workload()
         expected = [reference.execute(query) for query in queries]
+        front_door = engine.execute_many
+        door_threads = set()
+
+        @functools.wraps(front_door)  # the service reads its keywords
+        def on_door(*args, **kwargs):
+            door_threads.add(threading.current_thread().name)
+            return front_door(*args, **kwargs)
+
+        engine.execute_many = on_door
+        if num_shards:
+            engine.legs = RecordingLegs(engine.manager)
 
         async def run():
             config = ServiceConfig(max_linger=0.005, max_batch_size=64)
@@ -183,6 +213,52 @@ class TestServingParity:
             assert served.extra["queue_wait"] >= 0.0
             assert served.extra["batch_size"] >= 1.0
             assert "fused_group_size" in served.extra
+        # Every engine call ran on the service's one thread; the legs of a
+        # parallel scatter ran on a pool of one thread per shard, never on
+        # the thread that waits for them.
+        assert door_threads == {"repro-serve_0"}
+        if parallel:
+            assert engine.legs.threads
+            assert engine.legs.threads <= {f"repro-leg_{i}"
+                                           for i in range(num_shards)}
+        elif num_shards:
+            assert engine.legs.threads == door_threads
+        assert not [thread.name for thread in threading.enumerate()
+                    if thread.name.startswith(("repro-serve", "repro-leg"))]
+
+    def test_served_clients_fuse_into_half_the_serial_tuples(self):
+        """The serving gate at its benchmark size, in counts: eight
+        concurrent clients' repeat-free queries, flushed by size into one
+        batch, answer as one-at-a-time execution does and score at most
+        half its tuples."""
+        relation = generate_relation(SyntheticSpec(
+            num_tuples=6000, num_selection_dims=3, num_ranking_dims=2,
+            cardinality=8, seed=23))
+        serial_engine, served_engine = (
+            Executor.for_relation(relation, block_size=200,
+                                  with_signature=False, with_skyline=False)
+            for _ in range(2))
+        queries = distinct_serving_queries(relation)
+        streams = [queries[i::8] for i in range(8)]
+        serial = [serial_engine.execute(query) for query in queries]
+
+        async def run():
+            config = ServiceConfig(max_batch_size=len(queries),
+                                   max_linger=30.0)
+            async with QueryService(served_engine, config) as service:
+                gathered = await asyncio.gather(
+                    *(service.submit_many(stream) for stream in streams))
+                return gathered, service.stats_snapshot()
+
+        gathered, snap = asyncio.run(run())
+        served = [gathered[i % 8][i // 8] for i in range(len(queries))]
+        for alone, batched in zip(serial, served):
+            assert alone.tids == batched.tids
+            assert alone.scores == batched.scores
+        assert snap["batches"] == 1.0
+        assert snap["fused_queries"] > 0
+        assert (sum(r.tuples_evaluated for r in served) * 2
+                <= sum(r.tuples_evaluated for r in serial))
 
     def test_full_stack_serves_skyline_and_topk(self, relation):
         reference = Executor.for_relation(relation, block_size=100,
@@ -465,45 +541,6 @@ class TestAdmissionAndDeadlines:
         asyncio.run(run())
 
 
-class TestBackendLimits:
-    def test_backend_semaphore_serializes_batches(self, relation):
-        _, engine = make_engine(relation)
-        function = sum_function(["N1", "N2"])
-        queries = [TopKQuery(Predicate.of(A1=value), function, 3)
-                   for value in range(4)]
-        active = {"now": 0, "peak": 0}
-        original = engine.execute_many
-
-        def instrumented(batch):
-            active["now"] += 1
-            active["peak"] = max(active["peak"], active["now"])
-            try:
-                return original(batch)
-            finally:
-                active["now"] -= 1
-
-        engine.execute_many = instrumented
-
-        async def run():
-            # Four size-1 batches race through an engine allowed 4-wide,
-            # but every batch routes to the same backend, whose limit is 1.
-            config = ServiceConfig(max_batch_size=1, max_linger=30.0,
-                                   engine_concurrency=4,
-                                   backend_limits={"ranking-cube": 1,
-                                                   "table-scan": 1})
-            async with QueryService(engine, config) as service:
-                return await service.submit_many(queries)
-
-        results = asyncio.run(run())
-        assert len(results) == 4
-        assert active["peak"] == 1
-
-    def test_scatter_engine_routes_to_scatter_gather(self, relation):
-        manager, engine = make_engine(relation, num_shards=2)
-        assert engine.plan_backends(mixed_workload()) == {"scatter-gather"}
-        assert engine.plan_backends([]) == set()
-
-
 class TestWritePath:
     def test_insert_between_queue_and_drain_is_not_stale(self, relation):
         # The write-serialization contract: a row inserted after a query
@@ -711,50 +748,11 @@ class TestStatsViews:
         assert snap["fusion_rate"] == 0.0
         assert snap["fused_queries"] == 3.0  # lifetime counter untouched
 
-    def test_ensure_pool_grows_for_front_door_reserve(self, relation):
-        # A scatter pool created before the serving layer attaches must be
-        # replaced by one large enough for the reserve — a same-size pool
-        # would let front-door calls occupy every worker and deadlock the
-        # legs they wait on.
-        manager, engine = make_engine(relation, num_shards=2)
-        small = engine.ensure_pool()
-        assert small._max_workers == 2
-        grown = engine.ensure_pool(reserve=2)
-        assert grown is not small
-        assert grown._max_workers == 4
-        # Idempotent once large enough.
-        assert engine.ensure_pool(reserve=2) is grown
-        assert engine.ensure_pool() is grown
-
-    def test_service_survives_engine_pool_growth(self, relation):
-        # A second caller growing the engine pool mid-service replaces the
-        # pool the service started on; dispatches re-fetch the current
-        # pool, so requests keep completing.
-        manager, engine = make_engine(relation, num_shards=2)
-        function = sum_function(["N1", "N2"])
-
-        async def run():
-            async with QueryService(engine) as service:
-                first = await service.submit(
-                    TopKQuery(Predicate.of(), function, 3))
-                engine.ensure_pool(reserve=8)
-                second = await service.submit(
-                    TopKQuery(Predicate.of(), function, 5))
-                return first, second
-
-        first, second = asyncio.run(run())
-        assert len(first.tids) == 3
-        assert len(second.tids) == 5
-
     def test_config_validation(self):
         with pytest.raises(ServeError):
             ServiceConfig(max_batch_size=0)
         with pytest.raises(ServeError):
             ServiceConfig(min_linger=2.0, max_linger=1.0)
-        with pytest.raises(ServeError):
-            ServiceConfig(engine_concurrency=0)
-        with pytest.raises(ServeError):
-            ServiceConfig(backend_limits={"ranking-cube": 0})
         with pytest.raises(ServeError):
             ServiceConfig(default_timeout=0.0)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines import TableScanTopK
 from repro.engine import Executor
 from repro.errors import PlanningError
 from repro.functions import LinearFunction
@@ -148,6 +149,29 @@ class TestPruning:
             assert len(consulted) == 1, (value, result.extra)
             shard = engine.manager.shards[int(consulted[0])]
             assert value in shard.stats.selection_values["A1"]
+
+    def test_pruned_workload_scores_fewer_tuples_than_the_scan(self):
+        """The shard-scaling gate at its benchmark size, in counts: one
+        query per A1 value over 4 range shards consults one shard each
+        (12 of 48 scatter slots) and scores fewer tuples than the
+        unsharded scan every method must beat."""
+        big = generate_relation(SyntheticSpec(
+            num_tuples=12000, num_selection_dims=3, num_ranking_dims=2,
+            cardinality=12, seed=42))
+        queries = pruned_predicate_queries(big, "A1", k=10)
+        scanned = [TableScanTopK(big).query(query) for query in queries]
+        _, engine = make_sharded_engine(big, 4, range_dim="A1", block_size=200,
+                                        with_signature=False,
+                                        with_skyline=False)
+        sharded = [engine.execute(query) for query in queries]
+        assert ([result.tids for result in sharded]
+                == [result.tids for result in scanned])
+        consulted = [result.extra["shards_consulted"].split(",")
+                     for result in sharded]
+        assert len(queries) == 12
+        assert sum(map(len, consulted)) == 12
+        assert (sum(result.tuples_evaluated for result in sharded)
+                < sum(result.tuples_evaluated for result in scanned))
 
     def test_plan_reports_scatter_set_and_backends(self, relation):
         engine = build_engine(relation, "range-width", 3)
