@@ -17,7 +17,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import numpy as np
 
 from repro.functions import ExpressionFunction, SquaredDistanceFunction, Var
-from repro.indexmerge import (
+from repro.paper.indexmerge import (
     MODE_PROGRESSIVE,
     MODE_SELECTIVE,
     IndexMergeTopK,

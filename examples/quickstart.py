@@ -10,7 +10,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.baselines import TableScanTopK
+from repro.storage.table_scan import TableScanTopK
 from repro.cube import RankingCube
 from repro.functions import LinearFunction, SquaredDistanceFunction
 from repro.query import Predicate, TopKQuery

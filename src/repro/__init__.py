@@ -7,9 +7,10 @@ Ranking-Cube Methodology".
 
 Sub-packages
 ------------
+Served — what a request entering through ``repro.net`` can reach:
+
 ``repro.storage``
-    Simulated paged storage, buffer pool, relations, B+-tree, R-tree and
-    selection (inverted) indexes.
+    Simulated paged storage, buffer pool, relations, R-tree, table scan.
 ``repro.functions``
     Ranking functions with box lower bounds (linear, distance, expression).
 ``repro.partition``
@@ -19,22 +20,28 @@ Sub-packages
 ``repro.signature``
     Chapter 4: signature measures, compression, the signature ranking cube,
     incremental maintenance and branch-and-bound query processing.
-``repro.indexmerge``
-    Chapter 5: progressive and selective merging of hierarchical indexes.
-``repro.joins``
-    Chapter 6: SPJR (select-project-join-rank) queries over multiple relations.
 ``repro.skyline``
     Chapter 7: skyline and dynamic-skyline queries with boolean predicates.
 ``repro.engine``
     The unified query-engine layer: a registry of named backends over all
     of the above, an explainable planner, and the ``Executor`` front door
     with batch execution and a shared lower-bound cache.
-``repro.baselines``
-    The comparison methods of the evaluation (table scan, boolean-first,
-    ranking-first, rank mapping, threshold algorithm).
+``repro.shard`` / ``repro.fault`` / ``repro.serve`` / ``repro.net`` / ``repro.obs``
+    Scatter/gather over shards, the fault guard around its legs, the async
+    micro-batching service, the HTTP / websocket tier, metrics and tracing.
 ``repro.workloads``
     Synthetic data / query generators and the CoverType-like surrogate.
-``repro.bench``
+
+``repro.paper`` — figures only; imports the above, never the reverse:
+
+``repro.paper.indexmerge``
+    Chapter 5: progressive and selective merging of hierarchical indexes.
+``repro.paper.joins``
+    Chapter 6: SPJR (select-project-join-rank) queries over multiple relations.
+``repro.paper.baselines`` / ``repro.paper.btree`` / ``repro.paper.bitmap``
+    The comparison methods of the evaluation (boolean-first, ranking-first,
+    rank mapping, threshold algorithm) and the indexes only they read.
+``repro.paper.bench``
     The experiment harness regenerating every figure and table.
 """
 

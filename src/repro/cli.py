@@ -2,10 +2,6 @@
 
 Commands
 --------
-``list-experiments``
-    Print every experiment id with its description.
-``run-experiments [--only id,id,...] [--output report.md]``
-    Run experiments and print (or write) a markdown report.
 ``demo [--shards N] [--scatter threads|processes] [--planner cost|static] [--chaos SEED] [--allow-partial]``
     Build a small ranking cube and run one query end to end — a smoke test
     that the installation works.  ``--shards N`` routes the same queries
@@ -36,6 +32,8 @@ Commands
     :class:`~repro.serve.QueryService` alongside fusable peer queries so
     the tree shows batching and the shared frontier sweep; ``--direct``
     calls ``explain_analyze`` on the engine itself instead.
+
+``list-experiments`` / ``run-experiments`` are ``python -m repro.paper``.
 """
 
 from __future__ import annotations
@@ -44,40 +42,6 @@ import argparse
 import json
 import sys
 from typing import List, Optional
-
-
-def _cmd_list_experiments(_: argparse.Namespace) -> int:
-    from repro.bench import ALL_EXPERIMENTS
-
-    width = max(len(name) for name in ALL_EXPERIMENTS)
-    for name, fn in sorted(ALL_EXPERIMENTS.items()):
-        doc = (fn.__doc__ or "").strip().splitlines()[0] if fn.__doc__ else ""
-        print(f"{name.ljust(width)}  {doc}")
-    return 0
-
-
-def _cmd_run_experiments(args: argparse.Namespace) -> int:
-    from repro.bench import ALL_EXPERIMENTS
-    from repro.bench.report import build_report, run_experiments
-
-    only = args.only.split(",") if args.only else None
-
-    def progress(name: str, seconds: float) -> None:
-        print(f"[{name}] finished in {seconds:.1f}s", file=sys.stderr)
-
-    try:
-        results = run_experiments(ALL_EXPERIMENTS, only=only, progress=progress)
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = build_report(results, title="Ranking-cube reproduction — measured series")
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(report)
-        print(f"wrote {args.output}")
-    else:
-        print(report)
-    return 0
 
 
 def _fault_kwargs(args: argparse.Namespace) -> dict:
@@ -334,15 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="Ranking-cube reproduction command line")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("list-experiments",
-                   help="list every per-figure experiment").set_defaults(
-        handler=_cmd_list_experiments)
-
-    run = sub.add_parser("run-experiments", help="run experiments, emit markdown")
-    run.add_argument("--only", help="comma-separated experiment ids (default: all)")
-    run.add_argument("--output", help="write the markdown report to this file")
-    run.set_defaults(handler=_cmd_run_experiments)
 
     demo = sub.add_parser("demo", help="build a small cube and run one query")
     demo.add_argument("--shards", type=int, default=0,

@@ -1,10 +1,9 @@
 """Unified query-engine layer: registry, planner, and execution front door.
 
-The library implements five execution paths for the same query model —
-grid ranking cube and ranking fragments (Chapter 3), the signature ranking
-cube (Chapter 4), index-merge joins (Chapters 5–6), skylines (Chapter 7),
-and the scan baselines.  This package puts one front door in front of all
-of them:
+The served package implements four execution paths for the same query
+model — grid ranking cube and ranking fragments (Chapter 3), the signature
+ranking cube (Chapter 4), skylines (Chapter 7), and the scan fallbacks.
+This package puts one front door in front of all of them:
 
 * :class:`EngineRegistry` — named, pluggable backends
   (:class:`~repro.engine.registry.Backend` adapters live in
@@ -56,13 +55,13 @@ Custom stacks register backends explicitly::
     executor.register(TableScanBackend(my_scanner))
     print(executor.explain(query))
 
-Multi-relation ranked joins plug in through
-:meth:`Executor.register_join_system` (or :meth:`Executor.for_system`),
-routing :class:`repro.joins.SPJRQuery` objects to the index-merge backend.
+Multi-relation ranked joins (Chapters 5–6) are not served: :func:`kind_of`
+routes a query with ``terms`` and ``joins`` to a ``join`` backend by duck
+typing, and :func:`repro.paper.joins.register_joins` puts the index-merge
+adapter on an existing :class:`Executor`; nothing here imports it.
 """
 
 from repro.engine.backends import (
-    IndexMergeBackend,
     RankingCubeBackend,
     SignatureCubeBackend,
     SkylineBackend,
@@ -94,7 +93,6 @@ __all__ = [
     "CostModel",
     "EngineRegistry",
     "Executor",
-    "IndexMergeBackend",
     "KIND_JOIN",
     "KIND_SKYLINE",
     "KIND_TOPK",

@@ -3,9 +3,9 @@
 Each adapter implements the small :class:`repro.engine.registry.Backend`
 interface over an already-built engine object: the grid ranking cube (or its
 ranking-fragments variant), the signature ranking cube, the skyline engines,
-the SPJR index-merge join system, and the table-scan fallback.  ``supports``
-checks are conservative and never raise — a backend that cannot answer a
-query simply drops out of the candidate list.
+and the table-scan fallback.  ``supports`` checks are conservative and never
+raise — a backend that cannot answer a query simply drops out of the
+candidate list.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from repro.errors import CubeError
 from repro.query import Predicate, SkylineQuery, TopKQuery
 from repro.storage.table import Relation
 
-from repro.engine.plan import KIND_JOIN, KIND_SKYLINE, KIND_TOPK
+from repro.engine.plan import KIND_SKYLINE, KIND_TOPK
 from repro.engine.registry import Backend
 
 
@@ -174,7 +174,7 @@ class TableScanBackend(Backend):
     maintains_inserts = True  # scans the live relation
 
     def __init__(self, scanner, name: str = "table-scan", priority: int = 90) -> None:
-        # ``scanner`` is a repro.baselines.TableScanTopK.
+        # ``scanner`` is a repro.storage.table_scan.TableScanTopK.
         self.scanner = scanner
         self.name = name
         self.priority = priority
@@ -260,33 +260,3 @@ class SkylineScanBackend(Backend):
 
     def run(self, query):
         return self.engine.query(query)
-
-
-class IndexMergeBackend(Backend):
-    """Multi-relation ranked joins via index merging (Chapters 5–6)."""
-
-    kind = KIND_JOIN
-
-    def __init__(self, system, name: str = "index-merge", priority: int = 10) -> None:
-        # ``system`` is a repro.joins.RankingCubeJoinSystem.
-        self.system = system
-        self.name = name
-        self.priority = priority
-
-    def supports(self, query) -> bool:
-        if not (hasattr(query, "terms") and hasattr(query, "joins")):
-            return False
-        return all(term.relation.name in self.system.relations
-                   for term in query.terms)
-
-    def plan_details(self, query) -> Dict[str, object]:
-        try:
-            plan = self.system.plan(query)
-        except Exception:
-            return {}
-        access = ",".join(
-            f"{name}:{plan.plan_for(name).access}" for name in plan.order)
-        return {"join_order": "->".join(plan.order), "access": access}
-
-    def run(self, query):
-        return self.system.query(query)

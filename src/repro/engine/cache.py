@@ -59,12 +59,11 @@ class LowerBoundCache:
         # with their entry.
         self._bounds: "OrderedDict[Tuple[int, int, int], Tuple[float, object, object]]" \
             = OrderedDict()
-        # Concurrent engine calls (the async serving layer dispatches
-        # batches on worker threads) share this cache; the LRU OrderedDict
-        # is not safe to mutate concurrently, so every access takes the
-        # lock.  Bound derivation itself runs outside it — two threads may
-        # rarely derive the same bound twice, which costs time, never
-        # correctness.
+        # One engine call runs at a time and each shard ``Executor`` owns
+        # its cache, so lookups never race each other.  What the lock still
+        # guards: a metrics snapshot sizing the cache (``__len__``, via
+        # ``cache_stats``) from another thread while a sweep inserts or
+        # evicts.  Bound derivation itself runs outside it.
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0

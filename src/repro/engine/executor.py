@@ -23,7 +23,6 @@ from repro.query import TopKQuery
 from repro.storage.table import Relation
 
 from repro.engine.backends import (
-    IndexMergeBackend,
     RankingCubeBackend,
     SignatureCubeBackend,
     SkylineBackend,
@@ -467,11 +466,11 @@ class Executor:
     def watch_relation(self, relation: Relation) -> None:
         """Auto-invalidate cached results whenever ``relation`` mutates.
 
-        ``for_relation`` / ``for_system`` wire this up for the relations
-        they build over, so after a direct ``Relation.append`` (the
-        incremental maintenance path) the next execution re-runs instead of
-        replaying a pre-mutation answer.  Scope of the guarantee: watching
-        keeps the *caches* honest, nothing more.  A row reaches the
+        ``for_relation`` wires this up for the relation it builds over, so
+        after a direct ``Relation.append`` (the incremental maintenance
+        path) the next execution re-runs instead of replaying a
+        pre-mutation answer.  Scope of the guarantee: watching keeps the
+        *caches* honest, nothing more.  A row reaches the
         backends through :meth:`insert`, which the write paths
         (``ShardManager.insert``, ``QueryService.insert``) call: the grid
         cube absorbs it in place and the scan backends read the live
@@ -525,7 +524,7 @@ class Executor:
         cost, and with ``with_signature=False`` the top-k executor over it
         is simply never instantiated.
         """
-        from repro.baselines import TableScanTopK
+        from repro.storage.table_scan import TableScanTopK
         from repro.cube import RankingCube, build_ranking_fragments
 
         executor = cls(planner_mode=planner_mode)
@@ -554,29 +553,4 @@ class Executor:
             executor.register(SkylineBackend(SkylineEngine(signature)))
             executor.register(SkylineScanBackend(BooleanFirstSkyline(relation)))
         executor.watch_relation(relation)
-        return executor
-
-    def register_join_system(self, system, name: str = "index-merge") -> Backend:
-        """Register a multi-relation join system as the ``join`` backend."""
-        return self.register(IndexMergeBackend(system, name=name))
-
-    @classmethod
-    def for_system(cls, relations: Sequence[Relation], *,
-                   rtree_max_entries: int = 32,
-                   planner_mode: str = MODE_COST) -> "Executor":
-        """Engine stack over several relations, including ranked joins.
-
-        Single-relation backends are built for the first relation; the join
-        backend spans all of them.
-        """
-        from repro.joins import RankingCubeJoinSystem
-
-        executor = cls.for_relation(relations[0],
-                                    rtree_max_entries=rtree_max_entries,
-                                    planner_mode=planner_mode)
-        system = RankingCubeJoinSystem(relations,
-                                       rtree_max_entries=rtree_max_entries)
-        executor.register_join_system(system)
-        for relation in relations:
-            executor.watch_relation(relation)
         return executor

@@ -33,8 +33,8 @@ def kind_of(query) -> str:
         return KIND_TOPK
     if isinstance(query, SkylineQuery):
         return KIND_SKYLINE
-    # SPJRQuery lives in repro.joins; avoid a hard import cycle by duck
-    # typing on its distinguishing fields.
+    # SPJRQuery lives in repro.paper.joins, which the served package never
+    # imports: duck-type on its distinguishing fields.
     if hasattr(query, "terms") and hasattr(query, "joins"):
         return KIND_JOIN
     raise PlanningError(f"cannot route query of type {type(query).__name__}")

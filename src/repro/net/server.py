@@ -65,6 +65,8 @@ from repro.net.stream import error_frame, final_frame, prefix_frame
 from repro.serve.batcher import DEFAULT_PRIORITY
 
 _WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
+#: Client id assumed when neither header nor body names one.
+_DEFAULT_CLIENT_ID = "anonymous"
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 413: "Payload Too Large",
@@ -109,8 +111,6 @@ class NetConfig:
     #: overrides (``TokenBucketLimiter.configure``).
     rate: Optional[float] = None
     burst: float = 10.0
-    #: Client id assumed when neither header nor body names one.
-    default_client_id: str = "anonymous"
     max_body_bytes: int = 8 * 1024 * 1024
 
     def __post_init__(self) -> None:
@@ -393,7 +393,7 @@ class QueryServer:
         call: Dict[str, object] = {
             "client_id": str(envelope.get("client_id")
                              or headers.get("x-client-id")
-                             or self.config.default_client_id),
+                             or _DEFAULT_CLIENT_ID),
             "priority": decode_priority(envelope.get("priority")
                                         or headers.get("x-priority"),
                                         default=DEFAULT_PRIORITY)}
@@ -517,8 +517,7 @@ class QueryServer:
         await writer.drain()
         send_lock = asyncio.Lock()
         tasks: set = set()
-        default_client = headers.get("x-client-id",
-                                     self.config.default_client_id)
+        default_client = headers.get("x-client-id", _DEFAULT_CLIENT_ID)
         try:
             while True:
                 try:

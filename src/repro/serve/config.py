@@ -35,9 +35,6 @@ class ServiceConfig:
     default_timeout:
         Per-request timeout in seconds applied when ``submit`` /
         ``submit_many`` pass none explicitly; ``None`` waits forever.
-    latency_window:
-        How many recent completions the latency/queue-wait percentile
-        reservoirs retain.
     tracing:
         Record a span tree per dispatched batch (and per analyzed
         request) into the service tracer's ring buffer.  Off by default:
@@ -57,7 +54,6 @@ class ServiceConfig:
     min_linger: float = 0.0
     max_pending: int = 1024
     default_timeout: Optional[float] = None
-    latency_window: int = 2048
     tracing: bool = False
     slow_query_threshold: Optional[float] = None
     trace_ring_size: int = 256
@@ -77,8 +73,6 @@ class ServiceConfig:
                 f"max_pending must be >= 1, got {self.max_pending}")
         if self.default_timeout is not None and self.default_timeout <= 0:
             raise ServeError("default_timeout must be positive or None")
-        if self.latency_window < 1:
-            raise ServeError("latency_window must be >= 1")
         if (self.slow_query_threshold is not None
                 and self.slow_query_threshold < 0):
             raise ServeError(

@@ -160,8 +160,7 @@ class QueryService:
                                     self.config.max_linger,
                                     self.config.min_linger,
                                     clock=clock)
-        self.stats = ServiceStats(window=self.config.latency_window,
-                                  clock=clock, metrics=self.metrics)
+        self.stats = ServiceStats(clock=clock, metrics=self.metrics)
         # One thread, one engine call at a time: the engine stacks share
         # mutable structures (buffer pools, statistics catalogs) that are
         # not hardened for concurrent batches, and a scatter engine

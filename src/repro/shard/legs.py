@@ -152,7 +152,7 @@ class WorkerProcessLegs:
     """
 
     def __init__(self, manager: ShardManager, cost_model: CostModel,
-                 metrics: MetricsRegistry, mp_context="spawn",
+                 metrics: MetricsRegistry,
                  recv_timeout: Optional[float] = 120.0) -> None:
         if manager.has_custom_factory:
             raise PlanningError(
@@ -166,8 +166,8 @@ class WorkerProcessLegs:
         self.recv_timeout = recv_timeout
         self.injector = None
         self._inline = InProcessLegs(manager)
-        self._ctx = (multiprocessing.get_context(mp_context)
-                     if isinstance(mp_context, str) else mp_context)
+        # spawn: the one start method that is safe next to serving threads.
+        self._ctx = multiprocessing.get_context("spawn")
         #: Live workers by shard index (never rebound: the executor
         #: aliases this mapping).
         self.workers: Dict[int, ShardWorker] = {}

@@ -1141,9 +1141,9 @@ class ProcessScatterExecutor(ScatterGatherExecutor):
     (a closure that cannot be shipped to a spawned process) is rejected at
     construction time.
 
-    ``mp_context`` selects the multiprocessing start method; the default
-    ``"spawn"`` is safe with the serving layer's threads and ships the
-    parent's ``sys.path`` so workers import this package uninstalled.
+    Workers are started with the ``spawn`` method, which is safe with the
+    serving layer's threads and ships the parent's ``sys.path`` so workers
+    import this package uninstalled.
 
     ``recv_timeout`` bounds every worker reply wait once the worker has
     booted (default two minutes — generous enough that no honest leg
@@ -1161,7 +1161,7 @@ class ProcessScatterExecutor(ScatterGatherExecutor):
                  result_cache: Optional[ResultCache] = None,
                  cost_model: Optional[CostModel] = None,
                  metrics: Optional[MetricsRegistry] = None,
-                 tracer=None, mp_context="spawn",
+                 tracer=None,
                  recv_timeout: Optional[float] = 120.0,
                  retry_policy=None,
                  breaker_policy=None,
@@ -1170,7 +1170,6 @@ class ProcessScatterExecutor(ScatterGatherExecutor):
         cost_model = cost_model or CostModel()
         metrics = metrics or MetricsRegistry()
         legs = WorkerProcessLegs(manager, cost_model, metrics,
-                                 mp_context=mp_context,
                                  recv_timeout=recv_timeout)
         super().__init__(manager, parallel=parallel,
                          result_cache=result_cache, cost_model=cost_model,

@@ -31,6 +31,7 @@ from repro.skyline.dominance import (
     transform_dynamic,
 )
 from repro.storage.table import Relation
+from repro.storage.table_scan import table_pages
 
 
 @dataclass
@@ -202,8 +203,6 @@ class BooleanFirstSkyline:
         ]
         result = skyline_of(mapped)
         elapsed = time.perf_counter() - start
-        from repro.baselines.table_scan import table_pages
-
         return SkylineResult(
             tids=tuple(sorted(tid for tid, _ in result)),
             disk_accesses=table_pages(self.relation),

@@ -1,0 +1,59 @@
+"""Table scan (``TS`` in Section 5.4.1): the fallback every stack serves.
+
+Sequentially reads the whole relation, applies the boolean predicate, and
+keeps the best k tuples in a bounded heap.  Disk cost is the number of heap
+pages of the base table — the cost every index-based method is trying to
+beat.
+"""
+
+from __future__ import annotations
+
+import time
+
+import numpy as np
+
+from repro.query import QueryResult, TopKQuery
+from repro.storage.pager import DEFAULT_PAGE_SIZE
+from repro.storage.table import Relation
+
+#: Assumed bytes per stored tuple when estimating the table's page count.
+_BYTES_PER_TUPLE_FIELD = 8
+
+
+def table_pages(relation: Relation, page_size: int = DEFAULT_PAGE_SIZE) -> int:
+    """Number of heap pages occupied by ``relation``."""
+    fields = len(relation.selection_dims) + len(relation.ranking_dims) + 1
+    bytes_per_tuple = fields * _BYTES_PER_TUPLE_FIELD
+    tuples_per_page = max(1, page_size // bytes_per_tuple)
+    return max(1, -(-relation.num_tuples // tuples_per_page))
+
+
+class TableScanTopK:
+    """Full-scan evaluation of top-k queries with boolean predicates."""
+
+    def __init__(self, relation: Relation, page_size: int = DEFAULT_PAGE_SIZE) -> None:
+        self.relation = relation
+        self.page_size = page_size
+
+    def query(self, query: TopKQuery) -> QueryResult:
+        """Scan every tuple, filter, rank, and return the top k."""
+        query.validate(self.relation)
+        start = time.perf_counter()
+        mask = self.relation.mask_equal(query.predicate.as_dict)
+        tids = np.nonzero(mask)[0]
+        if tids.size:
+            values = self.relation.ranking_values_bulk(tids, query.function.dims)
+            scores = np.array([query.function.evaluate(row) for row in values])
+            order = np.argsort(scores, kind="stable")[: query.k]
+            top_tids = tuple(int(tids[i]) for i in order)
+            top_scores = tuple(float(scores[i]) for i in order)
+        else:
+            top_tids, top_scores = (), ()
+        elapsed = time.perf_counter() - start
+        return QueryResult(
+            tids=top_tids,
+            scores=top_scores,
+            disk_accesses=table_pages(self.relation, self.page_size),
+            tuples_evaluated=int(tids.size),
+            elapsed_seconds=elapsed,
+        )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines import (
+from repro.paper.baselines import (
     BooleanFirstTopK,
     RankMappingTopK,
     RankingFirstTopK,

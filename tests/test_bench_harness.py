@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench import ALL_EXPERIMENTS, bench_scale, scaled
-from repro.bench.harness import ExperimentResult, average, cold_buffers, timed
-from repro.bench.datasets import (
+from repro.paper.bench import ALL_EXPERIMENTS, bench_scale, scaled
+from repro.paper.bench.harness import ExperimentResult, average, cold_buffers, timed
+from repro.paper.bench.datasets import (
     clear_cache,
     dimension_btree,
     grid_cube,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import IndexError_, QueryError
-from repro.storage.bitmap import SelectionIndex, intersect_sorted
+from repro.paper.bitmap import SelectionIndex, intersect_sorted
 from repro.storage.pager import Pager
 from repro.workloads import SyntheticSpec, generate_relation
 

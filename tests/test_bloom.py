@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.indexmerge import BloomFilter
+from repro.paper.indexmerge import BloomFilter
 
 
 class TestBloomFilter:

@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bench.harness import ExperimentResult
-from repro.bench.report import build_report, result_to_markdown, run_experiments
+from repro.paper.bench.harness import ExperimentResult
+from repro.paper.bench.report import build_report, result_to_markdown, run_experiments
 from repro.cli import build_parser, main
-from repro.storage.btree import BPlusTree
+from repro.paper.__main__ import main as paper_main
+from repro.paper.btree import BPlusTree
 from repro.storage.hierindex import LeafEntry, NodeHandle
 from repro.geometry import Box
 
@@ -48,7 +49,7 @@ class TestCli:
             build_parser().parse_args([])
 
     def test_list_experiments(self, capsys):
-        assert main(["list-experiments"]) == 0
+        assert paper_main(["list-experiments"]) == 0
         out = capsys.readouterr().out
         assert "fig3.4" in out and "fig7.6" in out
 
@@ -103,16 +104,16 @@ class TestCli:
         assert "cost_estimates=" in out
 
     def test_run_experiments_unknown_id(self, capsys):
-        assert main(["run-experiments", "--only", "not-a-figure"]) == 2
+        assert paper_main(["run-experiments", "--only", "not-a-figure"]) == 2
 
     def test_run_experiments_to_file(self, tmp_path, monkeypatch, capsys):
         # Patch the registry so the CLI runs a cheap fake experiment.
-        import repro.bench as bench
+        import repro.paper.bench as bench
 
         monkeypatch.setattr(bench, "ALL_EXPERIMENTS", {"fig0.1": tiny_result})
         target = tmp_path / "report.md"
-        assert main(["run-experiments", "--only", "fig0.1",
-                     "--output", str(target)]) == 0
+        assert paper_main(["run-experiments", "--only", "fig0.1",
+                           "--output", str(target)]) == 0
         assert "### fig0.1" in target.read_text()
 
 

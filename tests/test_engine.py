@@ -19,7 +19,12 @@ from repro.engine import (
 from repro.errors import PlanningError
 from repro.functions import LinearFunction, SquaredDistanceFunction
 from repro.functions.base import RankingFunction
-from repro.joins import JoinCondition, RelationTerm, SPJRQuery
+from repro.paper.joins import (
+    JoinCondition,
+    RelationTerm,
+    SPJRQuery,
+    register_joins,
+)
 from repro.query import Predicate, SkylineQuery, TopKQuery
 from repro.skyline import BooleanFirstSkyline, SkylineEngine
 from repro.workloads import QuerySpec, SyntheticSpec, generate_queries, generate_relation
@@ -82,7 +87,8 @@ class TestRouting:
         r2 = generate_relation(SyntheticSpec(num_tuples=300, num_selection_dims=2,
                                              num_ranking_dims=2, cardinality=4,
                                              seed=92), name="R2")
-        executor = Executor.for_system([r1, r2], rtree_max_entries=16)
+        executor = Executor.for_relation(r1, rtree_max_entries=16)
+        register_joins(executor, [r1, r2], rtree_max_entries=16)
         query = SPJRQuery(
             terms=(RelationTerm(r1, Predicate.of(A2=1),
                                 LinearFunction(["N1", "N2"], [1, 1])),
@@ -421,7 +427,7 @@ class TestResultCache:
             SkylineQuery(Predicate.of(A1=1), ("N1", "N2"), targets=(0.1, 0.2)))
 
     def test_shared_result_cache_is_scoped_per_executor(self):
-        from repro.baselines import TableScanTopK
+        from repro.storage.table_scan import TableScanTopK
         from repro.engine import ResultCache
         from repro.engine.backends import TableScanBackend
 
@@ -521,7 +527,7 @@ class TestResultCache:
 
 class TestDeterministicPlanning:
     def test_equal_priority_breaks_ties_by_name(self, relation):
-        from repro.baselines import TableScanTopK
+        from repro.storage.table_scan import TableScanTopK
         from repro.engine.backends import TableScanBackend
 
         scanner = TableScanTopK(relation)

@@ -13,7 +13,7 @@ from repro.functions import (
     SquaredDistanceFunction,
     Var,
 )
-from repro.indexmerge import (
+from repro.paper.indexmerge import (
     MODE_BASELINE,
     MODE_PROGRESSIVE,
     MODE_SELECTIVE,
@@ -24,12 +24,12 @@ from repro.indexmerge import (
     MergeContext,
     choose_expander,
 )
-from repro.indexmerge.expansion import (
+from repro.paper.indexmerge.expansion import (
     FullExpander,
     NeighborhoodExpander,
     ThresholdExpander,
 )
-from repro.storage.btree import BPlusTree
+from repro.paper.btree import BPlusTree
 from repro.storage.rtree import RTree
 from repro.workloads import SyntheticSpec, generate_relation
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import QueryError
 from repro.functions import LinearFunction, SquaredDistanceFunction
-from repro.joins import (
+from repro.paper.joins import (
     BooleanStream,
     JoinCondition,
     RankJoinExecutor,

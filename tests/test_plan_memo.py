@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines import TableScanTopK
+from repro.storage.table_scan import TableScanTopK
 from repro.engine import CostModel, Executor, MODE_COST, MODE_STATIC, Planner
 from repro.engine.backends import TableScanBackend
 from repro.functions import LinearFunction

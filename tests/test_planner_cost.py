@@ -154,7 +154,7 @@ class TestCostBasedSelection:
         assert signature.scores == cube.scores
 
     def test_equal_costs_fall_back_to_static_tie_break(self, relation):
-        from repro.baselines import TableScanTopK
+        from repro.storage.table_scan import TableScanTopK
         from repro.engine.backends import TableScanBackend
 
         scanner = TableScanTopK(relation)
@@ -172,7 +172,7 @@ class TestCostBasedSelection:
             assert plan.mode == MODE_COST
 
     def test_unestimable_candidate_forces_static_fallback(self, relation):
-        from repro.baselines import TableScanTopK
+        from repro.storage.table_scan import TableScanTopK
         from repro.engine.backends import TableScanBackend
 
         class OpaqueBackend(TableScanBackend):

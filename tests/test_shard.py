@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines import TableScanTopK
+from repro.storage.table_scan import TableScanTopK
 from repro.engine import Executor
 from repro.errors import PlanningError
 from repro.functions import LinearFunction
