@@ -16,7 +16,10 @@ more same-function queries; ``execute`` is that sweep over a group of one.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import heapq
+import operator
 import time
 from typing import List, Optional, Sequence, Set, Tuple
 
@@ -31,46 +34,67 @@ from repro.query import QueryResult
 
 
 class TopKAccumulator:
-    """Bounded max-heap tracking the best (smallest-score) k tuples seen.
+    """The best (smallest-score) k tuples seen, in two phases.
 
     The retained set is the minimal k under the canonical
     :func:`repro.query.topk_order_key` order ``(score, tid)`` — ties at the
     k-th position are broken by tuple id, not by arrival order, so every
     engine (and every shard merge) that feeds the same scored tuples ends
     with the same answer list.
+
+    *Filling*: until k tuples have been offered none can be rejected, so
+    offers are only kept — bulk ones as the arrays they arrived in, scalar
+    ones in two lists.  The offer that reaches k folds what was kept, in one
+    sort, into a bounded max-heap; from then on candidates that cannot be
+    retained are cut as arrays and only the survivors walk the heap.
     """
 
     def __init__(self, k: int) -> None:
         if k <= 0:
             raise QueryError("k must be positive")
         self.k = k
-        self._heap: List[Tuple[float, int]] = []  # (-score, -tid): root is worst
+        #: ``(-score, -tid)``, root is worst; empty while filling, k entries after.
+        self._heap: List[Tuple[float, int]] = []
+        self._kept = 0
+        self._tids: List[int] = []
+        self._scores: List[float] = []
+        self._tid_chunks: List[np.ndarray] = []
+        self._score_chunks: List[np.ndarray] = []
+        #: :meth:`ordered`'s answer, until the next offer that is retained.
+        self._ordered: Optional[Tuple[List[int], List[float]]] = None
 
     def offer(self, tid: int, score: float) -> None:
         """Consider one scored tuple."""
-        if len(self._heap) < self.k:
-            heapq.heappush(self._heap, (-score, -tid))
-        else:
-            # Inline (score, tid) < (worst_score, worst_tid): this runs once
-            # per surviving tuple, so no tuple allocation in the hot path.
-            worst_score = -self._heap[0][0]
-            if score < worst_score or (score == worst_score
-                                       and tid < -self._heap[0][1]):
-                heapq.heapreplace(self._heap, (-score, -tid))
+        if not self._heap:
+            self._tids.append(tid)
+            self._scores.append(score)
+            self._keep(1)
+            return
+        # Inline (score, tid) < (worst_score, worst_tid): this runs once
+        # per surviving tuple, so no tuple allocation in the hot path.
+        worst_score = -self._heap[0][0]
+        if score < worst_score or (score == worst_score
+                                   and tid < -self._heap[0][1]):
+            heapq.heapreplace(self._heap, (-score, -tid))
+            self._ordered = None
 
     def offer_many(self, tids: np.ndarray, scores: np.ndarray) -> None:
         """Consider aligned arrays of scored tuples: :meth:`offer` in bulk.
 
-        Candidates that cannot be retained are cut as arrays and only the
-        survivors walk the heap.  The retained set is the k best under
-        ``(score, tid)`` whatever the arrival order, so the outcome is that
-        of offering every tuple one by one.
+        The retained set is the k best under ``(score, tid)`` whatever the
+        arrival order, so the outcome is that of offering every tuple one
+        by one.  The arrays are kept, not copied, while filling: hand over
+        arrays nothing writes to afterwards.
         """
-        if len(self._heap) >= self.k:
-            # <=, not <: a tie with the k-th score still enters when its
-            # tid is smaller.
-            keep = scores <= -self._heap[0][0]
-            tids, scores = tids[keep], scores[keep]
+        if not self._heap:
+            self._tid_chunks.append(tids)
+            self._score_chunks.append(scores)
+            self._keep(len(tids))
+            return
+        # <=, not <: a tie with the k-th score still enters when its tid is
+        # smaller.
+        keep = scores <= -self._heap[0][0]
+        tids, scores = tids[keep], scores[keep]
         if len(tids) > self.k:
             # Ties at the cut are decided by tid, hence a full lexsort
             # rather than a partition on score alone.
@@ -79,22 +103,55 @@ class TopKAccumulator:
         for tid, score in zip(tids.tolist(), scores.tolist()):
             self.offer(tid, score)
 
+    def _keep(self, count: int) -> None:
+        """``count`` more tuples were kept while filling; fold at k."""
+        self._kept += count
+        self._ordered = None
+        if self._kept >= self.k:
+            tids, scores = self._kept_arrays()
+            # Worst first: ascending in (-score, -tid), which is a heap.
+            worst_first = np.lexsort((tids, scores))[self.k - 1::-1]
+            self._heap = list(zip((-scores[worst_first]).tolist(),
+                                  (-tids[worst_first]).tolist()))
+            self._kept = self.k
+            self._tids, self._scores = [], []
+            self._tid_chunks, self._score_chunks = [], []
+
+    def _kept_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Everything kept while filling as one ``(tids, scores)`` pair."""
+        return (np.concatenate(self._tid_chunks
+                               + [np.array(self._tids, dtype=np.int64)]),
+                np.concatenate(self._score_chunks
+                               + [np.array(self._scores, dtype=np.float64)]))
+
     @property
     def kth_score(self) -> float:
         """Current k-th best score (``+inf`` until k tuples have been seen)."""
-        if len(self._heap) < self.k:
-            return float("inf")
-        return -self._heap[0][0]
+        return -self._heap[0][0] if self._heap else float("inf")
 
     def is_full(self) -> bool:
         """Whether k tuples have been collected."""
-        return len(self._heap) >= self.k
+        return bool(self._heap)
+
+    def ordered(self) -> Tuple[List[int], List[float]]:
+        """The retained ``(tids, scores)``, two aligned lists in canonical
+        ``(score, tid)`` order — the caller's to read, not to change."""
+        if self._ordered is None:
+            if self._heap:
+                # Entries are (-score, -tid): their descending order is
+                # that order.
+                neg_scores, neg_tids = zip(*sorted(self._heap, reverse=True))
+                self._ordered = (list(map(operator.neg, neg_tids)),
+                                 list(map(operator.neg, neg_scores)))
+            else:
+                tids, scores = self._kept_arrays()
+                order = np.lexsort((tids, scores))
+                self._ordered = tids[order].tolist(), scores[order].tolist()
+        return self._ordered
 
     def ranked(self) -> List[Tuple[int, float]]:
         """``(tid, score)`` pairs in canonical ``(score, tid)`` order."""
-        # Entries are (-score, -tid): their descending order is that order.
-        return [(-neg_tid, -neg_score)
-                for neg_score, neg_tid in sorted(self._heap, reverse=True)]
+        return list(zip(*self.ordered()))
 
     def verified_count(self, bound: float) -> int:
         """Length of the ranked prefix that is final given ``bound``.
@@ -110,10 +167,10 @@ class TopKAccumulator:
         canonical ``(score, tid)`` order, exactly the reason the sweep's
         halt test is strict too.
         """
-        return sum(1 for neg_score, _ in self._heap if -neg_score < bound)
+        return bisect.bisect_left(self.ordered()[1], bound)
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return self._kept
 
 
 def find_start_block(grid: GridPartition, function: RankingFunction) -> int:
@@ -188,9 +245,11 @@ class GridTopKExecutor:
 
     ``bound_cache`` is an optional per-(function, block) lower-bound cache
     (duck-typed: anything with ``lower_bound(grid, function, bid)``, see
-    :class:`repro.engine.cache.LowerBoundCache`).  Bounds depend only on the
-    function and the block geometry, so they can be shared across every
-    query in a workload that reuses the same function.
+    :class:`repro.engine.cache.LowerBoundCache`).  It is consulted only for
+    a function without
+    :meth:`~repro.functions.base.RankingFunction.lower_bound_batch`
+    (expression trees, constrained functions, user subclasses): the others
+    bound every block of the grid in one call per sweep.
     """
 
     def __init__(self, grid: GridPartition, block_table: BaseBlockTable,
@@ -266,14 +325,23 @@ class GridTopKExecutor:
             states.append(_SweepState(provider, k, callback))
         io_before = {key: p.stats.physical_reads for key, p in pagers.items()}
 
+        dim_index = [self.grid.dims.index(d) for d in function.dims]
+        whole_grid = dim_index == list(range(len(self.grid.dims)))
+        # Lemma 1's bound of every block, as one vector per sweep.  A
+        # function that cannot bound boxes in bulk derives the blocks the
+        # frontier touches one at a time.
+        lows, highs = self.grid.block_corners()
+        if not whole_grid:
+            lows, highs = lows[:, dim_index], highs[:, dim_index]
+        bounds = function.lower_bound_batch(lows, highs)
+        bound_of = (bounds.item if bounds is not None
+                    else functools.partial(self._block_bound, function))
+
         start_bid = find_start_block(self.grid, function)
-        frontier: List[Tuple[float, int]] = [
-            (self._block_bound(function, start_bid), start_bid)]
+        frontier: List[Tuple[float, int]] = [(bound_of(start_bid), start_bid)]
         inserted: Set[int] = {start_bid}
         live = len(states)
         popped = peak_frontier = 0
-        dim_index = [self.grid.dims.index(d) for d in function.dims]
-        whole_grid = dim_index == list(range(len(self.grid.dims)))
 
         while frontier and live:
             if len(frontier) > peak_frontier:
@@ -348,8 +416,7 @@ class GridTopKExecutor:
                 if neighbor in inserted:
                     continue
                 inserted.add(neighbor)
-                bound = self._block_bound(function, neighbor)
-                heapq.heappush(frontier, (bound, neighbor))
+                heapq.heappush(frontier, (bound_of(neighbor), neighbor))
 
         elapsed = time.perf_counter() - start_time
         disk = sum(p.stats.physical_reads - io_before[key]
@@ -358,10 +425,10 @@ class GridTopKExecutor:
         for position, state in enumerate(states):
             if state.live:
                 state.blocks, state.peak = popped, peak_frontier
-            ranked = state.topk.ranked()
+            tids, scores = state.topk.ordered()
             results.append(QueryResult(
-                tids=tuple(tid for tid, _ in ranked),
-                scores=tuple(score for _, score in ranked),
+                tids=tuple(tids),
+                scores=tuple(scores),
                 disk_accesses=disk if position == 0 else 0,
                 states_generated=state.blocks,
                 peak_heap_size=state.peak,

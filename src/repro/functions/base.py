@@ -88,6 +88,21 @@ class RankingFunction(ABC):
         :attr:`dims`.
         """
 
+    def lower_bound_batch(self, lows: np.ndarray, highs: np.ndarray
+                          ) -> Optional[np.ndarray]:
+        """:meth:`lower_bound` of many boxes at once, or ``None``.
+
+        ``lows`` and ``highs`` have shape ``(n, len(dims))``: row *i* holds
+        the corners of box *i* along :attr:`dims`.  A function that defines
+        this accumulates dimension by dimension in :meth:`lower_bound`'s own
+        order, so element *i* equals ``lower_bound(box i)`` bit for bit (the
+        contract :meth:`evaluate_batch` keeps against :meth:`evaluate`) — a
+        subclass that overrides one overrides the other.  ``None`` — this
+        default — tells the caller to derive the bounds it needs one box at
+        a time.
+        """
+        return None
+
     # ------------------------------------------------------------------
     # structure hints
     # ------------------------------------------------------------------

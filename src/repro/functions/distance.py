@@ -16,6 +16,11 @@ from repro.functions.base import FunctionShape, RankingFunction
 from repro.geometry import Box
 
 
+def _clamp(value: float, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+    """:meth:`repro.geometry.Interval.clamp` of one value into many intervals."""
+    return np.minimum(np.maximum(value, lows), highs)
+
+
 class SquaredDistanceFunction(RankingFunction):
     """``f(x) = sum_i weights[i] * (x_i - target_i)^2``."""
 
@@ -56,6 +61,14 @@ class SquaredDistanceFunction(RankingFunction):
         for dim, weight, target in zip(self.dims, self.weights, self.targets):
             interval = box.interval(dim)
             diff = interval.clamp(target) - target
+            total += weight * diff * diff
+        return total
+
+    def lower_bound_batch(self, lows: np.ndarray, highs: np.ndarray
+                          ) -> np.ndarray:
+        total = np.zeros(len(lows), dtype=np.float64)
+        for j, (weight, target) in enumerate(zip(self.weights, self.targets)):
+            diff = _clamp(target, lows[:, j], highs[:, j]) - target
             total += weight * diff * diff
         return total
 
@@ -107,6 +120,14 @@ class ManhattanDistanceFunction(RankingFunction):
         for dim, weight, target in zip(self.dims, self.weights, self.targets):
             interval = box.interval(dim)
             total += weight * abs(interval.clamp(target) - target)
+        return total
+
+    def lower_bound_batch(self, lows: np.ndarray, highs: np.ndarray
+                          ) -> np.ndarray:
+        total = np.zeros(len(lows), dtype=np.float64)
+        for j, (weight, target) in enumerate(zip(self.weights, self.targets)):
+            total += weight * np.abs(_clamp(target, lows[:, j], highs[:, j])
+                                     - target)
         return total
 
     @property

@@ -60,6 +60,13 @@ class LinearFunction(RankingFunction):
             total += weight * (interval.low if weight >= 0 else interval.high)
         return total
 
+    def lower_bound_batch(self, lows: np.ndarray, highs: np.ndarray
+                          ) -> np.ndarray:
+        total = np.full(len(lows), self.constant, dtype=np.float64)
+        for j, weight in enumerate(self.weights):
+            total += weight * (lows if weight >= 0 else highs)[:, j]
+        return total
+
     @property
     def shape(self) -> FunctionShape:
         if all(w >= 0 for w in self.weights):

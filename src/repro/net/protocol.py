@@ -21,14 +21,24 @@ one place, so the server and the async client cannot drift apart:
   callers can ``except RequestTimeoutError`` exactly like local ones.
 
 Bit-identical round trips are a hard requirement (the wire-parity suite
-enforces them): Python's ``json`` emits floats via ``repr``, which
-round-trips every IEEE double exactly, so scores, weights, and targets
-survive encode → decode unchanged.
+enforces them).  A top-k result's ``"scores"`` — the one field whose size
+grows with ``k`` — travel as the doubles themselves: one base64 string of
+little-endian IEEE-754 doubles, rank order, exact by construction (``±inf``
+and ``NaN`` included, and the envelope stays standard JSON).  To read them::
+
+    raw = base64.b64decode(result["scores"])
+    scores = struct.unpack("<%dd" % (len(raw) // 8), raw)  # or numpy.frombuffer(raw, "<f8")
+
+``tids`` stay JSON integers.  The few floats written as JSON numbers
+(weights, targets, a stream's prefix entries) survive too: Python's
+``json`` emits floats via ``repr``, which round-trips every finite double.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+import base64
+import struct
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import QueryError, ReproError
 from repro.functions.base import FunctionShape, RankingFunction
@@ -60,7 +70,7 @@ from repro.serve.errors import (
 )
 from repro.skyline.engine import SkylineResult
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 
 def decode_priority(value, default: str = DEFAULT_PRIORITY) -> str:
@@ -363,11 +373,40 @@ def is_degraded(result) -> bool:
     return bool(result.extra.get("degraded"))
 
 
+def _pack_scores(scores: Sequence[float]) -> str:
+    """Doubles → base64 of their little-endian IEEE-754 bytes."""
+    return base64.b64encode(
+        struct.pack("<%dd" % len(scores), *scores)).decode("ascii")
+
+
+def _unpack_scores(packed) -> Tuple[float, ...]:
+    """Inverse of :func:`_pack_scores`; anything else is a ``ProtocolError``."""
+    if not isinstance(packed, str):
+        raise ProtocolError(
+            "scores must be one base64 string of little-endian doubles")
+    try:
+        raw = base64.b64decode(packed, validate=True)
+    except ValueError as exc:  # binascii.Error is one
+        raise ProtocolError(f"scores are not valid base64: {exc}") from exc
+    if len(raw) % 8:
+        raise ProtocolError(
+            f"scores hold {len(raw)} bytes, not a whole number of doubles")
+    return struct.unpack("<%dd" % (len(raw) // 8), raw)
+
+
+def _decode_tids(tids) -> Tuple[int, ...]:
+    # Exact type, checked at C speed: ``1.5`` and ``true`` are not tids.
+    if not isinstance(tids, list) or not set(map(type, tids)) <= {int}:
+        raise ProtocolError("tids must be an array of integers")
+    return tuple(tids)
+
+
 def encode_result(result) -> dict:
     """``QueryResult`` / ``SkylineResult`` → response-envelope object."""
     if isinstance(result, QueryResult):
         return {"result_kind": "topk",
-                "tids": list(result.tids), "scores": list(result.scores),
+                "tids": list(result.tids),
+                "scores": _pack_scores(result.scores),
                 "disk_accesses": int(result.disk_accesses),
                 "states_generated": int(result.states_generated),
                 "peak_heap_size": int(result.peak_heap_size),
@@ -393,9 +432,14 @@ def decode_result(obj):
         raise ProtocolError("result must be an object with a 'result_kind'")
     kind = obj["result_kind"]
     if kind == "topk":
+        tids = _decode_tids(obj.get("tids"))
+        scores = _unpack_scores(obj.get("scores"))
+        if len(tids) != len(scores):
+            raise ProtocolError(
+                f"result carries {len(tids)} tids but {len(scores)} scores")
         return QueryResult(
-            tids=tuple(int(t) for t in obj["tids"]),
-            scores=tuple(float(s) for s in obj["scores"]),
+            tids=tids,
+            scores=scores,
             disk_accesses=int(obj.get("disk_accesses", 0)),
             states_generated=int(obj.get("states_generated", 0)),
             peak_heap_size=int(obj.get("peak_heap_size", 0)),
@@ -404,7 +448,7 @@ def decode_result(obj):
             extra=dict(obj.get("extra") or {}))
     if kind == "skyline":
         return SkylineResult(
-            tids=tuple(int(t) for t in obj["tids"]),
+            tids=_decode_tids(obj.get("tids")),
             disk_accesses=int(obj.get("disk_accesses", 0)),
             signature_accesses=int(obj.get("signature_accesses", 0)),
             peak_heap_size=int(obj.get("peak_heap_size", 0)),

@@ -7,12 +7,14 @@ chunked HTTP response or websocket messages):
   ranks ``r .. r+len(entries)-1`` of the final answer, already *proven*
   (the engine emits a prefix only once no unseen tuple can change it —
   see :meth:`repro.cube.query.TopKAccumulator.verified_count`); frames
-  arrive in rank order with no gaps or overlaps;
+  arrive in rank order with no gaps or overlaps.  A frame holds a handful
+  of entries, so its scores are plain JSON numbers, not packed;
 * ``{"frame": "final", "result": {...}}`` — exactly one, last, carrying
-  the full result envelope of :func:`repro.net.protocol.encode_result`;
-  its leading ``(tid, score)`` pairs repeat every streamed prefix
-  bit-identically (the wire-parity suite enforces this), so a client
-  may simply keep the final frame and discard the prefixes;
+  the full result envelope of :func:`repro.net.protocol.encode_result`
+  (``"scores"`` packed, like every result envelope); its leading
+  ``(tid, score)`` pairs repeat every streamed prefix bit-identically
+  (the wire-parity suite enforces this), so a client may simply keep the
+  final frame and discard the prefixes;
 * ``{"frame": "error", "error": {...}}`` — terminal failure, same typed
   envelope as a non-streaming error response.
 

@@ -13,9 +13,9 @@ ranking-function lower bounds), and enumerates block neighborhoods (Lemma 1
 expansion in the query algorithm).
 
 A grid never changes after construction (a cube that outgrows its grid
-builds a new one), so ``neighbors``, the un-projected ``block_box`` and
-``pid_of_bid`` are kept after their first derivation; nothing can
-invalidate them, so nothing does.
+builds a new one), so ``domain``, ``neighbors``, the un-projected
+``block_box``, ``block_corners`` and ``pid_of_bid`` are kept after their
+first derivation; nothing can invalidate them, so nothing does.
 """
 
 from __future__ import annotations
@@ -50,7 +50,9 @@ class GridPartition:
         )
         # Derived-once geometry.  Plain dict get / set: a sweep on another
         # thread can at worst derive an entry twice.
+        self._domain: Optional[Box] = None
         self._boxes: Dict[int, Box] = {}
+        self._corners: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._neighbors: Dict[int, Tuple[int, ...]] = {}
         self._pids: Dict[Tuple[int, int], int] = {}
 
@@ -72,10 +74,12 @@ class GridPartition:
 
     def domain(self) -> Box:
         """The full domain box covered by the grid."""
-        return Box({
-            dim: Interval(float(bounds[0]), float(bounds[-1]))
-            for dim, bounds in self.boundaries.items()
-        })
+        if self._domain is None:
+            self._domain = Box({
+                dim: Interval(float(bounds[0]), float(bounds[-1]))
+                for dim, bounds in self.boundaries.items()
+            })
+        return self._domain
 
     # ------------------------------------------------------------------
     # coordinates <-> linear block ids
@@ -138,6 +142,27 @@ class GridPartition:
         if dims is not None:
             box = box.project(dims)
         return box
+
+    def block_corners(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(lows, highs)`` corners of every base block, read-only.
+
+        Both have shape ``(num_blocks, len(dims))``; row ``bid`` holds the
+        ends of ``block_box(bid)``'s intervals in :attr:`dims` order — what
+        :meth:`~repro.functions.base.RankingFunction.lower_bound_batch`
+        takes to bound a whole sweep's blocks in one call.
+        """
+        if self._corners is None:
+            lows = np.empty((self.num_blocks, len(self.dims)), dtype=np.float64)
+            highs = np.empty_like(lows)
+            bids = np.arange(self.num_blocks)
+            for axis in reversed(range(len(self.dims))):
+                bounds = self.boundaries[self.dims[axis]]
+                bids, coords = np.divmod(bids, self._bins_per_dim[axis])
+                lows[:, axis] = bounds[coords]
+                highs[:, axis] = bounds[coords + 1]
+            lows.flags.writeable = highs.flags.writeable = False
+            self._corners = lows, highs
+        return self._corners
 
     def neighbors(self, bid: int) -> Tuple[int, ...]:
         """Base blocks sharing a face with ``bid`` (±1 along one dimension)."""

@@ -200,8 +200,9 @@ class Relation:
     def ranking_values_bulk(self, tids: Sequence[int],
                             dims: Optional[Sequence[str]] = None) -> np.ndarray:
         """Ranking values for many tuples at once (``len(tids) × len(dims)``)."""
-        tid_array = np.asarray(list(tids), dtype=np.int64)
-        block = self._ranking[tid_array]
+        if not isinstance(tids, np.ndarray):
+            tids = list(tids)
+        block = self._ranking[np.asarray(tids, dtype=np.int64)]
         if dims is None:
             return block
         idx = [self.schema.ranking_index(d) for d in dims]

@@ -4,7 +4,7 @@ the row-wise ones they sit beside, and cost exactly the same page loads."""
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cube import RankingCube, build_ranking_fragments
 from repro.cube.providers import (
@@ -296,6 +296,50 @@ def test_offer_many_is_offer_one_by_one(scored, k, chunk_sizes):
                for tid, score in bulk.ranked())
 
 
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(scored_tuples, st.integers(1, 60),
+       st.lists(st.tuples(st.integers(0, 12), st.booleans()),
+                min_size=1, max_size=8))
+@example(([3, 1, 2], [0.5, 0.5, 0.25]), 1, [(0, True), (3, True)])
+@example(([3, 1, 2], [0.5, 0.5, 0.25]), 7, [(2, False), (0, True), (1, True)])
+# A bulk chunk that lands exactly on k, then one that crosses it ...
+@example((list(range(9)), [0.5] * 4 + [0.25] * 5), 4,
+         [(4, True), (3, True), (2, False)])
+@example((list(range(9)), [1.0] * 4 + [0.5] * 5), 4,
+         [(3, True), (3, True), (3, False)])
+# ... and the same two boundaries reached by a scalar offer.
+@example((list(range(9)), [0.5] * 4 + [0.25] * 5), 4,
+         [(3, True), (1, False), (5, True)])
+def test_any_interleaving_of_offers_retains_the_canonical_k(scored, k, steps):
+    """Scalar and bulk offers in any mix — empty chunks, ties under different
+    tids, ``k = 1``, ``k`` above the total, a chunk ending on ``k`` and one
+    crossing it — leave, after every step, exactly the first ``k`` of the
+    pairs seen so far in ``(score, tid)`` order."""
+    tids, scores = scored
+    topk, seen, start = TopKAccumulator(k), [], 0
+    for number in range(2 * len(tids) + 2):
+        size, bulk = steps[number % len(steps)]
+        chunk = slice(start, start + size)
+        if bulk:
+            topk.offer_many(np.array(tids[chunk], dtype=np.int64),
+                            np.array(scores[chunk], dtype=np.float64))
+        else:
+            for tid, score in zip(tids[chunk], scores[chunk]):
+                topk.offer(tid, score)
+        seen.extend(zip(tids[chunk], scores[chunk]))
+        start += size
+        expected = sorted(seen, key=lambda pair: (pair[1], pair[0]))[:k]
+        assert topk.ranked() == expected
+        assert topk.ordered() == ([tid for tid, _ in expected],
+                                  [score for _, score in expected])
+        assert len(topk) == len(expected)
+        assert topk.is_full() == (len(seen) >= k)
+        assert topk.kth_score == (expected[-1][1] if len(seen) >= k
+                                  else float("inf"))
+        for bound in (0.25, 0.5, 1.0, float("inf")):
+            assert topk.verified_count(bound) == sum(
+                score < bound for _, score in expected)
+
 PROVIDER_SPEC = SyntheticSpec(num_tuples=400, num_selection_dims=3,
                               num_ranking_dims=2, cardinality=3, seed=31)
 
@@ -385,9 +429,20 @@ def test_kept_grid_geometry_is_what_a_fresh_grid_derives(cuts, single_bin):
     dims = [f"N{i}" for i in range(len(cuts))]
     bounds = {dim: np.array(c) for dim, c in zip(dims, cuts)}
     grid = GridPartition(dims, bounds)
+    for _ in range(2):  # first derivation, then the kept value
+        fresh = GridPartition(dims, bounds)
+        assert grid.domain() == fresh.domain() == Box.from_bounds(
+            dims, [c[0] for c in cuts], [c[-1] for c in cuts])
+        lows, highs = grid.block_corners()
+        assert lows.shape == highs.shape == (grid.num_blocks, len(dims))
+        assert not lows.flags.writeable and not highs.flags.writeable
+        for bid in grid.iter_bids():
+            box = fresh.block_box(bid)
+            assert lows[bid].tolist() == [box.interval(d).low for d in dims]
+            assert highs[bid].tolist() == [box.interval(d).high for d in dims]
     for bid in grid.iter_bids():
         fresh = GridPartition(dims, bounds)
-        for _ in range(2):  # first derivation, then the kept value
+        for _ in range(2):
             assert grid.neighbors(bid) == fresh.neighbors(bid)
             assert grid.block_box(bid) == fresh.block_box(bid)
             assert (grid.block_box(bid, dims=dims[:1])

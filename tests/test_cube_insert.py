@@ -22,7 +22,9 @@ from repro.cube import RankingCube
 from repro.cube.model import ENTRY_BYTES, Cuboid
 from repro.engine import Executor
 from repro.errors import CubeError
+from repro.functions.base import FunctionShape
 from repro.functions.distance import SquaredDistanceFunction
+from repro.functions.expression import ExpressionFunction, Var
 from repro.functions.linear import LinearFunction, skewed_linear_function
 from repro.partition.equidepth import equidepth_partition
 from repro.query import Predicate, TopKQuery
@@ -305,8 +307,18 @@ def test_insert_keeps_the_bound_cache_warm_and_drops_only_affected_results():
     function = LinearFunction(["N1", "N2"], [1.0, 2.0])
     hit = TopKQuery(Predicate.of(A1=0), function, 5)
     spared = TopKQuery(Predicate.of(A1=1), function, 5)
+    # The same function as an expression tree: it has no
+    # ``lower_bound_batch``, so its sweep bounds blocks one at a time
+    # through the bound cache (and, having no value key, is never
+    # result-cached).
+    unbatched = TopKQuery(
+        Predicate.of(A1=0),
+        ExpressionFunction(Var("N1") + 2.0 * Var("N2"),
+                           shape=FunctionShape.MONOTONE), 5)
     executor.execute(hit), executor.execute(spared)
+    assert executor.execute(unbatched).extra["backend"] == "ranking-cube"
     bounds = len(executor.bound_cache)
+    assert bounds
     grid = executor.registry.get("ranking-cube").cube.grid
     row = in_domain_row(relation, grid, np.random.default_rng(11))
     row["A1"] = 0
@@ -317,7 +329,9 @@ def test_insert_keeps_the_bound_cache_warm_and_drops_only_affected_results():
     again = executor.execute(hit)
     assert again.extra["result_cache"] == "miss"
     assert (again.tids, again.scores) == brute_force_topk(relation, hit)
+    assert executor.execute(unbatched).tids == again.tids
     assert executor.bound_cache.misses == misses  # same grid, same bounds
+    assert executor.bound_cache.hits
 
 
 def test_rows_appended_behind_the_cubes_back_are_caught_up():

@@ -348,18 +348,25 @@ class TestBoundCacheAndBatch:
 
     def test_cached_results_identical_to_uncached(self, relation):
         plain = RankingCube(relation, block_size=200)
+        bound_cache = LowerBoundCache()
         cached = RankingCube(relation, block_size=200,
-                             bound_cache=LowerBoundCache())
-        queries = generate_queries(
-            relation, QuerySpec(k=8, num_selection_conditions=1,
-                                num_ranking_dims=2, seed=4),
-            count=3)
+                             bound_cache=bound_cache)
+        # The cache is asked only for a function without
+        # ``lower_bound_batch``: wrap each one so the sweep bounds its
+        # blocks one at a time.
+        queries = [
+            TopKQuery(q.predicate, PerTupleFunction(q.function), q.k)
+            for q in generate_queries(
+                relation, QuerySpec(k=8, num_selection_conditions=1,
+                                    num_ranking_dims=2, seed=4),
+                count=3)]
         for query in queries:
             for _ in range(2):  # second pass hits the cache
                 a = plain.query(query)
                 b = cached.query(query)
                 assert a.tids == b.tids
                 assert a.scores == b.scores
+        assert bound_cache.hits and bound_cache.hits == bound_cache.misses
 
 
 class TestResultCache:

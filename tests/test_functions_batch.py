@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.cube import RankingCube
 from repro.functions import (
     Abs,
     ConstrainedFunction,
@@ -17,6 +19,9 @@ from repro.functions import (
 )
 from repro.functions.base import RankingFunction
 from repro.geometry import Box, Interval
+from repro.partition.grid import GridPartition
+from repro.query import Predicate, TopKQuery
+from repro.workloads import SyntheticSpec, generate_relation
 
 
 def random_rows(dims: int, n: int = 500, seed: int = 3) -> np.ndarray:
@@ -86,3 +91,81 @@ class TestBatchParity:
         function = ALL_FUNCTIONS["linear"]
         rows = [[0.0, 1.0], [1.0, 0.0]]
         assert function.evaluate_batch(rows) == pytest.approx([2.0, 1.0])
+
+
+# ----------------------------------------------------------------------
+# lower bounds of a whole grid in one call
+# ----------------------------------------------------------------------
+GRID_DIMS = ("N1", "N2", "N3")
+
+# Per dimension: the weight (negative, zero and positive) and the target
+# (inside, on the edge of and outside the grid's [0, 5] domain).
+weights = st.sampled_from([-2.5, -1.0, 0.0, 0.3, 1.0, 7.0])
+distance_weights = st.sampled_from([0.0, 0.3, 1.0, 7.0])
+targets = st.sampled_from([-3.0, 0.0, 0.7, 2.125, 5.0, 9.5])
+grid_cuts = st.lists(st.integers(0, 40), min_size=2, max_size=6, unique=True
+                     ).map(lambda cuts: sorted(c / 8 for c in cuts))
+# A strict subset or a permutation of the grid's dims, in any order.
+function_dims = st.permutations(GRID_DIMS).flatmap(
+    lambda dims: st.integers(1, len(dims)).map(lambda n: list(dims[:n])))
+
+
+@st.composite
+def batch_bounded_functions(draw):
+    dims = draw(function_dims)
+
+    def per_dim(strategy):
+        return [draw(strategy) for _ in dims]
+
+    kind = draw(st.sampled_from(["linear", "average", "squared", "manhattan"]))
+    if kind == "linear":
+        return LinearFunction(dims, per_dim(weights),
+                              constant=draw(st.sampled_from([0.0, -1.75, 4.5])))
+    if kind == "average":
+        return WeightedAverageFunction(dims, per_dim(st.sampled_from([0.5, 1.0, 3.0])))
+    cls = SquaredDistanceFunction if kind == "squared" else ManhattanDistanceFunction
+    return cls(dims, per_dim(targets), weights=per_dim(distance_weights))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(grid_cuts, min_size=3, max_size=3), batch_bounded_functions())
+def test_lower_bound_batch_is_lower_bound_of_every_block(cuts, function):
+    grid = GridPartition(GRID_DIMS, {d: np.array(c) for d, c in zip(GRID_DIMS, cuts)})
+    columns = [GRID_DIMS.index(d) for d in function.dims]
+    lows, highs = grid.block_corners()
+    batch = function.lower_bound_batch(lows[:, columns], highs[:, columns])
+    assert batch.dtype == np.float64
+    one_by_one = np.array([function.lower_bound(grid.block_box(bid))
+                           for bid in grid.iter_bids()])
+    assert batch.tobytes() == one_by_one.tobytes()  # bit for bit, -0.0 included
+
+
+def test_functions_without_a_batch_bound_answer_none():
+    corners = np.zeros((4, 2)), np.ones((4, 2))
+    for name in ("expression", "expression_abs", "constrained"):
+        assert ALL_FUNCTIONS[name].lower_bound_batch(*corners) is None
+
+
+SWEEP_SPEC = SyntheticSpec(num_tuples=3000, num_selection_dims=2,
+                           num_ranking_dims=2, cardinality=4, seed=29)
+
+
+@pytest.mark.parametrize("w1, w2", [(1.0, 2.0), (0.25, -1.5), (-3.0, 0.0)])
+def test_a_per_block_sweep_is_the_whole_grid_sweep(w1, w2):
+    """An expression tree equal in value to a linear function has no
+    ``lower_bound_batch``: its sweep derives bounds block by block and must
+    pop the same blocks, score the same tuples and answer the same."""
+    cube = RankingCube(generate_relation(SWEEP_SPEC), block_size=30)
+    linear = LinearFunction(["N1", "N2"], [w1, w2])
+    tree = ExpressionFunction(w1 * Var("N1") + w2 * Var("N2"))
+    for predicate in (Predicate.of(), Predicate.of(A1=1), Predicate.of(A1=2, A2=0)):
+        for k in (1, 10, 200):
+            whole = cube.query(TopKQuery(predicate, linear, k))
+            per_block = cube.query(TopKQuery(predicate, tree, k))
+            assert per_block.tids == whole.tids
+            assert per_block.scores == whole.scores
+            assert k < 200 or whole.states_generated > 5
+            assert ((per_block.states_generated, per_block.peak_heap_size,
+                     per_block.tuples_evaluated)
+                    == (whole.states_generated, whole.peak_heap_size,
+                        whole.tuples_evaluated))

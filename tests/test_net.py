@@ -25,8 +25,10 @@ Like ``test_serve``, asyncio is driven through plain ``asyncio.run``.
 from __future__ import annotations
 
 import asyncio
+import base64
 import json
 import logging
+import struct
 import time
 
 import pytest
@@ -61,6 +63,7 @@ from repro.net import (
 )
 
 from repro.net.protocol import (
+    PROTOCOL_VERSION,
     decode_error,
     decode_priority,
     encode_error,
@@ -202,6 +205,45 @@ class TestProtocolCodec:
         assert back.tuples_evaluated == result.tuples_evaluated
         assert back.elapsed_seconds == result.elapsed_seconds
         assert back.extra == result.extra
+
+    def test_scores_travel_as_the_doubles_themselves(self):
+        scores = (-0.0, 5e-324, 0.1 + 0.2, 1.7976931348623157e308,
+                  float("inf"))
+        result = QueryResult(tids=(4, 0, 9, 2, 7), scores=scores)
+        # Standard JSON: no ``Infinity`` token, whatever the scores are.
+        wire = json.dumps(encode_result(result), allow_nan=False)
+        packed = json.loads(wire)["scores"]
+        assert base64.b64decode(packed) == struct.pack("<5d", *scores)
+        back = decode_result(json.loads(wire))
+        assert back.tids == result.tids
+        assert ([struct.pack("<d", s) for s in back.scores]
+                == [struct.pack("<d", s) for s in scores])  # -0.0 stays -0.0
+        empty = decode_result(json.loads(json.dumps(
+            encode_result(QueryResult(tids=(), scores=())))))
+        assert (empty.tids, empty.scores) == ((), ())
+
+    @pytest.mark.parametrize("field, value", [
+        ("tids", [1, 2.5]),            # int() used to truncate it to 2
+        ("tids", [1, True]),           # ... and to read ``true`` as 1
+        ("tids", "12"),
+        ("tids", None),
+        ("scores", [0.5, 0.75]),       # the protocol-1 JSON array
+        ("scores", None),
+        ("scores", "not base64!"),
+        ("scores", "AAAAAAAA4D8"),     # valid characters, bad padding
+        ("scores", base64.b64encode(b"\0" * 15).decode()),  # not whole doubles
+        ("scores", base64.b64encode(b"\0" * 24).decode()),  # 3 scores, 2 tids
+    ])
+    def test_decode_result_checks_what_it_is_handed(self, field, value):
+        envelope = json.loads(json.dumps(encode_result(
+            QueryResult(tids=(1, 2), scores=(0.5, 0.75)))))
+        assert decode_result(envelope).scores == (0.5, 0.75)
+        envelope[field] = value
+        with pytest.raises(ProtocolError):
+            decode_result(envelope)
+        skyline = {"result_kind": "skyline", "tids": [3, 1.0]}
+        with pytest.raises(ProtocolError):
+            decode_result(skyline)
 
     def test_error_envelope_rebuilds_typed_exceptions(self):
         exc = ServiceOverloadedError("queue full", retry_after=1.25)
@@ -924,7 +966,7 @@ class TestOpsEndpoints:
 
         health, metrics, stats = run_served(handler)
         assert health["status"] == "ok"
-        assert health["protocol_version"] == 1
+        assert health["protocol_version"] == PROTOCOL_VERSION
         assert "repro_net_requests" in metrics
         assert "repro_net_latency_seconds_interactive" in metrics
         assert "repro_serve_completed" in metrics
