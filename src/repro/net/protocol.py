@@ -197,7 +197,7 @@ def _encode_expr(expr: Expr) -> dict:
     if isinstance(expr, Var):
         return {"op": "var", "name": expr.name}
     if isinstance(expr, Const):
-        return {"op": "const", "value": expr.value}
+        return {"op": "const", "value": expr.value({})}
     if isinstance(expr, Add):
         return {"op": "add", "left": _encode_expr(expr.left),
                 "right": _encode_expr(expr.right)}

@@ -7,6 +7,13 @@ only the *atomic* cuboids (one per boolean dimension) are materialized, as
 the thesis suggests for high-dimensional data; signatures for arbitrary
 conjunctive predicates are assembled on-line by intersection.
 
+Algorithm 1 sorts the tuples by cell and path and emits each cell's
+signature in one pass; here the sorts are array sorts.  The R-tree hands out
+every path as one matrix, cells are dense ranks of the selection columns,
+and level by level the distinct (cell, node, position) triples are the set
+bits of one node matrix per cuboid, which the store sizes in one kernel call
+and cuts into pages.  No Python runs per tuple.
+
 Incremental maintenance (Algorithm 2): inserting a tuple updates the R-tree
 (possibly splitting nodes), and only the signatures of the cells touched by
 the changed tuple paths are loaded, patched (clear old paths, set new
@@ -17,17 +24,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import CubeError, QueryError
 from repro.query import Predicate
-from repro.signature.signature import Path, Signature
+from repro.signature.signature import Path
 from repro.signature.store import (
     CellSignatureReader,
     CombinedSignatureReader,
     SignatureStore,
+    decompose_nodes,
 )
 from repro.storage.pager import Pager
 from repro.storage.rtree import RTree
@@ -58,6 +66,38 @@ class MaintenanceReport:
     pages_written: int = 0
     node_splits: int = 0
     elapsed_seconds: float = 0.0
+
+
+def _cuboid_nodes(node: np.ndarray, num_cells: int, paths: np.ndarray,
+                  fanout: int) -> Tuple[List[Path], np.ndarray, np.ndarray]:
+    """``(paths, bits, child_counts)`` of every cell's signature tree of a cuboid.
+
+    ``node[t]`` is the cell rank of tuple ``t`` — cell ``c``'s root is row
+    ``c`` — and ``paths[t]`` its R-tree path.  Level by level a tuple's node
+    is the dense rank of its (parent node, position) pair, so a level's rows
+    are ordered by parent row, then position (the breadth-first order of
+    ``decompose_nodes``) and no key exceeds ``num_tuples * (fanout + 1)``.
+    The distinct pairs of a level are its set bits; above the leaf level
+    each is also a node of the next level.
+    """
+    height = paths.shape[1]
+    node_paths = np.empty((num_cells, 0), dtype=np.int64)
+    path_list: List[Path] = []
+    set_bits: List[np.ndarray] = []
+    for level in range(height):
+        level_start = len(path_list)
+        path_list.extend(map(tuple, node_paths.tolist()))
+        keys = node * (fanout + 1) + paths[:, level]
+        if level < height - 1:
+            keys, node = np.unique(keys, return_inverse=True)
+        parent, position = np.divmod(keys, fanout + 1)
+        set_bits.append((level_start + parent) * fanout + position - 1)
+        node_paths = np.column_stack([node_paths[parent], position])
+    bits = np.zeros((len(path_list), fanout), dtype=bool)
+    bits.reshape(-1)[np.concatenate(set_bits)] = True
+    child_counts = bits.sum(axis=1)
+    child_counts[level_start:] = 0  # a leaf-level bit is a tuple, not a node
+    return path_list, bits, child_counts
 
 
 class SignatureRankingCube:
@@ -109,19 +149,24 @@ class SignatureRankingCube:
     # construction (Algorithm 1)
     # ------------------------------------------------------------------
     def _build_signatures(self) -> None:
-        tuple_paths: Dict[int, Path] = dict(self.rtree.iter_tuple_paths())
-        count = 0
+        tids, paths = self.rtree.tuple_paths()
+        self.stats.num_signatures = 0
         for dims in self.cuboid_dims:
-            columns = [self.relation.selection_column(d) for d in dims]
-            cells: Dict[CellKey, List[Path]] = {}
-            for tid, path in tuple_paths.items():
-                cell = tuple(int(col[tid]) for col in columns)
-                cells.setdefault(cell, []).append(path)
-            for cell, paths in cells.items():
-                signature = Signature.from_paths(paths, self.store.fanout)
-                self.store.put(dims, cell, signature)
-                count += 1
-        self.stats.num_signatures = count
+            columns = [self.relation.selection_column(d)[tids] for d in dims]
+            # Dense cell ranks, column by column: no key exceeds len(tids) ** 2.
+            rank = np.zeros(len(tids), dtype=np.int64)
+            for column in columns:
+                distinct, code = np.unique(column, return_inverse=True)
+                _, first, rank = np.unique(rank * len(distinct) + code,
+                                           return_index=True, return_inverse=True)
+            cells = np.column_stack(columns)[first].tolist()
+            trees = decompose_nodes(
+                *_cuboid_nodes(rank, len(cells), paths, self.store.fanout),
+                self.store.fanout, self.store.budget_bits)
+            # Cells in first-seen order: the order their pages are allocated in.
+            for root in np.argsort(first).tolist():
+                self.store.put_partials(dims, tuple(cells[root]), trees[root])
+            self.stats.num_signatures += len(cells)
 
     # ------------------------------------------------------------------
     # on-line signature assembly (Section 4.3.3)

@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import EncodingError
 
 #: Scheme identifiers for the 2 high bits of the CS field.
@@ -37,6 +39,9 @@ _BITS_SCHEME = {v: k for k, v in _SCHEME_BITS.items()}
 
 #: Width of the explicit length field following CS.
 _LEN_FIELD_BITS = 16
+
+#: Rows sized per pass of the batch closed form; bounds its temporaries.
+_BATCH_ROWS = 256
 
 
 def _to_binary(value: int, width: int) -> str:
@@ -244,38 +249,50 @@ def encode_adaptive(bits: List[int], fanout: int) -> str:
     return best
 
 
-def adaptive_code_bits(bits: Sequence[int], fanout: int) -> int:
-    """``len(encode_adaptive(bits, fanout))`` without building any code.
+def adaptive_code_bits_batch(bits: np.ndarray, widths: np.ndarray,
+                             fanout: int) -> np.ndarray:
+    """``len(encode_adaptive(row[:width], fanout))`` for every row of ``bits``.
 
-    Sizing a cell's signature (``decompose_signature``) needs only the
-    length of each node's shortest code; every scheme's coding region has a
-    closed-form length, so no bit string is materialized.
+    ``bits`` is an ``(m, c)`` bool matrix, one node per row, and ``widths``
+    the ``(m,)`` lengths of the nodes' bit arrays.  Every scheme's coding
+    region has a closed-form length, so no bit string is built; this is the
+    only place those lengths are written down.
     """
-    count = len(bits)
-    if count >= 1 << _LEN_FIELD_BITS:
+    if len(bits) > _BATCH_ROWS:
+        cuts = range(_BATCH_ROWS, len(bits), _BATCH_ROWS)
+        return np.concatenate([adaptive_code_bits_batch(rows, lengths, fanout) for rows, lengths
+                               in zip(np.split(bits, cuts), np.split(widths, cuts))])
+    if widths.size and widths.max() >= 1 << _LEN_FIELD_BITS:
         raise EncodingError("no scheme could encode the node")
     width = _bits_needed(fanout)
-    prefix_bits = _pc_prefix_bits(fanout)
-    suffix_bits = width - prefix_bits
-    best = None
-    for mark in (1, 0):  # the sparse variants mark the 1s, the dense ones the 0s
-        marked = [i for i, b in enumerate(bits) if b == mark]
-        # BL: the array up to its last marked position.
-        sizes = [marked[-1] + 1 if marked else 0]
-        # RL: one gamma code (2 * ceil(log2(run + 2)) bits) per run of
-        # unmarked bits, each marked bit ending a run, plus the trailing run.
-        runs = [b - a - 1 for a, b in zip([-1] + marked, marked + [count])]
-        sizes.append(sum(2 * (run + 1).bit_length() for run in runs))
-        if not marked or marked[-1] < 1 << width:
-            # PI: one fixed-width position per marked bit.
-            sizes.append(len(marked) * width)
-            # PC: per shared prefix, the prefix and a count; per position, a suffix.
-            groups = len({position >> suffix_bits for position in marked})
-            sizes.append(groups * width + len(marked) * suffix_bits)
-        smallest = min(sizes)
-        if best is None or smallest < best:
-            best = smallest
-    return 3 + _LEN_FIELD_BITS + best
+    suffix_bits = width - _pc_prefix_bits(fanout)
+    columns = np.arange(bits.shape[1], dtype=np.int32)
+    inside = columns < widths[:, None]
+    # (2, m, c): the sparse variants mark the 1s, the dense ones the 0s.
+    marked = np.stack([bits & inside, ~bits & inside])
+    count = marked.sum(axis=2)
+    at = np.where(marked, columns, -1)
+    last = at.max(axis=2, initial=-1)
+    before = np.full_like(at, -1)  # the last marked position left of each column
+    before[..., 1:] = np.maximum.accumulate(at, axis=2)[..., :-1]
+    # BL: the array up to its last marked position.  RL: one gamma code
+    # (2 * bit_length(run + 1) bits; frexp's exponent of a positive integer
+    # is its bit length) per run of unmarked bits, trailing run included.
+    runs = np.where(marked, 2 * np.frexp(columns - before)[1], 0).sum(axis=2)
+    smallest = np.minimum(last + 1, runs + 2 * np.frexp(widths - last)[1])
+    # PI: a fixed-width position per marked bit.  PC: per shared prefix, the
+    # prefix and a count; per position, a suffix.  Neither can hold a
+    # position wider than the field.
+    groups = (marked & (columns >> suffix_bits != before >> suffix_bits)).sum(axis=2)
+    positional = np.minimum(count * width, groups * width + count * suffix_bits)
+    smallest = np.where(last < 1 << width, np.minimum(smallest, positional), smallest)
+    return 3 + _LEN_FIELD_BITS + smallest.min(axis=0)
+
+
+def adaptive_code_bits(bits: Sequence[int], fanout: int) -> int:
+    """``len(encode_adaptive(bits, fanout))``: the one-row call of the batch form."""
+    row = np.asarray(bits, dtype=bool).reshape(1, -1)
+    return int(adaptive_code_bits_batch(row, np.array([row.shape[1]]), fanout)[0])
 
 
 def code_size_bits(code: str) -> int:

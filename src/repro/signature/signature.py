@@ -156,21 +156,18 @@ class Signature:
         """Total number of 1 bits across all nodes."""
         return sum(len(bits) for bits in self.nodes.values())
 
+    def paths_breadth_first(self) -> List[Path]:
+        """Node paths in breadth-first order (storage order)."""
+        paths: List[Path] = [()] if () in self.nodes else []
+        for path in paths:  # grows while it is walked
+            paths.extend([child for position in sorted(self.nodes[path])
+                          if (child := path + (position,)) in self.nodes])
+        return paths
+
     def iter_nodes_breadth_first(self) -> Iterator[Tuple[Path, List[int]]]:
         """Yield ``(path, bit array)`` in breadth-first order (storage order)."""
-        frontier: List[Path] = [()]
-        while frontier:
-            next_frontier: List[Path] = []
-            for path in frontier:
-                bits = self.nodes.get(path)
-                if bits is None:
-                    continue
-                yield path, self.node_bits(path)
-                for position in sorted(bits):
-                    child = path + (position,)
-                    if child in self.nodes:
-                        next_frontier.append(child)
-            frontier = next_frontier
+        for path in self.paths_breadth_first():
+            yield path, self.node_bits(path)
 
     def copy(self) -> "Signature":
         """Deep copy."""

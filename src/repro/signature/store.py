@@ -21,18 +21,23 @@ arrays.
 :meth:`SignatureStore.put` frees a cell's old pages and allocates new ones;
 it never flips a bit inside an array a reader may still hold (the rule
 ``BaseBlockTable.insert`` follows for base blocks).
+
+**One walk, one closed form.**  Signature trees reach the store as one
+breadth-first bit matrix — a whole cuboid from the cube build, one
+:class:`Signature` from :func:`decompose_signature` — which
+:func:`decompose_nodes` sizes with ``adaptive_code_bits_batch`` and cuts into
+partials: the only budget walk.  A page's arrays are row slices of the matrix.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from collections import Counter, deque
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.errors import SignatureError
-from repro.signature.encoding import adaptive_code_bits
+from repro.signature.encoding import adaptive_code_bits_batch
 from repro.signature.signature import Path, Signature
 from repro.storage.buffer import BufferPool
 from repro.storage.pager import Pager
@@ -41,60 +46,67 @@ CellKey = Tuple[int, ...]
 CuboidKey = Tuple[str, ...]
 
 
-@dataclass
-class PartialSignature:
+class PartialSignature(NamedTuple):
     """One decomposed chunk of a signature tree."""
 
     ref_path: Path
     nodes: Dict[Path, np.ndarray]
     size_bits: int
 
-    @property
-    def ref_sid(self) -> int:
-        """SID of the reference node (with respect to the owner's fanout)."""
-        return len(self.ref_path)  # informational; real SIDs need the fanout
 
+def decompose_nodes(paths: List[Path], bits: np.ndarray, child_counts: np.ndarray,
+                    fanout: int, budget_bits: int) -> List[List[PartialSignature]]:
+    """Split every tree of a breadth-first node matrix into partials, one list per root.
 
-def decompose_signature(signature: Signature, budget_bits: int
-                        ) -> List[PartialSignature]:
-    """Split a signature into breadth-first partial signatures.
+    Row ``i`` of the ``(N, fanout)`` bool matrix ``bits`` is the node at
+    ``paths[i]``; ``child_counts[i]`` of its set bits lead to a node of their
+    own.  Rows are breadth first — the roots, then the children of row 0 by
+    position, those of row 1, and so on — so a row's children are
+    consecutive and follow those of the row before.
 
-    The first partial starts at the root; whenever the accumulated encoded
-    size reaches ``budget_bits``, the nodes still waiting in the traversal
-    queue become the reference nodes of subsequent partials (Section 4.2.3).
+    A tree's first partial starts at its root; whenever the accumulated
+    encoded size reaches ``budget_bits``, the nodes still waiting in the
+    traversal queue become the reference nodes of subsequent partials
+    (Section 4.2.3).
     """
     if budget_bits <= 0:
         raise SignatureError("the partial-signature budget must be positive")
-    partials: List[PartialSignature] = []
-    assigned: Set[Path] = set()
-    pending: deque = deque([()])
-    while pending:
-        start = pending.popleft()
-        if start in assigned or start not in signature.nodes:
-            continue
-        nodes: Dict[Path, np.ndarray] = {}
-        size = 0
-        queue: deque = deque([start])
-        while queue:
-            if size >= budget_bits:
-                break
-            path = queue.popleft()
-            if path in assigned or path not in signature.nodes:
-                continue
-            bits = signature.node_bits(path)
-            size += adaptive_code_bits(bits, signature.fanout)
-            page_bits = np.array(bits, dtype=bool)
-            page_bits.setflags(write=False)
-            nodes[path] = page_bits
-            assigned.add(path)
-            for position in sorted(signature.nodes[path]):
-                child = path + (position,)
-                if child in signature.nodes:
-                    queue.append(child)
-        pending.extend(queue)
-        if nodes:
-            partials.append(PartialSignature(ref_path=start, nodes=nodes, size_bits=size))
-    return partials
+    bits.setflags(write=False)
+    # Every node holds a set bit; its array is cut after the last one.
+    lengths = bits.shape[1] - np.argmax(bits[:, ::-1], axis=1)
+    widths, sizes = lengths.tolist(), adaptive_code_bits_batch(bits, lengths, fanout).tolist()
+    num_roots = len(paths) - int(child_counts.sum())
+    after = np.cumsum(child_counts) + num_roots
+    child_ranges = list(zip((after - child_counts).tolist(), after.tolist()))
+    trees: List[List[PartialSignature]] = []
+    for root in range(num_roots):
+        trees.append(partials := [])
+        pending: deque = deque([root])
+        while pending:
+            start = pending.popleft()
+            nodes: Dict[Path, np.ndarray] = {}
+            size = 0
+            queue: deque = deque([start])
+            while queue and size < budget_bits:
+                row = queue.popleft()
+                size += sizes[row]
+                nodes[paths[row]] = bits[row, :widths[row]]
+                queue.extend(range(*child_ranges[row]))
+            pending.extend(queue)
+            partials.append(PartialSignature(paths[start], nodes, size))
+    return trees
+
+
+def decompose_signature(signature: Signature, budget_bits: int) -> List[PartialSignature]:
+    """Split a signature into breadth-first partial signatures."""
+    nodes, paths = signature.nodes, signature.paths_breadth_first()
+    bits = np.zeros((len(paths), signature.fanout), dtype=bool)
+    bits[[row for row, path in enumerate(paths) for _ in nodes[path]],
+         [position - 1 for path in paths for position in nodes[path]]] = True
+    children = Counter(path[:-1] for path in paths[1:])
+    child_counts = np.array([children[path] for path in paths], dtype=np.int64)
+    trees = decompose_nodes(paths, bits, child_counts, signature.fanout, budget_bits)
+    return trees[0] if trees else []
 
 
 def reassemble_signature(partials: Iterable[PartialSignature], fanout: int) -> Signature:
@@ -126,16 +138,20 @@ class SignatureStore:
     # ------------------------------------------------------------------
     def put(self, cuboid: CuboidKey, cell: CellKey, signature: Signature) -> int:
         """Store (or replace) the signature of one cell; returns pages written."""
+        return self.put_partials(cuboid, cell,
+                                 decompose_signature(signature, self.budget_bits))
+
+    def put_partials(self, cuboid: CuboidKey, cell: CellKey,
+                     partials: List[PartialSignature]) -> int:
+        """:meth:`put` for a signature already decomposed under ``budget_bits``."""
         key = (tuple(cuboid), tuple(cell))
-        existing = self._index.pop(key, {})
-        for page_id in existing.values():
+        for page_id in self._index.pop(key, {}).values():
             self.pager.free(page_id)
             self.buffer.invalidate(page_id)
-        partials = decompose_signature(signature, self.budget_bits)
         refs: Dict[Path, int] = {}
         total_bits = 0
         for partial in partials:
-            payload = {"ref": partial.ref_path, "nodes": dict(partial.nodes)}
+            payload = {"ref": partial.ref_path, "nodes": partial.nodes}
             refs[partial.ref_path] = self.pager.allocate(
                 payload, size=-(-partial.size_bits // 8))
             total_bits += partial.size_bits

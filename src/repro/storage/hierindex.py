@@ -124,8 +124,4 @@ class HierarchicalIndex(ABC):
 
     def count_tuples(self) -> int:
         """Number of data entries stored in the index."""
-        total = 0
-        for node in self.iter_nodes():
-            if node.is_leaf:
-                total += len(self.leaf_entries(node))
-        return total
+        return sum(1 for _ in self.iter_tuple_paths())

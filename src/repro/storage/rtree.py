@@ -73,14 +73,6 @@ class InsertOutcome:
     old_paths: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
     new_paths: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
 
-    @property
-    def changed_tids(self) -> List[int]:
-        """Tids (excluding the new one) whose paths actually changed."""
-        return [
-            tid for tid, old in self.old_paths.items()
-            if self.new_paths.get(tid) != old
-        ]
-
 
 def _page_bytes(page: NodePage) -> int:
     """Stored size of a node page: ids, and each coordinate once."""
@@ -250,8 +242,7 @@ class RTree(HierarchicalIndex):
                 t: p for t, p in old_paths.items()
                 if new_paths.get(t) is not None and new_paths[t] != p
             }
-            changed_new = {t: new_paths[t] for t in changed_old}
-            changed_new[tid] = self.path_of_tid(tid)
+            changed_new = {t: new_paths[t] for t in (*changed_old, tid)}
             return InsertOutcome(tid=tid, split_occurred=True,
                                  old_paths=changed_old, new_paths=changed_new)
 
@@ -420,8 +411,26 @@ class RTree(HierarchicalIndex):
             result.extend(self._paths_under(child, prefix + (pos,)))
         return result
 
+    def tuple_paths(self) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`iter_tuple_paths` as arrays: ``(n,)`` tids, ``(n, height)`` paths.
+
+        The tree is balanced, so every path has ``height`` positions.  Pages
+        are read in the same order (:meth:`iter_nodes`, a leaf through
+        :meth:`node_arrays`), one counted read per node; rows come out sorted
+        by path — the order signature cubing (Algorithm 1) sorts on.
+        """
+        tids, paths = [], []
+        for node in self.iter_nodes():
+            if node.is_leaf:
+                ids = self.node_arrays(node.page_id)[1]
+                rows = np.empty((len(ids), self._height), dtype=np.int64)
+                rows[:, :-1], rows[:, -1] = node.path, np.arange(1, len(ids) + 1)
+                tids.append(ids)
+                paths.append(rows)
+        return np.concatenate(tids), np.concatenate(paths)
+
     def path_of_tid(self, tid: int) -> Tuple[int, ...]:
-        """Path of one tuple (linear scan; used only after single inserts)."""
+        """Path of one tuple (linear scan)."""
         for found_tid, path in self.iter_tuple_paths():
             if found_tid == tid:
                 return path

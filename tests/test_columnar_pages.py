@@ -17,7 +17,11 @@ from repro.geometry import Box
 from repro.partition.grid import GridPartition
 from repro.query import Predicate, SkylineQuery
 from repro.signature import Signature, SignatureRankingCube, SignatureStore
-from repro.signature.encoding import adaptive_code_bits, encode_adaptive
+from repro.signature.encoding import (
+    adaptive_code_bits,
+    adaptive_code_bits_batch,
+    encode_adaptive,
+)
 from repro.signature.store import CombinedSignatureReader
 from repro.skyline import BooleanFirstSkyline, SkylineEngine
 from repro.skyline.dominance import (
@@ -211,6 +215,42 @@ def test_sparse_and_dense_extremes_size_like_their_codes():
         for bits in ([1] * fanout, [0] * (fanout - 1) + [1], [1] + [0] * (fanout - 1),
                      [1, 0] * (fanout // 2), [1]):
             assert adaptive_code_bits(bits, fanout) == len(encode_adaptive(bits, fanout))
+
+
+def _code_lengths(bits, widths, fanout):
+    return [len(encode_adaptive([int(b) for b in row[:width]], fanout))
+            for row, width in zip(bits, widths)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_every_row_of_the_batch_kernel_is_the_length_of_its_adaptive_code(data):
+    fanout = data.draw(st.integers(2, 204))
+    columns = data.draw(st.integers(0, fanout + 8))
+    rows = data.draw(st.lists(
+        st.tuples(st.lists(st.booleans(), min_size=columns, max_size=columns),
+                  st.integers(0, columns)),
+        min_size=0, max_size=12))
+    bits = np.array([row for row, _ in rows], dtype=bool).reshape(len(rows), columns)
+    widths = np.array([width for _, width in rows], dtype=np.int64)
+    sizes = adaptive_code_bits_batch(bits, widths, fanout)
+    assert sizes.shape == (len(rows),)
+    assert sizes.tolist() == _code_lengths(bits, widths, fanout)
+
+
+def test_the_batch_kernel_sizes_the_extremes_and_an_empty_matrix():
+    for fanout in (2, 3, 16, 32, 33, 204):
+        bits = np.zeros((5, fanout), dtype=bool)
+        bits[0, -1] = True       # all zero but the last
+        bits[1, :] = True        # all ones
+        bits[2, ::2] = True      # alternating
+        bits[3, 0] = True        # a single leading bit
+        widths = np.array([fanout, fanout, fanout, fanout, 0])  # and no bits at all
+        assert (adaptive_code_bits_batch(bits, widths, fanout).tolist()
+                == _code_lengths(bits, widths, fanout))
+        assert adaptive_code_bits_batch(
+            np.zeros((0, fanout), dtype=bool), np.zeros(0, dtype=np.int64), fanout
+        ).tolist() == []
 
 
 class TestMaintenanceClearsBeforeItSets:

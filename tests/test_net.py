@@ -36,12 +36,14 @@ import pytest
 from repro.engine import Executor
 from repro.functions import (
     Add,
+    Const,
     ConstrainedFunction,
     ExpressionFunction,
     LinearFunction,
     ManhattanDistanceFunction,
     Mul,
     SquaredDistanceFunction,
+    Sub,
     Var,
     WeightedAverageFunction,
 )
@@ -147,6 +149,14 @@ class TestProtocolCodec:
         # Equivalent evaluation is what the wire must preserve.
         values = {"N1": 0.3, "N2": 0.9}
         assert back.expr.value(values) == expr.value(values)
+
+        # A constant travels as its number: same scores on both sides.
+        shifted = ExpressionFunction(
+            Add(Mul(Const(0.1), Var("N1")), Sub(Var("N2"), Const(-2.5))),
+            dims=["N1", "N2"])
+        back = self.roundtrip(shifted)
+        for row in ([0.3, 0.9], [0.0, 0.0], [1.0, 0.125], [0.7, 1e-9]):
+            assert back.evaluate(row) == shifted.evaluate(row)
 
     def test_ref_function_needs_a_registry(self):
         registry = FunctionRegistry()

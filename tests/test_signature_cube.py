@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import QueryError
 from repro.functions import (
@@ -13,7 +14,14 @@ from repro.functions import (
     Var,
 )
 from repro.query import Predicate, TopKQuery
-from repro.signature import SignatureRankingCube, SignatureTopKExecutor
+from repro.signature import (
+    Signature,
+    SignatureRankingCube,
+    SignatureStore,
+    SignatureTopKExecutor,
+)
+from repro.storage.pager import Pager
+from repro.storage.rtree import RTree
 from repro.workloads import SyntheticSpec, generate_relation
 from tests.conftest import brute_force_topk
 
@@ -57,6 +65,21 @@ class TestConstruction:
         from repro.errors import CubeError
         with pytest.raises(CubeError):
             SignatureRankingCube(relation, cuboid_dims=[()])
+
+    def test_the_sweep_heavy_stack_builds_exactly_these_counts(self):
+        """Figure 4.9's metric on the benchmark's full stack (20,000 tuples,
+        seed 61, fanout 32): a change to the build moves none of them."""
+        relation = generate_relation(SyntheticSpec(
+            num_tuples=20_000, num_selection_dims=3, num_ranking_dims=2,
+            cardinality=8, seed=61))
+        cube = SignatureRankingCube(relation, rtree_max_entries=32)
+        assert cube.stats.num_signatures == 24
+        assert cube.stats.num_partial_pages == 4_555
+        assert cube.stats.cube_bytes == 70_425
+        written = cube.store.pager.stats
+        assert (written.writes, written.bytes_written) == (4_555, 72_365)
+        read = cube.rtree.pager.stats
+        assert (read.logical_reads, read.physical_reads) == (647, 646)
 
     def test_signature_reader_validation(self, cube):
         assert cube.signature_reader(Predicate.of()) is None
@@ -167,3 +190,85 @@ class TestMaintenance:
             if not report.node_splits:
                 assert report.cells_updated == len(cube.cuboid_dims)
         assert min(report.pages_written for report in reports) < rebuild_pages
+
+
+# ----------------------------------------------------------------------
+# the array build is the per-tuple build
+# ----------------------------------------------------------------------
+def _per_tuple_algorithm_1(relation, rtree, store, cuboid_dims):
+    """Algorithm 1 one tuple at a time — the reference the array build in
+    ``SignatureRankingCube._build_signatures`` must equal byte for byte."""
+    tuple_paths = dict(rtree.iter_tuple_paths())
+    count = 0
+    for dims in cuboid_dims:
+        columns = [relation.selection_column(d) for d in dims]
+        cells = {}
+        for tid, path in tuple_paths.items():
+            cell = tuple(int(col[tid]) for col in columns)
+            cells.setdefault(cell, []).append(path)
+        for cell, paths in cells.items():
+            store.put(dims, cell, Signature.from_paths(paths, store.fanout))
+            count += 1
+    return count
+
+
+def _everything_stored(store, rtree):
+    """Both pagers' counters, then every page in index order: key, ref path,
+    page id, stored size, and each node's path, bytes, dtype and flag (read
+    past the pager, so looking moves no counter)."""
+    counters = (store.pager.stats.snapshot(), rtree.pager.stats.snapshot())
+    pages = [
+        (key, ref, page_id, store.pager.page_bytes(page_id), page["ref"],
+         [(path, bits.tobytes(), bits.dtype, bits.flags.writeable)
+          for path, bits in page["nodes"].items()])
+        for key, refs in store._index.items() for ref, page_id in refs.items()
+        for page in [store.pager._pages[page_id]]]
+    return counters, pages, store._size_bits
+
+
+CUBOIDS = (None, [("A1", "A2")], [("A2",), ("A2", "A1")])
+
+
+@settings(max_examples=200, deadline=None)
+@given(num_tuples=st.integers(1, 600), ranking_dims=st.integers(2, 4),
+       cardinality=st.integers(1, 12), seed=st.integers(0, 10_000),
+       max_entries=st.integers(4, 33), page_size=st.integers(8, 512),
+       cuboid_dims=st.sampled_from(CUBOIDS), inserts=st.integers(0, 12))
+def test_the_array_build_is_the_per_tuple_build(
+        num_tuples, ranking_dims, cardinality, seed, max_entries, page_size,
+        cuboid_dims, inserts):
+    spec = SyntheticSpec(num_tuples=num_tuples, num_selection_dims=2,
+                         num_ranking_dims=ranking_dims, cardinality=cardinality,
+                         seed=seed)
+
+    def build():
+        return SignatureRankingCube(
+            generate_relation(spec), cuboid_dims=cuboid_dims,
+            rtree_max_entries=max_entries, pager=Pager(page_size=page_size))
+
+    cube = build()
+    relation = cube.relation
+    rtree = RTree.build(relation.ranking_dims, relation.ranking_matrix(),
+                        max_entries=max_entries)
+    store = SignatureStore(fanout=max_entries, pager=Pager(page_size=page_size))
+    count = _per_tuple_algorithm_1(relation, rtree, store, cube.cuboid_dims)
+    assert (cube.stats.num_signatures, cube.stats.num_partial_pages,
+            cube.stats.cube_bytes) == (count, store.num_pages(),
+                                       store.total_size_bytes())
+    assert _everything_stored(cube.store, cube.rtree) == _everything_stored(store, rtree)
+
+    # The same after rows were inserted: rebuild() against the reference
+    # run over a twin that took the same inserts.
+    twin = build()
+    rng = np.random.default_rng(seed)
+    for _ in range(inserts):
+        row = {d: int(rng.integers(0, cardinality + 1)) for d in relation.selection_dims}
+        row.update({d: float(rng.random()) for d in relation.ranking_dims})
+        assert (cube.insert([row]).pages_written
+                == twin.insert([dict(row)]).pages_written)
+    cube.rebuild()
+    count = _per_tuple_algorithm_1(twin.relation, twin.rtree, twin.store,
+                                   twin.cuboid_dims)
+    assert cube.stats.num_signatures == count
+    assert (_everything_stored(cube.store, cube.rtree)
+            == _everything_stored(twin.store, twin.rtree))
