@@ -1,9 +1,10 @@
 """Fault tolerance: deadlines, retries, circuit breakers, chaos injection.
 
 The scatter/serve stack assumes shards answer; this package is what
-happens when one does not.  Four orthogonal pieces, composed by the
-scatter layer (:class:`~repro.shard.scatter.ScatterGatherExecutor` and
-its process subclass) and the serving front door:
+happens when one does not.  Four orthogonal pieces, composed by a fifth
+— the leg guard — for the scatter layer
+(:class:`~repro.shard.scatter.ScatterGatherExecutor` and its process
+subclass) and used by the serving front door:
 
 * :class:`~repro.fault.deadline.Deadline` — a per-request absolute
   deadline that rides into every scatter leg; thread legs check it
@@ -20,7 +21,11 @@ its process subclass) and the serving front door:
   ``allow_partial``) until a half-open probe closes it again;
 * :class:`~repro.fault.inject.FaultInjector` — seeded, named-point
   chaos (worker crash pre/post leg, hung pipe, reply corruption, leg
-  delay) so every recovery path above is deterministically testable.
+  delay) so every recovery path above is deterministically testable;
+* :class:`~repro.fault.guard.LegGuard` — the executor's ``guard``: runs
+  every scatter leg through deadline check → breaker → retry loop and
+  books each call's attempts and failures in one
+  :class:`~repro.fault.guard.LegCall`.
 
 See ``docs/fault_tolerance.md`` for the failure model and the degraded
 result contract (``extra["degraded"]`` / ``extra["shards_failed"]`` /

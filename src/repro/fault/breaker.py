@@ -16,8 +16,8 @@ in front of each shard cuts that loss off:
 
 The breaker is clock-injected and thread-safe (parallel legs of one
 scatter may race on it); transitions are reported through an optional
-``on_event`` callback so the scatter layer can count ``breaker.*``
-metrics without the breaker knowing about registries.
+``on_event`` callback so the leg guard (:mod:`repro.fault.guard`) can
+count ``breaker.*`` metrics without the breaker knowing about registries.
 """
 
 from __future__ import annotations
@@ -121,8 +121,10 @@ class CircuitBreaker:
 
         A ``True`` from a half-open breaker *is* the probe: the caller
         must report the leg's outcome via :meth:`record_success` /
-        :meth:`record_failure`, which releases the slot.  Concurrent
-        callers during the probe are refused.
+        :meth:`record_failure`, or give the slot back with
+        :meth:`release` when the leg failed for a reason that says
+        nothing about the shard.  Concurrent callers during the probe
+        are refused.
         """
         with self._lock:
             if self._state == CLOSED:
@@ -140,6 +142,11 @@ class CircuitBreaker:
             self._probe_in_flight = True
             self._emit("half_open_probe")
             return True
+
+    def release(self) -> None:
+        """Free the half-open probe slot without a verdict."""
+        with self._lock:
+            self._probe_in_flight = False
 
     def record_success(self) -> None:
         """A leg completed: close the breaker, forget the failure streak."""

@@ -14,9 +14,9 @@ bounds how hard that recovery tries:
   front-door call, so a scatter over many flapping shards cannot
   multiply per-leg patience into an unbounded stall.
 
-The policy is a frozen value object; the scatter layer owns the mutable
-pieces (a seeded ``random.Random`` for jitter, a per-call
-:class:`RetryBudget`).
+The policy is a frozen value object; the leg guard
+(:mod:`repro.fault.guard`) owns the mutable pieces (a seeded
+``random.Random`` for jitter, a per-call :class:`RetryBudget`).
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """The leg seam: the one place a shard's share of a scatter is run.
 
 :class:`~repro.shard.scatter.ScatterGatherExecutor` decides *which* legs
-run, in what order, behind which fault guard, and how answers gather; a
+run, in what order, and how answers gather; its
+:class:`~repro.fault.guard.LegGuard` decides how hard each is tried; a
 :class:`LegRunner` decides only *where* a leg runs.  There are exactly
 two: :class:`InProcessLegs` calls the manager's per-shard
 :class:`~repro.engine.Executor` on the calling thread (sequential versus

@@ -36,30 +36,20 @@ pruned with their reasons, the legs skipped by the gather bound, the leg
 order, and the backend each consulted shard chose — the whole scatter is
 explainable end-to-end, just like a single-engine plan.
 
-Scatter legs are additionally *fault-tolerant* (see :mod:`repro.fault`):
-every ``legs.run`` call is wrapped by one guard
-(:meth:`ScatterGatherExecutor._guarded`); a per-call
-:class:`~repro.fault.deadline.Deadline` is checked between legs and
-converted into bounded pipe waits on process legs; a
-:class:`~repro.fault.retry.RetryPolicy` re-runs failed legs with
-jittered exponential backoff under a budget; per-shard
-:class:`~repro.fault.breaker.CircuitBreaker`\\ s fail persistent
-offenders fast; and ``allow_partial`` degrades a scatter with dead
-shards into the exact answer over the survivors (flagged in ``extra``)
-instead of failing the whole query.  None of this machinery can change
-an answer — a retried leg recomputes the same deterministic result, a
-degraded result is exactly the oracle restricted to surviving shards,
-and degraded results are never stored in the result cache.
+Every leg is tried by ``self.guard`` (:mod:`repro.fault.guard`), and
+``allow_partial`` degrades a scatter with dead shards into the exact
+answer over the survivors, flagged in ``extra`` and never cached; no
+retry or degradation can change an answer over the shards that answered.
 """
 
 from __future__ import annotations
 
 import heapq
-import random
 import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.engine.cache import (
@@ -84,7 +74,7 @@ from repro.errors import (
     PlanningError,
     ShardWorkerError,
 )
-from repro.fault.breaker import BreakerOpenError, CircuitBreaker
+from repro.fault.guard import LegCall, LegGuard
 from repro.obs.metrics import MetricsRegistry, merged_snapshot
 from repro.obs.trace import NULL_SPAN, NULL_TRACER
 from repro.query import QueryResult, TopKQuery, topk_order_key
@@ -92,53 +82,6 @@ from repro.shard.legs import InProcessLegs, LegRunner, WorkerProcessLegs
 from repro.shard.manager import Shard, ShardManager
 from repro.skyline.dominance import skyline_of, transform_dynamic
 from repro.skyline.engine import SkylineResult
-
-
-class _LegLedger:
-    """Per-gathered-result record of leg attempts and final failures.
-
-    One ledger backs one gathered :class:`~repro.query.QueryResult` —
-    a scattered group keeps one per rider (a failed leg only taints the
-    riders it carried).  Thread-safe because
-    parallel legs of one scatter write concurrently.
-    """
-
-    __slots__ = ("attempts", "failed", "errors", "_lock")
-
-    def __init__(self) -> None:
-        #: shard index -> leg runs (0: refused by an open breaker).
-        self.attempts: Dict[int, int] = {}
-        #: ``(shard index, short reason)`` per finally-failed leg.
-        self.failed: List[Tuple[int, str]] = []
-        #: The failing exceptions, in failure order.
-        self.errors: List[Exception] = []
-        self._lock = threading.Lock()
-
-    def note_attempts(self, index: int, runs: int) -> None:
-        with self._lock:
-            self.attempts[index] = self.attempts.get(index, 0) + runs
-
-    def note_failure(self, index: int, reason: str, exc: Exception) -> None:
-        with self._lock:
-            self.failed.append((index, reason))
-            self.errors.append(exc)
-
-
-class _FaultContext:
-    """One front-door call's fault posture: deadline, partiality, budget.
-
-    Created per ``execute``/``execute_many`` call (``None`` when no
-    fault machinery is configured — the legacy zero-overhead path); the
-    retry budget inside is shared by every leg of the call, so many
-    flapping shards cannot multiply per-leg patience.
-    """
-
-    __slots__ = ("deadline", "allow_partial", "budget")
-
-    def __init__(self, deadline, allow_partial: bool, policy) -> None:
-        self.deadline = deadline
-        self.allow_partial = bool(allow_partial)
-        self.budget = policy.new_budget() if policy is not None else None
 
 
 class ScatterGatherExecutor:
@@ -158,12 +101,12 @@ class ScatterGatherExecutor:
         top-k scatter legs and bounding the gather (default: a fresh
         model with the stock constants).
     retry_policy:
-        A :class:`~repro.fault.retry.RetryPolicy` re-running failed legs
-        with jittered exponential backoff (default: no retries — a leg
-        failure propagates on the first attempt).
+        A :class:`~repro.fault.retry.RetryPolicy` the guard re-runs failed
+        legs under, with jittered exponential backoff (default: no
+        retries — a leg failure propagates on the first attempt).
     breaker_policy:
-        A :class:`~repro.fault.breaker.BreakerPolicy` configuring lazy
-        per-shard circuit breakers (default: no breakers).
+        A :class:`~repro.fault.breaker.BreakerPolicy` configuring the
+        guard's lazy per-shard circuit breakers (default: no breakers).
     fault_injector:
         A :class:`~repro.fault.inject.FaultInjector` planting seeded
         chaos in the legs.  It is handed to the leg runner: in-process
@@ -216,39 +159,11 @@ class ScatterGatherExecutor:
         self._m_pruned = self.metrics.counter("shard.shards_pruned")
         self._m_tuples = self.metrics.counter("shard.tuples_evaluated")
         self._m_latency = self.metrics.histogram("shard.latency_seconds")
-        # --- fault tolerance (see repro.fault) -------------------------
-        self.retry_policy = retry_policy
-        self.breaker_policy = breaker_policy
+        #: How hard each leg is tried (see :mod:`repro.fault.guard`).
+        self.guard = LegGuard(self.metrics, retry_policy, breaker_policy)
         if fault_injector is not None:
             self.fault_injector = fault_injector
         self.allow_partial = bool(allow_partial)
-        #: Jitter RNG for retry backoff; seeded from the policy so chaos
-        #: runs replay the same sleeps.  Guarded by a lock — parallel
-        #: legs draw concurrently and Random is not thread-safe.
-        self._retry_rng = (random.Random(retry_policy.jitter_seed)
-                           if retry_policy is not None else random.Random())
-        self._jitter_lock = threading.Lock()
-        #: Backoff sleep hook — tests stub it to assert delays without
-        #: paying them.
-        self._sleep = time.sleep
-        self._breakers: Dict[int, CircuitBreaker] = {}
-        self._breaker_lock = threading.Lock()
-        #: Clock handed to lazily built breakers (tests pin a fake one
-        #: before the first leg to step cooldowns deterministically).
-        self._breaker_clock = time.monotonic
-        self._m_retries = self.metrics.counter("fault.retries")
-        self._m_leg_failures = self.metrics.counter("fault.leg_failures")
-        self._m_hung = self.metrics.counter("fault.hung_legs")
-        self._m_deadline = self.metrics.counter("fault.deadline_exceeded")
-        self._m_degraded = self.metrics.counter("fault.degraded_results")
-        self._m_shards_failed = self.metrics.counter("fault.shards_failed")
-        self._m_budget_exhausted = self.metrics.counter(
-            "fault.retry_budget_exhausted")
-        self._m_breaker_opened = self.metrics.counter("breaker.opened")
-        self._m_breaker_closed = self.metrics.counter("breaker.closed")
-        self._m_breaker_probes = self.metrics.counter(
-            "breaker.half_open_probes")
-        self._m_breaker_rejected = self.metrics.counter("breaker.rejected")
         manager.add_invalidation_hook(self._on_mutation)
 
     @property
@@ -441,169 +356,6 @@ class ScatterGatherExecutor:
         return self.plan(query).describe()
 
     # ------------------------------------------------------------------
-    # fault machinery
-    # ------------------------------------------------------------------
-    def _fault_context(self, deadline, allow_partial) -> Optional[_FaultContext]:
-        """The call's fault posture, or ``None`` for the legacy fast path."""
-        partial = (self.allow_partial if allow_partial is None
-                   else bool(allow_partial))
-        if (deadline is None and not partial and self.retry_policy is None
-                and self.breaker_policy is None
-                and self.fault_injector is None):
-            return None
-        return _FaultContext(deadline, partial, self.retry_policy)
-
-    def _check_deadline(self, ctx: Optional[_FaultContext],
-                        context: str) -> None:
-        """Raise (and count) when the call's deadline has passed."""
-        if ctx is None or ctx.deadline is None:
-            return
-        if ctx.deadline.expired():
-            self._m_deadline.inc()
-            raise DeadlineExceededError(f"deadline exceeded before {context}")
-
-    def _on_breaker_event(self, event: str, shard_index: int) -> None:
-        if event == "opened":
-            self._m_breaker_opened.inc()
-        elif event == "closed":
-            self._m_breaker_closed.inc()
-        elif event == "half_open_probe":
-            self._m_breaker_probes.inc()
-
-    def _breaker_for(self, index: int) -> Optional[CircuitBreaker]:
-        """The shard's breaker, built lazily; ``None`` without a policy."""
-        if self.breaker_policy is None:
-            return None
-        with self._breaker_lock:
-            breaker = self._breakers.get(index)
-            if breaker is None:
-                breaker = CircuitBreaker(index, self.breaker_policy,
-                                         clock=self._breaker_clock,
-                                         on_event=self._on_breaker_event)
-                self._breakers[index] = breaker
-            return breaker
-
-    def _retry_delay(self, attempts: int,
-                     ctx: _FaultContext) -> Optional[float]:
-        """Backoff before re-running a failed leg, or ``None`` to give up.
-
-        ``None`` when retries are off, attempts are exhausted, the
-        deadline has no room left, or the call's retry budget cannot
-        cover the sleep.  A granted delay is capped by the deadline's
-        remaining time — sleeping past it would turn a recoverable leg
-        failure into a guaranteed deadline miss.
-        """
-        policy = self.retry_policy
-        if policy is None or attempts >= policy.max_attempts:
-            return None
-        with self._jitter_lock:
-            delay = policy.backoff(attempts, self._retry_rng)
-        if ctx.deadline is not None:
-            remaining = ctx.deadline.remaining()
-            if remaining <= 0.0:
-                return None
-            delay = min(delay, remaining)
-        if ctx.budget is not None and not ctx.budget.consume(delay):
-            self._m_budget_exhausted.inc()
-            return None
-        return delay
-
-    def _record_leg_failure(self, shard: Shard, exc: Exception,
-                            attempts: int, ledgers, leg) -> None:
-        """Book a finally-failed leg into its riders' ledgers and span."""
-        reason = type(exc).__name__
-        if getattr(exc, "timed_out", False):
-            reason += ":timed_out"
-        self._m_shards_failed.inc()
-        for ledger in ledgers:
-            ledger.note_attempts(shard.index, attempts)
-            ledger.note_failure(shard.index, reason, exc)
-        if leg:
-            leg.set("failed", reason)
-
-    def _guarded(self, shard: Shard, queries: List,
-                 ctx: Optional[_FaultContext], ledgers, leg):
-        """Run one leg on the leg runner under deadline/breaker/retry guards.
-
-        With no fault context this is a plain ``legs.run`` — the
-        pre-fault zero-overhead path.  Otherwise the leg loops: deadline
-        checked first (expiry always raises, even under
-        ``allow_partial`` — a late answer is not a partial answer), the
-        shard's breaker consulted (an open breaker refuses fail-fast,
-        spending no attempts and no budget), then the leg runs; a
-        :class:`~repro.errors.ShardWorkerError` feeds the breaker and —
-        backoff permitting — retries against the (respawned) worker.
-        The final failure is booked into the riders' ledgers and
-        re-raised; the caller decides between propagating (strict) and
-        degrading (partial).
-        """
-        if ctx is None:
-            return self.legs.run(shard, queries, leg, None)
-        breaker = self._breaker_for(shard.index)
-        attempts = 0
-        while True:
-            self._check_deadline(ctx, f"scatter leg to shard {shard.index}")
-            if breaker is not None and not breaker.allow():
-                self._m_breaker_rejected.inc()
-                error = BreakerOpenError(shard.index, breaker.retry_after())
-                self._record_leg_failure(shard, error, attempts, ledgers, leg)
-                raise error
-            attempts += 1
-            try:
-                injector = self.fault_injector
-                if injector is not None and injector.fires("leg.delay"):
-                    self._sleep(injector.delay_seconds)
-                result = self.legs.run(shard, queries, leg, ctx.deadline)
-            except ShardWorkerError as exc:
-                if breaker is not None:
-                    breaker.record_failure()
-                self._m_leg_failures.inc()
-                if getattr(exc, "timed_out", False):
-                    self._m_hung.inc()
-                delay = self._retry_delay(attempts, ctx)
-                if delay is None:
-                    self._record_leg_failure(shard, exc, attempts, ledgers,
-                                             leg)
-                    raise
-                self._m_retries.inc()
-                if leg:
-                    leg.set(f"retry_{attempts}", type(exc).__name__)
-                if delay > 0.0:
-                    self._sleep(delay)
-                continue
-            if breaker is not None:
-                breaker.record_success()
-            for ledger in ledgers:
-                ledger.note_attempts(shard.index, attempts)
-            if leg and attempts > 1:
-                leg.set("attempts", attempts)
-            return result
-
-    def _apply_fault_extra(self, result, ctx: Optional[_FaultContext],
-                           ledger: Optional[_LegLedger],
-                           planned: int) -> None:
-        """Decorate a gathered result with the call's fault record.
-
-        ``leg_attempts`` appears whenever the machinery ran; the
-        degraded triple (``degraded`` / ``shards_failed`` /
-        ``completeness``) only when legs were lost — its presence *is*
-        the partial-result signal.
-        """
-        if ctx is None or ledger is None:
-            return
-        if ledger.attempts:
-            result.extra["leg_attempts"] = ",".join(
-                f"{index}:{count}"
-                for index, count in sorted(ledger.attempts.items()))
-        if ledger.failed:
-            self._m_degraded.inc()
-            result.extra["degraded"] = 1.0
-            result.extra["shards_failed"] = "|".join(
-                f"{index}:{reason}" for index, reason in ledger.failed)
-            result.extra["completeness"] = (
-                (planned - len(ledger.failed)) / planned if planned else 1.0)
-
-    # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
     def execute(self, query, *, parent_span=None, use_result_cache=True,
@@ -632,8 +384,10 @@ class ScatterGatherExecutor:
         started = time.perf_counter()
         self._m_queries.inc()
         try:
-            ctx = self._fault_context(deadline, allow_partial)
-            self._check_deadline(ctx, "scatter")
+            call = self.guard.call(
+                deadline, self.allow_partial if allow_partial is None
+                else bool(allow_partial), self.fault_injector)
+            self.guard.check(call, "scatter")
             key = query_cache_key(query) if use_result_cache else None
             if key is not None:
                 key = (self._cache_scope,) + key
@@ -641,7 +395,7 @@ class ScatterGatherExecutor:
                 if hit is not None:
                     span.set("result_cache", "hit")
                     return hit
-            (result,) = self._execute_group([(0, query, key)], span, ctx,
+            (result,) = self._execute_group([(0, query, key)], span, call,
                                             scatter_span=span)
             if isinstance(result, Exception):
                 raise result
@@ -691,14 +445,16 @@ class ScatterGatherExecutor:
         try:
             if span:
                 span.set("batch_size", len(queries))
-            ctx = self._fault_context(deadline, allow_partial)
+            call = self.guard.call(
+                deadline, self.allow_partial if allow_partial is None
+                else bool(allow_partial), self.fault_injector)
             results, units, _, followers = partition_batch(
                 queries, self._cache_scope, self.result_cache)
             errors: Dict[int, Exception] = {}
 
             def scatter(group) -> None:
                 try:
-                    outcomes = self._execute_group(group, span, ctx)
+                    outcomes = self._execute_group(group, span, call)
                 except (ShardWorkerError, DeadlineExceededError) as exc:
                     outcomes = [exc] * len(group)
                 for (i, _, _), outcome in zip(group, outcomes):
@@ -730,7 +486,7 @@ class ScatterGatherExecutor:
             span.finish()
 
     def _execute_group(self, group: List[Tuple[int, object, Optional[tuple]]],
-                       span=NULL_SPAN, ctx=None, scatter_span=None) -> List:
+                       span, call: LegCall, scatter_span=None) -> List:
         """Scatter one group (size >= 1) with one leg per shard: THE scatter.
 
         A group is one query, or several top-k queries sharing a ranking
@@ -797,8 +553,7 @@ class ScatterGatherExecutor:
             [] if isinstance(query, TopKQuery) else None for query in queries]
         skipped: List[List[Tuple[int, str]]] = [[] for _ in group]
         executed: List[List[Tuple[Shard, object]]] = [[] for _ in group]
-        ledgers = ([_LegLedger() for _ in group] if ctx is not None
-                   else None)
+        call = call.group()  # this group's leg record, the call's budget
 
         def open_leg(shard):
             return (scatter_span.child("shard.leg").set("shard", shard.index)
@@ -808,9 +563,8 @@ class ScatterGatherExecutor:
             if leg and not solo:
                 leg.set("riders", tuple(riders))
             try:
-                leg_results = self._guarded(
-                    shard, [queries[qi] for qi in riders], ctx,
-                    [ledgers[qi] for qi in riders] if ledgers else (), leg)
+                leg_results = self.guard.run(
+                    self.legs, shard, [queries[qi] for qi in riders], leg, call)
                 self._m_legs.inc()
                 if leg:
                     if solo:
@@ -821,7 +575,7 @@ class ScatterGatherExecutor:
                         for result in leg_results))
                 return leg_results
             except ShardWorkerError:
-                if ctx is None or not ctx.allow_partial:
+                if not call.allow_partial:
                     raise
                 return ()  # the riders degrade to their surviving legs
             finally:
@@ -840,7 +594,7 @@ class ScatterGatherExecutor:
             if self.parallel and len(legs) > 1:
                 # Spans open at dispatch: their durations include pool
                 # queueing, which is real wait.
-                self._check_deadline(ctx, "scatter dispatch")
+                self.guard.check(call, "scatter dispatch")
                 outputs = self._leg_pool().map(
                     lambda leg: run_leg(*leg),
                     [(shard, riders, open_leg(shard))
@@ -849,8 +603,8 @@ class ScatterGatherExecutor:
                     fold(shard, riders, leg_results)
             else:
                 for shard, members in legs:
-                    self._check_deadline(
-                        ctx, f"scatter leg to shard {shard.index}")
+                    self.guard.check(
+                        call, f"scatter leg to shard {shard.index}")
                     leg = open_leg(shard)
                     riders = []
                     for qi in members:
@@ -880,12 +634,15 @@ class ScatterGatherExecutor:
         merged_rows = 0
         out: List = []
         for qi, (_, query, key) in enumerate(group):
-            ledger = ledgers[qi] if ledgers else None
-            if ledger is not None and ledger.failed and not executed[qi]:
+            order = [shard for shard, members in legs if qi in members]
+            skips = {index for index, _ in skipped[qi]}
+            rode = [shard.index for shard in order if shard.index not in skips]
+            lost = [index for index in rode if index in call.failures]
+            if lost and not executed[qi]:
                 # Every leg carrying this rider failed: nothing survives
                 # to degrade to — report the rider's failure, not an
                 # "empty" answer from zero evidence.
-                out.append(ledger.errors[-1])
+                out.append(call.failures[lost[-1]])
                 continue
             legs_run = sorted(executed[qi], key=lambda pair: pair[0].index)
             consulted = [shard for shard, _ in legs_run]
@@ -903,8 +660,7 @@ class ScatterGatherExecutor:
             result.extra["backend"] = "scatter-gather"
             result.extra.update(self._scatter_details(
                 query, consulted, pruned_lists[qi], shard_backends,
-                tuple(skipped[qi]),
-                [shard for shard, members in legs if qi in members]))
+                tuple(skipped[qi]), order))
             result.extra["plan"] = (
                 f"scatter to {len(consulted)}/{self.manager.num_shards} shards "
                 f"[policy={result.extra['policy']} "
@@ -920,8 +676,9 @@ class ScatterGatherExecutor:
                     float(res.extra.get("tuples_evaluated",
                                         res.tuples_evaluated))
                     for res in shard_results)
-            self._apply_fault_extra(result, ctx, ledger, planned[qi])
-            if key is not None and (ledger is None or not ledger.failed):
+            degraded = self.guard.annotate(result.extra, call, rode,
+                                           planned[qi])
+            if key is not None and not degraded:
                 # A degraded result is exact only over the surviving
                 # shards; caching it would keep serving the gap after
                 # recovery.
@@ -985,21 +742,13 @@ class ScatterGatherExecutor:
         preserves the canonical order — the merged prefix of length k is
         exactly the global top-k a single-relation engine would return.
         """
-        streams = []
-        for shard, result in zip(consulted, shard_results):
-            streams.append([
-                topk_order_key(int(shard.tid_map[local_tid]), score)
-                for local_tid, score in zip(result.tids, result.scores)
-            ])
-        merged = heapq.merge(*streams)
-        top: List[Tuple[int, float]] = []
-        for score, tid in merged:
-            top.append((tid, score))
-            if len(top) >= query.k:
-                break
+        streams = [[topk_order_key(int(shard.tid_map[local_tid]), score)
+                    for local_tid, score in zip(result.tids, result.scores)]
+                   for shard, result in zip(consulted, shard_results)]
+        top = list(islice(heapq.merge(*streams), query.k))
         return QueryResult(
-            tids=tuple(tid for tid, _ in top),
-            scores=tuple(score for _, score in top),
+            tids=tuple(tid for _, tid in top),
+            scores=tuple(score for score, _ in top),
             disk_accesses=sum(r.disk_accesses for r in shard_results),
             states_generated=sum(r.states_generated for r in shard_results),
             peak_heap_size=max((r.peak_heap_size for r in shard_results), default=0),
@@ -1072,10 +821,9 @@ class ScatterGatherExecutor:
             return sum(float(cache.get(name, 0.0))
                        for cache in observed.caches)
 
-        hits, misses = total("hits"), total("misses")
-        stats["shard_bound_entries"] = total("entries")
-        stats["shard_bound_hits"] = hits
-        stats["shard_bound_misses"] = misses
+        for name in ("entries", "hits", "misses"):
+            stats[f"shard_bound_{name}"] = total(name)
+        hits, misses = stats["shard_bound_hits"], stats["shard_bound_misses"]
         stats["shard_bound_hit_rate"] = (hits / (hits + misses)
                                          if hits + misses else 0.0)
         stats["shard_plans_reused"] = total("plans_reused")
@@ -1119,64 +867,32 @@ class ScatterGatherExecutor:
 class ProcessScatterExecutor(ScatterGatherExecutor):
     """Scatter/gather whose heavy legs run in per-shard worker *processes*.
 
-    The thread-pool scatter interleaves Python scoring on one core; this
-    executor is the same scatter (same prune/order/guard/gather, same
-    bit-identical answers) constructed over a
-    :class:`~repro.shard.legs.WorkerProcessLegs` runner — see there for
-    worker lifecycle, the shared-memory hand-off, freshness under
-    mutation and observability.  The thread/process crossover is priced
-    per scatter by the cost model
-    (:meth:`~repro.engine.cost.CostModel.scatter_leg_cost` against
-    :attr:`~repro.engine.cost.CostModel.process_leg_overhead`; ``0``
-    forces processes, ``float("inf")`` threads) and recorded as
-    ``extra["scatter_mode"]``.  With ``parallel=True`` legs are
-    dispatched on the inherited leg pool; each dispatching thread
-    blocks on its worker's pipe with the GIL released, so N shards score
-    on N cores.  A killed worker surfaces as
-    :class:`~repro.errors.ShardWorkerError` naming the shard and exit
-    code — never a hang — and is respawned on the next leg.
-
-    Workers rebuild their engines from ``Executor.for_relation`` keyword
-    arguments, so a manager constructed with a custom ``executor_factory``
-    (a closure that cannot be shipped to a spawned process) is rejected at
-    construction time.
-
-    Workers are started with the ``spawn`` method, which is safe with the
-    serving layer's threads and ships the parent's ``sys.path`` so workers
-    import this package uninstalled.
+    The same scatter — prune, order, guard, gather; bit-identical
+    answers — over a :class:`~repro.shard.legs.WorkerProcessLegs` runner,
+    which documents when a scatter offloads (recorded as
+    ``extra["scatter_mode"]``), the workers' lifecycle and shared memory,
+    injected faults, and why a custom ``executor_factory`` is refused.
+    Under ``parallel=True`` each leg-pool thread blocks on its worker's
+    pipe with the GIL released, so N shards score on N cores.
 
     ``recv_timeout`` bounds every worker reply wait once the worker has
     booted (default two minutes — generous enough that no honest leg
     ever trips it, tight enough that a genuinely wedged worker always
-    surfaces; ``None`` restores the old unbounded wait).  A per-request
-    deadline tightens the bound further, and a worker that misses it is
-    killed — reported with ``timed_out=True`` — and respawned on the
-    next leg.  The fault kwargs inherited from the base class apply here
-    too, with one difference: an attached ``fault_injector`` is handed
-    to the workers, so injected crashes are real process deaths and
-    injected hangs are real unresponsive pipes.
+    surfaces; ``None`` waits unbounded).  A request deadline tightens it;
+    a worker that misses the bound is killed, reported as a
+    :class:`~repro.errors.ShardWorkerError` with ``timed_out=True``, and
+    respawned on the next leg.  Every other keyword is the base class's.
     """
 
-    def __init__(self, manager: ShardManager, parallel: bool = False,
-                 result_cache: Optional[ResultCache] = None,
+    def __init__(self, manager: ShardManager, parallel: bool = False, *,
                  cost_model: Optional[CostModel] = None,
                  metrics: Optional[MetricsRegistry] = None,
-                 tracer=None,
-                 recv_timeout: Optional[float] = 120.0,
-                 retry_policy=None,
-                 breaker_policy=None,
-                 fault_injector=None,
-                 allow_partial: bool = False) -> None:
+                 recv_timeout: Optional[float] = 120.0, **kwargs) -> None:
         cost_model = cost_model or CostModel()
         metrics = metrics or MetricsRegistry()
         legs = WorkerProcessLegs(manager, cost_model, metrics,
                                  recv_timeout=recv_timeout)
-        super().__init__(manager, parallel=parallel,
-                         result_cache=result_cache, cost_model=cost_model,
-                         metrics=metrics, tracer=tracer,
-                         retry_policy=retry_policy,
-                         breaker_policy=breaker_policy,
-                         fault_injector=fault_injector,
-                         allow_partial=allow_partial, legs=legs)
+        super().__init__(manager, parallel, cost_model=cost_model,
+                         metrics=metrics, legs=legs, **kwargs)
         #: Live workers by shard index (the runner's own mapping).
         self._workers = legs.workers

@@ -40,7 +40,11 @@ from repro.fault import (
     InjectedFaultError,
     RetryPolicy,
 )
-from repro.functions.linear import skewed_linear_function, sum_function
+from repro.functions.linear import (
+    LinearFunction,
+    skewed_linear_function,
+    sum_function,
+)
 from repro.query import Predicate, TopKQuery
 from repro.shard import (
     HashShardingPolicy,
@@ -333,6 +337,27 @@ class FailingLegs(InProcessLegs):
         return super().run(shard, queries, leg_span, deadline)
 
 
+class RaisingLegs(InProcessLegs):
+    """Legs to one shard raise a programming error, not a shard failure."""
+
+    def __init__(self, manager, bad_index):
+        super().__init__(manager)
+        self.bad_index = bad_index
+
+    def run(self, shard, queries, leg_span, deadline):
+        if shard.index == self.bad_index:
+            raise ValueError(f"leg to shard {shard.index} hit a bug")
+        return super().run(shard, queries, leg_span, deadline)
+
+
+def two_fused_groups():
+    """Four top-k queries over two ranking functions: two fused groups."""
+    skewed = LinearFunction(["N1", "N2"], [1.0, 3.0])
+    return [TopKQuery(Predicate.of({}), function, k)
+            for function in (sum_function(["N1", "N2"]), skewed)
+            for k in (20, 30)]
+
+
 def fail_shard(engine, bad_index):
     """Make every leg to one shard raise, leaving the others honest."""
     engine.legs = FailingLegs(engine.manager, bad_index)
@@ -351,7 +376,7 @@ class TestRetries:
             retry_policy=RetryPolicy(max_attempts=4, base_delay=0.001,
                                      cap_delay=0.002, jitter_seed=5))
         sleeps = []
-        engine._sleep = sleeps.append
+        engine.guard.sleep = sleeps.append
         with engine:
             query = topk(k=6, A1=1)
             result = engine.execute(query)
@@ -383,7 +408,7 @@ class TestRetries:
             retry_policy=RetryPolicy(max_attempts=12, base_delay=0.0005,
                                      cap_delay=0.002, budget=None,
                                      jitter_seed=1337))
-        engine._sleep = lambda seconds: None
+        engine.guard.sleep = lambda seconds: None
         with engine:
             for query in queries:
                 result = engine.execute(query)
@@ -401,7 +426,7 @@ class TestRetries:
         _, engine = make_engine(relation, fault_injector=injector,
                                 retry_policy=policy)
         sleeps = []
-        engine._sleep = sleeps.append
+        engine.guard.sleep = sleeps.append
         with engine:
             engine.execute(topk(k=3))
         expected_rng = random.Random(99)
@@ -504,14 +529,14 @@ class TestBreakerIntegration:
         _, engine = make_engine(
             relation, allow_partial=True,
             breaker_policy=BreakerPolicy(failure_threshold=2, cooldown=60.0))
-        engine._breaker_clock = clock
+        engine.guard.clock = clock
         fail_shard(engine, bad_index=0)
         with engine:
             engine.execute(topk(k=2))
             engine.execute(topk(k=3))  # second consecutive failure: trips
             snap = engine.metrics.snapshot()
             assert snap["breaker.opened"] == 1.0
-            assert engine._breakers[0].state == "open"
+            assert engine.guard.breakers[0].state == "open"
             result = engine.execute(topk(k=4))
             assert result.extra["degraded"] == 1.0
             # Refused fail-fast: zero attempts booked for the open shard.
@@ -528,7 +553,7 @@ class TestBreakerIntegration:
         manager, engine = make_engine(
             big, allow_partial=True,
             breaker_policy=BreakerPolicy(failure_threshold=3, cooldown=3600.0))
-        engine._breaker_clock = FakeClock()
+        engine.guard.clock = FakeClock()
         fail_shard(engine, bad_index=0)
         surviving = {int(tid) for shard in manager.shards
                      if shard.index != 0 for tid in shard.tid_map}
@@ -549,7 +574,7 @@ class TestBreakerIntegration:
         _, engine = make_engine(
             relation, allow_partial=True,
             breaker_policy=BreakerPolicy(failure_threshold=1, cooldown=30.0))
-        engine._breaker_clock = clock
+        engine.guard.clock = clock
         fail_shard(engine, bad_index=0)
         with engine:
             engine.execute(topk(k=2))  # trips shard 0's breaker
@@ -563,20 +588,96 @@ class TestBreakerIntegration:
             snap = engine.metrics.snapshot()
             assert snap["breaker.half_open_probes"] == 1.0
             assert snap["breaker.closed"] == 1.0
-            assert engine._breakers[0].state == "closed"
+            assert engine.guard.breakers[0].state == "closed"
 
     def test_strict_mode_surfaces_breaker_open_error(self, relation):
         clock = FakeClock()
         _, engine = make_engine(
             relation,
             breaker_policy=BreakerPolicy(failure_threshold=1, cooldown=60.0))
-        engine._breaker_clock = clock
+        engine.guard.clock = clock
         fail_shard(engine, bad_index=0)
         with engine:
             with pytest.raises(ShardWorkerError):
                 engine.execute(topk(k=2))
             with pytest.raises(BreakerOpenError, match="breaker is open"):
                 engine.execute(topk(k=3))
+
+
+    def test_a_probe_that_raises_a_non_shard_error_frees_the_probe_slot(
+            self, relation):
+        """A half-open probe that fails with anything but a shard failure
+        propagates unretried and gives the probe slot back: the healed
+        shard's next leg probes again and closes the breaker."""
+        clock = FakeClock()
+        _, engine = make_engine(
+            relation, allow_partial=True,
+            breaker_policy=BreakerPolicy(failure_threshold=1, cooldown=10.0))
+        engine.guard.clock = clock
+        fail_shard(engine, bad_index=0)
+        with engine:
+            engine.execute(topk(k=2))  # trips shard 0's breaker
+            assert engine.guard.breakers[0].state == "open"
+            clock.advance(11.0)
+            engine.legs = RaisingLegs(engine.manager, 0)
+            with pytest.raises(ValueError, match="hit a bug"):
+                engine.execute(topk(k=3))  # the probe raises
+            heal_shards(engine)
+            clock.advance(1.0)
+            query = topk(k=5, A1=2)
+            result = engine.execute(query)
+            assert "degraded" not in result.extra
+            assert "0:1" in result.extra["leg_attempts"].split(",")
+            assert result.tids == brute_force_topk(relation, query)[0]
+            assert engine.guard.breakers[0].state == "closed"
+            snap = engine.metrics.snapshot()
+            assert snap["breaker.half_open_probes"] == 2.0
+            assert snap["breaker.closed"] == 1.0
+
+
+class TestOneRecordPerCall:
+    """One front-door call carries one retry budget across all its groups,
+    and each rider's fault record is the legs it rode, however they ran."""
+
+    def test_the_retry_budget_is_shared_by_every_group_of_a_call(
+            self, relation):
+        draws = random.Random(7)
+        probe = RetryPolicy(max_attempts=2, base_delay=1.0, cap_delay=1.0)
+        first, second = probe.backoff(1, draws), probe.backoff(1, draws)
+        # Covers the first group's backoff, not the second group's too.
+        policy = RetryPolicy(max_attempts=2, base_delay=1.0, cap_delay=1.0,
+                             budget=first + second / 2, jitter_seed=7)
+        _, engine = make_engine(relation, allow_partial=True,
+                                retry_policy=policy)
+        sleeps = []
+        engine.guard.sleep = sleeps.append
+        fail_shard(engine, bad_index=0)
+        with engine:
+            results = engine.execute_many(two_fused_groups())
+        assert engine.fused_groups == 2
+        assert all(result.extra["shards_failed"] == "0:ShardWorkerError"
+                   for result in results)
+        snap = engine.metrics.snapshot()
+        assert snap["fault.retries"] == 1.0
+        assert snap["fault.retry_budget_exhausted"] == 1.0
+        assert sleeps == [pytest.approx(first)]
+
+    def test_parallel_and_sequential_legs_record_the_same_faults(
+            self, relation):
+        keys = ("leg_attempts", "shards_failed", "completeness", "degraded")
+        runs = []
+        for parallel in (False, True):
+            _, engine = make_engine(relation, parallel=parallel,
+                                    allow_partial=True)
+            fail_shard(engine, bad_index=1)
+            with engine:
+                results = engine.execute_many(two_fused_groups())
+            runs.append([(result.tids, result.scores,
+                          tuple(result.extra[key] for key in keys))
+                         for result in results])
+        assert runs[0] == runs[1]
+        assert {record for _, _, record in runs[0]} == {
+            ("0:1,1:1,2:1", "1:ShardWorkerError", 2.0 / 3.0, 1.0)}
 
 
 class TestDeadlines:
@@ -617,7 +718,7 @@ class TestDeadlines:
             retry_policy=RetryPolicy(max_attempts=3, base_delay=10.0,
                                      cap_delay=10.0, jitter_seed=2))
         sleeps = []
-        engine._sleep = sleeps.append
+        engine.guard.sleep = sleeps.append
         with engine:
             result = engine.execute(topk(k=3),
                                     deadline=Deadline.after(0.5))
