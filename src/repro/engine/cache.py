@@ -22,7 +22,6 @@ shard manager's ``insert``/``reshard``, for example) must call
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import threading
 
@@ -121,7 +120,14 @@ def _function_key(function) -> Optional[Tuple[object, ...]]:
     Everything else (expression trees, custom subclasses) returns ``None``
     and stays uncacheable, because an incomplete or lossy key could collide
     two distinct functions and serve a wrong cached answer.
+
+    The key is memoised on the (allowlisted) function object: a function
+    never changes after it is built — the fuse key and every cached
+    answer already rest on that — so a batch reusing one keys it once.
     """
+    key = getattr(function, "_canonical_key", None)
+    if key is not None:
+        return key
     from repro.functions.distance import (
         ManhattanDistanceFunction,
         SquaredDistanceFunction,
@@ -141,7 +147,8 @@ def _function_key(function) -> Optional[Tuple[object, ...]]:
             parts.append((attr, tuple(float(v) for v in value)))
         else:
             parts.append((attr, float(value)))
-    return tuple(parts)
+    function._canonical_key = key = tuple(parts)
+    return key
 
 
 def function_fuse_key(function) -> Tuple[object, ...]:
@@ -185,10 +192,12 @@ def query_cache_key(query) -> Optional[Tuple[object, ...]]:
     return None
 
 
-def partition_batch(queries, scope: int, cache: "ResultCache"):
+def partition_batch(queries, scope: int, cache: Optional["ResultCache"]):
     """Split a batch into served cache hits, deduplicated units, and repeats.
 
     Shared by the engine and scatter/gather ``execute_many`` front doors.
+    With no ``cache`` nothing is keyed and every query is a unit of its
+    own (a scatter leg's batch, already deduplicated at the front door).
     Returns ``(results, units, unit_index, followers)``:
 
     * ``results`` — one slot per query, pre-filled with the cache hits
@@ -206,7 +215,7 @@ def partition_batch(queries, scope: int, cache: "ResultCache"):
     unit_index = {}
     followers = []
     for i, query in enumerate(queries):
-        key = query_cache_key(query)
+        key = query_cache_key(query) if cache is not None else None
         if key is not None:
             key = (scope,) + key
             hit = cache.lookup(key)
@@ -219,6 +228,16 @@ def partition_batch(queries, scope: int, cache: "ResultCache"):
             unit_index[key] = len(units)
         units.append((i, query, key))
     return results, units, unit_index, followers
+
+
+def _copied(result, **tags):
+    """``result`` with its own ``extra`` (plus ``tags``): a bare instance
+    filled from ``__dict__``, 3-4x cheaper than ``dataclasses.replace``
+    (re-runs ``__init__``) or ``copy.copy`` (``__reduce_ex__``)."""
+    twin = object.__new__(type(result))
+    twin.__dict__.update(result.__dict__)
+    twin.extra = dict(result.extra, **tags)
+    return twin
 
 
 class ResultCache:
@@ -269,15 +288,11 @@ class ResultCache:
         never poison the cached original.
         """
         cached = self.get(key)
-        if cached is None:
-            return None
-        hit = dataclasses.replace(cached, extra=dict(cached.extra))
-        hit.extra["result_cache"] = "hit"
-        return hit
+        return None if cached is None else _copied(cached, result_cache="hit")
 
     def store(self, key: Tuple[object, ...], result) -> None:
         """Cache a fresh ``result`` (as a copy) and tag it as a miss."""
-        self.put(key, dataclasses.replace(result, extra=dict(result.extra)))
+        self.put(key, _copied(result))
         result.extra["result_cache"] = "miss"
 
     def invalidate(self, row: Optional[Mapping[str, object]] = None) -> None:

@@ -209,7 +209,8 @@ class Executor:
         if high / low > 4.0:
             misses.inc()
 
-    def execute_many(self, queries: Iterable, *, parent_span=None) -> List:
+    def execute_many(self, queries: Iterable, *, parent_span=None,
+                     use_result_cache=True) -> List:
         """Execute a batch of queries, fusing shared work across the batch.
 
         Results come back in submission order.  Cached queries are served
@@ -237,6 +238,9 @@ class Executor:
         :meth:`execute`; the batch's tree gains ``engine.plan`` children
         per planned unit and one ``engine.fused_sweep`` (with
         ``attributed_shares``) or ``engine.run`` child per group.
+        ``use_result_cache=False`` is :meth:`execute`'s contract for the
+        batch (nothing keyed, so repeats are not deduplicated); scatter
+        legs pass it, their front door already caches and deduplicates.
         """
         queries = list(queries)
         if not queries:
@@ -254,7 +258,8 @@ class Executor:
                 self.result_cache.invalidate()
                 self.statistics.invalidate()
             results, units, unit_index, followers = partition_batch(
-                queries, self._cache_scope, self.result_cache)
+                queries, self._cache_scope,
+                self.result_cache if use_result_cache else None)
 
             plans = [self._plan_traced(query, span)
                      for _, query, _ in units]

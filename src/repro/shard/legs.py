@@ -23,7 +23,7 @@ from typing import (Dict, List, Mapping, NamedTuple, Optional, Protocol,
 
 from repro.engine.cost import CostModel
 from repro.engine.plan import QueryPlan
-from repro.errors import PlanningError, ShardWorkerError
+from repro.errors import PlanningError
 from repro.fault.inject import InjectedFaultError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_SPAN
@@ -77,6 +77,10 @@ class LegRunner(Protocol):
 class InProcessLegs:
     """Legs run on the calling thread, on the manager's own shard stacks.
 
+    A leg runs past the stack's result cache (``use_result_cache=False``):
+    the scatter's front door, asked first under the same key, is the one
+    level; direct callers of ``manager.executor_for(shard)`` keep theirs.
+
     An attached injector's ``worker.crash.*`` points are *simulated*
     here: the leg raises :class:`~repro.fault.inject.InjectedFaultError`
     before (``pre``) or after (``post``) doing the work.
@@ -97,11 +101,10 @@ class InProcessLegs:
         if injector is not None and injector.fires("worker.crash.pre"):
             raise InjectedFaultError("worker.crash.pre", shard.index)
         executor = self.manager.executor_for(shard)
-        # ``parent_span`` is only passed when the span is real —
+        # ``parent_span`` is the leg span when that is real —
         # contextvars do not cross pool threads, so explicit parenthood
-        # is the one reliable channel — and custom shard stacks without
-        # the keyword keep working untraced.
-        kwargs = {"parent_span": leg_span} if leg_span else {}
+        # is the one reliable channel.
+        kwargs = {"parent_span": leg_span or None, "use_result_cache": False}
         if len(queries) == 1:
             # A one-rider leg skips the batch partitioning of
             # ``execute_many`` (every solo front-door query is one).
@@ -144,8 +147,9 @@ class WorkerProcessLegs:
     * an attached injector is handed to the workers, so injected crashes
       are real process deaths and injected hangs real unresponsive pipes;
     * a worker whose shard data changed is torn down on mutation (its
-      shared-memory copy is stale; the next leg respawns it), the others
-      get a predicate-aware ``invalidate``;
+      shared-memory copy is stale; the next leg respawns it); the others
+      are left alone — their shard is unchanged, so their statistics
+      still hold, and a leg never fills a worker's result cache;
     * every leg reply ships the worker engine's registry state and
       ``cache_stats()`` back; the latest pair per shard outlives the
       worker, so its work stays in the merged views until a respawned
@@ -236,15 +240,10 @@ class WorkerProcessLegs:
         shards = {shard.index: shard for shard in self.manager.shards}
         for index, worker in workers:
             shard = shards.get(index)
-            stale = (shard is None
-                     or id(shard.relation) != worker.relation_id
-                     or shard.relation.num_tuples != worker.num_rows)
-            try:
-                if not stale:
-                    worker.request("invalidate", row)
-                    continue
-            except ShardWorkerError:
-                pass
+            if (shard is not None
+                    and id(shard.relation) == worker.relation_id
+                    and shard.relation.num_tuples == worker.num_rows):
+                continue
             with self._lock:
                 self.workers.pop(index, None)
             worker.close()

@@ -795,8 +795,9 @@ class ScatterGatherExecutor:
         mapping instead of poking per-shard executors.  Every merged
         per-shard key is uniformly ``shard_``-prefixed:
 
-        * ``result_*`` — the scatter-level front-door result cache, same
-          keys as the unsharded executor's;
+        * ``result_*`` — the front-door result cache, same keys as the
+          unsharded executor's; the stack's only level (legs run past
+          the shard stacks' caches, so there is no per-shard sum);
         * ``shard_bound_*`` — the per-shard lower-bound caches, summed
           (rate recomputed over the sums);
         * ``fused_groups`` / ``fused_queries`` — *front-door* fusion: how
@@ -807,7 +808,6 @@ class ScatterGatherExecutor:
           (a group fused on N shards counts once per shard leg that
           actually fused it, so the shard sums can exceed the front-door
           counts);
-        * ``shard_result_*`` — the per-shard result caches, summed;
         * ``shards_built`` — how many in-process shard stacks exist at all
           (lazily built stacks the statistics always pruned are absent
           from every sum above);
@@ -829,8 +829,7 @@ class ScatterGatherExecutor:
         stats["shard_plans_reused"] = total("plans_reused")
         stats["fused_groups"] = float(self.fused_groups)
         stats["fused_queries"] = float(self.fused_queries)
-        for name in ("fused_groups", "fused_queries", "result_entries",
-                     "result_hits", "result_misses", "result_invalidations"):
+        for name in ("fused_groups", "fused_queries"):
             stats[f"shard_{name}"] = total(name)
         stats["shards_built"] = float(len(self.manager.built_executors()))
         stats.update(observed.gauges)
@@ -852,8 +851,9 @@ class ScatterGatherExecutor:
         return snap
 
     def explain_analyze(self, query) -> str:
-        """Run ``query`` traced (result caches bypassed at the front door)
-        and render the span tree with estimated vs. actual work.
+        """Run ``query`` traced (front-door result cache bypassed; legs
+        never read the shard stacks' caches) and render the span tree
+        with estimated vs. actual work.
 
         The tree covers the scatter: every leg (including legs skipped by
         the k-th-score bound, with their reasons), each shard engine's

@@ -56,16 +56,15 @@ from repro.storage.table import Relation, Schema
 
 #: Operations a worker understands.  ``execute_many``/``plan`` are the
 #: engine front-door surface (every leg, one rider or many, is an
-#: ``execute_many``); ``invalidate`` broadcasts the
-#: manager's cache invalidation (predicate-aware when a row is attached);
-#: ``ping`` checks liveness; ``hang`` naps (fault injection: a simulated
-#: wedge the bounded recv must catch); ``close`` asks the worker to exit
-#: its loop.
-_OPS = ("execute_many", "plan", "invalidate", "ping", "hang", "close")
+#: ``execute_many``, run past the worker's result cache: the scatter's
+#: front door is the one cache level); ``ping`` checks liveness; ``hang``
+#: naps (fault injection: a simulated wedge the bounded recv must catch);
+#: ``close`` asks the worker to exit its loop.
+_OPS = ("execute_many", "plan", "ping", "hang", "close")
 
-#: Leg-shaped operations the fault injector may sabotage.  Lifecycle and
-#: invalidation traffic is never injected — chaos must not break the
-#: write path's correctness contract, only exercise leg recovery.
+#: Leg-shaped operations the fault injector may sabotage.  Lifecycle
+#: traffic is never injected — chaos must exercise leg recovery, not
+#: break the worker's lifecycle.
 _INJECTABLE_OPS = ("execute_many",)
 
 #: Seconds a freshly spawned worker may take to send its ``ready`` frame.
@@ -147,17 +146,18 @@ def shard_worker_main(conn, spec: WorkerSpec) -> None:
                 break
             try:
                 out = None
-                if op == "invalidate":
-                    executor.invalidate_results(row=payload)
-                elif op == "ping":
+                if op == "ping":
                     out = relation.num_tuples
                 elif op == "hang":
                     # Fault injection: a genuine wedge.  The worker naps
                     # through the request, so only the parent's bounded
                     # recv (not a cooperative error reply) can surface it.
                     time.sleep(float(payload))
-                elif op in ("execute_many", "plan"):
-                    out = getattr(executor, op)(payload)
+                elif op == "execute_many":
+                    out = executor.execute_many(payload,
+                                                use_result_cache=False)
+                elif op == "plan":
+                    out = executor.plan(payload)
                 else:
                     raise ShardWorkerError(f"unknown worker op {op!r}")
                 conn.send(("ok", out, (executor.metrics.state(),
@@ -188,9 +188,8 @@ class ShardWorker:
 
     ``relation_id``/``num_rows`` snapshot the shard the worker was built
     over; :class:`~repro.shard.legs.WorkerProcessLegs` compares
-    them after every mutation to decide between a cheap ``invalidate``
-    broadcast (data unchanged) and a teardown (the shard grew or was
-    replaced — the worker's shared-memory copy is stale).
+    them after every mutation and tears the worker down when the shard
+    grew or was replaced (its shared-memory copy is stale).
 
     ``recv_timeout`` bounds every reply wait (per-request ``timeout``
     overrides it, e.g. from a request deadline): a worker that misses

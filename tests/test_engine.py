@@ -433,6 +433,21 @@ class TestResultCache:
         assert query_cache_key(sky) != query_cache_key(
             SkylineQuery(Predicate.of(A1=1), ("N1", "N2"), targets=(0.1, 0.2)))
 
+    def test_a_function_is_keyed_once_and_by_value(self):
+        from repro.engine import cache
+
+        function = SquaredDistanceFunction(["N1", "N2"], [0.2, 0.4])
+        twin = SquaredDistanceFunction(["N1", "N2"], [0.2, 0.4])
+        first = cache._function_key(function)
+        # Computed once: the second call hands back the memoised tuple.
+        assert cache._function_key(function) is first
+        assert cache._function_key(twin) == first
+        assert cache._function_key(twin) is not first
+        assert cache.function_fuse_key(twin) == cache.function_fuse_key(
+            function)
+        assert cache._function_key(
+            SquaredDistanceFunction(["N1", "N2"], [0.2, 0.5])) != first
+
     def test_shared_result_cache_is_scoped_per_executor(self):
         from repro.storage.table_scan import TableScanTopK
         from repro.engine import ResultCache

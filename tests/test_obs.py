@@ -414,6 +414,29 @@ class TestExplainAnalyzeSharded:
         assert "merged_rows=" in text
         assert "estimated cost vs actual tuples evaluated:" in text
 
+    def test_a_warm_front_door_still_renders_what_every_leg_ran(self):
+        """``explain_analyze`` after ``execute`` of the same query renders
+        each leg's real plan and run, never a stale shard-level cache
+        hit: the shard stacks hold no answers of the scatter's legs."""
+        relation = generate_relation(SyntheticSpec(
+            num_tuples=4000, num_selection_dims=2, num_ranking_dims=2,
+            cardinality=4, seed=403))
+        _, engine = make_sharded_engine(relation, 3, block_size=100,
+                                        with_signature=False,
+                                        with_skyline=False)
+        query = TopKQuery(Predicate.of(A1=1),
+                          LinearFunction(["N1", "N2"], [1.0, 1.0]), 5)
+        cold = engine.explain_analyze(query)
+        engine.execute(query)
+        warm = engine.explain_analyze(query)
+        legs = cold.count("shard.leg")
+        assert legs == 3
+        for text in (cold, warm):
+            assert "result_cache=hit" not in text
+            assert text.count("shard.leg") == legs
+            assert text.count("engine.plan") == legs
+            assert text.count("engine.run") == legs
+
     def test_renders_skipped_legs_with_reason(self):
         _, engine = stratified_engine()
         query = TopKQuery(Predicate.of(), sum_function(["X", "Y"]), 5)

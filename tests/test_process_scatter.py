@@ -138,6 +138,22 @@ class TestCrossover:
             assert result.extra["scatter_mode"] == "processes"
             assert engine.cache_stats()["shard_workers"] == 2.0
 
+    def test_worker_legs_never_fill_the_workers_result_caches(self,
+                                                              relation):
+        _, engine = make_process_engine(relation, num_shards=2)
+        with engine:
+            queries = [topk(k=4, A1=1), topk(k=6), topk(k=3, A2=2)]
+            engine.execute(queries[0])
+            engine.execute_many(queries + queries[:1])
+            observed = engine.legs.observed()
+            assert observed.gauges["shard_workers"] == 2.0
+            # Both workers shipped their engine's cache stats back.
+            assert len(observed.caches) >= 2
+            for stats in observed.caches:
+                assert (stats["result_entries"], stats["result_hits"],
+                        stats["result_misses"]) == (0.0, 0.0, 0.0)
+            assert engine.result_cache.stats()["result_entries"] == 3.0
+
     def test_worker_metrics_fold_into_snapshot(self, relation):
         _, engine = make_process_engine(relation)
         with engine:

@@ -675,8 +675,7 @@ class TestStatsViews:
                                ("shard_bound_misses", "misses"),
                                ("shard_bound_entries", "entries"),
                                ("shard_plans_reused", "plans_reused"),
-                               ("shard_fused_queries", "fused_queries"),
-                               ("shard_result_hits", "result_hits")):
+                               ("shard_fused_queries", "fused_queries")):
             assert stats[summed] == sum(
                 executor.cache_stats()[source] for executor in built.values())
         lookups = stats["shard_bound_hits"] + stats["shard_bound_misses"]

@@ -560,6 +560,53 @@ class TestBatchAndCache:
         stats = engine.cache_stats()
         assert stats["result_hits"] == float(len(queries))
 
+    @pytest.mark.parametrize("parallel", [False, True])
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+    def test_legs_never_fill_a_shard_result_cache(self, relation, num_shards,
+                                                  parallel):
+        shared = LinearFunction(["N1", "N2"], [2.0, 1.0])
+        queries = pruned_predicate_queries(relation, "A1", k=5,
+                                           function=shared)
+        queries += [TopKQuery(Predicate.of(), sum_function(["N1", "N2"]), 8),
+                    SkylineQuery(Predicate.of(A2=1), ("N1", "N2"))]
+        with build_engine(relation, "hash", num_shards,
+                          parallel=parallel) as engine:
+            for query in queries[:2]:
+                engine.execute(query)
+            engine.execute_many(queries + queries[:3])
+            engine.manager.invalidate_caches()  # the next batch runs legs
+            engine.execute_many(queries)
+        built = engine.manager.built_executors()
+        assert len(built) == num_shards
+        for executor in built.values():
+            stats = executor.result_cache.stats()
+            assert (stats["result_entries"], stats["result_hits"],
+                    stats["result_misses"]) == (0.0, 0.0, 0.0)
+
+    def test_the_front_door_holds_one_entry_per_distinct_query(self,
+                                                              relation):
+        from repro.engine import query_cache_key
+
+        engine = build_engine(relation, "hash", 2)
+        queries = pruned_predicate_queries(relation, "A1", k=5)
+        queries.append(SkylineQuery(Predicate.of(A2=1), ("N1", "N2")))
+        batch = queries + [TopKQuery(query.predicate,
+                                     sum_function(["N1", "N2"]), query.k)
+                           for query in queries[:2]]  # value-equal repeats
+        first = engine.execute_many(batch)
+        distinct = {query_cache_key(query) for query in batch}
+        assert len(distinct) == len(queries)
+        assert engine.result_cache.stats()["result_entries"] == len(queries)
+        for query, result in zip(batch, first):
+            again = engine.execute(query)
+            assert again.extra["result_cache"] == "hit"
+            assert again.tids == result.tids
+            if isinstance(query, TopKQuery):
+                assert again.scores == result.scores
+        stats = engine.result_cache.stats()
+        assert stats["result_entries"] == len(queries)
+        assert stats["result_hits"] == len(batch) + 2  # + the batch repeats
+
     def test_equivalent_function_objects_share_cache_entries(self, relation):
         _, engine = make_sharded_engine(relation, 2, range_dim="A1",
                                         block_size=60, rtree_max_entries=16)
