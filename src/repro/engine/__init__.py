@@ -21,7 +21,8 @@ This package puts one front door in front of all of them:
 
 Results carry their routing: ``result.extra["backend"]`` names the engine
 that ran the query and ``result.extra["plan"]`` holds the planner's
-one-line explanation.
+:class:`QueryPlan`, whose ``str()`` is the one-line explanation
+(``result.plan`` renders it; the wire ships the rendered text).
 
 Usage
 -----
@@ -37,7 +38,7 @@ one object::
     topk = executor.execute(
         TopKQuery(Predicate.of(A1=1), LinearFunction(["N1", "N2"], [1, 2]), 10))
     print(topk.extra["backend"])          # 'ranking-cube'
-    print(topk.extra["plan"])             # why it was routed there
+    print(topk.plan)                      # why it was routed there
 
     sky = executor.execute(SkylineQuery(Predicate.of(A1=1), ("N1", "N2")))
     print(sky.extra["backend"])           # 'skyline'

@@ -334,18 +334,18 @@ class CostModel:
     # ------------------------------------------------------------------
     # scatter-leg ordering (shard layer)
     # ------------------------------------------------------------------
-    def scatter_key(self, query, stats: RelationStatistics
-                    ) -> Tuple[float, float]:
+    def scatter_key(self, query, stats: RelationStatistics,
+                    floor: Optional[float]) -> Tuple[float, float]:
         """Ordering key for one scatter leg: most promising, then cheapest.
 
-        Legs with the lowest attainable score (the shard's ranking-range
-        floor for the query's function) run first so the merged k-th score
-        tightens as fast as possible; expected matching tuples break ties
-        so the cheaper leg of two equally promising ones goes first.
+        Legs with the lowest attainable score (``floor``: the shard's
+        :meth:`~RelationStatistics.score_floor` for the query's function,
+        derived once per group) run first so the merged k-th score tightens
+        as fast as possible; expected matching tuples break ties so the
+        cheaper leg of two equally promising ones goes first.
         """
         if isinstance(query, TopKQuery):
-            return (stats.score_floor(query.function),
-                    stats.expected_matches(query.predicate))
+            return (floor, stats.expected_matches(query.predicate))
         return (0.0, float(stats.num_tuples))
 
     def scatter_leg_cost(self, query, stats: RelationStatistics) -> float:

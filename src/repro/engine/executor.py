@@ -3,13 +3,17 @@
 :class:`Executor` is the single entry point the rest of the system (CLI,
 examples, services) talks to.  It owns an :class:`EngineRegistry`, a
 :class:`Planner` over it, and one :class:`LowerBoundCache` shared by every
-registered backend that can use it — so a batch of queries reusing the same
-ranking function never re-derives a block bound.
+registered backend that can use it: a sweep bounds a grid's blocks at
+once through ``lower_bound_batch``, so the cache serves only functions
+without one (expression trees, constrained functions, user subclasses).
 
 Both front doors end in one private group runner: ``execute`` is a cache
 lookup, else a group of one; ``execute_many`` partitions a batch into
 groups.  A backend is invoked, its span named, and a result annotated,
-cost-fed and cached in :meth:`Executor._run_group` only.
+cost-fed and cached in :meth:`Executor._run_group` only.  A result's
+``extra["plan"]`` is the :class:`QueryPlan` itself, rendered only where it
+is read (``str(plan)`` is :meth:`QueryPlan.describe`): a scatter leg's
+result is never rendered.
 """
 
 from __future__ import annotations
@@ -343,7 +347,7 @@ class Executor:
         group_span.finish()
         for (_, plan, key), result, share in zip(members, results, shares):
             result.extra["backend"] = plan.backend
-            result.extra["plan"] = plan.describe()
+            result.extra["plan"] = plan
             if batch:
                 # A default execute_batch is a per-query loop: no work was
                 # shared, so it does not report a fused group.

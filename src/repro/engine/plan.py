@@ -3,8 +3,10 @@
 A :class:`QueryPlan` records which backend was chosen for a query, why, and
 the plan-relevant properties the planner inspected (predicate dimensions,
 ranking-function shape, covering cuboids, ...).  Plans are plain data: the
-:class:`repro.engine.Executor` attaches their description to the result's
-``extra`` so every answer can explain how it was computed.
+:class:`repro.engine.Executor` attaches the plan object itself to the
+result's ``extra["plan"]`` so every answer can explain how it was computed,
+and ``str(plan)`` (:meth:`QueryPlan.describe`) renders it only where it is
+read — ``result.plan``, ``print``, the wire codec.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ class QueryPlan:
     estimates: Tuple[Tuple[str, float], ...] = ()
 
     def describe(self) -> str:
-        """Single-line human-readable plan, e.g. for ``extra['plan']``."""
+        """Single-line human-readable plan: what ``str(plan)`` and
+        ``result.plan`` read and what the wire carries."""
         parts = [f"backend={self.backend}", f"kind={self.query_kind}",
                  f"mode={self.mode}"]
         for key in sorted(self.details):

@@ -359,12 +359,12 @@ def decode_query(obj, registry: Optional[FunctionRegistry] = None):
 # ----------------------------------------------------------------------
 def _jsonable(value):
     """Make an ``extra`` value JSON-safe (tuples become lists)."""
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, Mapping):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
     return str(value)
 
 

@@ -152,7 +152,9 @@ class QueryResult:
 
     ``extra`` carries engine-specific statistics (floats) and, when the
     query went through :class:`repro.engine.Executor`, the chosen backend
-    name under ``"backend"`` and the planner's explanation under ``"plan"``.
+    name under ``"backend"`` and the planner's
+    :class:`~repro.engine.plan.QueryPlan` under ``"plan"`` (a string once
+    decoded off the wire, or from a scatter; :attr:`plan` renders either).
     """
 
     tids: Tuple[int, ...]

@@ -9,8 +9,8 @@
 2. *scattered* — surviving shards execute the query through their own
    engine stacks (optionally on a thread pool; each shard's stack is an
    independent object graph, so shards run concurrently without sharing);
-3. *gathered* — per-shard top-k answers are k-way merged under the
-   canonical :func:`repro.query.topk_order_key` order, and per-shard
+3. *gathered* — per-shard top-k answers are sorted once, as arrays, into
+   the canonical :func:`repro.query.topk_order_key` order, and per-shard
    skylines are re-checked for cross-shard dominance (a point on one
    shard's local skyline may be dominated by another shard's point).
 
@@ -44,13 +44,13 @@ retry or degradation can change an answer over the shards that answered.
 
 from __future__ import annotations
 
-import heapq
 import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from itertools import islice
 from typing import Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.engine.cache import (
     ResultCache,
@@ -77,7 +77,7 @@ from repro.errors import (
 from repro.fault.guard import LegCall, LegGuard
 from repro.obs.metrics import MetricsRegistry, merged_snapshot
 from repro.obs.trace import NULL_SPAN, NULL_TRACER
-from repro.query import QueryResult, TopKQuery, topk_order_key
+from repro.query import QueryResult, TopKQuery
 from repro.shard.legs import InProcessLegs, LegRunner, WorkerProcessLegs
 from repro.shard.manager import Shard, ShardManager
 from repro.skyline.dominance import skyline_of, transform_dynamic
@@ -94,8 +94,8 @@ class ScatterGatherExecutor:
     parallel:
         Run surviving shards on a private :class:`ThreadPoolExecutor` of
         one thread per shard instead of sequentially.  Gathered results
-        are identical either way — the merge consumes per-shard answers
-        in shard order.
+        are identical either way — the gather sorts per-shard answers
+        into one canonical order.
     cost_model:
         The :class:`~repro.engine.cost.CostModel` ordering sequential
         top-k scatter legs and bounding the gather (default: a fresh
@@ -346,7 +346,7 @@ class ScatterGatherExecutor:
                     f"{len(pruned)} pruned by statistics"),
             details=self._scatter_details(
                 query, consulted, pruned, shard_backends, (),
-                self._leg_order([query], consulted)),
+                self._leg_order([query], consulted)[0]),
             candidates=tuple(f"shard{s.index}" for s in consulted),
             mode=mode,
         )
@@ -545,8 +545,8 @@ class ScatterGatherExecutor:
             scatter_span.set("group_size", len(group))
         elif scatter_span and pruned_lists[0]:
             scatter_span.set("shards_pruned", tuple(pruned_lists[0]))
-        legs = [(shard, carried[shard.index])
-                for shard in self._leg_order(queries, list(shards.values()))]
+        order, floors = self._leg_order(queries, list(shards.values()))
+        legs = [(shard, carried[shard.index]) for shard in order]
 
         # Per top-k member: its k best scores gathered so far, sorted.
         gathered: List[Optional[List[float]]] = [
@@ -608,8 +608,8 @@ class ScatterGatherExecutor:
                     leg = open_leg(shard)
                     riders = []
                     for qi in members:
-                        reason = self._leg_skip_reason(shard, queries[qi],
-                                                       gathered[qi])
+                        reason = self._leg_skip_reason(
+                            floors.get(shard.index), queries[qi], gathered[qi])
                         if reason is None:
                             riders.append(qi)
                             continue
@@ -691,28 +691,33 @@ class ScatterGatherExecutor:
             scatter_span.finish()
         return out
 
-    def _leg_order(self, queries: List, shards: List[Shard]) -> List[Shard]:
-        """Cost order of a group's legs: most promising member first.
+    def _leg_order(self, queries: List, shards: List[Shard]
+                   ) -> Tuple[List[Shard], Dict[int, float]]:
+        """Cost order of a group's legs, and each shard's score floor.
 
         A leg's promise is its best promise for *any* member (lowest score
         floor, so the gathered k-th score tightens as early as possible,
         then fewest expected matches), so the leg that can tighten
         some member's k-th score fastest runs first; the shard index keeps
-        the order total and deterministic.
+        the order total and deterministic.  A group's top-k members share
+        one function by value (its fuse key), so the floors are derived
+        once per shard; a skyline has none.
         """
-        def leg_key(shard: Shard):
-            keys = [self.cost_model.scatter_key(query, shard.stats)
-                    for query in queries]
-            return (min(key[0] for key in keys),
-                    min(key[1] for key in keys),
-                    shard.index)
+        floors = ({shard.index: shard.stats.score_floor(queries[0].function)
+                   for shard in shards}
+                  if isinstance(queries[0], TopKQuery) else {})
 
-        return sorted(shards, key=leg_key)
+        def leg_key(shard: Shard):
+            floor = floors.get(shard.index)
+            return min(self.cost_model.scatter_key(query, shard.stats, floor)
+                       for query in queries) + (shard.index,)
+
+        return sorted(shards, key=leg_key), floors
 
     @staticmethod
-    def _leg_skip_reason(shard: Shard, query,
+    def _leg_skip_reason(floor: Optional[float], query,
                          gathered: Optional[List[float]]) -> Optional[str]:
-        """Why ``shard`` can be skipped for ``query``, or ``None`` to run it.
+        """Why a shard of score ``floor`` can be skipped, or ``None`` to run it.
 
         ``gathered`` holds a top-k query's k best scores seen so far,
         sorted (``None`` for a skyline, which is never skipped).
@@ -724,7 +729,6 @@ class ScatterGatherExecutor:
         """
         if gathered is None or len(gathered) < query.k:
             return None
-        floor = shard.stats.score_floor(query.function)
         kth = gathered[-1]
         if floor > kth:
             return f"score floor {floor:.6g} > k-th score {kth:.6g}"
@@ -735,20 +739,22 @@ class ScatterGatherExecutor:
     # ------------------------------------------------------------------
     def _gather_topk(self, query, consulted: List[Shard],
                      shard_results: List[QueryResult]) -> QueryResult:
-        """K-way merge of per-shard top-k lists under ``(score, tid)``.
+        """The k best per-shard answers under ``(score, tid)``, as arrays.
 
-        Each shard's answer is already sorted by ``(score, local tid)`` and
-        the shard's tid map is ascending, so mapping local to global tids
-        preserves the canonical order — the merged prefix of length k is
-        exactly the global top-k a single-relation engine would return.
+        Local tids map to global ones through each shard's tid map, and the
+        concatenation is sorted once by score, ties by tid (shards are
+        disjoint, so no tid repeats): the prefix of length k is exactly the
+        global top-k a single-relation engine would return.
         """
-        streams = [[topk_order_key(int(shard.tid_map[local_tid]), score)
-                    for local_tid, score in zip(result.tids, result.scores)]
-                   for shard, result in zip(consulted, shard_results)]
-        top = list(islice(heapq.merge(*streams), query.k))
+        tids = np.concatenate([np.empty(0, np.int64)] + [
+            shard.tid_map[np.asarray(result.tids, dtype=np.int64)]
+            for shard, result in zip(consulted, shard_results)])
+        scores = np.concatenate([np.empty(0)] + [
+            np.asarray(result.scores, dtype=np.float64) for result in shard_results])
+        top = np.lexsort((tids, scores))[:query.k]
         return QueryResult(
-            tids=tuple(tid for _, tid in top),
-            scores=tuple(score for score, _ in top),
+            tids=tuple(tids[top].tolist()),
+            scores=tuple(scores[top].tolist()),
             disk_accesses=sum(r.disk_accesses for r in shard_results),
             states_generated=sum(r.states_generated for r in shard_results),
             peak_heap_size=max((r.peak_heap_size for r in shard_results), default=0),

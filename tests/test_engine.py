@@ -70,7 +70,7 @@ class TestRouting:
                           LinearFunction(["N1", "N2"], [1.0, 2.0]), 5)
         result = executor.execute(query)
         assert result.extra["backend"] == "ranking-cube"
-        assert "ranking-cube" in result.extra["plan"]
+        assert "ranking-cube" in result.plan
         assert result.backend == "ranking-cube"
         assert result.plan is not None
 
@@ -97,7 +97,7 @@ class TestRouting:
             joins=(JoinCondition("R1", "A1", "R2", "A1"),), k=5)
         result = executor.execute(query)
         assert result.extra["backend"] == "index-merge"
-        assert "join_order" in result.extra["plan"]
+        assert "join_order" in result.plan
 
     def test_unroutable_query_kind(self, executor):
         with pytest.raises(PlanningError):
