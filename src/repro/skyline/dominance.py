@@ -4,9 +4,10 @@ All preference dimensions are minimized.  For *dynamic* skylines the raw
 values are first mapped to their absolute distance from a per-dimension
 target (Section 7.2.3); dominance is then evaluated in the mapped space.
 
-The scalar functions are the definitions (and the oracle's tools);
-:func:`mapped_corners` and :func:`dominated_rows` are the same tests over a
-whole R-tree node at a time, which is how the engine runs them.
+The scalar functions are the definitions, the oracle's tools and the
+engine's test of each popped heap item; :func:`mapped_corners` and
+:func:`dominated_rows` are the same tests over a whole R-tree node at a
+time, which is how the engine runs them once per expanded node.
 """
 
 from __future__ import annotations
@@ -31,7 +32,10 @@ def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
 
 def dominated_by_any(point: Sequence[float], others: Iterable[Sequence[float]]) -> bool:
     """Whether any point in ``others`` dominates ``point``."""
-    return any(dominates(other, point) for other in others)
+    for other in others:
+        if dominates(other, point):
+            return True
+    return False
 
 
 def skyline_of(points: Sequence[Tuple[int, Sequence[float]]]

@@ -25,6 +25,7 @@ from repro.errors import QueryError
 from repro.query import Predicate, SkylineQuery
 from repro.signature.cube import SignatureRankingCube
 from repro.skyline.dominance import (
+    dominated_by_any,
     dominated_rows,
     mapped_corners,
     skyline_of,
@@ -82,10 +83,11 @@ class SkylineEngine:
         """Compute the (dynamic) skyline restricted by the boolean predicate.
 
         BBS as written — one heap keyed ``(mindist, counter)``, entries
-        pushed in stored order — but a node is processed as arrays: one
-        signature mask, one mapped-corner matrix, one dominance test against
-        the skyline found so far, one left-to-right row sum.  Python loops
-        only over the survivors it pushes.
+        pushed in stored order.  Numpy runs once per expanded node: the
+        signature mask (and leaf verification), then for its survivors only
+        one mapped-corner matrix, one dominance test against the skyline so
+        far and one left-to-right row sum.  A popped item is tested with
+        the scalar :func:`dominated_by_any` on the float tuple it carries.
         """
         for dim in query.preference_dims:
             if dim not in self.rtree.dims:
@@ -104,18 +106,22 @@ class SkylineEngine:
         verify = reader is None and not predicate.is_empty()
 
         if reader is not None and not reader.test(()):
-            elapsed = time.perf_counter() - start
-            return SkylineResult(tids=(), elapsed_seconds=elapsed)
+            # The root test may have loaded a member reader's first page.
+            sig_io = self.cube.store.pager.stats.physical_reads - sig_before
+            return SkylineResult(tids=(), disk_accesses=sig_io,
+                                 signature_accesses=sig_io,
+                                 elapsed_seconds=time.perf_counter() - start)
 
         # Every R-tree dimension in stored order is the common case: a slice
         # (a view) instead of a gathered copy of the page's columns.
         select = (slice(None) if columns == list(range(len(self.rtree.dims)))
                   else columns)
 
-        # Skyline points in the order found: tids, and their mapped values as
-        # the first ``len(skyline_tids)`` rows of a matrix that doubles when full.
+        # Skyline points in the order found, mapped values as float tuples;
+        # ``found`` is them as a matrix, rebuilt when the skyline has grown.
         skyline_tids: List[int] = []
-        skyline_values = np.empty((64, len(columns)))
+        skyline: List[Tuple[float, ...]] = []
+        found = np.empty((0, len(columns)))
 
         peak_heap = 0
         expanded = 0
@@ -124,24 +130,20 @@ class SkylineEngine:
 
         # Heap items: (mindist, counter, page id, path, corner, seen) for a
         # node, (mindist, counter, _POINT, tid, mapped values, seen) for a data
-        # point.  ``seen`` is how many skyline points the item was already
-        # tested against when pushed; the skyline only grows, so a pop tests
-        # the later ones only.  The root has no corner worth computing: it is
-        # popped while the skyline is empty.
-        heap: List[Tuple[float, int, int, object, np.ndarray, int]] = [
-            (0.0, counter, self.rtree.root().page_id, (), np.zeros(len(columns)), 0)]
+        # point, corners as float tuples.  ``seen`` is how many skyline points
+        # the item was already tested against when pushed; the skyline only
+        # grows, so a pop tests the later ones only.  The root has no corner
+        # worth computing: it is popped while the skyline is empty.
+        heap: List[Tuple[float, int, int, object, Tuple[float, ...], int]] = [
+            (0.0, counter, self.rtree.root().page_id, (), (), 0)]
 
         while heap:
             peak_heap = max(peak_heap, len(heap))
             _, _, page_id, path, corner, seen = heapq.heappop(heap)
-            if seen < len(skyline_tids) and dominated_rows(
-                    corner[None, :], skyline_values[seen:len(skyline_tids)])[0]:
+            if seen < len(skyline) and dominated_by_any(corner, skyline[seen:]):
                 continue
             if page_id == _POINT:
-                if len(skyline_tids) == len(skyline_values):
-                    skyline_values = np.concatenate(
-                        [skyline_values, np.empty_like(skyline_values)])
-                skyline_values[len(skyline_tids)] = corner
+                skyline.append(corner)
                 skyline_tids.append(path)
                 continue
 
@@ -153,18 +155,25 @@ class SkylineEngine:
                 verifications += len(ids)
                 for dim, value in predicate.conditions:
                     keep = keep & (self.relation.selection_column(dim)[ids] == value)
-            lows = lows[:, select]
-            corners = mapped_corners(lows, lows if leaf else highs[:, select], targets)
-            seen = len(skyline_tids)
+            rows = keep.nonzero()[0]
+            if not len(rows):
+                continue
+            lows = lows[rows][:, select]
+            corners = mapped_corners(lows, lows if leaf else highs[rows][:, select],
+                                     targets)
+            seen = len(skyline)
             if seen:
-                keep = keep & ~dominated_rows(corners, skyline_values[:seen])
+                if len(found) != seen:
+                    found = np.array(skyline)
+                alive = ~dominated_rows(corners, found)
+                rows, corners = rows[alive], corners[alive]
             # Column by column, left to right: equals float(sum(corner)).
             mindist = corners[:, 0].copy()
             for column in range(1, corners.shape[1]):
                 mindist += corners[:, column]
-            rows = keep.nonzero()[0]
             for row, entry, dist, corner in zip(rows.tolist(), ids[rows].tolist(),
-                                                mindist[rows].tolist(), corners[rows]):
+                                                mindist.tolist(),
+                                                map(tuple, corners.tolist())):
                 counter += 1
                 heapq.heappush(heap, (
                     (dist, counter, _POINT, entry, corner, seen) if leaf else

@@ -19,6 +19,7 @@ from repro.skyline import (
 )
 from repro.skyline.dominance import box_min_corner, mindist
 from repro.geometry import Box
+from repro.storage.table import Relation, Schema
 from repro.workloads import SyntheticSpec, generate_relation
 
 
@@ -48,6 +49,35 @@ class TestDominance:
     def test_dominated_by_any(self):
         assert dominated_by_any((2, 2), [(1, 1), (5, 5)])
         assert not dominated_by_any((0, 0), [(1, 1)])
+
+    def test_equal_points_do_not_dominate_each_other(self):
+        assert not dominates((0.5, 0.25, 1.0), (0.5, 0.25, 1.0))
+        assert not dominated_by_any((0.5, 0.25), [(0.5, 0.25), (0.5, 0.25)])
+
+    def test_signed_zeros_are_ties(self):
+        assert not dominates((-0.0, 1.0), (0.0, 1.0))
+        assert not dominates((0.0, 1.0), (-0.0, 1.0))
+        assert dominates((-0.0, 0.5), (0.0, 1.0))
+        assert dominates((0.0, 0.5), (-0.0, 1.0))
+
+    def test_one_dimension(self):
+        assert dominates((0.25,), (0.5,))
+        assert not dominates((0.5,), (0.25,))
+        assert not dominates((0.5,), (0.5,))
+        assert dominated_by_any((0.5,), [(0.75,), (0.25,)])
+
+    def test_no_others_dominate_nothing(self):
+        assert not dominated_by_any((0.5, 0.5), [])
+        assert not dominated_by_any((0.5, 0.5), ())
+
+    def test_dominated_by_any_on_the_points_found_since_a_push(self):
+        """The engine's pop test: the skyline as a list of float tuples,
+        sliced at how many points the item was pushed against."""
+        skyline = [(0.1, 0.9), (0.9, 0.1), (0.4, 0.4)]
+        assert dominated_by_any((0.5, 0.5), skyline[2:])
+        assert not dominated_by_any((0.5, 0.5), skyline[:2])
+        assert not dominated_by_any((0.5, 0.5), skyline[3:])
+        assert not dominated_by_any((0.4, 0.4), skyline[2:])
 
     def test_skyline_of_small_set(self):
         points = [(0, (1.0, 5.0)), (1, (2.0, 2.0)), (2, (5.0, 1.0)), (3, (3.0, 3.0))]
@@ -104,6 +134,36 @@ class TestSkylineEngine:
     def test_unsatisfiable_predicate(self, relation, engine):
         query = SkylineQuery(Predicate.of(A1=999), ("N1", "N2"))
         assert engine.query(query).tids == ()
+
+    def test_a_failed_root_test_reports_the_page_it_loaded(self, relation):
+        """``(present, absent)``: the present value's reader loads its first
+        page before the absent one fails the root test, and the early
+        return counts that page."""
+        cube = SignatureRankingCube(relation, rtree_max_entries=16)
+        cube.store.buffer.invalidate()
+        cube.rtree.buffer.invalidate()
+        before = cube.store.pager.stats.physical_reads
+        rtree_before = cube.rtree.pager.stats.physical_reads
+        result = SkylineEngine(cube).query(
+            SkylineQuery(Predicate.of(A1=2, A3=999), ("N1", "N2")))
+        loaded = cube.store.pager.stats.physical_reads - before
+        assert result.tids == ()
+        assert loaded > 0
+        assert result.signature_accesses == loaded
+        assert result.disk_accesses == loaded
+        assert cube.rtree.pager.stats.physical_reads == rtree_before
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: (1.0, 0.0) dominates (1.0, 1e-17) but both sum to 1.0 "
+        "in floats; the heap breaks the mindist tie by push order, so the "
+        "dominated point is popped first and kept"))
+    def test_a_mindist_tie_admits_no_dominated_point(self):
+        relation = Relation(Schema(("A1",), ("N1", "N2")), np.zeros((2, 1)),
+                            np.array([(1.0, 1e-17), (1.0, 0.0)]))
+        query = SkylineQuery(Predicate.of(), ("N1", "N2"))
+        engine = SkylineEngine(SignatureRankingCube(relation, rtree_max_entries=4))
+        assert BooleanFirstSkyline(relation).query(query).tids == (1,)
+        assert engine.query(query).tids == (1,)
 
     def test_engine_without_signature_verifies(self, relation, cube):
         unsigned = SkylineEngine(cube, use_signature=False)
