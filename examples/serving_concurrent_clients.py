@@ -76,16 +76,19 @@ async def main() -> None:
         print(f"after insert of tid {tid}: "
               f"top-1 for A1=1 is tid {fresh.tids[0]}")
 
-        # 5. One merged statistics view: service counters, latency
-        #    percentiles, and the engine's cache/fusion counters.
-        snap = service.stats_snapshot()
-        print(f"served {snap['completed']:.0f} queries in "
-              f"{snap['batches']:.0f} batches "
-              f"(mean size {snap['mean_batch_size']:.1f})")
-        print(f"latency p50/p99: {snap['latency_p50'] * 1000:.2f}/"
-              f"{snap['latency_p99'] * 1000:.2f} ms; "
-              f"fusion rate {snap['fusion_rate']:.2f}; "
-              f"result-cache hits {snap['result_hits']:.0f}")
+        # 5. One merged metrics view: service counters, latency
+        #    percentiles, and the engine's cache/fusion counters.  Rates
+        #    are ratios of two counts in it.
+        snap = service.metrics_snapshot()
+        batched = snap["serve.batched_requests"]
+        print(f"served {snap['serve.completed']:.0f} queries in "
+              f"{snap['serve.batches']:.0f} batches "
+              f"(mean size {batched / snap['serve.batches']:.1f})")
+        print(f"latency p50/p99: "
+              f"{snap['serve.latency_seconds.p50'] * 1000:.2f}/"
+              f"{snap['serve.latency_seconds.p99'] * 1000:.2f} ms; "
+              f"fusion rate {snap['serve.fused_requests'] / batched:.2f}; "
+              f"result-cache hits {snap['shard.result_hits']:.0f}")
 
         # 6. The slow-query log: every dispatched batch whose root span
         #    met the threshold, slowest first, with its span tree intact.

@@ -43,8 +43,8 @@ one object::
     sky = executor.execute(SkylineQuery(Predicate.of(A1=1), ("N1", "N2")))
     print(sky.extra["backend"])           # 'skyline'
 
-    batch = executor.execute_many(queries)   # shares block lower bounds
-    print(executor.cache_stats())            # {'hit_rate': ..., ...}
+    batch = executor.execute_many(queries)   # fuses same-function sweeps
+    print(executor.metrics_snapshot()["engine.fused_queries"])
 
 Custom stacks register backends explicitly::
 

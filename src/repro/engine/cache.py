@@ -22,25 +22,10 @@ shard manager's ``insert``/``reshard``, for example) must call
 
 from __future__ import annotations
 
-import itertools
 import threading
 
 from collections import OrderedDict
 from typing import Mapping, Optional, Tuple
-
-_scope_counter = itertools.count()
-
-
-def new_cache_scope() -> int:
-    """Process-unique salt isolating one executor's entries in a shared cache.
-
-    Query keys carry no relation identity, so executors over *different*
-    relations sharing one :class:`ResultCache` would otherwise serve each
-    other's answers.  Each executor prefixes its keys with its own scope
-    (a monotonic counter — unlike ``id()``, never recycled), making a
-    shared cache safe by construction.
-    """
-    return next(_scope_counter)
 
 
 class LowerBoundCache:
@@ -58,11 +43,11 @@ class LowerBoundCache:
         # with their entry.
         self._bounds: "OrderedDict[Tuple[int, int, int], Tuple[float, object, object]]" \
             = OrderedDict()
-        # One engine call runs at a time and each shard ``Executor`` owns
-        # its cache, so lookups never race each other.  What the lock still
-        # guards: a metrics snapshot sizing the cache (``__len__``, via
-        # ``cache_stats``) from another thread while a sweep inserts or
-        # evicts.  Bound derivation itself runs outside it.
+        # One engine call runs at a time and each ``Executor`` owns its
+        # cache, so lookups never race each other.  What the lock still
+        # guards: a metrics view sizing the cache (``__len__``) from
+        # another thread while a sweep inserts or evicts.  Bound
+        # derivation itself runs outside it.
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -84,12 +69,6 @@ class LowerBoundCache:
                 while len(self._bounds) > self.max_entries:
                     self._bounds.popitem(last=False)
         return bound
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0.0 when unused)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     def clear(self) -> None:
         """Drop every cached bound and release the pinned objects."""
@@ -192,7 +171,7 @@ def query_cache_key(query) -> Optional[Tuple[object, ...]]:
     return None
 
 
-def partition_batch(queries, scope: int, cache: Optional["ResultCache"]):
+def partition_batch(queries, cache: Optional["ResultCache"]):
     """Split a batch into served cache hits, deduplicated units, and repeats.
 
     Shared by the engine and scatter/gather ``execute_many`` front doors.
@@ -202,10 +181,10 @@ def partition_batch(queries, scope: int, cache: Optional["ResultCache"]):
 
     * ``results`` — one slot per query, pre-filled with the cache hits
       (``None`` where execution is still needed);
-    * ``units`` — ``(submission index, query, scoped key)`` triples to
-      execute exactly once each (``key`` is ``None`` for uncacheable
-      queries, which are never deduplicated);
-    * ``unit_index`` — scoped key → position in ``units``;
+    * ``units`` — ``(submission index, query, key)`` triples to execute
+      exactly once each (``key`` is ``None`` for uncacheable queries,
+      which are never deduplicated);
+    * ``unit_index`` — key → position in ``units``;
     * ``followers`` — batch repeats of an already-listed unit, to resolve
       against the cache after the units ran (re-executing only under a
       cache that refuses to retain results).
@@ -217,7 +196,6 @@ def partition_batch(queries, scope: int, cache: Optional["ResultCache"]):
     for i, query in enumerate(queries):
         key = query_cache_key(query) if cache is not None else None
         if key is not None:
-            key = (scope,) + key
             hit = cache.lookup(key)
             if hit is not None:
                 results[i] = hit
@@ -335,25 +313,16 @@ class ResultCache:
             return False  # malformed conditions: drop conservatively
         return False
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0.0 when unused)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> "OrderedDict[str, float]":
-        """The ``result_*`` statistics block shared by every front door."""
+    def publish(self, metrics, layer: str) -> None:
+        """Set the ``<layer>.result_*`` gauges to what the cache holds."""
         with self._lock:
-            return OrderedDict([
-                ("result_entries", float(len(self._results))),
-                ("result_hits", float(self.hits)),
-                ("result_misses", float(self.misses)),
-                ("result_hit_rate", self.hit_rate),
-                ("result_invalidations", float(self.invalidations)),
-            ])
+            held = (("entries", len(self._results)), ("hits", self.hits),
+                    ("misses", self.misses),
+                    ("invalidations", self.invalidations))
+        for name, value in held:
+            metrics.gauge(f"{layer}.result_{name}").set(value)
 
     def __len__(self) -> int:
-        # Locked for the same reason as the stats() block: snapshot
-        # threads size the cache while batches mutate it.
+        # Locked: metrics views size the cache while batches mutate it.
         with self._lock:
             return len(self._results)

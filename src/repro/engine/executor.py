@@ -37,7 +37,6 @@ from repro.engine.cache import (
     LowerBoundCache,
     ResultCache,
     function_fuse_key,
-    new_cache_scope,
     partition_batch,
     query_cache_key,
 )
@@ -62,8 +61,6 @@ class Executor:
 
     def __init__(self, registry: Optional[EngineRegistry] = None,
                  planner: Optional[Planner] = None,
-                 bound_cache: Optional[LowerBoundCache] = None,
-                 result_cache: Optional[ResultCache] = None,
                  cost_model: Optional[CostModel] = None,
                  planner_mode: str = MODE_COST,
                  metrics: Optional[MetricsRegistry] = None,
@@ -74,12 +71,8 @@ class Executor:
                                           cost_model=cost_model,
                                           statistics=self.statistics.of,
                                           mode=planner_mode)
-        self.bound_cache = bound_cache or LowerBoundCache()
-        self.result_cache = result_cache or ResultCache()
-        self.plans_reused = 0
-        self.fused_groups = 0
-        self.fused_queries = 0
-        self._cache_scope = new_cache_scope()
+        self.bound_cache = LowerBoundCache()
+        self.result_cache = ResultCache()
         self._watched_relations: List[Relation] = []
         self._watched_versions: Dict[int, int] = {}
         #: Where engine.* counters/histograms publish; shareable with the
@@ -90,6 +83,9 @@ class Executor:
         self._m_queries = self.metrics.counter("engine.queries")
         self._m_batches = self.metrics.counter("engine.batches")
         self._m_tuples = self.metrics.counter("engine.tuples_evaluated")
+        self._m_plans_reused = self.metrics.counter("engine.plans_reused")
+        self._m_fused_groups = self.metrics.counter("engine.fused_groups")
+        self._m_fused_queries = self.metrics.counter("engine.fused_queries")
         self._m_latency = self.metrics.histogram("engine.latency_seconds")
         # Per-backend cost-feedback counters, created on first costed
         # execution (dict lookup on the hot path, no string formatting).
@@ -152,7 +148,6 @@ class Executor:
                 self.statistics.invalidate()
             key = query_cache_key(query) if use_result_cache else None
             if key is not None:
-                key = (self._cache_scope,) + key
                 hit = self.result_cache.lookup(key)
                 if hit is not None:
                     span.set("result_cache", "hit")
@@ -262,8 +257,7 @@ class Executor:
                 self.result_cache.invalidate()
                 self.statistics.invalidate()
             results, units, unit_index, followers = partition_batch(
-                queries, self._cache_scope,
-                self.result_cache if use_result_cache else None)
+                queries, self.result_cache if use_result_cache else None)
 
             plans = [self._plan_traced(query, span)
                      for _, query, _ in units]
@@ -291,7 +285,7 @@ class Executor:
                     # A cache that refuses to retain results (or evicted
                     # the entry already): mirror the looped path — reuse
                     # the hoisted plan and re-execute.
-                    self.plans_reused += 1
+                    self._m_plans_reused.inc()
                     batch_plans_reused += 1
                     [hit] = self._run_group(
                         span, [(query, plans[unit_index[key]], key)],
@@ -342,8 +336,8 @@ class Executor:
         group_span.set("tuples_evaluated", sum(shares))
         if fused:
             group_span.set("attributed_shares", tuple(shares))
-            self.fused_groups += 1
-            self.fused_queries += len(members)
+            self._m_fused_groups.inc()
+            self._m_fused_queries.inc(len(members))
         group_span.finish()
         for (_, plan, key), result, share in zip(members, results, shares):
             result.extra["backend"] = plan.backend
@@ -375,39 +369,19 @@ class Executor:
         """
         return self.statistics.of(relation)
 
-    def cache_stats(self) -> Dict[str, float]:
-        """Hit/miss statistics of the lower-bound and result caches."""
-        stats = {
-            "entries": float(len(self.bound_cache)),
-            "hits": float(self.bound_cache.hits),
-            "misses": float(self.bound_cache.misses),
-            "hit_rate": self.bound_cache.hit_rate,
-            "plans_reused": float(self.plans_reused),
-            "fused_groups": float(self.fused_groups),
-            "fused_queries": float(self.fused_queries),
-        }
-        stats.update(self.result_cache.stats())
-        return stats
-
-    #: ``cache_stats`` keys renamed when folded into a metrics snapshot —
-    #: the bare bound-cache names collide with other layers' otherwise.
-    _SNAPSHOT_RENAMES = {"entries": "bound_entries", "hits": "bound_hits",
-                         "misses": "bound_misses",
-                         "hit_rate": "bound_hit_rate"}
+    def observed(self) -> List[MetricsRegistry]:
+        """This engine's registry, its cache gauges set to what the caches
+        hold now (``engine.bound_*`` and ``engine.result_*``)."""
+        bound = self.bound_cache
+        for name, value in (("entries", len(bound)), ("hits", bound.hits),
+                            ("misses", bound.misses)):
+            self.metrics.gauge(f"engine.bound_{name}").set(value)
+        self.result_cache.publish(self.metrics, "engine")
+        return [self.metrics]
 
     def metrics_snapshot(self) -> Dict[str, float]:
-        """One flat ``engine.*``-namespaced view: registry + cache stats.
-
-        The live registry counters/histograms come through as-is (they
-        are already namespaced); the :meth:`cache_stats` mapping is
-        folded in under the ``engine.`` prefix with the bound-cache keys
-        renamed (``entries`` → ``engine.bound_entries``, ...).
-        """
-        snap = self.metrics.snapshot()
-        for name, value in self.cache_stats().items():
-            snap[f"engine.{self._SNAPSHOT_RENAMES.get(name, name)}"] = \
-                float(value)
-        return snap
+        """The flat ``{name: float}`` view of :meth:`observed`."""
+        return MetricsRegistry.merged(self.observed()).snapshot()
 
     def explain_analyze(self, query) -> str:
         """Run ``query`` traced (result cache bypassed) and render the trace.

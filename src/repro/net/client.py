@@ -26,11 +26,10 @@ from repro.net.protocol import (
     decode_result,
     encode_query,
     read_head,
+    ws_accept,
     ws_mask,
 )
 from repro.net.stream import StreamAssembler
-
-_WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 
 #: Idle keep-alive connections one client keeps; a burst of concurrent
 #: calls may open more, the surplus is closed as the calls finish.
@@ -39,6 +38,17 @@ MAX_IDLE_CONNECTIONS = 16
 
 class _NoReply(RemoteServerError):
     """The peer closed the connection before the first byte of a reply."""
+
+
+def _content_length(headers: Mapping[str, str]) -> Optional[int]:
+    """The declared body length, ``None`` when absent; anything but ASCII
+    digits is a :class:`ProtocolError`, as the server answers a request."""
+    declared = headers.get("content-length")
+    if not declared:
+        return None
+    if not (declared.isascii() and declared.isdigit()):
+        raise ProtocolError(f"malformed Content-Length {declared!r}")
+    return int(declared)
 
 
 class AsyncQueryClient:
@@ -126,10 +136,11 @@ class AsyncQueryClient:
             if headers.get("transfer-encoding", "").lower() == "chunked":
                 chunks = [chunk async for chunk in self._iter_chunks(reader)]
                 return status, headers, b"".join(chunks)
-            declared = headers.get("content-length")
-            data = await reader.readexactly(int(declared)) if declared \
+            declared = _content_length(headers)
+            data = await reader.readexactly(declared) if declared is not None \
                 else await reader.read()
-            reusable = (bool(declared) and len(self._idle) < MAX_IDLE_CONNECTIONS
+            reusable = (declared is not None
+                        and len(self._idle) < MAX_IDLE_CONNECTIONS
                         and headers.get("connection", "").lower() != "close")
             return status, headers, data
         finally:
@@ -180,7 +191,10 @@ class AsyncQueryClient:
                            ) -> AsyncIterator[bytes]:
         while True:
             size_line = await reader.readline()
-            size = int(size_line.strip() or b"0", 16)
+            digits = size_line.strip() or b"0"
+            if digits.strip(b"0123456789abcdefABCDEF"):
+                raise ProtocolError(f"malformed chunk size {digits!r}")
+            size = int(digits, 16)
             if size == 0:
                 await reader.readline()  # trailing CRLF of the last chunk
                 return
@@ -267,7 +281,7 @@ class AsyncQueryClient:
                                  + self._headers(body)
                                  + "\r\n").encode("latin-1") + body)
             if status != 200:
-                length = int(headers.get("content-length", "0") or 0)
+                length = _content_length(headers)
                 data = await reader.readexactly(length) if length \
                     else await reader.read()
                 self._raise_for_status(status, data)
@@ -341,15 +355,22 @@ class WebSocketSession:
         head = "GET /v1/ws HTTP/1.1\r\n" + "".join(
             f"{name}: {value}\r\n" for name, value in headers.items()) + "\r\n"
         writer.write(head.encode("latin-1"))
-        await writer.drain()
-        status, response_headers = await AsyncQueryClient._read_head(reader)
-        if status != 101:
-            length = int(response_headers.get("content-length", "0") or 0)
-            body = await reader.readexactly(length) if length else b""
-            writer.close()
-            AsyncQueryClient._raise_for_status(status, body)
-            raise RemoteServerError(f"websocket upgrade refused ({status})",
-                                    status=status)
+        try:
+            await writer.drain()
+            status, response_headers = await AsyncQueryClient._read_head(
+                reader)
+            if status != 101:
+                length = _content_length(response_headers)
+                body = await reader.readexactly(length) if length else b""
+                AsyncQueryClient._raise_for_status(status, body)
+                raise RemoteServerError(
+                    f"websocket upgrade refused ({status})", status=status)
+            if response_headers.get("sec-websocket-accept") != ws_accept(key):
+                raise ProtocolError("websocket upgrade answered with the "
+                                    "wrong Sec-WebSocket-Accept")
+        except BaseException:
+            await AsyncQueryClient._discard(writer)
+            raise
         self._reader, self._writer = reader, writer
         return self
 

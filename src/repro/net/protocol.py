@@ -37,6 +37,7 @@ and ``NaN`` included, and the envelope stays standard JSON).  To read them::
 from __future__ import annotations
 
 import base64
+import hashlib
 import struct
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -126,6 +127,16 @@ async def read_head(reader) -> Tuple[str, Dict[str, str]]:
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
     return first, headers
+
+
+#: RFC 6455 §1.3: the GUID a handshake's ``Sec-WebSocket-Accept`` hashes.
+WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
+
+
+def ws_accept(key: str) -> str:
+    """The ``Sec-WebSocket-Accept`` answering ``Sec-WebSocket-Key: key``."""
+    return base64.b64encode(hashlib.sha1(
+        (key + WS_GUID).encode("latin-1")).digest()).decode("latin-1")
 
 
 def ws_mask(payload: bytes, mask: bytes) -> bytes:
@@ -536,6 +547,7 @@ __all__ = [
     "ProtocolError",
     "RateLimitedError",
     "RemoteServerError",
+    "WS_GUID",
     "decode_error",
     "decode_function",
     "decode_predicate",
@@ -551,5 +563,6 @@ __all__ = [
     "read_head",
     "retry_after_of",
     "status_of",
+    "ws_accept",
     "ws_mask",
 ]

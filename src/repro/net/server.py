@@ -21,8 +21,9 @@ Routes
   envelope with a client-chosen ``id``, answered by id-tagged frames, so
   one socket multiplexes queries and streams concurrently.
 * ``GET /healthz`` — liveness (200 as long as the loop serves).
-* ``GET /metrics`` — Prometheus text exposition of the shared registry.
-* ``GET /v1/stats`` — the service's merged stats snapshot as JSON.
+* ``GET /metrics`` — Prometheus text exposition of the service's merged
+  registry view (``net.*``, ``serve.*`` and every layer beneath).
+* ``GET /v1/stats`` — the same view as a flat JSON ``{name: value}``.
 * ``GET /v1/functions`` — names in the server's function registry.
 
 Request headers ``X-Client-Id`` and ``X-Priority`` (or body fields
@@ -38,8 +39,6 @@ answers are flagged in the response envelope.
 from __future__ import annotations
 
 import asyncio
-import base64
-import hashlib
 import json
 import math
 import time
@@ -58,13 +57,14 @@ from repro.net.protocol import (
     read_head,
     retry_after_of,
     status_of,
+    ws_accept,
     ws_mask,
 )
 from repro.net.ratelimit import TokenBucketLimiter
 from repro.net.stream import error_frame, final_frame, prefix_frame
+from repro.obs.metrics import MetricsRegistry
 from repro.serve.batcher import DEFAULT_PRIORITY
 
-_WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 #: Client id assumed when neither header nor body names one.
 _DEFAULT_CLIENT_ID = "anonymous"
 
@@ -344,14 +344,15 @@ class QueryServer:
                     keep_alive=keep_alive)
                 return True
             if path == "/metrics":
-                text = self.metrics.render_prometheus()
+                text = MetricsRegistry.merged(
+                    self.service.observed()).render_prometheus()
                 await self._send_raw(writer, 200, text.encode("utf-8"),
                                      "text/plain; version=0.0.4",
                                      keep_alive=keep_alive)
                 return True
             if path == "/v1/stats":
                 await self._send_json(writer, 200,
-                                      self.service.stats_snapshot(),
+                                      self.service.metrics_snapshot(),
                                       keep_alive=keep_alive)
                 return True
             if path == "/v1/functions":
@@ -507,12 +508,10 @@ class QueryServer:
                 encode_error(ProtocolError("missing Sec-WebSocket-Key")),
                 keep_alive=False)
             return
-        accept = base64.b64encode(hashlib.sha1(
-            (key + _WS_GUID).encode("latin-1")).digest()).decode("latin-1")
         writer.write(("HTTP/1.1 101 Switching Protocols\r\n"
                       "Upgrade: websocket\r\n"
                       "Connection: Upgrade\r\n"
-                      f"Sec-WebSocket-Accept: {accept}\r\n\r\n"
+                      f"Sec-WebSocket-Accept: {ws_accept(key)}\r\n\r\n"
                       ).encode("latin-1"))
         await writer.drain()
         send_lock = asyncio.Lock()

@@ -28,7 +28,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    merged_snapshot,
     percentile,
 )
 from repro.obs.trace import (
@@ -55,7 +54,6 @@ __all__ = [
     "Tracer",
     "analyze_with",
     "estimated_vs_actual",
-    "merged_snapshot",
     "misestimation_report",
     "percentile",
     "render_trace",

@@ -1,23 +1,24 @@
 """One metrics dialect for the whole stack: counters, gauges, histograms.
 
-Before this module the engine, the scatter layer, and the serving layer
-each invented their own statistics surface (``cache_stats()`` dict
-merges, ``QueryResult.extra`` breadcrumbs, ``ServiceStats.snapshot()``).
-:class:`MetricsRegistry` replaces those dialects' *plumbing* with one
-namespaced get-or-create registry of named instruments:
+Every layer keeps one :class:`MetricsRegistry` and no other statistics
+store — a namespaced get-or-create registry of named instruments:
 
 * :class:`Counter` — a monotonically increasing float
   (``engine.tuples_evaluated``, ``shard.legs_skipped``, ...);
-* :class:`Gauge` — a value that moves both ways (``serve.pending``);
+* :class:`Gauge` — a value that moves both ways (``serve.pending``, and
+  what an owner reads off what it holds — cache entries, live workers —
+  set when the view is read);
 * :class:`Histogram` — a bounded reservoir of recent observations with
   nearest-rank percentiles (``serve.queue_wait_seconds`` p50/p95/p99).
 
 Instruments are cheap to record into (one lock acquisition, no string
 work) and the registry renders either a flat ``{name: float}`` snapshot,
-JSON, or Prometheus text exposition.  :func:`merged_snapshot` folds many
-registries — e.g. the scatter front door plus every shard engine — into
-one view, summing counters and pooling histogram reservoirs so merged
-percentiles are computed over the union of observations, not averaged.
+JSON, or Prometheus text exposition.  :meth:`MetricsRegistry.merged`
+folds many registries — e.g. the scatter front door plus every shard
+engine — into one, summing counters and gauges and pooling histogram
+reservoirs so merged percentiles are computed over the union of
+observations, not averaged.  No rate is a series: a merge cannot sum
+one, and every rate is the ratio of two counts in the view.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ from typing import Deque, Dict, Iterable, List, Mapping, Optional, Sequence
 def percentile(values: Sequence[float], q: float) -> float:
     """Nearest-rank percentile of ``values`` (0 < q <= 100); 0.0 if empty.
 
-    The single percentile implementation of the stack — the serving
-    layer's :class:`~repro.serve.stats.ServiceStats` and every histogram
-    here share it, so "p99" means the same thing in every snapshot.
+    The single percentile implementation of the stack, so "p99" means
+    the same thing in every snapshot.
     """
     if not values:
         return 0.0
@@ -135,20 +135,6 @@ class Histogram:
 SNAPSHOT_QUANTILES = (50, 95, 99)
 
 
-def _histogram_stats(name: str, values: Sequence[float], count: int,
-                     total: float) -> Dict[str, float]:
-    """The flat snapshot keys of one histogram (shared with merging)."""
-    ordered = sorted(values)
-    stats = {
-        f"{name}.count": float(count),
-        f"{name}.sum": float(total),
-        f"{name}.mean": (total / count) if count else 0.0,
-    }
-    for q in SNAPSHOT_QUANTILES:
-        stats[f"{name}.p{q}"] = percentile(ordered, q)
-    return stats
-
-
 def _prometheus_name(name: str) -> str:
     """``engine.tuples_evaluated`` -> ``repro_engine_tuples_evaluated``."""
     sanitized = "".join(ch if ch.isalnum() else "_" for ch in name)
@@ -218,11 +204,14 @@ class MetricsRegistry:
             gauges = {name: g._value for name, g in self._gauges.items()}
             histograms = [(name, list(h._values), h.count, h.sum)
                           for name, h in self._histograms.items()]
-        snap: Dict[str, float] = {}
-        snap.update(counters)
-        snap.update(gauges)
+        snap: Dict[str, float] = {**counters, **gauges}
         for name, values, count, total in histograms:
-            snap.update(_histogram_stats(name, values, count, total))
+            ordered = sorted(values)
+            snap[f"{name}.count"] = float(count)
+            snap[f"{name}.sum"] = float(total)
+            snap[f"{name}.mean"] = total / count if count else 0.0
+            for q in SNAPSHOT_QUANTILES:
+                snap[f"{name}.p{q}"] = percentile(ordered, q)
         return snap
 
     def to_json(self, indent: Optional[int] = 2) -> str:
@@ -236,7 +225,7 @@ class MetricsRegistry:
         Unlike :meth:`snapshot`, histograms keep their *raw reservoir
         values* (plus lifetime count/sum and window), so a registry
         rebuilt from this state via :meth:`from_state` pools correctly
-        under :func:`merged_snapshot` — percentiles over the union of
+        under :meth:`merged` — percentiles over the union of
         observations, never a mean of pre-flattened percentiles.  This is
         how per-shard worker processes ship their ``engine.*`` registries
         back to the scatter front door on each gather.
@@ -271,8 +260,38 @@ class MetricsRegistry:
             hist.sum = float(payload.get("sum", 0.0))
         return registry
 
+    @classmethod
+    def merged(cls, registries: Iterable["MetricsRegistry"]
+               ) -> "MetricsRegistry":
+        """One registry over many: the view every front door renders.
+
+        Counters and gauges sharing a name are summed (the scatter layer
+        merges each shard engine's ``engine.*`` series this way);
+        histograms sharing a name pool their reservoirs and lifetime
+        totals.  A registry listed twice — a service sharing its
+        engine's — counts once.
+        """
+        merged: Dict[str, Dict[str, object]] = {
+            "counters": {}, "gauges": {}, "histograms": {}}
+        for registry in {id(r): r for r in registries}.values():
+            state = registry.state()
+            for kind in ("counters", "gauges"):
+                into = merged[kind]
+                for name, value in state[kind].items():
+                    into[name] = into.get(name, 0.0) + value
+            for name, hist in state["histograms"].items():
+                into = merged["histograms"].setdefault(
+                    name, {"values": [], "count": 0, "sum": 0.0})
+                into["values"] += hist["values"]
+                into["count"] += hist["count"]
+                into["sum"] += hist["sum"]
+        for hist in merged["histograms"].values():
+            hist["window"] = max(len(hist["values"]), 1)
+        return cls.from_state(merged)
+
     def render_prometheus(self) -> str:
-        """Prometheus text exposition (counters, gauges, summaries)."""
+        """Prometheus text exposition (counters, gauges, summaries); every
+        value is the shortest text that reads back as the same double."""
         with self._lock:
             counters = sorted((n, c._value) for n, c in self._counters.items())
             gauges = sorted((n, g._value) for n, g in self._gauges.items())
@@ -283,48 +302,19 @@ class MetricsRegistry:
         for name, value in counters:
             prom = _prometheus_name(name)
             lines.append(f"# TYPE {prom} counter")
-            lines.append(f"{prom} {value:g}")
+            lines.append(f"{prom} {value!r}")
         for name, value in gauges:
             prom = _prometheus_name(name)
             lines.append(f"# TYPE {prom} gauge")
-            lines.append(f"{prom} {value:g}")
+            lines.append(f"{prom} {value!r}")
         for name, values, count, total in histograms:
             prom = _prometheus_name(name)
             lines.append(f"# TYPE {prom} summary")
             ordered = sorted(values)
             for q in SNAPSHOT_QUANTILES:
                 lines.append(f'{prom}{{quantile="0.{q}"}} '
-                             f"{percentile(ordered, q):g}")
-            lines.append(f"{prom}_sum {total:g}")
-            lines.append(f"{prom}_count {count:g}")
+                             f"{percentile(ordered, q)!r}")
+            lines.append(f"{prom}_sum {float(total)!r}")
+            lines.append(f"{prom}_count {count:d}")
         return "\n".join(lines) + ("\n" if lines else "")
 
-
-def merged_snapshot(registries: Iterable[MetricsRegistry]) -> Dict[str, float]:
-    """One flat snapshot over many registries.
-
-    Counters and gauges sharing a name are summed (the scatter layer
-    merges each shard engine's ``engine.*`` counters this way);
-    histograms sharing a name pool their reservoirs and lifetime totals,
-    so merged percentiles are taken over the union of observations —
-    never a mean of per-registry percentiles.
-    """
-    sums: Dict[str, float] = {}
-    pooled: Dict[str, List[float]] = {}
-    counts: Dict[str, float] = {}
-    totals: Dict[str, float] = {}
-    for registry in registries:
-        with registry._lock:
-            for name, counter in registry._counters.items():
-                sums[name] = sums.get(name, 0.0) + counter._value
-            for name, gauge in registry._gauges.items():
-                sums[name] = sums.get(name, 0.0) + gauge._value
-            for name, hist in registry._histograms.items():
-                pooled.setdefault(name, []).extend(hist._values)
-                counts[name] = counts.get(name, 0.0) + hist.count
-                totals[name] = totals.get(name, 0.0) + hist.sum
-    snap = dict(sums)
-    for name, values in pooled.items():
-        snap.update(_histogram_stats(name, values, int(counts[name]),
-                                     totals[name]))
-    return snap

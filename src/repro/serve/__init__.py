@@ -18,7 +18,7 @@ Usage::
             result = await service.submit(query)          # one client
             batch = await service.submit_many(queries)    # fan-in
             tid = await service.insert(row)               # serialized write
-            print(service.stats_snapshot()["fusion_rate"])
+            print(service.metrics_snapshot()["serve.fused_requests"])
 
 Responses are bit-identical to calling the engine directly; their
 ``extra`` additionally records ``queue_wait``, ``batch_size``, and the
@@ -41,7 +41,7 @@ from repro.serve.errors import (
     ShardUnavailableError,
 )
 from repro.serve.service import QueryService
-from repro.serve.stats import ServiceStats, percentile
+from repro.serve.stats import ServiceStats
 
 __all__ = [
     "DEFAULT_CLASS_WEIGHTS",
@@ -57,5 +57,4 @@ __all__ = [
     "ServiceConfig",
     "ServiceStats",
     "ShardUnavailableError",
-    "percentile",
 ]

@@ -3,8 +3,7 @@
 :class:`QueryService` turns an engine front door (the single-relation
 :class:`~repro.engine.Executor` or the sharded
 :class:`~repro.shard.scatter.ScatterGatherExecutor` — anything exposing
-``execute_many`` and ``cache_stats``) into a long-lived concurrent
-service:
+``execute_many``) into a long-lived concurrent service:
 
 * ``await service.submit(query)`` admits one query to a bounded request
   queue (rejecting beyond the high-water mark) and resolves with the
@@ -51,7 +50,7 @@ from repro.errors import (
     ShardWorkerError,
 )
 from repro.fault.deadline import Deadline
-from repro.obs.metrics import MetricsRegistry, merged_snapshot
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.serve.batcher import DEFAULT_PRIORITY, MicroBatcher, QueuedRequest
 from repro.serve.config import ServiceConfig
@@ -172,7 +171,6 @@ class QueryService:
         self._tasks: Set[asyncio.Task] = set()
         self._closing = False
         self._closed = False
-        self._fused_baseline = 0.0
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -189,10 +187,6 @@ class QueryService:
         self._engine_idle.set()
         self._mutation_lock = asyncio.Lock()
         self._engine_slot = asyncio.Lock()
-        # Fusion the engine did before the service attached (warm-ups,
-        # direct use) must not inflate the service's fusion rate.
-        self._fused_baseline = float(
-            self.engine.cache_stats().get("fused_queries", 0.0))
         self._drain_task = self._loop.create_task(self._drain_loop())
         return self
 
@@ -596,11 +590,12 @@ class QueryService:
                 queue_wait = dispatched_at - request.enqueued_at
                 result.extra["queue_wait"] = queue_wait
                 result.extra["batch_size"] = batch_size
-                result.extra.setdefault("fused_group_size", 1.0)
+                fused = (result.extra.setdefault("fused_group_size", 1.0) > 1
+                         and result.extra.get("result_cache") != "hit")
                 request.future.set_result(result)
                 self.stats.record_completion(queue_wait,
                                              now - request.enqueued_at,
-                                             request.priority)
+                                             request.priority, fused)
 
     def _count_abandoned(self, request: QueuedRequest) -> None:
         """Count a request whose caller stopped waiting for it: timeouts
@@ -759,42 +754,26 @@ class QueryService:
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
-    def stats_snapshot(self) -> dict:
-        """The merged serving view: service counters + engine cache stats.
+    def observed(self) -> List[MetricsRegistry]:
+        """Every registry of the served stack, gauges set to what is held now.
 
-        Adds the live queue depth (``pending``) and the batcher's current
-        adaptive linger (``current_linger``) to the
-        :meth:`~repro.serve.stats.ServiceStats.snapshot` mapping.
+        This service's (``serve.pending``, ``serve.pending.<class>`` and
+        ``serve.current_linger`` set here), then the engine's
+        :meth:`observed` when it has one.  A service sharing its engine's
+        registry — the default — lists it twice; the merge counts it once.
         """
-        snap = self.stats.snapshot(self.engine.cache_stats(),
-                                   fused_baseline=self._fused_baseline)
-        snap["pending"] = float(len(self.batcher))
+        gauge = self.metrics.gauge
+        gauge("serve.pending").set(len(self.batcher))
         for name, depth in self.batcher.pending_by_class().items():
-            snap[f"pending_{name}"] = float(depth)
-        snap["current_linger"] = float(self.batcher.linger)
-        return snap
+            gauge(f"serve.pending.{name}").set(depth)
+        gauge("serve.current_linger").set(self.batcher.linger)
+        engine_observed = getattr(self.engine, "observed", None)
+        return [self.metrics] + (engine_observed() if engine_observed else [])
 
     def metrics_snapshot(self) -> dict:
-        """One namespaced ``{name: float}`` view across every layer.
-
-        ``serve.*`` comes from this service's registry; the engine's own
-        :meth:`metrics_snapshot` (which merges per-shard registries for a
-        scatter engine) supplies ``engine.*`` / ``shard.*`` /
-        ``planner.*``.  When the service and engine share one registry —
-        the default — the shared names are emitted once, not doubled.
-        """
-        engine_snapshot = getattr(self.engine, "metrics_snapshot", None)
-        if engine_snapshot is None:
-            snap = self.metrics.snapshot()
-        else:
-            snap = dict(engine_snapshot())
-            if self.metrics is not getattr(self.engine, "metrics", None):
-                snap.update(self.metrics.snapshot())
-        snap["serve.pending"] = float(len(self.batcher))
-        for name, depth in self.batcher.pending_by_class().items():
-            snap[f"serve.pending.{name}"] = float(depth)
-        snap["serve.current_linger"] = float(self.batcher.linger)
-        return snap
+        """One namespaced ``{name: float}`` view across every layer — what
+        ``GET /v1/stats`` serves and ``GET /metrics`` renders."""
+        return MetricsRegistry.merged(self.observed()).snapshot()
 
     def slow_queries(self) -> list:
         """Traces at or above ``config.slow_query_threshold`` (oldest

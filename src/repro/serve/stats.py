@@ -1,33 +1,29 @@
-"""Serving-side observability: counters, latency percentiles, fusion rates.
+"""Serving-side instruments: the ``serve.*`` series a service records.
 
-:class:`ServiceStats` is the service's own ledger — admissions,
-rejections, completions, timeouts, batch sizes, and bounded reservoirs of
-per-request latency and queue wait.  Since the ``repro.obs`` subsystem
-landed, the ledger *is* a set of ``serve.*`` instruments in a shared
-:class:`~repro.obs.metrics.MetricsRegistry`: the counters are registry
-counters, and the latency/queue-wait reservoirs are the shared
-:class:`~repro.obs.metrics.Histogram` (the duplicate percentile math this
-module used to carry is deleted — :func:`~repro.obs.metrics.percentile`
-is re-exported here for compatibility).  :meth:`~ServiceStats.snapshot`
-still merges the engine's ``cache_stats()`` so one mapping answers "how
-is serving going" end to end.
+:class:`ServiceStats` is the service's recorder — admissions,
+rejections, completions, timeouts, batch sizes, fused requests, and
+histograms of per-request latency and queue wait — over ``serve.*``
+instruments in a shared :class:`~repro.obs.metrics.MetricsRegistry`.
+It keeps no view of its own: :meth:`QueryService.metrics_snapshot
+<repro.serve.service.QueryService.metrics_snapshot>` renders the
+registry merged with the engine's, and every rate is the ratio of two
+counts there (``fusion_rate`` is ``serve.fused_requests`` over
+``serve.batched_requests``).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Mapping, Optional
+from typing import Callable, Dict, Optional
 
-from repro.obs.metrics import MetricsRegistry, percentile  # noqa: F401  (re-export)
+from repro.obs.metrics import MetricsRegistry
 
 
 class ServiceStats:
     """``serve.*`` instruments a :class:`QueryService` records into.
 
     Recording methods run on the event-loop thread; the registry's lock
-    makes the instruments safe to snapshot from anywhere.  Counter values
-    remain readable as plain ints (``stats.completed``), so the surface
-    of the pre-registry ledger is preserved.
+    makes the instruments safe to snapshot from anywhere.
     """
 
     def __init__(self, window: int = 2048,
@@ -47,6 +43,7 @@ class ServiceStats:
         self._batches = self.metrics.counter("serve.batches")
         self._batched_requests = self.metrics.counter(
             "serve.batched_requests")
+        self._fused_requests = self.metrics.counter("serve.fused_requests")
         self._latency = self.metrics.histogram("serve.latency_seconds",
                                                window=window)
         self._queue_wait = self.metrics.histogram(
@@ -57,39 +54,6 @@ class ServiceStats:
         self._class_submitted: Dict[str, object] = {}
         self._class_completed: Dict[str, object] = {}
         self._class_queue_wait: Dict[str, object] = {}
-
-    # -- int views of the counters (the pre-registry surface) ----------
-    @property
-    def submitted(self) -> int:
-        return int(self._submitted.value)
-
-    @property
-    def completed(self) -> int:
-        return int(self._completed.value)
-
-    @property
-    def rejected(self) -> int:
-        return int(self._rejected.value)
-
-    @property
-    def timed_out(self) -> int:
-        return int(self._timed_out.value)
-
-    @property
-    def cancelled(self) -> int:
-        return int(self._cancelled.value)
-
-    @property
-    def failed(self) -> int:
-        return int(self._failed.value)
-
-    @property
-    def batches(self) -> int:
-        return int(self._batches.value)
-
-    @property
-    def batched_requests(self) -> int:
-        return int(self._batched_requests.value)
 
     # ------------------------------------------------------------------
     # recording
@@ -121,9 +85,13 @@ class ServiceStats:
         self._batched_requests.inc(float(size))
 
     def record_completion(self, queue_wait: float, latency: float,
-                          priority: Optional[str] = None) -> None:
-        """One request resolved with a result."""
+                          priority: Optional[str] = None,
+                          fused: bool = False) -> None:
+        """One request resolved with a result (``fused``: its answer came
+        out of a fused group's shared sweep in this dispatch)."""
         self._completed.inc()
+        if fused:
+            self._fused_requests.inc()
         self._queue_wait.observe(queue_wait)
         self._latency.observe(latency)
         if priority is not None:
@@ -148,53 +116,4 @@ class ServiceStats:
         caller should back off before the backlog has drained.
         """
         elapsed = max(self._clock() - self._started, 1e-9)
-        return self.completed / elapsed
-
-    # ------------------------------------------------------------------
-    # snapshot
-    # ------------------------------------------------------------------
-    def snapshot(self, engine_stats: Optional[Mapping[str, float]] = None,
-                 fused_baseline: float = 0.0) -> Dict[str, float]:
-        """The merged serving view as one ``{name: float}`` mapping.
-
-        Service-side keys: counters, ``throughput_qps`` (completions per
-        second since construction), ``mean_batch_size``, and
-        p50/p90/p99 of request latency and queue wait (seconds, over the
-        retained histogram windows).  ``engine_stats`` — the engine's
-        ``cache_stats()`` — is merged in as-is (lifetime counters), and
-        feeds ``fusion_rate``: the fraction of service-dispatched queries
-        answered through a fused group's shared sweep.  ``fused_baseline``
-        is the engine's ``fused_queries`` before the service attached, so
-        fusion the service did not cause (warm-ups, direct engine use) is
-        excluded from the rate.
-        """
-        elapsed = max(self._clock() - self._started, 1e-9)
-        latencies = self._latency.values()
-        waits = self._queue_wait.values()
-        batches = self.batches
-        batched = self.batched_requests
-        snap: Dict[str, float] = {
-            "submitted": float(self.submitted),
-            "completed": float(self.completed),
-            "rejected": float(self.rejected),
-            "timed_out": float(self.timed_out),
-            "cancelled": float(self.cancelled),
-            "failed": float(self.failed),
-            "batches": float(batches),
-            "batched_requests": float(batched),
-            "mean_batch_size": (batched / batches if batches else 0.0),
-            "throughput_qps": self.completed / elapsed,
-            "latency_p50": percentile(latencies, 50),
-            "latency_p90": percentile(latencies, 90),
-            "latency_p99": percentile(latencies, 99),
-            "queue_wait_p50": percentile(waits, 50),
-            "queue_wait_p90": percentile(waits, 90),
-            "queue_wait_p99": percentile(waits, 99),
-        }
-        if engine_stats is not None:
-            snap.update({name: float(value)
-                         for name, value in engine_stats.items()})
-            fused = max(0.0, float(engine_stats.get("fused_queries", 0.0))
-                        - fused_baseline)
-            snap["fusion_rate"] = (fused / batched if batched else 0.0)
-        return snap
+        return self._completed.value / elapsed

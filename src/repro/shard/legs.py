@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import multiprocessing
 import threading
-from typing import (Dict, List, Mapping, NamedTuple, Optional, Protocol,
-                    Sequence, Tuple)
+from typing import Dict, List, Optional, Protocol, Sequence
 
 from repro.engine.cost import CostModel
 from repro.engine.plan import QueryPlan
@@ -29,17 +28,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_SPAN
 from repro.shard.manager import Shard, ShardManager
 from repro.shard.worker import ShardWorker
-
-
-class LegObservations(NamedTuple):
-    """What a runner has seen of the per-shard engines, wherever they live."""
-
-    #: One registry per observed shard engine (``engine.*`` series).
-    registries: List[MetricsRegistry]
-    #: One ``Executor.cache_stats()`` mapping per observed shard engine.
-    caches: List[Mapping[str, float]]
-    #: Runner-level ``cache_stats`` keys (``shard_workers``).
-    gauges: Dict[str, float]
 
 
 class LegRunner(Protocol):
@@ -64,8 +52,8 @@ class LegRunner(Protocol):
     def on_mutation(self, row) -> None:
         """The manager mutated the shards (``row`` is ``None`` on reshard)."""
 
-    def observed(self) -> LegObservations:
-        """Every shard engine's registry and cache statistics."""
+    def observed(self) -> List[MetricsRegistry]:
+        """Every shard engine's registry it has seen, gauges current."""
 
     def mode(self, queries: Sequence) -> Optional[str]:
         """The ``scatter_mode`` these queries' results record, if any."""
@@ -118,12 +106,10 @@ class InProcessLegs:
     def on_mutation(self, row) -> None:
         """Nothing to do: the manager maintains its own stacks."""
 
-    def observed(self) -> LegObservations:
-        built = list(self.manager.built_executors().values())
-        registries = [executor.metrics for executor in built
-                      if getattr(executor, "metrics", None) is not None]
-        return LegObservations(
-            registries, [executor.cache_stats() for executor in built], {})
+    def observed(self) -> List[MetricsRegistry]:
+        return [registry
+                for executor in self.manager.built_executors().values()
+                for registry in executor.observed()]
 
     def mode(self, queries: Sequence) -> Optional[str]:
         return None
@@ -150,10 +136,10 @@ class WorkerProcessLegs:
       shared-memory copy is stale; the next leg respawns it); the others
       are left alone — their shard is unchanged, so their statistics
       still hold, and a leg never fills a worker's result cache;
-    * every leg reply ships the worker engine's registry state and
-      ``cache_stats()`` back; the latest pair per shard outlives the
-      worker, so its work stays in the merged views until a respawned
-      worker reports fresh numbers.
+    * every leg reply ships the worker engine's registry state back
+      (cache gauges current); the latest per shard outlives the worker,
+      so its work stays in the merged views until a respawned worker
+      reports fresh numbers; ``shard.workers`` counts the live ones.
     """
 
     def __init__(self, manager: ShardManager, cost_model: CostModel,
@@ -176,9 +162,10 @@ class WorkerProcessLegs:
         #: Live workers by shard index (never rebound: the executor
         #: aliases this mapping).
         self.workers: Dict[int, ShardWorker] = {}
-        self._shipped: Dict[int, Tuple[dict, Dict[str, float]]] = {}
+        self._shipped: Dict[int, dict] = {}
         self._lock = threading.Lock()
         self._m_process_legs = metrics.counter("shard.process_legs")
+        self._m_workers = metrics.gauge("shard.workers")
 
     def _offload(self, queries: Sequence) -> bool:
         """Whether this scatter clears the thread/process crossover.
@@ -248,16 +235,13 @@ class WorkerProcessLegs:
                 self.workers.pop(index, None)
             worker.close()
 
-    def observed(self) -> LegObservations:
-        inline = self._inline.observed()
+    def observed(self) -> List[MetricsRegistry]:
         with self._lock:
             shipped = list(self._shipped.values())
-            live = sum(1 for worker in self.workers.values() if worker.alive)
-        return LegObservations(
-            inline.registries + [MetricsRegistry.from_state(state)
-                                 for state, _ in shipped],
-            inline.caches + [cache for _, cache in shipped],
-            {"shard_workers": float(live)})
+            self._m_workers.set(sum(worker.alive
+                                    for worker in self.workers.values()))
+        return self._inline.observed() + [MetricsRegistry.from_state(state)
+                                          for state in shipped]
 
     def mode(self, queries: Sequence) -> Optional[str]:
         # A fused-group rider can piggyback on a heavier member's process

@@ -141,8 +141,8 @@ class ShardManager:
     def built_executors(self) -> Dict[int, Executor]:
         """The per-shard engine stacks built so far, keyed by shard index.
 
-        A snapshot for observers (``ScatterGatherExecutor.cache_stats``
-        aggregates per-shard counters through it); stacks are *not* forced
+        A snapshot for observers (the leg runner merges per-shard
+        registries through it); stacks are *not* forced
         into existence, so a shard the statistics always pruned stays
         absent and never pays index construction just to be counted.
         """

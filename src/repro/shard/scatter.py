@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -55,7 +54,6 @@ import numpy as np
 from repro.engine.cache import (
     ResultCache,
     function_fuse_key,
-    new_cache_scope,
     partition_batch,
     query_cache_key,
 )
@@ -75,7 +73,7 @@ from repro.errors import (
     ShardWorkerError,
 )
 from repro.fault.guard import LegCall, LegGuard
-from repro.obs.metrics import MetricsRegistry, merged_snapshot
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_SPAN, NULL_TRACER
 from repro.query import QueryResult, TopKQuery
 from repro.shard.legs import InProcessLegs, LegRunner, WorkerProcessLegs
@@ -126,7 +124,6 @@ class ScatterGatherExecutor:
     """
 
     def __init__(self, manager: ShardManager, parallel: bool = False,
-                 result_cache: Optional[ResultCache] = None,
                  cost_model: Optional[CostModel] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  tracer=None,
@@ -139,16 +136,13 @@ class ScatterGatherExecutor:
         self.legs: LegRunner = legs or InProcessLegs(manager)
         self.parallel = parallel
         self.cost_model = cost_model or CostModel()
-        self.result_cache = result_cache or ResultCache()
-        self.fused_groups = 0
-        self.fused_queries = 0
-        self._cache_scope = new_cache_scope()
+        self.result_cache = ResultCache()
         self._relation_version = manager.relation.version
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()
-        #: ``shard.*`` counters of the scatter front door itself; the
+        #: ``shard.*`` series of the scatter front door itself; the
         #: per-shard engines keep their own ``engine.*`` registries,
-        #: merged on demand by :meth:`metrics_snapshot`.
+        #: merged on demand (see :meth:`observed`).
         self.metrics = metrics or MetricsRegistry()
         #: Off by default (the no-op null tracer).
         self.tracer = tracer or NULL_TRACER
@@ -158,6 +152,8 @@ class ScatterGatherExecutor:
         self._m_legs_skipped = self.metrics.counter("shard.legs_skipped")
         self._m_pruned = self.metrics.counter("shard.shards_pruned")
         self._m_tuples = self.metrics.counter("shard.tuples_evaluated")
+        self._m_fused_groups = self.metrics.counter("shard.fused_groups")
+        self._m_fused_queries = self.metrics.counter("shard.fused_queries")
         self._m_latency = self.metrics.histogram("shard.latency_seconds")
         #: How hard each leg is tried (see :mod:`repro.fault.guard`).
         self.guard = LegGuard(self.metrics, retry_policy, breaker_policy)
@@ -390,7 +386,6 @@ class ScatterGatherExecutor:
             self.guard.check(call, "scatter")
             key = query_cache_key(query) if use_result_cache else None
             if key is not None:
-                key = (self._cache_scope,) + key
                 hit = self.result_cache.lookup(key)
                 if hit is not None:
                     span.set("result_cache", "hit")
@@ -449,7 +444,7 @@ class ScatterGatherExecutor:
                 deadline, self.allow_partial if allow_partial is None
                 else bool(allow_partial), self.fault_injector)
             results, units, _, followers = partition_batch(
-                queries, self._cache_scope, self.result_cache)
+                queries, self.result_cache)
             errors: Dict[int, Exception] = {}
 
             def scatter(group) -> None:
@@ -540,8 +535,8 @@ class ScatterGatherExecutor:
                 shards[shard.index] = shard
                 carried.setdefault(shard.index, []).append(qi)
         if not solo:
-            self.fused_groups += 1
-            self.fused_queries += len(group)
+            self._m_fused_groups.inc()
+            self._m_fused_queries.inc(len(group))
             scatter_span.set("group_size", len(group))
         elif scatter_span and pruned_lists[0]:
             scatter_span.set("shards_pruned", tuple(pruned_lists[0]))
@@ -794,67 +789,25 @@ class ScatterGatherExecutor:
     # ------------------------------------------------------------------
     # statistics
     # ------------------------------------------------------------------
-    def cache_stats(self) -> Dict[str, float]:
-        """One merged statistics view of the whole sharded stack.
+    def observed(self) -> List[MetricsRegistry]:
+        """Every registry of the sharded stack, gauges set to what is held now.
 
-        Callers (``ServiceStats``, benchmarks, operators) read a single
-        mapping instead of poking per-shard executors.  Every merged
-        per-shard key is uniformly ``shard_``-prefixed:
-
-        * ``result_*`` — the front-door result cache, same keys as the
-          unsharded executor's; the stack's only level (legs run past
-          the shard stacks' caches, so there is no per-shard sum);
-        * ``shard_bound_*`` — the per-shard lower-bound caches, summed
-          (rate recomputed over the sums);
-        * ``fused_groups`` / ``fused_queries`` — *front-door* fusion: how
-          many same-function groups (and member queries) this executor's
-          ``execute_many`` scattered as one leg per shard;
-        * ``shard_plans_reused`` and ``shard_fused_groups`` /
-          ``shard_fused_queries`` — the per-shard engine counters, summed
-          (a group fused on N shards counts once per shard leg that
-          actually fused it, so the shard sums can exceed the front-door
-          counts);
-        * ``shards_built`` — how many in-process shard stacks exist at all
-          (lazily built stacks the statistics always pruned are absent
-          from every sum above);
-        * ``shard_workers`` — live worker processes (process scatter
-          only; their shipped counters are in the ``shard_*`` sums).
+        This front door's ``shard.*`` registry — its result cache as
+        ``shard.result_*`` (the stack's one level: legs run past the shard
+        stacks' caches) and ``shard.shards_built`` (lazily built stacks
+        the statistics always pruned are absent) — then every shard
+        engine's the leg runner has observed, in-process stacks and
+        worker-shipped replicas alike; merged, their ``engine.*`` series
+        sum over the shards.
         """
-        stats: Dict[str, float] = OrderedDict(self.result_cache.stats())
-        observed = self.legs.observed()
-
-        def total(name: str) -> float:
-            return sum(float(cache.get(name, 0.0))
-                       for cache in observed.caches)
-
-        for name in ("entries", "hits", "misses"):
-            stats[f"shard_bound_{name}"] = total(name)
-        hits, misses = stats["shard_bound_hits"], stats["shard_bound_misses"]
-        stats["shard_bound_hit_rate"] = (hits / (hits + misses)
-                                         if hits + misses else 0.0)
-        stats["shard_plans_reused"] = total("plans_reused")
-        stats["fused_groups"] = float(self.fused_groups)
-        stats["fused_queries"] = float(self.fused_queries)
-        for name in ("fused_groups", "fused_queries"):
-            stats[f"shard_{name}"] = total(name)
-        stats["shards_built"] = float(len(self.manager.built_executors()))
-        stats.update(observed.gauges)
-        return stats
+        self.result_cache.publish(self.metrics, "shard")
+        self.metrics.gauge("shard.shards_built").set(
+            len(self.manager.built_executors()))
+        return [self.metrics] + self.legs.observed()
 
     def metrics_snapshot(self) -> Dict[str, float]:
-        """One flat view over the whole sharded stack's registries.
-
-        Merges this front door's ``shard.*`` registry with every shard
-        engine's ``engine.*`` registry the leg runner has observed —
-        in-process stacks and worker-shipped replicas alike (counters
-        summed, histogram reservoirs pooled — see
-        :func:`repro.obs.merged_snapshot`), then
-        folds :meth:`cache_stats` in under the ``shard.`` prefix.
-        """
-        snap = merged_snapshot([self.metrics] + self.legs.observed().registries)
-        for name, value in self.cache_stats().items():
-            snap[f"shard.{name}"] = float(value)
-        return snap
+        """The flat ``{name: float}`` view of :meth:`observed`, merged."""
+        return MetricsRegistry.merged(self.observed()).snapshot()
 
     def explain_analyze(self, query) -> str:
         """Run ``query`` traced (front-door result cache bypassed; legs

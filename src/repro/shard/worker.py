@@ -16,9 +16,9 @@ long-lived worker *process*:
   (interpreter, numpy import, shared-memory attach, index build) is
   never charged to a leg's ``recv_timeout`` or deadline;
 * every reply rides the worker-side observability back to the parent: the
-  worker engine's :class:`~repro.obs.metrics.MetricsRegistry` state
-  (raw histogram reservoirs, so merged percentiles pool correctly) and
-  its ``cache_stats()`` mapping.
+  worker engine's :class:`~repro.obs.metrics.MetricsRegistry` state, its
+  cache gauges current (raw histogram reservoirs, so merged percentiles
+  pool correctly).
 
 The request/reply protocol is strictly synchronous per worker — one
 in-flight request per pipe, serialized by :class:`ShardWorker`'s lock —
@@ -160,8 +160,8 @@ def shard_worker_main(conn, spec: WorkerSpec) -> None:
                     out = executor.plan(payload)
                 else:
                     raise ShardWorkerError(f"unknown worker op {op!r}")
-                conn.send(("ok", out, (executor.metrics.state(),
-                                       dict(executor.cache_stats()))))
+                (registry,) = executor.observed()
+                conn.send(("ok", out, registry.state()))
             except Exception as exc:  # ship the failure, stay alive
                 _send_error(conn, exc)
     finally:
@@ -183,8 +183,8 @@ class ShardWorker:
     blocks (this is the *only* time relation data crosses the process
     boundary) and starts the worker on the configured multiprocessing
     context.  :meth:`request` is the synchronous RPC surface; it returns
-    ``(result, observability)`` where observability is the worker's
-    ``(metrics state, cache stats)`` pair.
+    ``(result, observability)`` where observability is the worker
+    engine's registry state.
 
     ``relation_id``/``num_rows`` snapshot the shard the worker was built
     over; :class:`~repro.shard.legs.WorkerProcessLegs` compares

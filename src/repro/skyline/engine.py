@@ -82,8 +82,10 @@ class SkylineEngine:
     def query(self, query: SkylineQuery) -> SkylineResult:
         """Compute the (dynamic) skyline restricted by the boolean predicate.
 
-        BBS as written — one heap keyed ``(mindist, counter)``, entries
-        pushed in stored order.  Numpy runs once per expanded node: the
+        BBS as written — one heap keyed ``(mindist, corner, counter)``
+        (a dominating corner sums to no more and sorts first, so a float
+        tie never pops a point before its dominator), entries pushed in
+        stored order.  Numpy runs once per expanded node: the
         signature mask (and leaf verification), then for its survivors only
         one mapped-corner matrix, one dominance test against the skyline so
         far and one left-to-right row sum.  A popped item is tested with
@@ -128,18 +130,19 @@ class SkylineEngine:
         verifications = 0
         counter = 0
 
-        # Heap items: (mindist, counter, page id, path, corner, seen) for a
-        # node, (mindist, counter, _POINT, tid, mapped values, seen) for a data
-        # point, corners as float tuples.  ``seen`` is how many skyline points
-        # the item was already tested against when pushed; the skyline only
-        # grows, so a pop tests the later ones only.  The root has no corner
-        # worth computing: it is popped while the skyline is empty.
-        heap: List[Tuple[float, int, int, object, Tuple[float, ...], int]] = [
-            (0.0, counter, self.rtree.root().page_id, (), (), 0)]
+        # Heap items: (mindist, corner, counter, page id, path, seen) for a
+        # node, (mindist, mapped values, counter, _POINT, tid, seen) for a
+        # data point, corners as float tuples.  ``seen`` is how many skyline
+        # points the item was already tested against when pushed; the
+        # skyline only grows, so a pop tests the later ones only.  The root
+        # has no corner worth computing: it is popped while the skyline is
+        # empty.
+        heap: List[Tuple[float, Tuple[float, ...], int, int, object, int]] = [
+            (0.0, (), counter, self.rtree.root().page_id, (), 0)]
 
         while heap:
             peak_heap = max(peak_heap, len(heap))
-            _, _, page_id, path, corner, seen = heapq.heappop(heap)
+            _, corner, _, page_id, path, seen = heapq.heappop(heap)
             if seen < len(skyline) and dominated_by_any(corner, skyline[seen:]):
                 continue
             if page_id == _POINT:
@@ -176,8 +179,8 @@ class SkylineEngine:
                                                 map(tuple, corners.tolist())):
                 counter += 1
                 heapq.heappush(heap, (
-                    (dist, counter, _POINT, entry, corner, seen) if leaf else
-                    (dist, counter, entry, path + (row + 1,), corner, seen)))
+                    (dist, corner, counter, _POINT, entry, seen) if leaf else
+                    (dist, corner, counter, entry, path + (row + 1,), seen)))
 
         elapsed = time.perf_counter() - start
         rtree_io = self.rtree.pager.stats.physical_reads - rtree_before

@@ -72,9 +72,9 @@ class TestEngineBatchFusion:
                 alone.tuples_evaluated)
             assert batched.extra["fused_group_size"] == float(len(queries))
             assert batched.extra["plans_reused"] == 0.0
-        stats = fused_engine.cache_stats()
-        assert stats["fused_groups"] == 1.0
-        assert stats["fused_queries"] == float(len(queries))
+        stats = fused_engine.metrics_snapshot()
+        assert stats["engine.fused_groups"] == 1.0
+        assert stats["engine.fused_queries"] == float(len(queries))
 
     def test_shared_function_groups_score_at_most_half_the_loops_tuples(self):
         """The fusion gate at its benchmark size, in counts: two functions,
@@ -135,7 +135,7 @@ class TestEngineBatchFusion:
             assert alone.tids == batched.tids
             assert alone.scores == batched.scores
         # Uncacheable queries never enter the result cache.
-        assert engine.cache_stats()["result_entries"] == 0.0
+        assert engine.metrics_snapshot()["engine.result_entries"] == 0.0
 
     def test_mixed_functions_form_separate_groups(self, relation):
         engine = Executor.for_relation(relation, block_size=120,
@@ -150,7 +150,7 @@ class TestEngineBatchFusion:
         results = engine.execute_many(queries)
         sizes = [r.extra["fused_group_size"] for r in results]
         assert sizes == [2.0, 2.0, 2.0, 2.0, 1.0]
-        assert engine.cache_stats()["fused_groups"] == 2.0
+        assert engine.metrics_snapshot()["engine.fused_groups"] == 2.0
 
     def test_skyline_queries_pass_through_unfused(self, relation):
         engine = Executor.for_relation(relation, block_size=120,
@@ -345,8 +345,7 @@ class TestScatterBatchFusion:
         assert results[1].extra["result_cache"] == "hit"
         assert results[2].extra["result_cache"] == "hit"
         assert results[0].tids == results[1].tids == results[2].tids
-        stats = engine.cache_stats()
-        assert stats["result_hits"] == 2.0
+        assert engine.metrics_snapshot()["shard.result_hits"] == 2.0
 
 
 class TestPredicateAwareInvalidation:
@@ -402,14 +401,15 @@ class TestPredicateAwareInvalidation:
         cold = TopKQuery(Predicate.of(A1=1), function, 5)
         broad = TopKQuery(Predicate.of(), function, 5)
         engine.execute_many([hot, cold, broad])
-        hits_before = engine.cache_stats()["result_hits"]
+        hits_before = engine.metrics_snapshot()["shard.result_hits"]
 
         manager.insert({"A1": 1, "A2": 0, "A3": 0, "N1": -1.0, "N2": -1.0})
 
         # The untouched predicate still hits; the matching predicate and
         # the match-everything empty predicate re-execute.
         assert engine.execute(hot).extra["result_cache"] == "hit"
-        assert engine.cache_stats()["result_hits"] == hits_before + 1
+        assert engine.metrics_snapshot()["shard.result_hits"] == \
+            hits_before + 1
         cold_result = engine.execute(cold)
         assert cold_result.extra["result_cache"] == "miss"
         broad_result = engine.execute(broad)
@@ -429,9 +429,9 @@ class TestPredicateAwareInvalidation:
                              sum_function(["N1", "N2"]), 4)
                    for value in range(3)]
         engine.execute_many(queries)
-        assert engine.cache_stats()["result_entries"] == 3.0
+        assert engine.metrics_snapshot()["shard.result_entries"] == 3.0
         manager.reshard(HashShardingPolicy(2))
-        assert engine.cache_stats()["result_entries"] == 0.0
+        assert engine.metrics_snapshot()["shard.result_entries"] == 0.0
 
 
 class TestCostModelConstants:

@@ -237,13 +237,13 @@ class TestBoundCacheAndBatch:
                    for value in range(4)]
         results = executor.execute_many(queries)
         assert len(results) == len(queries)
-        stats = executor.cache_stats()
+        stats = executor.metrics_snapshot()
         # The shared-function group runs as one fused frontier sweep, so
         # each block's bound is computed once for the whole batch instead
         # of once per query (the pre-fusion batch path shared them through
         # bound-cache hits).
-        assert stats["fused_groups"] == 1.0
-        assert stats["fused_queries"] == float(len(queries))
+        assert stats["engine.fused_groups"] == 1.0
+        assert stats["engine.fused_queries"] == float(len(queries))
         for query, batched in zip(queries, results):
             assert batched.extra["fused_group_size"] == float(len(queries))
             alone = executor.execute(query)
@@ -276,7 +276,7 @@ class TestBoundCacheAndBatch:
         assert len(cache) == 2
         cache.lower_bound(grid, function, 1)
         assert FakeFunction.calls == 4
-        assert 0.0 < cache.hit_rate < 1.0
+        assert (cache.hits, cache.misses) == (1, 4)
         cache.clear()
         assert len(cache) == 0
 
@@ -305,7 +305,7 @@ class TestBoundCacheAndBatch:
         # Even with every result re-executed (no result cache), the two
         # distinct logical queries are planned exactly once each.
         assert len(plan_calls) == 2
-        assert executor.cache_stats()["plans_reused"] == 2.0
+        assert executor.metrics_snapshot()["engine.plans_reused"] == 2.0
         assert results[0].tids == results[2].tids == results[3].tids
         assert results[0].scores == results[3].scores
         alone = executor.execute(query)
@@ -326,7 +326,7 @@ class TestBoundCacheAndBatch:
         # Every occurrence hits the result cache; hoisting is lazy, so no
         # plan is ever computed and no reuse is (over)counted.
         assert plan_calls == []
-        assert executor.cache_stats()["plans_reused"] == 0.0
+        assert executor.metrics_snapshot()["engine.plans_reused"] == 0.0
         assert all(r.extra["result_cache"] == "hit" for r in results)
         assert results[0].tids == warm.tids
 
@@ -344,7 +344,7 @@ class TestBoundCacheAndBatch:
         executor.execute_many([query, query])
         # No canonical key means no safe sharing: each occurrence plans.
         assert len(plan_calls) == 2
-        assert executor.cache_stats()["plans_reused"] == 0.0
+        assert executor.metrics_snapshot()["engine.plans_reused"] == 0.0
 
     def test_cached_results_identical_to_uncached(self, relation):
         plain = RankingCube(relation, block_size=200)
@@ -384,10 +384,9 @@ class TestResultCache:
         assert second.extra["result_cache"] == "hit"
         assert second.tids == first.tids
         assert second.scores == first.scores
-        stats = executor.cache_stats()
-        assert stats["result_hits"] == 1.0
-        assert stats["result_misses"] == 1.0
-        assert stats["result_hit_rate"] == 0.5
+        stats = executor.metrics_snapshot()
+        assert stats["engine.result_hits"] == 1.0
+        assert stats["engine.result_misses"] == 1.0
 
     def test_cached_result_copies_do_not_alias(self, relation):
         executor = Executor.for_relation(relation, block_size=200,
@@ -405,9 +404,9 @@ class TestResultCache:
         query = TopKQuery(Predicate.of(A2=1),
                           LinearFunction(["N1"], [1.0]), 3)
         executor.execute(query)
-        assert executor.cache_stats()["result_entries"] == 1.0
+        assert executor.metrics_snapshot()["engine.result_entries"] == 1.0
         executor.invalidate_results()
-        assert executor.cache_stats()["result_entries"] == 0.0
+        assert executor.metrics_snapshot()["engine.result_entries"] == 0.0
         assert executor.execute(query).extra["result_cache"] == "miss"
 
     def test_key_distinguishes_predicate_function_and_k(self, relation):
@@ -447,32 +446,6 @@ class TestResultCache:
             function)
         assert cache._function_key(
             SquaredDistanceFunction(["N1", "N2"], [0.2, 0.5])) != first
-
-    def test_shared_result_cache_is_scoped_per_executor(self):
-        from repro.storage.table_scan import TableScanTopK
-        from repro.engine import ResultCache
-        from repro.engine.backends import TableScanBackend
-
-        r1 = generate_relation(SyntheticSpec(num_tuples=300, num_selection_dims=2,
-                                             num_ranking_dims=2, cardinality=4,
-                                             seed=41), name="R1")
-        r2 = generate_relation(SyntheticSpec(num_tuples=300, num_selection_dims=2,
-                                             num_ranking_dims=2, cardinality=4,
-                                             seed=42), name="R2")
-        shared = ResultCache()
-        executors = []
-        for rel in (r1, r2):
-            executor = Executor(result_cache=shared)
-            executor.register(TableScanBackend(TableScanTopK(rel)))
-            executors.append(executor)
-        query = TopKQuery(Predicate.of(A1=1),
-                          LinearFunction(["N1", "N2"], [1.0, 1.0]), 5)
-        first = executors[0].execute(query)
-        second = executors[1].execute(query)
-        # Same cache object, same query — but scoped keys keep the two
-        # relations' answers apart.
-        assert second.extra["result_cache"] == "miss"
-        assert first.tids != second.tids
 
     def test_direct_append_invalidates_watched_cache(self):
         relation = generate_relation(SyntheticSpec(num_tuples=500,

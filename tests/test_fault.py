@@ -654,10 +654,10 @@ class TestOneRecordPerCall:
         fail_shard(engine, bad_index=0)
         with engine:
             results = engine.execute_many(two_fused_groups())
-        assert engine.fused_groups == 2
         assert all(result.extra["shards_failed"] == "0:ShardWorkerError"
                    for result in results)
         snap = engine.metrics.snapshot()
+        assert snap["shard.fused_groups"] == 2.0
         assert snap["fault.retries"] == 1.0
         assert snap["fault.retry_budget_exhausted"] == 1.0
         assert sleeps == [pytest.approx(first)]

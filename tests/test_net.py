@@ -71,6 +71,7 @@ from repro.net.protocol import (
     encode_error,
     encode_predicate,
     decode_predicate,
+    ws_accept,
 )
 from repro.net.ratelimit import TokenBucket, TokenBucketLimiter
 from repro.net.stream import error_frame, final_frame, prefix_frame
@@ -567,9 +568,6 @@ class SlowStubEngine:
             time.sleep(self.delay)
         return [self._result() for _ in queries]
 
-    def cache_stats(self):
-        return {}
-
 
 def simple_query():
     return TopKQuery(Predicate.of(), LinearFunction(["N1"], [1.0]), 2)
@@ -921,6 +919,70 @@ class TestStreaming:
         assert result.tids == (1, 2)
 
 
+class _FakeWriter:
+    """The write half of a socket that goes nowhere."""
+
+    def write(self, data: bytes) -> None:
+        pass
+
+    async def drain(self) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+    async def wait_closed(self) -> None:
+        pass
+
+
+def _answering(raw: bytes) -> AsyncQueryClient:
+    """A client whose every connection reads ``raw`` as the server's reply."""
+    client = AsyncQueryClient("127.0.0.1", 9)
+
+    async def fake_open():
+        reader = asyncio.StreamReader()
+        reader.feed_data(raw)
+        reader.feed_eof()
+        return reader, _FakeWriter()
+
+    client._open = fake_open
+    return client
+
+
+class TestClientFraming:
+    """A reply the client cannot frame is a :class:`ProtocolError` — the
+    server answers the same malformed framing in a request with a 400."""
+
+    @pytest.mark.parametrize("raw", [
+        pytest.param(b"HTTP/1.1 200 OK\r\nContent-Length: abc\r\n\r\n{}",
+                     id="content-length-abc"),
+        pytest.param(b"HTTP/1.1 200 OK\r\nContent-Length: -5\r\n\r\n{}",
+                     id="content-length-negative"),
+        pytest.param(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                     b"zz\r\n{}\r\n0\r\n\r\n", id="chunk-size-zz"),
+    ])
+    def test_malformed_reply_framing_is_a_protocol_error(self, raw):
+        async def main():
+            async with _answering(raw) as client:
+                with pytest.raises(ProtocolError):
+                    await client.healthz()
+
+        asyncio.run(main())
+
+    def test_a_wrong_websocket_accept_is_a_protocol_error(self):
+        raw = (b"HTTP/1.1 101 Switching Protocols\r\nUpgrade: websocket\r\n"
+               b"Connection: Upgrade\r\nSec-WebSocket-Accept: "
+               + ws_accept("not the key the client sent").encode("latin-1")
+               + b"\r\n\r\n")
+
+        async def main():
+            with pytest.raises(ProtocolError, match="Sec-WebSocket-Accept"):
+                async with _answering(raw).websocket():
+                    pass
+
+        asyncio.run(main())
+
+
 def _fragment(opcode: int, payload: bytes, fin: bool) -> bytes:
     frame = WebSocketSession._frame(opcode, payload)
     return frame if fin else bytes([frame[0] & 0x7F]) + frame[1:]
@@ -980,5 +1042,46 @@ class TestOpsEndpoints:
         assert "repro_net_requests" in metrics
         assert "repro_net_latency_seconds_interactive" in metrics
         assert "repro_serve_completed" in metrics
-        assert stats["completed"] >= 1.0
-        assert stats["pending_interactive"] == 0.0
+        assert stats["serve.completed"] >= 1.0
+        assert stats["serve.pending.interactive"] == 0.0
+
+    def test_one_view_two_renderings_on_a_sharded_stack(self):
+        """``/v1/stats`` serves ``metrics_snapshot()`` and ``/metrics``
+        renders the same merged registry: on a 3-shard stack every counter
+        and gauge reads the same in both, the shard engines' ``engine.*``
+        series and the front door's result cache included."""
+        from repro.obs.metrics import MetricsRegistry, _prometheus_name
+        from repro.shard import (HashShardingPolicy, ScatterGatherExecutor,
+                                 ShardManager)
+
+        relation = generate_relation(SyntheticSpec(
+            num_tuples=600, num_selection_dims=2, num_ranking_dims=2,
+            cardinality=4, seed=31))
+        manager = ShardManager(relation, HashShardingPolicy(3),
+                               block_size=60, with_signature=False,
+                               with_skyline=False)
+        function = LinearFunction(["N1", "N2"], [1.0, 2.0])
+        queries = [TopKQuery(Predicate.of(A1=value), function, 4)
+                   for value in range(3)]
+
+        async def handler(service, server, client):
+            await client.query_many(queries)  # one fused group
+            await client.query(queries[0])  # a front-door result-cache hit
+            stats = await client.stats()
+            scraped = dict(line.rsplit(" ", 1) for line
+                           in (await client.metrics_text()).splitlines()
+                           if not line.startswith("#"))
+            for name in ("repro_engine_queries", "repro_engine_fused_queries",
+                         "repro_shard_result_hits"):
+                assert float(scraped.get(name, 0.0)) > 0.0, name
+            view = MetricsRegistry.merged(service.observed()).state()
+            return stats, scraped, view
+
+        stats, scraped, view = run_served(
+            handler, engine=ScatterGatherExecutor(manager))
+        for kind in ("counters", "gauges"):
+            for name, value in view[kind].items():
+                assert float(scraped[_prometheus_name(name)]) == value, name
+                # A request counts itself in net.requests before it is
+                # answered, and the scrape came one request after the stats.
+                assert stats[name] == value - (name == "net.requests"), name

@@ -67,9 +67,6 @@ class EchoEngine:
     def execute(self, query):
         return self.execute_many([query])[0]
 
-    def cache_stats(self):
-        return {}
-
 
 class HeldEchoEngine(HeldEngine):
     """``HeldEngine`` (the first call blocks until released) whose answers

@@ -3,15 +3,14 @@
 Covers the metrics registry (instruments, snapshots, Prometheus text,
 multi-registry merging), the tracer (span trees, ring buffer, slow-query
 log, and the zero-allocation no-op fast path), ``explain_analyze`` on
-both executor front doors and the serving layer, the per-backend cost
-feedback counters, and the post-deprecation ``cache_stats`` key surface.
+both executor front doors and the serving layer, and the per-backend cost
+feedback counters.
 """
 
 from __future__ import annotations
 
 import asyncio
 import sys
-import warnings
 
 import pytest
 
@@ -26,7 +25,6 @@ from repro.obs import (
     NullTracer,
     Tracer,
     estimated_vs_actual,
-    merged_snapshot,
     misestimation_report,
     percentile,
     render_trace,
@@ -167,7 +165,8 @@ class TestMetricsRegistry:
         for v in (1.0, 1.0, 1.0, 1.0):
             ha.observe(v)
         hb.observe(100.0)
-        merged = merged_snapshot([a, b])
+        merged = MetricsRegistry.merged([a, b, a]).snapshot()
+        # ``a`` listed twice counts once.
         assert merged["engine.queries"] == 5.0
         assert merged["engine.latency_seconds.count"] == 5.0
         # Pooled percentile over the union {1,1,1,1,100}: p50 is 1, not
@@ -350,9 +349,10 @@ class TestExplainAnalyzeEngine:
     def test_leaves_no_cache_residue_and_matches_plain_execution(self, engine):
         query = self.query()
         plain = engine.execute(query)
-        entries_before = engine.result_cache.stats()["result_entries"]
+        entries_before = engine.metrics_snapshot()["engine.result_entries"]
         engine.explain_analyze(query)
-        assert engine.result_cache.stats()["result_entries"] == entries_before
+        assert engine.metrics_snapshot()["engine.result_entries"] == \
+            entries_before
         again = engine.execute(query)
         assert again.tids == plain.tids
         assert again.scores == plain.scores
@@ -455,32 +455,9 @@ class TestExplainAnalyzeSharded:
         assert snap["shard.queries"] == 1.0
         # engine.* counters come from the per-shard executors' registries.
         assert snap["engine.queries"] >= 1.0
-        assert "shard.shard_bound_entries" in snap
-        # Deprecated bare aliases are not re-exported into the namespaced
-        # snapshot.
-        assert "shard.entries" not in snap
-
-
-class TestCacheStatsAliases:
-    def test_bare_aliases_are_gone_after_the_deprecation_cycle(self):
-        # The PR 7 deprecation cycle is over: the merged scatter view
-        # speaks only the shard_*-prefixed dialect, reads never warn.
-        _, engine = stratified_engine()
-        engine.execute(TopKQuery(Predicate.of(), sum_function(["X", "Y"]), 5))
-        stats = engine.cache_stats()
-        for canonical in ("shard_bound_entries", "shard_bound_hits",
-                          "shard_bound_misses", "shard_bound_hit_rate",
-                          "shard_plans_reused"):
-            assert canonical in stats
-        for bare in ("entries", "hits", "misses", "hit_rate",
-                     "plans_reused"):
-            assert bare not in stats
-        assert not hasattr(stats, "deprecated_keys")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            _ = stats["shard_bound_hits"]
-            _ = stats.get("shard_bound_hit_rate")
-            dict(stats.items())
+        # The per-shard bound caches sum under their engine.* names.
+        assert "engine.bound_entries" in snap
+        assert "shard.result_entries" in snap
 
 
 class TestServedExplainAnalyze:

@@ -128,7 +128,7 @@ class TestCrossover:
         with engine:
             result = engine.execute(topk())
             assert result.extra["scatter_mode"] == "threads"
-            assert engine.cache_stats()["shard_workers"] == 0.0
+            assert engine.metrics_snapshot()["shard.workers"] == 0.0
             assert engine._workers == {}
 
     def test_heavy_legs_offload_to_processes(self, relation):
@@ -136,7 +136,7 @@ class TestCrossover:
         with engine:
             result = engine.execute(topk())
             assert result.extra["scatter_mode"] == "processes"
-            assert engine.cache_stats()["shard_workers"] == 2.0
+            assert engine.metrics_snapshot()["shard.workers"] == 2.0
 
     def test_worker_legs_never_fill_the_workers_result_caches(self,
                                                               relation):
@@ -146,13 +146,17 @@ class TestCrossover:
             engine.execute(queries[0])
             engine.execute_many(queries + queries[:1])
             observed = engine.legs.observed()
-            assert observed.gauges["shard_workers"] == 2.0
-            # Both workers shipped their engine's cache stats back.
-            assert len(observed.caches) >= 2
-            for stats in observed.caches:
-                assert (stats["result_entries"], stats["result_hits"],
-                        stats["result_misses"]) == (0.0, 0.0, 0.0)
-            assert engine.result_cache.stats()["result_entries"] == 3.0
+            # Both workers shipped their engine's registry back, its cache
+            # gauges set to what the worker's result cache holds.
+            assert len(observed) >= 2
+            for registry in observed:
+                stats = registry.snapshot()
+                assert (stats["engine.result_entries"],
+                        stats["engine.result_hits"],
+                        stats["engine.result_misses"]) == (0.0, 0.0, 0.0)
+            stats = engine.metrics_snapshot()
+            assert stats["shard.workers"] == 2.0
+            assert stats["shard.result_entries"] == 3.0
 
     def test_worker_metrics_fold_into_snapshot(self, relation):
         _, engine = make_process_engine(relation)
@@ -172,7 +176,7 @@ class TestLifecycle:
         manager, engine = make_process_engine(relation, parallel=True)
         with engine:
             engine.execute(topk())
-            assert engine.cache_stats()["shard_workers"] == 2.0
+            assert engine.metrics_snapshot()["shard.workers"] == 2.0
         assert multiprocessing.active_children() == []
         leaked = set(threading.enumerate()) - threads_before
         assert leaked == set()
@@ -205,7 +209,7 @@ class TestLifecycle:
         async def serve():
             async with QueryService(engine) as service:
                 await service.submit(topk())
-                assert engine.cache_stats()["shard_workers"] == 2.0
+                assert engine.metrics_snapshot()["shard.workers"] == 2.0
                 return {thread.name for thread in threading.enumerate()}
 
         while_serving = asyncio.run(serve())

@@ -227,7 +227,7 @@ class TestLazyPlans:
                                with_skyline=False)
         with ProcessScatterExecutor(manager, cost_model=model) as engine:
             results = engine.execute_many(queries)
-            assert engine.legs.observed().gauges["shard_workers"] == 4.0
+            assert engine.metrics_snapshot()["shard.workers"] == 4.0
             # A worker's leg results come back pickled with the plan object,
             # not its rendering (a patched ``describe`` would not reach a
             # spawned worker, so the shipped value is the evidence).

@@ -6,8 +6,8 @@ across shard counts {1, 2, 7}), the adaptive micro-batcher's flush
 triggers and linger adaptation, admission control, per-request timeouts
 and cancellation, the serialized write
 path interleaved with queued work (the predicate-aware invalidation
-contract), and the merged statistics views
-(``ScatterGatherExecutor.cache_stats`` + ``ServiceStats``).
+contract), and the one merged metrics view
+(``QueryService.metrics_snapshot`` over every layer's registry).
 
 The tests drive asyncio through plain ``asyncio.run`` so the suite needs
 no async pytest plugin (the dev extra ships one for convenience, not
@@ -248,15 +248,16 @@ class TestServingParity:
             async with QueryService(served_engine, config) as service:
                 gathered = await asyncio.gather(
                     *(service.submit_many(stream) for stream in streams))
-                return gathered, service.stats_snapshot()
+                return gathered, service.metrics_snapshot()
 
         gathered, snap = asyncio.run(run())
         served = [gathered[i % 8][i // 8] for i in range(len(queries))]
         for alone, batched in zip(serial, served):
             assert alone.tids == batched.tids
             assert alone.scores == batched.scores
-        assert snap["batches"] == 1.0
-        assert snap["fused_queries"] > 0
+        assert snap["serve.batches"] == 1.0
+        assert snap["engine.fused_queries"] > 0
+        assert snap["serve.fused_requests"] == snap["engine.fused_queries"]
         assert (sum(r.tuples_evaluated for r in served) * 2
                 <= sum(r.tuples_evaluated for r in serial))
 
@@ -290,14 +291,15 @@ class TestServingParity:
             async with QueryService(engine, config) as service:
                 gathered = await asyncio.gather(
                     *(service.submit_many(stream) for stream in clients))
-                return gathered, service.stats_snapshot()
+                return gathered, service.metrics_snapshot()
 
         gathered, snap = asyncio.run(run())
         # Every stream got one result per query, and the batcher fused
         # same-function queries from different clients into shared sweeps.
         assert [len(results) for results in gathered] == [4] * 6
-        assert snap["fused_queries"] > 0
-        assert snap["batches"] < snap["completed"]
+        assert snap["engine.fused_queries"] > 0
+        assert snap["serve.fused_requests"] == snap["engine.fused_queries"]
+        assert snap["serve.batches"] < snap["serve.completed"]
         fused_sizes = {result.extra["fused_group_size"]
                        for results in gathered for result in results}
         assert max(fused_sizes) > 1.0
@@ -354,18 +356,18 @@ class TestAdmissionAndDeadlines:
                 with pytest.raises(ServiceOverloadedError):
                     await service.submit(TopKQuery(Predicate.of(A1=2),
                                                    function, 3))
-                snap = service.stats_snapshot()
-                assert snap["rejected"] == 1.0
-                assert snap["pending"] == 2.0
+                snap = service.metrics_snapshot()
+                assert snap["serve.rejected"] == 1.0
+                assert snap["serve.pending"] == 2.0
                 # Graceful close executes what was admitted.
                 close_task = asyncio.ensure_future(service.close())
                 results = await asyncio.gather(first, second)
                 await close_task
-                return results, service.stats_snapshot()
+                return results, service.metrics_snapshot()
 
         (first, second), snap = asyncio.run(run())
         assert len(first.tids) == 3 and len(second.tids) == 3
-        assert snap["completed"] == 2.0
+        assert snap["serve.completed"] == 2.0
 
     def test_submit_many_overload_abandons_partial_batch(self, relation):
         _, engine = make_engine(relation)
@@ -379,12 +381,12 @@ class TestAdmissionAndDeadlines:
             async with QueryService(engine, config) as service:
                 with pytest.raises(ServiceOverloadedError):
                     await service.submit_many(queries)
-                return service.stats_snapshot()
+                return service.metrics_snapshot()
 
         snap = asyncio.run(run())
         # The two admitted requests were cancelled, not executed.
-        assert snap["rejected"] == 1.0
-        assert snap["completed"] == 0.0
+        assert snap["serve.rejected"] == 1.0
+        assert snap["serve.completed"] == 0.0
 
     def test_per_request_timeout(self, relation):
         _, engine = make_engine(relation)
@@ -397,7 +399,7 @@ class TestAdmissionAndDeadlines:
                     await service.submit(
                         TopKQuery(Predicate.of(A1=0), function, 3),
                         timeout=0.02)
-                timed_out = service.stats_snapshot()["timed_out"]
+                timed_out = service.metrics_snapshot()["serve.timed_out"]
                 # The service keeps serving after the timeout.
                 live = await service.submit(
                     TopKQuery(Predicate.of(A1=1), function, 3), timeout=None)
@@ -423,14 +425,14 @@ class TestAdmissionAndDeadlines:
                 survivor = await survivor_future
                 with pytest.raises(asyncio.CancelledError):
                     await doomed
-                return survivor, service.stats_snapshot()
+                return survivor, service.metrics_snapshot()
 
         survivor, snap = asyncio.run(run())
-        assert snap["cancelled"] == 1.0
+        assert snap["serve.cancelled"] == 1.0
         # The cancelled request never reached the engine: the dispatched
         # batch carried only the survivor.
         assert survivor.extra["batch_size"] == 1.0
-        assert snap["batched_requests"] == 1.0
+        assert snap["serve.batched_requests"] == 1.0
 
     def test_cancellation_mid_flight_is_counted(self, relation):
         _, engine = make_engine(relation)
@@ -457,12 +459,12 @@ class TestAdmissionAndDeadlines:
                 task.cancel()
                 with pytest.raises(asyncio.CancelledError):
                     await task
-            return service.stats_snapshot()
+            return service.metrics_snapshot()
 
         snap = asyncio.run(run())
-        assert snap["cancelled"] == 1.0
-        assert snap["completed"] == 0.0
-        assert snap["batched_requests"] == 1.0
+        assert snap["serve.cancelled"] == 1.0
+        assert snap["serve.completed"] == 0.0
+        assert snap["serve.batched_requests"] == 1.0
 
     def test_close_drains_backlog_deeper_than_one_batch(self, relation):
         """Shutdown with 2 x max_batch_size + 1 pending strands nothing.
@@ -491,15 +493,15 @@ class TestAdmissionAndDeadlines:
                          for query in queries]
                 await asyncio.sleep(0)  # admit all 9; none dispatched yet
             done, pending = await asyncio.wait(tasks, timeout=10.0)
-            return done, pending, service.stats_snapshot()
+            return done, pending, service.metrics_snapshot()
 
         done, pending, snap = asyncio.run(run())
         assert pending == set()
         assert len(done) == len(queries)
         for task in done:
             assert task.result().tids is not None  # raises if any failed
-        assert snap["completed"] == float(len(queries))
-        assert snap["failed"] == 0.0
+        assert snap["serve.completed"] == float(len(queries))
+        assert snap["serve.failed"] == 0.0
 
     def test_close_drained_answers_match_direct_execution(self, relation):
         _, engine = make_engine(relation)
@@ -662,33 +664,27 @@ class TestStatsViews:
         queries = mixed_workload()
         engine.execute_many(queries)
         engine.execute_many(queries)  # repeats: front-door hits
-        stats = engine.cache_stats()
+        stats = engine.metrics_snapshot()
         # Front-door result cache, per-shard sums, and fusion counters all
-        # come from the one merged mapping.
-        assert stats["result_hits"] >= float(len(queries))
-        assert stats["fused_groups"] >= 2.0
-        assert stats["fused_queries"] >= 6.0
-        assert stats["shards_built"] == 3.0
+        # come from the one merged view.
+        assert stats["shard.result_hits"] >= float(len(queries))
+        assert stats["shard.fused_groups"] >= 2.0
+        assert stats["shard.fused_queries"] >= 6.0
+        assert stats["shard.shards_built"] == 3.0
         built = manager.built_executors()
         assert len(built) == 3
-        for summed, source in (("shard_bound_hits", "hits"),
-                               ("shard_bound_misses", "misses"),
-                               ("shard_bound_entries", "entries"),
-                               ("shard_plans_reused", "plans_reused"),
-                               ("shard_fused_queries", "fused_queries")):
-            assert stats[summed] == sum(
-                executor.cache_stats()[source] for executor in built.values())
-        lookups = stats["shard_bound_hits"] + stats["shard_bound_misses"]
-        assert stats["shard_bound_hit_rate"] == (
-            stats["shard_bound_hits"] / lookups if lookups else 0.0)
+        for name in ("engine.bound_hits", "engine.bound_misses",
+                     "engine.bound_entries", "engine.plans_reused",
+                     "engine.fused_queries", "engine.queries"):
+            assert stats[name] == sum(executor.metrics_snapshot()[name]
+                                      for executor in built.values())
 
     def test_lazily_pruned_shards_stay_unbuilt_in_stats(self, relation):
         manager, engine = make_engine(relation, num_shards=3)
         function = sum_function(["N1", "N2"])
         # Range shards on A1: one single-value predicate touches one shard.
         engine.execute(TopKQuery(Predicate.of(A1=0), function, 3))
-        stats = engine.cache_stats()
-        assert stats["shards_built"] == 1.0
+        assert engine.metrics_snapshot()["shard.shards_built"] == 1.0
 
     def test_service_snapshot_merges_engine_and_service(self, relation):
         _, engine = make_engine(relation)
@@ -699,22 +695,25 @@ class TestStatsViews:
                                     ServiceConfig(max_linger=0.005)) as service:
                 await service.submit_many(queries)
                 await service.submit_many(queries)  # cache hits
-                return service.stats_snapshot()
+                return service.metrics_snapshot()
 
         snap = asyncio.run(run())
-        assert snap["submitted"] == float(2 * len(queries))
-        assert snap["completed"] == float(2 * len(queries))
-        for key in ("throughput_qps", "latency_p50", "latency_p99",
-                    "queue_wait_p50", "mean_batch_size", "fusion_rate",
-                    "current_linger", "pending", "result_hits",
-                    "fused_queries", "hit_rate"):
+        assert snap["serve.submitted"] == float(2 * len(queries))
+        assert snap["serve.completed"] == float(2 * len(queries))
+        for key in ("serve.latency_seconds.p50", "serve.latency_seconds.p95",
+                    "serve.latency_seconds.p99",
+                    "serve.queue_wait_seconds.p50", "serve.batches",
+                    "serve.batched_requests", "serve.fused_requests",
+                    "serve.current_linger", "serve.pending",
+                    "engine.result_hits", "engine.fused_queries",
+                    "engine.bound_hits", "engine.bound_misses"):
             assert key in snap
-        assert snap["pending"] == 0.0
-        assert snap["result_hits"] >= float(len(queries) - 1)
-        assert 0.0 <= snap["fusion_rate"] <= 1.0
+        assert snap["serve.pending"] == 0.0
+        assert snap["engine.result_hits"] >= float(len(queries) - 1)
+        assert snap["serve.fused_requests"] <= snap["serve.batched_requests"]
 
     def test_percentile_nearest_rank(self):
-        from repro.serve import percentile
+        from repro.obs.metrics import percentile
 
         assert percentile([], 50) == 0.0
         # Nearest rank: ceil(q/100 * n), never rounded half-to-even.
@@ -723,29 +722,37 @@ class TestStatsViews:
         assert percentile([1.0, 2.0, 3.0, 4.0], 99) == 4.0
         assert percentile([1.0, 2.0, 3.0, 4.0], 25) == 1.0
 
-    def test_fusion_rate_excludes_pre_service_engine_use(self, relation):
-        _, engine = make_engine(relation)
+    def test_fusion_the_service_did_not_cause_is_not_counted(self, relation):
+        _, engine = make_engine(relation, num_shards=3)
         function = sum_function(["N1", "N2"])
+        warm = [TopKQuery(Predicate.of(), function, k) for k in (2, 5, 8)]
         # Fusion the engine did *before* the service attached...
-        engine.execute_many([TopKQuery(Predicate.of(), function, k)
-                             for k in (2, 5, 8)])
-        assert engine.cache_stats()["fused_queries"] == 3.0
+        engine.execute_many(warm)
+        assert engine.metrics_snapshot()["shard.fused_queries"] == 3.0
+        other = LinearFunction(["N1", "N2"], [2.0, 1.0])
 
         async def run():
-            async with QueryService(engine) as service:
-                # ...must not leak into the service's rate: these two
-                # requests use distinct functions, so nothing fuses.
-                await service.submit_many([
+            config = ServiceConfig(max_batch_size=16, max_linger=0.05)
+            async with QueryService(engine, config) as service:
+                # ...and a cached copy of its answer, still tagged with its
+                # fused group, are not the service's; the two queries that
+                # share ``other`` in one dispatch are.
+                answers = await service.submit_many([
+                    warm[0],
+                    TopKQuery(Predicate.of(A1=0), other, 3),
+                    TopKQuery(Predicate.of(A1=1), other, 3),
                     TopKQuery(Predicate.of(A1=0),
                               LinearFunction(["N1"], [1.0]), 3),
-                    TopKQuery(Predicate.of(A1=1),
-                              LinearFunction(["N2"], [1.0]), 3),
                 ])
-                return service.stats_snapshot()
+                return answers, service.metrics_snapshot()
 
-        snap = asyncio.run(run())
-        assert snap["fusion_rate"] == 0.0
-        assert snap["fused_queries"] == 3.0  # lifetime counter untouched
+        answers, snap = asyncio.run(run())
+        assert answers[0].extra["result_cache"] == "hit"
+        assert answers[0].extra["fused_group_size"] == 3.0
+        assert [a.extra["fused_group_size"] for a in answers[1:]] == [
+            2.0, 2.0, 1.0]
+        assert snap["serve.fused_requests"] == 2.0
+        assert snap["shard.fused_queries"] == 5.0  # the lifetime counter
 
     def test_config_validation(self):
         with pytest.raises(ServeError):
@@ -807,12 +814,12 @@ class TestEngineFailureMapping:
                 # recovers, the same service answers again.
                 broken["on"] = False
                 result = await service.submit(query)
-                return result, service.stats_snapshot()
+                return result, service.metrics_snapshot()
 
         result, snap = asyncio.run(run())
         assert len(result.tids) == 3
-        assert snap["failed"] == 1.0
-        assert snap["completed"] == 1.0
+        assert snap["serve.failed"] == 1.0
+        assert snap["serve.completed"] == 1.0
 
     def test_partial_batch_failure_resolves_per_position(self, relation):
         """One fused group's failure rejects its members, not the batch."""
@@ -836,7 +843,7 @@ class TestEngineFailureMapping:
                          for query in queries]
                 outcomes = await asyncio.gather(*tasks,
                                                 return_exceptions=True)
-                return outcomes, service.stats_snapshot()
+                return outcomes, service.metrics_snapshot()
 
         outcomes, snap = asyncio.run(run())
         assert isinstance(outcomes[0], ShardUnavailableError)
@@ -845,8 +852,8 @@ class TestEngineFailureMapping:
             expected = engine.execute(query)
             assert result.tids == expected.tids
             assert result.scores == expected.scores
-        assert snap["failed"] == 2.0
-        assert snap["completed"] == 2.0
+        assert snap["serve.failed"] == 2.0
+        assert snap["serve.completed"] == 2.0
 
     def test_close_force_drains_through_engine_failures(self, relation):
         """Shutdown under a dead engine resolves every future — no hang."""
@@ -873,14 +880,14 @@ class TestEngineFailureMapping:
                          for query in queries]
                 await asyncio.sleep(0)  # admit all; none dispatched yet
             done, pending = await asyncio.wait(tasks, timeout=10.0)
-            return done, pending, service.stats_snapshot()
+            return done, pending, service.metrics_snapshot()
 
         done, pending, snap = asyncio.run(run())
         assert pending == set()
         for task in done:
             with pytest.raises(ShardUnavailableError):
                 task.result()
-        assert snap["failed"] == float(len(queries))
+        assert snap["serve.failed"] == float(len(queries))
 
 
 class TestDeadlinePropagation:
@@ -976,9 +983,6 @@ class HeldEngine:
     def execute(self, query):
         return self.execute_many([query])[0]
 
-    def cache_stats(self):
-        return {}
-
 
 #: The backlog of ``TestBacklogOrder`` as ``(name, priority, client_id)``
 #: in admission order: 8 background requests from three clients, then 6
@@ -1012,13 +1016,13 @@ class TestBacklogOrder:
                 assert len(service.batcher) == len(BACKLOG) + len(URGENT)
                 engine.release.set()
                 await asyncio.gather(*tasks)
-                return engine.executed, service.stats_snapshot()
+                return engine.executed, service.metrics_snapshot()
 
         executed, snap = asyncio.run(run())
         assert executed == ["primer"] + BACKLOG_ORDER
         # 1 + 15 requests in 1 + 4 engine calls: the backlog rode full
         # batches, it was not dispatched as it arrived.
-        assert snap["batches"] == 5.0
+        assert snap["serve.batches"] == 5.0
 
     def test_stream_timed_out_while_queued_never_reaches_the_engine(self):
         async def run():
@@ -1033,11 +1037,11 @@ class TestBacklogOrder:
                         pass
                 engine.release.set()
                 await primer
-                snap = service.stats_snapshot()
+                snap = service.metrics_snapshot()
             return engine.executed, snap
 
         executed, snap = asyncio.run(run())
         assert executed == ["primer"]
-        assert snap["submitted"] == 2.0  # the stream was admitted, counted
-        assert snap["timed_out"] == 1.0
-        assert snap["cancelled"] == 0.0
+        assert snap["serve.submitted"] == 2.0  # the stream was admitted, counted
+        assert snap["serve.timed_out"] == 1.0
+        assert snap["serve.cancelled"] == 0.0

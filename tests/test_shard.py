@@ -303,10 +303,11 @@ class TestMutation:
         query = TopKQuery(Predicate.of(A1=1), sum_function(["N1", "N2"]), 3)
         engine.execute(query)
         engine.execute(query)
-        assert engine.cache_stats()["result_hits"] == 1.0
+        assert engine.metrics_snapshot()["shard.result_hits"] == 1.0
         manager.insert({"A1": 1, "A2": 0, "N1": 0.5, "N2": 0.5})
-        assert engine.cache_stats()["result_entries"] == 0.0
-        assert engine.cache_stats()["result_invalidations"] >= 1.0
+        stats = engine.metrics_snapshot()
+        assert stats["shard.result_entries"] == 0.0
+        assert stats["shard.result_invalidations"] >= 1.0
 
     def test_direct_base_append_fails_loudly(self):
         base, manager, engine = self._fresh(num_tuples=200)
@@ -557,8 +558,8 @@ class TestBatchAndCache:
         for first, second in zip(results, again):
             assert first.tids == second.tids
             assert first.scores == second.scores
-        stats = engine.cache_stats()
-        assert stats["result_hits"] == float(len(queries))
+        assert engine.metrics_snapshot()["shard.result_hits"] == float(
+            len(queries))
 
     @pytest.mark.parametrize("parallel", [False, True])
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
@@ -578,10 +579,11 @@ class TestBatchAndCache:
             engine.execute_many(queries)
         built = engine.manager.built_executors()
         assert len(built) == num_shards
-        for executor in built.values():
-            stats = executor.result_cache.stats()
-            assert (stats["result_entries"], stats["result_hits"],
-                    stats["result_misses"]) == (0.0, 0.0, 0.0)
+        for stats in [executor.metrics_snapshot()
+                      for executor in built.values()] + [
+                          engine.metrics_snapshot()]:  # summed over shards
+            assert (stats["engine.result_entries"], stats["engine.result_hits"],
+                    stats["engine.result_misses"]) == (0.0, 0.0, 0.0)
 
     def test_the_front_door_holds_one_entry_per_distinct_query(self,
                                                               relation):
@@ -596,16 +598,16 @@ class TestBatchAndCache:
         first = engine.execute_many(batch)
         distinct = {query_cache_key(query) for query in batch}
         assert len(distinct) == len(queries)
-        assert engine.result_cache.stats()["result_entries"] == len(queries)
+        assert engine.metrics_snapshot()["shard.result_entries"] == len(queries)
         for query, result in zip(batch, first):
             again = engine.execute(query)
             assert again.extra["result_cache"] == "hit"
             assert again.tids == result.tids
             if isinstance(query, TopKQuery):
                 assert again.scores == result.scores
-        stats = engine.result_cache.stats()
-        assert stats["result_entries"] == len(queries)
-        assert stats["result_hits"] == len(batch) + 2  # + the batch repeats
+        stats = engine.metrics_snapshot()
+        assert stats["shard.result_entries"] == len(queries)
+        assert stats["shard.result_hits"] == len(batch) + 2  # + batch repeats
 
     def test_equivalent_function_objects_share_cache_entries(self, relation):
         _, engine = make_sharded_engine(relation, 2, range_dim="A1",

@@ -153,10 +153,6 @@ class TestSkylineEngine:
         assert result.disk_accesses == loaded
         assert cube.rtree.pager.stats.physical_reads == rtree_before
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "known defect: (1.0, 0.0) dominates (1.0, 1e-17) but both sum to 1.0 "
-        "in floats; the heap breaks the mindist tie by push order, so the "
-        "dominated point is popped first and kept"))
     def test_a_mindist_tie_admits_no_dominated_point(self):
         relation = Relation(Schema(("A1",), ("N1", "N2")), np.zeros((2, 1)),
                             np.array([(1.0, 1e-17), (1.0, 0.0)]))

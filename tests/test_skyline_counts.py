@@ -11,6 +11,11 @@ One row moved since: ``PINNED[57]``, the ``(A1=2, A3=9)`` query, was
 ``(0, 0, 0, 0)`` and is ``(1, 1, 0, 0)``.  Its root signature test fails on
 the absent ``A3=9``, but only after the ``A1=2`` reader loaded its first page;
 the early return used to drop that counted page and now reports it.
+
+Keying the heap ``(mindist, corner, counter)`` instead of ``(mindist,
+counter)``, so a float ``mindist`` tie pops the dominating entry first, moved
+no row of either table: on this continuous data no two heap entries with
+different corners tie on ``mindist``.
 """
 
 from __future__ import annotations

@@ -10,11 +10,11 @@ Both must answer the same tids and report the same counts, on twin cubes
 whose pagers and buffers start alike, so the counts pin every page read.
 
 The reference's early return (root signature test fails) reports the pages
-that test loaded, as the engine does; nothing else differs from the loop it
-copies.  Answers are not compared with ``BooleanFirstSkyline`` here: on this
-grid-valued data both loops admit a dominated point when two float ``mindist``
-sums tie (see ``test_a_mindist_tie_admits_no_dominated_point`` in
-``tests/test_skyline.py``).
+that test loaded, as the engine does, and its heap is keyed
+``(mindist, corner, counter)`` like the engine's, so a float ``mindist`` tie
+pops the dominating point first; nothing else differs from the loop it
+copies.  Both answers are also compared with ``BooleanFirstSkyline``: on this
+grid-valued data ``mindist`` sums tie often.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.query import Predicate, SkylineQuery
 from repro.signature import SignatureRankingCube
-from repro.skyline import SkylineEngine
+from repro.skyline import BooleanFirstSkyline, SkylineEngine
 from repro.skyline.dominance import dominated_rows, mapped_corners
 from repro.storage.pager import Pager
 from repro.storage.rtree import RTree
@@ -60,11 +60,11 @@ def _reference_query(engine: SkylineEngine, query: SkylineQuery):
     skyline_tids: List[int] = []
     skyline_values = np.empty((64, len(columns)))
     peak_heap = expanded = verifications = counter = 0
-    heap: List[Tuple[float, int, int, object, np.ndarray, int]] = [
-        (0.0, counter, rtree.root().page_id, (), np.zeros(len(columns)), 0)]
+    heap: List[Tuple[float, tuple, int, int, object, np.ndarray, int]] = [
+        (0.0, (), counter, rtree.root().page_id, (), np.zeros(len(columns)), 0)]
     while heap:
         peak_heap = max(peak_heap, len(heap))
-        _, _, page_id, path, corner, seen = heapq.heappop(heap)
+        _, _, _, page_id, path, corner, seen = heapq.heappop(heap)
         if seen < len(skyline_tids) and dominated_rows(
                 corner[None, :], skyline_values[seen:len(skyline_tids)])[0]:
             continue
@@ -95,9 +95,10 @@ def _reference_query(engine: SkylineEngine, query: SkylineQuery):
         for row, entry, dist, corner in zip(rows.tolist(), ids[rows].tolist(),
                                             mindist[rows].tolist(), corners[rows]):
             counter += 1
-            heapq.heappush(heap, (
-                (dist, counter, _POINT, entry, corner, seen) if leaf else
-                (dist, counter, entry, path + (row + 1,), corner, seen)))
+            key = (dist, tuple(corner.tolist()), counter)
+            heapq.heappush(heap, key + (
+                (_POINT, entry, corner, seen) if leaf else
+                (entry, path + (row + 1,), corner, seen)))
     rtree_io = rtree.pager.stats.physical_reads - rtree_before
     sig_io = store.pager.stats.physical_reads - sig_before
     return (tuple(sorted(skyline_tids)), rtree_io + sig_io + verifications,
@@ -166,3 +167,5 @@ def test_the_loop_is_the_per_item_numpy_loop(data, max_entries, rtree_buffer,
         observed = _observed(
             SkylineEngine(cube, use_signature=use_signature).query(query))
         assert observed == expected, query
+        assert observed[0] == BooleanFirstSkyline(relation).query(query).tids, \
+            query
