@@ -118,10 +118,6 @@ class BaseBlockTable:
                     np.empty((0, len(self.dims)), dtype=np.float64))
         return self.buffer.read(page_id)
 
-    def bid_of_tid(self, tid: int) -> int:
-        """Base block that tuple ``tid`` was assigned to."""
-        return int(self.bids[tid])
-
     def non_empty_bids(self) -> List[int]:
         """Base blocks that actually contain tuples."""
         return sorted(self._block_pages)

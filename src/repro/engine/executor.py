@@ -177,15 +177,13 @@ class Executor:
                 plan_span.set("estimated_cost", float(estimated))
         return plan
 
-    def _record_cost_feedback(self, plan: QueryPlan, actual: float) -> None:
-        """Feed estimated-vs-actual into the per-backend planner counters.
-
-        ``planner.misestimates.<backend>`` counts executions whose actual
-        tuple count and estimated cost disagree by more than 4x in either
-        direction — the signal ``calibrate_cost_model.py --metrics``
-        turns into a per-backend drift report.  Statically planned
-        queries carry no estimate and record nothing.
-        """
+    def _record_cost_feedback(self, plan: QueryPlan, tuples: float,
+                              seconds: float, *, judged: bool) -> None:
+        """Feed estimated-vs-actual into the per-backend planner counters:
+        the actual cost is ``seconds`` over the cost model's
+        ``unit_seconds`` (the estimate's unit), and ``judged`` runs more
+        than 4x off either way count as ``planner.misestimates`` (fused
+        members are not judged: their estimates priced solo runs)."""
         estimated = plan.details.get("estimated_cost")
         if estimated is None:
             return
@@ -195,18 +193,22 @@ class Executor:
             counters = (
                 self.metrics.counter(f"planner.costed_queries.{name}"),
                 self.metrics.counter(f"planner.estimated_cost_total.{name}"),
+                self.metrics.counter(f"planner.actual_cost_total.{name}"),
                 self.metrics.counter(f"planner.actual_tuples_total.{name}"),
                 self.metrics.counter(f"planner.misestimates.{name}"),
             )
             self._cost_feedback[plan.backend] = counters
-        costed, est_total, actual_total, misses = counters
+        costed, est_total, cost_total, tuples_total, misses = counters
+        actual = seconds / self.planner.cost_model.unit_seconds
         costed.inc()
         est_total.inc(float(estimated))
-        actual_total.inc(actual)
-        high = max(float(estimated), actual, 1.0)
-        low = max(min(float(estimated), actual), 1.0)
-        if high / low > 4.0:
-            misses.inc()
+        cost_total.inc(actual)
+        tuples_total.inc(tuples)
+        if judged:
+            high = max(float(estimated), actual, 1.0)
+            low = max(min(float(estimated), actual), 1.0)
+            if high / low > 4.0:
+                misses.inc()
 
     def execute_many(self, queries: Iterable, *, parent_span=None,
                      use_result_cache=True) -> List:
@@ -316,6 +318,7 @@ class Executor:
         backend = self.registry.get(members[0][1].backend)
         queries = [query for query, _, _ in members]
         fused = len(members) > 1 and backend.supports_fusion
+        started = time.perf_counter()
         if len(members) == 1:
             group_span = span.child("engine.run").set("backend", backend.name)
             run_stream = (getattr(backend, "run_stream", None)
@@ -329,6 +332,7 @@ class Executor:
             if fused:
                 group_span.set("group_size", len(members))
             results = backend.execute_batch(queries)
+        elapsed = time.perf_counter() - started
         # The per-member shares of a shared sweep: summing them never
         # double-counts a tuple the sweep scored once.
         shares = [float(getattr(result, "tuples_evaluated", 0))
@@ -351,12 +355,10 @@ class Executor:
                 # for per-query execution the field already is that count
                 # (skyline results carry no tuple counter).
                 result.extra.setdefault("tuples_evaluated", share)
-            # The attributed share is the honest work counter; the cost
-            # feedback compares the *solo-equivalent* count against the
-            # estimate, which priced a solo run.
             self._m_tuples.inc(share)
             self._record_cost_feedback(
-                plan, float(result.extra.get("tuples_evaluated", share)))
+                plan, float(result.extra.get("tuples_evaluated", share)),
+                elapsed / len(members), judged=not fused)
             if key is not None:
                 self.result_cache.store(key, result)
         return results
@@ -488,7 +490,8 @@ class Executor:
                      fragment_size: int = 2,
                      with_signature: bool = True,
                      with_skyline: bool = True,
-                     planner_mode: str = MODE_COST) -> "Executor":
+                     planner_mode: str = MODE_COST,
+                     cost_model: Optional[CostModel] = None) -> "Executor":
         """Build the default single-relation engine stack.
 
         Registers the grid ranking cube (preferred for top-k) and the
@@ -510,7 +513,7 @@ class Executor:
         from repro.storage.table_scan import TableScanTopK
         from repro.cube import RankingCube, build_ranking_fragments
 
-        executor = cls(planner_mode=planner_mode)
+        executor = cls(planner_mode=planner_mode, cost_model=cost_model)
         cube = RankingCube(relation, block_size=block_size)
         executor.register(RankingCubeBackend(cube))
         if include_fragments:

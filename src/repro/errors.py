@@ -48,14 +48,6 @@ class EncodingError(SignatureError):
     """A signature node could not be encoded or decoded."""
 
 
-class MaintenanceError(ReproError):
-    """Incremental maintenance was asked to do something impossible."""
-
-
-class OptimizerError(ReproError):
-    """The SPJR query optimizer could not produce a plan."""
-
-
 class PlanningError(QueryError):
     """The engine planner found no registered backend able to serve a query."""
 

@@ -18,6 +18,7 @@ threshold expansion.
 from __future__ import annotations
 
 import enum
+import math
 from abc import ABC, abstractmethod
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
@@ -37,6 +38,19 @@ class FunctionShape(enum.Enum):
     SEMI_MONOTONE = "semi_monotone"
     #: No usable structure beyond the lower-bound property.
     GENERAL = "general"
+
+
+def finite(values: Sequence[float], what: str,
+           error: type = ValueError) -> Tuple[float, ...]:
+    """``values`` as floats; NaN, infinities and ints beyond the float range
+    raise ``error`` naming ``what`` (scores must stay comparable)."""
+    try:
+        floats = tuple(float(v) for v in values)
+    except OverflowError:
+        floats = (math.inf,)
+    if not all(map(math.isfinite, floats)):
+        raise error(f"{what} must be finite numbers")
+    return floats
 
 
 class RankingFunction(ABC):
@@ -114,10 +128,6 @@ class RankingFunction(ABC):
     def minimum_point(self) -> Optional[Dict[str, float]]:
         """Unconstrained minimizer for semi-monotone functions, else None."""
         return None
-
-    def global_minimum(self, domain: Box) -> float:
-        """Lower bound over the full ``domain`` (used to seed searches)."""
-        return self.lower_bound(domain)
 
     def describe(self) -> str:
         """Short human-readable description used in benchmark tables."""

@@ -12,7 +12,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.functions.base import FunctionShape, RankingFunction
+from repro.functions.base import FunctionShape, RankingFunction, finite
 from repro.geometry import Box
 
 
@@ -29,14 +29,14 @@ class SquaredDistanceFunction(RankingFunction):
         if len(dims) != len(targets):
             raise ValueError("dims and targets must have the same length")
         self.dims: Tuple[str, ...] = tuple(dims)
-        self.targets: Tuple[float, ...] = tuple(float(t) for t in targets)
+        self.targets: Tuple[float, ...] = finite(targets, "targets")
         if weights is None:
             weights = [1.0] * len(dims)
         if len(weights) != len(dims):
             raise ValueError("weights must align with dims")
-        if any(w < 0 for w in weights):
+        self.weights: Tuple[float, ...] = finite(weights, "weights")
+        if any(w < 0 for w in self.weights):
             raise ValueError("distance weights must be non-negative")
-        self.weights: Tuple[float, ...] = tuple(float(w) for w in weights)
 
     def evaluate(self, values: Sequence[float]) -> float:
         total = 0.0
@@ -95,12 +95,12 @@ class ManhattanDistanceFunction(RankingFunction):
         if len(dims) != len(targets):
             raise ValueError("dims and targets must have the same length")
         self.dims: Tuple[str, ...] = tuple(dims)
-        self.targets: Tuple[float, ...] = tuple(float(t) for t in targets)
+        self.targets: Tuple[float, ...] = finite(targets, "targets")
         if weights is None:
             weights = [1.0] * len(dims)
-        if any(w < 0 for w in weights):
+        self.weights: Tuple[float, ...] = finite(weights, "weights")
+        if any(w < 0 for w in self.weights):
             raise ValueError("distance weights must be non-negative")
-        self.weights: Tuple[float, ...] = tuple(float(w) for w in weights)
 
     def evaluate(self, values: Sequence[float]) -> float:
         total = 0.0

@@ -15,7 +15,7 @@ from typing import Dict, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.functions.base import FunctionShape, RankingFunction
+from repro.functions.base import FunctionShape, RankingFunction, finite
 from repro.geometry import Box, Interval
 
 
@@ -100,7 +100,7 @@ class Const(Expr):
     """A numeric constant."""
 
     def __init__(self, value: float) -> None:
-        self._value = float(value)
+        self._value = finite([value], "constant")[0]
 
     def value(self, env: Mapping[str, float]) -> float:
         return self._value
@@ -293,7 +293,7 @@ class ConstrainedFunction(RankingFunction):
     def __init__(self, base: RankingFunction, dim: str, low: float, high: float) -> None:
         if dim not in base.dims:
             raise ValueError(f"constrained dim {dim!r} is not used by the base function")
-        if low > high:
+        if not low <= high:  # NaN bounds compare false: no window
             raise ValueError("constraint window is empty")
         self.base = base
         self.constrained_dim = dim

@@ -12,7 +12,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.functions.base import FunctionShape, RankingFunction
+from repro.functions.base import FunctionShape, RankingFunction, finite
 from repro.geometry import Box
 
 
@@ -26,8 +26,8 @@ class LinearFunction(RankingFunction):
         if not dims:
             raise ValueError("a linear function needs at least one dimension")
         self.dims: Tuple[str, ...] = tuple(dims)
-        self.weights: Tuple[float, ...] = tuple(float(w) for w in weights)
-        self.constant = float(constant)
+        self.weights: Tuple[float, ...] = finite(weights, "weights")
+        self.constant = finite([constant], "constant")[0]
 
     @classmethod
     def from_weights(cls, weights: Mapping[str, float], constant: float = 0.0

@@ -42,7 +42,7 @@ import struct
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import QueryError, ReproError
-from repro.functions.base import FunctionShape, RankingFunction
+from repro.functions.base import FunctionShape, RankingFunction, finite
 from repro.functions.distance import (
     ManhattanDistanceFunction,
     SquaredDistanceFunction,
@@ -233,7 +233,7 @@ def _decode_expr(obj) -> Expr:
     if op == "var":
         return Var(str(obj["name"]))
     if op == "const":
-        return Const(float(obj["value"]))
+        return Const(obj["value"])
     if op in ("add", "sub", "mul"):
         node = {"add": Add, "sub": Sub, "mul": Mul}[op]
         return node(_decode_expr(obj["left"]), _decode_expr(obj["right"]))
@@ -280,6 +280,13 @@ def encode_function(function: RankingFunction) -> dict:
         f"register it by name and send a 'ref' instead")
 
 
+def _dims(values) -> List[str]:
+    """A query's dimension names: a non-string one is a 400, not a 500."""
+    if not all(isinstance(dim, str) for dim in values):
+        raise ProtocolError("dims must be strings")
+    return list(values)
+
+
 def decode_function(obj, registry: Optional[FunctionRegistry] = None
                     ) -> RankingFunction:
     if not isinstance(obj, Mapping) or "kind" not in obj:
@@ -293,14 +300,14 @@ def decode_function(obj, registry: Optional[FunctionRegistry] = None
                     "function structurally")
             return registry.get(str(obj["name"]))
         if kind == "linear":
-            return LinearFunction(list(obj["dims"]), list(obj["weights"]),
-                                  float(obj.get("constant", 0.0)))
+            return LinearFunction(_dims(obj["dims"]), list(obj["weights"]),
+                                  obj.get("constant", 0.0))
         if kind == "squared_distance":
-            return SquaredDistanceFunction(list(obj["dims"]),
+            return SquaredDistanceFunction(_dims(obj["dims"]),
                                            list(obj["targets"]),
                                            obj.get("weights"))
         if kind == "manhattan_distance":
-            return ManhattanDistanceFunction(list(obj["dims"]),
+            return ManhattanDistanceFunction(_dims(obj["dims"]),
                                              list(obj["targets"]),
                                              obj.get("weights"))
         if kind == "constrained":
@@ -315,11 +322,11 @@ def decode_function(obj, registry: Optional[FunctionRegistry] = None
                 raise ProtocolError(f"unknown function shape {shape_name!r}")
             dims = obj.get("dims")
             return ExpressionFunction(_decode_expr(obj["expr"]),
-                                      dims=list(dims) if dims else None,
+                                      dims=_dims(dims) if dims else None,
                                       shape=shape)
     except ProtocolError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"malformed {kind!r} function: {exc}") from exc
     raise ProtocolError(f"unknown function kind {kind!r}")
 
@@ -355,12 +362,12 @@ def decode_query(obj, registry: Optional[FunctionRegistry] = None):
             targets = obj.get("targets")
             return SkylineQuery(
                 decode_predicate(obj.get("predicate")),
-                tuple(str(d) for d in obj["dims"]),
-                targets=(tuple(float(t) for t in targets)
+                tuple(_dims(obj["dims"])),
+                targets=(finite(targets, "targets")
                          if targets is not None else None))
     except (ProtocolError, QueryError):
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"malformed {kind!r} query: {exc}") from exc
     raise ProtocolError(f"unknown query type {kind!r}")
 

@@ -124,10 +124,11 @@ def misestimation_report(snapshot: Mapping[str, float]) -> str:
     """Summarize the per-backend cost-feedback counters of a snapshot.
 
     Reads the ``planner.*`` counters the executor maintains
-    (``costed_queries`` / ``estimated_cost_total`` /
-    ``actual_tuples_total`` / ``misestimates`` per backend) and renders
+    (``costed_queries`` / ``estimated_cost_total`` / ``actual_cost_total``
+    / ``actual_tuples_total`` / ``misestimates`` per backend) and renders
     one line per backend — the view ``calibrate_cost_model.py --metrics``
     prints so an operator can see *which* backend's constants drift.
+    Estimated and actual cost share the cost model's unit.
     """
     prefix = "planner.costed_queries."
     backends = sorted(name[len(prefix):] for name in snapshot
@@ -139,12 +140,13 @@ def misestimation_report(snapshot: Mapping[str, float]) -> str:
         costed = snapshot.get(f"planner.costed_queries.{backend}", 0.0)
         estimated = snapshot.get(
             f"planner.estimated_cost_total.{backend}", 0.0)
-        actual = snapshot.get(f"planner.actual_tuples_total.{backend}", 0.0)
+        actual = snapshot.get(f"planner.actual_cost_total.{backend}", 0.0)
+        tuples = snapshot.get(f"planner.actual_tuples_total.{backend}", 0.0)
         wrong = snapshot.get(f"planner.misestimates.{backend}", 0.0)
         mean_ratio = (actual / estimated) if estimated else 0.0
         lines.append(
             f"  {backend}: {costed:.0f} costed queries, "
-            f"estimated={estimated:.1f} actual={actual:.0f} "
-            f"(actual/estimated={mean_ratio:.2f}), "
+            f"estimated={estimated:.1f} actual={actual:.1f} "
+            f"(actual/estimated={mean_ratio:.2f}), {tuples:.0f} tuples, "
             f"{wrong:.0f} misestimates (>4x off)")
     return "\n".join(lines)

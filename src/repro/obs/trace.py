@@ -165,12 +165,6 @@ class Trace:
         self.spans: List[Span] = [root]
         self.root = root
 
-    def add_span(self, name: str, parent: Optional[Span],
-                 start: Optional[float] = None) -> Span:
-        span = Span(name, self, parent=parent, start=start)
-        self.spans.append(span)
-        return span
-
     def children_of(self, span: Span) -> List[Span]:
         """Direct children in creation order (creation order is stable:
         the list only ever appends)."""

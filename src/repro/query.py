@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import QueryError
-from repro.functions.base import RankingFunction
+from repro.functions.base import RankingFunction, finite
 from repro.storage.table import Relation
 
 
@@ -139,6 +139,8 @@ class SkylineQuery:
             raise QueryError("a skyline query needs at least one preference dimension")
         if self.targets is not None and len(self.targets) != len(self.preference_dims):
             raise QueryError("targets must align with preference_dims")
+        if self.targets is not None:
+            finite(self.targets, "skyline targets", QueryError)
 
     @property
     def is_dynamic(self) -> bool:

@@ -41,15 +41,24 @@ class TableScanTopK:
         start = time.perf_counter()
         mask = self.relation.mask_equal(query.predicate.as_dict)
         tids = np.nonzero(mask)[0]
+        matches = int(tids.size)
         scores = query.function.evaluate_batch(
             self.relation.ranking_values_bulk(tids, query.function.dims))
-        # ``tids`` ascend, so a stable sort on score is the (score, tid) order.
+        # Cut to the rows scoring at most the k-th smallest score, ties kept:
+        # they still ascend in tid, so a stable sort on score is the
+        # (score, tid) order of the full sort.  A NaN k-th score (NaN sorts
+        # last) cannot be cut by value, so it keeps the full sort.
+        if query.k < scores.size:
+            kth = np.partition(scores, query.k - 1)[query.k - 1]
+            if not np.isnan(kth):
+                keep = np.flatnonzero(scores <= kth)
+                tids, scores = tids[keep], scores[keep]
         order = np.argsort(scores, kind="stable")[: query.k]
         elapsed = time.perf_counter() - start
         return QueryResult(
             tids=tuple(tids[order].tolist()),
             scores=tuple(scores[order].tolist()),
             disk_accesses=table_pages(self.relation, self.page_size),
-            tuples_evaluated=int(tids.size),
+            tuples_evaluated=matches,
             elapsed_seconds=elapsed,
         )

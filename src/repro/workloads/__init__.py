@@ -23,7 +23,6 @@ from repro.workloads.synthetic import (
     random_predicate,
     ranking_dim_names,
     selection_dim_names,
-    skewed_planner_workload,
 )
 
 __all__ = [
@@ -43,5 +42,4 @@ __all__ = [
     "ranking_dim_names",
     "selection_dim_names",
     "serving_client_queries",
-    "skewed_planner_workload",
 ]

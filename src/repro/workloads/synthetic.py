@@ -16,7 +16,7 @@ Ranking values are scaled into ``[0, 1]`` — the thesis' default domain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -151,57 +151,6 @@ def make_ranking_function(dims: Sequence[str], kind: str, skewness: float,
         targets = rng.random(len(dims))
         return SquaredDistanceFunction(list(dims), targets.tolist())
     raise QueryError(f"unknown ranking function kind {kind!r}")
-
-
-def skewed_planner_workload(relation: Relation, seed: int = 29,
-                            count: int = 36) -> List[TopKQuery]:
-    """A routing-sensitive top-k mix for planner-quality comparisons.
-
-    The workload deliberately skews toward the query shapes where the
-    right access method depends on the data, cycling three families:
-
-    * *broad* — empty or single-dimension predicates with small ``k``,
-      where a branch-and-bound index touches far fewer tuples than a
-      block-granular cube;
-    * *selective* — two-dimension predicates with moderate selectivity,
-      the grid cube's home turf;
-    * *absent* — predicate values provably outside every dimension's value
-      set, where statistics alone answer the query.
-
-    Functions are skewed linear (skewness 3), so weight mass concentrates
-    on one dimension — the paper's hard case for uniform partitions.
-    Deterministic in ``seed``.
-    """
-    rng = np.random.default_rng(seed)
-    sel_dims = list(relation.selection_dims)
-    rank_dims = list(relation.ranking_dims)
-    queries: List[TopKQuery] = []
-    ks = (1, 5, 10)
-    for i in range(count):
-        # Decorrelated from the family cycle below, so every family runs
-        # under every k.
-        k = ks[(i // 3) % len(ks)]
-        function = skewed_linear_function(
-            list(rng.permutation(rank_dims)), 3.0, rng=rng)
-        family = i % 3
-        if family == 0:  # broad
-            conditions: Dict[str, int] = {}
-            if i % 6 == 3 and sel_dims:
-                dim = sel_dims[int(rng.integers(0, len(sel_dims)))]
-                column = relation.selection_column(dim)
-                conditions[dim] = int(column[rng.integers(0, len(column))])
-        elif family == 1:  # selective
-            dims = list(rng.choice(sel_dims, size=min(2, len(sel_dims)),
-                                   replace=False))
-            tid = int(rng.integers(0, relation.num_tuples))
-            values = relation.selection_values(tid)
-            conditions = {dim: values[dim] for dim in dims}
-        else:  # absent: values no tuple carries
-            dim = sel_dims[i % len(sel_dims)]
-            absent = int(relation.selection_column(dim).max()) + 1 + i
-            conditions = {dim: absent}
-        queries.append(TopKQuery(Predicate.of(conditions), function, k))
-    return queries
 
 
 def random_predicate(relation: Relation, num_conditions: int,

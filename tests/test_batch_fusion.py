@@ -53,10 +53,12 @@ class TestEngineBatchFusion:
         queries = shared_function_batch(function)
         loop_engine = Executor.for_relation(relation, block_size=120,
                                             with_signature=False,
-                                            with_skyline=False)
+                                            with_skyline=False,
+                                            cost_model=CostModel(**CostModel.PAPER))
         fused_engine = Executor.for_relation(relation, block_size=120,
                                              with_signature=False,
-                                             with_skyline=False)
+                                             with_skyline=False,
+                                             cost_model=CostModel(**CostModel.PAPER))
         looped = [loop_engine.execute(query) for query in queries]
         fused = fused_engine.execute_many(queries)
         for alone, batched in zip(looped, fused):
@@ -85,7 +87,9 @@ class TestEngineBatchFusion:
             cardinality=8, seed=23))
         loop_engine, fused_engine = (
             Executor.for_relation(big, block_size=200, with_signature=False,
-                                  with_skyline=False) for _ in range(2))
+                                  with_skyline=False,
+                                  cost_model=CostModel(**CostModel.PAPER))
+            for _ in range(2))
         queries = []
         for weights in ([1.0, 2.0], [3.0, 1.0]):
             function = LinearFunction(["N1", "N2"], weights)
@@ -112,7 +116,8 @@ class TestEngineBatchFusion:
     def test_value_equal_function_objects_fuse(self, relation):
         engine = Executor.for_relation(relation, block_size=120,
                                        with_signature=False,
-                                       with_skyline=False)
+                                       with_skyline=False,
+                                       cost_model=CostModel(**CostModel.PAPER))
         queries = [
             TopKQuery(Predicate.of(), LinearFunction(["N1", "N2"], [1.0, 2.0]), 3),
             TopKQuery(Predicate.of(A1=1), LinearFunction(["N1", "N2"], [1.0, 2.0]), 3),
@@ -123,7 +128,8 @@ class TestEngineBatchFusion:
     def test_uncacheable_functions_fuse_by_object_identity(self, relation):
         engine = Executor.for_relation(relation, block_size=120,
                                        with_signature=False,
-                                       with_skyline=False)
+                                       with_skyline=False,
+                                       cost_model=CostModel(**CostModel.PAPER))
         expr = ExpressionFunction(Add(Mul(Var("N1"), Var("N1")), Var("N2")),
                                   dims=("N1", "N2"))
         queries = [TopKQuery(Predicate.of(), expr, k) for k in (2, 6)]
@@ -140,7 +146,8 @@ class TestEngineBatchFusion:
     def test_mixed_functions_form_separate_groups(self, relation):
         engine = Executor.for_relation(relation, block_size=120,
                                        with_signature=False,
-                                       with_skyline=False)
+                                       with_skyline=False,
+                                       cost_model=CostModel(**CostModel.PAPER))
         f1 = LinearFunction(["N1", "N2"], [1.0, 2.0])
         f2 = LinearFunction(["N1", "N2"], [5.0, 1.0])
         queries = ([TopKQuery(Predicate.of(), f1, k) for k in (2, 5)]
@@ -436,12 +443,13 @@ class TestPredicateAwareInvalidation:
 
 class TestCostModelConstants:
     def test_override_constants(self):
+        default = CostModel.block_touch_cost
         model = CostModel(block_touch_cost=12.5, row_filter_cost=0.05)
         assert model.block_touch_cost == 12.5
         assert model.row_filter_cost == 0.05
         # Class defaults are untouched.
-        assert CostModel.block_touch_cost == 8.0
-        assert CostModel().block_touch_cost == 8.0
+        assert CostModel.block_touch_cost == default
+        assert CostModel().block_touch_cost == default
 
     def test_unknown_constant_fails_loudly(self):
         with pytest.raises(ValueError, match="unknown cost constant"):

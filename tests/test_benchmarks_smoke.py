@@ -46,8 +46,11 @@ class TestCalibrateCostModel:
         for line in snippet.group(1).strip().splitlines():
             name, value = line.strip().rstrip(",").split("=")
             constants[name] = float(value)
-        assert set(constants) == {"row_filter_cost", "block_touch_cost",
-                                  "node_touch_cost", "signature_test_cost"}
+        assert set(constants) == {
+            "row_filter_cost", "match_cost", "block_touch_cost",
+            "node_touch_cost", "signature_test_cost", "compare_cost",
+            "grid_query_cost", "rtree_query_cost",
+            "skyline_scan_query_cost", "unit_seconds"}
         model = CostModel(**constants)
         for name, value in constants.items():
             assert getattr(model, name) == pytest.approx(value)

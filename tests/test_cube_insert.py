@@ -20,7 +20,7 @@ import pytest
 
 from repro.cube import RankingCube
 from repro.cube.model import ENTRY_BYTES, Cuboid
-from repro.engine import Executor
+from repro.engine import CostModel, Executor
 from repro.errors import CubeError
 from repro.functions.base import FunctionShape
 from repro.functions.distance import SquaredDistanceFunction
@@ -303,7 +303,7 @@ def test_backend_rebuilds_on_out_of_domain_rows_and_on_doubling():
 
 def test_insert_keeps_the_bound_cache_warm_and_drops_only_affected_results():
     relation = generate_relation(SPEC)
-    executor = grid_stack(relation)
+    executor = grid_stack(relation, cost_model=CostModel(**CostModel.PAPER))
     function = LinearFunction(["N1", "N2"], [1.0, 2.0])
     hit = TopKQuery(Predicate.of(A1=0), function, 5)
     spared = TopKQuery(Predicate.of(A1=1), function, 5)
@@ -383,7 +383,8 @@ def test_unsharded_insert_is_visible_on_a_grid_stack():
         num_tuples=3000, num_selection_dims=3, num_ranking_dims=2,
         cardinality=8, seed=1))
     executor = Executor.for_relation(relation, with_signature=False,
-                                     with_skyline=False)
+                                     with_skyline=False,
+                                     cost_model=CostModel(**CostModel.PAPER))
     query = TopKQuery(Predicate.of(A1=1),
                       LinearFunction(["N1", "N2"], [1.0, 1.0]), 3)
     with warnings.catch_warnings():

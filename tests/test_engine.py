@@ -7,6 +7,7 @@ import pytest
 
 from repro.cube import RankingCube
 from repro.engine import (
+    CostModel,
     Executor,
     EngineRegistry,
     LowerBoundCache,
@@ -43,6 +44,14 @@ def executor(relation):
     return Executor.for_relation(relation, block_size=200, rtree_max_entries=16)
 
 
+@pytest.fixture(scope="module")
+def paper_executor(relation):
+    """The module stack under the first cost model's hand-set constants,
+    for the tests that pin its routing."""
+    return Executor.for_relation(relation, block_size=200, rtree_max_entries=16,
+                                 cost_model=CostModel(**CostModel.PAPER))
+
+
 class PerTupleFunction(RankingFunction):
     """Wrapper forcing the per-tuple (seed) scoring path of a function."""
 
@@ -65,10 +74,10 @@ class PerTupleFunction(RankingFunction):
 
 
 class TestRouting:
-    def test_topk_routes_to_ranking_cube(self, executor):
+    def test_topk_routes_to_ranking_cube(self, paper_executor):
         query = TopKQuery(Predicate.of(A1=1, A2=2),
                           LinearFunction(["N1", "N2"], [1.0, 2.0]), 5)
-        result = executor.execute(query)
+        result = paper_executor.execute(query)
         assert result.extra["backend"] == "ranking-cube"
         assert "ranking-cube" in result.plan
         assert result.backend == "ranking-cube"
@@ -230,8 +239,9 @@ class TestRegistry:
 
 class TestBoundCacheAndBatch:
     def test_execute_many_fuses_shared_function_queries(self, relation):
-        executor = Executor.for_relation(relation, block_size=200,
-                                         rtree_max_entries=16)
+        executor = Executor.for_relation(
+            relation, block_size=200, rtree_max_entries=16,
+            cost_model=CostModel(**CostModel.PAPER))
         function = LinearFunction(["N1", "N2"], [1.0, 2.0])
         queries = [TopKQuery(Predicate.of(A1=value), function, 5)
                    for value in range(4)]
@@ -535,10 +545,10 @@ class TestDeterministicPlanning:
                 executor.register(TableScanBackend(scanner, name=name, priority=50))
             assert executor.plan(query).backend == "a-scan"
 
-    def test_losing_candidates_and_priorities_recorded(self, executor):
+    def test_losing_candidates_and_priorities_recorded(self, paper_executor):
         query = TopKQuery(Predicate.of(A1=1),
                           LinearFunction(["N1", "N2"], [1.0, 1.0]), 3)
-        plan = executor.plan(query)
+        plan = paper_executor.plan(query)
         assert plan.details["losing_candidates"] == "signature-cube:20,table-scan:90"
         assert plan.candidates == ("ranking-cube", "signature-cube", "table-scan")
 
@@ -594,10 +604,10 @@ class TestExplain:
         assert "semi_monotone" in text
         assert "k=3" in text
 
-    def test_plan_as_dict(self, executor):
+    def test_plan_as_dict(self, paper_executor):
         query = TopKQuery(Predicate.of(A1=1),
                           LinearFunction(["N1", "N2"], [1.0, 1.0]), 3)
-        plan = executor.plan(query)
+        plan = paper_executor.plan(query)
         payload = plan.as_dict()
         assert payload["backend"] == "ranking-cube"
         assert payload["query_kind"] == "topk"

@@ -141,6 +141,28 @@ class TestExpressionFunctions:
             ConstrainedFunction(base, "Z", 0, 1)
         with pytest.raises(ValueError):
             ConstrainedFunction(base, "A", 1, 0)
+        with pytest.raises(ValueError):
+            ConstrainedFunction(base, "A", math.nan, 1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10 ** 400])
+def test_non_finite_coefficients_are_refused(bad):
+    """Scores must stay comparable: no constructor takes a NaN, an
+    infinity or an int beyond the float range."""
+    from repro.functions import Const
+    from repro.errors import QueryError
+    from repro.query import Predicate, SkylineQuery
+
+    for build in (lambda: LinearFunction(["a", "b"], [bad, 2.0]),
+                  lambda: LinearFunction(["a"], [1.0], constant=bad),
+                  lambda: SquaredDistanceFunction(["a"], [bad]),
+                  lambda: SquaredDistanceFunction(["a"], [0.0], [bad]),
+                  lambda: ManhattanDistanceFunction(["a"], [bad]),
+                  lambda: Const(bad)):
+        with pytest.raises(ValueError, match="must be finite"):
+            build()
+    with pytest.raises(QueryError, match="finite"):
+        SkylineQuery(Predicate.of(), ("a", "b"), targets=(0.5, bad))
 
 
 # ----------------------------------------------------------------------

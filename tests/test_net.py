@@ -33,7 +33,7 @@ import time
 
 import pytest
 
-from repro.engine import Executor
+from repro.engine import CostModel, Executor
 from repro.functions import (
     Add,
     Const,
@@ -634,6 +634,44 @@ class TestHttpErrorMapping:
         assert (got, connection, closed, healthy) == (status, "close", True, 200)
         assert (error["type"], error["status"]) == ("ProtocolError", status)
 
+    @pytest.mark.parametrize("function, field", [
+        (b'"dims": ["N1", "N2"], "weights": [NaN, 2]', "weights"),
+        (b'"dims": ["N1", "N2"], "weights": [1, 2], "constant": 1e309',
+         "constant"),
+        (b'"dims": ["N1", "N2"], "weights": [1' + b"0" * 400 + b', 2]',
+         "weights"),
+        (b'"dims": [{}, "N2"], "weights": [1, 2]', "dims"),
+    ], ids=["nan-weight", "infinite-constant", "huge-int-weight",
+            "non-string-dim"])
+    def test_a_number_or_dim_outside_the_domain_is_a_typed_400(
+            self, function, field):
+        """Scores must stay comparable: a NaN or infinite coefficient is
+        refused at decode (it answered 200 with NaN / inf scores), and so
+        are an int beyond the float range and a non-string dim (500)."""
+        relation = generate_relation(SyntheticSpec(
+            num_tuples=300, num_selection_dims=2, num_ranking_dims=2,
+            cardinality=4, seed=9))
+        engine = Executor.for_relation(relation, block_size=50,
+                                       with_signature=False,
+                                       with_skyline=False)
+        body = (b'{"query": {"type": "topk", "k": 3, "function": '
+                b'{"kind": "linear", ' + function + b'}}}')
+
+        async def handler(service, server, client):
+            reader, writer = await client._open()
+            writer.write(b"POST /v1/query HTTP/1.1\r\nContent-Length: "
+                         + str(len(body)).encode() + b"\r\n\r\n" + body)
+            await writer.drain()
+            status, headers = await client._read_head(reader)
+            reply = json.loads(await reader.readexactly(
+                int(headers["content-length"])))
+            writer.close()
+            return status, reply["error"]
+
+        status, error = run_served(handler, engine=engine)
+        assert (status, error["type"]) == (400, "ProtocolError")
+        assert field in error["message"]
+
     def test_unknown_function_priority_and_query_shape_are_400(self):
         async def handler(service, server, client):
             statuses = []
@@ -809,12 +847,15 @@ def stream_rig():
     relation = generate_relation(SyntheticSpec(
         num_tuples=2000, num_selection_dims=2, num_ranking_dims=2,
         cardinality=5, seed=55))
+    # The grid streams; the first cost model's constants keep it chosen.
     engine = Executor.for_relation(relation, block_size=64,
-                                   with_signature=False, with_skyline=False)
+                                   with_signature=False, with_skyline=False,
+                                   cost_model=CostModel(**CostModel.PAPER))
     # An identical twin answers the reference queries so the served
     # engine's result cache stays cold for the streaming runs.
     twin = Executor.for_relation(relation, block_size=64,
-                                 with_signature=False, with_skyline=False)
+                                 with_signature=False, with_skyline=False,
+                                 cost_model=CostModel(**CostModel.PAPER))
     function = LinearFunction(["N1", "N2"], [1.0, 2.0])
     queries = [TopKQuery(Predicate.of(), function, 12),
                TopKQuery(Predicate.of(A1=1), function, 5),
@@ -1059,7 +1100,8 @@ class TestOpsEndpoints:
             cardinality=4, seed=31))
         manager = ShardManager(relation, HashShardingPolicy(3),
                                block_size=60, with_signature=False,
-                               with_skyline=False)
+                               with_skyline=False,
+                               cost_model=CostModel(**CostModel.PAPER))
         function = LinearFunction(["N1", "N2"], [1.0, 2.0])
         queries = [TopKQuery(Predicate.of(A1=value), function, 4)
                    for value in range(3)]

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from repro.engine import Executor
+from repro.engine import CostModel, Executor
 from repro.functions import LinearFunction
 from repro.functions.linear import sum_function
 from repro.obs import (
@@ -378,11 +378,40 @@ class TestExplainAnalyzeEngine:
         assert costed, snap
         backend = costed[0].split(".")[-1]
         assert snap[f"planner.estimated_cost_total.{backend}"] > 0.0
+        assert f"planner.actual_cost_total.{backend}" in snap
         assert f"planner.actual_tuples_total.{backend}" in snap
         assert f"planner.misestimates.{backend}" in snap
         report = misestimation_report(snap)
         assert backend in report
         assert "costed queries" in report
+
+    def test_actual_cost_is_measured_time_in_the_estimates_unit(self):
+        # A unit of one whole second makes every run worth almost nothing:
+        # the actual cost reads time, not tuples, and each solo run is a
+        # misestimate of its (far larger) estimate.  Fused members add
+        # their time but are never judged.  (PAPER routes these to the
+        # grid, which fuses.)
+        engine = Executor.for_relation(
+            small_relation(), block_size=50, rtree_max_entries=8,
+            cost_model=CostModel(**CostModel.PAPER, unit_seconds=1.0))
+        function = LinearFunction(["N1", "N2"], [1.0, 1.0])
+        for value in range(4):
+            engine.execute(TopKQuery(Predicate.of(A1=value), function, 3))
+        engine.execute_many([TopKQuery(Predicate.of(A2=value), function, 3)
+                             for value in range(4)])
+        snap = engine.metrics_snapshot()
+        assert snap["engine.fused_queries"] > 0
+        prefix = "planner.costed_queries."
+        costed = sum(v for n, v in snap.items() if n.startswith(prefix))
+        missed = sum(v for n, v in snap.items()
+                     if n.startswith("planner.misestimates."))
+        actual = sum(v for n, v in snap.items()
+                     if n.startswith("planner.actual_cost_total."))
+        tuples = sum(v for n, v in snap.items()
+                     if n.startswith("planner.actual_tuples_total."))
+        assert costed == 8
+        assert missed == costed - snap["engine.fused_queries"]
+        assert 0.0 < actual < 1.0 < tuples
 
     def test_misestimation_report_empty_snapshot(self):
         assert "no cost-feedback" in misestimation_report({})
@@ -465,10 +494,10 @@ class TestServedExplainAnalyze:
         from repro.serve import QueryService, ServiceConfig
 
         relation = small_relation(seed=402)
-        manager, engine = make_sharded_engine(relation, 3, range_dim="A1",
-                                              block_size=50,
-                                              with_signature=False,
-                                              with_skyline=False)
+        manager, engine = make_sharded_engine(
+            relation, 3, range_dim="A1", block_size=50,
+            with_signature=False, with_skyline=False,
+            cost_model=CostModel(**CostModel.PAPER))
         function = LinearFunction(["N1", "N2"], [1.0, 1.0])
         target = TopKQuery(Predicate.of(A1=1, A2=2), function, 5)
         peers = [TopKQuery(Predicate.of(A1=value), function, 3)

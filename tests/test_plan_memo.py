@@ -179,7 +179,8 @@ def test_a_shard_profile_folded_in_place_drops_the_decisions():
 def test_a_registry_change_drops_the_decisions():
     relation = generate_relation(SPEC)
     executor = Executor.for_relation(relation, block_size=200,
-                                     rtree_max_entries=16)
+                                     rtree_max_entries=16,
+                                     cost_model=CostModel(**CostModel.PAPER))
     queries = corpus(relation)
     topk = TopKQuery(Predicate.of(A1=1, A2=2), sum_function(["N1", "N2"]), 5)
     assert "table-scan:90" in executor.plan(topk).details["losing_candidates"]
@@ -212,7 +213,8 @@ def test_a_returned_plan_is_the_callers_to_change():
 def test_a_new_cost_model_or_mode_is_not_answered_from_the_old_one():
     relation = generate_relation(SPEC)
     executor = Executor.for_relation(relation, block_size=200,
-                                     rtree_max_entries=16)
+                                     rtree_max_entries=16,
+                                     cost_model=CostModel(**CostModel.PAPER))
     queries = corpus(relation)
     for query in queries:
         executor.plan(query)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from typing import Dict, List
+
+import numpy as np
 import pytest
 
 from repro.engine import (
@@ -16,15 +19,67 @@ from repro.engine import (
 from repro.engine.cost import CostEstimate
 from repro.errors import PlanningError
 from repro.functions import LinearFunction
-from repro.functions.linear import sum_function
+from repro.functions.linear import skewed_linear_function, sum_function
 from repro.query import Predicate, SkylineQuery, TopKQuery
+from repro.storage.table import Relation
 from repro.workloads import (
     QuerySpec,
     SyntheticSpec,
     generate_queries,
     generate_relation,
-    skewed_planner_workload,
 )
+
+
+def skewed_planner_workload(relation: Relation, seed: int = 29,
+                            count: int = 36) -> List[TopKQuery]:
+    """A routing-sensitive top-k mix for planner-quality comparisons.
+
+    The workload deliberately skews toward the query shapes where the
+    right access method depends on the data, cycling three families:
+
+    * *broad* — empty or single-dimension predicates with small ``k``,
+      where a branch-and-bound index touches far fewer tuples than a
+      block-granular cube;
+    * *selective* — two-dimension predicates with moderate selectivity,
+      the grid cube's home turf;
+    * *absent* — predicate values provably outside every dimension's value
+      set, where statistics alone answer the query.
+
+    Functions are skewed linear (skewness 3), so weight mass concentrates
+    on one dimension — the paper's hard case for uniform partitions.
+    Deterministic in ``seed``.
+    """
+    rng = np.random.default_rng(seed)
+    sel_dims = list(relation.selection_dims)
+    rank_dims = list(relation.ranking_dims)
+    queries: List[TopKQuery] = []
+    ks = (1, 5, 10)
+    for i in range(count):
+        # Decorrelated from the family cycle below, so every family runs
+        # under every k.
+        k = ks[(i // 3) % len(ks)]
+        function = skewed_linear_function(
+            list(rng.permutation(rank_dims)), 3.0, rng=rng)
+        family = i % 3
+        if family == 0:  # broad
+            conditions: Dict[str, int] = {}
+            if i % 6 == 3 and sel_dims:
+                dim = sel_dims[int(rng.integers(0, len(sel_dims)))]
+                column = relation.selection_column(dim)
+                conditions[dim] = int(column[rng.integers(0, len(column))])
+        elif family == 1:  # selective
+            dims = list(rng.choice(sel_dims, size=min(2, len(sel_dims)),
+                                   replace=False))
+            tid = int(rng.integers(0, relation.num_tuples))
+            values = relation.selection_values(tid)
+            conditions = {dim: values[dim] for dim in dims}
+        else:  # absent: values no tuple carries
+            dim = sel_dims[i % len(sel_dims)]
+            absent = int(relation.selection_column(dim).max()) + 1 + i
+            conditions = {dim: absent}
+        queries.append(TopKQuery(Predicate.of(conditions), function, k))
+    return queries
+
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +92,14 @@ def relation():
 @pytest.fixture(scope="module")
 def executor(relation):
     return Executor.for_relation(relation, block_size=200, rtree_max_entries=16)
+
+
+@pytest.fixture(scope="module")
+def paper_executor(relation):
+    """The module stack under the first cost model's hand-set constants,
+    for the tests that pin its routing."""
+    return Executor.for_relation(relation, block_size=200, rtree_max_entries=16,
+                                 cost_model=CostModel(**CostModel.PAPER))
 
 
 @pytest.fixture(scope="module")
@@ -134,21 +197,21 @@ class TestCostBasedSelection:
         assert "mode=cost" in plan.describe()
         assert plan.as_dict()["mode"] == MODE_COST
 
-    def test_selective_query_prefers_grid_cube(self, executor):
+    def test_selective_query_prefers_grid_cube(self, paper_executor):
         query = TopKQuery(Predicate.of(A1=1, A2=2),
                           LinearFunction(["N1", "N2"], [1.0, 2.0]), 5)
-        assert executor.plan(query).backend == "ranking-cube"
+        assert paper_executor.plan(query).backend == "ranking-cube"
 
-    def test_broad_small_k_prefers_signature_cube(self, executor,
+    def test_broad_small_k_prefers_signature_cube(self, paper_executor,
                                                   static_executor, relation):
         """An unselective predicate with small k favours node granularity."""
         query = TopKQuery(Predicate.of(), sum_function(["N1", "N2"]), 5)
-        cost_plan = executor.plan(query)
+        cost_plan = paper_executor.plan(query)
         assert cost_plan.backend == "signature-cube"
         assert static_executor.plan(query).backend == "ranking-cube"
         # The cheaper routing really is cheaper on the execution metric.
-        cube = executor.registry.get("ranking-cube").run(query)
-        signature = executor.registry.get("signature-cube").run(query)
+        cube = paper_executor.registry.get("ranking-cube").run(query)
+        signature = paper_executor.registry.get("signature-cube").run(query)
         assert signature.tuples_evaluated < cube.tuples_evaluated
         assert signature.tids == cube.tids
         assert signature.scores == cube.scores
@@ -259,8 +322,9 @@ class TestCostVsStaticAnswers:
         relation = generate_relation(SyntheticSpec(
             num_tuples=8000, num_selection_dims=3, num_ranking_dims=2,
             cardinality=12, seed=17))
-        executor = Executor.for_relation(relation, block_size=250,
-                                         with_skyline=False)
+        executor = Executor.for_relation(
+            relation, block_size=250, with_skyline=False,
+            cost_model=CostModel(**CostModel.PAPER))
         static_planner = Planner(executor.registry, mode=MODE_STATIC)
         cost_total = static_total = 0
         for query in skewed_planner_workload(relation, seed=29, count=24):

@@ -212,7 +212,8 @@ class TestLazyPlans:
 
     def test_the_wire_carries_the_same_plan_text(self, relation):
         executor = Executor.for_relation(relation, block_size=100,
-                                         rtree_max_entries=16)
+                                         rtree_max_entries=16,
+                                         cost_model=CostModel(**CostModel.PAPER))
         for name, query in wire_corpus().items():
             envelope = encode_result(executor.execute(query))
             assert envelope["extra"]["plan"] == WIRE_PLANS[name], name

@@ -23,7 +23,7 @@ import time
 
 import pytest
 
-from repro.engine import Executor
+from repro.engine import CostModel, Executor
 from repro.functions.linear import LinearFunction, sum_function
 from repro.query import Predicate, QueryResult, SkylineQuery, TopKQuery
 from repro.serve import (
@@ -53,16 +53,18 @@ def relation():
         cardinality=6, seed=77))
 
 
-def make_engine(relation, num_shards=0, parallel=False):
+def make_engine(relation, num_shards=0, parallel=False, cost_model=None):
     """A grid-only stack, unsharded (0) or scatter/gather over N shards."""
     if num_shards:
         manager, engine = make_sharded_engine(
             relation, num_shards, range_dim="A1", parallel=parallel,
-            block_size=100, with_signature=False, with_skyline=False)
+            block_size=100, with_signature=False, with_skyline=False,
+            cost_model=cost_model)
         return manager, engine
     return None, Executor.for_relation(relation, block_size=100,
                                        with_signature=False,
-                                       with_skyline=False)
+                                       with_skyline=False,
+                                       cost_model=cost_model)
 
 
 def mixed_workload():
@@ -236,7 +238,8 @@ class TestServingParity:
             cardinality=8, seed=23))
         serial_engine, served_engine = (
             Executor.for_relation(relation, block_size=200,
-                                  with_signature=False, with_skyline=False)
+                                  with_signature=False, with_skyline=False,
+                                  cost_model=CostModel(**CostModel.PAPER))
             for _ in range(2))
         queries = distinct_serving_queries(relation)
         streams = [queries[i::8] for i in range(8)]
@@ -282,7 +285,8 @@ class TestServingParity:
         assert results[1].scores == expected[1].scores
 
     def test_concurrent_clients_fuse_through_one_tick(self, relation):
-        _, engine = make_engine(relation)
+        _, engine = make_engine(relation,
+                                cost_model=CostModel(**CostModel.PAPER))
         clients = serving_client_queries(relation, num_clients=6,
                                          per_client=4)
 

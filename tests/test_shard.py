@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.storage.table_scan import TableScanTopK
-from repro.engine import Executor
+from repro.engine import CostModel, Executor
 from repro.errors import PlanningError
 from repro.functions import LinearFunction
 from repro.functions.linear import sum_function
@@ -59,9 +59,11 @@ def unsharded(relation):
 
 
 def build_engine(relation, kind: str, num_shards: int,
-                 parallel: bool = False) -> ScatterGatherExecutor:
+                 parallel: bool = False,
+                 cost_model=None) -> ScatterGatherExecutor:
     policy = make_policy(kind, relation, num_shards)
-    manager = ShardManager(relation, policy, block_size=60, rtree_max_entries=16)
+    manager = ShardManager(relation, policy, block_size=60, rtree_max_entries=16,
+                           cost_model=cost_model)
     return ScatterGatherExecutor(manager, parallel=parallel)
 
 
@@ -162,7 +164,8 @@ class TestPruning:
         scanned = [TableScanTopK(big).query(query) for query in queries]
         _, engine = make_sharded_engine(big, 4, range_dim="A1", block_size=200,
                                         with_signature=False,
-                                        with_skyline=False)
+                                        with_skyline=False,
+                                        cost_model=CostModel(**CostModel.PAPER))
         sharded = [engine.execute(query) for query in queries]
         assert ([result.tids for result in sharded]
                 == [result.tids for result in scanned])
@@ -174,7 +177,8 @@ class TestPruning:
                 < sum(result.tuples_evaluated for result in scanned))
 
     def test_plan_reports_scatter_set_and_backends(self, relation):
-        engine = build_engine(relation, "range-width", 3)
+        engine = build_engine(relation, "range-width", 3,
+                              cost_model=CostModel(**CostModel.PAPER))
         query = TopKQuery(Predicate.of(A1=0), sum_function(["N1", "N2"]), 5)
         plan = engine.plan(query)
         assert plan.backend == "scatter-gather"
