@@ -100,6 +100,11 @@ class Executor:
         backend.attach_bound_cache(self.bound_cache)
         return backend
 
+    @property
+    def cost_model(self) -> CostModel:
+        """The planner's cost model; ``unit_seconds`` is its estimates' unit."""
+        return self.planner.cost_model
+
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
@@ -199,7 +204,7 @@ class Executor:
             )
             self._cost_feedback[plan.backend] = counters
         costed, est_total, cost_total, tuples_total, misses = counters
-        actual = seconds / self.planner.cost_model.unit_seconds
+        actual = seconds / self.cost_model.unit_seconds
         costed.inc()
         est_total.inc(float(estimated))
         cost_total.inc(actual)

@@ -4,11 +4,11 @@
 into the text the ``analyze`` CLI command prints: the span tree indented
 by depth with per-span durations and attributes, followed by a
 per-backend table of the planner's estimated cost next to the tuples the
-backend actually evaluated — the feedback loop that keeps the cost model
-honest.  :func:`analyze_with` is the shared ``explain_analyze``
-implementation of both executor front doors: run the query once with a
-private tracer (bypassing the result cache, so the plan and execution
-really happen) and render what happened.
+backend actually evaluated and its time in the estimate's unit — the
+feedback loop that keeps the cost model honest.  :func:`analyze_with` is
+the shared ``explain_analyze`` implementation of both executor front
+doors: run the query once with a private tracer (bypassing the result
+cache, so the plan and execution really happen) and render what happened.
 """
 
 from __future__ import annotations
@@ -82,8 +82,21 @@ def estimated_vs_actual(trace: Trace) -> Dict[str, Tuple[float, float]]:
             if est or actual}
 
 
-def render_trace(trace: Trace, result=None) -> str:
-    """The ``analyze`` text: span tree + estimated-vs-actual table."""
+def render_trace(trace: Trace, result=None,
+                 unit_seconds: Optional[float] = None) -> str:
+    """The ``analyze`` text: span tree + estimated-vs-actual table.
+
+    ``actual_cost`` (the ratio's numerator) is the work spans' time over
+    ``unit_seconds``, the front door's ``CostModel.unit_seconds``.
+    """
+    if unit_seconds is None:
+        from repro.engine.cost import CostModel
+        unit_seconds = CostModel.unit_seconds
+    seconds: Dict[str, float] = {}
+    for span in trace.spans:
+        if span.name in _WORK_SPANS and "backend" in span.attrs:
+            backend = str(span.attrs["backend"])
+            seconds[backend] = seconds.get(backend, 0.0) + span.duration
     lines: List[str] = []
     _walk(trace, trace.root, 0, lines)
     if result is not None:
@@ -96,9 +109,11 @@ def render_trace(trace: Trace, result=None) -> str:
         width = max(len(name) for name in table)
         for backend in sorted(table):
             estimated, actual = table[backend]
-            ratio = (actual / estimated) if estimated else float("inf")
+            cost = seconds.get(backend, 0.0) / unit_seconds
+            ratio = (cost / estimated) if estimated else float("inf")
             lines.append(f"  {backend.ljust(width)}  "
                          f"estimated={estimated:.1f}  actual={actual:.0f}  "
+                         f"actual_cost={cost:.1f}  "
                          f"actual/estimated={ratio:.2f}")
     return "\n".join(lines)
 
@@ -117,7 +132,8 @@ def analyze_with(front_door, query, root_name: str) -> str:
     result = front_door.execute(query, parent_span=root,
                                 use_result_cache=False)
     root.finish()
-    return render_trace(root.trace, result=result)
+    return render_trace(root.trace, result=result,
+                        unit_seconds=front_door.cost_model.unit_seconds)
 
 
 def misestimation_report(snapshot: Mapping[str, float]) -> str:

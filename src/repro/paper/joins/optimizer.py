@@ -16,11 +16,33 @@ The optimizer makes two decisions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Mapping, Tuple
 
 from repro.paper.joins.query_model import SPJRQuery
-from repro.storage.table import RelationStats
+from repro.storage.table import Relation
+
+
+@dataclass
+class RelationStats:
+    """Summary statistics used by the SPJR query optimizer (Chapter 6)."""
+
+    num_tuples: int
+    cardinalities: Dict[str, int] = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, relation: Relation) -> "RelationStats":
+        """Compute statistics for ``relation``."""
+        cards = {dim: relation.cardinality(dim) for dim in relation.selection_dims}
+        return cls(num_tuples=relation.num_tuples, cardinalities=cards)
+
+    def selectivity(self, conditions: Mapping[str, int]) -> float:
+        """Estimated fraction of tuples surviving the equality conditions."""
+        estimate = 1.0
+        for dim in conditions:
+            card = max(1, self.cardinalities.get(dim, 1))
+            estimate /= card
+        return estimate
 
 
 @dataclass(frozen=True)

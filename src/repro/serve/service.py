@@ -803,4 +803,5 @@ class QueryService:
         request.span = root
         result = await self._await_request(request, timeout)
         root.finish()
-        return render_trace(root.trace, result=result)
+        return render_trace(root.trace, result=result,
+                            unit_seconds=self.engine.cost_model.unit_seconds)

@@ -86,8 +86,8 @@ class ShardManager:
             tid_map = np.nonzero(assignment == index)[0]
             sub = Relation(
                 self.relation.schema,
-                selection[tid_map].copy(),
-                ranking[tid_map].copy(),
+                selection[tid_map],
+                ranking[tid_map],
                 name=f"{self.relation.name}#s{index}",
             )
             shards.append(Shard(index=index, relation=sub, tid_map=tid_map,

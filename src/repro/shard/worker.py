@@ -121,10 +121,11 @@ def shard_worker_main(conn, spec: WorkerSpec) -> None:
     # worker must NOT unregister, or it would strip the parent's own entry.
     sel_shm = SharedMemory(name=spec.selection_shm)
     rank_shm = SharedMemory(name=spec.ranking_shm)
+    # Column-major as the parent wrote them, so the relation copies nothing.
     selection = np.ndarray(spec.selection_shape, dtype=np.int64,
-                           buffer=sel_shm.buf)
+                           buffer=sel_shm.buf, order="F")
     ranking = np.ndarray(spec.ranking_shape, dtype=np.float64,
-                         buffer=rank_shm.buf)
+                         buffer=rank_shm.buf, order="F")
     relation = Relation(spec.schema, selection, ranking,
                         name=spec.relation_name)
     executor = None
@@ -179,12 +180,12 @@ def shard_worker_main(conn, spec: WorkerSpec) -> None:
 class ShardWorker:
     """Parent-side handle of one shard's worker process.
 
-    Spawning copies the shard's matrices into two fresh shared-memory
-    blocks (this is the *only* time relation data crosses the process
-    boundary) and starts the worker on the configured multiprocessing
-    context.  :meth:`request` is the synchronous RPC surface; it returns
-    ``(result, observability)`` where observability is the worker
-    engine's registry state.
+    Spawning copies the shard's column-major matrices into two fresh
+    shared-memory blocks (this is the *only* time relation data crosses
+    the process boundary) and starts the worker on the configured
+    multiprocessing context.  :meth:`request` is the synchronous RPC
+    surface; it returns ``(result, observability)`` where observability
+    is the worker engine's registry state.
 
     ``relation_id``/``num_rows`` snapshot the shard the worker was built
     over; :class:`~repro.shard.legs.WorkerProcessLegs` compares
@@ -215,10 +216,8 @@ class ShardWorker:
         self._lock = threading.Lock()
         self._alive = False
         self._ready = False
-        selection = np.ascontiguousarray(relation.selection_matrix(),
-                                         dtype=np.int64)
-        ranking = np.ascontiguousarray(relation.ranking_matrix(),
-                                       dtype=np.float64)
+        selection = relation.selection_matrix()
+        ranking = relation.ranking_matrix()
         # A zero-row shard still needs a 1-byte block: shm size must be > 0.
         self._sel_shm = SharedMemory(create=True,
                                      size=max(1, selection.nbytes))
@@ -226,10 +225,10 @@ class ShardWorker:
                                       size=max(1, ranking.nbytes))
         if selection.size:
             np.ndarray(selection.shape, dtype=np.int64,
-                       buffer=self._sel_shm.buf)[:] = selection
+                       buffer=self._sel_shm.buf, order="F")[:] = selection
         if ranking.size:
             np.ndarray(ranking.shape, dtype=np.float64,
-                       buffer=self._rank_shm.buf)[:] = ranking
+                       buffer=self._rank_shm.buf, order="F")[:] = ranking
         spec = WorkerSpec(
             schema=relation.schema,
             relation_name=relation.name,

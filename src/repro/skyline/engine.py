@@ -205,14 +205,11 @@ class BooleanFirstSkyline:
     def query(self, query: SkylineQuery) -> SkylineResult:
         """Scan, filter, then compute the skyline of the survivors."""
         start = time.perf_counter()
-        mask = self.relation.mask_equal(query.predicate.as_dict)
-        tids = np.nonzero(mask)[0]
+        tids = self.relation.tids_matching(query.predicate.as_dict)
         values = self.relation.ranking_values_bulk(tids, query.preference_dims)
         targets = list(query.targets) if query.targets is not None else None
-        mapped = [
-            (int(tid), transform_dynamic(row, targets))
-            for tid, row in zip(tids, values)
-        ]
+        mapped = [(tid, transform_dynamic(row, targets))
+                  for tid, row in zip(tids.tolist(), values.tolist())]
         result = skyline_of(mapped)
         elapsed = time.perf_counter() - start
         return SkylineResult(

@@ -9,7 +9,7 @@ methods.
 
 from repro.storage.buffer import BufferPool
 from repro.storage.pager import DEFAULT_PAGE_SIZE, IOStats, Pager, PagerGroup
-from repro.storage.table import Relation, RelationStats, Schema
+from repro.storage.table import Relation, Schema
 
 __all__ = [
     "BufferPool",
@@ -18,6 +18,5 @@ __all__ = [
     "Pager",
     "PagerGroup",
     "Relation",
-    "RelationStats",
     "Schema",
 ]

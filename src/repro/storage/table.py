@@ -7,15 +7,15 @@ The ranking-cube data model (thesis Section 1.2.1) is a relation ``R`` with
 * real-valued *ranking* dimensions ``N1..NR`` — attributes used inside the
   ad-hoc ranking function.
 
-A :class:`Relation` stores both groups columnar (NumPy arrays) so that
-selection masks and ranking-value lookups are vectorized, while the query
-engines address individual tuples by their ``tid`` (0-based row position,
-matching the thesis).
+A :class:`Relation` stores both groups column-major (one contiguous NumPy
+array per dimension) so that selection masks and ranking-value lookups read
+whole columns, while the query engines address individual tuples by their
+``tid`` (0-based row position, matching the thesis).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -69,8 +69,33 @@ class Schema:
         return name in self.ranking_dims
 
 
+def _matrices(schema: Schema, rows: Sequence[Mapping[str, object]]
+              ) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(len(rows), S)`` selection and ``(len(rows), R)`` ranking matrices."""
+    selection = np.array([[int(row[d]) for d in schema.selection_dims]  # type: ignore[call-overload]
+                          for row in rows], dtype=np.int64)
+    ranking = np.array([[float(row[d]) for d in schema.ranking_dims]  # type: ignore[arg-type]
+                        for row in rows], dtype=np.float64)
+    return (selection.reshape(len(rows), len(schema.selection_dims)),
+            ranking.reshape(len(rows), len(schema.ranking_dims)))
+
+
+def _frozen_columns(matrix: np.ndarray) -> np.ndarray:
+    """A column-major view of ``matrix`` nobody can write through."""
+    view = np.asarray(matrix, order="F").view()
+    view.flags.writeable = False
+    return view
+
+
 class Relation:
     """A columnar relation with categorical selection and real ranking dims.
+
+    Both matrices are column-major, so every column is one contiguous
+    array.  A column-major input is kept as is (a shared-memory shard
+    stays zero-copy); any other is copied once.  Accessors hand out
+    read-only views, so only :meth:`append` changes the data, and it bumps
+    :attr:`version`; it copies both matrices (one ``np.vstack`` each), so
+    it costs ``O(T)``.
 
     Parameters
     ----------
@@ -84,54 +109,34 @@ class Relation:
         Optional relation name, used by the multi-relation (SPJR) engine.
     """
 
-    def __init__(
-        self,
-        schema: Schema,
-        selection_data: np.ndarray,
-        ranking_data: np.ndarray,
-        name: str = "R",
-    ) -> None:
+    def __init__(self, schema: Schema, selection_data: np.ndarray,
+                 ranking_data: np.ndarray, name: str = "R") -> None:
         selection_data = np.asarray(selection_data, dtype=np.int64)
         ranking_data = np.asarray(ranking_data, dtype=np.float64)
         if selection_data.ndim != 2 or ranking_data.ndim != 2:
             raise SchemaError("selection_data and ranking_data must be 2-D arrays")
-        if selection_data.shape[1] != len(schema.selection_dims):
-            raise SchemaError(
-                f"selection_data has {selection_data.shape[1]} columns, "
-                f"schema declares {len(schema.selection_dims)}"
-            )
-        if ranking_data.shape[1] != len(schema.ranking_dims):
-            raise SchemaError(
-                f"ranking_data has {ranking_data.shape[1]} columns, "
-                f"schema declares {len(schema.ranking_dims)}"
-            )
+        for label, data, dims in (
+                ("selection_data", selection_data, schema.selection_dims),
+                ("ranking_data", ranking_data, schema.ranking_dims)):
+            if data.shape[1] != len(dims):
+                raise SchemaError(f"{label} has {data.shape[1]} columns, "
+                                  f"schema declares {len(dims)}")
         if selection_data.shape[0] != ranking_data.shape[0]:
             raise SchemaError("selection_data and ranking_data row counts differ")
         self.schema = schema
         self.name = name
-        self._selection = selection_data
-        self._ranking = ranking_data
+        self._selection = _frozen_columns(selection_data)
+        self._ranking = _frozen_columns(ranking_data)
         self._version = 0
 
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
     @classmethod
-    def from_rows(
-        cls,
-        schema: Schema,
-        rows: Iterable[Mapping[str, object]],
-        name: str = "R",
-    ) -> "Relation":
+    def from_rows(cls, schema: Schema, rows: Iterable[Mapping[str, object]],
+                  name: str = "R") -> "Relation":
         """Build a relation from an iterable of ``{dim: value}`` mappings."""
-        rows = list(rows)
-        selection = np.zeros((len(rows), len(schema.selection_dims)), dtype=np.int64)
-        ranking = np.zeros((len(rows), len(schema.ranking_dims)), dtype=np.float64)
-        for i, row in enumerate(rows):
-            for j, dim in enumerate(schema.selection_dims):
-                selection[i, j] = int(row[dim])  # type: ignore[arg-type]
-            for j, dim in enumerate(schema.ranking_dims):
-                ranking[i, j] = float(row[dim])  # type: ignore[arg-type]
+        selection, ranking = _matrices(schema, list(rows))
         return cls(schema, selection, ranking, name=name)
 
     # ------------------------------------------------------------------
@@ -199,14 +204,16 @@ class Relation:
 
     def ranking_values_bulk(self, tids: Sequence[int],
                             dims: Optional[Sequence[str]] = None) -> np.ndarray:
-        """Ranking values for many tuples at once (``len(tids) × len(dims)``)."""
-        if not isinstance(tids, np.ndarray):
-            tids = list(tids)
-        block = self._ranking[np.asarray(tids, dtype=np.int64)]
-        if dims is None:
-            return block
-        idx = [self.schema.ranking_index(d) for d in dims]
-        return block[:, idx]
+        """Ranking values for many tuples at once (``len(tids) × len(dims)``),
+        gathered column by column into a column-major block."""
+        tids = np.asarray(tids if isinstance(tids, np.ndarray) else list(tids),
+                          dtype=np.int64)
+        columns = (range(self._ranking.shape[1]) if dims is None
+                   else [self.schema.ranking_index(d) for d in dims])
+        block = np.empty((len(columns), tids.size), dtype=np.float64)
+        for j, column in enumerate(columns):
+            block[j] = self._ranking[:, column].take(tids)
+        return block.T
 
     def tuple_dict(self, tid: int) -> Dict[str, object]:
         """Full tuple as a ``{dim: value}`` dict (selection + ranking)."""
@@ -225,28 +232,25 @@ class Relation:
     # ------------------------------------------------------------------
     def mask_equal(self, conditions: Mapping[str, int]) -> np.ndarray:
         """Boolean mask of tuples matching every ``dim == value`` condition."""
-        mask = np.ones(self.num_tuples, dtype=bool)
+        mask = None
         for dim, value in conditions.items():
-            mask &= self.selection_column(dim) == int(value)
-        return mask
+            hits = self.selection_column(dim) == int(value)
+            mask = hits if mask is None else np.logical_and(mask, hits, out=mask)
+        return np.ones(self.num_tuples, dtype=bool) if mask is None else mask
 
     def tids_matching(self, conditions: Mapping[str, int]) -> np.ndarray:
         """Tuple ids matching every equality condition, in tid order."""
-        return np.nonzero(self.mask_equal(conditions))[0]
+        return (np.flatnonzero(self.mask_equal(conditions)) if conditions
+                else np.arange(self.num_tuples))
 
     # ------------------------------------------------------------------
     # mutation (used by incremental-maintenance experiments)
     # ------------------------------------------------------------------
     def append(self, row: Mapping[str, object]) -> int:
         """Append one tuple, returning its new tid."""
-        selection = np.array(
-            [[int(row[d]) for d in self.schema.selection_dims]], dtype=np.int64
-        )
-        ranking = np.array(
-            [[float(row[d]) for d in self.schema.ranking_dims]], dtype=np.float64
-        )
-        self._selection = np.vstack([self._selection, selection])
-        self._ranking = np.vstack([self._ranking, ranking])
+        selection, ranking = _matrices(self.schema, [row])
+        self._selection = _frozen_columns(np.vstack([self._selection, selection]))
+        self._ranking = _frozen_columns(np.vstack([self._ranking, ranking]))
         self._version += 1
         return self.num_tuples - 1
 
@@ -256,37 +260,11 @@ class Relation:
         sel_idx = [self.schema.selection_index(d) for d in selection_dims]
         rank_idx = [self.schema.ranking_index(d) for d in ranking_dims]
         schema = Schema(tuple(selection_dims), tuple(ranking_dims))
-        return Relation(
-            schema,
-            self._selection[:, sel_idx].copy(),
-            self._ranking[:, rank_idx].copy(),
-            name=name or self.name,
-        )
+        return Relation(schema, self._selection[:, sel_idx],
+                        self._ranking[:, rank_idx], name=name or self.name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Relation(name={self.name!r}, tuples={self.num_tuples}, "
             f"selection={list(self.selection_dims)}, ranking={list(self.ranking_dims)})"
         )
-
-
-@dataclass
-class RelationStats:
-    """Summary statistics used by the SPJR query optimizer (Chapter 6)."""
-
-    num_tuples: int
-    cardinalities: Dict[str, int] = field(default_factory=dict)
-
-    @classmethod
-    def of(cls, relation: Relation) -> "RelationStats":
-        """Compute statistics for ``relation``."""
-        cards = {dim: relation.cardinality(dim) for dim in relation.selection_dims}
-        return cls(num_tuples=relation.num_tuples, cardinalities=cards)
-
-    def selectivity(self, conditions: Mapping[str, int]) -> float:
-        """Estimated fraction of tuples surviving the equality conditions."""
-        estimate = 1.0
-        for dim in conditions:
-            card = max(1, self.cardinalities.get(dim, 1))
-            estimate /= card
-        return estimate

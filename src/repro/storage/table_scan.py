@@ -4,6 +4,11 @@ Sequentially reads the whole relation, applies the boolean predicate,
 scores the matches in one batch and cuts the best k.  Disk cost is the number
 of heap pages of the base table — the cost every index-based method is trying
 to beat.
+
+It reads columns, never rows: each condition compares one contiguous
+selection column, and only the function's ranking columns are gathered at
+the matching tids.  Scores are cut to the k-th smallest before one stable
+sort, so the answer is the full sort's, bit for bit.
 """
 
 from __future__ import annotations
@@ -39,8 +44,7 @@ class TableScanTopK:
         """Scan every tuple, filter, rank, and return the top k."""
         query.validate(self.relation)
         start = time.perf_counter()
-        mask = self.relation.mask_equal(query.predicate.as_dict)
-        tids = np.nonzero(mask)[0]
+        tids = self.relation.tids_matching(query.predicate.as_dict)
         matches = int(tids.size)
         scores = query.function.evaluate_batch(
             self.relation.ranking_values_bulk(tids, query.function.dims))

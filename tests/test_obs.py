@@ -413,6 +413,26 @@ class TestExplainAnalyzeEngine:
         assert missed == costed - snap["engine.fused_queries"]
         assert 0.0 < actual < 1.0 < tuples
 
+    def test_the_ratio_is_the_work_spans_time_over_the_unit(self):
+        # 5 us of backend time at 10 ns per unit is 500 units against an
+        # estimate of 100, whatever the 7 tuples scored.
+        root = Tracer().trace("r", start=0.0)
+        (root.child("engine.plan", start=0.0).set("backend", "table-scan")
+         .set("estimated_cost", 100.0).finish(end=0.0))
+        (root.child("engine.run", start=0.0).set("backend", "table-scan")
+         .set("tuples_evaluated", 7).finish(end=5e-6))
+        root.finish(end=1.0)
+        text = render_trace(root.trace, unit_seconds=1e-8)
+        assert ("table-scan  estimated=100.0  actual=7  actual_cost=500.0  "
+                "actual/estimated=5.00") in text
+        # A front door renders in its own cost model's unit: a unit of
+        # 1000 s makes any run's actual cost round to 0.
+        engine = Executor.for_relation(
+            small_relation(), block_size=50, rtree_max_entries=8,
+            cost_model=CostModel(unit_seconds=1e3))
+        text = engine.explain_analyze(self.query())
+        assert "actual_cost=0.0  actual/estimated=0.00" in text
+
     def test_misestimation_report_empty_snapshot(self):
         assert "no cost-feedback" in misestimation_report({})
 

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import QueryError, SchemaError
 from repro.functions import LinearFunction
 from repro.query import Predicate, QueryResult, SkylineQuery, TopKQuery
-from repro.storage.table import Relation, RelationStats, Schema
+from repro.paper.joins.optimizer import RelationStats
+from repro.storage.table import Relation, Schema
 
 
 @pytest.fixture()
@@ -83,6 +85,24 @@ class TestRelation:
         assert projected.ranking_dims == ("X",)
         assert projected.num_tuples == 4
 
+    def test_every_accessor_is_read_only(self, relation):
+        relation.append({"A": 1, "B": 1, "X": 0.5, "Y": 0.5})
+        writes = [
+            lambda: relation.selection_matrix().__setitem__(0, [7, 7]),
+            lambda: relation.ranking_matrix().__setitem__(1, [-5.0, -5.0]),
+            lambda: relation.selection_column("B").__setitem__(2, 7),
+            lambda: relation.ranking_column("Y").__setitem__(3, -5.0),
+        ]
+        for write in writes:
+            with pytest.raises(ValueError):
+                write()
+        assert relation.tuple_dict(1) == {"A": 1, "B": 1, "X": 0.2, "Y": 0.8}
+
+    def test_a_callers_array_keeps_its_flags(self):
+        selection = np.asfortranarray([[0], [1]], dtype=np.int64)
+        Relation(Schema(("A",), ("X",)), selection, np.zeros((2, 1)))
+        assert selection.flags.writeable
+
     def test_stats_and_selectivity(self, relation):
         stats = RelationStats.of(relation)
         assert stats.num_tuples == 4
@@ -139,3 +159,82 @@ class TestQueryModel:
         result = QueryResult(tids=(1, 2), scores=(0.1, 0.2))
         assert result.as_pairs() == ((1, 0.1), (2, 0.2))
         assert len(result) == 2
+
+
+def bits(values) -> list:
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+@st.composite
+def relations_and_reads(draw):
+    selection_dims = tuple(f"A{i}" for i in range(draw(st.integers(1, 3))))
+    ranking_dims = tuple(f"N{i}" for i in range(draw(st.integers(1, 3))))
+    rows = draw(st.integers(0, 50))
+    codes = st.integers(0, 3)
+    floats = st.floats(width=64, allow_nan=False)
+    selection = np.array(draw(st.lists(codes, min_size=rows * len(selection_dims),
+                                       max_size=rows * len(selection_dims))),
+                         dtype=np.int64).reshape(rows, len(selection_dims))
+    ranking = np.array(draw(st.lists(floats, min_size=rows * len(ranking_dims),
+                                     max_size=rows * len(ranking_dims))),
+                       dtype=np.float64).reshape(rows, len(ranking_dims))
+    appends = draw(st.lists(st.fixed_dictionaries(
+        {**{d: codes for d in selection_dims}, **{d: floats for d in ranking_dims}}),
+        max_size=5))
+    total = rows + len(appends)
+    tids = draw(st.lists(st.integers(0, total - 1), max_size=20)) if total else []
+    dims = draw(st.one_of(st.none(), st.lists(st.sampled_from(ranking_dims),
+                                              min_size=1, max_size=3)))
+    conditions = draw(st.dictionaries(st.sampled_from(selection_dims), codes))
+    column_major = draw(st.booleans())
+    return (Schema(selection_dims, ranking_dims), selection, ranking, appends,
+            tids, dims, conditions, column_major)
+
+
+@settings(max_examples=200, deadline=None)
+@given(relations_and_reads())
+def test_the_column_major_layout_is_invisible(case):
+    schema, selection, ranking, appends, tids, dims, conditions, column_major = case
+    rows = selection.shape[0]
+    given_selection = np.asfortranarray(selection) if column_major else selection
+    given_ranking = np.asfortranarray(ranking) if column_major else ranking
+    relation = Relation(schema, given_selection, given_ranking)
+    if column_major and rows:
+        assert np.shares_memory(relation.selection_matrix(), given_selection)
+        assert np.shares_memory(relation.ranking_matrix(), given_ranking)
+    # The row-major reference grows the way the relation did before.
+    for row in appends:
+        relation.append(row)
+        selection = np.vstack([selection, [[row[d] for d in schema.selection_dims]]])
+        ranking = np.vstack([ranking, [[row[d] for d in schema.ranking_dims]]])
+    assert relation.num_tuples == selection.shape[0]
+
+    for j, dim in enumerate(schema.selection_dims):
+        column = relation.selection_column(dim)
+        assert column.flags.c_contiguous
+        assert column.tolist() == selection[:, j].tolist()
+    for j, dim in enumerate(schema.ranking_dims):
+        column = relation.ranking_column(dim)
+        assert column.flags.c_contiguous
+        assert bits(column) == bits(ranking[:, j])
+
+    block = ranking[np.asarray(tids, dtype=np.int64)]
+    if dims is not None:
+        block = block[:, [schema.ranking_index(d) for d in dims]]
+    bulk = relation.ranking_values_bulk(tids, dims)
+    assert bulk.shape == block.shape
+    assert bits(bulk) == bits(block)
+
+    mask = np.ones(selection.shape[0], dtype=bool)
+    for dim, value in conditions.items():
+        mask &= selection[:, schema.selection_index(dim)] == value
+    assert relation.mask_equal(conditions).tolist() == mask.tolist()
+    assert relation.tids_matching(conditions).tolist() == np.nonzero(mask)[0].tolist()
+
+    for tid in range(selection.shape[0]):
+        expected = {d: int(selection[tid, j]) for j, d in enumerate(schema.selection_dims)}
+        expected.update({d: float(ranking[tid, j])
+                         for j, d in enumerate(schema.ranking_dims)})
+        actual = relation.tuple_dict(tid)
+        assert list(actual) == list(expected)
+        assert bits(list(actual.values())) == bits(list(expected.values()))
