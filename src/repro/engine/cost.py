@@ -42,8 +42,10 @@ a fixed per-query cost of their access kind (``*_query_cost``), and:
   leaves plus the path down, each leaf paying ``f`` signature tests and
   scoring its matches;
 * **skyline engines** — BBS pays ``node_touch_cost * depth`` per estimated
-  skyline point (``(log2 m)^(d-1)``), the block-nested loop one filter pass
-  plus ``compare_cost`` per window comparison (``m`` per point).
+  skyline point (``(log2 m)^(d-1)``), the scan skyline one filter pass plus
+  ``compare_cost`` per point per match (its numpy peel compares each kept
+  point with the live matches).  In time the scan wins every skyline shape
+  calibrated (0–2 conditions, static and dynamic), so it gets them all.
 
 Where the constants come from
 -----------------------------
@@ -269,13 +271,13 @@ class CostModel:
     node_touch_cost = 1400.0
     #: Cost of one per-entry signature test.
     signature_test_cost = 70.0
-    #: Cost of one window comparison of the block-nested-loop skyline.
-    compare_cost = 11.0
+    #: Cost of one point-against-match comparison of the scan skyline.
+    compare_cost = 0.019
     #: Fixed cost of one query, per access kind (set-up, result assembly);
     #: the fit finds none for the table scan or BBS.
     grid_query_cost = 2000.0
     rtree_query_cost = 22000.0
-    skyline_scan_query_cost = 15000.0
+    skyline_scan_query_cost = 820.0
     #: Frontier over-visit: neighbor blocks examined per productive block.
     frontier_overvisit = 3.0
     #: Extra relative cost per additional covering cuboid intersected online.

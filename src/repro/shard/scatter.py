@@ -78,8 +78,14 @@ from repro.obs.trace import NULL_SPAN, NULL_TRACER
 from repro.query import QueryResult, TopKQuery
 from repro.shard.legs import InProcessLegs, LegRunner, WorkerProcessLegs
 from repro.shard.manager import Shard, ShardManager
-from repro.skyline.dominance import skyline_of, transform_dynamic
-from repro.skyline.engine import SkylineResult
+from repro.skyline.engine import SkylineResult, skyline_among
+
+
+def _global_tids(consulted: List[Shard], shard_results: List) -> np.ndarray:
+    """Every leg's answer tids, mapped through its shard's tid map, in leg order."""
+    return np.concatenate([np.empty(0, np.int64)] + [
+        shard.tid_map[np.asarray(result.tids, dtype=np.int64)]
+        for shard, result in zip(consulted, shard_results)])
 
 
 class ScatterGatherExecutor:
@@ -741,9 +747,7 @@ class ScatterGatherExecutor:
         disjoint, so no tid repeats): the prefix of length k is exactly the
         global top-k a single-relation engine would return.
         """
-        tids = np.concatenate([np.empty(0, np.int64)] + [
-            shard.tid_map[np.asarray(result.tids, dtype=np.int64)]
-            for shard, result in zip(consulted, shard_results)])
+        tids = _global_tids(consulted, shard_results)
         scores = np.concatenate([np.empty(0)] + [
             np.asarray(result.scores, dtype=np.float64) for result in shard_results])
         top = np.lexsort((tids, scores))[:query.k]
@@ -766,24 +770,14 @@ class ScatterGatherExecutor:
         mapped space for dynamic skylines — yields exactly the answer a
         single-relation engine computes.
         """
-        targets = list(query.targets) if query.targets is not None else None
-        global_tids = [int(shard.tid_map[local_tid])
-                       for shard, result in zip(consulted, shard_results)
-                       for local_tid in result.tids]
-        candidates: List[Tuple[int, Tuple[float, ...]]] = []
-        if global_tids:
-            values = self.manager.relation.ranking_values_bulk(
-                global_tids, query.preference_dims)
-            candidates = [(tid, transform_dynamic(row, targets))
-                          for tid, row in zip(global_tids, values)]
-        survivors = skyline_of(candidates)
+        tids = np.sort(_global_tids(consulted, shard_results))
         return SkylineResult(
-            tids=tuple(sorted(tid for tid, _ in survivors)),
+            tids=tuple(skyline_among(self.manager.relation, tids, query).tolist()),
             disk_accesses=sum(r.disk_accesses for r in shard_results),
             signature_accesses=sum(r.signature_accesses for r in shard_results),
             peak_heap_size=max((r.peak_heap_size for r in shard_results), default=0),
             nodes_expanded=sum(r.nodes_expanded for r in shard_results),
-            extra={"cross_shard_candidates": float(len(candidates))},
+            extra={"cross_shard_candidates": float(len(tids))},
         )
 
     # ------------------------------------------------------------------

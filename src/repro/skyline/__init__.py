@@ -1,13 +1,6 @@
 """Chapter 7: skyline and dynamic-skyline queries with boolean predicates."""
 
-from repro.skyline.dominance import (
-    box_min_corner,
-    dominated_by_any,
-    dominates,
-    mindist,
-    skyline_of,
-    transform_dynamic,
-)
+from repro.skyline.dominance import dominated_by_any, dominates, skyline_rows
 from repro.skyline.engine import (
     BooleanFirstSkyline,
     SkylineEngine,
@@ -16,12 +9,9 @@ from repro.skyline.engine import (
 )
 
 __all__ = [
-    "box_min_corner",
     "dominated_by_any",
     "dominates",
-    "mindist",
-    "skyline_of",
-    "transform_dynamic",
+    "skyline_rows",
     "BooleanFirstSkyline",
     "SkylineEngine",
     "SkylineResult",

@@ -4,19 +4,17 @@ All preference dimensions are minimized.  For *dynamic* skylines the raw
 values are first mapped to their absolute distance from a per-dimension
 target (Section 7.2.3); dominance is then evaluated in the mapped space.
 
-The scalar functions are the definitions, the oracle's tools and the
-engine's test of each popped heap item; :func:`mapped_corners` and
-:func:`dominated_rows` are the same tests over a whole R-tree node at a
-time, which is how the engine runs them once per expanded node.
+The scalar functions are the definitions and the BBS engine's test of each
+popped heap item.  The array functions run once per R-tree node
+(:func:`mapped_corners`, :func:`dominated_rows`) or once per query
+(:func:`skyline_rows`: the whole skyline of a block of points).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
-
-from repro.geometry import Box
 
 
 def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
@@ -38,60 +36,13 @@ def dominated_by_any(point: Sequence[float], others: Iterable[Sequence[float]]) 
     return False
 
 
-def skyline_of(points: Sequence[Tuple[int, Sequence[float]]]
-               ) -> List[Tuple[int, Tuple[float, ...]]]:
-    """Block-nested-loop skyline of ``(tid, values)`` pairs (the oracle).
-
-    Sorting by the coordinate sum first guarantees a point can only be
-    dominated by points appearing earlier, so a single pass suffices.
-    """
-    ordered = sorted(points, key=lambda pair: (sum(pair[1]), tuple(pair[1])))
-    skyline: List[Tuple[int, Tuple[float, ...]]] = []
-    for tid, values in ordered:
-        values = tuple(float(v) for v in values)
-        if not dominated_by_any(values, (vals for _, vals in skyline)):
-            skyline.append((tid, values))
-    return skyline
-
-
-def transform_dynamic(values: Sequence[float], targets: Optional[Sequence[float]]
-                      ) -> Tuple[float, ...]:
-    """Map raw values into dynamic-skyline space (identity when no targets)."""
-    if targets is None:
-        return tuple(float(v) for v in values)
-    return tuple(abs(float(v) - float(t)) for v, t in zip(values, targets))
-
-
-def box_min_corner(box: Box, dims: Sequence[str],
-                   targets: Optional[Sequence[float]] = None) -> Tuple[float, ...]:
-    """Best possible (per-dimension minimal) mapped corner of a box.
-
-    For static skylines this is the box's low corner; for dynamic skylines
-    it is the per-dimension distance of the target clamped into the box —
-    the box cannot contain any point better than this corner, so if the
-    corner is dominated the whole box can be pruned (Figure 7.1).
-    """
-    corner: List[float] = []
-    for i, dim in enumerate(dims):
-        interval = box.interval(dim)
-        if targets is None:
-            corner.append(interval.low)
-        else:
-            corner.append(abs(interval.clamp(targets[i]) - targets[i]))
-    return tuple(corner)
-
-
-def mindist(corner: Sequence[float]) -> float:
-    """Sum of the mapped coordinates — the BBS priority of a node or point."""
-    return float(sum(corner))
-
-
 def mapped_corners(lows: np.ndarray, highs: np.ndarray,
                    targets: Optional[np.ndarray]) -> np.ndarray:
-    """:func:`box_min_corner` of every box of an ``(n, d)`` pair of corner arrays.
-
-    ``highs is lows`` says the boxes are points, for which this is
-    :func:`transform_dynamic`.  May return ``lows`` itself: read, do not write.
+    """Best mapped corner of every box of an ``(n, d)`` pair of corner arrays:
+    the low corner, or per dimension the target's distance to the box, so a
+    dominated corner prunes the box (Figure 7.1).  ``highs is lows`` says
+    the boxes are points, which this maps to ``|value - target|``.  May
+    return ``lows`` itself: read, do not write.
     """
     if targets is None:
         return lows
@@ -108,3 +59,43 @@ def dominated_rows(corners: np.ndarray, found: np.ndarray) -> np.ndarray:
         better |= found[:, column, None] < corners[:, column]
     no_worse &= better
     return no_worse.any(axis=0)
+
+
+def skyline_rows(points: np.ndarray, window: int = 64) -> np.ndarray:
+    """Ascending indices of the rows of ``points (m, d)`` no other row dominates.
+
+    Peels one point at a time: the live row with the least left-to-right
+    coordinate sum (on a float-sum tie, the lexicographically least) has
+    no live dominator, which would sum to no more and sort first, and no
+    dropped one (dominance is transitive).  It is kept with its exact
+    duplicates and dropped with every row it dominates by one comparison
+    per column over the live rows — O(|skyline| * m), no sort.  At most
+    ``window`` live rows are settled by one all-pairs :func:`dominated_rows`
+    (the cross of near-target rows a dynamic skyline leaves would cost
+    the peel a round per point).  Points are finite.
+    """
+    columns = [points[:, column] for column in range(points.shape[1])]
+    sums = columns[0].copy()
+    for column in columns[1:]:
+        sums += column
+    rows = np.arange(len(points))
+    kept = [rows[:0]]
+    while len(rows) > window:
+        best = sums.argmin()
+        tied = np.flatnonzero(sums == sums[best])
+        if len(tied) > 1:
+            best = tied[np.lexsort([column[tied] for column in columns[::-1]])[0]]
+            for column in columns:
+                tied = tied[column[tied] == column[best]]
+            kept.append(rows[tied])
+        else:
+            kept.append(rows[best:best + 1])
+        point = [column[best] for column in columns]
+        live = columns[0] < point[0]
+        for column, value in zip(columns[1:], point[1:]):
+            live |= column < value
+        rows, sums = rows[live], sums[live]
+        columns = [column[live] for column in columns]
+    tail = points[rows]
+    kept.append(rows[~dominated_rows(tail, tail)])
+    return np.sort(np.concatenate(kept))

@@ -24,13 +24,7 @@ from repro.signature.encoding import (
 )
 from repro.signature.store import CombinedSignatureReader
 from repro.skyline import BooleanFirstSkyline, SkylineEngine
-from repro.skyline.dominance import (
-    box_min_corner,
-    dominated_by_any,
-    dominated_rows,
-    mapped_corners,
-    transform_dynamic,
-)
+from repro.skyline.dominance import dominated_by_any, dominated_rows, mapped_corners
 from repro.storage.pager import Pager
 from repro.storage.rtree import RTree
 from repro.workloads import SyntheticSpec, generate_relation
@@ -172,6 +166,14 @@ class TestNodeArrays:
         assert tree.node_arrays(tree.root().page_id)[1].tolist() == list(range(7))
 
 
+def _min_corner(box, dims, targets):
+    """The box's best mapped corner, one interval at a time: its low end,
+    or the target's distance to the interval."""
+    if targets is None:
+        return [box.interval(dim).low for dim in dims]
+    return [abs(box.interval(dim).clamp(t) - t) for dim, t in zip(dims, targets)]
+
+
 # A coarse grid, so equal coordinates (ties are not dominance) are common.
 grid = st.integers(0, 4).map(lambda v: v / 4)
 
@@ -191,11 +193,12 @@ def test_array_dominance_is_the_scalar_definition(case):
 
     corners = mapped_corners(lows, highs, target_array)
     assert corners.tolist() == [
-        list(box_min_corner(Box.from_bounds(dims, low, high), dims, targets))
+        _min_corner(Box.from_bounds(dims, low, high), dims, targets)
         for low, high in zip(lows.tolist(), highs.tolist())]
     points = mapped_corners(lows, lows, target_array)
-    assert points.tolist() == [list(transform_dynamic(row, targets))
-                               for row in lows.tolist()]
+    assert points.tolist() == [
+        row if targets is None else [abs(v - t) for v, t in zip(row, targets)]
+        for row in lows.tolist()]
     assert dominated_rows(corners, np.array(found).reshape(len(found), d)).tolist() == [
         dominated_by_any(corner, found) for corner in corners.tolist()]
 

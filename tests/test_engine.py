@@ -83,9 +83,9 @@ class TestRouting:
         assert result.backend == "ranking-cube"
         assert result.plan is not None
 
-    def test_skyline_routes_to_skyline_engine(self, executor):
+    def test_skyline_routes_to_skyline_engine(self, paper_executor):
         query = SkylineQuery(Predicate.of(A1=1), ("N1", "N2"))
-        result = executor.execute(query)
+        result = paper_executor.execute(query)
         assert result.extra["backend"] == "skyline"
         assert result.plan is not None and "skyline" in result.plan
 
@@ -585,7 +585,8 @@ class TestSignatureSharing:
     def test_skyline_without_signature_backend_still_prunes(self, relation):
         stack = Executor.for_relation(relation, block_size=300,
                                       rtree_max_entries=16,
-                                      with_signature=False, with_skyline=True)
+                                      with_signature=False, with_skyline=True,
+                                      cost_model=CostModel(**CostModel.PAPER))
         assert "signature-cube" not in stack.registry.names()
         result = stack.execute(SkylineQuery(Predicate.of(A1=1), ("N1", "N2")))
         assert result.backend == "skyline"

@@ -259,8 +259,8 @@ class TestCostBasedSelection:
         with pytest.raises(PlanningError):
             Planner(executor.registry, mode="oracle")
 
-    def test_skyline_costing_keeps_bbs_first(self, executor):
-        plan = executor.plan(SkylineQuery(Predicate.of(A1=1), ("N1", "N2")))
+    def test_skyline_costing_keeps_bbs_first(self, paper_executor):
+        plan = paper_executor.plan(SkylineQuery(Predicate.of(A1=1), ("N1", "N2")))
         assert plan.mode == MODE_COST
         assert plan.backend == "skyline"
         assert "preference_dims=2" in plan.details["cost_inputs"]

@@ -5,8 +5,10 @@ times (``benchmarks/calibrate_cost_model.py``, fitted on its own
 relation); these tests pin what they decide, never how fast anything
 runs.  A one-condition top-k with a large k leaves the grid for the scan,
 whose cut to k makes it the fastest there; a top-k with no condition stays
-on the grid; a one-condition skyline stays on the BBS engine; and no shape
-pays the signature cube's R-tree descent.  The hand-set constants the
+on the grid; a skyline with one or two conditions, static or dynamic,
+goes to the scan skyline, whose numpy peel of the matches beats the BBS
+engine's R-tree descent there; and no shape pays the signature cube's
+R-tree descent.  The hand-set constants the
 first planner used remain ``CostModel.PAPER`` and are pinned by
 ``tests/test_planner_cost.py``.
 """
@@ -60,10 +62,12 @@ def test_a_top_k_without_a_condition_stays_on_the_grid(executor):
     assert set(routes.values()) == {"ranking-cube"}, routes
 
 
-def test_a_one_condition_skyline_stays_on_bbs(executor):
-    for targets in (None, (0.4, 0.6)):
-        query = SkylineQuery(PREDICATES[1], ("N1", "N2"), targets=targets)
-        assert executor.plan(query).backend == "skyline"
+def test_one_and_two_condition_skylines_go_to_the_scan(executor):
+    for conditions in (1, 2):
+        for targets in (None, (0.4, 0.6)):
+            query = SkylineQuery(PREDICATES[conditions], ("N1", "N2"),
+                                 targets=targets)
+            assert executor.plan(query).backend == "skyline-scan"
 
 
 def test_no_shape_pays_the_signature_cubes_descent(executor):
@@ -75,7 +79,7 @@ def test_no_shape_pays_the_signature_cubes_descent(executor):
                 PREDICATES[conditions], ("N1", "N2"),
                 targets=targets)).backend)
     assert "signature-cube" not in chosen
-    assert {"ranking-cube", "table-scan", "skyline"} <= chosen
+    assert {"ranking-cube", "table-scan", "skyline-scan"} <= chosen
 
 
 def test_the_paper_constants_keep_the_grid_for_the_one_condition_top_500(

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.engine import Executor
 from repro.query import Predicate, SkylineQuery
 from repro.signature import SignatureRankingCube
 from repro.skyline import (
@@ -14,13 +15,11 @@ from repro.skyline import (
     SkylineSession,
     dominated_by_any,
     dominates,
-    skyline_of,
-    transform_dynamic,
+    skyline_rows,
 )
-from repro.skyline.dominance import box_min_corner, mindist
-from repro.geometry import Box
+from repro.skyline.dominance import mapped_corners
 from repro.storage.table import Relation, Schema
-from repro.workloads import SyntheticSpec, generate_relation
+from repro.workloads import SyntheticSpec, generate_relation, make_sharded_engine
 
 
 @pytest.fixture(scope="module")
@@ -80,34 +79,90 @@ class TestDominance:
         assert not dominated_by_any((0.4, 0.4), skyline[2:])
 
     def test_skyline_of_small_set(self):
-        points = [(0, (1.0, 5.0)), (1, (2.0, 2.0)), (2, (5.0, 1.0)), (3, (3.0, 3.0))]
-        skyline = skyline_of(points)
-        assert {tid for tid, _ in skyline} == {0, 1, 2}
+        points = np.array([(1.0, 5.0), (2.0, 2.0), (5.0, 1.0), (3.0, 3.0)])
+        assert skyline_rows(points).tolist() == [0, 1, 2]
 
     def test_transform_dynamic(self):
-        assert transform_dynamic((1.0, 2.0), None) == (1.0, 2.0)
-        assert transform_dynamic((1.0, 2.0), (2.0, 2.0)) == (1.0, 0.0)
+        values = np.array([(1.0, 2.0)])
+        assert mapped_corners(values, values, None).tolist() == [[1.0, 2.0]]
+        assert mapped_corners(values, values,
+                              np.array([2.0, 2.0])).tolist() == [[1.0, 0.0]]
 
     def test_box_min_corner(self):
-        box = Box.from_bounds(["x", "y"], [0.2, 0.4], [0.6, 0.8])
-        assert box_min_corner(box, ["x", "y"]) == (0.2, 0.4)
-        assert box_min_corner(box, ["x", "y"], [0.5, 0.0]) == (0.0, 0.4)
-        assert mindist((0.2, 0.4)) == pytest.approx(0.6)
+        lows, highs = np.array([(0.2, 0.4)]), np.array([(0.6, 0.8)])
+        assert mapped_corners(lows, highs, None).tolist() == [[0.2, 0.4]]
+        assert mapped_corners(lows, highs,
+                              np.array([0.5, 0.0])).tolist() == [[0.0, 0.4]]
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=40))
     def test_skyline_points_are_mutually_non_dominating(self, raw):
-        points = [(i, tuple(v)) for i, v in enumerate(raw)]
-        skyline = skyline_of(points)
-        values = [vals for _, vals in skyline]
+        points = np.array(raw)
+        values = [tuple(row) for row in points[skyline_rows(points)].tolist()]
         for i, a in enumerate(values):
             for j, b in enumerate(values):
                 if i != j:
                     assert not dominates(a, b)
         # Every excluded point is dominated by some skyline point.
-        excluded = [vals for _, vals in points if vals not in values]
+        excluded = [vals for vals in raw if vals not in values]
         for vals in excluded:
             assert dominated_by_any(vals, values)
+
+
+# A five-point grid: coordinate ties, float-sum ties and exact duplicates
+# are common.
+grid = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@example((2, [(1.0, 1e-17), (1.0, 0.0)], None))  # a float-sum tie: 1.0 + 1e-17 == 1.0
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+    st.just(d),
+    st.lists(st.tuples(*[grid] * d), min_size=0, max_size=60),
+    st.one_of(st.none(), st.tuples(*[grid] * d)))))
+def test_skyline_rows_is_the_definition(case):
+    """Whether peeled, settled all-pairs or both, the kernel keeps exactly
+    the rows no other row dominates, duplicates of a kept point included."""
+    d, raw, targets = case
+    points = np.array(raw, dtype=np.float64).reshape(len(raw), d)
+    if targets is not None:
+        points = mapped_corners(points, points, np.array(targets))
+    rows = points.tolist()
+    expected = [i for i, row in enumerate(rows)
+                if not dominated_by_any(row, rows)]
+    for window in (0, 5, 64):
+        assert skyline_rows(points, window=window).tolist() == expected
+
+
+def test_a_tie_heavy_relation_has_one_skyline_on_every_path():
+    """BBS, the scan skyline, the planned path and a 3-shard scatter return
+    the same tids on ranking values quantised to a five-point grid."""
+    base = generate_relation(SyntheticSpec(num_tuples=1500, num_selection_dims=3,
+                                           num_ranking_dims=3, cardinality=4,
+                                           seed=83))
+    relation = Relation(base.schema, base.selection_matrix(),
+                        np.round(base.ranking_matrix() * 4) / 4)
+    executor = Executor.for_relation(relation, block_size=100,
+                                     rtree_max_entries=16)
+    _, scatter = make_sharded_engine(relation, 3, block_size=100,
+                                     rtree_max_entries=16)
+    rng = np.random.default_rng(83)
+    for conditions in ({}, {"A1": 2}, {"A2": 1, "A3": 0}):
+        for dims in (("N1", "N2"), ("N1", "N2", "N3")):
+            for targets in (None, tuple((np.round(rng.random(len(dims)) * 4) / 4).tolist())):
+                query = SkylineQuery(Predicate.of(conditions), dims, targets)
+                values = relation.ranking_values_bulk(
+                    relation.tids_matching(conditions), dims)
+                if targets is not None:
+                    values = np.abs(values - np.array(targets))
+                rows = values.tolist()
+                tids = relation.tids_matching(conditions).tolist()
+                expected = tuple(tid for tid, row in zip(tids, rows)
+                                 if not dominated_by_any(row, rows))
+                assert executor.registry.get("skyline").run(query).tids == expected
+                assert executor.registry.get("skyline-scan").run(query).tids == expected
+                assert executor.execute(query).tids == expected
+                assert scatter.execute(query).tids == expected
 
 
 class TestSkylineEngine:
