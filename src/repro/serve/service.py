@@ -19,13 +19,12 @@
   concurrent clients issuing same-function queries transparently share
   one fused frontier sweep / R-tree traversal (PR 4) without
   coordinating with each other;
-* engine work runs one call at a time on the service's own
-  ``repro-serve`` thread via ``loop.run_in_executor`` — never on the pool
-  a scatter engine runs its legs on;
-* ``await service.insert(row)`` / ``await service.reshard(policy)`` form
-  a serialized write path: writers drain the in-flight engine calls
-  before mutating, so the invalidation hooks a mutation fires can never
-  race a sweep that is half way through the old data.
+* engine work runs one call at a time, inline on the loop thread after
+  a call shorter than ``sys.getswitchinterval()``, else on the service's
+  own ``repro-serve`` thread — never on a scatter engine's leg pool;
+* ``await service.insert(row)`` / ``await service.reshard(policy)`` take
+  the engine slot a batch takes, so the invalidation hooks a mutation
+  fires can never race a sweep that is half way through the old data.
 
 Every response's ``extra`` carries the serving provenance next to the
 engine's usual fields: ``queue_wait`` (seconds from admission to
@@ -38,6 +37,7 @@ from __future__ import annotations
 import asyncio
 import functools
 import inspect
+import sys
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -166,6 +166,8 @@ class QueryService:
         # parallelizes inside one call on a leg pool of its own.
         self._pool = ThreadPoolExecutor(max_workers=1,
                                         thread_name_prefix="repro-serve")
+        # The last engine call's duration on the service clock (none: slow).
+        self._last_call_s = float("inf")
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._drain_task: Optional[asyncio.Task] = None
         self._tasks: Set[asyncio.Task] = set()
@@ -181,11 +183,8 @@ class QueryService:
             raise ServeError("QueryService is already started")
         self._loop = asyncio.get_running_loop()
         self._wake = asyncio.Event()
-        self._no_writer = asyncio.Event()
-        self._no_writer.set()
-        self._engine_idle = asyncio.Event()
-        self._engine_idle.set()
-        self._mutation_lock = asyncio.Lock()
+        # Held by one engine call at a time: a batch's (taken by the drain
+        # loop before it drains) or a writer's.
         self._engine_slot = asyncio.Lock()
         self._drain_task = self._loop.create_task(self._drain_loop())
         return self
@@ -236,7 +235,7 @@ class QueryService:
         engine_close = getattr(self.engine, "close", None)
         try:
             if engine_close is not None:
-                await self._in_executor(engine_close)
+                await self._in_executor(engine_close, inline=False)
         finally:
             self._pool.shutdown(wait=True)
         if drain_error is not None:
@@ -499,9 +498,9 @@ class QueryService:
     async def _dispatch(self, batch: List[QueuedRequest]) -> None:
         """Run one drained batch under the engine slot the drain loop took.
 
-        The one dispatch path: plain requests and streams alike wait out
-        writers, have engine errors typed and abandoned members dropped,
-        and are counted here.
+        The one dispatch path: plain requests and streams alike have
+        engine errors typed and abandoned members dropped, and are
+        counted here.
         """
         try:
             await self._run_batch(batch)
@@ -550,7 +549,6 @@ class QueryService:
             if all(request.allow_partial for request in live):
                 engine_call = functools.partial(engine_call,
                                                 allow_partial=True)
-        await self._engine_enter()
         try:
             dispatched_at = self._clock()
             if batch_span:
@@ -565,15 +563,16 @@ class QueryService:
                          .set("batch_size", len(live))
                          .finish(end=dispatched_at))
             self.stats.record_batch(len(live))
+            # A stream's prefixes relay mid-sweep, so its batch may not
+            # hold the loop that relays them.
             results, errors = await self._in_executor(
-                self._call_engine, engine_call, live)
+                self._call_engine, engine_call, live,
+                inline=all(request.on_progress is None for request in live))
         except Exception as exc:
             # Nothing ran (the pool itself failed): the failure is every
             # position's.
             results = [None] * len(live)
             errors = dict.fromkeys(range(len(live)), exc)
-        finally:
-            self._engine_idle.set()  # a waiting writer may go
         now = self._clock()
         batch_span.finish(end=now)
         batch_size = float(len(live))
@@ -605,7 +604,7 @@ class QueryService:
 
     def _call_engine(self, engine_call, live: List[QueuedRequest]
                      ) -> Tuple[List, Dict[int, Exception]]:
-        """Worker thread: answer one batch, failures kept per position.
+        """One engine call: answer one batch, failures kept per position.
 
         The plain members ride **one** ``execute_many`` (a scatter
         engine's :class:`~repro.errors.PartialBatchError` already reports
@@ -665,26 +664,27 @@ class QueryService:
             return mapped
         return exc
 
-    async def _in_executor(self, fn, *args):
-        """Run ``fn`` on the service's one engine thread."""
-        return await self._loop.run_in_executor(self._pool, fn, *args)
+    async def _in_executor(self, fn, *args, inline: bool = True):
+        """Make one engine call ``fn(*args)``, the service's one way in.
 
-    # ------------------------------------------------------------------
-    # engine/writer gate
-    # ------------------------------------------------------------------
-    async def _engine_enter(self) -> None:
-        """Wait out any writer, then mark the engine call as in flight.
-
-        Only the holder of the engine slot gets here, so at most one call
-        is ever in flight.  The re-check loop closes the race where a
-        writer slips in between the event firing and this task resuming;
-        the mark is synchronous after the final check, so a writer
-        observing the engine idle can never miss a call that already
-        passed the gate.
+        Inline on the loop thread when ``inline`` allows and the last call
+        took under ``sys.getswitchinterval()`` on the service clock (the
+        loop would wait that long for the GIL anyway), else on the
+        ``repro-serve`` thread: the first call, and one after a slow one.
         """
-        while not self._no_writer.is_set():
-            await self._no_writer.wait()
-        self._engine_idle.clear()
+        on_loop = inline and self._last_call_s < sys.getswitchinterval()
+        self.stats.record_engine_call(on_loop)
+        if on_loop:
+            return self._timed(fn, *args)
+        return await self._loop.run_in_executor(self._pool, self._timed,
+                                                fn, *args)
+
+    def _timed(self, fn, *args):
+        start = self._clock()
+        try:
+            return fn(*args)
+        finally:
+            self._last_call_s = self._clock() - start
 
     # ------------------------------------------------------------------
     # serialized write path
@@ -692,22 +692,15 @@ class QueryService:
     async def _mutate(self, apply: Callable[[], object]):
         """Run one mutation with the engine drained: the write contract.
 
-        Writers serialize among themselves (``_mutation_lock``), bar new
-        engine calls (``_no_writer``), wait for the in-flight one to
-        finish (``_engine_idle``), and only then mutate — so the
-        invalidation hooks the mutation fires can never race a sweep.
-        Requests admitted before the write but not yet dispatched simply
-        execute after it, against the post-mutation data and caches.
+        A writer takes the engine slot, as a batch does: it waits out
+        the in-flight call, no batch is drained until it is done, and
+        writers serialize among themselves — so the invalidation hooks
+        the mutation fires can never race a sweep.  Requests still in the
+        queue execute after it, against the post-mutation data and caches.
         """
         self._require_running()
-        async with self._mutation_lock:
-            self._no_writer.clear()
-            try:
-                await self._engine_idle.wait()
-                return await self._in_executor(apply)
-            finally:
-                self._no_writer.set()
-                self._wake.set()
+        async with self._engine_slot:
+            return await self._in_executor(apply)
 
     def _require_running(self) -> None:
         if self._loop is None:

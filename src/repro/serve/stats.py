@@ -44,6 +44,8 @@ class ServiceStats:
         self._batched_requests = self.metrics.counter(
             "serve.batched_requests")
         self._fused_requests = self.metrics.counter("serve.fused_requests")
+        self._engine_calls = [self.metrics.counter(f"serve.engine_calls.{at}")
+                              for at in ("thread", "loop")]  # by on_loop
         self._latency = self.metrics.histogram("serve.latency_seconds",
                                                window=window)
         self._queue_wait = self.metrics.histogram(
@@ -83,6 +85,11 @@ class ServiceStats:
         """One engine dispatch of ``size`` live requests."""
         self._batches.inc()
         self._batched_requests.inc(float(size))
+
+    def record_engine_call(self, on_loop: bool) -> None:
+        """One engine call, run inline on the loop thread or on the
+        service's ``repro-serve`` thread."""
+        self._engine_calls[on_loop].inc()
 
     def record_completion(self, queue_wait: float, latency: float,
                           priority: Optional[str] = None,

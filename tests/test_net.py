@@ -1083,7 +1083,10 @@ class TestOpsEndpoints:
         assert "repro_net_requests" in metrics
         assert "repro_net_latency_seconds_interactive" in metrics
         assert "repro_serve_completed" in metrics
+        assert "repro_serve_engine_calls_loop" in metrics
         assert stats["serve.completed"] >= 1.0
+        assert stats["serve.engine_calls.thread"] == 1.0  # the first call
+        assert stats["serve.engine_calls.loop"] == 0.0
         assert stats["serve.pending.interactive"] == 0.0
 
     def test_one_view_two_renderings_on_a_sharded_stack(self):

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import asyncio
 import functools
+import sys
 import threading
-import time
 
 import pytest
 
@@ -443,13 +443,16 @@ class TestAdmissionAndDeadlines:
         function = sum_function(["N1", "N2"])
         original = engine.execute_many
         started = threading.Event()
+        release = threading.Event()
 
-        def slow_execute_many(batch):
+        def held_execute_many(batch):
+            # The service's first engine call runs on its repro-serve
+            # thread, so holding it here leaves the loop free to cancel.
             started.set()
-            time.sleep(0.05)
+            assert release.wait(timeout=30.0)
             return original(batch)
 
-        engine.execute_many = slow_execute_many
+        engine.execute_many = held_execute_many
 
         async def run():
             config = ServiceConfig(max_linger=0.0)
@@ -463,6 +466,7 @@ class TestAdmissionAndDeadlines:
                 task.cancel()
                 with pytest.raises(asyncio.CancelledError):
                     await task
+                release.set()
             return service.metrics_snapshot()
 
         snap = asyncio.run(run())
@@ -1049,3 +1053,191 @@ class TestBacklogOrder:
         assert snap["serve.submitted"] == 2.0  # the stream was admitted, counted
         assert snap["serve.timed_out"] == 1.0
         assert snap["serve.cancelled"] == 0.0
+
+
+class ClockedEngine:
+    """An engine wrapper whose every call takes ``cost`` seconds of a
+    :class:`FakeClock`, advanced inside the call.
+
+    It records the thread each call ran on and when calls enter and
+    leave, so where the service runs an engine call is pinned without a
+    sleep or a wall-clock read.  ``execute`` relays its answer as two
+    verified prefixes before returning it, as a streaming engine does.
+    """
+
+    def __init__(self, inner, clock: FakeClock) -> None:
+        self.inner = inner
+        self.clock = clock
+        self.cost = 0.0
+        self.threads = []
+        self.events = []
+
+    def call(self, kind, run):
+        self.events.append(("enter", kind))
+        self.threads.append(threading.current_thread().name)
+        self.clock.t += self.cost
+        try:
+            return run()
+        finally:
+            self.events.append(("exit", kind))
+
+    def execute_many(self, queries):
+        return self.call("read", lambda: self.inner.execute_many(queries))
+
+    def execute(self, query, on_progress=None):
+        def run():
+            result = self.inner.execute(query)
+            pairs = list(zip(result.tids, result.scores))
+            on_progress(0, pairs[:1])
+            on_progress(1, pairs[1:])
+            return result
+
+        return self.call("stream", run)
+
+
+class ClockedManager:
+    """The write path's manager, its inserts timed like engine calls."""
+
+    def __init__(self, inner, engine: ClockedEngine) -> None:
+        self.inner = inner
+        self.engine = engine
+
+    def insert(self, row):
+        return self.engine.call("write", lambda: self.inner.insert(row))
+
+
+class TestWhereTheEngineRuns:
+    """An engine call runs inline on the loop thread after a call shorter
+    than one switch interval, on ``repro-serve_0`` otherwise."""
+
+    SWITCH = sys.getswitchinterval()
+    ON_THREAD = "repro-serve_0"
+
+    def served(self, relation, costs, num_shards=0):
+        """Submit one query per cost, in turn; the engine call for the
+        i-th takes ``costs[i]``.  Returns the loop thread's name, the
+        threads the calls ran on, the answers, their queries and the
+        merged snapshot."""
+        _, inner = make_engine(relation, num_shards)
+        clock = FakeClock()
+        engine = ClockedEngine(inner, clock)
+        queries = mixed_workload()[:len(costs)]
+
+        async def run():
+            config = ServiceConfig(max_linger=0.0)
+            async with QueryService(engine, config, clock=clock) as service:
+                answers = []
+                for query, cost in zip(queries, costs):
+                    engine.cost = cost
+                    answers.append(await service.submit(query))
+                return (threading.current_thread().name, answers,
+                        service.metrics_snapshot())
+
+        loop_thread, answers, snap = asyncio.run(run())
+        return loop_thread, engine.threads, answers, queries, snap
+
+    def test_the_first_call_runs_on_the_engine_thread(self, relation):
+        _, threads, _, _, snap = self.served(relation, [0.0])
+        assert threads == [self.ON_THREAD]
+        assert snap["serve.engine_calls.thread"] == 1.0
+        assert snap["serve.engine_calls.loop"] == 0.0
+
+    def test_after_a_short_call_the_next_runs_on_the_loop_thread(
+            self, relation):
+        loop_thread, threads, _, _, snap = self.served(
+            relation, [0.0, self.SWITCH / 2, 0.0])
+        assert threads == [self.ON_THREAD, loop_thread, loop_thread]
+        assert snap["serve.engine_calls.loop"] == 2.0
+        assert snap["serve.engine_calls.thread"] == 1.0
+
+    def test_after_a_call_at_the_switch_interval_the_next_goes_back(
+            self, relation):
+        loop_thread, threads, _, _, snap = self.served(
+            relation, [0.0, self.SWITCH, 0.0, 2 * self.SWITCH, 0.0])
+        assert threads == [self.ON_THREAD, loop_thread, self.ON_THREAD,
+                           loop_thread, self.ON_THREAD]
+        assert snap["serve.engine_calls.loop"] == 2.0
+        assert snap["serve.engine_calls.thread"] == 3.0
+
+    def test_a_batch_holding_a_stream_runs_on_the_thread(self, relation):
+        _, inner = make_engine(relation)
+        clock = FakeClock()
+        engine = ClockedEngine(inner, clock)
+        query = TopKQuery(Predicate.of(), sum_function(["N1", "N2"]), 3)
+
+        async def run():
+            config = ServiceConfig(max_linger=0.0)
+            async with QueryService(engine, config, clock=clock) as service:
+                await service.submit(query)  # short: the next may inline
+                frames = [frame async for frame in
+                          service.submit_stream(query)]
+                return threading.current_thread().name, frames
+
+        loop_thread, frames = asyncio.run(run())
+        assert engine.threads == [self.ON_THREAD, self.ON_THREAD]
+        assert [frame[0] for frame in frames] == ["prefix", "prefix",
+                                                  "final"]
+        final = frames[-1][1]
+        assert frames[0][1:] == (0, list(zip(final.tids, final.scores))[:1])
+        assert frames[1][1:] == (1, list(zip(final.tids, final.scores))[1:])
+        assert loop_thread not in engine.threads
+
+    def test_insert_follows_the_same_rule_and_never_overlaps(self):
+        mutable = generate_relation(SyntheticSpec(
+            num_tuples=600, num_selection_dims=3, num_ranking_dims=2,
+            cardinality=6, seed=81))
+        manager, inner = make_sharded_engine(
+            mutable, 2, block_size=80, with_signature=False,
+            with_skyline=False)
+        clock = FakeClock()
+        engine = ClockedEngine(inner, clock)
+        function = sum_function(["N1", "N2"])
+        query = TopKQuery(Predicate.of(A1=1), function, 3)
+
+        def row(n):
+            return {"A1": 1, "A2": 0, "A3": 0, "N1": -n, "N2": -n}
+
+        async def run():
+            config = ServiceConfig(max_linger=0.0)
+            async with QueryService(engine, config, clock=clock,
+                                    manager=ClockedManager(manager, engine)
+                                    ) as service:
+                await service.submit(query)  # first: the thread
+                engine.cost = self.SWITCH
+                await service.insert(row(9.0))  # after a short call: inline
+                engine.cost = 0.0
+                await service.insert(row(8.0))  # after a slow one: thread
+                await service.insert(row(7.0))  # after a short one: inline
+                # A write racing two admitted reads takes the idle engine
+                # first; the reads ride one batch after it.
+                racing = await asyncio.gather(
+                    service.submit(query), service.insert(row(10.0)),
+                    service.submit(query))
+                return threading.current_thread().name, racing
+
+        loop_thread, (first, tid, second) = asyncio.run(run())
+        assert engine.threads == [self.ON_THREAD, loop_thread,
+                                  self.ON_THREAD, loop_thread,
+                                  loop_thread, loop_thread]
+        kinds = [kind for _, kind in engine.events[::2]]
+        assert kinds == ["read", "write", "write", "write", "write", "read"]
+        # Every call left the engine before the next entered it.
+        assert engine.events == [(step, kind) for kind in kinds
+                                 for step in ("enter", "exit")]
+        assert tid == 603
+        assert first.tids[0] == second.tids[0] == tid
+        assert first.extra["batch_size"] == 2.0
+
+    @pytest.mark.parametrize("num_shards", [0, 2], ids=["unsharded", "2-hash"])
+    def test_answers_match_direct_execute_on_both_paths(self, relation,
+                                                        num_shards):
+        # Alternating costs alternate the path: thread, loop, thread, ...
+        costs = [0.0, 2 * self.SWITCH] * 5
+        _, reference = make_engine(relation, num_shards)
+        loop_thread, threads, answers, queries, _ = self.served(
+            relation, costs, num_shards)
+        assert threads == [self.ON_THREAD, loop_thread] * 5
+        for query, served in zip(queries, answers):
+            alone = reference.execute(query)
+            assert served.tids == alone.tids
+            assert served.scores == alone.scores
