@@ -59,6 +59,10 @@ class Executor:
     behind a fresh answer.
     """
 
+    #: A call runs on its caller's thread and never waits with the GIL
+    #: released (see :class:`~repro.serve.service.QueryService`).
+    holds_gil = True
+
     def __init__(self, registry: Optional[EngineRegistry] = None,
                  planner: Optional[Planner] = None,
                  cost_model: Optional[CostModel] = None,

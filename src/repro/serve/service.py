@@ -20,8 +20,9 @@
   one fused frontier sweep / R-tree traversal (PR 4) without
   coordinating with each other;
 * engine work runs one call at a time, inline on the loop thread after
-  a call shorter than ``sys.getswitchinterval()``, else on the service's
-  own ``repro-serve`` thread — never on a scatter engine's leg pool;
+  a call shorter than ``sys.getswitchinterval()`` on an engine that
+  ``holds_gil``, else on the service's own ``repro-serve`` thread —
+  never on a scatter engine's leg pool;
 * ``await service.insert(row)`` / ``await service.reshard(policy)`` take
   the engine slot a batch takes, so the invalidation hooks a mutation
   fires can never race a sweep that is half way through the old data.
@@ -40,7 +41,7 @@ import inspect
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional, Set,
                     Tuple)
 
@@ -166,8 +167,12 @@ class QueryService:
         # parallelizes inside one call on a leg pool of its own.
         self._pool = ThreadPoolExecutor(max_workers=1,
                                         thread_name_prefix="repro-serve")
-        # The last engine call's duration on the service clock (none: slow).
+        # The last engine call's duration on the service clock (none: slow),
+        # and the last call handed to the thread (a cancelled writer's may
+        # outlive its hold on the engine slot).
         self._last_call_s = float("inf")
+        self._thread_call: Future = Future()
+        self._thread_call.set_result(None)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._drain_task: Optional[asyncio.Task] = None
         self._tasks: Set[asyncio.Task] = set()
@@ -667,17 +672,22 @@ class QueryService:
     async def _in_executor(self, fn, *args, inline: bool = True):
         """Make one engine call ``fn(*args)``, the service's one way in.
 
-        Inline on the loop thread when ``inline`` allows and the last call
-        took under ``sys.getswitchinterval()`` on the service clock (the
-        loop would wait that long for the GIL anyway), else on the
-        ``repro-serve`` thread: the first call, and one after a slow one.
+        Inline on the loop thread when ``inline`` allows, the engine
+        ``holds_gil`` (one that may wait with the GIL released — legs on
+        a pool or in processes, backoff, injected delays — would stall the
+        loop for the whole wait), no thread call is still running, and the
+        last call took under ``sys.getswitchinterval()`` on the service
+        clock (the loop would wait that long for the GIL anyway).  Else on
+        the ``repro-serve`` thread: the first call, one after a slow one.
         """
-        on_loop = inline and self._last_call_s < sys.getswitchinterval()
+        on_loop = (inline and getattr(self.engine, "holds_gil", False)
+                   and self._thread_call.done()
+                   and self._last_call_s < sys.getswitchinterval())
         self.stats.record_engine_call(on_loop)
         if on_loop:
             return self._timed(fn, *args)
-        return await self._loop.run_in_executor(self._pool, self._timed,
-                                                fn, *args)
+        self._thread_call = self._pool.submit(self._timed, fn, *args)
+        return await asyncio.wrap_future(self._thread_call)
 
     def _timed(self, fn, *args):
         start = self._clock()
@@ -689,7 +699,7 @@ class QueryService:
     # ------------------------------------------------------------------
     # serialized write path
     # ------------------------------------------------------------------
-    async def _mutate(self, apply: Callable[[], object]):
+    async def _mutate(self, apply: Callable[[], object], inline=True):
         """Run one mutation with the engine drained: the write contract.
 
         A writer takes the engine slot, as a batch does: it waits out
@@ -700,7 +710,7 @@ class QueryService:
         """
         self._require_running()
         async with self._engine_slot:
-            return await self._in_executor(apply)
+            return await self._in_executor(apply, inline=inline)
 
     def _require_running(self) -> None:
         if self._loop is None:
@@ -742,7 +752,8 @@ class QueryService:
         self._require_running()
         if self.manager is None:
             raise ServeError("reshard needs a ShardManager-backed service")
-        await self._mutate(lambda: self.manager.reshard(policy))
+        # Rebuilding every stack (and joining a leg pool) stays off the loop.
+        await self._mutate(lambda: self.manager.reshard(policy), inline=False)
 
     # ------------------------------------------------------------------
     # observability

@@ -177,6 +177,14 @@ class ScatterGatherExecutor:
     def fault_injector(self, injector) -> None:
         self.legs.injector = injector
 
+    @property
+    def holds_gil(self) -> bool:
+        """Whether a call runs on its caller's thread and never waits with
+        the GIL released: serial in-process legs, no backoff or injected
+        delay to sleep through (the serving layer may then run it inline)."""
+        return (not self.parallel and type(self.legs) is InProcessLegs
+                and self.guard.policy is None and self.fault_injector is None)
+
     def _on_mutation(self, row=None) -> None:
         """Manager-fired invalidation: predicate-aware drop + version sync.
 

@@ -148,14 +148,6 @@ class Signature:
         """True when no tuple satisfies the signature's condition."""
         return not self.nodes
 
-    def num_nodes(self) -> int:
-        """Number of non-empty nodes in the signature tree."""
-        return len(self.nodes)
-
-    def num_set_bits(self) -> int:
-        """Total number of 1 bits across all nodes."""
-        return sum(len(bits) for bits in self.nodes.values())
-
     def paths_breadth_first(self) -> List[Path]:
         """Node paths in breadth-first order (storage order)."""
         paths: List[Path] = [()] if () in self.nodes else []

@@ -159,10 +159,6 @@ class SignatureStore:
         self._size_bits[key] = total_bits
         return len(refs)
 
-    def has_cell(self, cuboid: CuboidKey, cell: CellKey) -> bool:
-        """Whether a signature was materialized for this cell."""
-        return (tuple(cuboid), tuple(cell)) in self._index
-
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------

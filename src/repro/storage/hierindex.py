@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.geometry import Box
 
@@ -47,10 +47,6 @@ class LeafEntry:
     tid: int
     values: Tuple[float, ...]
     position: int
-
-    def as_mapping(self, dims: Sequence[str]) -> Dict[str, float]:
-        """The entry's values keyed by dimension name."""
-        return dict(zip(dims, self.values))
 
 
 class HierarchicalIndex(ABC):

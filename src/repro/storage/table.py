@@ -41,11 +41,6 @@ class Schema:
         if len(set(self.ranking_dims)) != len(self.ranking_dims):
             raise SchemaError("duplicate ranking dimension names")
 
-    @property
-    def all_dims(self) -> Tuple[str, ...]:
-        """Selection dimensions followed by ranking dimensions."""
-        return self.selection_dims + self.ranking_dims
-
     def selection_index(self, name: str) -> int:
         """Column position of a selection dimension."""
         try:

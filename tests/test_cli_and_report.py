@@ -123,7 +123,7 @@ class TestHierarchicalIndexHelpers:
         handle = NodeHandle(page_id=7, box=box, is_leaf=True, level=1, path=(1, 2))
         assert handle.depth == 2
         entry = LeafEntry(tid=3, values=(0.5,), position=1)
-        assert entry.as_mapping(["x"]) == {"x": 0.5}
+        assert entry.values == (0.5,)
 
     def test_iter_nodes_and_count(self):
         values = np.linspace(0, 1, 120)

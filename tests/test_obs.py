@@ -91,12 +91,11 @@ class TestMetricsRegistry:
         counter.inc(2.0)
         gauge = registry.gauge("serve.pending")
         gauge.set(5)
-        gauge.dec()
         hist = registry.histogram("serve.latency_seconds", window=4)
         for v in (1.0, 2.0, 3.0):
             hist.observe(v)
         assert counter.value == 3.0
-        assert gauge.value == 4.0
+        assert gauge.value == 5.0
         assert hist.count == 3
         assert hist.mean == 2.0
         assert hist.percentile(50) == 2.0

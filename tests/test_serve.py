@@ -36,7 +36,8 @@ from repro.serve import (
     ServiceConfig,
     ServiceOverloadedError,
 )
-from repro.shard import InProcessLegs
+from repro.fault import FaultInjector, RetryPolicy
+from repro.shard import HashShardingPolicy, InProcessLegs
 from repro.workloads import (
     SyntheticSpec,
     distinct_serving_queries,
@@ -1063,12 +1064,16 @@ class ClockedEngine:
     leave, so where the service runs an engine call is pinned without a
     sleep or a wall-clock read.  ``execute`` relays its answer as two
     verified prefixes before returning it, as a streaming engine does.
+    ``hold``, when set, runs inside each call after it enters (a test
+    parks the call there); ``holds_gil`` is the inner engine's.
     """
 
     def __init__(self, inner, clock: FakeClock) -> None:
         self.inner = inner
         self.clock = clock
         self.cost = 0.0
+        self.hold = None
+        self.holds_gil = inner.holds_gil
         self.threads = []
         self.events = []
 
@@ -1076,6 +1081,8 @@ class ClockedEngine:
         self.events.append(("enter", kind))
         self.threads.append(threading.current_thread().name)
         self.clock.t += self.cost
+        if self.hold is not None:
+            self.hold()
         try:
             return run()
         finally:
@@ -1096,7 +1103,7 @@ class ClockedEngine:
 
 
 class ClockedManager:
-    """The write path's manager, its inserts timed like engine calls."""
+    """The write path's manager, its writes timed like engine calls."""
 
     def __init__(self, inner, engine: ClockedEngine) -> None:
         self.inner = inner
@@ -1105,10 +1112,26 @@ class ClockedManager:
     def insert(self, row):
         return self.engine.call("write", lambda: self.inner.insert(row))
 
+    def reshard(self, policy):
+        return self.engine.call("write", lambda: self.inner.reshard(policy))
+
+
+def parked(entered: asyncio.Event, release: threading.Event):
+    """A ``ClockedEngine.hold`` that tells the loop the call has entered
+    the engine, then parks it until ``release`` is set."""
+    loop = asyncio.get_running_loop()
+
+    def hold():
+        loop.call_soon_threadsafe(entered.set)
+        assert release.wait(timeout=10.0)
+
+    return hold
+
 
 class TestWhereTheEngineRuns:
     """An engine call runs inline on the loop thread after a call shorter
-    than one switch interval, on ``repro-serve_0`` otherwise."""
+    than one switch interval, on an engine that holds the GIL and with no
+    thread call still running; on ``repro-serve_0`` otherwise."""
 
     SWITCH = sys.getswitchinterval()
     ON_THREAD = "repro-serve_0"
@@ -1241,3 +1264,112 @@ class TestWhereTheEngineRuns:
             alone = reference.execute(query)
             assert served.tids == alone.tids
             assert served.scores == alone.scores
+
+    def test_only_an_engine_that_holds_the_gil_may_run_inline(self,
+                                                              relation):
+        # Legs on a pool or in worker processes, retry backoff and
+        # injected delays all wait with the GIL released.
+        assert make_engine(relation)[1].holds_gil
+        assert make_engine(relation, 2)[1].holds_gil
+        assert not make_engine(relation, 2, parallel=True)[1].holds_gil
+        for kwargs in ({"scatter": "processes"},
+                       {"retry_policy": RetryPolicy()},
+                       {"fault_injector": FaultInjector(
+                           seed=1, rates={"leg.delay": 1.0})}):
+            _, engine = make_sharded_engine(relation, 2, **kwargs)
+            with engine:
+                assert not engine.holds_gil
+
+    def test_a_call_that_waits_off_the_gil_leaves_the_loop_free(
+            self, relation):
+        """A hung worker's pipe wait, here a parked call on an engine that
+        does not hold the GIL, blocks the engine thread only: a queued
+        request's submit timeout still fires while it waits."""
+        _, inner = make_engine(relation)
+        clock = FakeClock()
+        engine = ClockedEngine(inner, clock)
+        engine.holds_gil = False
+        query = mixed_workload()[0]
+        release = threading.Event()
+
+        async def run():
+            entered = asyncio.Event()
+            config = ServiceConfig(max_linger=0.0)
+            async with QueryService(engine, config, clock=clock) as service:
+                await service.submit(query)  # short, yet the next is not inline
+                engine.hold = parked(entered, release)
+                hung = asyncio.ensure_future(service.submit(query))
+                await entered.wait()
+                engine.hold = None
+                with pytest.raises(RequestTimeoutError):
+                    await service.submit(query, timeout=0.01)
+                during = list(engine.events)
+                release.set()
+                await hung
+                return service.metrics_snapshot(), during
+
+        snap, during = asyncio.run(run())
+        assert during[-1] == ("enter", "read")  # still parked
+        # The timed-out request was dropped at drain, never executed.
+        assert engine.threads == [self.ON_THREAD] * 2
+        assert snap["serve.engine_calls.loop"] == 0.0
+
+    @pytest.mark.parametrize("write", ["insert", "reshard"])
+    def test_a_cancelled_writer_keeps_the_next_batch_out_until_it_exits(
+            self, write):
+        mutable = generate_relation(SyntheticSpec(
+            num_tuples=600, num_selection_dims=3, num_ranking_dims=2,
+            cardinality=6, seed=81))
+        manager, inner = make_sharded_engine(
+            mutable, 2, block_size=80, with_signature=False,
+            with_skyline=False)
+        clock = FakeClock()
+        engine = ClockedEngine(inner, clock)
+        query = TopKQuery(Predicate.of(A1=1), sum_function(["N1", "N2"]), 3)
+        release = threading.Event()
+        apply = {"insert": lambda service: service.insert(
+                     {"A1": 1, "A2": 0, "A3": 0, "N1": -9.0, "N2": -9.0}),
+                 "reshard": lambda service: service.reshard(
+                     HashShardingPolicy(3))}[write]
+
+        def calls(service):
+            snap = service.metrics_snapshot()
+            return (snap["serve.engine_calls.loop"]
+                    + snap["serve.engine_calls.thread"])
+
+        async def run():
+            entered = asyncio.Event()
+            config = ServiceConfig(max_linger=0.0)
+            async with QueryService(engine, config, clock=clock,
+                                    manager=ClockedManager(manager, engine)
+                                    ) as service:
+                # The writer runs on the thread: an insert after a slow
+                # call, a reshard always.  The reshard follows a short one.
+                engine.cost = self.SWITCH if write == "insert" else 0.0
+                await service.submit(query)
+                engine.cost = 0.0
+                engine.hold = parked(entered, release)
+                writer = asyncio.ensure_future(apply(service))
+                await entered.wait()
+                engine.hold = None
+                writer.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await writer
+                reader = asyncio.ensure_future(service.submit(query))
+                while calls(service) < 3:  # until the read is dispatched
+                    await asyncio.sleep(0)
+                during = list(engine.events)
+                release.set()
+                return during, await reader
+
+        during, answer = asyncio.run(run())
+        assert during[-1] == ("enter", "write")  # the read waits behind it
+        assert engine.threads == [self.ON_THREAD] * 3
+        assert engine.events == [(step, kind)
+                                 for kind in ("read", "write", "read")
+                                 for step in ("enter", "exit")]
+        # The read ran against the written data.
+        alone = Executor.for_relation(mutable, block_size=80,
+                                      with_signature=False,
+                                      with_skyline=False).execute(query)
+        assert (answer.tids, answer.scores) == (alone.tids, alone.scores)

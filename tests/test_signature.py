@@ -50,8 +50,8 @@ class TestSignatureBasics:
 
     def test_counts_and_copy(self):
         sig = Signature.from_paths([(1, 1), (2, 1)], fanout=2)
-        assert sig.num_nodes() == 3
-        assert sig.num_set_bits() == 4
+        assert len(sig.nodes) == 3
+        assert sum(len(bits) for bits in sig.nodes.values()) == 4
         clone = sig.copy()
         clone.clear_path((1, 1))
         assert sig.test((1, 1))

@@ -37,7 +37,6 @@ class TestSchema:
         assert schema.selection_index("B") == 1
         assert schema.ranking_index("X") == 0
         assert schema.is_selection("A") and not schema.is_selection("X")
-        assert schema.all_dims == ("A", "B", "X")
         with pytest.raises(SchemaError):
             schema.selection_index("Z")
         with pytest.raises(SchemaError):
