@@ -425,21 +425,21 @@ class Executor:
                row: Mapping[str, object]) -> bool:
         """Bring the stack up to date with row ``tid`` just appended.
 
-        Asks first: unless every registered backend
-        :attr:`~repro.engine.registry.Backend.maintains_inserts`, nothing
-        is touched and ``False`` comes back — the caller then has to
-        rebuild the stack (or accept that its static indexes do not see
-        the row).  Otherwise every backend over ``relation`` absorbs the
-        row and :meth:`note_mutation` drops only the cached answers it can
-        affect; the executor, its planner and its bound cache stay.
+        Every backend over ``relation`` that ``maintains_inserts`` absorbs
+        the row; one that does not (or a join's, over several relations)
+        is marked ``stale`` and the planner no longer routes to it.
+        :meth:`note_mutation` then drops only the cached answers the row
+        can affect; the executor, its planner and its bound cache stay.
+        Returns whether no backend is stale (nothing to rebuild).
         """
-        if not all(backend.maintains_inserts for backend in self.registry):
-            return False
         for backend in self.registry:
-            if backend.relation is relation:
-                backend.insert(tid, row)
+            if backend.maintains_inserts:
+                if backend.relation is relation:
+                    backend.insert(tid, row)
+            elif backend.relation in (relation, None):
+                backend.stale = True
         self.note_mutation(relation, row=row)
-        return True
+        return not any(backend.stale for backend in self.registry)
 
     def note_mutation(self, relation: Relation,
                       row: Optional[Mapping[str, object]] = None) -> None:
@@ -471,9 +471,9 @@ class Executor:
         relation, so a stack of those answers over the current rows.
         Backends with ``maintains_inserts = False`` (the signature cube and
         the skyline engine over its R-tree, ranked joins) answer from the
-        rows they were built over; :meth:`insert` refuses a stack holding
-        one, the shard manager then rebuilds that shard's stack, and after a
-        bare ``Relation.append`` nothing does.  Custom stacks should call
+        rows they were built over; :meth:`insert` marks them stale (the
+        shard manager then rebuilds that shard's stack), and after a bare
+        ``Relation.append`` nothing does.  Custom stacks should call
         this for every relation their backends serve.
         """
         if id(relation) not in self._watched_versions:

@@ -3,7 +3,8 @@
 The planner classifies the query (top-k / skyline / multi-relation join),
 asks the registry for the backends serving that kind, and filters to the
 ones that actually support the concrete query (predicate dimensions
-covered, ranking dimensions indexed).  Among the survivors it selects in
+covered, ranking dimensions indexed) and are not ``stale`` (an insert
+they could not absorb).  Among the survivors it selects in
 one of two modes:
 
 * **cost** (the default) — every candidate is priced by the
@@ -30,10 +31,10 @@ it is dynamic); predicate *values* enter only through the profile's
 selectivity (0 when a value is provably absent).  The planner keeps each
 decision under that key and hands every caller a fresh :class:`QueryPlan`
 over a copy of its details.  Kept decisions live as long as what they were
-derived from: the registered backends and their priorities, the cost model
-object, and the profile of every relation a backend answers over — the
-object the statistics provider hands out, which every invalidation
-replaces, plus its row count, which an in-place fold
+derived from: the registered backends, their priorities and staleness, the
+cost model object, and the profile of every relation a backend answers
+over — the object the statistics provider hands out, which every
+invalidation replaces, plus its row count, which an in-place fold
 (``ShardStatistics.add_row``) raises.  Any difference drops them all; no
 hook exists.  Lists the cost model cannot price (custom adapters, joins)
 and static mode are decided afresh every time.
@@ -113,7 +114,7 @@ class Planner:
         basis: list = [self.cost_model]
         profiles = {}
         for backend in self.registry:
-            basis += (backend, backend.priority)
+            basis += (backend, backend.priority, backend.stale)
             relation = backend.relation
             if relation is not None and id(relation) not in profiles:
                 profile = profiles[id(relation)] = self.statistics(relation)
@@ -141,7 +142,8 @@ class Planner:
         # over backends, so the list never depends on registration order
         # even when two candidates share a priority.  Cost mode re-ranks
         # but keeps this order as its tie-break.
-        candidates = sorted((b for b in serving if b.supports(query)),
+        candidates = sorted((b for b in serving
+                             if not b.stale and b.supports(query)),
                             key=lambda b: (b.priority, b.name))
         if not candidates:
             raise PlanningError(

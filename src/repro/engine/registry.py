@@ -66,6 +66,8 @@ class Backend(ABC):
     #: cover the rows they were built over, so a stack holding it has to
     #: be rebuilt to see a new row.
     maintains_inserts: bool = False
+    #: Set when ``Executor.insert`` could not hand it a row: not routed.
+    stale: bool = False
 
     @abstractmethod
     def supports(self, query) -> bool:

@@ -39,7 +39,8 @@ from __future__ import annotations
 import base64
 import hashlib
 import struct
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from collections.abc import Mapping
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import QueryError, ReproError
 from repro.functions.base import FunctionShape, RankingFunction, finite
@@ -160,7 +161,7 @@ def encode_predicate(predicate: Predicate) -> Dict[str, int]:
 def decode_predicate(obj) -> Predicate:
     if obj is None:
         return Predicate.of()
-    if not isinstance(obj, Mapping):
+    if not isinstance(obj, (dict, Mapping)):
         raise ProtocolError("predicate must be a {dim: value} object")
     conditions: Dict[str, int] = {}
     for dim, value in obj.items():
@@ -227,7 +228,7 @@ def _encode_expr(expr: Expr) -> dict:
 
 
 def _decode_expr(obj) -> Expr:
-    if not isinstance(obj, Mapping) or "op" not in obj:
+    if not isinstance(obj, (dict, Mapping)) or "op" not in obj:
         raise ProtocolError("expression nodes must be objects with an 'op'")
     op = obj["op"]
     if op == "var":
@@ -289,7 +290,7 @@ def _dims(values) -> List[str]:
 
 def decode_function(obj, registry: Optional[FunctionRegistry] = None
                     ) -> RankingFunction:
-    if not isinstance(obj, Mapping) or "kind" not in obj:
+    if not isinstance(obj, (dict, Mapping)) or "kind" not in obj:
         raise ProtocolError("function must be an object with a 'kind'")
     kind = obj["kind"]
     try:
@@ -350,7 +351,7 @@ def encode_query(query) -> dict:
 
 
 def decode_query(obj, registry: Optional[FunctionRegistry] = None):
-    if not isinstance(obj, Mapping) or "type" not in obj:
+    if not isinstance(obj, (dict, Mapping)) or "type" not in obj:
         raise ProtocolError("query must be an object with a 'type'")
     kind = obj["type"]
     try:
@@ -375,14 +376,20 @@ def decode_query(obj, registry: Optional[FunctionRegistry] = None):
 # ----------------------------------------------------------------------
 # results
 # ----------------------------------------------------------------------
+#: The exact types ``json.dumps`` writes as they are.
+_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
 def _jsonable(value):
-    """Make an ``extra`` value JSON-safe (tuples become lists)."""
+    """Make an ``extra`` value JSON-safe (tuples become lists), in one pass
+    over a flat mapping: only what is not already a JSON scalar recurses."""
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, Mapping):
-        return {str(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (dict, Mapping)):
+        return {str(k): v if type(v) in _JSON_SCALARS else _jsonable(v)
+                for k, v in value.items()}
     return str(value)
 
 
@@ -446,7 +453,7 @@ def encode_result(result) -> dict:
 
 
 def decode_result(obj):
-    if not isinstance(obj, Mapping) or "result_kind" not in obj:
+    if not isinstance(obj, (dict, Mapping)) or "result_kind" not in obj:
         raise ProtocolError("result must be an object with a 'result_kind'")
     kind = obj["result_kind"]
     if kind == "topk":
@@ -531,8 +538,8 @@ def decode_error(body: Mapping, status: int) -> Exception:
     the wire and in process.  Anything else degrades to
     :class:`RemoteServerError` carrying the server's message.
     """
-    payload = body.get("error") if isinstance(body, Mapping) else None
-    if not isinstance(payload, Mapping):
+    payload = body.get("error") if isinstance(body, (dict, Mapping)) else None
+    if not isinstance(payload, (dict, Mapping)):
         return RemoteServerError(f"HTTP {status} with no error envelope")
     name = str(payload.get("type", ""))
     message = str(payload.get("message", f"HTTP {status}"))

@@ -32,8 +32,9 @@ fair-share queue and the priority class.  Failures map to typed status
 codes via :data:`repro.net.protocol.ERROR_STATUS` — 429 with
 ``Retry-After`` for an exhausted token bucket, 503 with ``Retry-After``
 for a full service queue (``ServiceConfig.max_pending``), 504 for
-deadline misses, 400 for malformed requests — and degraded (partial)
-answers are flagged in the response envelope.
+deadline misses, 400 for malformed requests (an envelope field of the
+wrong type too) — and degraded (partial) answers are flagged in the
+response envelope.  A request is parsed once, its answer encoded once.
 """
 
 from __future__ import annotations
@@ -41,9 +42,10 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.net.protocol import (
     PROTOCOL_VERSION,
@@ -67,6 +69,10 @@ from repro.serve.batcher import DEFAULT_PRIORITY
 
 #: Client id assumed when neither header nor body names one.
 _DEFAULT_CLIENT_ID = "anonymous"
+
+#: Envelope fields a request may set, with the JSON type each must have.
+_ENVELOPE_TYPES = (("client_id", str, "a string"), ("priority", str, "a string"),
+                   ("allow_partial", bool, "a boolean"))
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 413: "Payload Too Large",
@@ -382,31 +388,46 @@ class QueryServer:
                                   extra_headers=self._error_headers(exc))
             return True
 
-    def _request_context(self, headers: Dict[str, str], envelope: Mapping
+    def _parse_envelope(self, raw) -> dict:
+        """One request envelope: an HTTP body or a websocket message."""
+        try:
+            envelope = json.loads((raw.decode("utf-8")
+                                   if isinstance(raw, bytes) else raw) or "{}")
+        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+            raise ProtocolError(f"request is not valid JSON: {exc}")
+        if not isinstance(envelope, dict):
+            raise ProtocolError("request must be a JSON object")
+        return envelope
+
+    def _request_context(self, headers: Dict[str, str], envelope: dict
                          ) -> Tuple[Dict[str, object], Optional[bool]]:
         """The service-call keywords of one request, and ``allow_partial``.
 
         The keywords are ``client_id``, ``priority`` and — only when the
         envelope names one — ``timeout``: a request that names none
         leaves the keyword out, so ``ServiceConfig.default_timeout``
-        applies over the wire exactly as it does in process.
+        applies over the wire exactly as it does in process.  Each field
+        is checked here, once: one of the wrong type (``timeout`` must be
+        a finite positive number) is a :class:`ProtocolError` naming it.
         """
+        get = envelope.get
+        for name, kind, what in _ENVELOPE_TYPES:
+            if (value := get(name)) is not None and not isinstance(value, kind):
+                raise ProtocolError(f"{name!r} must be {what}")
         call: Dict[str, object] = {
-            "client_id": str(envelope.get("client_id")
-                             or headers.get("x-client-id")
-                             or _DEFAULT_CLIENT_ID),
-            "priority": decode_priority(envelope.get("priority")
+            "client_id": (get("client_id") or headers.get("x-client-id")
+                          or _DEFAULT_CLIENT_ID),
+            "priority": decode_priority(get("priority")
                                         or headers.get("x-priority"),
                                         default=DEFAULT_PRIORITY)}
-        timeout = envelope.get("timeout")
+        timeout = get("timeout")
         if timeout is not None:
-            call["timeout"] = timeout = float(timeout)
-            if timeout <= 0:
-                raise ProtocolError("timeout must be positive")
-        allow_partial = envelope.get("allow_partial")
-        if allow_partial is not None:
-            allow_partial = bool(allow_partial)
-        return call, allow_partial
+            # An int above the float range fails the bound, not float().
+            if (type(timeout) not in (int, float)
+                    or not 0 < timeout <= sys.float_info.max):
+                raise ProtocolError("'timeout' must be a finite positive number")
+            call["timeout"] = float(timeout)
+        return call, get("allow_partial")
 
     def _check_rate(self, client_id: str) -> None:
         allowed, retry_after = self.limiter.check(client_id)
@@ -415,15 +436,6 @@ class QueryServer:
             raise RateLimitedError(
                 f"client {client_id!r} exceeded its request rate",
                 retry_after=retry_after)
-
-    def _parse_envelope(self, body: bytes) -> Mapping:
-        try:
-            envelope = json.loads(body.decode("utf-8") or "{}")
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ProtocolError(f"request body is not valid JSON: {exc}")
-        if not isinstance(envelope, Mapping):
-            raise ProtocolError("request body must be a JSON object")
-        return envelope
 
     async def _serve_query(self, path: str, headers: Dict[str, str],
                            body: bytes, writer: asyncio.StreamWriter,
@@ -451,7 +463,7 @@ class QueryServer:
         await self._send_json(writer, 200, payload, keep_alive=keep_alive)
         return True
 
-    async def _submit_many(self, envelope: Mapping, call: Dict[str, object],
+    async def _submit_many(self, envelope: dict, call: Dict[str, object],
                            allow_partial: Optional[bool]):
         raw = envelope.get("queries")
         if not isinstance(raw, (list, tuple)):
@@ -626,12 +638,7 @@ class QueryServer:
         priority = DEFAULT_PRIORITY
         started = self._clock()
         try:
-            try:
-                envelope = json.loads(message)
-            except json.JSONDecodeError as exc:
-                raise ProtocolError(f"websocket message is not JSON: {exc}")
-            if not isinstance(envelope, Mapping):
-                raise ProtocolError("websocket message must be a JSON object")
+            envelope = self._parse_envelope(message)
             request_id = envelope.get("id")
             call, allow_partial = self._request_context(
                 {"x-client-id": default_client}, envelope)

@@ -183,9 +183,11 @@ class MicroBatcher:
         self._pending: Dict[str, _ClassQueue] = {
             name: _ClassQueue() for name in PRIORITY_CLASSES}
         self._wrr = WeightedRoundRobin(DEFAULT_CLASS_WEIGHTS)
+        #: Requests pending over every class: the sum of the class queues.
+        self._size = 0
 
     def __len__(self) -> int:
-        return sum(len(q) for q in self._pending.values())
+        return self._size
 
     def append(self, request: QueuedRequest) -> None:
         """Admit one request to the tail of its client's queue in its class."""
@@ -195,14 +197,11 @@ class MicroBatcher:
                 f"unknown priority class {request.priority!r}; expected one "
                 f"of {PRIORITY_CLASSES}")
         queue.push(request)
+        self._size += 1
 
     def pending_by_class(self) -> Dict[str, int]:
         """Live queue depth per priority class (the accounting view)."""
         return {name: len(queue) for name, queue in self._pending.items()}
-
-    def size_ready(self) -> bool:
-        """Whether the size trigger alone makes a flush due."""
-        return len(self) >= self.max_batch_size
 
     def next_deadline(self) -> Optional[float]:
         """Absolute time the oldest pending request must flush by.
@@ -214,14 +213,14 @@ class MicroBatcher:
         toward tightens and relaxes with the traffic.
         """
         heads = [queue.oldest_enqueued()
-                 for queue in self._pending.values() if queue]
+                 for queue in self._pending.values() if queue._size]
         return min(heads) + self.linger if heads else None
 
     def due(self, now: Optional[float] = None) -> bool:
         """Whether a flush is due at ``now`` (size or deadline trigger)."""
-        if not len(self):
+        if not self._size:
             return False
-        if self.size_ready():
+        if self._size >= self.max_batch_size:
             return True
         if now is None:
             now = self.clock()
@@ -231,34 +230,33 @@ class MicroBatcher:
         """Pop one request: :class:`WeightedRoundRobin` across the
         non-empty classes, round-robin across a class's clients, FIFO
         per client."""
-        active = [name for name in PRIORITY_CLASSES if self._pending[name]]
+        active = [name for name, queue in self._pending.items() if queue._size]
+        self._size -= 1
         return self._pending[self._wrr.pick(active)].pop()
 
     def drain(self, now: Optional[float] = None,
               force: bool = False) -> List[QueuedRequest]:
         """Pop the next batch if one is due (or ``force``), else ``[]``.
 
-        At most ``max_batch_size`` requests come out per call.  When the
-        whole backlog fits in one batch the drain is exhaustive and order
-        inside the batch is irrelevant (one engine call serves them all);
-        when it does not, :meth:`_take_next` decides *which* requests ride
-        the next batch — that is where the priority classes earn their
-        latency separation and a quiet client its turn.  A forced drain
-        (service shutdown) flushes without waiting for a trigger and
-        without distorting the adaptation.
+        A forced drain (service shutdown) flushes without waiting for a
+        trigger and without distorting the adaptation.
         """
-        if now is None:
-            now = self.clock()
-        pending = len(self)
-        if not pending:
-            return []
         due = self.due(now)
-        if not due and not force:
-            return []
-        size_triggered = self.size_ready()
+        return self.take_batch(adapt=due) if due or force else []
+
+    def take_batch(self, adapt: bool = True) -> List[QueuedRequest]:
+        """Pop up to ``max_batch_size`` requests now; the caller decided,
+        once, that a batch is due (``adapt``: move the linger) or forced.
+
+        A backlog that fits drains exhaustively (order inside a batch is
+        irrelevant: one engine call serves it); else :meth:`_take_next`
+        decides *which* requests ride — where the priority classes earn
+        their latency separation and a quiet client its turn.
+        """
+        size_triggered = self._size >= self.max_batch_size
         batch = [self._take_next()
-                 for _ in range(min(self.max_batch_size, pending))]
-        if due:
+                 for _ in range(min(self.max_batch_size, self._size))]
+        if adapt:
             self._adapt(size_triggered, len(batch))
         return batch
 

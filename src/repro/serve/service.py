@@ -13,7 +13,8 @@
   one place between a caller (in process or on the wire) and the engine
   where work waits.  The drain loop takes an engine slot *before* it
   drains, so under load the backlog stays where it is ordered (classes
-  by weighted round-robin, clients round-robin inside a class);
+  by weighted round-robin, clients round-robin inside a class), then
+  runs the batch itself (no task per batch);
 * a due batch — flush on max-batch-size or the linger deadline,
   whichever first — goes into **one** ``engine.execute_many`` call, so
   concurrent clients issuing same-function queries transparently share
@@ -40,10 +41,8 @@ import functools
 import inspect
 import sys
 import time
-import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import (Callable, Dict, Iterable, List, Mapping, Optional, Set,
-                    Tuple)
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import (
     DeadlineExceededError,
@@ -85,14 +84,11 @@ class QueryService:
         ``relation`` and :meth:`reshard` is unavailable.
     relation:
         Unsharded write target: :meth:`insert` appends to it and hands the
-        row to :meth:`~repro.engine.Executor.insert`, so a stack whose
-        backends all maintain inserts (grid cube, scans) answers over the
-        current rows.  A stack holding one that does not (the signature
-        cube, the skyline engine) cannot be rebuilt from here: the row is
-        appended, the caches are invalidated, a ``RuntimeWarning`` names
-        the backends, and they keep answering from the rows they were
-        built over.  The manager-backed path rebuilds the owning shard's
-        stack instead and has no such caveat.
+        row to :meth:`~repro.engine.Executor.insert`, so every routed
+        answer is over the current rows: the grid cube and the scans
+        absorb the row, and a backend that cannot (the signature cube, the
+        skyline engine) is marked stale and no longer routed to.  The
+        manager-backed path rebuilds the owning shard's stack instead.
     clock:
         Monotonic time source, injected by tests.
     metrics:
@@ -175,7 +171,6 @@ class QueryService:
         self._thread_call.set_result(None)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._drain_task: Optional[asyncio.Task] = None
-        self._tasks: Set[asyncio.Task] = set()
         self._closing = False
         self._closed = False
 
@@ -224,8 +219,6 @@ class QueryService:
                 raise
             except BaseException as exc:
                 drain_error = exc
-        while self._tasks:
-            await asyncio.gather(*list(self._tasks))
         # The drain loop only exits with an empty queue; anything still
         # here means it died mid-shutdown — fail the stragglers loudly
         # instead of stranding their futures.
@@ -313,7 +306,7 @@ class QueryService:
         Cancelling the awaiting task likewise abandons the request.
 
         The timeout also rides into the engine as a deadline (when it
-        supports one — see ``_dispatch``): scatter legs check it between
+        supports one — see ``_run_batch``): scatter legs check it between
         shards and process workers' pipe waits are bounded by it, so a
         hung worker cannot keep burning engine capacity long after every
         client stopped waiting.
@@ -476,19 +469,28 @@ class QueryService:
     # drain loop / dispatch
     # ------------------------------------------------------------------
     async def _drain_loop(self) -> None:
+        """Run each due batch itself, under the engine slot (no task per
+        batch: the slot serialises batches anyway).  A batch that fails
+        outside its engine call fails its own members; the loop drains on.
+        """
         while True:
             now = self._clock()
-            if self.batcher.due(now) or (self._closing and len(self.batcher)):
+            due = self.batcher.due(now)
+            if due or (self._closing and len(self.batcher)):
                 # Take the engine slot BEFORE draining: while the engine
                 # is busy the backlog stays in the batcher, and whoever
                 # the scheduler picks once a batch can run rides it.  On
                 # an idle engine acquire() does not suspend.  Only this
                 # loop removes requests, so the batch is still due after.
-                await self._engine_slot.acquire()
-                batch = self.batcher.drain(self._clock(), force=self._closing)
-                task = self._loop.create_task(self._dispatch(batch))
-                self._tasks.add(task)
-                task.add_done_callback(self._tasks.discard)
+                async with self._engine_slot:
+                    batch = self.batcher.take_batch(adapt=due)
+                    try:
+                        await self._run_batch(batch)
+                    except Exception as exc:
+                        for request in batch:
+                            if not request.future.done():
+                                request.future.set_exception(exc)
+                                self.stats.record_failure()
                 continue
             if self._closing:
                 break
@@ -496,21 +498,10 @@ class QueryService:
             timeout = None if deadline is None else max(deadline - now, 0.0)
             self._wake.clear()
             try:
-                await asyncio.wait_for(self._wake.wait(), timeout)
+                await (self._wake.wait() if timeout is None
+                       else asyncio.wait_for(self._wake.wait(), timeout))
             except asyncio.TimeoutError:
                 pass
-
-    async def _dispatch(self, batch: List[QueuedRequest]) -> None:
-        """Run one drained batch under the engine slot the drain loop took.
-
-        The one dispatch path: plain requests and streams alike have
-        engine errors typed and abandoned members dropped, and are
-        counted here.
-        """
-        try:
-            await self._run_batch(batch)
-        finally:
-            self._engine_slot.release()
 
     async def _run_batch(self, batch: List[QueuedRequest]) -> None:
         live: List[QueuedRequest] = []
@@ -735,16 +726,7 @@ class QueryService:
 
     def _apply_unsharded_insert(self, row: Mapping[str, object]) -> int:
         tid = self.relation.append(row)
-        if not self.engine.insert(self.relation, tid, row):
-            static = [backend.name for backend in self.engine.registry
-                      if not backend.maintains_inserts]
-            # No row number: one warning per process, not one per insert.
-            warnings.warn(
-                f"inserted rows are appended, but backends {static} do not "
-                f"maintain inserts and still answer from the rows they were "
-                f"built over; serve through a ShardManager to have the "
-                f"stack rebuilt", RuntimeWarning, stacklevel=2)
-            self.engine.note_mutation(self.relation, row=row)
+        self.engine.insert(self.relation, tid, row)
         return tid
 
     async def reshard(self, policy) -> None:

@@ -208,9 +208,9 @@ class ShardManager:
         """Append ``row`` to the base relation and its owning shard.
 
         Returns the new global tid.  The owning shard's built engine stack
-        absorbs the row in place; one that cannot (see
-        :meth:`~repro.engine.Executor.insert`) is dropped, since its
-        indexes no longer cover the shard.  Every invalidation hook fires,
+        absorbs the row in place; one left with a stale backend (see
+        :meth:`~repro.engine.Executor.insert`) is dropped and rebuilt on
+        its next leg, so every backend covers the shard again.  Every invalidation hook fires,
         so no cached result the row can affect survives the insert.
         """
         global_tid = self.relation.append(row)

@@ -21,14 +21,16 @@ import pytest
 from repro.cube import RankingCube
 from repro.cube.model import ENTRY_BYTES, Cuboid
 from repro.engine import CostModel, Executor
+from repro.engine.backends import SignatureCubeBackend
 from repro.errors import CubeError
 from repro.functions.base import FunctionShape
 from repro.functions.distance import SquaredDistanceFunction
 from repro.functions.expression import ExpressionFunction, Var
 from repro.functions.linear import LinearFunction, skewed_linear_function
 from repro.partition.equidepth import equidepth_partition
-from repro.query import Predicate, TopKQuery
+from repro.query import Predicate, SkylineQuery, TopKQuery
 from repro.serve import QueryService
+from repro.signature import SignatureRankingCube, SignatureTopKExecutor
 from repro.storage.pager import Pager, estimate_size
 from repro.workloads import SyntheticSpec, generate_relation
 from tests.conftest import brute_force_topk
@@ -352,14 +354,40 @@ def test_rows_appended_behind_the_cubes_back_are_caught_up():
                                                                 query)
 
 
-def test_executor_refuses_a_stack_it_cannot_keep_exact():
+def test_executor_marks_what_it_cannot_keep_exact_stale():
     relation = generate_relation(SPEC)
-    executor = Executor.for_relation(relation, block_size=40)
+    executor = Executor.for_relation(relation, block_size=40,
+                                     cost_model=CostModel(**CostModel.PAPER))
     cube = executor.registry.get("ranking-cube").cube
     row = in_domain_row(relation, cube.grid, np.random.default_rng(14))
     tid = relation.append(row)
     assert not executor.insert(relation, tid, row)
-    assert cube.num_rows == tid  # asked first: nothing was touched
+    assert cube.num_rows == tid + 1  # the grid absorbed it all the same
+    stale = sorted(b.name for b in executor.registry if b.stale)
+    assert stale == ["signature-cube", "skyline"]
+    skyline = SkylineQuery(Predicate.of(), ("N1", "N2"))
+    assert executor.plan(skyline).candidates == ("skyline-scan",)
+    for query in seeded_queries(relation, seed=15, count=12):
+        result = executor.execute(query)
+        assert result.extra["backend"] not in stale
+        assert (result.tids, result.scores) == brute_force_topk(relation,
+                                                                query)
+
+
+def test_an_insert_leaves_another_relations_backends_current():
+    relation = generate_relation(SPEC)
+    other = generate_relation(SyntheticSpec(
+        num_tuples=200, num_selection_dims=3, num_ranking_dims=2,
+        cardinality=4, seed=78))
+    executor = Executor.for_relation(relation, block_size=40)
+    executor.register(SignatureCubeBackend(
+        SignatureTopKExecutor(SignatureRankingCube(other, rtree_max_entries=8)),
+        name="other-signature"))
+    row = in_domain_row(relation, executor.registry.get("ranking-cube")
+                        .cube.grid, np.random.default_rng(16))
+    assert not executor.insert(relation, relation.append(row), row)
+    assert sorted(b.name for b in executor.registry if b.stale) == [
+        "signature-cube", "skyline"]
 
 
 # ----------------------------------------------------------------------
@@ -397,11 +425,19 @@ def test_unsharded_insert_is_visible_on_a_grid_stack():
     assert after.extra["backend"] == "ranking-cube"
 
 
-def test_unsharded_insert_on_a_static_stack_warns_naming_the_backends():
-    relation = generate_relation(SPEC)
-    executor = Executor.for_relation(relation, block_size=40)
-    query = TopKQuery(Predicate.of(A1=1),
-                      LinearFunction(["N1", "N2"], [1.0, 1.0]), 3)
-    with pytest.warns(RuntimeWarning, match="signature-cube.*skyline"):
-        _, tid, _ = serve_insert(executor, relation, REPRO_ROW, query)
-    assert tid == 600 and relation.num_tuples == 601
+def test_unsharded_insert_on_the_default_stack_reaches_the_grid():
+    """A row that beats every row, served on ``Executor.for_relation``'s
+    full default stack: the no-condition top-5 routed to the grid cube
+    must rank it first, as brute force does."""
+    relation = generate_relation(SyntheticSpec(
+        num_tuples=20_000, num_selection_dims=3, num_ranking_dims=2,
+        cardinality=8, seed=1))
+    executor = Executor.for_relation(relation)
+    query = TopKQuery(Predicate.of(),
+                      LinearFunction(["N1", "N2"], [1.0, 1.0]), 5)
+    best = dict(REPRO_ROW, N1=-1.0, N2=-1.0)
+    before, tid, after = serve_insert(executor, relation, best, query)
+    assert tid == 20_000 and relation.num_tuples == 20_001
+    assert after.extra["backend"] == "ranking-cube"
+    assert after.tids == (tid,) + before.tids[:4]
+    assert (after.tids, after.scores) == brute_force_topk(relation, query)

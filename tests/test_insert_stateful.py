@@ -1,13 +1,16 @@
 """Stateful differential suite: writes interleaved with reads, every door.
 
-A ``hypothesis`` state machine drives four stacks over copies of one seed
+A ``hypothesis`` state machine drives stacks over copies of one seed
 relation — an unsharded ``Executor``, thread ``ScatterGatherExecutor``s
 under a hash policy (grid-only shard stacks: inserts absorbed in place)
 and a range policy (full shard stacks: the owner is dropped and rebuilt),
-and a ``QueryService`` over a fourth grid stack — through inserts of every
-awkward kind, solo / fused / streamed / repeated reads and reshards.
-Every answer is checked bit for bit against brute force over the rows as
-they are *now*.
+and ``QueryService``s over unsharded stacks: a grid stack, and
+``Executor.for_relation``'s full default stack under the default cost
+model, ``CostModel.PAPER`` and ``planner_mode="static"`` (the last two
+still route to the signature cube and BBS until an insert marks them
+stale) — through inserts of every awkward kind, solo / fused / streamed /
+repeated reads, skylines and reshards.  Every answer is checked bit for
+bit against brute force over the rows as they are *now*.
 """
 
 from __future__ import annotations
@@ -24,10 +27,10 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.engine import Executor
+from repro.engine import CostModel, Executor
 from repro.functions.distance import SquaredDistanceFunction
 from repro.functions.linear import LinearFunction
-from repro.query import Predicate, TopKQuery
+from repro.query import Predicate, SkylineQuery, TopKQuery
 from repro.serve import QueryService, ServiceConfig
 from repro.shard import (
     HashShardingPolicy,
@@ -37,12 +40,17 @@ from repro.shard import (
 )
 from repro.workloads import SyntheticSpec, generate_relation
 from tests.conftest import brute_force_topk
+from tests.test_parity_oracle import brute_force_skyline
 
 SPEC = SyntheticSpec(num_tuples=90, num_selection_dims=2,
                      num_ranking_dims=2, cardinality=3, distribution="C",
                      seed=1313)
 GRID_ONLY = dict(block_size=12, with_signature=False, with_skyline=False)
 FULL = dict(block_size=12, rtree_max_entries=8)
+#: The served stacks: grid only, then the full default stack three ways.
+SERVED = (GRID_ONLY, FULL,
+          dict(FULL, cost_model=CostModel(**CostModel.PAPER)),
+          dict(FULL, planner_mode="static"))
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, width=32)
 codes = st.integers(min_value=0, max_value=2)
@@ -81,18 +89,21 @@ class WritesAndReads(RuleBasedStateMachine):
         self.range_manager = ShardManager(
             ranged, RangeShardingPolicy(ranged, "A1", 2), **FULL)
         self.range_engine = ScatterGatherExecutor(self.range_manager)
-        self.served = generate_relation(SPEC)
         self.loop = asyncio.new_event_loop()
-        self.service = QueryService(
-            Executor.for_relation(self.served, **GRID_ONLY),
-            ServiceConfig(max_linger=0.0), relation=self.served)
-        self.loop.run_until_complete(self.service.start())
+        self.services = []
+        for stack in SERVED:
+            served = generate_relation(SPEC)
+            self.services.append(QueryService(
+                Executor.for_relation(served, **stack),
+                ServiceConfig(max_linger=0.0), relation=served))
+            self.loop.run_until_complete(self.services[-1].start())
         self.last = None
         self.shard_counts = iter([2, 4, 1, 3])
 
     def teardown(self):
         if hasattr(self, "loop"):
-            self.loop.run_until_complete(self.service.close())
+            for service in self.services:
+                self.loop.run_until_complete(service.close())
             self.loop.close()
             self.hash_engine.close()
             self.range_engine.close()
@@ -105,7 +116,8 @@ class WritesAndReads(RuleBasedStateMachine):
         assert self.executor.insert(self.relation, tid, row)
         assert self.hash_manager.insert(row) == tid
         assert self.range_manager.insert(row) == tid
-        assert self.loop.run_until_complete(self.service.insert(row)) == tid
+        for service in self.services:
+            assert self._serve(service.insert(row)) == tid
 
     @rule(a1=codes, a2=codes, n1=unit, n2=unit)
     def insert_row(self, a1, a2, n1, n2):
@@ -161,7 +173,8 @@ class WritesAndReads(RuleBasedStateMachine):
         self._check(query, self.executor.execute(query))
         self._check(query, self.hash_engine.execute(query))
         self._check(query, self.range_engine.execute(query))
-        self._check(query, self._serve(self.service.submit(query)))
+        for service in self.services:
+            self._check(query, self._serve(service.submit(query)))
 
     @precondition(lambda self: self.last is not None)
     @rule()
@@ -176,7 +189,8 @@ class WritesAndReads(RuleBasedStateMachine):
         for answers in (self.executor.execute_many(batch),
                         self.hash_engine.execute_many(batch),
                         self.range_engine.execute_many(batch),
-                        self._serve(self.service.submit_many(batch))):
+                        *(self._serve(service.submit_many(batch))
+                          for service in self.services)):
             assert len(answers) == len(batch)
             for query, result in zip(batch, answers):
                 self._check(query, result)
@@ -192,7 +206,7 @@ class WritesAndReads(RuleBasedStateMachine):
 
         async def stream():
             frames = []
-            async for frame in self.service.submit_stream(query):
+            async for frame in self.services[0].submit_stream(query):
                 frames.append(frame)
             return frames
 
@@ -203,6 +217,16 @@ class WritesAndReads(RuleBasedStateMachine):
         assert kind == "final"
         self._check(query, final)
         self._check_prefixes(final, [frame[1:] for frame in frames[:-1]])
+
+    @rule(predicate=predicates)
+    def query_skyline(self, predicate):
+        """Served by every stack with a skyline backend: BBS until an
+        insert marks it stale, the scan skyline after."""
+        query = SkylineQuery(predicate, ("N1", "N2"))
+        expected = brute_force_skyline(self.relation, query)
+        for service in self.services[1:]:
+            result = self._serve(service.submit(query))
+            assert tuple(sorted(result.tids)) == expected
 
     @staticmethod
     def _check_prefixes(result, emitted):
@@ -225,8 +249,10 @@ class WritesAndReads(RuleBasedStateMachine):
         rows = self.relation.num_tuples
         assert self.hash_manager.relation.num_tuples == rows
         assert self.range_manager.relation.num_tuples == rows
-        assert self.served.num_tuples == rows
-        for executor in (self.executor, self.service.engine,
+        for service in self.services:
+            assert service.relation.num_tuples == rows
+        for executor in (self.executor,
+                         *(service.engine for service in self.services),
                          *self.hash_manager.built_executors().values()):
             cube = executor.registry.get("ranking-cube").cube
             assert cube.num_rows == cube.relation.num_tuples

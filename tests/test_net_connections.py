@@ -156,8 +156,9 @@ class TestReuse:
 
     def test_answers_that_close_are_not_kept(self):
         class BadLength(AsyncQueryClient):
-            def _headers(self, body, extra=None):
-                return super()._headers(body, {"Content-Length": "abc"})
+            def _headers(self, body):
+                return super()._headers(body).replace(
+                    b"Content-Length: %d" % len(body), b"Content-Length: abc")
 
         async def scenario(service, server, client):
             opened = []

@@ -22,11 +22,13 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine import CostModel, Executor
 from repro.functions.linear import LinearFunction, sum_function
 from repro.query import Predicate, QueryResult, SkylineQuery, TopKQuery
 from repro.serve import (
+    PRIORITY_CLASSES,
     MicroBatcher,
     QueryService,
     QueuedRequest,
@@ -115,7 +117,7 @@ class TestMicroBatcher:
         requests = [self.request(clock) for _ in range(3)]
         for request in requests:
             batcher.append(request)
-        assert batcher.size_ready() and batcher.due(0.0)
+        assert len(batcher) == 3 and batcher.due(0.0)
         assert batcher.drain(0.0) == requests
 
     def test_drain_caps_at_max_batch_size(self):
@@ -166,6 +168,44 @@ class TestMicroBatcher:
         assert batcher.drain(force=True) == [request]
         # A forced (shutdown) flush does not distort the adaptation.
         assert batcher.linger == linger_before
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(steps=st.lists(st.one_of(
+        st.tuples(st.just("append"), st.sampled_from(PRIORITY_CLASSES),
+                  st.sampled_from("abc")),
+        st.tuples(st.just("tick"), st.sampled_from([0.0, 0.3, 1.0])),
+        st.tuples(st.just("drain")), st.tuples(st.just("force")),
+        st.tuples(st.just("take"), st.booleans())), max_size=60))
+    def test_len_is_the_sum_of_the_class_queues(self, steps):
+        """The batcher counts its length instead of summing the class
+        queues on every call; any run of appends, drains (due or not),
+        forced drains and decided takes keeps the count equal to the sum
+        and to what went in minus what came out."""
+        clock = FakeClock()
+        batcher = MicroBatcher(max_batch_size=3, max_linger=1.0,
+                               min_linger=0.25, clock=clock)
+        held = 0
+        for step in steps:
+            if step[0] == "append":
+                batcher.append(QueuedRequest(
+                    query=object(), future=None, enqueued_at=clock(),
+                    priority=step[1], client_id=step[2]))
+                held += 1
+            elif step[0] == "tick":
+                clock.t += step[1]
+            else:
+                due = batcher.due()
+                batch = (batcher.drain() if step[0] == "drain"
+                         else batcher.drain(force=True) if step[0] == "force"
+                         else batcher.take_batch(adapt=step[1]))
+                assert len(batch) <= 3
+                assert batch or (step[0] == "drain" and not due) or not held
+                held -= len(batch)
+            assert len(batcher) == held == sum(
+                batcher.pending_by_class().values())
+            assert batcher.due() == (
+                held >= 3 or (held > 0 and clock() >= batcher.next_deadline()))
 
 
 class RecordingLegs(InProcessLegs):
@@ -960,6 +1000,64 @@ class TestDeadlinePropagation:
 
         asyncio.run(run())
         assert seen and all(deadline is None for deadline in seen)
+
+
+class BookkeepingFailure:
+    """A duck-typed engine that answers ``"broken"`` with an object the
+    service cannot annotate: the batch holding it fails after its engine
+    call, in the service's own bookkeeping."""
+
+    def execute_many(self, queries):
+        return [object() if query == "broken" else
+                QueryResult(tids=(len(query),), scores=(0.0,))
+                for query in queries]
+
+
+class TestDrainLoop:
+    """The drain loop runs each due batch itself, under the engine slot."""
+
+    def test_a_batch_failing_its_bookkeeping_fails_only_its_members(self):
+        async def main():
+            async with QueryService(BookkeepingFailure(),
+                                    ServiceConfig(max_linger=0.0)) as service:
+                outcomes = await asyncio.wait_for(asyncio.gather(
+                    service.submit_many(["broken", "peer"]),
+                    return_exceptions=True), 5.0)
+                after = await asyncio.wait_for(service.submit("after"), 5.0)
+                return outcomes, after, service.metrics_snapshot()
+
+        outcomes, after, snapshot = asyncio.run(main())
+        assert isinstance(outcomes[0], AttributeError)
+        assert after.tids == (len("after"),)
+        assert snapshot["serve.failed"] == 2.0
+        assert snapshot["serve.completed"] == 1.0
+
+    def test_no_task_is_spawned_per_batch(self, relation):
+        _, engine = make_engine(relation)
+
+        async def main():
+            async with QueryService(engine, ServiceConfig(max_linger=0.0)) \
+                    as service:
+                tasks = len(asyncio.all_tasks())
+                spawned = []
+                loop = asyncio.get_running_loop()
+                create_task = loop.create_task
+
+                def counting(coro, **kwargs):
+                    spawned.append(getattr(coro, "__qualname__", ""))
+                    return create_task(coro, **kwargs)
+
+                loop.create_task = counting
+                try:
+                    for query in mixed_workload():
+                        await service.submit(query)
+                finally:
+                    del loop.create_task
+                return tasks, len(asyncio.all_tasks()), spawned
+
+        before, after, spawned = asyncio.run(main())
+        assert before == after
+        assert not [name for name in spawned if "_dispatch" in name]
 
 
 class HeldEngine:
