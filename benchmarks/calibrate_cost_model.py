@@ -60,9 +60,10 @@ from repro.workloads import SyntheticSpec, generate_relation  # noqa: E402
 
 #: The constants the fit sets; every other tunable keeps its value
 #: (``score_cost`` is the unit, 1 by definition).
-FITTED = ("row_filter_cost", "match_cost", "block_touch_cost",
-          "node_touch_cost", "signature_test_cost", "compare_cost",
-          "grid_query_cost", "rtree_query_cost", "skyline_scan_query_cost")
+FITTED = ("row_filter_cost", "posting_cost", "match_cost",
+          "block_touch_cost", "node_touch_cost", "signature_test_cost",
+          "compare_cost", "grid_query_cost", "cuboid_query_cost",
+          "rtree_query_cost", "skyline_scan_query_cost")
 #: Lowest fitted value, in tuple-score units.
 FLOOR = 0.01
 BLOCK_SIZE = 200

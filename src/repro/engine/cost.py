@@ -17,18 +17,22 @@ Cost formula
 ------------
 Estimates are in *tuple-score units*: one unit is the time of scoring one
 tuple inside a block-sized ``evaluate_batch`` (``score_cost`` is 1 by
-definition; ``unit_seconds``, about 36 ns on the 2-core Xeon box the
+definition; ``unit_seconds``, about 38 ns on the 2-core Xeon box the
 defaults were fitted on).  For a query with predicate ``P``, ``k`` and
 function shape factor ``F`` (1 for monotone / semi-monotone functions,
 ``general_shape_factor`` for general ones, whose bounds localize poorly)
 over ``N`` tuples, the grid, the R-tree top-k and the block-nested loop pay
-a fixed per-query cost of their access kind (``*_query_cost``), and:
+a fixed per-query cost of their access kind (``*_query_cost``; a grid query
+with a condition adds ``cuboid_query_cost``), and:
 
 * ``selectivity(P) = prod(1 / cardinality(dim) for dim in P)``, forced to
   ``0`` when the profile proves a predicate value absent from its dimension;
 * ``m = N * selectivity(P)`` — expected matching tuples;
-* **table scan** — ``row_filter_cost * N + match_cost * m``: one vectorized
-  filter pass, then gather, score and cut every match to k;
+* **table scan** — ``row_filter_cost * N + posting_cost * l * (c - 1) +
+  match_cost * m`` for ``c`` conditions whose shortest expected posting
+  list holds ``l = N / max cardinality`` tids (0 when a value is absent):
+  the shortest list is checked against the other ``c - 1`` columns, then
+  every match is gathered, scored and cut to k;
 * **grid ranking cube** (block size ``B``, ``c`` covering cuboids) — when
   ``m <= k`` the search exhausts the grid
   (``score_cost * m + blocks_total * block_touch_cost``); otherwise the
@@ -42,7 +46,8 @@ a fixed per-query cost of their access kind (``*_query_cost``), and:
   leaves plus the path down, each leaf paying ``f`` signature tests and
   scoring its matches;
 * **skyline engines** — BBS pays ``node_touch_cost * depth`` per estimated
-  skyline point (``(log2 m)^(d-1)``), the scan skyline one filter pass plus
+  skyline point (``(log2 m)^(d-1)``), the scan skyline the scan's filter
+  (the two terms before ``match_cost``) plus
   ``compare_cost`` per point per match (its numpy peel compares each kept
   point with the live matches).  In time the scan wins every skyline shape
   calibrated (0–2 conditions, static and dynamic), so it gets them all.
@@ -54,11 +59,13 @@ over a grid of query shapes on its own relation (40,000 tuples,
 cardinality 10, seed 31 — never a benchmark workload) and least-squares
 fits the constants above on relative error; each default is the rounded
 median of seven full-mode runs (``score_cost`` and the structural factors
-are kept).  Nothing is measured at start-up.  :attr:`CostModel.PAPER`
-keeps the first planner's hand-set constants, which count work (a block
-touch as 8 tuple scores) rather than time: ``CostModel(**CostModel.PAPER)``
-reproduces every estimate and decision of that planner, for tests that
-pin its routing and for comparing the paper's count metric with wall clock.
+are kept; ``posting_cost`` and ``cuboid_query_cost`` joined the fit with
+the posting-list scan).  Nothing is measured at start-up.
+:attr:`CostModel.PAPER` keeps the first planner's hand-set constants,
+which count work (a block touch as 8 tuple scores) rather than time:
+``CostModel(**CostModel.PAPER)`` reproduces every estimate and decision of
+that planner, for tests that pin its routing and for comparing the paper's
+count metric with wall clock.
 
 Every estimate records its inputs so ``explain`` can show *why* a backend
 won (see ``QueryPlan.details["cost_estimates"]`` / ``["cost_inputs"]``).
@@ -259,25 +266,31 @@ class CostModel:
     hand-set constants they replaced (see the module docstring).
     """
 
-    #: Cost of pushing one row through the vectorized predicate filter.
-    row_filter_cost = 0.12
+    #: Per-row cost of starting the table scan; fitted at one relation
+    #: size, it carries the scan's fixed cost.
+    row_filter_cost = 0.033
+    #: Cost of checking one posting-list entry against another condition.
+    posting_cost = 0.15
     #: Cost of scoring one tuple inside an index sweep: the unit itself.
     score_cost = 1.0
     #: Cost of one match in the table scan: gather, score, cut to k.
-    match_cost = 0.59
+    match_cost = 0.27
     #: Cost of touching one grid block (frontier pop, cell lookup, bounds).
     block_touch_cost = 330.0
     #: Cost of expanding one R-tree node (page read + child bounds).
-    node_touch_cost = 1400.0
+    node_touch_cost = 530.0
     #: Cost of one per-entry signature test.
-    signature_test_cost = 70.0
+    signature_test_cost = 100.0
     #: Cost of one point-against-match comparison of the scan skyline.
-    compare_cost = 0.019
+    compare_cost = 0.022
     #: Fixed cost of one query, per access kind (set-up, result assembly);
     #: the fit finds none for the table scan or BBS.
-    grid_query_cost = 2000.0
-    rtree_query_cost = 22000.0
-    skyline_scan_query_cost = 820.0
+    grid_query_cost = 1700.0
+    rtree_query_cost = 23000.0
+    skyline_scan_query_cost = 900.0
+    #: A grid query with a condition also sets up its covering cuboid
+    #: (cell lookup, block provider) once.
+    cuboid_query_cost = 1300.0
     #: Frontier over-visit: neighbor blocks examined per productive block.
     frontier_overvisit = 3.0
     #: Extra relative cost per additional covering cuboid intersected online.
@@ -293,15 +306,17 @@ class CostModel:
     process_leg_overhead = 5000.0
     #: Seconds per unit where the defaults were fitted: the executor's
     #: ``planner.*`` feedback divides each run's measured time by it.
-    unit_seconds = 3.6e-8
+    unit_seconds = 3.8e-8
 
     #: The first planner's hand-set work counts (see the module
     #: docstring); the terms it lacked take their neutral values.
-    PAPER = {"row_filter_cost": 0.02, "score_cost": 1.0, "match_cost": 1.0,
+    PAPER = {"row_filter_cost": 0.02, "posting_cost": 0.0,
+             "score_cost": 1.0, "match_cost": 1.0,
              "block_touch_cost": 8.0, "node_touch_cost": 32.0,
              "signature_test_cost": 0.5, "compare_cost": 1.0,
              "grid_query_cost": 0.0, "rtree_query_cost": 0.0,
-             "skyline_scan_query_cost": 0.0, "frontier_overvisit": 3.0,
+             "skyline_scan_query_cost": 0.0, "cuboid_query_cost": 0.0,
+             "frontier_overvisit": 3.0,
              "intersection_penalty": 0.5, "general_shape_factor": 4.0,
              "process_leg_overhead": 5000.0}
     #: Constants overridable per instance (``CostModel(**constants)``).
@@ -389,15 +404,24 @@ class CostModel:
         biggest surviving leg costs less than :attr:`process_leg_overhead`
         (a pipe round trip), the scatter stays on the thread pool.
         """
-        matches = stats.expected_matches(query.predicate)
-        return (self.row_filter_cost * stats.num_tuples
-                + self.match_cost * matches)
+        selectivity = stats.selectivity(query.predicate)
+        return self._scan_topk(None, query, stats, selectivity,
+                               stats.num_tuples * selectivity)[0]
 
     # ------------------------------------------------------------------
     # per-access estimators
     # ------------------------------------------------------------------
+    def _scan_filter(self, query, stats, matches) -> float:
+        """The scan up to its matches: a per-row start, then every entry of
+        the shortest posting list checked against the other conditions."""
+        dims = query.predicate.dims
+        shortest = 0.0 if matches == 0 else stats.num_tuples / max(
+            [1] + [stats.selection_cardinalities.get(dim, 1) for dim in dims])
+        return (self.row_filter_cost * stats.num_tuples
+                + self.posting_cost * shortest * max(0, len(dims) - 1))
+
     def _scan_topk(self, profile, query, stats, selectivity, matches):
-        cost = (self.row_filter_cost * stats.num_tuples
+        cost = (self._scan_filter(query, stats, matches)
                 + self.match_cost * matches)
         return cost, {"access": "scan"}
 
@@ -421,6 +445,8 @@ class CostModel:
                     + touched * self.block_touch_cost)
         cost *= 1.0 + self.intersection_penalty * (covering - 1)
         cost += self.grid_query_cost
+        if query.predicate.conditions:
+            cost += self.cuboid_query_cost
         return cost, {"access": "grid", "block_size": block_size,
                       "covering_cuboids": covering}
 
@@ -457,7 +483,7 @@ class CostModel:
     def _scan_skyline(self, profile, query, stats, selectivity, matches):
         points = self._skyline_points(matches, len(query.preference_dims))
         cost = (self.skyline_scan_query_cost
-                + self.row_filter_cost * stats.num_tuples
+                + self._scan_filter(query, stats, matches)
                 + self.compare_cost * matches * points)
         return cost, {"access": "scan-skyline",
                       "estimated_skyline_points": float(points)}

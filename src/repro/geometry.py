@@ -33,10 +33,6 @@ class Interval:
         """Return whether ``value`` lies in the interval."""
         return self.low <= value <= self.high
 
-    def contains_interval(self, other: "Interval") -> bool:
-        """Return whether ``other`` is fully inside this interval."""
-        return self.low <= other.low and other.high <= self.high
-
     def intersects(self, other: "Interval") -> bool:
         """Return whether the two intervals overlap (closed endpoints)."""
         return self.low <= other.high and other.low <= self.high
@@ -57,11 +53,6 @@ class Interval:
     def width(self) -> float:
         """Length of the interval."""
         return self.high - self.low
-
-    @property
-    def midpoint(self) -> float:
-        """Centre of the interval."""
-        return 0.5 * (self.low + self.high)
 
     def clamp(self, value: float) -> float:
         """Nearest point of the interval to ``value``."""
@@ -193,14 +184,6 @@ class Box:
         """Whether the point (given as ``{dim: value}``) lies in the box."""
         return all(self._intervals[d].contains(values[d]) for d in self._intervals)
 
-    def contains_box(self, other: "Box") -> bool:
-        """Whether ``other`` is fully inside this box (on this box's dims)."""
-        return all(
-            self._intervals[d].contains_interval(other.interval(d))
-            for d in self._intervals
-            if other.has_dim(d)
-        )
-
     def intersects(self, other: "Box") -> bool:
         """Whether the two boxes overlap on every shared dimension."""
         for dim, interval in self._intervals.items():
@@ -257,10 +240,6 @@ class Box:
         for interval in self._intervals.values():
             result *= interval.width
         return result
-
-    def center(self) -> Dict[str, float]:
-        """Midpoint of the box as a ``{dim: value}`` dict."""
-        return {d: iv.midpoint for d, iv in self._intervals.items()}
 
     def with_interval(self, dim: str, interval: Interval) -> "Box":
         """A copy of this box with one dimension's interval replaced."""

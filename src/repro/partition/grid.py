@@ -21,7 +21,7 @@ first derivation; nothing can invalidate them, so nothing does.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,11 +59,6 @@ class GridPartition:
     # ------------------------------------------------------------------
     # basic shape
     # ------------------------------------------------------------------
-    @property
-    def bins_per_dim(self) -> Tuple[int, ...]:
-        """Number of bins along each dimension, in :attr:`dims` order."""
-        return self._bins_per_dim
-
     @property
     def num_blocks(self) -> int:
         """Total number of base blocks."""
@@ -180,10 +175,6 @@ class GridPartition:
             kept = self._neighbors[bid] = tuple(result)
         return kept
 
-    def iter_bids(self) -> Iterator[int]:
-        """Iterate over every base-block id."""
-        return iter(range(self.num_blocks))
-
     # ------------------------------------------------------------------
     # pseudo blocks (Section 3.2.3)
     # ------------------------------------------------------------------
@@ -227,13 +218,6 @@ class GridPartition:
         return tuple(
             max(1, math.ceil(count / scale_factor)) for count in self._bins_per_dim
         )
-
-    def num_pseudo_blocks(self, scale_factor: int) -> int:
-        """Total number of pseudo blocks under ``scale_factor``."""
-        total = 1
-        for count in self.pseudo_bins_per_dim(scale_factor):
-            total *= count
-        return total
 
     # ------------------------------------------------------------------
     # meta information

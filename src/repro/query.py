@@ -15,7 +15,7 @@ predicate classes here are shared by the skyline engine as well.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.errors import QueryError
 from repro.functions.base import RankingFunction, finite
@@ -57,11 +57,6 @@ class Predicate:
         """Evaluate the predicate on a single tuple."""
         values = relation.selection_values(tid)
         return all(values.get(dim) == val for dim, val in self.conditions)
-
-    def restricted_to(self, dims: Sequence[str]) -> "Predicate":
-        """Return the sub-predicate over only ``dims``."""
-        allowed = set(dims)
-        return Predicate(tuple((d, v) for d, v in self.conditions if d in allowed))
 
     def validate(self, relation: Relation) -> None:
         """Raise :class:`QueryError` if a condition names a non-selection dim."""

@@ -208,9 +208,9 @@ class ShardManager:
         """Append ``row`` to the base relation and its owning shard.
 
         Returns the new global tid.  The owning shard's built engine stack
-        absorbs the row in place; one left with a stale backend (see
-        :meth:`~repro.engine.Executor.insert`) is dropped and rebuilt on
-        its next leg, so every backend covers the shard again.  Every invalidation hook fires,
+        absorbs the row in place; one holding a backend that cannot (see
+        :meth:`~repro.engine.Executor.insert`) is dropped untouched and
+        rebuilt on its next leg, so every backend covers the shard again.  Every invalidation hook fires,
         so no cached result the row can affect survives the insert.
         """
         global_tid = self.relation.append(row)
@@ -228,7 +228,9 @@ class ShardManager:
         absorbed = None
         executor = self._executors.get(owner)
         if executor is not None:
-            if executor.insert(shard.relation, local_tid, row):
+            # A stack that would go stale is dropped before any backend writes.
+            if (all(backend.maintains_inserts for backend in executor.registry)
+                    and executor.insert(shard.relation, local_tid, row)):
                 absorbed = owner
             else:
                 del self._executors[owner]

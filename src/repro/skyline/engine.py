@@ -218,7 +218,7 @@ class BooleanFirstSkyline:
         self.relation = relation
 
     def query(self, query: SkylineQuery) -> SkylineResult:
-        """Scan, filter, then peel the skyline of the survivors in numpy.
+        """Filter by posting lists, then peel the survivors' skyline in numpy.
 
         Counts what the paper's block-nested loop pays: a full table scan
         and a window that may hold every match.

@@ -117,7 +117,3 @@ class HierarchicalIndex(ABC):
             if node.is_leaf:
                 for entry in self.leaf_entries(node):
                     yield entry.tid, node.path
-
-    def count_tuples(self) -> int:
-        """Number of data entries stored in the index."""
-        return sum(1 for _ in self.iter_tuple_paths())

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Optional
 
 from repro.errors import PageNotFoundError
 
@@ -209,21 +209,6 @@ class Pager:
     def total_bytes(self) -> int:
         """Sum of the estimated sizes of all allocated pages."""
         return sum(self._page_sizes.values())
-
-    def total_pages_by_size(self) -> int:
-        """Number of simulated physical pages, rounding each payload up.
-
-        A payload larger than one page occupies ``ceil(size / page_size)``
-        pages; smaller payloads still occupy one.
-        """
-        total = 0
-        for size in self._page_sizes.values():
-            total += max(1, -(-size // self.page_size))
-        return total
-
-    def page_ids(self) -> Iterator[int]:
-        """Iterate over currently allocated page ids."""
-        return iter(self._pages.keys())
 
     def reset_stats(self) -> IOStats:
         """Reset counters, returning the statistics accumulated so far."""

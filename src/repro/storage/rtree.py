@@ -429,13 +429,6 @@ class RTree(HierarchicalIndex):
                 paths.append(rows)
         return np.concatenate(tids), np.concatenate(paths)
 
-    def path_of_tid(self, tid: int) -> Tuple[int, ...]:
-        """Path of one tuple (linear scan)."""
-        for found_tid, path in self.iter_tuple_paths():
-            if found_tid == tid:
-                return path
-        raise IndexError_(f"tid {tid} is not stored in this R-tree")
-
     # ------------------------------------------------------------------
     # HierarchicalIndex interface
     # ------------------------------------------------------------------

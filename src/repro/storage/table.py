@@ -10,13 +10,15 @@ The ranking-cube data model (thesis Section 1.2.1) is a relation ``R`` with
 A :class:`Relation` stores both groups column-major (one contiguous NumPy
 array per dimension) so that selection masks and ranking-value lookups read
 whole columns, while the query engines address individual tuples by their
-``tid`` (0-based row position, matching the thesis).
+``tid`` (0-based row position, matching the thesis).  Equality selections
+read per-value posting lists (ascending tids), the boolean-first
+baseline's tid lists of Sections 3.5.1 and 4.4.1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -82,6 +84,22 @@ def _frozen_columns(matrix: np.ndarray) -> np.ndarray:
     return view
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+#: The posting list of a value a column does not hold.
+_NO_TIDS = _frozen(np.empty(0, dtype=np.int64))
+
+
+def _postings(column: np.ndarray) -> Dict[int, np.ndarray]:
+    """``{value: ascending tids}`` of one selection column."""
+    order = _frozen(np.argsort(column, kind="stable"))
+    values, starts = np.unique(column[order], return_index=True)
+    return dict(zip(values.tolist(), np.split(order, starts[1:])))
+
+
 class Relation:
     """A columnar relation with categorical selection and real ranking dims.
 
@@ -90,7 +108,9 @@ class Relation:
     stays zero-copy); any other is copied once.  Accessors hand out
     read-only views, so only :meth:`append` changes the data, and it bumps
     :attr:`version`; it copies both matrices (one ``np.vstack`` each), so
-    it costs ``O(T)``.
+    it costs ``O(T)``.  A selection column's posting lists are built on
+    its first equality selection, and :meth:`append` extends the built
+    ones (the new tid is the largest, so each list stays sorted).
 
     Parameters
     ----------
@@ -122,6 +142,7 @@ class Relation:
         self.name = name
         self._selection = _frozen_columns(selection_data)
         self._ranking = _frozen_columns(ranking_data)
+        self._postings: Dict[int, Dict[int, np.ndarray]] = {}
         self._version = 0
 
     # ------------------------------------------------------------------
@@ -218,10 +239,6 @@ class Relation:
             out[dim] = float(row[j])
         return out
 
-    def iter_tids(self) -> Iterator[int]:
-        """Iterate over all tuple ids."""
-        return iter(range(self.num_tuples))
-
     # ------------------------------------------------------------------
     # predicate evaluation helpers
     # ------------------------------------------------------------------
@@ -234,9 +251,26 @@ class Relation:
         return np.ones(self.num_tuples, dtype=bool) if mask is None else mask
 
     def tids_matching(self, conditions: Mapping[str, int]) -> np.ndarray:
-        """Tuple ids matching every equality condition, in tid order."""
-        return (np.flatnonzero(self.mask_equal(conditions)) if conditions
-                else np.arange(self.num_tuples))
+        """Tuple ids matching every equality condition, in tid order.
+
+        Starts from the shortest posting list and keeps its entries whose
+        other condition columns match, so no pass runs over every row.
+        The answer is ``flatnonzero(mask_equal(conditions))``, read-only.
+        """
+        if not conditions:
+            return _frozen(np.arange(self.num_tuples))
+        lists = []
+        for dim, value in conditions.items():
+            column = self.schema.selection_index(dim)
+            if column not in self._postings:
+                self._postings[column] = _postings(self._selection[:, column])
+            lists.append((self._postings[column].get(int(value), _NO_TIDS),
+                          column, int(value)))
+        lists.sort(key=lambda entry: entry[0].size)
+        tids = lists[0][0]
+        for _, column, value in lists[1:]:
+            tids = tids[self._selection[:, column].take(tids) == value]
+        return _frozen(tids) if len(lists) > 1 else tids
 
     # ------------------------------------------------------------------
     # mutation (used by incremental-maintenance experiments)
@@ -244,10 +278,14 @@ class Relation:
     def append(self, row: Mapping[str, object]) -> int:
         """Append one tuple, returning its new tid."""
         selection, ranking = _matrices(self.schema, [row])
+        tid = self.num_tuples
         self._selection = _frozen_columns(np.vstack([self._selection, selection]))
         self._ranking = _frozen_columns(np.vstack([self._ranking, ranking]))
+        for column, postings in self._postings.items():
+            value = int(selection[0, column])
+            postings[value] = _frozen(np.append(postings.get(value, _NO_TIDS), tid))
         self._version += 1
-        return self.num_tuples - 1
+        return tid
 
     def project(self, selection_dims: Sequence[str],
                 ranking_dims: Sequence[str], name: Optional[str] = None) -> "Relation":

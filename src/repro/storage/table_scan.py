@@ -1,14 +1,15 @@
 """Table scan (``TS`` in Section 5.4.1): the fallback every stack serves.
 
-Sequentially reads the whole relation, applies the boolean predicate,
-scores the matches in one batch and cuts the best k.  Disk cost is the number
-of heap pages of the base table — the cost every index-based method is trying
-to beat.
+Filters the relation through per-value posting lists
+(:meth:`~repro.storage.table.Relation.tids_matching`: the shortest
+condition's list, checked against the other condition columns), scores the
+matches in one batch and cuts the best k.  Its ``disk_accesses`` is the
+paper's TS model, every heap page of the base table — the cost every
+index-based method is trying to beat.
 
-It reads columns, never rows: each condition compares one contiguous
-selection column, and only the function's ranking columns are gathered at
-the matching tids.  Scores are cut to the k-th smallest before one stable
-sort, so the answer is the full sort's, bit for bit.
+It reads columns, never rows: only the function's ranking columns are
+gathered at the matching tids.  Scores are cut to the k-th smallest before
+one stable sort, so the answer is the full sort's, bit for bit.
 """
 
 from __future__ import annotations
@@ -34,14 +35,14 @@ def table_pages(relation: Relation, page_size: int = DEFAULT_PAGE_SIZE) -> int:
 
 
 class TableScanTopK:
-    """Full-scan evaluation of top-k queries with boolean predicates."""
+    """Boolean-first evaluation of top-k queries: filter, score, cut to k."""
 
     def __init__(self, relation: Relation, page_size: int = DEFAULT_PAGE_SIZE) -> None:
         self.relation = relation
         self.page_size = page_size
 
     def query(self, query: TopKQuery) -> QueryResult:
-        """Scan every tuple, filter, rank, and return the top k."""
+        """Filter through the posting lists, rank, and return the top k."""
         query.validate(self.relation)
         start = time.perf_counter()
         tids = self.relation.tids_matching(query.predicate.as_dict)

@@ -131,6 +131,6 @@ class TestHierarchicalIndexHelpers:
         nodes = list(tree.iter_nodes())
         assert nodes[0].path == ()
         assert len(nodes) == tree.node_count()
-        assert tree.count_tuples() == 120
+        assert len(list(tree.iter_tuple_paths())) == 120
         leaf_levels = {node.level for node in nodes if node.is_leaf}
         assert leaf_levels == {1}

@@ -391,7 +391,7 @@ def _assert_provider_is_brute_force(cube, provider, predicate):
     relation, table = cube.relation, cube.block_table
     matches = relation.mask_equal(predicate.as_dict)
     provider.reset()
-    for bid in cube.grid.iter_bids():
+    for bid in range(cube.grid.num_blocks):
         tids = provider.tids_in_block(bid)
         assert isinstance(tids, np.ndarray) and tids.dtype == np.int64
         assert (np.diff(tids) > 0).all()  # ascending, no duplicates
@@ -447,14 +447,14 @@ def test_an_empty_first_fragment_spares_the_second_fragments_pages():
     provider = cube.provider_for(Predicate.of({first: 99, second: 0}))
     spared = provider.providers[1].cuboid.buffer
     reads = spared.hits + spared.misses
-    for bid in cube.grid.iter_bids():
+    for bid in range(cube.grid.num_blocks):
         assert provider.tids_in_block(bid).tolist() == []
     assert spared.hits + spared.misses == reads
     # The other way round the second fragment is read, and still nothing
     # qualifies.
     provider = cube.provider_for(Predicate.of({first: 0, second: 99}))
     assert all(not len(provider.tids_in_block(bid))
-               for bid in cube.grid.iter_bids())
+               for bid in range(cube.grid.num_blocks))
     assert spared.hits + spared.misses == reads
 
 
@@ -479,11 +479,11 @@ def test_kept_grid_geometry_is_what_a_fresh_grid_derives(cuts, single_bin):
         lows, highs = grid.block_corners()
         assert lows.shape == highs.shape == (grid.num_blocks, len(dims))
         assert not lows.flags.writeable and not highs.flags.writeable
-        for bid in grid.iter_bids():
+        for bid in range(grid.num_blocks):
             box = fresh.block_box(bid)
             assert lows[bid].tolist() == [box.interval(d).low for d in dims]
             assert highs[bid].tolist() == [box.interval(d).high for d in dims]
-    for bid in grid.iter_bids():
+    for bid in range(grid.num_blocks):
         fresh = GridPartition(dims, bounds)
         for _ in range(2):
             assert grid.neighbors(bid) == fresh.neighbors(bid)

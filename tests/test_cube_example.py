@@ -45,7 +45,7 @@ def example_setup():
 class TestWorkedExample:
     def test_grid_shape_matches_table(self, example_setup):
         _, grid, _ = example_setup
-        assert grid.bins_per_dim == (4, 4)
+        assert grid.pseudo_bins_per_dim(1) == (4, 4)
         assert grid.num_blocks == 16
         assert grid.meta()["N1"] == [0.0, 0.4, 0.45, 0.8, 1.0]
 

@@ -178,13 +178,13 @@ def test_insert_costs_one_write_per_structure_and_keeps_sizes_exact():
     # included), the estimate of the arrays for base blocks.
     assert cube.pager.total_bytes() == sum(
         ENTRY_BYTES * len(cube.pager.read(page_id, physical=False)[0])
-        for page_id in cube.pager.page_ids())
+        for page_id in range(cube.pager.num_pages))
     assert sum(c.size_in_bytes() for c in cube.cuboids.values()) == \
         cube.pager.total_bytes()
     table = cube.block_table
     assert table.pager.total_bytes() == sum(
         estimate_size(table.pager.read(page_id, physical=False))
-        for page_id in table.pager.page_ids())
+        for page_id in range(table.pager.num_pages))
     # Base-block pages stay in strict tid order, so a binary search finds
     # every tid at its row — no side index to keep in step.
     for bid in table.non_empty_bids():
@@ -228,7 +228,7 @@ def test_unseen_cell_and_empty_block_get_fresh_pages():
         num_tuples=600, num_selection_dims=3, num_ranking_dims=2,
         cardinality=4, distribution="C", seed=78))
     cube = RankingCube(relation, block_size=40)
-    empty = sorted(set(cube.grid.iter_bids())
+    empty = sorted(set(range(cube.grid.num_blocks))
                    - set(cube.block_table.non_empty_bids()))
     assert empty
     box = cube.grid.block_box(empty[0])

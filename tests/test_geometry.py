@@ -108,8 +108,8 @@ class TestBox:
     def test_contains_and_intersects(self):
         big = Box.from_bounds(["x", "y"], [0, 0], [10, 10])
         small = Box.from_bounds(["x", "y"], [2, 2], [3, 3])
-        assert big.contains_box(small)
-        assert not small.contains_box(big)
+        assert big.union_hull(small) == big
+        assert small.union_hull(big) != small
         assert big.intersects(small)
         disjoint = Box.from_bounds(["x", "y"], [20, 20], [30, 30])
         assert not big.intersects(disjoint)
@@ -135,10 +135,9 @@ class TestBox:
             for i in (0, 1) for j in (0, 1) for k in (0, 1)
         }
 
-    def test_volume_and_center(self):
+    def test_volume(self):
         box = Box.from_bounds(["x", "y"], [0, 0], [2, 4])
         assert box.volume() == 8
-        assert box.center() == {"x": 1.0, "y": 2.0}
 
     def test_with_interval(self):
         box = Box.from_bounds(["x", "y"], [0, 0], [1, 1])

@@ -130,7 +130,7 @@ def _slim_shard_factory(relation):
 
 def brute_force_skyline(relation, query):
     """O(n^2) dominance oracle straight off the relation's columns."""
-    tids = [tid for tid in relation.iter_tids()
+    tids = [tid for tid in range(relation.num_tuples)
             if query.predicate.matches(relation, tid)]
     points = {}
     for tid in tids:

@@ -69,9 +69,9 @@ class TestGridPartition:
     def test_bid_coords_roundtrip(self):
         grid = GridPartition(["x", "y"], {"x": np.linspace(0, 1, 5),
                                           "y": np.linspace(0, 1, 4)})
-        assert grid.bins_per_dim == (4, 3)
+        assert grid.pseudo_bins_per_dim(1) == (4, 3)
         assert grid.num_blocks == 12
-        for bid in grid.iter_bids():
+        for bid in range(grid.num_blocks):
             assert grid.bid_of_coords(grid.coords_of_bid(bid)) == bid
         with pytest.raises(CubeError):
             grid.coords_of_bid(12)
@@ -113,7 +113,6 @@ class TestGridPartition:
         sf = grid.scale_factor([2, 2])
         assert sf == 2
         assert grid.pseudo_bins_per_dim(sf) == (2, 2)
-        assert grid.num_pseudo_blocks(sf) == 4
         # Blocks in the same 2x2 tile map to the same pid.
         assert grid.pid_of_bid(grid.bid_of_coords((0, 0)), sf) == \
             grid.pid_of_bid(grid.bid_of_coords((1, 1)), sf)
@@ -142,7 +141,7 @@ class TestGridPartition:
 
     def test_equiwidth_partition_of_relation(self, relation):
         grid = equiwidth_partition(relation, num_bins=4)
-        assert grid.bins_per_dim == (4, 4)
+        assert grid.pseudo_bins_per_dim(1) == (4, 4)
 
 
 @settings(max_examples=30, deadline=None)

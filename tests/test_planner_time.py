@@ -3,12 +3,13 @@
 The class defaults of :class:`~repro.engine.cost.CostModel` are measured
 times (``benchmarks/calibrate_cost_model.py``, fitted on its own
 relation); these tests pin what they decide, never how fast anything
-runs.  A one-condition top-k with a large k leaves the grid for the scan,
-whose cut to k makes it the fastest there; a top-k with no condition stays
-on the grid; a skyline with one or two conditions, static or dynamic,
-goes to the scan skyline, whose numpy peel of the matches beats the BBS
-engine's R-tree descent there; and no shape pays the signature cube's
-R-tree descent.  The hand-set constants the
+runs.  Every one- or two-condition top-k goes to the scan, which reads
+the shortest condition's posting list and cuts to k; a top-k with no
+condition stays on the grid up to k = 100, and from k = 200 only a
+general function's goes to the scan; a skyline with one or two
+conditions, static or dynamic, goes to the scan skyline, whose numpy peel
+of the matches beats the BBS engine's R-tree descent there; and no shape
+pays the signature cube's R-tree descent.  The hand-set constants the
 first planner used remain ``CostModel.PAPER`` and are pinned by
 ``tests/test_planner_cost.py``.
 """
@@ -57,9 +58,23 @@ def test_a_one_condition_top_500_goes_to_the_scan(executor):
     assert set(routes.values()) == {"table-scan"}, routes
 
 
+def test_every_one_and_two_condition_top_k_goes_to_the_scan(executor):
+    for conditions in (1, 2):
+        routes = topk_routes(executor, conditions)
+        assert set(routes.values()) == {"table-scan"}, routes
+
+
 def test_a_top_k_without_a_condition_stays_on_the_grid(executor):
-    routes = topk_routes(executor, 0)
+    routes = topk_routes(executor, 0, ks=(5, 20, 100))
     assert set(routes.values()) == {"ranking-cube"}, routes
+
+
+def test_only_a_general_top_k_without_a_condition_leaves_the_grid_from_200(
+        executor):
+    routes = topk_routes(executor, 0, ks=(200, 500))
+    assert routes == {(name, k): ("table-scan" if name == "general"
+                                  else "ranking-cube")
+                      for name, k in routes}, routes
 
 
 def test_one_and_two_condition_skylines_go_to_the_scan(executor):

@@ -40,12 +40,12 @@ class TestConstruction:
         tree = RTree.build(["X"], np.empty((0, 1)))
         assert tree.height() == 1
         assert tree.root().is_leaf
-        assert tree.count_tuples() == 0
+        assert list(tree.iter_tuple_paths()) == []
 
     def test_structure_invariants(self, built_tree):
         tree, points = built_tree
         assert tree.num_entries == len(points)
-        assert tree.count_tuples() == len(points)
+        assert len(list(tree.iter_tuple_paths())) == len(points)
         assert tree.height() >= 3
         assert tree.node_count() >= len(points) / 8
         # Every node's box contains its children's boxes.
@@ -55,7 +55,7 @@ class TestConstruction:
                     assert node.box.contains_point(dict(zip(tree.dims, entry.values)))
             else:
                 for child in tree.children(node):
-                    assert node.box.contains_box(child.box)
+                    assert node.box.union_hull(child.box) == node.box
 
     def test_leaf_capacity_respected(self, built_tree):
         tree, _ = built_tree
@@ -83,9 +83,9 @@ class TestPaths:
     def test_path_of_tid(self, built_tree):
         tree, _ = built_tree
         paths = dict(tree.iter_tuple_paths())
-        assert tree.path_of_tid(5) == paths[5]
-        with pytest.raises(IndexError_):
-            tree.path_of_tid(10 ** 9)
+        tids, rows = tree.tuple_paths()
+        assert tuple(rows[tids.tolist().index(5)].tolist()) == paths[5]
+        assert 10 ** 9 not in tids
 
 
 class TestInsert:
@@ -101,7 +101,7 @@ class TestInsert:
         assert outcome.old_paths == {}
         assert list(outcome.new_paths) == [10]
         assert tree.num_entries == 11
-        assert tree.path_of_tid(10) == outcome.new_paths[10]
+        assert dict(tree.iter_tuple_paths())[10] == outcome.new_paths[10]
 
     def test_insert_with_splits_reports_changed_paths(self):
         tree, points = self._fresh_tree(count=64, max_entries=4)

@@ -13,6 +13,7 @@ import pytest
 
 from repro.storage.table_scan import TableScanTopK
 from repro.engine import CostModel, Executor
+from repro.engine.backends import RankingCubeBackend
 from repro.errors import PlanningError
 from repro.functions import LinearFunction
 from repro.functions.linear import sum_function
@@ -475,6 +476,22 @@ class TestCostOrderedScatter:
         assert rebuilt is not before[owner]
         cube = rebuilt.registry.get("ranking-cube").cube
         assert cube.num_rows == manager.shards[owner].relation.num_tuples
+
+    def test_a_full_stack_is_dropped_before_its_grid_writes(self,
+                                                            monkeypatch):
+        manager, engine, query, _, owner, row = (
+            self._insert_into_built_stacks())
+        writes = []
+        monkeypatch.setattr(RankingCubeBackend, "insert",
+                            lambda backend, tid, row: writes.append(tid))
+        for step in range(3):
+            # Each insert drops the owner's rebuilt full stack unwritten.
+            manager.insert({**row, "N1": 0.05 * step})
+            assert owner not in manager.built_executors()
+            result = engine.execute(query)
+            assert (result.tids, result.scores) == brute_force_topk(
+                manager.relation, query)
+        assert writes == []
 
     def test_gathered_plan_reports_cost_mode(self):
         # Every per-shard planner runs cost-based by default, and explain

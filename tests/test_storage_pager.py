@@ -45,12 +45,6 @@ class TestPager:
         with pytest.raises(ValueError):
             Pager(page_size=0)
 
-    def test_total_pages_by_size(self):
-        pager = Pager(page_size=100)
-        pager.allocate(list(range(200)))  # bigger than one page
-        pager.allocate("tiny")
-        assert pager.total_pages_by_size() >= 3
-
     def test_iostats_diff(self):
         stats = IOStats(logical_reads=10, physical_reads=4, writes=2)
         earlier = IOStats(logical_reads=3, physical_reads=1, writes=1)

@@ -119,11 +119,10 @@ class TestQueryModel:
         assert len(pred) == 2
         assert Predicate.of().is_empty()
 
-    def test_predicate_matching_and_restriction(self, relation):
+    def test_predicate_matching(self, relation):
         pred = Predicate.of(A=1, B=2)
         assert pred.matches(relation, 3)
         assert not pred.matches(relation, 0)
-        assert pred.restricted_to(["A"]).as_dict == {"A": 1}
 
     def test_predicate_validation(self, relation):
         with pytest.raises(QueryError):
