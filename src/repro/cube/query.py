@@ -12,14 +12,15 @@ candidate).
 
 One sweep, :meth:`GridTopKExecutor.execute_fused`, serves a group of one or
 more same-function queries; ``execute`` is that sweep over a group of one.
+The halt test reads the k-th score once per popped block, so each query's
+:class:`TopKAccumulator` holds its best k as one sorted array and merges a
+block's survivors into it with one stable sort.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import heapq
-import operator
 import time
 from typing import List, Optional, Sequence, Set, Tuple
 
@@ -34,7 +35,7 @@ from repro.query import QueryResult
 
 
 class TopKAccumulator:
-    """The best (smallest-score) k tuples seen, in two phases.
+    """The best (smallest-score) k tuples seen, kept as one sorted run.
 
     The retained set is the minimal k under the canonical
     :func:`repro.query.topk_order_key` order ``(score, tid)`` — ties at the
@@ -42,111 +43,85 @@ class TopKAccumulator:
     engine (and every shard merge) that feeds the same scored tuples ends
     with the same answer list.
 
-    *Filling*: until k tuples have been offered none can be rejected, so
-    offers are only kept — bulk ones as the arrays they arrived in, scalar
-    ones in two lists.  The offer that reaches k folds what was kept, in one
-    sort, into a bounded max-heap; from then on candidates that cannot be
-    retained are cut as arrays and only the survivors walk the heap.
+    The kept tuples are one ``complex128`` array in that order, whose real
+    and imaginary parts are two aligned arrays: the scores (bit for bit,
+    ``-0.0`` included) and the tids (exact as doubles below 2**53).  NumPy
+    orders complex numbers by real part, then imaginary part, so the
+    canonical order is the array's own sort order.  An offer only appends
+    what passes the cut ``score <= kth`` (``<=``: a tie with the k-th score
+    still enters on a smaller tid).  The first read after it merges
+    everything appended into the kept run with one stable sort — NumPy's
+    timsort, a merge of sorted runs — and truncates to k.  The grid sweep
+    reads once per popped block, so the kept set is made exact once per
+    block, never per tuple.
     """
 
     def __init__(self, k: int) -> None:
         if k <= 0:
             raise QueryError("k must be positive")
         self.k = k
-        #: ``(-score, -tid)``, root is worst; empty while filling, k entries after.
-        self._heap: List[Tuple[float, int]] = []
-        self._kept = 0
+        #: The best k so far as ``score + tid*1j``, ascending.
+        self._kept = np.empty(0, dtype=np.complex128)
+        #: The k-th kept score, ``+inf`` until k tuples are kept.
+        self._kth = float("inf")
+        #: Offers since the last read: bulk survivors as pair arrays,
+        #: scalar ones as two lists.
+        self._added: List[np.ndarray] = []
         self._tids: List[int] = []
         self._scores: List[float] = []
-        self._tid_chunks: List[np.ndarray] = []
-        self._score_chunks: List[np.ndarray] = []
-        #: :meth:`ordered`'s answer, until the next offer that is retained.
+        #: :meth:`ordered`'s answer, until the next merge.
         self._ordered: Optional[Tuple[List[int], List[float]]] = None
 
     def offer(self, tid: int, score: float) -> None:
         """Consider one scored tuple."""
-        if not self._heap:
+        if score <= self._kth:
             self._tids.append(tid)
             self._scores.append(score)
-            self._keep(1)
-            return
-        # Inline (score, tid) < (worst_score, worst_tid): this runs once
-        # per surviving tuple, so no tuple allocation in the hot path.
-        worst_score = -self._heap[0][0]
-        if score < worst_score or (score == worst_score
-                                   and tid < -self._heap[0][1]):
-            heapq.heapreplace(self._heap, (-score, -tid))
-            self._ordered = None
 
     def offer_many(self, tids: np.ndarray, scores: np.ndarray) -> None:
         """Consider aligned arrays of scored tuples: :meth:`offer` in bulk.
 
         The retained set is the k best under ``(score, tid)`` whatever the
         arrival order, so the outcome is that of offering every tuple one
-        by one.  The arrays are kept, not copied, while filling: hand over
-        arrays nothing writes to afterwards.
+        by one.
         """
-        if not self._heap:
-            self._tid_chunks.append(tids)
-            self._score_chunks.append(scores)
-            self._keep(len(tids))
-            return
-        # <=, not <: a tie with the k-th score still enters when its tid is
-        # smaller.
-        keep = scores <= -self._heap[0][0]
-        tids, scores = tids[keep], scores[keep]
-        if len(tids) > self.k:
-            # Ties at the cut are decided by tid, hence a full lexsort
-            # rather than a partition on score alone.
-            best = np.lexsort((tids, scores))[:self.k]
-            tids, scores = tids[best], scores[best]
-        for tid, score in zip(tids.tolist(), scores.tolist()):
-            self.offer(tid, score)
+        keep = scores <= self._kth
+        tids = tids[keep]
+        if len(tids):
+            self._added.append(_pairs(tids, scores[keep]))
 
-    def _keep(self, count: int) -> None:
-        """``count`` more tuples were kept while filling; fold at k."""
-        self._kept += count
-        self._ordered = None
-        if self._kept >= self.k:
-            tids, scores = self._kept_arrays()
-            # Worst first: ascending in (-score, -tid), which is a heap.
-            worst_first = np.lexsort((tids, scores))[self.k - 1::-1]
-            self._heap = list(zip((-scores[worst_first]).tolist(),
-                                  (-tids[worst_first]).tolist()))
-            self._kept = self.k
-            self._tids, self._scores = [], []
-            self._tid_chunks, self._score_chunks = [], []
-
-    def _kept_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Everything kept while filling as one ``(tids, scores)`` pair."""
-        return (np.concatenate(self._tid_chunks
-                               + [np.array(self._tids, dtype=np.int64)]),
-                np.concatenate(self._score_chunks
-                               + [np.array(self._scores, dtype=np.float64)]))
+    def _merged(self) -> np.ndarray:
+        """The kept run, with every offer since the last read merged in."""
+        if self._added or self._tids:
+            if self._tids:
+                self._added.append(_pairs(self._tids, self._scores))
+                self._tids, self._scores = [], []
+            merged = np.concatenate([self._kept, *self._added])
+            merged.sort(kind="stable")
+            self._kept = merged[:self.k]
+            if len(self._kept) == self.k:
+                self._kth = float(self._kept[-1].real)
+            self._added = []
+            self._ordered = None
+        return self._kept
 
     @property
     def kth_score(self) -> float:
         """Current k-th best score (``+inf`` until k tuples have been seen)."""
-        return -self._heap[0][0] if self._heap else float("inf")
+        self._merged()
+        return self._kth
 
     def is_full(self) -> bool:
         """Whether k tuples have been collected."""
-        return bool(self._heap)
+        return len(self._merged()) == self.k
 
     def ordered(self) -> Tuple[List[int], List[float]]:
         """The retained ``(tids, scores)``, two aligned lists in canonical
         ``(score, tid)`` order — the caller's to read, not to change."""
+        kept = self._merged()
         if self._ordered is None:
-            if self._heap:
-                # Entries are (-score, -tid): their descending order is
-                # that order.
-                neg_scores, neg_tids = zip(*sorted(self._heap, reverse=True))
-                self._ordered = (list(map(operator.neg, neg_tids)),
-                                 list(map(operator.neg, neg_scores)))
-            else:
-                tids, scores = self._kept_arrays()
-                order = np.lexsort((tids, scores))
-                self._ordered = tids[order].tolist(), scores[order].tolist()
+            self._ordered = (kept.imag.astype(np.int64).tolist(),
+                             kept.real.tolist())
         return self._ordered
 
     def ranked(self) -> List[Tuple[int, float]]:
@@ -167,10 +142,17 @@ class TopKAccumulator:
         canonical ``(score, tid)`` order, exactly the reason the sweep's
         halt test is strict too.
         """
-        return bisect.bisect_left(self.ordered()[1], bound)
+        return int(self._merged().real.searchsorted(bound))
 
     def __len__(self) -> int:
-        return self._kept
+        return len(self._merged())
+
+
+def _pairs(tids, scores) -> np.ndarray:
+    """Aligned tids and scores as :class:`TopKAccumulator`'s pair array."""
+    pairs = np.empty(len(tids), dtype=np.complex128)
+    pairs.real, pairs.imag = scores, tids
+    return pairs
 
 
 def find_start_block(grid: GridPartition, function: RankingFunction) -> int:

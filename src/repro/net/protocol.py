@@ -452,6 +452,25 @@ def encode_result(result) -> dict:
     raise ProtocolError(f"cannot encode result {type(result).__name__}")
 
 
+def _decode_counts(obj, *counts: str) -> tuple:
+    """A result's ``counts`` (exact integers: ``true`` is not one), then its
+    ``elapsed_seconds`` (a number) and ``extra`` (an object), in the
+    result's field order; an absent field takes its default, anything else
+    is a ``ProtocolError``."""
+    values = [obj.get(name, 0) for name in counts]
+    if not set(map(type, values)) <= {int}:
+        name = next(name for name, value in zip(counts, values)
+                    if type(value) is not int)
+        raise ProtocolError(f"{name} must be an integer")
+    elapsed = obj.get("elapsed_seconds", 0.0)
+    if type(elapsed) not in (int, float):
+        raise ProtocolError("elapsed_seconds must be a number")
+    extra = obj.get("extra", {})
+    if type(extra) is not dict:
+        raise ProtocolError("extra must be an object")
+    return (*values, float(elapsed), dict(extra))
+
+
 def decode_result(obj):
     if not isinstance(obj, (dict, Mapping)) or "result_kind" not in obj:
         raise ProtocolError("result must be an object with a 'result_kind'")
@@ -462,24 +481,14 @@ def decode_result(obj):
         if len(tids) != len(scores):
             raise ProtocolError(
                 f"result carries {len(tids)} tids but {len(scores)} scores")
-        return QueryResult(
-            tids=tids,
-            scores=scores,
-            disk_accesses=int(obj.get("disk_accesses", 0)),
-            states_generated=int(obj.get("states_generated", 0)),
-            peak_heap_size=int(obj.get("peak_heap_size", 0)),
-            tuples_evaluated=int(obj.get("tuples_evaluated", 0)),
-            elapsed_seconds=float(obj.get("elapsed_seconds", 0.0)),
-            extra=dict(obj.get("extra") or {}))
+        return QueryResult(tids, scores, *_decode_counts(
+            obj, "disk_accesses", "states_generated", "peak_heap_size",
+            "tuples_evaluated"))
     if kind == "skyline":
-        return SkylineResult(
-            tids=_decode_tids(obj.get("tids")),
-            disk_accesses=int(obj.get("disk_accesses", 0)),
-            signature_accesses=int(obj.get("signature_accesses", 0)),
-            peak_heap_size=int(obj.get("peak_heap_size", 0)),
-            nodes_expanded=int(obj.get("nodes_expanded", 0)),
-            elapsed_seconds=float(obj.get("elapsed_seconds", 0.0)),
-            extra=dict(obj.get("extra") or {}))
+        tids = _decode_tids(obj.get("tids"))
+        return SkylineResult(tids, *_decode_counts(
+            obj, "disk_accesses", "signature_accesses", "peak_heap_size",
+            "nodes_expanded"))
     raise ProtocolError(f"unknown result kind {kind!r}")
 
 

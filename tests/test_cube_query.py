@@ -57,6 +57,62 @@ class TestTopKAccumulator:
             TopKAccumulator(0)
 
 
+# Few distinct scores, so ties (under distinct tids) at the k-th position
+# are the common case; -0.0 and 0.0 tie and must keep their own bits.
+SPECIAL_SCORES = st.sampled_from(
+    [-np.inf, -1.5, -0.0, 0.0, 0.5, 0.5, 2.0, np.inf])
+offered_tuples = st.lists(st.integers(0, 99), unique=True, max_size=40).flatmap(
+    lambda tids: st.tuples(st.just(tids), st.lists(
+        SPECIAL_SCORES, min_size=len(tids), max_size=len(tids))))
+
+
+def _assert_is_the_lexsort_oracle(topk, tids, scores):
+    """Every reader of ``topk`` against a lexsort of everything offered."""
+    order = np.lexsort((np.array(tids, dtype=np.int64),
+                        np.array(scores, dtype=np.float64)))[:topk.k]
+    expected = ([tids[i] for i in order], [scores[i] for i in order])
+    got = topk.ordered()
+    assert got[0] == expected[0]
+    assert (np.array(got[1]).tobytes()
+            == np.array(expected[1], dtype=np.float64).tobytes())
+    assert all(type(tid) is int for tid in got[0])
+    assert all(type(score) is float for score in got[1])
+    assert len(topk) == len(order)
+    assert topk.is_full() == (len(order) == topk.k)
+    assert topk.kth_score == (expected[1][-1] if topk.is_full()
+                              else float("inf"))
+    for bound in (-np.inf, -1.5, 0.0, 0.5, 1.0, np.inf):
+        assert topk.verified_count(bound) == sum(
+            score < bound for score in expected[1])
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(offered_tuples, st.sampled_from([1, 2, 3, 5, 8, 40, 200]),
+       st.lists(st.tuples(st.integers(0, 9), st.booleans()),
+                min_size=1, max_size=6))
+def test_any_offers_read_as_a_lexsort_of_everything_offered(scored, k, steps):
+    """Scalar offers and bulk chunks (empty ones included) in any order:
+    after every call the accumulator reads as the first k of a lexsort
+    over all pairs offered so far, ``-0.0`` / ``0.0`` and ``±inf`` too."""
+    tids, scores = scored
+    topk = TopKAccumulator(k)
+    start = 0
+    for number in range(2 * len(tids) + 2):
+        size, bulk = steps[number % len(steps)]
+        chunk = slice(start, start + size)
+        start += size
+        if bulk:
+            topk.offer_many(np.array(tids[chunk], dtype=np.int64),
+                            np.array(scores[chunk], dtype=np.float64))
+            _assert_is_the_lexsort_oracle(topk, tids[:start], scores[:start])
+            continue
+        for position, (tid, score) in enumerate(
+                zip(tids[chunk], scores[chunk]), start=chunk.start + 1):
+            topk.offer(tid, score)
+            _assert_is_the_lexsort_oracle(
+                topk, tids[:position], scores[:position])
+
+
 class TestCubeStructure:
     def test_all_subsets_materialized(self, relation, cube):
         assert cube.num_cuboids() == 2 ** len(relation.selection_dims) - 1

@@ -84,6 +84,7 @@ from repro.serve import (
     ServiceConfig,
     ServiceOverloadedError,
 )
+from repro.skyline.engine import SkylineResult
 from repro.workloads import SyntheticSpec, generate_relation
 from tests.test_serve import BACKLOG, BACKLOG_ORDER, URGENT, HeldEngine
 from tests.test_parity_oracle import (
@@ -244,17 +245,36 @@ class TestProtocolCodec:
         ("scores", "AAAAAAAA4D8"),     # valid characters, bad padding
         ("scores", base64.b64encode(b"\0" * 15).decode()),  # not whole doubles
         ("scores", base64.b64encode(b"\0" * 24).decode()),  # 3 scores, 2 tids
+        ("disk_accesses", 1.5),        # int() used to truncate it to 1
+        ("disk_accesses", True),       # ... and to read ``true`` as 1
+        ("states_generated", "x"),     # int() raised ValueError
+        ("peak_heap_size", None),      # ... and TypeError
+        ("tuples_evaluated", 2.0),
+        ("signature_accesses", False),
+        ("nodes_expanded", "3"),
+        ("elapsed_seconds", "x"),
+        ("elapsed_seconds", True),
+        ("elapsed_seconds", None),
+        ("extra", "x"),                # dict() raised ValueError
+        ("extra", [["plan", "grid"]]),  # ... or built a dict of pairs
+        ("extra", None),
     ])
     def test_decode_result_checks_what_it_is_handed(self, field, value):
-        envelope = json.loads(json.dumps(encode_result(
+        topk = json.loads(json.dumps(encode_result(
             QueryResult(tids=(1, 2), scores=(0.5, 0.75)))))
-        assert decode_result(envelope).scores == (0.5, 0.75)
-        envelope[field] = value
+        skyline = json.loads(json.dumps(encode_result(
+            SkylineResult(tids=(3, 1), nodes_expanded=4))))
+        assert decode_result(topk).scores == (0.5, 0.75)
+        assert decode_result(skyline).nodes_expanded == 4
+        carriers = [envelope for envelope in (topk, skyline)
+                    if field in envelope]
+        assert carriers
+        for envelope in carriers:
+            envelope[field] = value
+            with pytest.raises(ProtocolError):
+                decode_result(envelope)
         with pytest.raises(ProtocolError):
-            decode_result(envelope)
-        skyline = {"result_kind": "skyline", "tids": [3, 1.0]}
-        with pytest.raises(ProtocolError):
-            decode_result(skyline)
+            decode_result({"result_kind": "skyline", "tids": [3, 1.0]})
 
     def test_error_envelope_rebuilds_typed_exceptions(self):
         exc = ServiceOverloadedError("queue full", retry_after=1.25)
