@@ -28,8 +28,12 @@ ready-to-paste snippet, the measured unit included as ``unit_seconds``::
 
     PYTHONPATH=src python benchmarks/calibrate_cost_model.py --quick
 
-The committed :class:`CostModel` defaults are this tool's full-mode fit,
-rounded.  Nothing is measured at start-up: an operator who wants
+A single fit moves up to 2x from run to run on a shared host.  ``--runs N``
+measures and fits N times and prints each constant's median (the one the
+snippet carries) with the min and max over the N fits; the error and
+regret tables judge the last run's timings under the medians.  The
+committed :class:`CostModel` defaults are the rounded medians of seven
+full-mode fits.  Nothing is measured at start-up: an operator who wants
 constants for other hardware passes the snippet to their executor
 (``Executor(cost_model=CostModel(...))``).
 
@@ -193,6 +197,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="smaller relation for a fast calibration pass")
     parser.add_argument("--repeats", type=int, default=5,
                         help="timing repetitions per run (minimum is kept)")
+    parser.add_argument("--runs", type=int, default=1,
+                        help="measure and fit this many times; each constant "
+                             "is the median of the fits, printed with their "
+                             "min and max (fits move up to 2x run to run)")
     parser.add_argument("--tuples", type=int, default=None,
                         help="relation size override (the test suite smokes "
                              "the tool at tiny N; fitted constants are "
@@ -204,6 +212,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "per-backend planner misestimation counters "
                              "before calibrating")
     args = parser.parse_args(argv)
+    if args.runs < 1:
+        parser.error("--runs must be at least 1")
 
     if args.metrics:
         import json
@@ -220,27 +230,39 @@ def main(argv: Optional[List[str]] = None) -> int:
         num_tuples=num_tuples, num_selection_dims=3, num_ranking_dims=2,
         cardinality=10, seed=31))
     executor = Executor.for_relation(relation, block_size=BLOCK_SIZE)
-    unit = unit_seconds(relation, args.repeats)
     queries = shape_grid(relation, np.random.default_rng(31))
-    measured = time_backends(executor, queries, args.repeats)
-
-    samples = [(query, name, seconds)
-               for query, times in zip(queries, measured)
-               for name, seconds in times.items()]
-    rows = np.array([features(executor, query, name)
-                     for query, name, _ in samples])
-    seconds = np.array([s for _, _, s in samples])
-    fitted = dict(zip(FITTED, fit(rows, seconds, unit)))
-    fitted = {name: float(f"{value:.2g}") for name, value in fitted.items()}
+    runs = []
+    for _ in range(args.runs):
+        unit = unit_seconds(relation, args.repeats)
+        measured = time_backends(executor, queries, args.repeats)
+        samples = [(query, name, seconds)
+                   for query, times in zip(queries, measured)
+                   for name, seconds in times.items()]
+        rows = np.array([features(executor, query, name)
+                         for query, name, _ in samples])
+        seconds = np.array([s for _, _, s in samples])
+        runs.append((unit, dict(zip(FITTED, fit(rows, seconds, unit)))))
+    units = [run_unit for run_unit, _ in runs]
+    unit = float(np.median(units))
+    spread = {name: [constants[name] for _, constants in runs]
+              for name in FITTED}
+    fitted = {name: float(f"{np.median(values):.2g}")
+              for name, values in spread.items()}
 
     print(f"# cost-model fit ({'quick' if args.quick else 'full'} mode)")
     print(f"tuples={num_tuples} repeats={args.repeats} queries={len(queries)} "
-          f"runs={len(samples)} unit={unit * 1e9:.1f} ns/tuple")
-    print(f"{'constant':<26}{'fitted':>10}{'ns':>10}{'PAPER':>9}")
+          f"runs={len(samples)} fits={args.runs} "
+          f"unit={unit * 1e9:.1f} ns/tuple")
+    print(f"{'constant':<26}{'fitted':>10}{'ns':>10}{'PAPER':>9}"
+          f"{'min':>10}{'max':>10}")
     for name in FITTED:
         print(f"{name:<26}{fitted[name]:>10.3g}"
-              f"{fitted[name] * unit * 1e9:>10.1f}{CostModel.PAPER[name]:>9.3g}")
+              f"{fitted[name] * unit * 1e9:>10.1f}{CostModel.PAPER[name]:>9.3g}"
+              f"{min(spread[name]):>10.3g}{max(spread[name]):>10.3g}")
+    print(f"{'unit ns/tuple':<26}{unit * 1e9:>10.3g}{'':>19}"
+          f"{min(units) * 1e9:>10.3g}{max(units) * 1e9:>10.3g}")
     print()
+    # The last run's timings, judged under the median constants.
     estimated = rows @ np.array([1.0] + [fitted[n] for n in FITTED]) * unit
     errors = np.abs(estimated - seconds) / seconds
     print(f"{'backend':<18}{'runs':>6}{'median rel. error':>19}")

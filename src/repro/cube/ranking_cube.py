@@ -234,10 +234,6 @@ class RankingCube:
         """Materialized size: cuboid pages plus the base block table."""
         return self.pager.total_bytes() + self.block_table.size_in_bytes()
 
-    def cuboid_names(self) -> List[str]:
-        """Names of the materialized cuboids."""
-        return [cuboid.name for cuboid in self.cuboids.values()]
-
     def num_cuboids(self) -> int:
         """Number of materialized cuboids."""
         return len(self.cuboids)

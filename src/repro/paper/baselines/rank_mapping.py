@@ -77,8 +77,7 @@ class RankMappingTopK:
         self.page_size = page_size
 
     def _oracle_kth_score(self, query: TopKQuery) -> float:
-        mask = self.relation.mask_equal(query.predicate.as_dict)
-        tids = np.nonzero(mask)[0]
+        tids = self.relation.tids_matching(query.predicate.as_dict)
         if tids.size == 0:
             return math.inf
         values = self.relation.ranking_values_bulk(tids, query.function.dims)

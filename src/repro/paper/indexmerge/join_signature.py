@@ -29,6 +29,13 @@ Coordinate = Tuple[int, ...]
 _BLOOM_THRESHOLD = 2048
 
 
+def leaf_paths(index: HierarchicalIndex) -> Dict[int, Tuple[int, ...]]:
+    """``{tid: path of its leaf}``: a join-signature only needs the leaf
+    node that holds a tuple, so the tuple path's last step (the 1-based
+    slot inside the leaf) is dropped."""
+    return {tid: path[:-1] for tid, path in index.iter_tuple_paths()}
+
+
 @dataclass
 class JoinSignatureStats:
     """Construction statistics (Figures 5.21–5.22)."""
@@ -60,7 +67,7 @@ class JoinSignature:
     def _build(self) -> None:
         start = time.perf_counter()
         per_index_paths: List[Dict[int, Tuple[int, ...]]] = [
-            dict(index.iter_leaf_paths()) for index in self.indexes
+            leaf_paths(index) for index in self.indexes
         ]
         common_tids = set(per_index_paths[0])
         for paths in per_index_paths[1:]:

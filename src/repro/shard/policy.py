@@ -15,7 +15,7 @@ way.  Two families are provided:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Mapping, Tuple
+from typing import Mapping
 
 import numpy as np
 
@@ -126,11 +126,6 @@ class RangeShardingPolicy(ShardingPolicy):
                       global_tid: int) -> int:
         value = float(row[self.dim])  # type: ignore[arg-type]
         return int(self._shard_of_values(np.array([value]))[0])
-
-    def shard_range(self, shard_index: int) -> Tuple[float, float]:
-        """The ``[low, high]`` value range of one shard, for plans/stats."""
-        return (float(self.boundaries[shard_index]),
-                float(self.boundaries[shard_index + 1]))
 
     def describe(self) -> str:
         return f"range({self.dim}, {self.num_shards}, {self.mode})"

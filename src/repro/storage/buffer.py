@@ -82,12 +82,6 @@ class BufferPool:
             while len(self._cache) > self.capacity:
                 self._cache.popitem(last=False)
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of reads served from the pool (0.0 when nothing was read)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def reset_counters(self) -> None:
         """Zero the hit/miss counters without dropping cached pages."""
         self.hits = 0

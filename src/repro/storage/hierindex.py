@@ -106,14 +106,3 @@ class HierarchicalIndex(ABC):
             if node.is_leaf:
                 for entry in self.leaf_entries(node):
                     yield entry.tid, node.path + (entry.position,)
-
-    def iter_leaf_paths(self) -> Iterator[Tuple[int, Tuple[int, ...]]]:
-        """Yield ``(tid, leaf_path)`` — the tuple path *without* the leaf slot.
-
-        Join-signatures (Section 5.3.2) only need to know which leaf node
-        contains a tuple, so the position inside the leaf is dropped.
-        """
-        for node in self.iter_nodes():
-            if node.is_leaf:
-                for entry in self.leaf_entries(node):
-                    yield entry.tid, node.path

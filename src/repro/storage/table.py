@@ -242,20 +242,12 @@ class Relation:
     # ------------------------------------------------------------------
     # predicate evaluation helpers
     # ------------------------------------------------------------------
-    def mask_equal(self, conditions: Mapping[str, int]) -> np.ndarray:
-        """Boolean mask of tuples matching every ``dim == value`` condition."""
-        mask = None
-        for dim, value in conditions.items():
-            hits = self.selection_column(dim) == int(value)
-            mask = hits if mask is None else np.logical_and(mask, hits, out=mask)
-        return np.ones(self.num_tuples, dtype=bool) if mask is None else mask
-
     def tids_matching(self, conditions: Mapping[str, int]) -> np.ndarray:
         """Tuple ids matching every equality condition, in tid order.
 
         Starts from the shortest posting list and keeps its entries whose
         other condition columns match, so no pass runs over every row.
-        The answer is ``flatnonzero(mask_equal(conditions))``, read-only.
+        The answer is read-only.
         """
         if not conditions:
             return _frozen(np.arange(self.num_tuples))

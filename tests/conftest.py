@@ -43,9 +43,18 @@ def tiny_relation() -> Relation:
     return Relation.from_rows(schema, rows, name="sample")
 
 
+def mask_equal(relation: Relation, conditions) -> np.ndarray:
+    """Boolean mask of the tuples matching every ``dim == value`` condition,
+    one full pass per condition: the reference for posting-list lookups."""
+    mask = np.ones(relation.num_tuples, dtype=bool)
+    for dim, value in conditions.items():
+        mask &= relation.selection_column(dim) == int(value)
+    return mask
+
+
 def brute_force_topk(relation: Relation, query: TopKQuery):
     """Reference implementation every engine must agree with."""
-    mask = relation.mask_equal(query.predicate.as_dict)
+    mask = mask_equal(relation, query.predicate.as_dict)
     tids = np.nonzero(mask)[0]
     scored = []
     for tid in tids:

@@ -90,3 +90,29 @@ class TestCalibrateMetricsOption:
         out = capsys.readouterr().out
         assert "per-backend cost feedback" in out
         assert "misestimates (>4x off)" in out
+
+
+class TestCalibrateRunsOption:
+    def test_two_fits_print_each_constants_median_and_range(self, capsys):
+        calibrate = load_benchmark("calibrate_cost_model")
+        assert calibrate.main(["--quick", "--tuples", "500", "--repeats", "1",
+                               "--runs", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "fits=2" in out
+        table = {}
+        for line in out.splitlines():
+            fields = line.split()
+            if fields and fields[0] in calibrate.FITTED:
+                table[fields[0]] = [float(v) for v in fields[1:]]
+        assert set(table) == set(calibrate.FITTED)
+        for name, (fitted, _, paper, low, high) in table.items():
+            assert paper == pytest.approx(CostModel.PAPER[name], rel=1e-2)
+            assert 0.0 < low <= high
+            # The median of two fits, rounded to two significant digits.
+            assert 0.9 * low <= fitted <= 1.1 * high
+        assert re.search(r"^CostModel\($", out, re.MULTILINE)
+
+    def test_runs_below_one_are_refused(self):
+        calibrate = load_benchmark("calibrate_cost_model")
+        with pytest.raises(SystemExit):
+            calibrate.main(["--runs", "0"])

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import IndexError_
 from repro.paper.btree import BPlusTree, fanout_for_page_size
+from repro.paper.indexmerge.join_signature import leaf_paths
 
 
 @pytest.fixture(scope="module")
@@ -112,10 +113,14 @@ class TestHierarchicalInterface:
 
     def test_iter_leaf_paths_drop_slot(self, tree_and_values):
         tree, _ = tree_and_values
-        leaf_paths = dict(tree.iter_leaf_paths())
-        tuple_paths = dict(tree.iter_tuple_paths())
-        for tid, path in leaf_paths.items():
-            assert tuple_paths[tid][:-1] == path
+        paths = leaf_paths(tree)
+        seen = 0
+        for node in tree.iter_nodes():
+            if node.is_leaf:
+                for entry in tree.leaf_entries(node):
+                    assert paths[entry.tid] == node.path
+                    seen += 1
+        assert seen == len(paths)
 
 
 @settings(max_examples=25, deadline=None)

@@ -28,6 +28,7 @@ from repro.skyline.dominance import dominated_by_any, dominated_rows, mapped_cor
 from repro.storage.pager import Pager
 from repro.storage.rtree import RTree
 from repro.workloads import SyntheticSpec, generate_relation
+from tests.conftest import mask_equal
 
 FANOUT = 5
 DEPTH = 3
@@ -389,7 +390,7 @@ PROVIDER_SPEC = SyntheticSpec(num_tuples=400, num_selection_dims=3,
 
 def _assert_provider_is_brute_force(cube, provider, predicate):
     relation, table = cube.relation, cube.block_table
-    matches = relation.mask_equal(predicate.as_dict)
+    matches = mask_equal(relation, predicate.as_dict)
     provider.reset()
     for bid in range(cube.grid.num_blocks):
         tids = provider.tids_in_block(bid)

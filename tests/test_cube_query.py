@@ -117,7 +117,7 @@ class TestCubeStructure:
     def test_all_subsets_materialized(self, relation, cube):
         assert cube.num_cuboids() == 2 ** len(relation.selection_dims) - 1
         assert len(all_nonempty_subsets(["a", "b"])) == 3
-        names = cube.cuboid_names()
+        names = [cuboid.name for cuboid in cube.cuboids.values()]
         assert any(name.startswith("A1_") for name in names)
 
     def test_cuboid_dim_validation(self, relation):

@@ -54,7 +54,7 @@ from repro.shard import (
     ShardManager,
 )
 from repro.workloads import SyntheticSpec, generate_relation
-from tests.conftest import brute_force_topk
+from tests.conftest import brute_force_topk, mask_equal
 
 
 class FakeClock:
@@ -314,7 +314,7 @@ def chaos_case():
 
 def surviving_oracle(relation, query, surviving_tids):
     """Brute force restricted to the surviving shards' global tids."""
-    mask = relation.mask_equal(query.predicate.as_dict)
+    mask = mask_equal(relation, query.predicate.as_dict)
     scored = sorted(
         (float(query.function.evaluate_tuple(relation, int(tid))), int(tid))
         for tid in np.nonzero(mask)[0] if int(tid) in surviving_tids)

@@ -29,6 +29,7 @@ from repro.paper.indexmerge.expansion import (
     NeighborhoodExpander,
     ThresholdExpander,
 )
+from repro.paper.indexmerge.join_signature import leaf_paths
 from repro.paper.btree import BPlusTree
 from repro.storage.rtree import RTree
 from repro.workloads import SyntheticSpec, generate_relation
@@ -161,8 +162,8 @@ class TestJoinSignature:
     def test_child_pruning_is_sound(self, relation, btrees, pair_signature):
         """Every child declared empty really contains no tuple."""
         t1, t2 = btrees["N1"], btrees["N2"]
-        leaf_paths_1 = dict(t1.iter_leaf_paths())
-        leaf_paths_2 = dict(t2.iter_leaf_paths())
+        leaf_paths_1 = leaf_paths(t1)
+        leaf_paths_2 = leaf_paths(t2)
         function = FUNCTIONS["monotone"]
         context = MergeContext([t1, t2], function)
         root = context.root_state()

@@ -564,6 +564,42 @@ def test_http_batch_endpoint_matches_submit_many():
         assert wire.scores == local.scores
 
 
+def test_a_result_cache_hit_over_the_wire_decodes_as_the_miss():
+    relation = generate_relation(SyntheticSpec(
+        num_tuples=1500, num_selection_dims=2, num_ranking_dims=2,
+        cardinality=4, seed=47))
+    engine = Executor.for_relation(relation, block_size=100)
+    queries = [
+        TopKQuery(Predicate.of(A1=1),
+                  LinearFunction(["N1", "N2"], [1.0, 2.5]), 60),
+        TopKQuery(Predicate.of(A1=9),
+                  SquaredDistanceFunction(["N1", "N2"], [0.3, 0.6]), 5),
+        SkylineQuery(Predicate.of(A2=2), ("N1", "N2")),
+    ]
+
+    async def run():
+        async with QueryService(engine) as service:
+            async with QueryServer(service, NetConfig()) as server:
+                async with AsyncQueryClient("127.0.0.1",
+                                            server.port) as client:
+                    misses = [await client.query(q) for q in queries]
+                    hits = [await client.query(q) for q in queries]
+                return misses, hits
+
+    misses, hits = asyncio.run(run())
+    for query, miss, hit in zip(queries, misses, hits):
+        assert (miss.extra["result_cache"], hit.extra["result_cache"]) == \
+            ("miss", "hit"), query
+        miss_env, hit_env = encode_result(miss), encode_result(hit)
+        for env in (miss_env, hit_env):
+            for key in ("queue_wait", "batch_size", "result_cache"):
+                env["extra"].pop(key, None)
+            env.pop("elapsed_seconds", None)
+        # Scores ride as base64 doubles: equal envelopes are equal bits.
+        assert hit_env == miss_env, query
+    assert misses[1].tids == ()
+
+
 # ----------------------------------------------------------------------
 # typed errors over the wire
 # ----------------------------------------------------------------------

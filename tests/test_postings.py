@@ -27,6 +27,7 @@ from repro.shard import (
 )
 from repro.storage.table import Relation, Schema
 from repro.workloads import SyntheticSpec, generate_relation
+from tests.conftest import mask_equal
 
 #: Condition values as callers hand them in: Python and numpy ints, bools.
 VALUE_TYPES = (int, np.int64, np.int32, bool)
@@ -72,7 +73,7 @@ def test_tids_matching_is_the_full_filter_across_appends(case):
         conditions = {dims[column]: typed(value, kind_of)
                       for column, value, kind_of in payload}
         tids = relation.tids_matching(conditions)
-        expected = np.flatnonzero(relation.mask_equal(conditions))
+        expected = np.flatnonzero(mask_equal(relation, conditions))
         assert tids.dtype == expected.dtype
         assert tids.tolist() == expected.tolist()
         assert not tids.flags.writeable

@@ -1,0 +1,242 @@
+"""The result cache holds each answer packed and hands back what it was given.
+
+``ResultCache`` keeps a top-k answer as two bytes objects (tids as
+little-endian int64s, scores as little-endian doubles) and a skyline as
+one; a hit is unpacked into fresh tuples.  These tests pin that a hit
+equals the miss bit for bit — NaN payloads, ``-0.0``, ``±inf``, empty
+answers, skylines and tids beyond 32 bits included — that the entry
+cannot be reached through a result handed out, that row-aware
+invalidation drops exactly the entries the inserted row may affect, and
+that ``<layer>.result_bytes`` counts 8 B per packed number.
+"""
+
+from __future__ import annotations
+
+import math
+import struct
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.engine import Executor, ResultCache, query_cache_key
+from repro.functions import LinearFunction
+from repro.obs import MetricsRegistry
+from repro.query import Predicate, QueryResult, SkylineQuery, TopKQuery
+from repro.skyline.engine import SkylineResult
+from repro.workloads import SyntheticSpec, generate_relation, make_sharded_engine
+
+#: A quiet NaN carrying a payload, a NaN with its sign bit set, and a
+#: signalling NaN: three different bit patterns that all read as NaN.
+NAN_PAYLOADS = tuple(struct.unpack("<d", struct.pack("<Q", bits))[0]
+                     for bits in (0x7FF8000000000123, 0xFFF8000000000000,
+                                  0x7FF0000000000001))
+SPECIAL = (-0.0, 0.0, math.inf, -math.inf) + NAN_PAYLOADS
+
+doubles = st.one_of(
+    st.sampled_from(SPECIAL),
+    st.binary(min_size=8, max_size=8).map(
+        lambda raw: struct.unpack("<d", raw)[0]))
+tids = st.integers(min_value=0, max_value=2**63 - 1)
+
+
+def score_bits(scores) -> bytes:
+    return struct.pack("<%dd" % len(scores), *scores)
+
+
+def tid_bits(values) -> bytes:
+    return struct.pack("<%dq" % len(values), *values)
+
+
+def topk_key(k: int):
+    return query_cache_key(TopKQuery(
+        Predicate.of(A1=1), LinearFunction(["N1", "N2"], [1.0, 2.0]), k))
+
+
+def skyline_key():
+    return query_cache_key(SkylineQuery(Predicate.of(A1=1), ("N1", "N2")))
+
+
+@pytest.fixture(scope="module")
+def relation():
+    return generate_relation(SyntheticSpec(
+        num_tuples=1200, num_selection_dims=3, num_ranking_dims=2,
+        cardinality=5, seed=83))
+
+
+class TestHitIsTheMiss:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(tids, doubles), max_size=40))
+    def test_a_topk_hit_is_the_miss_bit_for_bit(self, pairs):
+        cache = ResultCache()
+        miss = QueryResult(tids=tuple(t for t, _ in pairs),
+                           scores=tuple(s for _, s in pairs),
+                           disk_accesses=3, tuples_evaluated=7,
+                           extra={"backend": "ranking-cube"})
+        key = topk_key(max(len(pairs), 1))
+        cache.store(key, miss)
+        hit = cache.lookup(key)
+        assert type(hit) is QueryResult
+        assert type(hit.tids) is tuple and type(hit.scores) is tuple
+        assert tid_bits(hit.tids) == tid_bits(miss.tids)
+        assert score_bits(hit.scores) == score_bits(miss.scores)
+        assert (hit.disk_accesses, hit.tuples_evaluated) == (3, 7)
+        assert hit.extra == {"backend": "ranking-cube", "result_cache": "hit"}
+        assert miss.extra["result_cache"] == "miss"
+
+    @pytest.mark.parametrize("skyline", [(), (0,), (5, 2**31, 2**63 - 1)])
+    def test_a_skyline_hit_is_the_miss(self, skyline):
+        cache = ResultCache()
+        miss = SkylineResult(tids=skyline, nodes_expanded=4)
+        cache.store(skyline_key(), miss)
+        hit = cache.lookup(skyline_key())
+        assert type(hit) is SkylineResult
+        assert hit.tids == skyline and type(hit.tids) is tuple
+        assert "scores" not in hit.__dict__
+        assert hit.nodes_expanded == 4
+
+    def test_special_scores_survive(self):
+        cache = ResultCache()
+        scores = SPECIAL + (5e-324, -1.7976931348623157e308)
+        miss = QueryResult(tids=tuple(range(2**31, 2**31 + len(scores))),
+                           scores=scores)
+        cache.store(topk_key(len(scores)), miss)
+        hit = cache.lookup(topk_key(len(scores)))
+        assert score_bits(hit.scores) == score_bits(scores)
+        assert math.copysign(1.0, hit.scores[0]) == -1.0
+        assert hit.tids[0] == 2**31
+
+    def test_an_executor_hit_is_its_miss(self, relation):
+        engine = Executor.for_relation(relation, block_size=100)
+        queries = [
+            TopKQuery(Predicate.of(A1=2),
+                      LinearFunction(["N1", "N2"], [1.0, 3.0]), 40),
+            TopKQuery(Predicate.of(A1=99),
+                      LinearFunction(["N1", "N2"], [1.0, 1.0]), 5),
+            SkylineQuery(Predicate.of(A2=1), ("N1", "N2")),
+        ]
+        for query in queries:
+            miss = engine.execute(query)
+            hit = engine.execute(query)
+            assert (miss.extra["result_cache"], hit.extra["result_cache"]) \
+                == ("miss", "hit")
+            assert tid_bits(hit.tids) == tid_bits(miss.tids)
+            if isinstance(query, TopKQuery):
+                assert score_bits(hit.scores) == score_bits(miss.scores)
+        assert len(engine.execute(queries[1]).tids) == 0
+
+
+class TestEntriesArePacked:
+    def test_every_entry_holds_bytes(self, relation):
+        engine = Executor.for_relation(relation, block_size=100)
+        queries = [TopKQuery(Predicate.of(A1=value),
+                             LinearFunction(["N1", "N2"], [1.0, 2.0]), 25)
+                   for value in range(5)]
+        queries += [SkylineQuery(Predicate.of(A3=value), ("N1", "N2"))
+                    for value in range(3)]
+        engine.execute_many(queries)
+        assert len(engine.result_cache) == len(queries)
+        for query in queries:
+            entry = engine.result_cache.get(query_cache_key(query))
+            assert type(entry.tids) is bytes
+            if isinstance(query, TopKQuery):
+                assert type(entry.scores) is bytes
+                assert len(entry.scores) == len(entry.tids) == 25 * 8
+
+    def test_mutating_a_hit_or_the_miss_leaves_the_entry(self):
+        cache = ResultCache()
+        key = topk_key(3)
+        miss = QueryResult(tids=(4, 2, 9), scores=(-0.0, 1.5, math.inf),
+                           extra={"backend": "table-scan"})
+        cache.store(key, miss)
+        entry = cache.get(key)
+        packed = (entry.tids, entry.scores, dict(entry.extra))
+        hit = cache.lookup(key)
+        hit.extra["backend"] = "poisoned"
+        hit.extra["queue_wait"] = 1.0
+        hit.tids, hit.scores = (), ()
+        hit.disk_accesses = 99
+        miss.extra["backend"] = "poisoned"
+        again = cache.lookup(key)
+        assert (entry.tids, entry.scores, entry.extra) == packed
+        assert again.tids == (4, 2, 9)
+        assert score_bits(again.scores) == score_bits((-0.0, 1.5, math.inf))
+        assert again.extra == {"backend": "table-scan", "result_cache": "hit"}
+        assert again.disk_accesses == 0
+
+
+def conditions_strategy():
+    return st.dictionaries(st.sampled_from(["A1", "A2", "A3"]),
+                           st.integers(0, 3), max_size=3)
+
+
+class TestRowAwareInvalidation:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), conditions_strategy(),
+                              st.integers(1, 6)), max_size=12),
+           st.dictionaries(st.sampled_from(["A1", "A2", "A3", "N1"]),
+                           st.integers(0, 3)))
+    def test_drops_exactly_the_entries_the_row_may_affect(self, shapes, row):
+        cache = ResultCache()
+        keys = []
+        for is_topk, conditions, k in shapes:
+            predicate = Predicate.of(conditions)
+            query = (TopKQuery(predicate, LinearFunction(["N1"], [1.0]), k)
+                     if is_topk else SkylineQuery(predicate, ("N1", "N2")))
+            key = query_cache_key(query)
+            result = (QueryResult(tids=tuple(range(k)), scores=(0.5,) * k)
+                      if is_topk else SkylineResult(tids=(k,)))
+            cache.store(key, result)
+            keys.append((key, conditions))
+        entries = {key: cache.get(key) for key, _ in keys}
+        cache.invalidate(row=row)
+        for key, conditions in keys:
+            # An entry survives exactly when its predicate names a value
+            # the row provably does not carry.
+            survives = any(dim in row and row[dim] != value
+                           for dim, value in conditions.items())
+            kept = cache.get(key)
+            assert (kept is not None) == survives, (key, row)
+            if survives:
+                assert kept is entries[key]
+        assert cache.invalidations == 1
+
+
+def published(cache: ResultCache) -> float:
+    metrics = MetricsRegistry()
+    cache.publish(metrics, "engine")
+    return metrics.snapshot()["engine.result_bytes"]
+
+
+class TestResultBytes:
+    def test_the_gauge_counts_eight_bytes_per_packed_number(self):
+        cache = ResultCache()
+        assert published(cache) == 0.0
+        cache.store(topk_key(500), QueryResult(
+            tids=tuple(range(500)), scores=tuple(float(i) for i in range(500))))
+        assert published(cache) == 8000.0
+        cache.store(skyline_key(), SkylineResult(tids=tuple(range(37))))
+        assert published(cache) == 8000.0 + 8 * 37
+        # Storing under a held key replaces the entry, it does not add one.
+        cache.store(skyline_key(), SkylineResult(tids=(1, 2)))
+        assert published(cache) == 8000.0 + 16
+        cache.invalidate()
+        assert published(cache) == 0.0
+
+    def test_both_layers_expose_it(self, relation):
+        query = TopKQuery(Predicate.of(A1=1),
+                          LinearFunction(["N1", "N2"], [1.0, 1.0]), 10)
+        engine = Executor.for_relation(relation, block_size=100,
+                                       with_signature=False,
+                                       with_skyline=False)
+        engine.execute(query)
+        assert engine.metrics_snapshot()["engine.result_bytes"] == 160.0
+        manager, sharded = make_sharded_engine(
+            relation, 2, block_size=100, with_signature=False,
+            with_skyline=False)
+        sharded.execute(query)
+        snapshot = sharded.metrics_snapshot()
+        assert snapshot["shard.result_bytes"] == 160.0
+        # Legs run past the shard stacks' own caches.
+        assert snapshot["engine.result_bytes"] == 0.0
+        manager.reshard(manager.policy)
+        assert sharded.metrics_snapshot()["shard.result_bytes"] == 0.0

@@ -244,7 +244,7 @@ class TestStatsAndPolicies:
         assignment = policy.assign(relation)
         column = relation.selection_column("A1")
         for index in range(3):
-            low, high = policy.shard_range(index)
+            low, high = policy.boundaries[index], policy.boundaries[index + 1]
             values = column[assignment == index]
             if values.size:
                 assert values.min() >= low - 1e-9

@@ -66,8 +66,7 @@ class TestRelation:
         block = relation.ranking_values_bulk([0, 3], ["Y", "X"])
         assert block.shape == (2, 2)
         assert block[1, 0] == pytest.approx(0.6)
-        mask = relation.mask_equal({"A": 0})
-        assert list(np.nonzero(mask)[0]) == [0, 2]
+        assert list(relation.tids_matching({"A": 0})) == [0, 2]
         assert list(relation.tids_matching({"A": 1, "B": 2})) == [3]
 
     def test_from_rows_and_append(self):
@@ -226,7 +225,6 @@ def test_the_column_major_layout_is_invisible(case):
     mask = np.ones(selection.shape[0], dtype=bool)
     for dim, value in conditions.items():
         mask &= selection[:, schema.selection_index(dim)] == value
-    assert relation.mask_equal(conditions).tolist() == mask.tolist()
     assert relation.tids_matching(conditions).tolist() == np.nonzero(mask)[0].tolist()
 
     for tid in range(selection.shape[0]):

@@ -16,6 +16,7 @@ from repro.functions.linear import LinearFunction
 from repro.query import Predicate, TopKQuery
 from repro.storage.table import Relation, Schema
 from repro.storage.table_scan import TableScanTopK
+from tests.conftest import mask_equal
 
 VALUES = (-1.0, 0.0, 0.5, 1.0, np.inf, -np.inf, np.nan)
 
@@ -47,7 +48,7 @@ def test_the_cut_is_the_full_stable_sort(case):
     query = TopKQuery(predicate, LinearFunction(["N1"], [1.0]), k)
     result = TableScanTopK(relation).query(query)
 
-    tids = np.nonzero(relation.mask_equal(predicate.as_dict))[0]
+    tids = np.nonzero(mask_equal(relation, predicate.as_dict))[0]
     scores = query.function.evaluate_batch(
         relation.ranking_values_bulk(tids, ["N1"]))
     order = np.argsort(scores, kind="stable")[:k]
