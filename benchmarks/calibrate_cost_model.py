@@ -4,8 +4,9 @@ The :class:`~repro.engine.cost.CostModel` prices every backend in
 *tuple-score units*: one unit is the time of scoring one tuple inside a
 block-sized ``evaluate_batch`` (200 rows).  This offline tool measures that
 unit on its own synthetic relation (cardinality 10, seed 31 — never a
-benchmark workload), then times every supporting backend's whole ``run``
-over a fixed grid of query shapes, warm, keeping the minimum of
+benchmark workload), then times every supporting backend of the served
+stack (``Executor.for_relation``) — its whole ``run`` over a fixed grid of
+query shapes, warm, keeping the minimum of
 ``--repeats``:
 
 * top-k: k in {5, 20, 100, 500} x 0-2 equality conditions x a linear and a
@@ -65,9 +66,8 @@ from repro.workloads import SyntheticSpec, generate_relation  # noqa: E402
 #: The constants the fit sets; every other tunable keeps its value
 #: (``score_cost`` is the unit, 1 by definition).
 FITTED = ("row_filter_cost", "posting_cost", "match_cost",
-          "block_touch_cost", "node_touch_cost", "signature_test_cost",
-          "compare_cost", "grid_query_cost", "cuboid_query_cost",
-          "rtree_query_cost", "skyline_scan_query_cost")
+          "block_touch_cost", "compare_cost", "grid_query_cost",
+          "cuboid_query_cost", "skyline_scan_query_cost")
 #: Lowest fitted value, in tuple-score units.
 FLOOR = 0.01
 BLOCK_SIZE = 200

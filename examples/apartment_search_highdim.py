@@ -23,7 +23,7 @@ from repro.paper.indexmerge import (
     IndexMergeTopK,
     JoinSignatureSet,
 )
-from repro.storage.rtree import RTree
+from repro.paper.rtree import RTree
 from repro.storage.table import Relation, Schema
 
 RANKING_DIMS = ("rent", "sqft", "dist_work", "dist_beach", "deposit", "app_fee")

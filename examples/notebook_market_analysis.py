@@ -4,7 +4,8 @@ A notebook-comparison site scores each laptop's market potential from CPU,
 memory and disk.  An analyst drills down to "dell low-end", inspects the
 top-k, rolls up to all makers, and finally asks for the skyline of
 price/weight trade-offs within a brand — the OLAP-navigation and preference
-queries of Chapters 3 and 7 in one session.
+queries of Chapters 3 and 7 in one session, on the signature cube and BBS
+that ``repro.paper.stack.register_paper_backends`` puts on an engine stack.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import numpy as np
 
+from repro.engine import Executor
 from repro.functions import LinearFunction
+from repro.paper.skyline import SkylineSession
+from repro.paper.stack import register_paper_backends
 from repro.query import Predicate, SkylineQuery, TopKQuery
-from repro.signature import SignatureRankingCube, SignatureTopKExecutor
-from repro.skyline import SkylineEngine, SkylineSession
 from repro.storage.table import Relation, Schema
 
 BRANDS = ["dell", "lenovo", "apple", "asus", "hp"]
@@ -44,8 +46,9 @@ def build_catalog(num: int = 12000, seed: int = 23) -> Relation:
 
 def main() -> None:
     catalog = build_catalog()
-    cube = SignatureRankingCube(catalog, rtree_max_entries=48)
-    topk = SignatureTopKExecutor(cube)
+    executor = Executor.for_relation(catalog)
+    register_paper_backends(executor, catalog, rtree_max_entries=48)
+    topk = executor.registry.get("signature-cube")
     market_potential = LinearFunction(["neg_cpu", "neg_mem", "price"],
                                       [0.5, 0.3, 0.2])
 
@@ -54,7 +57,7 @@ def main() -> None:
         Predicate.of(brand=BRANDS.index("dell"), price_band=PRICE_BANDS.index("low")),
         market_potential, k=5)
     print("top-5 dell low-end notebooks by market potential")
-    dell_result = topk.query(dell_low)
+    dell_result = topk.run(dell_low)
     for rank, (tid, score) in enumerate(dell_result.as_pairs(), start=1):
         print(f"  {rank}. notebook {tid} (score {score:.4f})")
 
@@ -62,7 +65,7 @@ def main() -> None:
     all_low = TopKQuery(Predicate.of(price_band=PRICE_BANDS.index("low")),
                         market_potential, k=5)
     print("\ntop-5 low-end notebooks across all makers (roll-up on brand)")
-    all_result = topk.query(all_low)
+    all_result = topk.run(all_low)
     dell_in_overall = set(dell_result.tids) & set(all_result.tids)
     for rank, (tid, score) in enumerate(all_result.as_pairs(), start=1):
         brand = BRANDS[catalog.selection_values(tid)["brand"]]
@@ -71,8 +74,7 @@ def main() -> None:
           f"low-end positions")
 
     # Step 3: price/weight skyline within dell, then drill down to low-end.
-    engine = SkylineEngine(cube)
-    session = SkylineSession(engine)
+    session = SkylineSession(executor.registry.get("skyline").engine)
     base = session.fresh(SkylineQuery(Predicate.of(brand=BRANDS.index("dell")),
                                       ("price", "weight")))
     print(f"\ndell price/weight skyline: {len(base)} notebooks "

@@ -4,8 +4,10 @@ An online used-car database keeps categorical attributes (type, maker,
 color, transmission) and numeric attributes (price, mileage).  Different
 shoppers rank with different ad-hoc functions over price and mileage while
 filtering on different attribute combinations — the motivating scenario of
-the ranking cube.  This example uses the signature-based cube (Chapter 4)
-with incremental maintenance as new cars are listed.
+the ranking cube.  This example uses the signature-based cube (Chapter 4),
+which ``repro.paper.stack.register_paper_backends`` puts on an engine stack
+beside the served grid cube, with incremental maintenance as new cars are
+listed.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import numpy as np
 
+from repro.engine import Executor
 from repro.functions import LinearFunction, SquaredDistanceFunction
+from repro.paper.stack import register_paper_backends
 from repro.query import Predicate, TopKQuery
-from repro.signature import SignatureRankingCube, SignatureTopKExecutor
 from repro.storage.table import Relation, Schema
 
 TYPES = ["sedan", "convertible", "suv", "wagon"]
@@ -55,8 +58,9 @@ def describe(relation: Relation, tid: int) -> str:
 
 def main() -> None:
     inventory = build_inventory()
-    cube = SignatureRankingCube(inventory, rtree_max_entries=64)
-    search = SignatureTopKExecutor(cube)
+    executor = Executor.for_relation(inventory)
+    cube = register_paper_backends(executor, inventory, rtree_max_entries=64)
+    search = executor.registry.get("signature-cube")
 
     # Q1: top-10 red sedans minimizing price + milage (scaled).
     q1 = TopKQuery(
@@ -65,7 +69,7 @@ def main() -> None:
         k=10,
     )
     print("Q1: top-10 red sedans by price + 0.1*milage")
-    for rank, (tid, score) in enumerate(search.query(q1).as_pairs(), start=1):
+    for rank, (tid, score) in enumerate(search.run(q1).as_pairs(), start=1):
         print(f"  {rank:2d}. {describe(inventory, tid)}  (score {score:,.0f})")
 
     # Q2: top-5 Ford convertibles near $20k and 10k miles.
@@ -76,7 +80,7 @@ def main() -> None:
         k=5,
     )
     print("\nQ2: top-5 ford convertibles closest to ($20k, 10k miles)")
-    for rank, (tid, score) in enumerate(search.query(q2).as_pairs(), start=1):
+    for rank, (tid, score) in enumerate(search.run(q2).as_pairs(), start=1):
         print(f"  {rank:2d}. {describe(inventory, tid)}")
 
     # New listings arrive: the cube is maintained incrementally, not rebuilt.
@@ -95,7 +99,7 @@ def main() -> None:
           f"{report.node_splits} R-tree splits")
 
     print("\nQ1 again (the cheap new red sedan should appear):")
-    for rank, (tid, score) in enumerate(search.query(q1).as_pairs(), start=1):
+    for rank, (tid, score) in enumerate(search.run(q1).as_pairs(), start=1):
         marker = "  <-- new listing" if tid >= len(inventory) - 2 else ""
         print(f"  {rank:2d}. {describe(inventory, tid)}{marker}")
 

@@ -10,22 +10,19 @@ Sub-packages
 Served — what a request entering through ``repro.net`` can reach:
 
 ``repro.storage``
-    Simulated paged storage, buffer pool, relations, R-tree, table scan.
+    Simulated paged storage, buffer pool, relations, table scan.
 ``repro.functions``
     Ranking functions with box lower bounds (linear, distance, expression).
 ``repro.partition``
     Equi-depth / equi-width grid partitioning with pseudo blocks.
 ``repro.cube``
     Chapter 3: the grid ranking cube and ranking fragments.
-``repro.signature``
-    Chapter 4: signature measures, compression, the signature ranking cube,
-    incremental maintenance and branch-and-bound query processing.
 ``repro.skyline``
-    Chapter 7: skyline and dynamic-skyline queries with boolean predicates.
+    Chapter 7: the boolean-first skyline and the dominance kernels.
 ``repro.engine``
-    The unified query-engine layer: a registry of named backends over all
-    of the above, an explainable planner, and the ``Executor`` front door
-    with batch execution and a shared lower-bound cache.
+    The unified query-engine layer: a registry of named backends over the
+    above, an explainable planner, and the ``Executor`` front door with
+    batch execution and a shared lower-bound cache.
 ``repro.shard`` / ``repro.fault`` / ``repro.serve`` / ``repro.net`` / ``repro.obs``
     Scatter/gather over shards, the fault guard around its legs, the async
     micro-batching service, the HTTP / websocket tier, metrics and tracing.
@@ -34,6 +31,13 @@ Served — what a request entering through ``repro.net`` can reach:
 
 ``repro.paper`` — figures only; imports the above, never the reverse:
 
+``repro.paper.signature`` / ``repro.paper.rtree`` / ``repro.paper.skyline``
+    Chapter 4: signature measures, compression, the signature ranking cube
+    over its R-tree, incremental maintenance and branch-and-bound query
+    processing; Chapter 7's BBS skyline and drill-down sessions over it.
+``repro.paper.stack``
+    Registers the signature cube and BBS on an ``Executor`` (the served
+    stack is the grid cube, the table scan and the boolean-first skyline).
 ``repro.paper.indexmerge``
     Chapter 5: progressive and selective merging of hierarchical indexes.
 ``repro.paper.joins``

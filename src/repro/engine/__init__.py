@@ -1,9 +1,9 @@
 """Unified query-engine layer: registry, planner, and execution front door.
 
-The served package implements four execution paths for the same query
-model — grid ranking cube and ranking fragments (Chapter 3), the signature
-ranking cube (Chapter 4), skylines (Chapter 7), and the scan fallbacks.
-This package puts one front door in front of all of them:
+The served package implements three execution paths for the same query
+model — grid ranking cube and ranking fragments (Chapter 3), the table
+scan, and the boolean-first skyline (Chapter 7).  This package puts one
+front door in front of all of them:
 
 * :class:`EngineRegistry` — named, pluggable backends
   (:class:`~repro.engine.registry.Backend` adapters live in
@@ -41,7 +41,7 @@ one object::
     print(topk.plan)                      # why it was routed there
 
     sky = executor.execute(SkylineQuery(Predicate.of(A1=1), ("N1", "N2")))
-    print(sky.extra["backend"])           # 'skyline'
+    print(sky.extra["backend"])           # 'skyline-scan'
 
     batch = executor.execute_many(queries)   # fuses same-function sweeps
     print(executor.metrics_snapshot()["engine.fused_queries"])
@@ -59,13 +59,14 @@ Custom stacks register backends explicitly::
 Multi-relation ranked joins (Chapters 5–6) are not served: :func:`kind_of`
 routes a query with ``terms`` and ``joins`` to a ``join`` backend by duck
 typing, and :func:`repro.paper.joins.register_joins` puts the index-merge
-adapter on an existing :class:`Executor`; nothing here imports it.
+adapter on an existing :class:`Executor`.  Neither are the signature cube
+(Chapter 4) and BBS (Chapter 7):
+:func:`repro.paper.stack.register_paper_backends` registers both.  Nothing
+here imports either.
 """
 
 from repro.engine.backends import (
     RankingCubeBackend,
-    SignatureCubeBackend,
-    SkylineBackend,
     SkylineScanBackend,
     TableScanBackend,
 )
@@ -105,8 +106,6 @@ __all__ = [
     "RankingCubeBackend",
     "RelationStatistics",
     "ResultCache",
-    "SignatureCubeBackend",
-    "SkylineBackend",
     "SkylineScanBackend",
     "StatisticsCatalog",
     "TableScanBackend",

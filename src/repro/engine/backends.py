@@ -1,11 +1,11 @@
-"""Backend adapters wrapping every execution engine in the library.
+"""Backend adapters wrapping every served execution engine.
 
 Each adapter implements the small :class:`repro.engine.registry.Backend`
 interface over an already-built engine object: the grid ranking cube (or its
-ranking-fragments variant), the signature ranking cube, the skyline engines,
-and the table-scan fallback.  ``supports`` checks are conservative and never
-raise — a backend that cannot answer a query simply drops out of the
-candidate list.
+ranking-fragments variant), the table-scan fallback and the boolean-first
+skyline.  ``supports`` checks are conservative and never raise — a backend
+that cannot answer a query simply drops out of the candidate list.  The
+signature cube's and BBS's adapters are :mod:`repro.paper.stack`'s.
 """
 
 from __future__ import annotations
@@ -117,56 +117,6 @@ class RankingCubeBackend(Backend):
         return self.cube.query_batch(list(queries))
 
 
-class SignatureCubeBackend(Backend):
-    """Signature ranking cube with branch-and-bound search (Chapter 4)."""
-
-    kind = KIND_TOPK
-    supports_fusion = True
-
-    def __init__(self, executor, name: str = "signature-cube",
-                 priority: int = 20) -> None:
-        # ``executor`` is a repro.signature.SignatureTopKExecutor.
-        self.executor = executor
-        self.cube = executor.cube
-        self.name = name
-        self.priority = priority
-
-    @property
-    def relation(self):
-        return self.cube.relation
-
-    def cost_profile(self, query) -> Optional[Dict[str, object]]:
-        return {"access": "rtree", "granularity": self.cube.rtree.max_entries}
-
-    def _covers_predicate(self, predicate: Predicate) -> bool:
-        if predicate.is_empty():
-            return True
-        exact = tuple(sorted(predicate.dims))
-        if any(tuple(sorted(dims)) == exact for dims in self.cube.cuboid_dims):
-            return True
-        return all((dim,) in self.cube.cuboid_dims for dim in predicate.dims)
-
-    def supports(self, query) -> bool:
-        if not isinstance(query, TopKQuery):
-            return False
-        if not _predicate_valid(query.predicate, self.cube.relation):
-            return False
-        if not all(dim in self.cube.rtree.dims for dim in query.function.dims):
-            return False
-        return self._covers_predicate(query.predicate)
-
-    def plan_details(self, query) -> Dict[str, object]:
-        return {"rtree_dims": ",".join(self.cube.rtree.dims)}
-
-    def run(self, query):
-        """A group of one through the traversal of :meth:`execute_batch`."""
-        return self.executor.query(query)
-
-    def execute_batch(self, queries) -> List:
-        """One root-to-leaf traversal serves the whole group."""
-        return self.executor.query_batch(list(queries))
-
-
 class TableScanBackend(Backend):
     """Sequential-scan fallback (``TS``): always applicable, never fast."""
 
@@ -193,42 +143,6 @@ class TableScanBackend(Backend):
 
     def run(self, query):
         return self.scanner.query(query)
-
-
-class SkylineBackend(Backend):
-    """Signature-pruned BBS skyline engine (Chapter 7)."""
-
-    kind = KIND_SKYLINE
-
-    def __init__(self, engine, name: str = "skyline", priority: int = 10) -> None:
-        # ``engine`` is a repro.skyline.SkylineEngine.
-        self.engine = engine
-        self.name = name
-        self.priority = priority
-
-    @property
-    def relation(self):
-        return self.engine.relation
-
-    def cost_profile(self, query) -> Optional[Dict[str, object]]:
-        return {"access": "rtree-skyline",
-                "granularity": self.engine.rtree.max_entries}
-
-    def supports(self, query) -> bool:
-        if not isinstance(query, SkylineQuery):
-            return False
-        if not _predicate_valid(query.predicate, self.engine.relation):
-            return False
-        return all(dim in self.engine.rtree.dims for dim in query.preference_dims)
-
-    def plan_details(self, query) -> Dict[str, object]:
-        return {
-            "dynamic": query.is_dynamic,
-            "signature_pruning": self.engine.use_signature,
-        }
-
-    def run(self, query):
-        return self.engine.query(query)
 
 
 class SkylineScanBackend(Backend):

@@ -21,9 +21,9 @@ definition; ``unit_seconds``, about 38 ns on the 2-core Xeon box the
 defaults were fitted on).  For a query with predicate ``P``, ``k`` and
 function shape factor ``F`` (1 for monotone / semi-monotone functions,
 ``general_shape_factor`` for general ones, whose bounds localize poorly)
-over ``N`` tuples, the grid, the R-tree top-k and the block-nested loop pay
-a fixed per-query cost of their access kind (``*_query_cost``; a grid query
-with a condition adds ``cuboid_query_cost``), and:
+over ``N`` tuples, the grid and the block-nested loop pay a fixed per-query
+cost of their access kind (``*_query_cost``; a grid query with a condition
+adds ``cuboid_query_cost``), and:
 
 * ``selectivity(P) = prod(1 / cardinality(dim) for dim in P)``, forced to
   ``0`` when the profile proves a predicate value absent from its dimension;
@@ -40,17 +40,14 @@ with a condition adds ``cuboid_query_cost``), and:
   ``frontier_overvisit`` times as many and scores the matches inside the
   needed ones, all times ``1 + intersection_penalty * (c - 1)`` when
   several covering cuboids are intersected online;
-* **signature R-tree** (fanout ``f``) — when ``m <= k`` about ``m * depth``
-  node touches (signatures prune match-free subtrees, so an absent value
-  costs one root test); otherwise about ``ceil(F * k / (f * selectivity))``
-  leaves plus the path down, each leaf paying ``f`` signature tests and
-  scoring its matches;
-* **skyline engines** — BBS pays ``node_touch_cost * depth`` per estimated
-  skyline point (``(log2 m)^(d-1)``), the scan skyline the scan's filter
-  (the two terms before ``match_cost``) plus
-  ``compare_cost`` per point per match (its numpy peel compares each kept
-  point with the live matches).  In time the scan wins every skyline shape
-  calibrated (0–2 conditions, static and dynamic), so it gets them all.
+* **scan skyline** — the scan's filter (the two terms before
+  ``match_cost``) plus ``compare_cost`` per estimated skyline point
+  (``(log2 m)^(d-1)``) per match: its numpy peel compares each kept point
+  with the live matches.
+
+The signature R-tree's top-k and BBS skyline are priced by
+:class:`repro.paper.stack.RTreeCostModel`, which adds their access kinds
+and constants to these.
 
 Where the constants come from
 -----------------------------
@@ -260,7 +257,7 @@ class CostModel:
 
     Backends declare their access structure through
     ``Backend.cost_profile(query)`` (access kind plus granularity: block
-    size, R-tree fanout, covering-cuboid count); the formulas here turn
+    size, covering-cuboid count); the formulas here turn
     that structure and the :class:`RelationStatistics` into one scalar in
     tuple-score units.  The defaults are fitted times, :attr:`PAPER` the
     hand-set constants they replaced (see the module docstring).
@@ -277,16 +274,11 @@ class CostModel:
     match_cost = 0.27
     #: Cost of touching one grid block (frontier pop, cell lookup, bounds).
     block_touch_cost = 330.0
-    #: Cost of expanding one R-tree node (page read + child bounds).
-    node_touch_cost = 530.0
-    #: Cost of one per-entry signature test.
-    signature_test_cost = 100.0
     #: Cost of one point-against-match comparison of the scan skyline.
     compare_cost = 0.022
     #: Fixed cost of one query, per access kind (set-up, result assembly);
-    #: the fit finds none for the table scan or BBS.
+    #: the fit finds none for the table scan.
     grid_query_cost = 1700.0
-    rtree_query_cost = 23000.0
     skyline_scan_query_cost = 900.0
     #: A grid query with a condition also sets up its covering cuboid
     #: (cell lookup, block provider) once.
@@ -312,10 +304,9 @@ class CostModel:
     #: docstring); the terms it lacked take their neutral values.
     PAPER = {"row_filter_cost": 0.02, "posting_cost": 0.0,
              "score_cost": 1.0, "match_cost": 1.0,
-             "block_touch_cost": 8.0, "node_touch_cost": 32.0,
-             "signature_test_cost": 0.5, "compare_cost": 1.0,
-             "grid_query_cost": 0.0, "rtree_query_cost": 0.0,
-             "skyline_scan_query_cost": 0.0, "cuboid_query_cost": 0.0,
+             "block_touch_cost": 8.0, "compare_cost": 1.0,
+             "grid_query_cost": 0.0, "skyline_scan_query_cost": 0.0,
+             "cuboid_query_cost": 0.0,
              "frontier_overvisit": 3.0,
              "intersection_penalty": 0.5, "general_shape_factor": 4.0,
              "process_leg_overhead": 5000.0}
@@ -450,36 +441,6 @@ class CostModel:
         return cost, {"access": "grid", "block_size": block_size,
                       "covering_cuboids": covering}
 
-    def _rtree_topk(self, profile, query, stats, selectivity, matches):
-        fanout = max(2, int(profile.get("granularity", 2)))
-        depth = self._tree_depth(stats.num_tuples, fanout)
-        leaves_total = max(1, math.ceil(stats.num_tuples / fanout))
-        nodes_total = leaves_total + max(1, leaves_total // max(1, fanout - 1))
-        factor = self.shape_factor(query.function)
-        if matches <= query.k:
-            # Signatures prune match-free subtrees: roughly one root-to-leaf
-            # path per match (an absent value costs a single root test).
-            nodes = min(matches * depth, float(nodes_total))
-            cost = (self.node_touch_cost * (1.0 + nodes)
-                    + self.score_cost * matches)
-        else:
-            per_leaf = fanout * selectivity
-            leaves_needed = min(leaves_total,
-                                math.ceil(factor * query.k / per_leaf))
-            cost = (self.node_touch_cost * (depth + leaves_needed)
-                    + leaves_needed * (self.score_cost * per_leaf
-                                       + self.signature_test_cost * fanout))
-        cost += self.rtree_query_cost
-        return cost, {"access": "rtree", "fanout": fanout, "depth": depth}
-
-    def _rtree_skyline(self, profile, query, stats, selectivity, matches):
-        fanout = max(2, int(profile.get("granularity", 2)))
-        depth = self._tree_depth(stats.num_tuples, fanout)
-        points = self._skyline_points(matches, len(query.preference_dims))
-        cost = self.node_touch_cost * depth * (1.0 + points)
-        return cost, {"access": "rtree-skyline", "fanout": fanout,
-                      "estimated_skyline_points": float(points)}
-
     def _scan_skyline(self, profile, query, stats, selectivity, matches):
         points = self._skyline_points(matches, len(query.preference_dims))
         cost = (self.skyline_scan_query_cost
@@ -487,12 +448,6 @@ class CostModel:
                 + self.compare_cost * matches * points)
         return cost, {"access": "scan-skyline",
                       "estimated_skyline_points": float(points)}
-
-    @staticmethod
-    def _tree_depth(num_tuples: int, fanout: int) -> int:
-        if num_tuples <= 1:
-            return 1
-        return max(1, math.ceil(math.log(num_tuples) / math.log(fanout)))
 
     @staticmethod
     def _skyline_points(matches: float, dims: int) -> float:
@@ -504,7 +459,5 @@ class CostModel:
     _ESTIMATOR_NAMES: Dict[str, str] = {
         "scan": "_scan_topk",
         "grid": "_grid_topk",
-        "rtree": "_rtree_topk",
-        "rtree-skyline": "_rtree_skyline",
         "scan-skyline": "_scan_skyline",
     }

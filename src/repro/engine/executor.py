@@ -28,8 +28,6 @@ from repro.storage.table import Relation
 
 from repro.engine.backends import (
     RankingCubeBackend,
-    SignatureCubeBackend,
-    SkylineBackend,
     SkylineScanBackend,
     TableScanBackend,
 )
@@ -468,10 +466,10 @@ class Executor:
         backends through :meth:`insert`, which the write paths
         (``ShardManager.insert``, ``QueryService.insert``) call: the grid
         cube absorbs it in place and the scan backends read the live
-        relation, so a stack of those answers over the current rows.
-        Backends with ``maintains_inserts = False`` (the signature cube and
-        the skyline engine over its R-tree, ranked joins) answer from the
-        rows they were built over; :meth:`insert` marks them stale (the
+        relation, so the default stack answers over the current rows.
+        Backends with ``maintains_inserts = False`` (``repro.paper``'s
+        signature cube and BBS over its R-tree, ranked joins) answer from
+        the rows they were built over; :meth:`insert` marks them stale (the
         shard manager then rebuilds that shard's stack), and after a bare
         ``Relation.append`` nothing does.  Custom stacks should call
         this for every relation their backends serve.
@@ -494,31 +492,31 @@ class Executor:
     # ------------------------------------------------------------------
     @classmethod
     def for_relation(cls, relation: Relation, *, block_size: int = 300,
-                     rtree_max_entries: int = 32,
                      include_fragments: bool = False,
                      fragment_size: int = 2,
-                     with_signature: bool = True,
+                     with_signature: bool = False,
                      with_skyline: bool = True,
                      planner_mode: str = MODE_COST,
                      cost_model: Optional[CostModel] = None) -> "Executor":
         """Build the default single-relation engine stack.
 
-        Registers the grid ranking cube (preferred for top-k) and the
-        table-scan fallback; by default also the signature ranking cube and
-        both skyline engines.  Callers that only run grid top-k queries can
-        pass ``with_signature=False, with_skyline=False`` to skip the
-        R-tree / signature construction cost entirely.
+        Registers the grid ranking cube (Chapter 3), the table-scan
+        fallback and, unless ``with_skyline=False``, the boolean-first
+        skyline — every one of them absorbs inserts in place.
         ``include_fragments`` additionally registers the ranking-fragments
         variant of the cube under the name ``"fragments"``.
 
-        The signature top-k backend (Chapter 4) and the signature-pruned
-        skyline backend (Chapter 7) run over the *same*
-        :class:`~repro.signature.SignatureRankingCube` — one R-tree, one
-        signature store.  Enabling either flag builds that structure exactly
-        once; enabling both shares it, paying no duplicate construction
-        cost, and with ``with_signature=False`` the top-k executor over it
-        is simply never instantiated.
+        The signature ranking cube (Chapter 4) and BBS over its R-tree
+        (Chapter 7) are not served: the planner never routed either.
+        ``with_signature`` stays for callers that pass ``False``;
+        :func:`repro.paper.stack.register_paper_backends` registers both
+        on a built stack.
         """
+        if with_signature:
+            raise ValueError(
+                "the signature cube is not part of the served stack; "
+                "register it with repro.paper.stack.register_paper_backends"
+                "(executor, relation)")
         from repro.storage.table_scan import TableScanTopK
         from repro.cube import RankingCube, build_ranking_fragments
 
@@ -530,22 +528,10 @@ class Executor:
                 relation, fragment_size=fragment_size, block_size=block_size)
             executor.register(
                 RankingCubeBackend(fragments, name="fragments", priority=15))
-        signature = None
-        if with_signature or with_skyline:
-            from repro.signature import SignatureRankingCube
-
-            signature = SignatureRankingCube(relation,
-                                             rtree_max_entries=rtree_max_entries)
-        if with_signature:
-            from repro.signature import SignatureTopKExecutor
-
-            executor.register(
-                SignatureCubeBackend(SignatureTopKExecutor(signature)))
         executor.register(TableScanBackend(TableScanTopK(relation)))
         if with_skyline:
-            from repro.skyline import BooleanFirstSkyline, SkylineEngine
+            from repro.skyline import BooleanFirstSkyline
 
-            executor.register(SkylineBackend(SkylineEngine(signature)))
             executor.register(SkylineScanBackend(BooleanFirstSkyline(relation)))
         executor.watch_relation(relation)
         return executor

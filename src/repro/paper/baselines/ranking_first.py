@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 
 from repro.cube.query import TopKAccumulator
 from repro.query import Predicate, QueryResult, TopKQuery
-from repro.storage.rtree import RTree
+from repro.paper.rtree import RTree
 from repro.storage.table import Relation
 
 

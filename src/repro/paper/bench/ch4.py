@@ -16,9 +16,9 @@ from repro.functions import (
     Var,
 )
 from repro.query import Predicate, TopKQuery
-from repro.signature import SignatureRankingCube, SignatureTopKExecutor
-from repro.signature.encoding import SCHEME_BL, encode, encode_adaptive
-from repro.signature.signature import Signature
+from repro.paper.signature import SignatureRankingCube, SignatureTopKExecutor
+from repro.paper.signature.encoding import SCHEME_BL, encode, encode_adaptive
+from repro.paper.signature.signature import Signature
 from repro.paper.btree import BPlusTree
 from repro.storage.table import Relation
 from repro.workloads import QuerySpec, generate_queries

@@ -30,7 +30,7 @@ from repro.paper.indexmerge import (
     JoinSignatureSet,
 )
 from repro.query import Predicate, TopKQuery
-from repro.storage.hierindex import HierarchicalIndex
+from repro.paper.hierindex import HierarchicalIndex
 from repro.storage.table import Relation
 
 MERGE_METRICS = ("time_s", "disk", "states", "heap")

@@ -9,8 +9,9 @@ import numpy as np
 from repro.paper.bench.datasets import synthetic_relation
 from repro.paper.bench.harness import ExperimentResult, average, cold_buffers, scaled
 from repro.query import Predicate, SkylineQuery
-from repro.signature import SignatureRankingCube
-from repro.skyline import BooleanFirstSkyline, SkylineEngine, SkylineSession
+from repro.paper.signature import SignatureRankingCube
+from repro.paper.skyline import SkylineEngine, SkylineSession
+from repro.skyline import BooleanFirstSkyline
 from repro.storage.table import Relation
 from repro.workloads import random_predicate
 

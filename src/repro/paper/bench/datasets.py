@@ -13,10 +13,10 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cube import RankingCube, build_ranking_fragments
-from repro.signature import SignatureRankingCube
+from repro.paper.signature import SignatureRankingCube
 from repro.paper.bitmap import SelectionIndex
 from repro.paper.btree import BPlusTree
-from repro.storage.rtree import RTree
+from repro.paper.rtree import RTree
 from repro.storage.table import Relation
 from repro.workloads import SyntheticSpec, generate_relation, make_covertype_like
 

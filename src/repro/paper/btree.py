@@ -5,7 +5,7 @@ The B+-tree serves three roles in the reproduction:
 * equality / range lookups for the boolean-first and rank-mapping baselines
   (Sections 3.5.1 and 4.4.1),
 * sorted sequential access for the threshold-algorithm baseline, and
-* a :class:`repro.storage.hierindex.HierarchicalIndex` whose nodes cover key
+* a :class:`repro.paper.hierindex.HierarchicalIndex` whose nodes cover key
   intervals, which is the single-attribute index merged by Chapter 5.
 
 Nodes live as pages in a :class:`repro.storage.pager.Pager` and are read
@@ -23,7 +23,7 @@ import numpy as np
 from repro.errors import IndexError_
 from repro.geometry import Box, Interval
 from repro.storage.buffer import BufferPool
-from repro.storage.hierindex import HierarchicalIndex, LeafEntry, NodeHandle
+from repro.paper.hierindex import HierarchicalIndex, LeafEntry, NodeHandle
 from repro.storage.pager import DEFAULT_PAGE_SIZE, Pager
 
 #: Approximate bytes per (key, tid) leaf entry / (key, child) internal entry,

@@ -23,7 +23,7 @@ from repro.paper.indexmerge.expansion import StateExpander, choose_expander
 from repro.paper.indexmerge.join_signature import JoinSignatureSet
 from repro.paper.indexmerge.state import JointState, MergeContext
 from repro.query import QueryResult
-from repro.storage.hierindex import HierarchicalIndex
+from repro.paper.hierindex import HierarchicalIndex
 
 #: Valid execution modes.
 MODE_BASELINE = "BL"

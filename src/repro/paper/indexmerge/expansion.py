@@ -26,7 +26,7 @@ from typing import Callable, List, Optional, Sequence, Set, Tuple
 from repro.functions.base import FunctionShape
 from repro.paper.indexmerge.state import JointState, MergeContext
 from repro.paper.btree import BPlusTree
-from repro.storage.hierindex import NodeHandle
+from repro.paper.hierindex import NodeHandle
 
 #: Callable deciding whether a child (parent key, coordinate) may be non-empty.
 EmptyStatePruner = Callable[[JointState, JointState], bool]

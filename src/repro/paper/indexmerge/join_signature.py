@@ -19,7 +19,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from repro.errors import SignatureError
 from repro.paper.indexmerge.bloom import BloomFilter
 from repro.storage.buffer import BufferPool
-from repro.storage.hierindex import HierarchicalIndex
+from repro.paper.hierindex import HierarchicalIndex
 from repro.storage.pager import Pager
 
 StateKey = Tuple[Tuple[int, ...], ...]

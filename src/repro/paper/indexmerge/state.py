@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import QueryError
 from repro.functions.base import RankingFunction
 from repro.geometry import Box
-from repro.storage.hierindex import HierarchicalIndex, NodeHandle
+from repro.paper.hierindex import HierarchicalIndex, NodeHandle
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Iterator, List, Optional, Tuple
 from repro.functions.base import RankingFunction
 from repro.functions.linear import LinearFunction
 from repro.query import Predicate
-from repro.signature.cube import SignatureRankingCube
+from repro.paper.signature.cube import SignatureRankingCube
 from repro.storage.table import Relation
 
 

@@ -22,7 +22,7 @@ from repro.paper.joins.optimizer import JoinPlan, SPJROptimizer
 from repro.paper.joins.query_model import JoinResult, SPJRQuery
 from repro.paper.joins.rank_stream import RankStream, StreamEntry
 from repro.query import QueryResult
-from repro.signature.cube import SignatureRankingCube
+from repro.paper.signature.cube import SignatureRankingCube
 from repro.storage.table import Relation
 
 

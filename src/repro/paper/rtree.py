@@ -41,7 +41,7 @@ import numpy as np
 from repro.errors import IndexError_
 from repro.geometry import Box
 from repro.storage.buffer import BufferPool
-from repro.storage.hierindex import HierarchicalIndex, LeafEntry, NodeHandle
+from repro.paper.hierindex import HierarchicalIndex, LeafEntry, NodeHandle
 from repro.storage.pager import Pager
 
 #: Approximate bytes per R-tree entry per dimension, used to derive the node

@@ -1,11 +1,11 @@
 """Chapter 4: signature measures and the signature-based ranking cube."""
 
-from repro.signature.cube import (
+from repro.paper.signature.cube import (
     ConstructionStats,
     MaintenanceReport,
     SignatureRankingCube,
 )
-from repro.signature.encoding import (
+from repro.paper.signature.encoding import (
     SCHEME_BL,
     SCHEME_PC,
     SCHEME_PI,
@@ -16,9 +16,9 @@ from repro.signature.encoding import (
     encode,
     encode_adaptive,
 )
-from repro.signature.query import SignatureTopKExecutor
-from repro.signature.signature import Signature, path_to_sid, sid_to_path
-from repro.signature.store import (
+from repro.paper.signature.query import SignatureTopKExecutor
+from repro.paper.signature.signature import Signature, path_to_sid, sid_to_path
+from repro.paper.signature.store import (
     CellSignatureReader,
     CombinedSignatureReader,
     PartialSignature,

@@ -30,15 +30,15 @@ import numpy as np
 
 from repro.errors import CubeError, QueryError
 from repro.query import Predicate
-from repro.signature.signature import Path
-from repro.signature.store import (
+from repro.paper.signature.signature import Path
+from repro.paper.signature.store import (
     CellSignatureReader,
     CombinedSignatureReader,
     SignatureStore,
     decompose_nodes,
 )
 from repro.storage.pager import Pager
-from repro.storage.rtree import RTree
+from repro.paper.rtree import RTree
 from repro.storage.table import Relation
 
 CellKey = Tuple[int, ...]

@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 
 from repro.cube.query import TopKAccumulator
 from repro.query import Predicate, QueryResult, TopKQuery
-from repro.signature.cube import SignatureRankingCube
+from repro.paper.signature.cube import SignatureRankingCube
 
 
 class _TraversalState:

@@ -37,8 +37,8 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tu
 import numpy as np
 
 from repro.errors import SignatureError
-from repro.signature.encoding import adaptive_code_bits_batch
-from repro.signature.signature import Path, Signature
+from repro.paper.signature.encoding import adaptive_code_bits_batch
+from repro.paper.signature.signature import Path, Signature
 from repro.storage.buffer import BufferPool
 from repro.storage.pager import Pager
 

@@ -86,8 +86,8 @@ class QueryService:
         Unsharded write target: :meth:`insert` appends to it and hands the
         row to :meth:`~repro.engine.Executor.insert`, so every routed
         answer is over the current rows: the grid cube and the scans
-        absorb the row, and a backend that cannot (the signature cube, the
-        skyline engine) is marked stale and no longer routed to.  The
+        absorb the row, and a backend that cannot (``repro.paper``'s
+        signature cube and BBS) is marked stale and no longer routed to.  The
         manager-backed path rebuilds the owning shard's stack instead.
     clock:
         Monotonic time source, injected by tests.

@@ -5,7 +5,7 @@ values are first mapped to their absolute distance from a per-dimension
 target (Section 7.2.3); dominance is then evaluated in the mapped space.
 
 The scalar functions are the definitions and the BBS engine's test of each
-popped heap item.  The array functions run once per R-tree node
+popped heap item (:mod:`repro.paper.skyline`).  The array functions run once per R-tree node
 (:func:`mapped_corners`, :func:`dominated_rows`) or once per query
 (:func:`skyline_rows`: the whole skyline of a block of points).
 """

@@ -1,4 +1,4 @@
-"""Storage substrate: simulated paged disk, buffer pool, relation, indexes.
+"""Storage substrate: simulated paged disk, buffer pool, relation, table scan.
 
 Every structure that would live on disk in the paper's SQL-Server-based
 prototype (cuboids, base-block tables, B+-trees, R-trees, signatures) is

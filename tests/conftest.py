@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.engine import Executor
+from repro.paper.stack import register_paper_backends
 from repro.query import Predicate, TopKQuery
 from repro.storage.table import Relation, Schema
 from repro.workloads import SyntheticSpec, generate_relation
@@ -50,6 +52,16 @@ def mask_equal(relation: Relation, conditions) -> np.ndarray:
     for dim, value in conditions.items():
         mask &= relation.selection_column(dim) == int(value)
     return mask
+
+
+def paper_stack(relation: Relation, *, rtree_max_entries: int = 32,
+                **kwargs) -> Executor:
+    """The served stack plus ``repro.paper``'s signature cube and BBS: the
+    stack ``Executor.for_relation`` built before they left it."""
+    executor = Executor.for_relation(relation, **kwargs)
+    register_paper_backends(executor, relation,
+                            rtree_max_entries=rtree_max_entries)
+    return executor
 
 
 def brute_force_topk(relation: Relation, query: TopKQuery):

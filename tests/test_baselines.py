@@ -23,7 +23,7 @@ from repro.functions import (
     Var,
 )
 from repro.query import Predicate, TopKQuery
-from repro.storage.rtree import RTree
+from repro.paper.rtree import RTree
 from repro.workloads import SyntheticSpec, generate_relation
 from tests.conftest import brute_force_topk
 

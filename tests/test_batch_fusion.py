@@ -23,12 +23,13 @@ from repro.functions import Add, ExpressionFunction, Mul, Var
 from repro.functions.distance import SquaredDistanceFunction
 from repro.functions.linear import LinearFunction, sum_function
 from repro.query import Predicate, SkylineQuery, TopKQuery
-from repro.signature import SignatureRankingCube, SignatureTopKExecutor
+from repro.paper.signature import SignatureRankingCube, SignatureTopKExecutor
 from repro.workloads import (
     SyntheticSpec,
     generate_relation,
     make_sharded_engine,
 )
+from tests.conftest import paper_stack
 
 
 @pytest.fixture(scope="module")
@@ -160,8 +161,7 @@ class TestEngineBatchFusion:
         assert engine.metrics_snapshot()["engine.fused_groups"] == 2.0
 
     def test_skyline_queries_pass_through_unfused(self, relation):
-        engine = Executor.for_relation(relation, block_size=120,
-                                       rtree_max_entries=16)
+        engine = Executor.for_relation(relation, block_size=120)
         queries = [
             SkylineQuery(Predicate.of(), ("N1", "N2")),
             TopKQuery(Predicate.of(), sum_function(["N1", "N2"]), 4),
@@ -262,8 +262,8 @@ class TestGroupOfOneSeams:
         queries.append(TopKQuery(Predicate.of(A1=2, A2=99), function, 3))
         # Twin stacks: both doors see the same buffer-pool history.
         run_door, batch_door = (
-            Executor.for_relation(relation, block_size=120,
-                                  include_fragments=True).registry.get(name)
+            paper_stack(relation, block_size=120,
+                        include_fragments=True).registry.get(name)
             for _ in range(2))
         assert run_door.supports_fusion
         for query in queries:

@@ -48,10 +48,8 @@ class TestCalibrateCostModel:
             constants[name] = float(value)
         assert set(constants) == {
             "row_filter_cost", "posting_cost", "match_cost",
-            "block_touch_cost",
-            "node_touch_cost", "signature_test_cost", "compare_cost",
-            "grid_query_cost", "cuboid_query_cost", "rtree_query_cost",
-            "skyline_scan_query_cost", "unit_seconds"}
+            "block_touch_cost", "compare_cost", "grid_query_cost",
+            "cuboid_query_cost", "skyline_scan_query_cost", "unit_seconds"}
         model = CostModel(**constants)
         for name, value in constants.items():
             assert getattr(model, name) == pytest.approx(value)

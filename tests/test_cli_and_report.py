@@ -10,7 +10,7 @@ from repro.paper.bench.report import build_report, result_to_markdown, run_exper
 from repro.cli import build_parser, main
 from repro.paper.__main__ import main as paper_main
 from repro.paper.btree import BPlusTree
-from repro.storage.hierindex import LeafEntry, NodeHandle
+from repro.paper.hierindex import LeafEntry, NodeHandle
 from repro.geometry import Box
 
 

@@ -16,17 +16,18 @@ from repro.cube.query import TopKAccumulator
 from repro.geometry import Box
 from repro.partition.grid import GridPartition
 from repro.query import Predicate, SkylineQuery
-from repro.signature import Signature, SignatureRankingCube, SignatureStore
-from repro.signature.encoding import (
+from repro.paper.signature import Signature, SignatureRankingCube, SignatureStore
+from repro.paper.signature.encoding import (
     adaptive_code_bits,
     adaptive_code_bits_batch,
     encode_adaptive,
 )
-from repro.signature.store import CombinedSignatureReader
-from repro.skyline import BooleanFirstSkyline, SkylineEngine
+from repro.paper.signature.store import CombinedSignatureReader
+from repro.paper.skyline import SkylineEngine
+from repro.skyline import BooleanFirstSkyline
 from repro.skyline.dominance import dominated_by_any, dominated_rows, mapped_corners
 from repro.storage.pager import Pager
-from repro.storage.rtree import RTree
+from repro.paper.rtree import RTree
 from repro.workloads import SyntheticSpec, generate_relation
 from tests.conftest import mask_equal
 

@@ -21,7 +21,7 @@ import pytest
 from repro.cube import RankingCube
 from repro.cube.model import ENTRY_BYTES, Cuboid
 from repro.engine import CostModel, Executor
-from repro.engine.backends import SignatureCubeBackend
+from repro.paper.stack import RTreeCostModel, SignatureCubeBackend
 from repro.errors import CubeError
 from repro.functions.base import FunctionShape
 from repro.functions.distance import SquaredDistanceFunction
@@ -30,10 +30,10 @@ from repro.functions.linear import LinearFunction, skewed_linear_function
 from repro.partition.equidepth import equidepth_partition
 from repro.query import Predicate, SkylineQuery, TopKQuery
 from repro.serve import QueryService
-from repro.signature import SignatureRankingCube, SignatureTopKExecutor
+from repro.paper.signature import SignatureRankingCube, SignatureTopKExecutor
 from repro.storage.pager import Pager, estimate_size
 from repro.workloads import SyntheticSpec, generate_relation
-from tests.conftest import brute_force_topk
+from tests.conftest import brute_force_topk, paper_stack
 
 BUILD_SPECS = (
     SyntheticSpec(num_tuples=1, num_selection_dims=1, num_ranking_dims=2,
@@ -356,8 +356,8 @@ def test_rows_appended_behind_the_cubes_back_are_caught_up():
 
 def test_executor_marks_what_it_cannot_keep_exact_stale():
     relation = generate_relation(SPEC)
-    executor = Executor.for_relation(relation, block_size=40,
-                                     cost_model=CostModel(**CostModel.PAPER))
+    executor = paper_stack(relation, block_size=40,
+                           cost_model=RTreeCostModel(**RTreeCostModel.PAPER))
     cube = executor.registry.get("ranking-cube").cube
     row = in_domain_row(relation, cube.grid, np.random.default_rng(14))
     tid = relation.append(row)
@@ -379,7 +379,7 @@ def test_an_insert_leaves_another_relations_backends_current():
     other = generate_relation(SyntheticSpec(
         num_tuples=200, num_selection_dims=3, num_ranking_dims=2,
         cardinality=4, seed=78))
-    executor = Executor.for_relation(relation, block_size=40)
+    executor = paper_stack(relation, block_size=40)
     executor.register(SignatureCubeBackend(
         SignatureTopKExecutor(SignatureRankingCube(other, rtree_max_entries=8)),
         name="other-signature"))
@@ -427,8 +427,8 @@ def test_unsharded_insert_is_visible_on_a_grid_stack():
 
 def test_unsharded_insert_on_the_default_stack_reaches_the_grid():
     """A row that beats every row, served on ``Executor.for_relation``'s
-    full default stack: the no-condition top-5 routed to the grid cube
-    must rank it first, as brute force does."""
+    default stack: the no-condition top-5 routed to the grid cube must
+    rank it first, as brute force does."""
     relation = generate_relation(SyntheticSpec(
         num_tuples=20_000, num_selection_dims=3, num_ranking_dims=2,
         cardinality=8, seed=1))

@@ -13,7 +13,6 @@ from repro.engine import (
     LowerBoundCache,
     Planner,
     RankingCubeBackend,
-    SkylineBackend,
     TableScanBackend,
     kind_of,
 )
@@ -27,9 +26,15 @@ from repro.paper.joins import (
     register_joins,
 )
 from repro.query import Predicate, SkylineQuery, TopKQuery
-from repro.skyline import BooleanFirstSkyline, SkylineEngine
+from repro.paper.skyline import SkylineEngine
+from repro.paper.stack import (
+    RTreeCostModel,
+    SkylineBackend,
+    register_paper_backends,
+)
+from repro.skyline import BooleanFirstSkyline
 from repro.workloads import QuerySpec, SyntheticSpec, generate_queries, generate_relation
-from tests.conftest import brute_force_topk
+from tests.conftest import brute_force_topk, paper_stack
 
 
 @pytest.fixture(scope="module")
@@ -41,15 +46,15 @@ def relation():
 
 @pytest.fixture(scope="module")
 def executor(relation):
-    return Executor.for_relation(relation, block_size=200, rtree_max_entries=16)
+    return paper_stack(relation, block_size=200, rtree_max_entries=16)
 
 
 @pytest.fixture(scope="module")
 def paper_executor(relation):
     """The module stack under the first cost model's hand-set constants,
     for the tests that pin its routing."""
-    return Executor.for_relation(relation, block_size=200, rtree_max_entries=16,
-                                 cost_model=CostModel(**CostModel.PAPER))
+    return paper_stack(relation, block_size=200, rtree_max_entries=16,
+                       cost_model=RTreeCostModel(**RTreeCostModel.PAPER))
 
 
 class PerTupleFunction(RankingFunction):
@@ -96,7 +101,7 @@ class TestRouting:
         r2 = generate_relation(SyntheticSpec(num_tuples=300, num_selection_dims=2,
                                              num_ranking_dims=2, cardinality=4,
                                              seed=92), name="R2")
-        executor = Executor.for_relation(r1, rtree_max_entries=16)
+        executor = Executor.for_relation(r1)
         register_joins(executor, [r1, r2], rtree_max_entries=16)
         query = SPJRQuery(
             terms=(RelationTerm(r1, Predicate.of(A2=1),
@@ -113,7 +118,7 @@ class TestRouting:
             executor.execute(object())
 
     def test_no_supporting_backend(self, relation):
-        from repro.signature import SignatureRankingCube
+        from repro.paper.signature import SignatureRankingCube
 
         lonely = Executor()
         cube = SignatureRankingCube(relation, rtree_max_entries=16)
@@ -230,7 +235,6 @@ class TestRegistry:
 
     def test_fragments_stack(self, relation):
         stacked = Executor.for_relation(relation, block_size=300,
-                                        rtree_max_entries=16,
                                         include_fragments=True)
         assert "fragments" in stacked.registry.names()
         names = [b.name for b in stacked.registry.backends_for("topk")]
@@ -240,8 +244,7 @@ class TestRegistry:
 class TestBoundCacheAndBatch:
     def test_execute_many_fuses_shared_function_queries(self, relation):
         executor = Executor.for_relation(
-            relation, block_size=200, rtree_max_entries=16,
-            cost_model=CostModel(**CostModel.PAPER))
+            relation, block_size=200, cost_model=CostModel(**CostModel.PAPER))
         function = LinearFunction(["N1", "N2"], [1.0, 2.0])
         queries = [TopKQuery(Predicate.of(A1=value), function, 5)
                    for value in range(4)]
@@ -381,8 +384,7 @@ class TestBoundCacheAndBatch:
 
 class TestResultCache:
     def test_repeat_query_hits_and_matches(self, relation):
-        executor = Executor.for_relation(relation, block_size=200,
-                                         rtree_max_entries=16)
+        executor = Executor.for_relation(relation, block_size=200)
         query = TopKQuery(Predicate.of(A1=1),
                           LinearFunction(["N1", "N2"], [1.0, 2.0]), 5)
         first = executor.execute(query)
@@ -399,8 +401,7 @@ class TestResultCache:
         assert stats["engine.result_misses"] == 1.0
 
     def test_cached_result_copies_do_not_alias(self, relation):
-        executor = Executor.for_relation(relation, block_size=200,
-                                         rtree_max_entries=16)
+        executor = Executor.for_relation(relation, block_size=200)
         query = SkylineQuery(Predicate.of(A1=1), ("N1", "N2"))
         first = executor.execute(query)
         first.extra["poison"] = True
@@ -409,8 +410,7 @@ class TestResultCache:
         assert "poison" not in second.extra
 
     def test_invalidate_results_drops_entries(self, relation):
-        executor = Executor.for_relation(relation, block_size=200,
-                                         rtree_max_entries=16)
+        executor = Executor.for_relation(relation, block_size=200)
         query = TopKQuery(Predicate.of(A2=1),
                           LinearFunction(["N1"], [1.0]), 3)
         executor.execute(query)
@@ -463,7 +463,6 @@ class TestResultCache:
                                                    num_ranking_dims=2,
                                                    cardinality=4, seed=31))
         executor = Executor.for_relation(relation, block_size=100,
-                                         rtree_max_entries=16,
                                          with_signature=False,
                                          with_skyline=False)
         query = TopKQuery(Predicate.of(A1=1),
@@ -566,8 +565,7 @@ class TestTieBreakAcrossBackends:
         rows = [{"A": i % 2, "X": (i % 4) * 0.25, "Y": ((i + 2) % 4) * 0.25}
                 for i in range(64)]
         relation = Relation.from_rows(schema, rows, name="ties")
-        executor = Executor.for_relation(relation, block_size=8,
-                                         rtree_max_entries=8)
+        executor = paper_stack(relation, block_size=8, rtree_max_entries=8)
         query = TopKQuery(Predicate.of(A=0), sum_function(["X", "Y"]), 5)
         reference = brute_force_topk(relation, query)  # sorted by (score, tid)
         for name in ("ranking-cube", "signature-cube", "table-scan"):
@@ -583,10 +581,11 @@ class TestSignatureSharing:
         assert skyline_backend.engine.cube is signature_backend.cube
 
     def test_skyline_without_signature_backend_still_prunes(self, relation):
-        stack = Executor.for_relation(relation, block_size=300,
-                                      rtree_max_entries=16,
-                                      with_signature=False, with_skyline=True,
-                                      cost_model=CostModel(**CostModel.PAPER))
+        stack = Executor.for_relation(
+            relation, block_size=300,
+            cost_model=RTreeCostModel(**RTreeCostModel.PAPER))
+        register_paper_backends(stack, relation, rtree_max_entries=16)
+        stack.registry.unregister("signature-cube")
         assert "signature-cube" not in stack.registry.names()
         result = stack.execute(SkylineQuery(Predicate.of(A1=1), ("N1", "N2")))
         assert result.backend == "skyline"

@@ -31,7 +31,7 @@ from repro.paper.indexmerge.expansion import (
 )
 from repro.paper.indexmerge.join_signature import leaf_paths
 from repro.paper.btree import BPlusTree
-from repro.storage.rtree import RTree
+from repro.paper.rtree import RTree
 from repro.workloads import SyntheticSpec, generate_relation
 
 

@@ -3,13 +3,13 @@
 A ``hypothesis`` state machine drives stacks over copies of one seed
 relation — an unsharded ``Executor``, thread ``ScatterGatherExecutor``s
 under a hash policy (grid-only shard stacks: inserts absorbed in place)
-and a range policy (full shard stacks: the owner is dropped and rebuilt),
-and ``QueryService``s over unsharded stacks: a grid stack, and
-``Executor.for_relation``'s full default stack under the default cost
-model, ``CostModel.PAPER`` and ``planner_mode="static"`` (the last two
-still route to the signature cube and BBS until an insert marks them
-stale) — through inserts of every awkward kind, solo / fused / streamed /
-repeated reads, skylines and reshards.  Every answer is checked bit for
+and a range policy (shard stacks holding ``repro.paper``'s signature cube
+and BBS: the owner is dropped and rebuilt), and ``QueryService``s over
+unsharded stacks: a grid stack, ``Executor.for_relation``'s default stack,
+and the paper's signature cube and BBS on top of it under the first
+planner's constants and ``planner_mode="static"`` (both still route to
+them until an insert marks them stale) — through inserts of every awkward
+kind, solo / fused / streamed / repeated reads, skylines and reshards.  Every answer is checked bit for
 bit against brute force over the rows as they are *now*.
 """
 
@@ -27,9 +27,10 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.engine import CostModel, Executor
+from repro.engine import Executor
 from repro.functions.distance import SquaredDistanceFunction
 from repro.functions.linear import LinearFunction
+from repro.paper.stack import RTreeCostModel
 from repro.query import Predicate, SkylineQuery, TopKQuery
 from repro.serve import QueryService, ServiceConfig
 from repro.shard import (
@@ -39,18 +40,28 @@ from repro.shard import (
     ShardManager,
 )
 from repro.workloads import SyntheticSpec, generate_relation
-from tests.conftest import brute_force_topk
+from tests.conftest import brute_force_topk, paper_stack
 from tests.test_parity_oracle import brute_force_skyline
 
 SPEC = SyntheticSpec(num_tuples=90, num_selection_dims=2,
                      num_ranking_dims=2, cardinality=3, distribution="C",
                      seed=1313)
 GRID_ONLY = dict(block_size=12, with_signature=False, with_skyline=False)
-FULL = dict(block_size=12, rtree_max_entries=8)
-#: The served stacks: grid only, then the full default stack three ways.
-SERVED = (GRID_ONLY, FULL,
-          dict(FULL, cost_model=CostModel(**CostModel.PAPER)),
-          dict(FULL, planner_mode="static"))
+
+
+def paper(**options):
+    """A stack builder: the default stack plus the paper's signature cube
+    and BBS, neither of which absorbs an insert."""
+    return lambda relation: paper_stack(relation, block_size=12,
+                                        rtree_max_entries=8, **options)
+
+
+#: The served stacks' builders: grid only, the default stack, then the
+#: paper's backends on top of it two ways.
+SERVED = (lambda relation: Executor.for_relation(relation, **GRID_ONLY),
+          lambda relation: Executor.for_relation(relation, block_size=12),
+          paper(cost_model=RTreeCostModel(**RTreeCostModel.PAPER)),
+          paper(planner_mode="static"))
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, width=32)
 codes = st.integers(min_value=0, max_value=2)
@@ -87,14 +98,15 @@ class WritesAndReads(RuleBasedStateMachine):
         self.hash_engine = ScatterGatherExecutor(self.hash_manager)
         ranged = generate_relation(SPEC)
         self.range_manager = ShardManager(
-            ranged, RangeShardingPolicy(ranged, "A1", 2), **FULL)
+            ranged, RangeShardingPolicy(ranged, "A1", 2),
+            executor_factory=paper())
         self.range_engine = ScatterGatherExecutor(self.range_manager)
         self.loop = asyncio.new_event_loop()
         self.services = []
-        for stack in SERVED:
+        for build in SERVED:
             served = generate_relation(SPEC)
             self.services.append(QueryService(
-                Executor.for_relation(served, **stack),
+                build(served),
                 ServiceConfig(max_linger=0.0), relation=served))
             self.loop.run_until_complete(self.services[-1].start())
         self.last = None

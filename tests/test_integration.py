@@ -13,8 +13,9 @@ from repro.paper.baselines import (
 )
 from repro.cube import RankingCube, build_ranking_fragments
 from repro.query import SkylineQuery, TopKQuery
-from repro.signature import SignatureRankingCube, SignatureTopKExecutor
-from repro.skyline import BooleanFirstSkyline, SkylineEngine
+from repro.paper.signature import SignatureRankingCube, SignatureTopKExecutor
+from repro.paper.skyline import SkylineEngine
+from repro.skyline import BooleanFirstSkyline
 from repro.workloads import QuerySpec, SyntheticSpec, generate_queries, generate_relation
 from tests.conftest import brute_force_topk
 

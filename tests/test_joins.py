@@ -18,7 +18,7 @@ from repro.paper.joins import (
     SPJRQuery,
 )
 from repro.query import Predicate
-from repro.signature import SignatureRankingCube
+from repro.paper.signature import SignatureRankingCube
 from repro.storage.table import Relation, Schema
 from repro.workloads import SyntheticSpec, generate_relation
 

@@ -63,7 +63,7 @@ def stratified_engine(num_rows: int = 240):
                      "Y": low + ((i + 13) % 40) * 0.003})
     relation = Relation.from_rows(schema, rows, name="strata")
     manager = ShardManager(relation, RangeShardingPolicy(relation, "A", 3),
-                           block_size=30, rtree_max_entries=8,
+                           block_size=30,
                            with_signature=False, with_skyline=False)
     return relation, ScatterGatherExecutor(manager)
 
@@ -326,8 +326,7 @@ class TestNullObjects:
 class TestExplainAnalyzeEngine:
     @pytest.fixture(scope="class")
     def engine(self):
-        return Executor.for_relation(small_relation(), block_size=50,
-                                     rtree_max_entries=8)
+        return Executor.for_relation(small_relation(), block_size=50)
 
     def query(self):
         return TopKQuery(Predicate.of(A1=1),
@@ -391,7 +390,7 @@ class TestExplainAnalyzeEngine:
         # their time but are never judged.  (PAPER routes these to the
         # grid, which fuses.)
         engine = Executor.for_relation(
-            small_relation(), block_size=50, rtree_max_entries=8,
+            small_relation(), block_size=50,
             cost_model=CostModel(**CostModel.PAPER, unit_seconds=1.0))
         function = LinearFunction(["N1", "N2"], [1.0, 1.0])
         for value in range(4):
@@ -427,7 +426,7 @@ class TestExplainAnalyzeEngine:
         # A front door renders in its own cost model's unit: a unit of
         # 1000 s makes any run's actual cost round to 0.
         engine = Executor.for_relation(
-            small_relation(), block_size=50, rtree_max_entries=8,
+            small_relation(), block_size=50,
             cost_model=CostModel(unit_seconds=1e3))
         text = engine.explain_analyze(self.query())
         assert "actual_cost=0.0  actual/estimated=0.00" in text

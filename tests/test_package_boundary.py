@@ -17,7 +17,9 @@ import sys
 import repro
 
 OLD_PATHS = ("repro.baselines", "repro.joins", "repro.indexmerge",
-             "repro.bench", "repro.storage.btree", "repro.storage.bitmap")
+             "repro.bench", "repro.storage.btree", "repro.storage.bitmap",
+             "repro.signature", "repro.storage.rtree",
+             "repro.storage.hierindex")
 
 SCRIPT = """
 import importlib, sys

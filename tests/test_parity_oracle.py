@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 
 from repro.engine import Executor
-from repro.engine.backends import SkylineScanBackend
 from repro.engine.registry import kind_of
 from repro.functions.distance import SquaredDistanceFunction
 from repro.functions.linear import skewed_linear_function
@@ -36,7 +35,7 @@ from repro.shard import (
     ShardManager,
 )
 from repro.workloads import SyntheticSpec, generate_relation
-from tests.conftest import brute_force_topk
+from tests.conftest import brute_force_topk, paper_stack
 
 #: Shard counts the acceptance bar names; 2 uses range sharding, the rest hash.
 SHARD_COUNTS = (1, 2, 7)
@@ -115,17 +114,12 @@ def _skyline_queries(rng, relation):
 
 
 def _slim_shard_factory(relation):
-    """Cheap per-shard stack: grid cube + scan top-k + scan skyline.
+    """Cheap per-shard stack: the served grid cube, scan top-k and scan skyline.
 
     The parity claim is about the scatter/gather *path*, not which backend
     a shard picks, so shards skip the R-tree / signature construction.
     """
-    from repro.skyline import BooleanFirstSkyline
-
-    executor = Executor.for_relation(relation, block_size=32,
-                                     with_signature=False, with_skyline=False)
-    executor.register(SkylineScanBackend(BooleanFirstSkyline(relation)))
-    return executor
+    return Executor.for_relation(relation, block_size=32)
 
 
 def brute_force_skyline(relation, query):
@@ -156,8 +150,8 @@ def universe():
     rigs = []
     for i, spec in enumerate(SPECS):
         relation = generate_relation(spec, name=f"O{i}")
-        engine = Executor.for_relation(relation, block_size=48,
-                                       rtree_max_entries=8)
+        # The served backends and the paper's signature cube and BBS.
+        engine = paper_stack(relation, block_size=48, rtree_max_entries=8)
         sharded = {}
         for count in SHARD_COUNTS:
             if count == 2:

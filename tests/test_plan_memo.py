@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.storage.table_scan import TableScanTopK
-from repro.engine import CostModel, Executor, MODE_COST, MODE_STATIC, Planner
+from repro.engine import Executor, MODE_COST, MODE_STATIC, Planner
 from repro.engine.backends import TableScanBackend
 from repro.functions import LinearFunction
 from repro.functions.linear import sum_function
@@ -22,10 +22,14 @@ from repro.workloads import (
     generate_relation,
     make_sharded_engine,
 )
+from repro.paper.stack import RTreeCostModel
+from tests.conftest import paper_stack
 from tests.test_planner_cost import _workload
 
 SPEC = SyntheticSpec(num_tuples=3000, num_selection_dims=3,
                      num_ranking_dims=2, cardinality=8, seed=111)
+#: Options of the stacks compared; each also holds the paper's signature
+#: cube and BBS, so the planner chooses among every backend.
 STACKS = {
     "full": {},
     "fragments": {"include_fragments": True, "fragment_size": 1},
@@ -76,7 +80,7 @@ def assert_plans_like_a_fresh_planner(executor, queries):
 @pytest.mark.parametrize("stack", sorted(STACKS))
 def test_a_warm_planner_plans_like_a_fresh_one(stack):
     relation = generate_relation(SPEC)
-    executor = Executor.for_relation(relation, block_size=200,
+    executor = paper_stack(relation, block_size=200,
                                      rtree_max_entries=16, **STACKS[stack])
     queries = corpus(relation)
     for query in queries:  # warm: every shape planned before any is compared
@@ -86,7 +90,7 @@ def test_a_warm_planner_plans_like_a_fresh_one(stack):
 
 def test_a_shape_is_decided_once_and_only_costable_lists_are_kept(monkeypatch):
     relation = generate_relation(SPEC)
-    executor = Executor.for_relation(relation, block_size=200,
+    executor = paper_stack(relation, block_size=200,
                                      rtree_max_entries=16)
     decided = []
     backends_for = executor.registry.backends_for
@@ -178,9 +182,10 @@ def test_a_shard_profile_folded_in_place_drops_the_decisions():
 
 def test_a_registry_change_drops_the_decisions():
     relation = generate_relation(SPEC)
-    executor = Executor.for_relation(relation, block_size=200,
+    executor = paper_stack(relation, block_size=200,
                                      rtree_max_entries=16,
-                                     cost_model=CostModel(**CostModel.PAPER))
+                                     cost_model=RTreeCostModel(
+                                         **RTreeCostModel.PAPER))
     queries = corpus(relation)
     topk = TopKQuery(Predicate.of(A1=1, A2=2), sum_function(["N1", "N2"]), 5)
     assert "table-scan:90" in executor.plan(topk).details["losing_candidates"]
@@ -212,15 +217,16 @@ def test_a_returned_plan_is_the_callers_to_change():
 
 def test_a_new_cost_model_or_mode_is_not_answered_from_the_old_one():
     relation = generate_relation(SPEC)
-    executor = Executor.for_relation(relation, block_size=200,
+    executor = paper_stack(relation, block_size=200,
                                      rtree_max_entries=16,
-                                     cost_model=CostModel(**CostModel.PAPER))
+                                     cost_model=RTreeCostModel(
+                                         **RTreeCostModel.PAPER))
     queries = corpus(relation)
     for query in queries:
         executor.plan(query)
     broad = TopKQuery(Predicate.of(), sum_function(["N1", "N2"]), 5)
     assert executor.plan(broad).backend == "signature-cube"
-    executor.planner.cost_model = CostModel(node_touch_cost=10_000.0)
+    executor.planner.cost_model = RTreeCostModel(node_touch_cost=10_000.0)
     assert executor.plan(broad).backend != "signature-cube"
     assert_plans_like_a_fresh_planner(executor, queries)
     executor.planner.mode = MODE_STATIC

@@ -21,6 +21,7 @@ from repro.errors import PlanningError
 from repro.functions import LinearFunction
 from repro.functions.linear import skewed_linear_function, sum_function
 from repro.query import Predicate, SkylineQuery, TopKQuery
+from repro.paper.stack import RTreeCostModel, register_paper_backends
 from repro.storage.table import Relation
 from repro.workloads import (
     QuerySpec,
@@ -28,6 +29,7 @@ from repro.workloads import (
     generate_queries,
     generate_relation,
 )
+from tests.conftest import paper_stack
 
 
 def skewed_planner_workload(relation: Relation, seed: int = 29,
@@ -91,20 +93,21 @@ def relation():
 
 @pytest.fixture(scope="module")
 def executor(relation):
-    return Executor.for_relation(relation, block_size=200, rtree_max_entries=16)
+    return Executor.for_relation(relation, block_size=200)
 
 
 @pytest.fixture(scope="module")
 def paper_executor(relation):
-    """The module stack under the first cost model's hand-set constants,
-    for the tests that pin its routing."""
-    return Executor.for_relation(relation, block_size=200, rtree_max_entries=16,
-                                 cost_model=CostModel(**CostModel.PAPER))
+    """The module stack plus the paper's signature cube and BBS under the
+    first cost model's hand-set constants, for the tests that pin its
+    routing."""
+    return paper_stack(relation, block_size=200, rtree_max_entries=16,
+                       cost_model=RTreeCostModel(**RTreeCostModel.PAPER))
 
 
 @pytest.fixture(scope="module")
 def static_executor(relation):
-    return Executor.for_relation(relation, block_size=200, rtree_max_entries=16,
+    return Executor.for_relation(relation, block_size=200,
                                  planner_mode=MODE_STATIC)
 
 
@@ -216,6 +219,34 @@ class TestCostBasedSelection:
         assert signature.tids == cube.tids
         assert signature.scores == cube.scores
 
+    def test_the_paper_builder_keeps_a_plain_paper_model_in_counts(
+            self, relation):
+        """``CostModel.PAPER`` through the builder prices the R-tree in the
+        first planner's work counts too, so it routes as the pinned
+        ``RTreeCostModel.PAPER`` stack does."""
+        executor = paper_stack(relation, block_size=200, rtree_max_entries=16,
+                               cost_model=CostModel(**CostModel.PAPER,
+                                                    unit_seconds=1e-6))
+        model = executor.cost_model
+        assert type(model) is RTreeCostModel
+        assert vars(model) == vars(RTreeCostModel(**RTreeCostModel.PAPER,
+                                                  unit_seconds=1e-6))
+        query = TopKQuery(Predicate.of(), sum_function(["N1", "N2"]), 5)
+        assert executor.plan(query).backend == "signature-cube"
+
+    def test_the_paper_builder_refuses_a_plain_model_it_cannot_extend(
+            self, relation):
+        executor = Executor.for_relation(
+            relation, block_size=200,
+            cost_model=CostModel(**{**CostModel.PAPER, "score_cost": 2.0}))
+        with pytest.raises(ValueError, match="RTreeCostModel.*score_cost"):
+            register_paper_backends(executor, relation)
+        assert executor.registry.names() == ["ranking-cube", "table-scan",
+                                             "skyline-scan"]
+        defaults = paper_stack(relation, block_size=200, rtree_max_entries=16)
+        assert vars(defaults.cost_model) == {}
+        assert type(defaults.cost_model) is RTreeCostModel
+
     def test_equal_costs_fall_back_to_static_tie_break(self, relation):
         from repro.storage.table_scan import TableScanTopK
         from repro.engine.backends import TableScanBackend
@@ -322,9 +353,10 @@ class TestCostVsStaticAnswers:
         relation = generate_relation(SyntheticSpec(
             num_tuples=8000, num_selection_dims=3, num_ranking_dims=2,
             cardinality=12, seed=17))
-        executor = Executor.for_relation(
+        # The signature cube is what the cost choice saves tuples with.
+        executor = paper_stack(
             relation, block_size=250, with_skyline=False,
-            cost_model=CostModel(**CostModel.PAPER))
+            cost_model=RTreeCostModel(**RTreeCostModel.PAPER))
         static_planner = Planner(executor.registry, mode=MODE_STATIC)
         cost_total = static_total = 0
         for query in skewed_planner_workload(relation, seed=29, count=24):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import IndexError_
-from repro.storage.rtree import RTree, capacity_for_page_size
+from repro.paper.rtree import RTree, capacity_for_page_size
 
 
 @pytest.fixture(scope="module")

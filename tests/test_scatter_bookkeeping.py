@@ -32,6 +32,7 @@ from repro.functions import SquaredDistanceFunction
 from repro.functions.linear import sum_function
 from repro.net.protocol import encode_result
 from repro.obs.trace import NULL_SPAN
+from repro.paper.stack import RTreeCostModel
 from repro.query import Predicate, QueryResult, SkylineQuery, TopKQuery, topk_order_key
 from repro.shard import (
     HashShardingPolicy,
@@ -41,6 +42,7 @@ from repro.shard import (
     ShardManager,
 )
 from repro.workloads import SyntheticSpec, generate_relation
+from tests.conftest import paper_stack
 
 
 @pytest.fixture(scope="module")
@@ -177,8 +179,9 @@ def describe_calls(monkeypatch):
     return calls
 
 
-#: ``encode_result(r)["extra"]["plan"]`` on the unsharded full stack,
-#: as the wire carried it when every result rendered its plan eagerly.
+#: ``encode_result(r)["extra"]["plan"]`` on the unsharded stack with the
+#: paper's signature cube and BBS under the first planner's constants, as
+#: the wire carried it when every result rendered its plan eagerly.
 WIRE_PLANS = {
     'topk-all': 'top-10 with a monotone function over predicate dims [none] routed to ranking-cube [backend=ranking-cube kind=topk mode=cost cost_estimates=ranking-cube:124.0|signature-cube:152.0|table-scan:1530.0 cost_inputs=access=grid block_size=100 covering_cuboids=1 expected_matches=1500 k=10 num_tuples=1500 selectivity=1 shape=monotone covering_cuboids=none (empty predicate) estimated_cost=124.0 function_shape=monotone k=10 losing_candidates=signature-cube:20,table-scan:90 predicate_dims=- candidates=ranking-cube|signature-cube|table-scan]',
     'topk-A1': 'top-5 with a semi_monotone function over predicate dims [A1] routed to ranking-cube [backend=ranking-cube kind=topk mode=cost cost_estimates=ranking-cube:40.7|signature-cube:181.3|table-scan:280.0 cost_inputs=access=grid block_size=100 covering_cuboids=1 expected_matches=250 k=5 num_tuples=1500 selectivity=0.166667 shape=semi_monotone covering_cuboids=A1 estimated_cost=40.667 function_shape=semi_monotone k=5 losing_candidates=signature-cube:20,table-scan:90 predicate_dims=A1 candidates=ranking-cube|signature-cube|table-scan]',
@@ -202,8 +205,7 @@ class TestLazyPlans:
         assert describe_calls == []
 
     def test_a_result_renders_what_explain_renders(self, relation):
-        executor = Executor.for_relation(relation, block_size=100,
-                                         rtree_max_entries=16)
+        executor = Executor.for_relation(relation, block_size=100)
         for query in wire_corpus().values():
             result = executor.execute(query, use_result_cache=False)
             assert isinstance(result.extra["plan"], QueryPlan)
@@ -211,9 +213,9 @@ class TestLazyPlans:
             assert str(result.extra["plan"]) == result.plan
 
     def test_the_wire_carries_the_same_plan_text(self, relation):
-        executor = Executor.for_relation(relation, block_size=100,
-                                         rtree_max_entries=16,
-                                         cost_model=CostModel(**CostModel.PAPER))
+        executor = paper_stack(
+            relation, block_size=100, rtree_max_entries=16,
+            cost_model=RTreeCostModel(**RTreeCostModel.PAPER))
         for name, query in wire_corpus().items():
             envelope = encode_result(executor.execute(query))
             assert envelope["extra"]["plan"] == WIRE_PLANS[name], name

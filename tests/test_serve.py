@@ -306,10 +306,8 @@ class TestServingParity:
                 <= sum(r.tuples_evaluated for r in serial))
 
     def test_full_stack_serves_skyline_and_topk(self, relation):
-        reference = Executor.for_relation(relation, block_size=100,
-                                          rtree_max_entries=16)
-        engine = Executor.for_relation(relation, block_size=100,
-                                       rtree_max_entries=16)
+        reference = Executor.for_relation(relation, block_size=100)
+        engine = Executor.for_relation(relation, block_size=100)
         queries = [
             SkylineQuery(Predicate.of(A1=1), ("N1", "N2")),
             TopKQuery(Predicate.of(), sum_function(["N1", "N2"]), 4),

@@ -34,7 +34,7 @@ from repro.workloads import (
     make_sharded_engine,
     pruned_predicate_queries,
 )
-from tests.conftest import brute_force_topk
+from tests.conftest import brute_force_topk, paper_stack
 
 SHARD_COUNTS = (1, 2, 7)
 POLICY_KINDS = ("hash", "range-width", "range-depth")
@@ -56,16 +56,22 @@ def relation():
 
 @pytest.fixture(scope="module")
 def unsharded(relation):
-    return Executor.for_relation(relation, block_size=100, rtree_max_entries=16)
+    return Executor.for_relation(relation, block_size=100)
 
 
 def build_engine(relation, kind: str, num_shards: int,
                  parallel: bool = False,
                  cost_model=None) -> ScatterGatherExecutor:
     policy = make_policy(kind, relation, num_shards)
-    manager = ShardManager(relation, policy, block_size=60, rtree_max_entries=16,
+    manager = ShardManager(relation, policy, block_size=60,
                            cost_model=cost_model)
     return ScatterGatherExecutor(manager, parallel=parallel)
+
+
+def _paper_stack(relation):
+    """A shard stack holding the paper's signature cube and BBS, neither of
+    which absorbs an insert."""
+    return paper_stack(relation, block_size=50)
 
 
 class TestParity:
@@ -126,8 +132,7 @@ class TestParity:
         rows = [{"A": i % 2, "X": (i % 3) * 0.25, "Y": ((i + 1) % 3) * 0.25}
                 for i in range(60)]
         relation = Relation.from_rows(schema, rows, name="ties")
-        unsharded = Executor.for_relation(relation, block_size=8,
-                                          rtree_max_entries=8)
+        unsharded = Executor.for_relation(relation, block_size=8)
         query = TopKQuery(Predicate.of(A=0), sum_function(["X", "Y"]), 7)
         expected = unsharded.execute(query)
         for num_shards in (2, 3):
@@ -252,7 +257,7 @@ class TestStatsAndPolicies:
 
     def test_single_shard_holds_everything(self, relation):
         manager = ShardManager(relation, HashShardingPolicy(1),
-                               block_size=60, rtree_max_entries=16)
+                               block_size=60)
         assert manager.num_shards == 1
         assert manager.shards[0].relation.num_tuples == relation.num_tuples
         assert np.array_equal(manager.shards[0].tid_map,
@@ -284,7 +289,7 @@ class TestMutation:
                                                num_ranking_dims=2,
                                                cardinality=4, seed=21))
         manager = ShardManager(base, RangeShardingPolicy(base, "A1", 4),
-                               block_size=50, rtree_max_entries=16)
+                               block_size=50)
         return base, manager, ScatterGatherExecutor(manager)
 
     def test_insert_routes_to_owning_shard_and_stays_correct(self):
@@ -298,7 +303,7 @@ class TestMutation:
         assert global_tid in manager.shards[owner].tid_map
         result = engine.execute(query)
         assert result.tids[0] == global_tid  # not a stale cached answer
-        fresh = Executor.for_relation(base, block_size=50, rtree_max_entries=16)
+        fresh = Executor.for_relation(base, block_size=50)
         expected = fresh.execute(query)
         assert result.tids == expected.tids
         assert result.scores == expected.scores
@@ -333,7 +338,7 @@ class TestMutation:
         # reshard() re-splits from the base relation and recovers.
         manager.reshard(manager.policy)
         result = engine.execute(query)
-        fresh = Executor.for_relation(base, block_size=50, rtree_max_entries=16)
+        fresh = Executor.for_relation(base, block_size=50)
         assert result.tids == fresh.execute(query).tids
 
     def test_incremental_stats_match_recomputation(self):
@@ -387,7 +392,7 @@ class TestCostOrderedScatter:
                          "Y": low + ((i + 13) % 40) * 0.003})
         relation = Relation.from_rows(schema, rows, name="strata")
         manager = ShardManager(relation, RangeShardingPolicy(relation, "A", 3),
-                               block_size=30, rtree_max_entries=8,
+                               block_size=30,
                                with_signature=False, with_skyline=False)
         return relation, manager, ScatterGatherExecutor(manager)
 
@@ -415,12 +420,14 @@ class TestCostOrderedScatter:
 
     @staticmethod
     def _insert_into_built_stacks(**stack):
+        """Four built range-shard stacks and a row for one of them; ``stack``
+        is ``ShardManager``'s keywords."""
         base = generate_relation(SyntheticSpec(num_tuples=400,
                                                num_selection_dims=2,
                                                num_ranking_dims=2,
                                                cardinality=4, seed=21))
         manager = ShardManager(base, RangeShardingPolicy(base, "A1", 4),
-                               block_size=50, rtree_max_entries=16, **stack)
+                               block_size=50, **stack)
         engine = ScatterGatherExecutor(manager)
         query = TopKQuery(Predicate.of(), sum_function(["N1", "N2"]), 5)
         engine.execute(query)
@@ -459,7 +466,7 @@ class TestCostOrderedScatter:
 
     def test_insert_drops_an_owner_stack_that_cannot_absorb_it(self):
         manager, engine, query, before, owner, row = (
-            self._insert_into_built_stacks())  # signature + skyline engines
+            self._insert_into_built_stacks(executor_factory=_paper_stack))
         manager.insert(row)
         after = manager.built_executors()
         assert sorted(after) == [i for i in range(4) if i != owner]
@@ -480,7 +487,7 @@ class TestCostOrderedScatter:
     def test_a_full_stack_is_dropped_before_its_grid_writes(self,
                                                             monkeypatch):
         manager, engine, query, _, owner, row = (
-            self._insert_into_built_stacks())
+            self._insert_into_built_stacks(executor_factory=_paper_stack))
         writes = []
         monkeypatch.setattr(RankingCubeBackend, "insert",
                             lambda backend, tid, row: writes.append(tid))
@@ -541,7 +548,7 @@ class TestCostOrderedScatter:
         rows = [{"A": i % 2, "X": 0.5, "Y": 0.5} for i in range(40)]
         relation = Relation.from_rows(schema, rows, name="tied")
         manager = ShardManager(relation, RangeShardingPolicy(relation, "A", 2),
-                               block_size=10, rtree_max_entries=8,
+                               block_size=10,
                                with_signature=False, with_skyline=False)
         engine = ScatterGatherExecutor(manager)
         unsharded = Executor.for_relation(relation, block_size=10,
@@ -557,7 +564,7 @@ class TestCostOrderedScatter:
     def test_parallel_scatter_skips_nothing(self):
         relation, _, _ = self._stratified()
         manager = ShardManager(relation, RangeShardingPolicy(relation, "A", 3),
-                               block_size=30, rtree_max_entries=8,
+                               block_size=30,
                                with_signature=False, with_skyline=False)
         engine = ScatterGatherExecutor(manager, parallel=True)
         query = TopKQuery(Predicate.of(), sum_function(["X", "Y"]), 5)
@@ -569,7 +576,7 @@ class TestCostOrderedScatter:
 class TestBatchAndCache:
     def test_execute_many_and_result_cache(self, relation):
         _, engine = make_sharded_engine(relation, 3, range_dim="A1",
-                                        block_size=60, rtree_max_entries=16)
+                                        block_size=60)
         queries = pruned_predicate_queries(relation, "A1", k=5)
         results = engine.execute_many(queries)
         assert len(results) == len(queries)
@@ -632,7 +639,7 @@ class TestBatchAndCache:
 
     def test_equivalent_function_objects_share_cache_entries(self, relation):
         _, engine = make_sharded_engine(relation, 2, range_dim="A1",
-                                        block_size=60, rtree_max_entries=16)
+                                        block_size=60)
         first = TopKQuery(Predicate.of(A1=1),
                           LinearFunction(["N1", "N2"], [1.0, 2.0]), 5)
         twin = TopKQuery(Predicate.of(A1=1),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SignatureError
-from repro.signature import Signature, path_to_sid, sid_to_path
+from repro.paper.signature import Signature, path_to_sid, sid_to_path
 
 
 class TestSignatureBasics:

@@ -14,14 +14,14 @@ from repro.functions import (
     Var,
 )
 from repro.query import Predicate, TopKQuery
-from repro.signature import (
+from repro.paper.signature import (
     Signature,
     SignatureRankingCube,
     SignatureStore,
     SignatureTopKExecutor,
 )
 from repro.storage.pager import Pager
-from repro.storage.rtree import RTree
+from repro.paper.rtree import RTree
 from repro.workloads import SyntheticSpec, generate_relation
 from tests.conftest import brute_force_topk
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import EncodingError
-from repro.signature.encoding import (
+from repro.paper.signature.encoding import (
     SCHEME_BL,
     SCHEME_PC,
     SCHEME_PI,

@@ -5,13 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SignatureError
-from repro.signature import (
+from repro.paper.signature import (
     Signature,
     SignatureStore,
     decompose_signature,
     reassemble_signature,
 )
-from repro.signature.store import CombinedSignatureReader
+from repro.paper.signature.store import CombinedSignatureReader
 from repro.storage.pager import Pager
 
 

@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.engine import Executor
 from repro.query import Predicate, SkylineQuery
-from repro.signature import SignatureRankingCube
+from repro.paper.signature import SignatureRankingCube
+from repro.paper.skyline import SkylineEngine, SkylineSession
 from repro.skyline import (
     BooleanFirstSkyline,
-    SkylineEngine,
-    SkylineSession,
     dominated_by_any,
     dominates,
     skyline_rows,
@@ -20,6 +18,7 @@ from repro.skyline import (
 from repro.skyline.dominance import mapped_corners
 from repro.storage.table import Relation, Schema
 from repro.workloads import SyntheticSpec, generate_relation, make_sharded_engine
+from tests.conftest import paper_stack
 
 
 @pytest.fixture(scope="module")
@@ -142,10 +141,8 @@ def test_a_tie_heavy_relation_has_one_skyline_on_every_path():
                                            seed=83))
     relation = Relation(base.schema, base.selection_matrix(),
                         np.round(base.ranking_matrix() * 4) / 4)
-    executor = Executor.for_relation(relation, block_size=100,
-                                     rtree_max_entries=16)
-    _, scatter = make_sharded_engine(relation, 3, block_size=100,
-                                     rtree_max_entries=16)
+    executor = paper_stack(relation, block_size=100, rtree_max_entries=16)
+    _, scatter = make_sharded_engine(relation, 3, block_size=100)
     rng = np.random.default_rng(83)
     for conditions in ({}, {"A1": 2}, {"A2": 1, "A3": 0}):
         for dims in (("N1", "N2"), ("N1", "N2", "N3")):

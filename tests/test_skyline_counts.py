@@ -26,10 +26,11 @@ import numpy as np
 import pytest
 
 from repro.query import Predicate, SkylineQuery
-from repro.signature import SignatureRankingCube
-from repro.skyline import BooleanFirstSkyline, SkylineEngine, SkylineSession
+from repro.paper.signature import SignatureRankingCube
+from repro.paper.skyline import SkylineEngine, SkylineSession
+from repro.skyline import BooleanFirstSkyline
 from repro.storage.pager import Pager
-from repro.storage.rtree import RTree
+from repro.paper.rtree import RTree
 from repro.workloads import SyntheticSpec, generate_relation
 
 SELECTION = ("A1", "A2", "A3")

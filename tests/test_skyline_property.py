@@ -26,11 +26,12 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.query import Predicate, SkylineQuery
-from repro.signature import SignatureRankingCube
-from repro.skyline import BooleanFirstSkyline, SkylineEngine
+from repro.paper.signature import SignatureRankingCube
+from repro.paper.skyline import SkylineEngine
+from repro.skyline import BooleanFirstSkyline
 from repro.skyline.dominance import dominated_rows, mapped_corners
 from repro.storage.pager import Pager
-from repro.storage.rtree import RTree
+from repro.paper.rtree import RTree
 from repro.storage.table import Relation, Schema
 
 SELECTION = ("A1", "A2", "A3")

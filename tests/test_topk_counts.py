@@ -29,9 +29,9 @@ from repro.functions import Add, Const, ExpressionFunction, Mul, Var
 from repro.functions.distance import SquaredDistanceFunction
 from repro.functions.linear import LinearFunction
 from repro.query import Predicate, TopKQuery
-from repro.signature import SignatureRankingCube, SignatureTopKExecutor
+from repro.paper.signature import SignatureRankingCube, SignatureTopKExecutor
 from repro.storage.pager import Pager
-from repro.storage.rtree import RTree
+from repro.paper.rtree import RTree
 from repro.workloads import SyntheticSpec, generate_relation
 from tests.conftest import brute_force_topk
 
