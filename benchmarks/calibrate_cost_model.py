@@ -16,10 +16,9 @@ query shapes, warm, keeping the minimum of
 
 Every estimate is linear in the fitted constants (``score_cost`` is the
 unit, 1 by definition, and the structural factors ``frontier_overvisit``,
-``intersection_penalty``, ``general_shape_factor`` and
-``process_leg_overhead`` are kept), so each constant's feature is the
-estimate under a model where it alone is 1, less the estimate with all of
-them 0.  One non-negative least-squares
+``intersection_penalty`` and ``general_shape_factor`` are kept), so each
+constant's feature is the estimate under a model where it alone is 1,
+less the estimate with all of them 0.  One non-negative least-squares
 fit on relative error (every constant at least ``FLOOR``: no term is free)
 gives the constants; the tool prints each estimator's median relative
 error, then the regret of routing by ``CostModel.PAPER`` and by the fitted

@@ -3,7 +3,7 @@
 One sharded engine is served through three failure postures:
 
 1. **Chaos with retries** — a seeded :class:`~repro.fault.FaultInjector`
-   plants worker crashes in the scatter legs while a
+   plants leg crashes in the scatter legs while a
    :class:`~repro.fault.RetryPolicy` re-runs the failed legs with
    jittered backoff.  Every answer stays exact; the only trace of the
    chaos is in ``extra["leg_attempts"]`` and the ``fault.*`` counters.
@@ -17,8 +17,8 @@ One sharded engine is served through three failure postures:
    fraction, so a dashboard can keep rendering while the shard heals.
 
 Per-request deadlines ride into the engine too: a ``timeout=`` on
-``submit`` becomes a :class:`~repro.fault.Deadline` checked between
-scatter legs and bounding process workers' pipe waits.
+``submit`` becomes a :class:`~repro.fault.Deadline` checked before
+every scatter leg.
 
 Run with ``python examples/fault_tolerant_serving.py`` from the
 repository root.
@@ -57,7 +57,7 @@ class FailingLegs(InProcessLegs):
     def run(self, shard, queries, leg_span, deadline):
         if shard.index == self.bad_index:
             raise ShardWorkerError(
-                f"shard {shard.index} worker process died (exit code -9)",
+                f"shard {shard.index} is unreachable",
                 shard_index=shard.index)
         return super().run(shard, queries, leg_span, deadline)
 

@@ -2,19 +2,18 @@
 
 Commands
 --------
-``demo [--shards N] [--scatter threads|processes] [--planner cost|static] [--chaos SEED] [--allow-partial]``
+``demo [--shards N] [--planner cost|static] [--chaos SEED] [--allow-partial]``
     Build a small ranking cube and run one query end to end — a smoke test
     that the installation works.  ``--shards N`` routes the same queries
-    through the scatter/gather engine over N range shards instead;
-    ``--scatter processes`` runs heavy shard legs in per-shard worker
-    processes (shared-memory data, GIL-free scoring); ``--planner static``
+    through the scatter/gather engine over N range shards instead (its
+    legs run one after another, in cost order); ``--planner static``
     swaps the statistics-driven cost-based backend selection for the
-    legacy (priority, name) order.  ``--chaos SEED`` plants seeded worker
+    legacy (priority, name) order.  ``--chaos SEED`` plants seeded leg
     crashes and delays in the scatter legs (retries and per-shard circuit
     breakers recover; answers stay exact); ``--allow-partial`` degrades to
     the exact answer over surviving shards instead of failing when a shard
     stays down.
-``serve [--shards N] [--scatter threads|processes] [--clients C] [--queries Q] [--linger MS] [--chaos SEED] [--allow-partial] [--http HOST:PORT] [--rate R]``
+``serve [--shards N] [--clients C] [--queries Q] [--linger MS] [--chaos SEED] [--allow-partial] [--http HOST:PORT] [--rate R]``
     Start an async :class:`~repro.serve.QueryService` over the engine and
     drive C concurrent clients of Q queries each through it, then print
     the merged metrics-registry snapshot (``serve.*`` + ``shard.*`` +
@@ -90,21 +89,17 @@ def _cmd_demo(args: argparse.Namespace) -> int:
                                                num_ranking_dims=2, cardinality=10))
     num_shards = getattr(args, "shards", 0) or 0
     planner_mode = getattr(args, "planner", "cost")
-    scatter = getattr(args, "scatter", "threads")
-    close_engine = None
     if num_shards > 1:
         from repro.workloads import make_sharded_engine
 
         fault_kwargs = _fault_kwargs(args)
         _, executor = make_sharded_engine(relation, num_shards, range_dim="A1",
-                                          scatter=scatter, block_size=200,
+                                          block_size=200,
                                           planner_mode=planner_mode,
                                           **fault_kwargs)
-        close_engine = executor.close
-        print(f"engine: scatter/gather over {num_shards} range shards on A1 "
-              f"({scatter})")
+        print(f"engine: scatter/gather over {num_shards} range shards on A1")
         if fault_kwargs.get("fault_injector") is not None:
-            print(f"chaos: seed {args.chaos} — injected worker crashes and "
+            print(f"chaos: seed {args.chaos} — injected leg crashes and "
                   f"delays, recovered by retries/breakers")
     else:
         if getattr(args, "chaos", None) is not None:
@@ -142,8 +137,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
           f"via {skyline.backend}")
     if num_shards > 1 and getattr(executor, "fault_injector", None) is not None:
         _print_fault_report(executor, executor.fault_injector)
-    if close_engine is not None:
-        close_engine()
     return 0
 
 
@@ -165,14 +158,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.shards > 1:
         fault_kwargs = _fault_kwargs(args)
         manager, engine = make_sharded_engine(
-            relation, args.shards, range_dim="A1", scatter=args.scatter,
+            relation, args.shards, range_dim="A1",
             block_size=200, with_signature=False, with_skyline=False,
             **fault_kwargs)
-        print(f"engine: scatter/gather over {args.shards} range shards on A1 "
-              f"({args.scatter})")
+        print(f"engine: scatter/gather over {args.shards} range shards on A1")
         if fault_kwargs.get("fault_injector") is not None:
             print(f"chaos: seed {args.chaos} — serving through injected "
-                  f"worker crashes and delays")
+                  f"leg crashes and delays")
     else:
         manager = None
         if getattr(args, "chaos", None) is not None:
@@ -303,17 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--shards", type=int, default=0,
                       help="route the demo through a scatter/gather engine "
                            "over N range shards (default: unsharded)")
-    demo.add_argument("--scatter", choices=("threads", "processes"),
-                      default="threads",
-                      help="shard-leg runtime when sharded: in-process "
-                           "threads (default) or per-shard worker processes "
-                           "over shared memory")
     demo.add_argument("--planner", choices=("cost", "static"), default="cost",
                       help="backend selection mode: statistics-driven cost "
                            "estimates (default) or the static (priority, "
                            "name) order")
     demo.add_argument("--chaos", type=int, metavar="SEED", default=None,
-                      help="inject seeded worker crashes/delays into the "
+                      help="inject seeded leg crashes/delays into the "
                            "scatter legs (requires --shards > 1); retries "
                            "and breakers recover, answers stay exact")
     demo.add_argument("--allow-partial", action="store_true",
@@ -327,11 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--shards", type=int, default=3,
                        help="scatter/gather over N range shards "
                             "(<=1: unsharded; default: 3)")
-    serve.add_argument("--scatter", choices=("threads", "processes"),
-                       default="threads",
-                       help="shard-leg runtime when sharded: in-process "
-                            "threads (default) or per-shard worker "
-                            "processes over shared memory")
     serve.add_argument("--clients", type=int, default=8,
                        help="number of concurrent clients (default: 8)")
     serve.add_argument("--queries", type=int, default=6,
@@ -340,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="micro-batcher max linger in milliseconds "
                             "(default: 5)")
     serve.add_argument("--chaos", type=int, metavar="SEED", default=None,
-                       help="inject seeded worker crashes/delays into the "
+                       help="inject seeded leg crashes/delays into the "
                             "scatter legs while serving (requires "
                             "--shards > 1)")
     serve.add_argument("--http", metavar="HOST:PORT", default=None,

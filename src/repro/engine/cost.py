@@ -289,13 +289,6 @@ class CostModel:
     intersection_penalty = 0.5
     #: Shape factor for functions with no monotonicity structure.
     general_shape_factor = 4.0
-    #: Per-leg IPC overhead of dispatching one scatter leg to a worker
-    #: *process* instead of a thread: pickling the query, a pipe round
-    #: trip, and unpickling the top-k answer, expressed in tuple-score
-    #: units.  The scatter layer compares :meth:`scatter_leg_cost`
-    #: against it to price the thread/process crossover — a leg cheaper
-    #: than the IPC it would cost stays on the thread pool.
-    process_leg_overhead = 5000.0
     #: Seconds per unit where the defaults were fitted: the executor's
     #: ``planner.*`` feedback divides each run's measured time by it.
     unit_seconds = 3.8e-8
@@ -308,8 +301,7 @@ class CostModel:
              "grid_query_cost": 0.0, "skyline_scan_query_cost": 0.0,
              "cuboid_query_cost": 0.0,
              "frontier_overvisit": 3.0,
-             "intersection_penalty": 0.5, "general_shape_factor": 4.0,
-             "process_leg_overhead": 5000.0}
+             "intersection_penalty": 0.5, "general_shape_factor": 4.0}
     #: Constants overridable per instance (``CostModel(**constants)``).
     TUNABLE = (*PAPER, "unit_seconds")
 
@@ -386,18 +378,6 @@ class CostModel:
         if isinstance(query, TopKQuery):
             return (floor, stats.expected_matches(query.predicate))
         return (0.0, float(stats.num_tuples))
-
-    def scatter_leg_cost(self, query, stats: RelationStatistics) -> float:
-        """Coarse cost of one scatter leg on a shard: the scan's estimate.
-
-        Backend-agnostic on purpose — it prices *how much work a leg ships
-        to a worker*, not which index the worker picks.  While even the
-        biggest surviving leg costs less than :attr:`process_leg_overhead`
-        (a pipe round trip), the scatter stays on the thread pool.
-        """
-        selectivity = stats.selectivity(query.predicate)
-        return self._scan_topk(None, query, stats, selectivity,
-                               stats.num_tuples * selectivity)[0]
 
     # ------------------------------------------------------------------
     # per-access estimators

@@ -53,17 +53,15 @@ class PlanningError(QueryError):
 
 
 class ShardWorkerError(ReproError):
-    """A shard's scatter leg failed (worker died, hung, or misbehaved).
+    """A shard's scatter leg failed (the shard was lost or refused it).
 
-    Raised by the scatter layer instead of hanging on a dead or wedged
-    pipe; the message names the shard (and exit code, for a death) so
-    the failure is actionable.  The dead worker is discarded — the next
-    scatter leg to that shard respawns a fresh one.
+    The message names the shard so the failure is actionable; the retry
+    and breaker machinery of :mod:`repro.fault` acts on this type.
 
     ``shard_index`` names the failing shard (``None`` when unknown) and
-    ``timed_out`` distinguishes a *hung* worker killed by the bounded
-    pipe ``recv`` from a worker that died on its own — callers deciding
-    whether to retry can treat a wedge differently from a crash.
+    ``timed_out`` marks a leg a runner gave up waiting on, as opposed to
+    one that failed on its own — callers deciding whether to retry can
+    treat a wedge differently from a crash.
     """
 
     def __init__(self, message: str, *, shard_index=None,

@@ -2,14 +2,11 @@
 
 A :class:`Deadline` is an absolute point on an injectable monotonic
 clock.  The serving layer mints one per admitted request (from the
-request timeout), the scatter layer checks it between sequential legs,
-and the process-scatter layer converts :meth:`remaining` into a bounded
-pipe ``recv`` timeout — so a *hung* worker is detected and killed within
-the deadline instead of blocking a scatter thread forever.
+request timeout), and the scatter layer checks it before every leg.
 
 Deadlines are values, not ambient state: they are passed explicitly
-(``engine.execute(query, deadline=...)``) because scatter legs hop
-threads and processes where context variables do not follow.
+(``engine.execute(query, deadline=...)``) from the serving layer's
+queue to the thread that runs the engine call.
 """
 
 from __future__ import annotations
@@ -65,9 +62,9 @@ class Deadline:
     def bound(self, timeout: Optional[float]) -> float:
         """``timeout`` capped by the remaining budget (``None`` = no cap).
 
-        The process-scatter layer turns a deadline into a pipe ``recv``
-        bound with this: the effective wait is whichever of the
-        configured recv timeout and the deadline's remainder is tighter.
+        A leg runner that can bound a wait caps it with this: the
+        effective wait is whichever of its own timeout and the
+        deadline's remainder is tighter.
         """
         remaining = self.remaining()
         if timeout is None:

@@ -77,7 +77,7 @@ class LegGuard:
         self.policy = retry_policy
         self.breaker_policy = breaker_policy
         #: Seeded from the policy so chaos runs replay the same sleeps;
-        #: locked because parallel legs draw concurrently.
+        #: locked because an engine may be called from several threads.
         self._rng = random.Random(
             retry_policy.jitter_seed if retry_policy is not None else None)
         self._rng_lock = threading.Lock()
@@ -165,7 +165,7 @@ class LegGuard:
         answer), then asks the shard's breaker (an open breaker refuses
         fail-fast, spending no attempt and no budget), then runs the leg.
         A :class:`~repro.errors.ShardWorkerError` feeds the breaker and,
-        backoff permitting, is retried against the (respawned) worker;
+        backoff permitting, is retried;
         its final occurrence is booked in ``call`` and re-raised — the
         scatter decides between propagating and degrading.  Any other
         exception propagates unretried and gives back a half-open probe

@@ -1,8 +1,8 @@
 """Deterministic fault injection: seeded chaos with named points.
 
 Failure-handling code that is only exercised by real outages is
-unverified code.  :class:`FaultInjector` makes worker crashes, hung
-pipes, slow legs, and corrupted replies *reproducible*: a seeded RNG
+unverified code.  :class:`FaultInjector` makes leg crashes and slow
+legs *reproducible*: a seeded RNG
 decides, per named injection point, whether the fault fires, so a chaos
 test (or ``--chaos SEED`` on the CLI) replays the exact same failure
 sequence every run — and the parity suite can assert that answers stay
@@ -11,27 +11,18 @@ bit-identical to the oracle *through* the injected faults.
 Injection points (see :data:`INJECTION_POINTS`):
 
 ``worker.crash.pre``
-    The worker dies before the leg runs (process mode: the parent kills
-    the worker process; thread mode: the leg raises
-    :class:`InjectedFaultError` before executing).
+    The leg raises :class:`InjectedFaultError` before it runs.
 ``worker.crash.post``
-    The worker dies after computing the leg but before the parent
-    consumes the reply — the reply is lost, the retried leg recomputes.
-``pipe.hang``
-    The worker wedges (process mode: it sleeps ``hang_seconds`` instead
-    of serving the request) so only the bounded pipe ``recv`` can
-    surface it.
-``reply.corrupt``
-    The reply arrives mangled; the parent must detect, discard, and
-    tear the worker down (its stream can no longer be trusted).
+    The leg raises after computing its answer — the answer is lost, the
+    retried leg recomputes.
 ``leg.delay``
     The leg is slowed by ``delay_seconds`` — latency, not failure.
 
 ``max_faults`` caps the *total* faults injected, so a chaos run with
 retries enabled provably converges: once the cap is spent every leg
-succeeds.  Decisions and counts are lock-protected — parallel legs
-consult one injector — which also pins the decision *sequence* (and
-with it determinism) to the order legs interrogate the injector.
+succeeds.  Decisions and counts are lock-protected — an engine may be
+called from several threads — and the decision *sequence* (with it
+determinism) follows the order legs interrogate the injector.
 """
 
 from __future__ import annotations
@@ -46,19 +37,17 @@ from repro.errors import ShardWorkerError
 INJECTION_POINTS = (
     "worker.crash.pre",
     "worker.crash.post",
-    "pipe.hang",
-    "reply.corrupt",
     "leg.delay",
 )
 
 
 class InjectedFaultError(ShardWorkerError):
-    """A fault the injector planted in a thread-mode scatter leg.
+    """A fault the injector planted in a scatter leg.
 
     A subclass of :class:`~repro.errors.ShardWorkerError` so the retry
     and breaker machinery treats an injected crash exactly like a real
-    worker death — chaos tests exercise the production recovery path,
-    not a parallel one.
+    lost shard — chaos tests exercise the production recovery path, not
+    a parallel one.
     """
 
     def __init__(self, point: str, shard_index=None) -> None:
@@ -85,16 +74,11 @@ class FaultInjector:
         Chaos-with-retries tests set it so recovery provably converges.
     delay_seconds:
         Sleep length of a fired ``leg.delay``.
-    hang_seconds:
-        How long a fired ``pipe.hang`` wedges the worker — choose it
-        well above the recv timeout under test so detection, not the
-        nap ending, is what unwedges the scatter.
     """
 
     def __init__(self, seed: int, rates: Mapping[str, float],
                  max_faults: Optional[int] = None,
-                 delay_seconds: float = 0.001,
-                 hang_seconds: float = 30.0) -> None:
+                 delay_seconds: float = 0.001) -> None:
         unknown = set(rates) - set(INJECTION_POINTS)
         if unknown:
             raise ValueError(
@@ -111,7 +95,6 @@ class FaultInjector:
                                         for point, rate in rates.items()}
         self.max_faults = max_faults
         self.delay_seconds = float(delay_seconds)
-        self.hang_seconds = float(hang_seconds)
         self._rng = random.Random(self.seed)
         self._lock = threading.Lock()
         #: Faults actually planted, per point — chaos tests assert the

@@ -1,15 +1,14 @@
 """Leg retries: exponential backoff with full jitter under a budget.
 
-A failed scatter leg (worker death, injected fault, hung pipe) is
-usually transient — the scatter layer respawns the worker and the same
-deterministic leg recomputes the same answer.  :class:`RetryPolicy`
-bounds how hard that recovery tries:
+A failed scatter leg (an injected fault, a lost shard) is usually
+transient — the same deterministic leg recomputes the same answer.
+:class:`RetryPolicy` bounds how hard that recovery tries:
 
 * **attempts** — at most ``max_attempts`` runs of one leg;
 * **backoff** — the ``n``-th retry sleeps a uniformly random slice of
   ``min(cap_delay, base_delay * 2**(n-1))`` ("full jitter": retries from
-  concurrent legs decorrelate instead of stampeding the respawned
-  worker together);
+  concurrent legs decorrelate instead of stampeding a recovering shard
+  together);
 * **budget** — at most ``budget`` seconds of total backoff sleep per
   front-door call, so a scatter over many flapping shards cannot
   multiply per-leg patience into an unbounded stall.

@@ -6,7 +6,7 @@ store — a namespaced get-or-create registry of named instruments:
 * :class:`Counter` — a monotonically increasing float
   (``engine.tuples_evaluated``, ``shard.legs_skipped``, ...);
 * :class:`Gauge` — a value that moves both ways (``serve.pending``, and
-  what an owner reads off what it holds — cache entries, live workers —
+  what an owner reads off what it holds — cache entries, built stacks —
   set when the view is read);
 * :class:`Histogram` — a bounded reservoir of recent observations with
   nearest-rank percentiles (``serve.queue_wait_seconds`` p50/p95/p99).
@@ -222,9 +222,7 @@ class MetricsRegistry:
         values* (plus lifetime count/sum and window), so a registry
         rebuilt from this state via :meth:`from_state` pools correctly
         under :meth:`merged` — percentiles over the union of
-        observations, never a mean of pre-flattened percentiles.  This is
-        how per-shard worker processes ship their ``engine.*`` registries
-        back to the scatter front door on each gather.
+        observations, never a mean of pre-flattened percentiles.
         """
         with self._lock:
             return {

@@ -147,12 +147,12 @@ NULL_SPAN = NullSpan()
 class Trace:
     """One request's span tree: an append-only list of spans.
 
-    Parallel scatter legs append spans from pool threads; ``list.append``
-    is atomic under the GIL and the list only ever grows, so no lock is
-    needed (a lock here would sit on the traced hot path of every span).
-    Spans themselves are single-writer — the thread that runs the leg —
-    and readers (``children_of`` / ``find`` / rendering) run after the
-    legs complete.
+    A request's spans are appended by whichever thread runs its engine
+    call; ``list.append`` is atomic under the GIL and the list only ever
+    grows, so no lock is needed (a lock here would sit on the traced hot
+    path of every span).  Spans themselves are single-writer, and readers
+    (``children_of`` / ``find`` / rendering) run after the call
+    completes.
     """
 
     __slots__ = ("tracer", "clock", "spans", "root")

@@ -101,8 +101,8 @@ class QueuedRequest:
     #: The request's absolute :class:`~repro.fault.deadline.Deadline`,
     #: minted at admission from the submit timeout.  The dispatcher
     #: propagates it into the engine (when every live batch member has
-    #: one) so scatter legs — including process workers' pipe waits —
-    #: are bounded by the same clock the client is waiting on.
+    #: one) so scatter legs are bounded by the same clock the client is
+    #: waiting on.
     deadline: Optional[object] = field(default=None)
     #: Admission priority class (one of :data:`PRIORITY_CLASSES`); decides
     #: which per-class queue the request waits in and how eagerly the

@@ -41,8 +41,8 @@ class ShardUnavailableError(ServeError):
     """A shard stayed down through the engine's whole recovery ladder.
 
     The serving layer maps an engine-raised
-    :class:`~repro.errors.ShardWorkerError` — exhausted retries, an open
-    circuit breaker, a hung worker killed at the recv bound — to this
+    :class:`~repro.errors.ShardWorkerError` — exhausted retries or an
+    open circuit breaker — to this
     typed error, so clients can tell capacity rejections
     (:class:`ServiceOverloadedError`), deadline misses
     (:class:`RequestTimeoutError`), and shard loss apart without parsing

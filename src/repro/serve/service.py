@@ -22,8 +22,8 @@
   coordinating with each other;
 * engine work runs one call at a time, inline on the loop thread after
   a call shorter than ``sys.getswitchinterval()`` on an engine that
-  ``holds_gil``, else on the service's own ``repro-serve`` thread —
-  never on a scatter engine's leg pool;
+  ``holds_gil``, else on the service's own ``repro-serve`` thread (a
+  scatter engine runs its shard legs inside that one call);
 * ``await service.insert(row)`` / ``await service.reshard(policy)`` take
   the engine slot a batch takes, so the invalidation hooks a mutation
   fires can never race a sweep that is half way through the old data.
@@ -160,7 +160,7 @@ class QueryService:
         # One thread, one engine call at a time: the engine stacks share
         # mutable structures (buffer pools, statistics catalogs) that are
         # not hardened for concurrent batches, and a scatter engine
-        # parallelizes inside one call on a leg pool of its own.
+        # walks its shard legs inside the one call.
         self._pool = ThreadPoolExecutor(max_workers=1,
                                         thread_name_prefix="repro-serve")
         # The last engine call's duration on the service clock (none: slow),
@@ -201,11 +201,9 @@ class QueryService:
         :class:`~repro.serve.errors.ServiceClosedError` rather than left
         waiting forever, and the drain loop's error is re-raised.
 
-        Then the engine's own resettable ``close()`` (a scatter engine's
-        leg pool and worker processes) and the service's thread are torn
-        down — a stopped service leaves no live thread or worker process
-        behind, while the engine itself stays usable (its pool and
-        workers are lazily recreated on next use).
+        Then the engine's own ``close()`` runs and the service's thread
+        is torn down — a stopped service leaves no live thread behind,
+        while the engine itself stays usable.
         """
         if self._loop is None or self._closed:
             return
@@ -307,9 +305,8 @@ class QueryService:
 
         The timeout also rides into the engine as a deadline (when it
         supports one — see ``_run_batch``): scatter legs check it between
-        shards and process workers' pipe waits are bounded by it, so a
-        hung worker cannot keep burning engine capacity long after every
-        client stopped waiting.
+        shards, so a slow scatter cannot keep burning engine capacity
+        long after every client stopped waiting.
 
         ``priority`` picks the admission class (one of
         ``interactive``/``batch``/``background``) and ``client_id`` the
@@ -639,8 +636,7 @@ class QueryService:
     def _map_engine_error(self, exc: Exception) -> Exception:
         """Type an engine failure for clients of the serving layer.
 
-        Exhausted retries, open breakers, and hung-then-killed workers
-        all surface from the engine as
+        Exhausted retries and open breakers both surface from the engine as
         :class:`~repro.errors.ShardWorkerError`; clients of the service
         get the serving-layer :class:`ShardUnavailableError` instead
         (original attached as ``__cause__``).  An engine-side deadline
@@ -734,7 +730,7 @@ class QueryService:
         self._require_running()
         if self.manager is None:
             raise ServeError("reshard needs a ShardManager-backed service")
-        # Rebuilding every stack (and joining a leg pool) stays off the loop.
+        # Re-splitting the relation stays off the loop.
         await self._mutate(lambda: self.manager.reshard(policy), inline=False)
 
     # ------------------------------------------------------------------

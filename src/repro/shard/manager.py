@@ -20,6 +20,7 @@ served.
 
 from __future__ import annotations
 
+import inspect
 import weakref
 
 from dataclasses import dataclass
@@ -52,12 +53,20 @@ class ShardManager:
     ``executor_factory`` customizes how a shard's engine stack is built; it
     receives the shard's relation and must return an
     :class:`~repro.engine.Executor`.  By default
-    ``Executor.for_relation(shard.relation, **executor_kwargs)`` is used.
+    ``Executor.for_relation(shard.relation, **executor_kwargs)`` is used;
+    the keywords are checked against its signature here, so a misspelt
+    one raises a :class:`TypeError` now rather than at the first query.
     """
 
     def __init__(self, relation: Relation, policy: ShardingPolicy,
                  executor_factory: Optional[Callable[[Relation], Executor]] = None,
                  **executor_kwargs: object) -> None:
+        if executor_factory is None:
+            try:
+                inspect.signature(Executor.for_relation).bind(
+                    relation, **executor_kwargs)
+            except TypeError as exc:
+                raise TypeError(f"Executor.for_relation() {exc}") from None
         self.relation = relation
         self.policy = policy
         self._executor_factory = executor_factory
@@ -99,27 +108,6 @@ class ShardManager:
     def num_shards(self) -> int:
         """Number of shards under management."""
         return self.policy.num_shards
-
-    @property
-    def has_custom_factory(self) -> bool:
-        """Whether shard stacks come from a caller-supplied factory.
-
-        Process-scatter workers rebuild their engines from
-        :attr:`executor_kwargs` in a spawned process; a closure factory
-        cannot make that trip, so the process executor refuses managers
-        for which this is true.
-        """
-        return self._executor_factory is not None
-
-    @property
-    def executor_kwargs(self) -> Dict[str, object]:
-        """A copy of the ``Executor.for_relation`` keyword arguments.
-
-        The exact arguments the default (factory-less) build path uses —
-        shard worker processes rebuild bit-identical engine stacks from
-        them.
-        """
-        return dict(self._executor_kwargs)
 
     def executor_for(self, shard: Shard) -> Executor:
         """The shard's engine stack, built on first use and then reused."""

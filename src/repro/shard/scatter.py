@@ -7,8 +7,7 @@
 1. *pruned* — shards whose :class:`~repro.shard.stats.ShardStatistics`
    prove the predicate unsatisfiable are skipped before any backend runs;
 2. *scattered* — surviving shards execute the query through their own
-   engine stacks (optionally on a thread pool; each shard's stack is an
-   independent object graph, so shards run concurrently without sharing);
+   engine stacks, one leg after another on the calling thread;
 3. *gathered* — per-shard top-k answers are sorted once, as arrays, into
    the canonical :func:`repro.query.topk_order_key` order, and per-shard
    skylines are re-checked for cross-shard dominance (a point on one
@@ -18,11 +17,10 @@ There is ONE scatter algorithm, :meth:`ScatterGatherExecutor._execute_group`:
 ``execute_many`` groups top-k misses by ranking function and scatters
 each group with one leg per shard, and a solo query — ``execute``, a
 lone function in a batch, a skyline — is a group of one on the same
-path.  *Where* a leg runs is behind one seam, the
-:class:`~repro.shard.legs.LegRunner` in ``self.legs`` (in-process, or
-per-shard worker processes for :class:`ProcessScatterExecutor`).
+path.  *How* a leg runs is behind one seam, the
+:class:`~repro.shard.legs.LegRunner` in ``self.legs``.
 
-Sequential top-k scatters are additionally *ordered and bounded* by the
+Top-k scatters are additionally *ordered and bounded* by the
 engine's :class:`~repro.engine.cost.CostModel`: legs run most-promising
 first (lowest attainable score over the shard's ranking ranges, fewer
 expected matches on ties), and once k answers are gathered a remaining
@@ -44,9 +42,7 @@ retry or degradation can change an answer over the shards that answered.
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -76,7 +72,7 @@ from repro.fault.guard import LegCall, LegGuard
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_SPAN, NULL_TRACER
 from repro.query import QueryResult, TopKQuery
-from repro.shard.legs import InProcessLegs, LegRunner, WorkerProcessLegs
+from repro.shard.legs import InProcessLegs, LegRunner
 from repro.shard.manager import Shard, ShardManager
 from repro.skyline.engine import SkylineResult, skyline_among
 
@@ -95,14 +91,9 @@ class ScatterGatherExecutor:
     ----------
     manager:
         The :class:`~repro.shard.manager.ShardManager` owning the shards.
-    parallel:
-        Run surviving shards on a private :class:`ThreadPoolExecutor` of
-        one thread per shard instead of sequentially.  Gathered results
-        are identical either way — the gather sorts per-shard answers
-        into one canonical order.
     cost_model:
-        The :class:`~repro.engine.cost.CostModel` ordering sequential
-        top-k scatter legs and bounding the gather (default: a fresh
+        The :class:`~repro.engine.cost.CostModel` ordering top-k
+        scatter legs and bounding the gather (default: a fresh
         model with the stock constants).
     retry_policy:
         A :class:`~repro.fault.retry.RetryPolicy` the guard re-runs failed
@@ -113,9 +104,8 @@ class ScatterGatherExecutor:
         guard's lazy per-shard circuit breakers (default: no breakers).
     fault_injector:
         A :class:`~repro.fault.inject.FaultInjector` planting seeded
-        chaos in the legs.  It is handed to the leg runner: in-process
-        legs raise :class:`~repro.fault.inject.InjectedFaultError`,
-        worker-process legs suffer real crashes and hangs.
+        chaos in the legs.  It is handed to the leg runner, whose legs
+        raise :class:`~repro.fault.inject.InjectedFaultError`.
     allow_partial:
         Default partiality: when a shard stays down past retries (or
         its breaker is open), gather the exact answer over the surviving
@@ -129,7 +119,7 @@ class ScatterGatherExecutor:
         a test can wrap it in a failing fake.
     """
 
-    def __init__(self, manager: ShardManager, parallel: bool = False,
+    def __init__(self, manager: ShardManager, *,
                  cost_model: Optional[CostModel] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  tracer=None,
@@ -140,12 +130,9 @@ class ScatterGatherExecutor:
                  legs: Optional[LegRunner] = None) -> None:
         self.manager = manager
         self.legs: LegRunner = legs or InProcessLegs(manager)
-        self.parallel = parallel
         self.cost_model = cost_model or CostModel()
         self.result_cache = ResultCache()
         self._relation_version = manager.relation.version
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_lock = threading.Lock()
         #: ``shard.*`` series of the scatter front door itself; the
         #: per-shard engines keep their own ``engine.*`` registries,
         #: merged on demand (see :meth:`observed`).
@@ -182,7 +169,7 @@ class ScatterGatherExecutor:
         """Whether a call runs on its caller's thread and never waits with
         the GIL released: serial in-process legs, no backoff or injected
         delay to sleep through (the serving layer may then run it inline)."""
-        return (not self.parallel and type(self.legs) is InProcessLegs
+        return (type(self.legs) is InProcessLegs
                 and self.guard.policy is None and self.fault_injector is None)
 
     def _on_mutation(self, row=None) -> None:
@@ -203,11 +190,6 @@ class ScatterGatherExecutor:
             # must keep failing loudly in _check_base_relation.
             self._relation_version = self.manager.relation.version
         self.result_cache.invalidate(row=row)
-        self.legs.on_mutation(row)
-        if row is None:
-            # A blanket change may be a reshard: the next parallel scatter
-            # sizes a fresh pool for the shard count it finds.
-            self._join_pool()
 
     def _check_base_relation(self) -> None:
         """Detect base-relation mutation and refuse to serve from stale shards.
@@ -233,41 +215,14 @@ class ScatterGatherExecutor:
         self.result_cache.invalidate()
 
     # ------------------------------------------------------------------
-    # leg pool / lifecycle
+    # lifecycle
     # ------------------------------------------------------------------
-    def _leg_pool(self) -> ThreadPoolExecutor:
-        """The parallel scatter's private pool: one thread per shard.
-
-        Created on first use.  Only legs run on it — a front-door call
-        stays on its caller's thread (the serving layer's own) — so a
-        scatter never waits for a worker that is itself waiting on legs.
-        """
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.manager.num_shards,
-                    thread_name_prefix="repro-leg")
-            return self._pool
-
-    def _join_pool(self) -> None:
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
     def close(self) -> None:
-        """Deterministically tear down the leg runner and the leg pool.
+        """Nothing to release: legs run on the caller's thread.
 
-        Closes the leg runner (worker processes stopped, their shared
-        memory unlinked), then joins the leg pool — after :meth:`close`
-        returns, no thread or process started by this executor is alive.
-        The executor stays usable: a later scatter lazily recreates the
-        pool and respawns workers, so owners like the serving layer can
-        close an engine without making it unusable for the next owner.
-        Idempotent and safe to call on a never-parallel executor.
+        Kept so owners that close the engine they serve (the serving
+        layer) and ``with`` blocks work on any executor.
         """
-        self.legs.close()
-        self._join_pool()
 
     def __enter__(self) -> "ScatterGatherExecutor":
         return self
@@ -302,10 +257,9 @@ class ScatterGatherExecutor:
         """One rendering of the scatter set, shared by plans and results.
 
         ``order`` is the planned leg order over every surviving shard,
-        skipped legs included.  ``scatter_mode`` appears when the leg
-        runner has more than one mode to report.
+        skipped legs included.
         """
-        details = {
+        return {
             "policy": self.manager.policy.describe(),
             "shards_total": self.manager.num_shards,
             "shards_consulted": ",".join(str(s.index) for s in consulted) or "-",
@@ -318,10 +272,6 @@ class ScatterGatherExecutor:
                 f"{index}:{name}" for index, name in sorted(shard_backends.items()))
                 or "-",
         }
-        mode = self.legs.mode([query])
-        if mode is not None:
-            details["scatter_mode"] = mode
-        return details
 
     # ------------------------------------------------------------------
     # planning / explain
@@ -381,8 +331,8 @@ class ScatterGatherExecutor:
         result cache both ways — the ``explain_analyze`` contract.
 
         ``deadline`` (a :class:`~repro.fault.deadline.Deadline`) bounds
-        the whole call: it is checked before every leg and tightens
-        process legs' pipe waits, and its expiry raises
+        the whole call: it is checked before every leg, and its expiry
+        raises
         :class:`~repro.errors.DeadlineExceededError` — never a partial
         answer.  ``allow_partial`` overrides the executor's default
         partiality for this call (see the class docstring).
@@ -423,10 +373,9 @@ class ScatterGatherExecutor:
         lone function, or a skyline, is a group of one) and each group
         scatters as a unit: every shard consulted by at least one group
         member receives *one* leg carrying exactly the members whose
-        statistics did not prune it (one thread-pool task per shard per
-        batch when parallel), the shard runs its own fused
-        ``execute_many``, and answers are gathered per query.  Sequential
-        scatters are cost-ordered and bounded; legs follow one
+        statistics did not prune it, the shard runs its own fused
+        ``execute_many``, and answers are gathered per query.  Scatters
+        are cost-ordered and bounded; legs follow one
         *group-level* cost order (see :meth:`_leg_order`) rather than each
         member's solo order, so a member's ``shards_skipped`` / work
         counters may differ from its solo run even though the k-th-score
@@ -500,16 +449,15 @@ class ScatterGatherExecutor:
 
         A group is one query, or several top-k queries sharing a ranking
         function.  Prune decisions are taken per query; a shard's leg
-        carries the union of members that consulted it.  Sequential
-        scatters walk the legs in cost order (lowest attainable
+        carries the union of members that consulted it.  The scatter
+        walks the legs in cost order (lowest attainable
         score floor over the group first) and apply the k-th-score skip
         bound *per top-k query*: a member whose gathered k-th score strictly
         beats a shard's floor drops out of that leg (recorded in its
         ``shards_skipped``), and a leg every member dropped never runs.
         The k-th score only tightens as legs run, so a skip decided
         against an early bound stays sound: answers are bit-identical to
-        the exhaustive scatter.  Parallel scatters dispatch every leg at
-        once and skip nothing; a skyline member never takes the skip.
+        the exhaustive scatter.  A skyline member never takes the skip.
 
         Span shape and result ``extra`` follow the group's size, decided
         here only.  A group of one renders ``shard.execute`` (opened
@@ -564,10 +512,6 @@ class ScatterGatherExecutor:
         executed: List[List[Tuple[Shard, object]]] = [[] for _ in group]
         call = call.group()  # this group's leg record, the call's budget
 
-        def open_leg(shard):
-            return (scatter_span.child("shard.leg").set("shard", shard.index)
-                    if scatter_span else NULL_SPAN)
-
         def run_leg(shard, riders, leg):
             if leg and not solo:
                 leg.set("riders", tuple(riders))
@@ -590,49 +534,35 @@ class ScatterGatherExecutor:
             finally:
                 leg.finish()
 
-        def fold(shard, riders, leg_results):
-            for qi, result in zip(riders, leg_results):
-                executed[qi].append((shard, result))
-                best = gathered[qi]
-                if best is not None and result.scores:
-                    best.extend(map(float, result.scores))
-                    best.sort()
-                    del best[queries[qi].k:]
-
         try:
-            if self.parallel and len(legs) > 1:
-                # Spans open at dispatch: their durations include pool
-                # queueing, which is real wait.
-                self.guard.check(call, "scatter dispatch")
-                outputs = self._leg_pool().map(
-                    lambda leg: run_leg(*leg),
-                    [(shard, riders, open_leg(shard))
-                     for shard, riders in legs])
-                for (shard, riders), leg_results in zip(legs, outputs):
-                    fold(shard, riders, leg_results)
-            else:
-                for shard, members in legs:
-                    self.guard.check(
-                        call, f"scatter leg to shard {shard.index}")
-                    leg = open_leg(shard)
-                    riders = []
-                    for qi in members:
-                        reason = self._leg_skip_reason(
-                            floors.get(shard.index), queries[qi], gathered[qi])
-                        if reason is None:
-                            riders.append(qi)
-                            continue
-                        skipped[qi].append((shard.index, reason))
-                        self._m_legs_skipped.inc()
-                        if leg:
-                            leg.set("skipped" if solo else f"skipped_q{qi}",
-                                    reason)
-                    if riders:
-                        fold(shard, riders, run_leg(shard, riders, leg))
-                    else:
-                        if not solo:
-                            leg.set("skipped", "all riders")
-                        leg.finish()
+            for shard, members in legs:
+                self.guard.check(call, f"scatter leg to shard {shard.index}")
+                leg = (scatter_span.child("shard.leg").set("shard", shard.index)
+                       if scatter_span else NULL_SPAN)
+                riders = []
+                for qi in members:
+                    reason = self._leg_skip_reason(
+                        floors.get(shard.index), queries[qi], gathered[qi])
+                    if reason is None:
+                        riders.append(qi)
+                        continue
+                    skipped[qi].append((shard.index, reason))
+                    self._m_legs_skipped.inc()
+                    if leg:
+                        leg.set("skipped" if solo else f"skipped_q{qi}",
+                                reason)
+                if riders:
+                    for qi, result in zip(riders, run_leg(shard, riders, leg)):
+                        executed[qi].append((shard, result))
+                        best = gathered[qi]
+                        if best is not None and result.scores:
+                            best.extend(map(float, result.scores))
+                            best.sort()
+                            del best[queries[qi].k:]
+                else:
+                    if not solo:
+                        leg.set("skipped", "all riders")
+                    leg.finish()
         except BaseException:
             scatter_span.finish()
             raise
@@ -798,9 +728,8 @@ class ScatterGatherExecutor:
         ``shard.result_*`` (the stack's one level: legs run past the shard
         stacks' caches) and ``shard.shards_built`` (lazily built stacks
         the statistics always pruned are absent) — then every shard
-        engine's the leg runner has observed, in-process stacks and
-        worker-shipped replicas alike; merged, their ``engine.*`` series
-        sum over the shards.
+        engine's the leg runner has observed; merged, their ``engine.*``
+        series sum over the shards.
         """
         self.result_cache.publish(self.metrics, "shard")
         self.metrics.gauge("shard.shards_built").set(
@@ -824,36 +753,3 @@ class ScatterGatherExecutor:
 
         return analyze_with(self, query, "shard.explain_analyze")
 
-
-class ProcessScatterExecutor(ScatterGatherExecutor):
-    """Scatter/gather whose heavy legs run in per-shard worker *processes*.
-
-    The same scatter — prune, order, guard, gather; bit-identical
-    answers — over a :class:`~repro.shard.legs.WorkerProcessLegs` runner,
-    which documents when a scatter offloads (recorded as
-    ``extra["scatter_mode"]``), the workers' lifecycle and shared memory,
-    injected faults, and why a custom ``executor_factory`` is refused.
-    Under ``parallel=True`` each leg-pool thread blocks on its worker's
-    pipe with the GIL released, so N shards score on N cores.
-
-    ``recv_timeout`` bounds every worker reply wait once the worker has
-    booted (default two minutes — generous enough that no honest leg
-    ever trips it, tight enough that a genuinely wedged worker always
-    surfaces; ``None`` waits unbounded).  A request deadline tightens it;
-    a worker that misses the bound is killed, reported as a
-    :class:`~repro.errors.ShardWorkerError` with ``timed_out=True``, and
-    respawned on the next leg.  Every other keyword is the base class's.
-    """
-
-    def __init__(self, manager: ShardManager, parallel: bool = False, *,
-                 cost_model: Optional[CostModel] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 recv_timeout: Optional[float] = 120.0, **kwargs) -> None:
-        cost_model = cost_model or CostModel()
-        metrics = metrics or MetricsRegistry()
-        legs = WorkerProcessLegs(manager, cost_model, metrics,
-                                 recv_timeout=recv_timeout)
-        super().__init__(manager, parallel, cost_model=cost_model,
-                         metrics=metrics, legs=legs, **kwargs)
-        #: Live workers by shard index (the runner's own mapping).
-        self._workers = legs.workers

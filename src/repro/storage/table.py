@@ -104,8 +104,8 @@ class Relation:
     """A columnar relation with categorical selection and real ranking dims.
 
     Both matrices are column-major, so every column is one contiguous
-    array.  A column-major input is kept as is (a shared-memory shard
-    stays zero-copy); any other is copied once.  Accessors hand out
+    array.  A column-major input is kept as is; any other is copied
+    once.  Accessors hand out
     read-only views, so only :meth:`append` changes the data, and it bumps
     :attr:`version`; it copies both matrices (one ``np.vstack`` each), so
     it costs ``O(T)``.  A selection column's posting lists are built on

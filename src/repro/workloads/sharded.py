@@ -40,8 +40,6 @@ def pruned_predicate_queries(relation: Relation, dim: str, k: int = 10,
 
 def make_sharded_engine(relation: Relation, num_shards: int,
                         range_dim: Optional[str] = None,
-                        parallel: bool = False,
-                        scatter: str = "threads",
                         retry_policy=None,
                         breaker_policy=None,
                         fault_injector=None,
@@ -51,39 +49,28 @@ def make_sharded_engine(relation: Relation, num_shards: int,
 
     ``range_dim`` selects equi-width range sharding on that dimension
     (enabling predicate pruning); ``None`` falls back to hash-by-row.
-    ``scatter`` picks the leg runtime: ``"threads"`` (the in-process
-    :class:`~repro.shard.scatter.ScatterGatherExecutor`) or
-    ``"processes"`` (:class:`~repro.shard.scatter.ProcessScatterExecutor`
-    — heavy legs in per-shard worker processes over shared memory, with
-    the cost model deciding the crossover per scatter).  Returns
-    ``(manager, engine)``; call ``engine.close()`` (or use the engine as
-    a context manager) when done to tear its pools/workers down.
+    Returns ``(manager, engine)``.
 
     The fault-tolerance kwargs (``retry_policy``, ``breaker_policy``,
     ``fault_injector``, ``allow_partial`` — see :mod:`repro.fault`) are
     forwarded to the executor; everything else in ``executor_kwargs``
-    configures the per-shard engine stacks through the manager.
+    configures the per-shard engine stacks through the manager, which
+    rejects a keyword ``Executor.for_relation`` does not take.
     """
     from repro.shard import (
         HashShardingPolicy,
-        ProcessScatterExecutor,
         RangeShardingPolicy,
         ScatterGatherExecutor,
         ShardManager,
     )
 
-    if scatter not in ("threads", "processes"):
-        raise ValueError(
-            f"scatter must be 'threads' or 'processes', got {scatter!r}")
     if range_dim is None:
         policy = HashShardingPolicy(num_shards)
     else:
         policy = RangeShardingPolicy(relation, range_dim, num_shards)
     manager = ShardManager(relation, policy, **executor_kwargs)
-    executor_cls = (ProcessScatterExecutor if scatter == "processes"
-                    else ScatterGatherExecutor)
-    return manager, executor_cls(manager, parallel=parallel,
-                                 retry_policy=retry_policy,
-                                 breaker_policy=breaker_policy,
-                                 fault_injector=fault_injector,
-                                 allow_partial=allow_partial)
+    return manager, ScatterGatherExecutor(manager,
+                                          retry_policy=retry_policy,
+                                          breaker_policy=breaker_policy,
+                                          fault_injector=fault_injector,
+                                          allow_partial=allow_partial)

@@ -292,9 +292,9 @@ class TestGroupOfOneSeams:
 
 
 class TestScatterBatchFusion:
-    def make(self, relation, num_shards=3, parallel=False):
+    def make(self, relation, num_shards=3):
         return make_sharded_engine(relation, num_shards, range_dim="A1",
-                                   parallel=parallel, block_size=80,
+                                   block_size=80,
                                    with_signature=False, with_skyline=False)
 
     def test_gathered_batch_matches_loop(self, relation):
@@ -317,16 +317,6 @@ class TestScatterBatchFusion:
                     == alone.extra["shards_pruned"])
         assert (sum(r.tuples_evaluated for r in fused)
                 <= sum(r.tuples_evaluated for r in looped))
-
-    def test_parallel_batch_runs_one_leg_per_shard(self, relation):
-        _, serial_engine = self.make(relation)
-        _, parallel_engine = self.make(relation, parallel=True)
-        queries = shared_function_batch(sum_function(["N1", "N2"]))
-        serial = serial_engine.execute_many(queries)
-        parallel = parallel_engine.execute_many(queries)
-        for a, b in zip(serial, parallel):
-            assert a.tids == b.tids
-            assert a.scores == b.scores
 
     def test_sequential_batch_keeps_skip_bound(self, relation):
         # Range-sharded on A1 and queried with the empty predicate: legs

@@ -8,9 +8,7 @@ case the harness asserts that
 
 * the cost-planned engine front door,
 * every registered backend that supports the query, and
-* the scatter/gather path over shard counts {1, 2, 7}, and
-* the process-scatter path (legs in worker processes over shared memory)
-  over the same shard counts, solo and fused,
+* the scatter/gather path over shard counts {1, 2, 7}, solo and fused,
 
 return results bit-identical to a brute-force oracle computed straight off
 the relation.  This is the safety net under the cost-based planner: no
@@ -276,8 +274,7 @@ def test_fused_batch_matches_loop_and_oracle(universe, spec_index):
 
     # One scatter algorithm: in a mixed batch (a same-function pair, a
     # lone function, a skyline) every member must agree with the solo
-    # front door and with a batch of one — answer and scatter set —
-    # sequentially and on the pool.
+    # front door and with a batch of one — answer and scatter set.
     skyline = next(q for q in queries if isinstance(q, SkylineQuery))
     mixed = [batch[0], TopKQuery(batch[1].predicate, batch[0].function, 4),
              batch[2], skyline]
@@ -290,23 +287,16 @@ def test_fused_batch_matches_loop_and_oracle(universe, spec_index):
                 result.extra["shards_pruned"])
 
     for count, scatter in sharded.items():
-        for parallel in (False, True):
-            scatter.parallel = parallel
-            try:
-                scatter.manager.invalidate_caches()
-                together = scatter.execute_many(mixed)
-                for query, member, expected in zip(mixed, together,
-                                                   mixed_oracle):
-                    scatter.manager.invalidate_caches()
-                    solo = scatter.execute(query)
-                    scatter.manager.invalidate_caches()
-                    (single,) = scatter.execute_many([query])
-                    assert answer(solo)[:2] == expected, (count, parallel)
-                    assert answer(member) == answer(solo), (count, parallel)
-                    assert answer(single) == answer(solo), (count, parallel)
-            finally:
-                scatter.parallel = False
-                scatter.close()
+        scatter.manager.invalidate_caches()
+        together = scatter.execute_many(mixed)
+        for query, member, expected in zip(mixed, together, mixed_oracle):
+            scatter.manager.invalidate_caches()
+            solo = scatter.execute(query)
+            scatter.manager.invalidate_caches()
+            (single,) = scatter.execute_many([query])
+            assert answer(solo)[:2] == expected, count
+            assert answer(member) == answer(solo), count
+            assert answer(single) == answer(solo), count
 
 
 @pytest.mark.parametrize("spec_index", range(len(SPECS)))
@@ -357,70 +347,6 @@ def test_traced_execution_keeps_oracle_parity(universe, spec_index):
             scatter.tracer = NULL_TRACER
 
 
-#: Relations the process-scatter pass replays (a subset: every worker is a
-#: real spawned process, so the full 8-spec sweep would dominate suite
-#: runtime without adding coverage — the scatter *path* is the subject).
-PROCESS_SPEC_INDICES = (1, 3)
-
-
-@pytest.fixture(scope="module")
-def process_universe():
-    """Process-scatter engines over shard counts {1, 2, 7}, legs forced
-    onto worker processes (``process_leg_overhead = 0``)."""
-    from repro.engine.cost import CostModel
-    from repro.shard import ProcessScatterExecutor
-
-    rigs = []
-    engines = []
-    for i in PROCESS_SPEC_INDICES:
-        relation = generate_relation(SPECS[i], name=f"P{i}")
-        sharded = {}
-        for count in SHARD_COUNTS:
-            if count == 2:
-                policy = RangeShardingPolicy(relation,
-                                             relation.selection_dims[0], count)
-            else:
-                policy = HashShardingPolicy(count)
-            # Process mode ships executor kwargs (not a factory closure) to
-            # the workers, so the slim stack is configured via kwargs here.
-            manager = ShardManager(relation, policy, block_size=32,
-                                   with_signature=False, with_skyline=False)
-            cost_model = CostModel()
-            cost_model.process_leg_overhead = 0.0
-            sharded[count] = ProcessScatterExecutor(manager,
-                                                    cost_model=cost_model)
-            engines.append(sharded[count])
-        rng = np.random.default_rng(7000 + i)
-        rigs.append((relation, sharded, _topk_queries(rng, relation)))
-    yield rigs
-    for engine in engines:
-        engine.close()
-
-
-@pytest.mark.parametrize("rig_index", range(len(PROCESS_SPEC_INDICES)))
-def test_process_scatter_oracle_parity_solo_and_fused(process_universe,
-                                                      rig_index):
-    """Worker-process legs are bit-identical to the oracle, solo and fused.
-
-    Every leg crosses a pipe to an executor rebuilt over shared memory in
-    another process — pickling the query, scoring there, shipping top-k
-    back — and none of that round trip may perturb a single tid or score.
-    """
-    relation, sharded, queries = process_universe[rig_index]
-    oracle = [brute_force_topk(relation, query) for query in queries]
-    for count, scatter in sharded.items():
-        for query, (tids, scores) in zip(queries, oracle):
-            gathered = scatter.execute(query)
-            assert gathered.tids == tids, (count, scatter.explain(query))
-            assert gathered.scores == scores, count
-            assert gathered.extra["scatter_mode"] == "processes", count
-        scatter.manager.invalidate_caches()
-        fused = scatter.execute_many(queries)
-        for query, result, (tids, scores) in zip(queries, fused, oracle):
-            assert result.tids == tids, (count, scatter.explain(query))
-            assert result.scores == scores, count
-
-
 @pytest.mark.parametrize("spec_index", range(len(SPECS)))
 def test_every_case_was_planned(universe, spec_index):
     """Every generated query routes through a real (explainable) plan."""
@@ -434,7 +360,7 @@ def test_every_case_was_planned(universe, spec_index):
 # ----------------------------------------------------------------------
 # chaos parity: answers stay bit-identical THROUGH injected faults
 # ----------------------------------------------------------------------
-#: Relations the thread-mode chaos pass replays (a subset keeps the
+#: Relations the chaos pass replays (a subset keeps the
 #: suite's chaos share proportionate; the injector sweeps every leg of
 #: every shard count, so more specs would add runtime, not coverage).
 CHAOS_SPEC_INDICES = (0, 3, 6)
@@ -449,7 +375,7 @@ def _chaos_policy(relation, count):
 
 @pytest.mark.parametrize("spec_index", CHAOS_SPEC_INDICES)
 def test_chaos_parity_thread_scatter(spec_index):
-    """Injected crashes + retries never change an answer (thread legs).
+    """Injected crashes + retries never change an answer (in-process legs).
 
     A seeded :class:`~repro.fault.inject.FaultInjector` plants pre- and
     post-leg crashes plus delays while the retry policy re-runs the
@@ -500,46 +426,3 @@ def test_chaos_parity_thread_scatter(spec_index):
             # actually have planted faults for the parity to mean much.
             assert injector.total_fired > 0, (count, injector.fired)
             assert engine.fault_injector.total_fired > 0, count
-
-
-def test_chaos_parity_process_scatter():
-    """Injected crashes + hangs never change an answer (process legs).
-
-    Here the chaos is *real*: ``worker.crash.pre`` kills the worker
-    process, ``pipe.hang`` wedges it past the bounded recv (which kills
-    it), and every retried leg runs against a freshly respawned worker
-    over a fresh shared-memory copy.  Answers must stay bit-identical to
-    the oracle at every shard count in {1, 2, 7}.
-    """
-    from repro.engine.cost import CostModel
-    from repro.fault import FaultInjector, RetryPolicy
-    from repro.shard import ProcessScatterExecutor
-
-    relation = generate_relation(SPECS[1], name="PC1")
-    rng = np.random.default_rng(8101)
-    queries = _topk_queries(rng, relation)[:6]
-    oracle = [brute_force_topk(relation, query) for query in queries]
-    chaos_seen = 0
-    for count in SHARD_COUNTS:
-        manager = ShardManager(relation, _chaos_policy(relation, count),
-                               block_size=32, with_signature=False,
-                               with_skyline=False)
-        cost_model = CostModel()
-        cost_model.process_leg_overhead = 0.0
-        injector = FaultInjector(seed=500 + count,
-                                 rates={"worker.crash.pre": 0.3,
-                                        "pipe.hang": 0.15},
-                                 max_faults=3, hang_seconds=30.0)
-        engine = ProcessScatterExecutor(
-            manager, cost_model=cost_model, recv_timeout=1.0,
-            fault_injector=injector,
-            retry_policy=RetryPolicy(max_attempts=5, base_delay=0.001,
-                                     cap_delay=0.004, jitter_seed=count))
-        with engine:
-            for query, (tids, scores) in zip(queries, oracle):
-                gathered = engine.execute(query)
-                assert gathered.tids == tids, (count, injector.fired)
-                assert gathered.scores == scores, count
-                assert gathered.extra["scatter_mode"] == "processes", count
-        chaos_seen += injector.total_fired
-    assert chaos_seen > 0

@@ -9,7 +9,9 @@ condition stays on the grid up to k = 100, and from k = 200 only a
 general function's goes to the scan; a skyline with one or two
 conditions, static or dynamic, goes to the scan skyline, whose numpy peel
 of the matches beats the BBS engine's R-tree descent there; and no shape
-pays the signature cube's R-tree descent.  The hand-set constants the
+pays the signature cube's R-tree descent.  The last two are priced on the
+paper builder's stack under the fitted ``RTreeCostModel``, so BBS and the
+signature cube are candidates there.  The hand-set constants the
 first planner used remain ``CostModel.PAPER`` and are pinned by
 ``tests/test_planner_cost.py``.
 """
@@ -23,6 +25,7 @@ from repro.functions.distance import SquaredDistanceFunction
 from repro.functions.linear import LinearFunction
 from repro.query import Predicate, SkylineQuery, TopKQuery
 from repro.workloads import SyntheticSpec, generate_relation
+from tests.conftest import paper_stack
 
 FUNCTIONS = {
     "linear": LinearFunction(["N1", "N2"], [1.0, 2.5]),
@@ -34,11 +37,29 @@ PREDICATES = {0: Predicate.of(), 1: Predicate.of(A2=3),
 
 
 @pytest.fixture(scope="module")
-def executor():
-    relation = generate_relation(SyntheticSpec(
+def relation():
+    return generate_relation(SyntheticSpec(
         num_tuples=20_000, num_selection_dims=3, num_ranking_dims=2,
         cardinality=8, seed=47))
+
+
+@pytest.fixture(scope="module")
+def executor(relation):
     return Executor.for_relation(relation, block_size=200)
+
+
+@pytest.fixture(scope="module")
+def paper_executor(relation):
+    """The same stack plus the signature cube and BBS, priced by the
+    fitted ``RTreeCostModel`` the paper builder swaps in."""
+    return paper_stack(relation, block_size=200)
+
+
+def priced(executor, query, *candidates):
+    """The plan's backend, once every named candidate got a price."""
+    plan = executor.plan(query)
+    assert set(candidates) <= dict(plan.estimates).keys(), plan
+    return plan.backend
 
 
 def topk_routes(executor, conditions, ks=(5, 20, 100, 200, 500)):
@@ -77,23 +98,29 @@ def test_only_a_general_top_k_without_a_condition_leaves_the_grid_from_200(
                       for name, k in routes}, routes
 
 
-def test_one_and_two_condition_skylines_go_to_the_scan(executor):
+def test_one_and_two_condition_skylines_go_to_the_scan(paper_executor):
     for conditions in (1, 2):
         for targets in (None, (0.4, 0.6)):
             query = SkylineQuery(PREDICATES[conditions], ("N1", "N2"),
                                  targets=targets)
-            assert executor.plan(query).backend == "skyline-scan"
+            assert priced(paper_executor, query,
+                          "skyline-scan", "skyline") == "skyline-scan"
 
 
-def test_no_shape_pays_the_signature_cubes_descent(executor):
+def test_no_shape_pays_the_signature_cubes_descent(paper_executor):
     chosen = set()
     for conditions in PREDICATES:
-        chosen |= set(topk_routes(executor, conditions).values())
+        for function in FUNCTIONS.values():
+            for k in (5, 20, 100, 200, 500):
+                chosen.add(priced(
+                    paper_executor,
+                    TopKQuery(PREDICATES[conditions], function, k),
+                    "signature-cube", "table-scan"))
         for targets in (None, (0.4, 0.6)):
-            chosen.add(executor.plan(SkylineQuery(
-                PREDICATES[conditions], ("N1", "N2"),
-                targets=targets)).backend)
-    assert "signature-cube" not in chosen
+            chosen.add(priced(paper_executor, SkylineQuery(
+                PREDICATES[conditions], ("N1", "N2"), targets=targets),
+                "skyline-scan", "skyline"))
+    assert "signature-cube" not in chosen and "skyline" not in chosen
     assert {"ranking-cube", "table-scan", "skyline-scan"} <= chosen
 
 

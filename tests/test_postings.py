@@ -5,9 +5,7 @@ tids}`` list of a condition column and checks its entries against the
 other condition columns; the lists are built on a column's first use and
 extended in place by ``append``.  The answer must be the full filter's,
 ``flatnonzero(mask_equal(...))``, bit for bit, whatever was appended since
-the lists were built, and nobody may write into it.  The scan backends
-read it in worker processes too, over shared memory, so a process leg
-must answer a conditioned scan exactly as a thread leg does.
+the lists were built, and nobody may write into it.
 """
 
 from __future__ import annotations
@@ -16,17 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.cost import CostModel
-from repro.functions.linear import sum_function
-from repro.query import Predicate, TopKQuery
-from repro.shard import (
-    HashShardingPolicy,
-    ProcessScatterExecutor,
-    ScatterGatherExecutor,
-    ShardManager,
-)
 from repro.storage.table import Relation, Schema
-from repro.workloads import SyntheticSpec, generate_relation
 from tests.conftest import mask_equal
 
 #: Condition values as callers hand them in: Python and numpy ints, bools.
@@ -99,31 +87,3 @@ def test_lists_are_built_on_first_use_and_extended_by_append():
     assert relation.tids_matching({"A": 7}).tolist() == []
     assert relation.tids_matching({}).tolist() == [0, 1, 2, 3, 4]
 
-
-def test_process_legs_answer_conditioned_scans_as_thread_legs_do():
-    relation = generate_relation(SyntheticSpec(
-        num_tuples=600, num_selection_dims=3, num_ranking_dims=2,
-        cardinality=4, seed=23))
-    # A grid priced out of reach sends every top-k to the table scan.
-    scan_only = CostModel(grid_query_cost=1e12)
-    manager = ShardManager(relation, HashShardingPolicy(2), block_size=50,
-                           with_signature=False, with_skyline=False,
-                           cost_model=scan_only)
-    overhead = CostModel(process_leg_overhead=0.0)
-    queries = [TopKQuery(Predicate.of(conditions), sum_function(["N1", "N2"]),
-                         k)
-               for conditions in ({"A1": 2}, {"A1": 1, "A3": 0},
-                                  {"A1": 3, "A2": 2, "A3": 1})
-               for k in (1, 7)]
-    threads = ScatterGatherExecutor(manager)
-    with ProcessScatterExecutor(manager, cost_model=overhead) as processes:
-        for query in queries:
-            manager.invalidate_caches()
-            by_thread = threads.execute(query)
-            manager.invalidate_caches()
-            by_process = processes.execute(query)
-            assert by_process.extra["scatter_mode"] == "processes"
-            assert "table-scan" in by_process.extra["plan"]
-            assert by_process.tids and by_process.tids == by_thread.tids
-            assert by_process.scores == by_thread.scores
-    threads.close()

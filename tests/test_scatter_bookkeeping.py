@@ -26,17 +26,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import Executor
-from repro.engine.cost import CostModel
 from repro.engine.plan import QueryPlan
 from repro.functions import SquaredDistanceFunction
 from repro.functions.linear import sum_function
 from repro.net.protocol import encode_result
-from repro.obs.trace import NULL_SPAN
 from repro.paper.stack import RTreeCostModel
 from repro.query import Predicate, QueryResult, SkylineQuery, TopKQuery, topk_order_key
 from repro.shard import (
     HashShardingPolicy,
-    ProcessScatterExecutor,
     RangeShardingPolicy,
     ScatterGatherExecutor,
     ShardManager,
@@ -66,13 +63,13 @@ def corpus():
             for conditions in ({}, {"A1": 2}, {"A2": 1, "A3": 4})]
 
 
-def ranked_engine(relation, parallel=False):
+def ranked_engine(relation):
     """Four shards ranged on the ranking dimension ``N1``: disjoint score
     ranges per shard, so the k-th-score skip fires."""
     manager = ShardManager(relation, RangeShardingPolicy(relation, "N1", 4),
                            block_size=60, with_signature=False,
                            with_skyline=False)
-    return ScatterGatherExecutor(manager, parallel=parallel)
+    return ScatterGatherExecutor(manager)
 
 
 def bits(scores):
@@ -220,31 +217,6 @@ class TestLazyPlans:
             envelope = encode_result(executor.execute(query))
             assert envelope["extra"]["plan"] == WIRE_PLANS[name], name
 
-    def test_process_legs_ship_the_plan_unrendered(self, relation):
-        model = CostModel()
-        model.process_leg_overhead = 0.0  # force worker processes
-        queries = corpus()
-        threaded = ranked_engine(relation).execute_many(queries)
-        manager = ShardManager(relation, RangeShardingPolicy(relation, "N1", 4),
-                               block_size=60, with_signature=False,
-                               with_skyline=False)
-        with ProcessScatterExecutor(manager, cost_model=model) as engine:
-            results = engine.execute_many(queries)
-            assert engine.metrics_snapshot()["shard.workers"] == 4.0
-            # A worker's leg results come back pickled with the plan object,
-            # not its rendering (a patched ``describe`` would not reach a
-            # spawned worker, so the shipped value is the evidence).
-            shipped = engine.legs.run(manager.shards[0], queries[:3], NULL_SPAN)
-            assert engine.legs.mode(queries[:3]) == "processes"
-            for result in shipped:
-                assert isinstance(result.extra["plan"], QueryPlan)
-                assert result.plan == str(result.extra["plan"])
-        for mine, theirs in zip(results, threaded):
-            assert mine.tids == theirs.tids
-            assert bits(mine.scores) == bits(theirs.scores)
-            assert mine.extra["scatter_mode"] == "processes"
-            assert mine.extra["shards_skipped"] == theirs.extra["shards_skipped"]
-
 
 # ----------------------------------------------------------------------
 # one score floor per group
@@ -312,11 +284,3 @@ class TestLegOrder:
     def test_the_skip_fires(self):
         assert sum(skipped != "-" for _, skipped in SOLO_LEGS) >= 6
         assert sum(skipped != "-" for _, skipped in FUSED_LEGS) >= 6
-
-    def test_parallel_legs_skip_nothing_and_answer_the_same(self, relation):
-        sequential = ranked_engine(relation).execute_many(corpus())
-        with ranked_engine(relation, parallel=True) as engine:
-            parallel = engine.execute_many(corpus())
-        for seq, par in zip(sequential, parallel):
-            assert (seq.tids, bits(seq.scores)) == (par.tids, bits(par.scores))
-            assert par.extra["shards_skipped"] == "-"

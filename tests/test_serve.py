@@ -56,11 +56,11 @@ def relation():
         cardinality=6, seed=77))
 
 
-def make_engine(relation, num_shards=0, parallel=False, cost_model=None):
+def make_engine(relation, num_shards=0, cost_model=None):
     """A grid-only stack, unsharded (0) or scatter/gather over N shards."""
     if num_shards:
         manager, engine = make_sharded_engine(
-            relation, num_shards, range_dim="A1", parallel=parallel,
+            relation, num_shards, range_dim="A1",
             block_size=100, with_signature=False, with_skyline=False,
             cost_model=cost_model)
         return manager, engine
@@ -221,14 +221,11 @@ class RecordingLegs(InProcessLegs):
 
 
 class TestServingParity:
-    @pytest.mark.parametrize(
-        "num_shards, parallel",
-        [(0, False), (1, False), (2, False), (7, False), (2, True), (7, True)],
-        ids=["0", "1", "2", "7", "2-parallel", "7-parallel"])
-    def test_service_answers_match_direct_execute(self, relation, num_shards,
-                                                  parallel):
+    @pytest.mark.parametrize("num_shards", [0, 1, 2, 7],
+                             ids=["0", "1", "2", "7"])
+    def test_service_answers_match_direct_execute(self, relation, num_shards):
         _, reference = make_engine(relation, num_shards)
-        _, engine = make_engine(relation, num_shards, parallel)
+        _, engine = make_engine(relation, num_shards)
         queries = mixed_workload()
         expected = [reference.execute(query) for query in queries]
         front_door = engine.execute_many
@@ -256,18 +253,13 @@ class TestServingParity:
             assert served.extra["queue_wait"] >= 0.0
             assert served.extra["batch_size"] >= 1.0
             assert "fused_group_size" in served.extra
-        # Every engine call ran on the service's one thread; the legs of a
-        # parallel scatter ran on a pool of one thread per shard, never on
-        # the thread that waits for them.
+        # Every engine call ran on the service's one thread, and a
+        # scatter's legs ran on that thread too.
         assert door_threads == {"repro-serve_0"}
-        if parallel:
-            assert engine.legs.threads
-            assert engine.legs.threads <= {f"repro-leg_{i}"
-                                           for i in range(num_shards)}
-        elif num_shards:
+        if num_shards:
             assert engine.legs.threads == door_threads
         assert not [thread.name for thread in threading.enumerate()
-                    if thread.name.startswith(("repro-serve", "repro-leg"))]
+                    if thread.name.startswith("repro-serve")]
 
     def test_served_clients_fuse_into_half_the_serial_tuples(self):
         """The serving gate at its benchmark size, in counts: eight
@@ -819,7 +811,7 @@ class TestEngineFailureMapping:
 
         _, engine = make_engine(relation)
         service = QueryService(engine)  # mapping needs no running loop
-        died = ShardWorkerError("shard 1 worker process died (exit code -9)",
+        died = ShardWorkerError("shard 1 is unreachable",
                                 shard_index=1)
         mapped = service._map_engine_error(died)
         assert isinstance(mapped, ShardUnavailableError)
@@ -844,7 +836,7 @@ class TestEngineFailureMapping:
         def flaky_execute_many(batch):
             if broken["on"]:
                 raise ShardWorkerError(
-                    "shard 1 worker process died (exit code -9)",
+                    "shard 1 is unreachable",
                     shard_index=1)
             return original(batch)
 
@@ -911,7 +903,7 @@ class TestEngineFailureMapping:
 
         def broken_execute_many(batch):
             raise ShardWorkerError(
-                "shard 0 worker process died (exit code -9)", shard_index=0)
+                "shard 0 is unreachable", shard_index=0)
 
         engine.execute_many = broken_execute_many
         function = sum_function(["N1", "N2"])
@@ -1363,23 +1355,24 @@ class TestWhereTheEngineRuns:
 
     def test_only_an_engine_that_holds_the_gil_may_run_inline(self,
                                                               relation):
-        # Legs on a pool or in worker processes, retry backoff and
-        # injected delays all wait with the GIL released.
+        # Serial in-process legs hold the GIL.  Retry backoff and injected
+        # delays wait with it released, and a substituted leg runner may.
+        from tests.test_fault import FailingLegs
+
         assert make_engine(relation)[1].holds_gil
         assert make_engine(relation, 2)[1].holds_gil
-        assert not make_engine(relation, 2, parallel=True)[1].holds_gil
-        for kwargs in ({"scatter": "processes"},
-                       {"retry_policy": RetryPolicy()},
+        for kwargs in ({"retry_policy": RetryPolicy()},
                        {"fault_injector": FaultInjector(
                            seed=1, rates={"leg.delay": 1.0})}):
-            _, engine = make_sharded_engine(relation, 2, **kwargs)
-            with engine:
-                assert not engine.holds_gil
+            assert not make_sharded_engine(relation, 2, **kwargs)[1].holds_gil
+        _, engine = make_sharded_engine(relation, 2)
+        engine.legs = FailingLegs(engine.manager, bad_index=0)
+        assert not engine.holds_gil
 
     def test_a_call_that_waits_off_the_gil_leaves_the_loop_free(
             self, relation):
-        """A hung worker's pipe wait, here a parked call on an engine that
-        does not hold the GIL, blocks the engine thread only: a queued
+        """A parked call on an engine that does not hold the GIL (a retry
+        backoff, say) blocks the engine thread only: a queued
         request's submit timeout still fires while it waits."""
         _, inner = make_engine(relation)
         clock = FakeClock()

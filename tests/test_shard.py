@@ -60,12 +60,11 @@ def unsharded(relation):
 
 
 def build_engine(relation, kind: str, num_shards: int,
-                 parallel: bool = False,
                  cost_model=None) -> ScatterGatherExecutor:
     policy = make_policy(kind, relation, num_shards)
     manager = ShardManager(relation, policy, block_size=60,
                            cost_model=cost_model)
-    return ScatterGatherExecutor(manager, parallel=parallel)
+    return ScatterGatherExecutor(manager)
 
 
 def _paper_stack(relation):
@@ -115,14 +114,6 @@ class TestParity:
             expected = unsharded.execute(query)
             gathered = engine.execute(query)
             assert gathered.tids == expected.tids
-
-    def test_parallel_matches_sequential(self, relation, unsharded):
-        engine = build_engine(relation, "hash", 4, parallel=True)
-        query = TopKQuery(Predicate.of(A2=1), sum_function(["N1", "N2"]), 10)
-        expected = unsharded.execute(query)
-        gathered = engine.execute(query)
-        assert gathered.tids == expected.tids
-        assert gathered.scores == expected.scores
 
     def test_tie_break_is_stable_across_sharding(self):
         # Quantized ranking values force score ties spanning shards; the
@@ -225,6 +216,19 @@ class TestPruning:
 
 
 class TestStatsAndPolicies:
+    def test_a_bad_shard_stack_keyword_fails_at_construction(self, relation):
+        # Shard stacks are built lazily, so an unchecked keyword would
+        # surface only inside the first served query.
+        with pytest.raises(TypeError, match="'with_signatur'"):
+            make_sharded_engine(relation, 2, with_signatur=False)
+        with pytest.raises(TypeError, match="'parallel'"):
+            make_sharded_engine(relation, 2, parallel=True)
+        with pytest.raises(TypeError, match="'block_sise'"):
+            ShardManager(relation, HashShardingPolicy(2), block_sise=60)
+        manager = ShardManager(relation, HashShardingPolicy(2), block_size=60,
+                               with_skyline=False)
+        assert manager.executor_for(manager.shards[0])
+
     def test_statistics_summarize_shard(self, relation):
         stats = ShardStatistics.of(0, relation)
         assert stats.num_tuples == relation.num_tuples
@@ -561,17 +565,6 @@ class TestCostOrderedScatter:
         assert result.extra["shards_consulted"] == "0,1"
         assert result.tids == expected.tids  # smallest tids win the tie
 
-    def test_parallel_scatter_skips_nothing(self):
-        relation, _, _ = self._stratified()
-        manager = ShardManager(relation, RangeShardingPolicy(relation, "A", 3),
-                               block_size=30,
-                               with_signature=False, with_skyline=False)
-        engine = ScatterGatherExecutor(manager, parallel=True)
-        query = TopKQuery(Predicate.of(), sum_function(["X", "Y"]), 5)
-        result = engine.execute(query)
-        assert result.extra["shards_consulted"] == "0,1,2"
-        assert result.extra["shards_skipped"] == "-"
-
 
 class TestBatchAndCache:
     def test_execute_many_and_result_cache(self, relation):
@@ -589,17 +582,14 @@ class TestBatchAndCache:
         assert engine.metrics_snapshot()["shard.result_hits"] == float(
             len(queries))
 
-    @pytest.mark.parametrize("parallel", [False, True])
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-    def test_legs_never_fill_a_shard_result_cache(self, relation, num_shards,
-                                                  parallel):
+    def test_legs_never_fill_a_shard_result_cache(self, relation, num_shards):
         shared = LinearFunction(["N1", "N2"], [2.0, 1.0])
         queries = pruned_predicate_queries(relation, "A1", k=5,
                                            function=shared)
         queries += [TopKQuery(Predicate.of(), sum_function(["N1", "N2"]), 8),
                     SkylineQuery(Predicate.of(A2=1), ("N1", "N2"))]
-        with build_engine(relation, "hash", num_shards,
-                          parallel=parallel) as engine:
+        with build_engine(relation, "hash", num_shards) as engine:
             for query in queries[:2]:
                 engine.execute(query)
             engine.execute_many(queries + queries[:3])
