@@ -54,12 +54,12 @@ class FailingLegs(InProcessLegs):
         super().__init__(manager)
         self.bad_index = bad_index
 
-    def run(self, shard, queries, leg_span, deadline):
+    def run(self, shard, queries, leg_span):
         if shard.index == self.bad_index:
             raise ShardWorkerError(
                 f"shard {shard.index} is unreachable",
                 shard_index=shard.index)
-        return super().run(shard, queries, leg_span, deadline)
+        return super().run(shard, queries, leg_span)
 
 
 def fail_shard(engine, bad_index):

@@ -10,9 +10,10 @@ ranking-cube engine to three asyncio clients:
    burst drains, then requests bounce with HTTP 429 and a ``Retry-After``
    hint while the other clients sail on.
 3. **A streaming client** consuming verified top-k prefixes over a
-   chunked response *and* over a websocket — every prefix is final the
-   moment it arrives (the engine proves no unseen tuple can displace
-   it), and the assembled answer is bit-identical to a plain query.
+   chunked response, then two streams at once, each on a connection of
+   its own — every prefix is final the moment it arrives (the engine
+   proves no unseen tuple can displace it), and the assembled answer is
+   bit-identical to a plain query.
 
 Run: ``python examples/http_clients.py``
 """
@@ -92,10 +93,10 @@ async def streaming_session(client: AsyncQueryClient) -> None:
     print(f"[stream] final answer: {result.tids} "
           f"({len(pairs)} of {len(result.tids)} ranks arrived early)")
 
-    async with client.websocket() as ws:
-        ws_result, _ = await ws.stream(
-            TopKQuery(Predicate.of(A1=1), function, 5))
-        print(f"[stream] same contract over the websocket: {ws_result.tids}")
+    (left, _), (right, _) = await asyncio.gather(
+        client.stream(TopKQuery(Predicate.of(A1=1), function, 5)),
+        client.stream(TopKQuery(Predicate.of(A1=2), function, 5)))
+    print(f"[stream] two concurrent streams: {left.tids} and {right.tids}")
 
 
 async def main() -> None:

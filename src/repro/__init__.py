@@ -25,7 +25,7 @@ Served — what a request entering through ``repro.net`` can reach:
     batch execution and a shared lower-bound cache.
 ``repro.shard`` / ``repro.fault`` / ``repro.serve`` / ``repro.net`` / ``repro.obs``
     Scatter/gather over shards, the fault guard around its legs, the async
-    micro-batching service, the HTTP / websocket tier, metrics and tracing.
+    micro-batching service, the HTTP tier, metrics and tracing.
 ``repro.workloads``
     Synthetic data / query generators and the CoverType-like surrogate.
 

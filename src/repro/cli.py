@@ -20,7 +20,7 @@ Commands
     ``engine.*`` counters, gauges, and latency percentiles) as JSON — a
     demo of the request queue + adaptive micro-batcher.  With ``--http``
     it instead binds a :class:`~repro.net.QueryServer` on HOST:PORT and
-    serves JSON queries over HTTP/websocket until interrupted (``--rate``
+    serves JSON queries over HTTP until interrupted (``--rate``
     sets the default per-client token-bucket rate; see
     ``docs/network_serving.md``).
 ``analyze [--shards N] [--k K] [--direct]``
@@ -200,7 +200,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                                        functions=registry) as server:
                     print(f"serving HTTP on {server.host}:{server.port} "
                           f"(POST /v1/query, /v1/query/batch, "
-                          f"/v1/query/stream; GET /v1/ws, /healthz, "
+                          f"/v1/query/stream; GET /healthz, "
                           f"/metrics, /v1/stats)")
                     try:
                         await asyncio.Event().wait()
@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "scatter legs while serving (requires "
                             "--shards > 1)")
     serve.add_argument("--http", metavar="HOST:PORT", default=None,
-                       help="serve the engine over HTTP/websocket instead of "
+                       help="serve the engine over HTTP instead of "
                             "driving synthetic clients (Ctrl-C to stop)")
     serve.add_argument("--rate", type=float, default=None,
                        help="default per-client token-bucket rate "

@@ -58,17 +58,12 @@ class ShardWorkerError(ReproError):
     The message names the shard so the failure is actionable; the retry
     and breaker machinery of :mod:`repro.fault` acts on this type.
 
-    ``shard_index`` names the failing shard (``None`` when unknown) and
-    ``timed_out`` marks a leg a runner gave up waiting on, as opposed to
-    one that failed on its own — callers deciding whether to retry can
-    treat a wedge differently from a crash.
+    ``shard_index`` names the failing shard (``None`` when unknown).
     """
 
-    def __init__(self, message: str, *, shard_index=None,
-                 timed_out: bool = False) -> None:
+    def __init__(self, message: str, *, shard_index=None) -> None:
         super().__init__(message)
         self.shard_index = shard_index
-        self.timed_out = timed_out
 
 
 class DeadlineExceededError(ReproError):

@@ -12,7 +12,7 @@ queue to the thread that runs the engine call.
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.errors import DeadlineExceededError
 
@@ -58,18 +58,6 @@ class Deadline:
         if self.expired():
             raise DeadlineExceededError(
                 f"deadline exceeded before {context}")
-
-    def bound(self, timeout: Optional[float]) -> float:
-        """``timeout`` capped by the remaining budget (``None`` = no cap).
-
-        A leg runner that can bound a wait caps it with this: the
-        effective wait is whichever of its own timeout and the
-        deadline's remainder is tighter.
-        """
-        remaining = self.remaining()
-        if timeout is None:
-            return remaining
-        return min(float(timeout), remaining)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Deadline(at={self.at:.6f}, remaining={self.remaining():.6f})"

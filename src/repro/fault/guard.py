@@ -23,14 +23,6 @@ from repro.errors import ShardWorkerError
 from repro.fault.breaker import BreakerOpenError, CircuitBreaker
 
 
-def failure_reason(exc: Exception) -> str:
-    """The short reason a finally-failed leg is reported under."""
-    reason = type(exc).__name__
-    if getattr(exc, "timed_out", False):
-        reason += ":timed_out"
-    return reason
-
-
 class LegCall:
     """One front-door call's fault posture plus one group's leg record.
 
@@ -88,7 +80,6 @@ class LegGuard:
         counter = metrics.counter
         self._m_retries = counter("fault.retries")
         self._m_leg_failures = counter("fault.leg_failures")
-        self._m_hung = counter("fault.hung_legs")
         self._m_deadline = counter("fault.deadline_exceeded")
         self._m_degraded = counter("fault.degraded_results")
         self._m_shards_failed = counter("fault.shards_failed")
@@ -155,7 +146,7 @@ class LegGuard:
         call.attempts[index] = attempts
         call.failures[index] = exc
         if leg_span:
-            leg_span.set("failed", failure_reason(exc))
+            leg_span.set("failed", type(exc).__name__)
 
     def run(self, runner, shard, queries: List, leg_span, call: LegCall):
         """One leg on ``runner`` under the deadline, breaker and retries.
@@ -186,13 +177,11 @@ class LegGuard:
                 injector = runner.injector
                 if injector is not None and injector.fires("leg.delay"):
                     self.sleep(injector.delay_seconds)
-                result = runner.run(shard, queries, leg_span, call.deadline)
+                result = runner.run(shard, queries, leg_span)
             except ShardWorkerError as exc:
                 if breaker is not None:
                     breaker.record_failure()
                 self._m_leg_failures.inc()
-                if getattr(exc, "timed_out", False):
-                    self._m_hung.inc()
                 delay = self._backoff(attempts, call)
                 if delay is None:
                     self._fail(call, index, exc, attempts, leg_span)
@@ -235,7 +224,7 @@ class LegGuard:
         self._m_degraded.inc()
         extra["degraded"] = 1.0
         extra["shards_failed"] = "|".join(
-            f"{i}:{failure_reason(call.failures[i])}" for i in failed)
+            f"{i}:{type(call.failures[i]).__name__}" for i in failed)
         extra["completeness"] = (
             (planned - len(failed)) / planned if planned else 1.0)
         return True

@@ -1,4 +1,4 @@
-"""repro.net — the HTTP/websocket serving tier over ``repro.serve``.
+"""repro.net — the HTTP serving tier over ``repro.serve``.
 
 The network front door of the ranking-cube engine: JSON queries in,
 full result envelopes (plan metadata included) out, with per-client
@@ -8,7 +8,7 @@ whose queue bounds and schedules the request.  See
 ``docs/network_serving.md``.
 """
 
-from repro.net.client import AsyncQueryClient, WebSocketSession
+from repro.net.client import AsyncQueryClient
 from repro.net.protocol import (
     PROTOCOL_VERSION,
     FunctionRegistry,
@@ -41,7 +41,6 @@ __all__ = [
     "StreamAssembler",
     "TokenBucket",
     "TokenBucketLimiter",
-    "WebSocketSession",
     "decode_error",
     "decode_function",
     "decode_query",

@@ -1,10 +1,10 @@
 """Asyncio client for the :mod:`repro.net` serving tier.
 
-:class:`AsyncQueryClient` speaks the same hand-rolled HTTP/1.1 (and
-RFC 6455 websocket) dialect as :class:`~repro.net.server.QueryServer`,
-decodes result envelopes back into the engine's native
-:class:`~repro.query.QueryResult` / ``SkylineResult`` objects, and
-re-raises typed errors (:class:`~repro.net.protocol.RateLimitedError`,
+:class:`AsyncQueryClient` speaks the same hand-rolled HTTP/1.1 dialect as
+:class:`~repro.net.server.QueryServer`, decodes result envelopes back into
+the engine's native :class:`~repro.query.QueryResult` / ``SkylineResult``
+objects, and re-raises typed errors
+(:class:`~repro.net.protocol.RateLimitedError`,
 :class:`~repro.serve.errors.ServiceOverloadedError`, ...) exactly as an
 in-process caller of :meth:`QueryService.submit` would see them — so
 tests and benchmarks can assert wire parity with ``==``, not "close
@@ -14,9 +14,7 @@ enough".
 from __future__ import annotations
 
 import asyncio
-import base64
 import json
-import os
 from typing import AsyncIterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.net.protocol import (
@@ -26,8 +24,6 @@ from repro.net.protocol import (
     decode_result,
     encode_query,
     read_head,
-    ws_accept,
-    ws_mask,
 )
 from repro.net.stream import StreamAssembler
 
@@ -64,9 +60,8 @@ class AsyncQueryClient:
     response byte) is dropped and the request re-sent once on a fresh one;
     that is safe because no wire route writes — a future write route must
     not be retried this way.  ``await client.close()`` / ``async with``
-    closes what is idle.  :meth:`stream` (a chunked NDJSON response) and
-    :meth:`websocket` (a multiplexing session over one upgraded socket)
-    each open and close a socket of their own.
+    closes what is idle.  :meth:`stream` (a chunked NDJSON response)
+    opens and closes a socket of its own.
     """
 
     def __init__(self, host: str, port: int, *,
@@ -323,177 +318,5 @@ class AsyncQueryClient:
         self._raise_for_status(status, body)
         return list(json.loads(body.decode("utf-8"))["functions"])
 
-    def websocket(self) -> "WebSocketSession":
-        """``async with client.websocket() as ws: ...`` — one upgraded
-        socket multiplexing queries and streams by request id."""
-        return WebSocketSession(self)
 
-
-class WebSocketSession:
-    """A client-side RFC 6455 session against ``GET /v1/ws``."""
-
-    def __init__(self, client: AsyncQueryClient) -> None:
-        self._client = client
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._next_id = 0
-
-    async def __aenter__(self) -> "WebSocketSession":
-        client = self._client
-        reader, writer = await client._open()
-        key = base64.b64encode(os.urandom(16)).decode("latin-1")
-        headers = {"Host": f"{client.host}:{client.port}",
-                   "Upgrade": "websocket",
-                   "Connection": "Upgrade",
-                   "Sec-WebSocket-Key": key,
-                   "Sec-WebSocket-Version": "13"}
-        if client.client_id is not None:
-            headers["X-Client-Id"] = client.client_id
-        head = "GET /v1/ws HTTP/1.1\r\n" + "".join(
-            f"{name}: {value}\r\n" for name, value in headers.items()) + "\r\n"
-        writer.write(head.encode("latin-1"))
-        try:
-            await writer.drain()
-            status, response_headers = await AsyncQueryClient._read_head(
-                reader)
-            if status != 101:
-                length = _content_length(response_headers)
-                body = await reader.readexactly(length) if length else b""
-                AsyncQueryClient._raise_for_status(status, body)
-                raise RemoteServerError(
-                    f"websocket upgrade refused ({status})", status=status)
-            if response_headers.get("sec-websocket-accept") != ws_accept(key):
-                raise ProtocolError("websocket upgrade answered with the "
-                                    "wrong Sec-WebSocket-Accept")
-        except BaseException:
-            await AsyncQueryClient._discard(writer)
-            raise
-        self._reader, self._writer = reader, writer
-        return self
-
-    async def __aexit__(self, exc_type, exc, tb) -> None:
-        await self.close()
-
-    async def close(self) -> None:
-        if self._writer is None:
-            return
-        try:
-            self._writer.write(self._frame(0x8, b""))
-            await self._writer.drain()
-        except (ConnectionError, OSError):
-            pass
-        await AsyncQueryClient._discard(self._writer)
-        self._reader = self._writer = None
-
-    # -- framing (client→server frames must be masked) ------------------
-    @staticmethod
-    def _frame(opcode: int, payload: bytes) -> bytes:
-        head = bytes([0x80 | opcode])
-        length = len(payload)
-        if length < 126:
-            head += bytes([0x80 | length])
-        elif length < (1 << 16):
-            head += bytes([0x80 | 126]) + length.to_bytes(2, "big")
-        else:
-            head += bytes([0x80 | 127]) + length.to_bytes(8, "big")
-        mask = os.urandom(4)
-        return head + mask + ws_mask(payload, mask)
-
-    async def _send(self, obj: Mapping) -> None:
-        if self._writer is None:
-            raise RemoteServerError("websocket session is closed")
-        self._writer.write(self._frame(0x1, json.dumps(obj).encode("utf-8")))
-        await self._writer.drain()
-
-    async def _recv(self) -> Optional[Mapping]:
-        """Next JSON message; None when the server closes the socket."""
-        reader, writer = self._reader, self._writer
-        if reader is None:
-            raise RemoteServerError("websocket session is closed")
-        parts = []
-        while True:
-            try:
-                first = await reader.readexactly(2)
-            except (asyncio.IncompleteReadError, ConnectionError):
-                return None
-            fin = bool(first[0] & 0x80)
-            opcode = first[0] & 0x0F
-            masked = bool(first[1] & 0x80)
-            length = first[1] & 0x7F
-            if length == 126:
-                length = int.from_bytes(await reader.readexactly(2), "big")
-            elif length == 127:
-                length = int.from_bytes(await reader.readexactly(8), "big")
-            mask = await reader.readexactly(4) if masked else b""
-            payload = await reader.readexactly(length) if length else b""
-            if masked:
-                payload = ws_mask(payload, mask)
-            if opcode == 0x8:
-                return None
-            if opcode == 0x9:  # server ping → masked pong
-                writer.write(self._frame(0xA, payload))
-                await writer.drain()
-                continue
-            if opcode == 0xA:
-                continue
-            parts.append(payload)
-            if fin:
-                return json.loads(b"".join(parts).decode("utf-8"))
-
-    def _fresh_id(self) -> int:
-        self._next_id += 1
-        return self._next_id
-
-    # -- public calls ----------------------------------------------------
-    async def query(self, query, *, timeout: Optional[float] = None,
-                    priority: Optional[str] = None,
-                    allow_partial: Optional[bool] = None):
-        envelope = self._client._envelope(timeout=timeout, priority=priority,
-                                          allow_partial=allow_partial)
-        request_id = self._fresh_id()
-        envelope.update({"id": request_id, "query": encode_query(query)})
-        await self._send(envelope)
-        frame = await self._await_frame(request_id)
-        if frame["frame"] == "error":
-            raise decode_error({"error": frame["error"]},
-                               int(frame["error"].get("status", 500)))
-        return decode_result(frame["result"])
-
-    async def stream(self, query, *, timeout: Optional[float] = None,
-                     priority: Optional[str] = None):
-        """Stream over the socket; returns ``(result, streamed_pairs)``."""
-        envelope = self._client._envelope(timeout=timeout, priority=priority,
-                                          allow_partial=None)
-        request_id = self._fresh_id()
-        envelope.update({"id": request_id, "query": encode_query(query),
-                         "stream": True})
-        await self._send(envelope)
-        assembler = StreamAssembler()
-        while True:
-            frame = await self._await_frame(request_id)
-            if assembler.feed(frame):
-                break
-        if assembler.error is not None:
-            raise assembler.error
-        return assembler.result, list(assembler.pairs)
-
-    async def _await_frame(self, request_id: int) -> Mapping:
-        """Next frame tagged with ``request_id``.
-
-        Single-waiter discipline: frames for other ids are an error here
-        (interleave calls with ``asyncio.gather`` over *separate*
-        sessions for true concurrency; in-session multiplexing is what
-        the server supports, this minimal client consumes sequentially).
-        """
-        frame = await self._recv()
-        if frame is None:
-            raise RemoteServerError(
-                "server closed the websocket mid-request")
-        if frame.get("id") != request_id:
-            raise ProtocolError(
-                f"frame for request {frame.get('id')!r} while awaiting "
-                f"{request_id!r}")
-        return frame
-
-
-__all__ = ["AsyncQueryClient", "WebSocketSession"]
+__all__ = ["AsyncQueryClient"]

@@ -1,6 +1,6 @@
 """The wire protocol: JSON encodings of queries, results, and errors.
 
-Everything that crosses the HTTP/websocket boundary is encoded here, in
+Everything that crosses the HTTP boundary is encoded here, in
 one place, so the server and the async client cannot drift apart:
 
 * **predicates** — a plain ``{dim: value}`` object (conditions are
@@ -37,7 +37,6 @@ and ``NaN`` included, and the envelope stays standard JSON).  To read them::
 from __future__ import annotations
 
 import base64
-import hashlib
 import struct
 from collections.abc import Mapping
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -128,26 +127,6 @@ async def read_head(reader) -> Tuple[str, Dict[str, str]]:
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
     return first, headers
-
-
-#: RFC 6455 §1.3: the GUID a handshake's ``Sec-WebSocket-Accept`` hashes.
-WS_GUID = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
-
-
-def ws_accept(key: str) -> str:
-    """The ``Sec-WebSocket-Accept`` answering ``Sec-WebSocket-Key: key``."""
-    return base64.b64encode(hashlib.sha1(
-        (key + WS_GUID).encode("latin-1")).digest()).decode("latin-1")
-
-
-def ws_mask(payload: bytes, mask: bytes) -> bytes:
-    """``payload`` XOR the 4-byte ``mask`` repeated (RFC 6455 §5.3; its own
-    inverse), as one big-integer XOR: a byte at a time costs 1.5 ms per
-    8.8 kB message."""
-    size = len(payload)
-    key = (mask * (size // 4 + 1))[:size]
-    return (int.from_bytes(payload, "big")
-            ^ int.from_bytes(key, "big")).to_bytes(size, "big")
 
 
 # ----------------------------------------------------------------------
@@ -570,7 +549,6 @@ __all__ = [
     "ProtocolError",
     "RateLimitedError",
     "RemoteServerError",
-    "WS_GUID",
     "decode_error",
     "decode_function",
     "decode_predicate",
@@ -586,6 +564,4 @@ __all__ = [
     "read_head",
     "retry_after_of",
     "status_of",
-    "ws_accept",
-    "ws_mask",
 ]

@@ -1,4 +1,4 @@
-"""The HTTP/1.1 + websocket front door over a :class:`QueryService`.
+"""The HTTP/1.1 front door over a :class:`QueryService`.
 
 Stdlib-asyncio only — requests are parsed straight off the stream reader
 (the repo bakes in no web framework), in the thin-web-layer shape of the
@@ -17,9 +17,6 @@ Routes
   ``submit_many`` (one micro-batch candidate); ``{"results": [...]}``.
 * ``POST /v1/query/stream`` — chunked NDJSON stream of verified top-k
   prefix frames and one final frame (see :mod:`repro.net.stream`).
-* ``GET /v1/ws`` — RFC 6455 websocket; each text message is a request
-  envelope with a client-chosen ``id``, answered by id-tagged frames, so
-  one socket multiplexes queries and streams concurrently.
 * ``GET /healthz`` — liveness (200 as long as the loop serves).
 * ``GET /metrics`` — Prometheus text exposition of the service's merged
   registry view (``net.*``, ``serve.*`` and every layer beneath).
@@ -59,8 +56,6 @@ from repro.net.protocol import (
     read_head,
     retry_after_of,
     status_of,
-    ws_accept,
-    ws_mask,
 )
 from repro.net.ratelimit import TokenBucketLimiter
 from repro.net.stream import error_frame, final_frame, prefix_frame
@@ -90,7 +85,7 @@ _OK_JSON_HEAD = (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
 @dataclass(eq=False)
 class _Connection:
     """One accepted socket; ``close()`` may drop it while it is ``idle``,
-    i.e. awaiting a request head (an upgraded socket stays idle)."""
+    i.e. awaiting a request head."""
 
     task: asyncio.Task
     writer: asyncio.StreamWriter
@@ -98,8 +93,8 @@ class _Connection:
 
 
 class _Unframed(Exception):
-    """Bytes that cannot be framed: answered ``status`` (an HTTP status for
-    a request head, an RFC 6455 close code after the upgrade), then closed."""
+    """A request head that cannot be framed: answered with the HTTP
+    ``status``, then closed."""
 
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
@@ -165,7 +160,6 @@ class QueryServer:
         self._m_streams = self.metrics.counter("net.streams")
         self._m_stream_frames = self.metrics.counter("net.stream_frames")
         self._m_active = self.metrics.gauge("net.active_connections")
-        self._m_ws_messages = self.metrics.counter("net.ws_messages")
         self._class_latency: Dict[str, object] = {}
 
     # ------------------------------------------------------------------
@@ -247,12 +241,6 @@ class QueryServer:
                                           keep_alive=False)
                     return
                 method, path, headers, body = request
-                if (path == "/v1/ws"
-                        and "websocket" in headers.get("upgrade", "").lower()):
-                    # Stays idle: an upgraded socket has no one answer to
-                    # wait for, so close() drops it like a disconnect would.
-                    await self._serve_websocket(reader, writer, headers)
-                    return
                 connection.idle = False
                 keep_alive = headers.get("connection", "").lower() != "close"
                 done = await self._dispatch_http(method, path, headers, body,
@@ -388,11 +376,10 @@ class QueryServer:
                                   extra_headers=self._error_headers(exc))
             return True
 
-    def _parse_envelope(self, raw) -> dict:
-        """One request envelope: an HTTP body or a websocket message."""
+    def _parse_envelope(self, body: bytes) -> dict:
+        """One request envelope: the JSON object of an HTTP body."""
         try:
-            envelope = json.loads((raw.decode("utf-8")
-                                   if isinstance(raw, bytes) else raw) or "{}")
+            envelope = json.loads(body.decode("utf-8") or "{}")
         except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
             raise ProtocolError(f"request is not valid JSON: {exc}")
         if not isinstance(envelope, dict):
@@ -506,180 +493,6 @@ class QueryServer:
                 return
         writer.write(b"0\r\n\r\n")
         await writer.drain()
-
-    # ------------------------------------------------------------------
-    # websocket
-    # ------------------------------------------------------------------
-    async def _serve_websocket(self, reader: asyncio.StreamReader,
-                               writer: asyncio.StreamWriter,
-                               headers: Dict[str, str]) -> None:
-        key = headers.get("sec-websocket-key")
-        if not key:
-            await self._send_json(
-                writer, 400,
-                encode_error(ProtocolError("missing Sec-WebSocket-Key")),
-                keep_alive=False)
-            return
-        writer.write(("HTTP/1.1 101 Switching Protocols\r\n"
-                      "Upgrade: websocket\r\n"
-                      "Connection: Upgrade\r\n"
-                      f"Sec-WebSocket-Accept: {ws_accept(key)}\r\n\r\n"
-                      ).encode("latin-1"))
-        await writer.drain()
-        send_lock = asyncio.Lock()
-        tasks: set = set()
-        default_client = headers.get("x-client-id", _DEFAULT_CLIENT_ID)
-        try:
-            while True:
-                try:
-                    message = await self._ws_read_message(reader, writer,
-                                                          send_lock)
-                except _Unframed as bad:
-                    # The frame stream cannot be resynchronised: say why
-                    # in an RFC 6455 close frame, then drop the connection.
-                    self._m_errors.inc()
-                    await self._ws_write(writer, send_lock, 0x8,
-                                         bad.status.to_bytes(2, "big")
-                                         + str(bad).encode("utf-8"))
-                    break
-                if message is None:
-                    break
-                task = asyncio.get_running_loop().create_task(
-                    self._ws_handle_message(message, writer, send_lock,
-                                            default_client))
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-        except (asyncio.IncompleteReadError, ConnectionError):
-            pass
-        finally:
-            for task in list(tasks):
-                task.cancel()
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-
-    async def _ws_read_message(self, reader, writer, send_lock
-                               ) -> Optional[str]:
-        """One text message (fragments reassembled); None on close.
-
-        Raises :class:`_Unframed` with the close code for what cannot be
-        read as one: 1002 an unknown opcode, 1007 text that is not UTF-8,
-        1009 a frame — or the fragments of one message together — above
-        ``max_body_bytes`` (refused from the declared length, before any
-        of the payload is read).
-        """
-        parts = []
-        total = 0
-        while True:
-            first = await reader.readexactly(2)
-            fin = bool(first[0] & 0x80)
-            opcode = first[0] & 0x0F
-            masked = bool(first[1] & 0x80)
-            length = first[1] & 0x7F
-            if length == 126:
-                length = int.from_bytes(await reader.readexactly(2), "big")
-            elif length == 127:
-                length = int.from_bytes(await reader.readexactly(8), "big")
-            if opcode <= 0x2:  # a data frame: part of the message
-                total += length
-            if max(length, total) > self.config.max_body_bytes:
-                raise _Unframed(1009, "websocket message exceeds the "
-                                      f"{self.config.max_body_bytes}-byte limit")
-            mask = await reader.readexactly(4) if masked else b""
-            payload = await reader.readexactly(length) if length else b""
-            if masked:
-                payload = ws_mask(payload, mask)
-            if opcode == 0x8:  # close
-                await self._ws_write(writer, send_lock, 0x8, payload[:2])
-                return None
-            if opcode == 0x9:  # ping → pong
-                await self._ws_write(writer, send_lock, 0xA, payload)
-                continue
-            if opcode == 0xA:  # unsolicited pong
-                continue
-            if opcode in (0x1, 0x2, 0x0):
-                parts.append(payload)
-                if not fin:
-                    continue
-                try:
-                    return b"".join(parts).decode("utf-8")
-                except UnicodeDecodeError:
-                    raise _Unframed(1007, "websocket message is not UTF-8")
-            raise _Unframed(1002, f"unsupported websocket opcode {opcode}")
-
-    @staticmethod
-    def _ws_frame(opcode: int, payload: bytes) -> bytes:
-        """One server→client frame (FIN set, unmasked)."""
-        head = bytes([0x80 | opcode])
-        length = len(payload)
-        if length < 126:
-            head += bytes([length])
-        elif length < (1 << 16):
-            head += bytes([126]) + length.to_bytes(2, "big")
-        else:
-            head += bytes([127]) + length.to_bytes(8, "big")
-        return head + payload
-
-    async def _ws_write(self, writer, send_lock, opcode: int,
-                        payload: bytes) -> None:
-        async with send_lock:
-            writer.write(self._ws_frame(opcode, payload))
-            await writer.drain()
-
-    async def _ws_send(self, writer, send_lock, obj: dict) -> None:
-        await self._ws_write(writer, send_lock, 0x1,
-                             json.dumps(obj).encode("utf-8"))
-
-    async def _ws_handle_message(self, message: str,
-                                 writer: asyncio.StreamWriter,
-                                 send_lock: asyncio.Lock,
-                                 default_client: str) -> None:
-        self._m_ws_messages.inc()
-        request_id = None
-        priority = DEFAULT_PRIORITY
-        started = self._clock()
-        try:
-            envelope = self._parse_envelope(message)
-            request_id = envelope.get("id")
-            call, allow_partial = self._request_context(
-                {"x-client-id": default_client}, envelope)
-            priority = call["priority"]
-            self._check_rate(call["client_id"])
-            if envelope.get("stream"):
-                self._m_streams.inc()
-                query = decode_query(envelope.get("query"), self.functions)
-                async for frame in self.service.submit_stream(query, **call):
-                    if frame[0] == "prefix":
-                        payload = prefix_frame(frame[1], frame[2])
-                    else:
-                        payload = final_frame(frame[1])
-                    payload["id"] = request_id
-                    self._m_stream_frames.inc()
-                    await self._ws_send(writer, send_lock, payload)
-            elif "queries" in envelope:
-                results = await self._submit_many(envelope, call,
-                                                  allow_partial)
-                await self._ws_send(writer, send_lock, {
-                    "id": request_id, "frame": "batch",
-                    "results": [encode_result(r) for r in results]})
-            else:
-                query = decode_query(envelope.get("query"), self.functions)
-                result = await self.service.submit(
-                    query, allow_partial=allow_partial, **call)
-                frame = final_frame(result)
-                frame["id"] = request_id
-                await self._ws_send(writer, send_lock, frame)
-        except (ConnectionError, OSError, asyncio.CancelledError):
-            raise
-        except Exception as exc:  # noqa: BLE001 — typed on the wire
-            self._m_errors.inc()
-            frame = error_frame(exc)
-            frame["id"] = request_id
-            try:
-                await self._ws_send(writer, send_lock, frame)
-            except (ConnectionError, OSError):
-                pass
-        finally:
-            self._observe_latency(priority, self._clock() - started)
 
 
 __all__ = ["NetConfig", "QueryServer"]

@@ -1,7 +1,7 @@
 """The streaming frame contract shared by the server and the client.
 
-A streamed query is a sequence of newline-delimited JSON frames (over a
-chunked HTTP response or websocket messages):
+A streamed query is a sequence of newline-delimited JSON frames (the chunks
+of one HTTP response):
 
 * ``{"frame": "prefix", "start": r, "entries": [[tid, score], ...]}`` —
   ranks ``r .. r+len(entries)-1`` of the final answer, already *proven*

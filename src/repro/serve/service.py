@@ -201,9 +201,8 @@ class QueryService:
         :class:`~repro.serve.errors.ServiceClosedError` rather than left
         waiting forever, and the drain loop's error is re-raised.
 
-        Then the engine's own ``close()`` runs and the service's thread
-        is torn down — a stopped service leaves no live thread behind,
-        while the engine itself stays usable.
+        Then the service's thread is torn down — a stopped service leaves
+        no live thread behind, while the engine itself stays usable.
         """
         if self._loop is None or self._closed:
             return
@@ -228,12 +227,7 @@ class QueryService:
                         "dispatched"))
                     self.stats.record_failure()
         self._closed = True
-        engine_close = getattr(self.engine, "close", None)
-        try:
-            if engine_close is not None:
-                await self._in_executor(engine_close, inline=False)
-        finally:
-            self._pool.shutdown(wait=True)
+        self._pool.shutdown(wait=True)
         if drain_error is not None:
             raise drain_error
 

@@ -32,13 +32,12 @@ class LegRunner(Protocol):
     def plan(self, shard: Shard, query) -> QueryPlan:
         """How ``shard``'s engine would serve ``query``."""
 
-    def run(self, shard: Shard, queries: Sequence, leg_span,
-            deadline) -> List:
+    def run(self, shard: Shard, queries: Sequence, leg_span) -> List:
         """One leg: ``shard``'s answers to ``queries``, in order.
 
         ``leg_span`` is the leg's trace span (falsy when tracing is
-        off); ``deadline`` bounds the wait where the runner can enforce
-        it.  A lost shard raises :class:`~repro.errors.ShardWorkerError`.
+        off).  A lost shard raises :class:`~repro.errors.ShardWorkerError`.
+        The guard checks the call's deadline before each leg.
         """
 
     def observed(self) -> List[MetricsRegistry]:
@@ -64,10 +63,8 @@ class InProcessLegs:
     def plan(self, shard: Shard, query) -> QueryPlan:
         return self.manager.executor_for(shard).plan(query)
 
-    def run(self, shard: Shard, queries: Sequence, leg_span=NULL_SPAN,
-            deadline=None) -> List:
-        # ``deadline`` is advisory here: a running in-process leg is not
-        # interruptible, the scatter checks it between legs.
+    def run(self, shard: Shard, queries: Sequence,
+            leg_span=NULL_SPAN) -> List:
         injector = self.injector
         if injector is not None and injector.fires("worker.crash.pre"):
             raise InjectedFaultError("worker.crash.pre", shard.index)

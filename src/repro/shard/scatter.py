@@ -215,22 +215,6 @@ class ScatterGatherExecutor:
         self.result_cache.invalidate()
 
     # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Nothing to release: legs run on the caller's thread.
-
-        Kept so owners that close the engine they serve (the serving
-        layer) and ``with`` blocks work on any executor.
-        """
-
-    def __enter__(self) -> "ScatterGatherExecutor":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
     # shard pruning
     # ------------------------------------------------------------------
     def _scatter_set(self, query) -> Tuple[List[Shard], List[Tuple[int, str]]]:

@@ -86,14 +86,6 @@ class TestDeadline:
         with pytest.raises(DeadlineExceededError, match="before gather"):
             deadline.raise_if_expired("gather")
 
-    def test_bound_takes_the_tighter_of_timeout_and_remaining(self):
-        clock = FakeClock()
-        deadline = Deadline.after(2.0, clock=clock)
-        assert deadline.bound(10.0) == pytest.approx(2.0)
-        assert deadline.bound(0.5) == pytest.approx(0.5)
-        # None means "no configured timeout": the deadline is the bound.
-        assert deadline.bound(None) == pytest.approx(2.0)
-
     def test_negative_seconds_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
             Deadline.after(-0.1)
@@ -323,12 +315,12 @@ class FailingLegs(InProcessLegs):
         super().__init__(manager)
         self.bad_index = bad_index
 
-    def run(self, shard, queries, leg_span, deadline):
+    def run(self, shard, queries, leg_span):
         if shard.index == self.bad_index:
             raise ShardWorkerError(
                 f"shard {shard.index} is unreachable",
                 shard_index=shard.index)
-        return super().run(shard, queries, leg_span, deadline)
+        return super().run(shard, queries, leg_span)
 
 
 class RaisingLegs(InProcessLegs):
@@ -338,10 +330,10 @@ class RaisingLegs(InProcessLegs):
         super().__init__(manager)
         self.bad_index = bad_index
 
-    def run(self, shard, queries, leg_span, deadline):
+    def run(self, shard, queries, leg_span):
         if shard.index == self.bad_index:
             raise ValueError(f"leg to shard {shard.index} hit a bug")
-        return super().run(shard, queries, leg_span, deadline)
+        return super().run(shard, queries, leg_span)
 
 
 def two_fused_groups():
@@ -371,9 +363,8 @@ class TestRetries:
                                      cap_delay=0.002, jitter_seed=5))
         sleeps = []
         engine.guard.sleep = sleeps.append
-        with engine:
-            query = topk(k=6, A1=1)
-            result = engine.execute(query)
+        query = topk(k=6, A1=1)
+        result = engine.execute(query)
         tids, scores = brute_force_topk(relation, query)
         assert result.tids == tids
         assert result.scores == scores
@@ -403,12 +394,11 @@ class TestRetries:
                                      cap_delay=0.002, budget=None,
                                      jitter_seed=1337))
         engine.guard.sleep = lambda seconds: None
-        with engine:
-            for query in queries:
-                result = engine.execute(query)
-                assert (result.tids, result.scores) == brute_force_topk(
-                    big, query)
-                assert "degraded" not in result.extra
+        for query in queries:
+            result = engine.execute(query)
+            assert (result.tids, result.scores) == brute_force_topk(
+                big, query)
+            assert "degraded" not in result.extra
         assert injector.total_fired > 0
         assert engine.metrics.snapshot()["fault.retries"] > 0
 
@@ -421,8 +411,7 @@ class TestRetries:
                                 retry_policy=policy)
         sleeps = []
         engine.guard.sleep = sleeps.append
-        with engine:
-            engine.execute(topk(k=3))
+        engine.execute(topk(k=3))
         expected_rng = random.Random(99)
         for attempt, slept in enumerate(sleeps, start=1):
             assert slept == pytest.approx(
@@ -434,9 +423,8 @@ class TestRetries:
             relation, fault_injector=injector,
             retry_policy=RetryPolicy(max_attempts=2, base_delay=0.0,
                                      cap_delay=0.0, jitter_seed=0))
-        with engine:
-            with pytest.raises(InjectedFaultError):
-                engine.execute(topk())
+        with pytest.raises(InjectedFaultError):
+            engine.execute(topk())
         snap = engine.metrics.snapshot()
         assert snap["fault.retries"] >= 1.0
         assert snap["fault.shards_failed"] >= 1.0
@@ -448,9 +436,8 @@ class TestRetries:
             retry_policy=RetryPolicy(max_attempts=50, base_delay=0.01,
                                      cap_delay=0.01, budget=0.0,
                                      jitter_seed=1))
-        with engine:
-            with pytest.raises(InjectedFaultError):
-                engine.execute(topk(k=2))
+        with pytest.raises(InjectedFaultError):
+            engine.execute(topk(k=2))
         snap = engine.metrics.snapshot()
         # A zero budget cannot cover any positive sleep: the first
         # positive backoff draw is refused and the leg gives up long
@@ -466,55 +453,50 @@ class TestPartialResults:
         fail_shard(engine, bad_index=0)
         surviving = {int(tid) for shard in manager.shards
                      if shard.index != 0 for tid in shard.tid_map}
-        with engine:
-            query = topk(k=7, A2=1)
-            result = engine.execute(query)
-            tids, scores = surviving_oracle(relation, query, surviving)
-            assert result.tids == tids
-            assert result.scores == scores
-            assert result.extra["degraded"] == 1.0
-            assert result.extra["shards_failed"] == "0:ShardWorkerError"
-            assert result.extra["completeness"] == pytest.approx(2.0 / 3.0)
+        query = topk(k=7, A2=1)
+        result = engine.execute(query)
+        tids, scores = surviving_oracle(relation, query, surviving)
+        assert result.tids == tids
+        assert result.scores == scores
+        assert result.extra["degraded"] == 1.0
+        assert result.extra["shards_failed"] == "0:ShardWorkerError"
+        assert result.extra["completeness"] == pytest.approx(2.0 / 3.0)
 
     def test_degraded_results_are_never_cached(self, relation):
         manager, engine = make_engine(relation, allow_partial=True)
         fail_shard(engine, bad_index=1)
-        with engine:
-            query = topk(k=4)
-            degraded = engine.execute(query)
-            assert degraded.extra["degraded"] == 1.0
-            # The shard recovers; the next call must recompute, not serve
-            # the gap from the result cache.
-            heal_shards(engine)
-            healed = engine.execute(query)
-            assert "degraded" not in healed.extra
-            assert healed.tids == brute_force_topk(relation, query)[0]
+        query = topk(k=4)
+        degraded = engine.execute(query)
+        assert degraded.extra["degraded"] == 1.0
+        # The shard recovers; the next call must recompute, not serve
+        # the gap from the result cache.
+        heal_shards(engine)
+        healed = engine.execute(query)
+        assert "degraded" not in healed.extra
+        assert healed.tids == brute_force_topk(relation, query)[0]
 
     def test_strict_mode_still_raises(self, relation):
         _, engine = make_engine(relation, allow_partial=False)
         fail_shard(engine, bad_index=0)
-        with engine:
-            with pytest.raises(ShardWorkerError):
-                engine.execute(topk())
+        with pytest.raises(ShardWorkerError):
+            engine.execute(topk())
 
     def test_per_call_override_beats_the_executor_default(self, relation):
         _, engine = make_engine(relation, allow_partial=True)
         fail_shard(engine, bad_index=0)
-        with engine:
-            with pytest.raises(ShardWorkerError):
-                engine.execute(topk(), allow_partial=False)
-            result = engine.execute(topk())
-            assert result.extra["degraded"] == 1.0
+        with pytest.raises(ShardWorkerError):
+            engine.execute(topk(), allow_partial=False)
+        result = engine.execute(topk())
+        assert result.extra["degraded"] == 1.0
 
     def test_all_shards_down_raises_even_in_partial_mode(self, relation):
         injector = FaultInjector(seed=6, rates={"worker.crash.pre": 1.0})
         _, engine = make_engine(relation, fault_injector=injector,
                                 allow_partial=True)
-        with engine:
-            # No retries configured: every leg fails on its only attempt,
-            # and an answer from zero shards would be a silent lie.
-            with pytest.raises(InjectedFaultError):
-                engine.execute(topk())
+        # No retries configured: every leg fails on its only attempt,
+        # and an answer from zero shards would be a silent lie.
+        with pytest.raises(InjectedFaultError):
+            engine.execute(topk())
 
 
 class TestBreakerIntegration:
@@ -525,18 +507,17 @@ class TestBreakerIntegration:
             breaker_policy=BreakerPolicy(failure_threshold=2, cooldown=60.0))
         engine.guard.clock = clock
         fail_shard(engine, bad_index=0)
-        with engine:
-            engine.execute(topk(k=2))
-            engine.execute(topk(k=3))  # second consecutive failure: trips
-            snap = engine.metrics.snapshot()
-            assert snap["breaker.opened"] == 1.0
-            assert engine.guard.breakers[0].state == "open"
-            result = engine.execute(topk(k=4))
-            assert result.extra["degraded"] == 1.0
-            # Refused fail-fast: zero attempts booked for the open shard.
-            assert "0:0" in result.extra["leg_attempts"].split(",")
-            assert result.extra["shards_failed"] == "0:BreakerOpenError"
-            assert engine.metrics.snapshot()["breaker.rejected"] == 1.0
+        engine.execute(topk(k=2))
+        engine.execute(topk(k=3))  # second consecutive failure: trips
+        snap = engine.metrics.snapshot()
+        assert snap["breaker.opened"] == 1.0
+        assert engine.guard.breakers[0].state == "open"
+        result = engine.execute(topk(k=4))
+        assert result.extra["degraded"] == 1.0
+        # Refused fail-fast: zero attempts booked for the open shard.
+        assert "0:0" in result.extra["leg_attempts"].split(",")
+        assert result.extra["shards_failed"] == "0:BreakerOpenError"
+        assert engine.metrics.snapshot()["breaker.rejected"] == 1.0
 
     def test_dead_shard_workload_degrades_to_the_surviving_oracle(
             self, chaos_case):
@@ -551,14 +532,13 @@ class TestBreakerIntegration:
         fail_shard(engine, bad_index=0)
         surviving = {int(tid) for shard in manager.shards
                      if shard.index != 0 for tid in shard.tid_map}
-        with engine:
-            for position, query in enumerate(queries):
-                result = engine.execute(query, use_result_cache=False)
-                assert result.extra["degraded"] == 1.0
-                assert (result.tids, result.scores) == surviving_oracle(
-                    big, query, surviving)
-                attempts = "0:0" if position >= 3 else "0:1"
-                assert attempts in result.extra["leg_attempts"].split(",")
+        for position, query in enumerate(queries):
+            result = engine.execute(query, use_result_cache=False)
+            assert result.extra["degraded"] == 1.0
+            assert (result.tids, result.scores) == surviving_oracle(
+                big, query, surviving)
+            attempts = "0:0" if position >= 3 else "0:1"
+            assert attempts in result.extra["leg_attempts"].split(",")
         snap = engine.metrics.snapshot()
         assert snap["breaker.opened"] == 1.0
         assert snap["breaker.rejected"] == len(queries) - 3
@@ -570,19 +550,18 @@ class TestBreakerIntegration:
             breaker_policy=BreakerPolicy(failure_threshold=1, cooldown=30.0))
         engine.guard.clock = clock
         fail_shard(engine, bad_index=0)
-        with engine:
-            engine.execute(topk(k=2))  # trips shard 0's breaker
-            # The shard heals while the breaker cools down.
-            heal_shards(engine)
-            clock.advance(30.0)
-            query = topk(k=5, A1=2)
-            result = engine.execute(query)  # the half-open probe succeeds
-            assert result.tids == brute_force_topk(relation, query)[0]
-            assert "degraded" not in result.extra
-            snap = engine.metrics.snapshot()
-            assert snap["breaker.half_open_probes"] == 1.0
-            assert snap["breaker.closed"] == 1.0
-            assert engine.guard.breakers[0].state == "closed"
+        engine.execute(topk(k=2))  # trips shard 0's breaker
+        # The shard heals while the breaker cools down.
+        heal_shards(engine)
+        clock.advance(30.0)
+        query = topk(k=5, A1=2)
+        result = engine.execute(query)  # the half-open probe succeeds
+        assert result.tids == brute_force_topk(relation, query)[0]
+        assert "degraded" not in result.extra
+        snap = engine.metrics.snapshot()
+        assert snap["breaker.half_open_probes"] == 1.0
+        assert snap["breaker.closed"] == 1.0
+        assert engine.guard.breakers[0].state == "closed"
 
     def test_strict_mode_surfaces_breaker_open_error(self, relation):
         clock = FakeClock()
@@ -591,11 +570,10 @@ class TestBreakerIntegration:
             breaker_policy=BreakerPolicy(failure_threshold=1, cooldown=60.0))
         engine.guard.clock = clock
         fail_shard(engine, bad_index=0)
-        with engine:
-            with pytest.raises(ShardWorkerError):
-                engine.execute(topk(k=2))
-            with pytest.raises(BreakerOpenError, match="breaker is open"):
-                engine.execute(topk(k=3))
+        with pytest.raises(ShardWorkerError):
+            engine.execute(topk(k=2))
+        with pytest.raises(BreakerOpenError, match="breaker is open"):
+            engine.execute(topk(k=3))
 
 
     def test_a_probe_that_raises_a_non_shard_error_frees_the_probe_slot(
@@ -609,24 +587,23 @@ class TestBreakerIntegration:
             breaker_policy=BreakerPolicy(failure_threshold=1, cooldown=10.0))
         engine.guard.clock = clock
         fail_shard(engine, bad_index=0)
-        with engine:
-            engine.execute(topk(k=2))  # trips shard 0's breaker
-            assert engine.guard.breakers[0].state == "open"
-            clock.advance(11.0)
-            engine.legs = RaisingLegs(engine.manager, 0)
-            with pytest.raises(ValueError, match="hit a bug"):
-                engine.execute(topk(k=3))  # the probe raises
-            heal_shards(engine)
-            clock.advance(1.0)
-            query = topk(k=5, A1=2)
-            result = engine.execute(query)
-            assert "degraded" not in result.extra
-            assert "0:1" in result.extra["leg_attempts"].split(",")
-            assert result.tids == brute_force_topk(relation, query)[0]
-            assert engine.guard.breakers[0].state == "closed"
-            snap = engine.metrics.snapshot()
-            assert snap["breaker.half_open_probes"] == 2.0
-            assert snap["breaker.closed"] == 1.0
+        engine.execute(topk(k=2))  # trips shard 0's breaker
+        assert engine.guard.breakers[0].state == "open"
+        clock.advance(11.0)
+        engine.legs = RaisingLegs(engine.manager, 0)
+        with pytest.raises(ValueError, match="hit a bug"):
+            engine.execute(topk(k=3))  # the probe raises
+        heal_shards(engine)
+        clock.advance(1.0)
+        query = topk(k=5, A1=2)
+        result = engine.execute(query)
+        assert "degraded" not in result.extra
+        assert "0:1" in result.extra["leg_attempts"].split(",")
+        assert result.tids == brute_force_topk(relation, query)[0]
+        assert engine.guard.breakers[0].state == "closed"
+        snap = engine.metrics.snapshot()
+        assert snap["breaker.half_open_probes"] == 2.0
+        assert snap["breaker.closed"] == 1.0
 
 
 class TestOneRecordPerCall:
@@ -637,8 +614,7 @@ class TestOneRecordPerCall:
         keys = ("leg_attempts", "shards_failed", "completeness", "degraded")
         _, engine = make_engine(relation, allow_partial=True)
         fail_shard(engine, bad_index=1)
-        with engine:
-            results = engine.execute_many(two_fused_groups())
+        results = engine.execute_many(two_fused_groups())
         assert {tuple(result.extra[key] for key in keys)
                 for result in results} == {
             ("0:1,1:1,2:1", "1:ShardWorkerError", 2.0 / 3.0, 1.0)}
@@ -656,8 +632,7 @@ class TestOneRecordPerCall:
         sleeps = []
         engine.guard.sleep = sleeps.append
         fail_shard(engine, bad_index=0)
-        with engine:
-            results = engine.execute_many(two_fused_groups())
+        results = engine.execute_many(two_fused_groups())
         assert all(result.extra["shards_failed"] == "0:ShardWorkerError"
                    for result in results)
         snap = engine.metrics.snapshot()
@@ -673,29 +648,26 @@ class TestDeadlines:
         clock = FakeClock()
         deadline = Deadline.after(1.0, clock=clock)
         clock.advance(2.0)
-        with engine:
-            with pytest.raises(DeadlineExceededError):
-                engine.execute(topk(), deadline=deadline)
+        with pytest.raises(DeadlineExceededError):
+            engine.execute(topk(), deadline=deadline)
         assert engine.metrics.snapshot()["fault.deadline_exceeded"] == 1.0
 
     def test_live_deadline_does_not_perturb_the_answer(self, relation):
         _, engine = make_engine(relation)
-        with engine:
-            query = topk(k=5, A1=1)
-            result = engine.execute(
-                query, deadline=Deadline.after(60.0))
-            assert result.tids == brute_force_topk(relation, query)[0]
-            assert "leg_attempts" in result.extra
+        query = topk(k=5, A1=1)
+        result = engine.execute(
+            query, deadline=Deadline.after(60.0))
+        assert result.tids == brute_force_topk(relation, query)[0]
+        assert "leg_attempts" in result.extra
 
     def test_expiry_beats_allow_partial(self, relation):
         _, engine = make_engine(relation, allow_partial=True)
         clock = FakeClock()
         deadline = Deadline.after(0.0, clock=clock)
         clock.advance(1.0)
-        with engine:
-            # A late answer is not a partial answer: expiry always raises.
-            with pytest.raises(DeadlineExceededError):
-                engine.execute(topk(), deadline=deadline)
+        # A late answer is not a partial answer: expiry always raises.
+        with pytest.raises(DeadlineExceededError):
+            engine.execute(topk(), deadline=deadline)
 
     def test_deadline_caps_retry_backoff(self, relation):
         injector = FaultInjector(seed=8, rates={"worker.crash.pre": 1.0},
@@ -706,8 +678,7 @@ class TestDeadlines:
                                      cap_delay=10.0, jitter_seed=2))
         sleeps = []
         engine.guard.sleep = sleeps.append
-        with engine:
-            result = engine.execute(topk(k=3),
-                                    deadline=Deadline.after(0.5))
+        result = engine.execute(topk(k=3),
+                                deadline=Deadline.after(0.5))
         assert result.tids  # recovered within the deadline
         assert all(slept <= 0.5 for slept in sleeps)

@@ -117,8 +117,6 @@ class WritesAndReads(RuleBasedStateMachine):
             for service in self.services:
                 self.loop.run_until_complete(service.close())
             self.loop.close()
-            self.hash_engine.close()
-            self.range_engine.close()
 
     # ------------------------------------------------------------------
     # writes

@@ -16,8 +16,8 @@ Covers the network-tier acceptance gates:
   (``X-Client-Id`` / ``X-Priority`` are its inputs, not a second queue);
 * **streaming** — verified top-k prefixes arrive before the final frame,
   the assembled answer is bit-identical to the non-streaming one, and a
-  mid-stream failure surfaces as a typed error frame — over chunked
-  HTTP and over the websocket.
+  mid-stream failure surfaces as a typed error frame in the chunked
+  HTTP response.
 
 Like ``test_serve``, asyncio is driven through plain ``asyncio.run``.
 """
@@ -27,7 +27,6 @@ from __future__ import annotations
 import asyncio
 import base64
 import json
-import logging
 import struct
 import time
 
@@ -55,7 +54,6 @@ from repro.net import (
     QueryServer,
     RateLimitedError,
     StreamAssembler,
-    WebSocketSession,
     decode_function,
     decode_query,
     decode_result,
@@ -71,7 +69,6 @@ from repro.net.protocol import (
     encode_error,
     encode_predicate,
     decode_predicate,
-    ws_accept,
 )
 from repro.net.ratelimit import TokenBucket, TokenBucketLimiter
 from repro.net.stream import error_frame, final_frame, prefix_frame
@@ -668,6 +665,34 @@ class TestHttpErrorMapping:
         assert statuses == {"bad_json": 400, "not_found": 404,
                             "bad_method": 405}
 
+    def test_an_upgrade_request_is_an_unknown_route_on_a_kept_connection(self):
+        """The server speaks HTTP only: a websocket handshake is a typed
+        404, and the connection answers the next request."""
+        async def handler(service, server, client):
+            reader, writer = await client._open()
+            try:
+                writer.write(b"GET /v1/ws HTTP/1.1\r\nHost: x\r\n"
+                             b"Upgrade: websocket\r\nConnection: Upgrade\r\n"
+                             b"Sec-WebSocket-Key: dGhlIHNhbXBsZSBub25jZQ==\r\n"
+                             b"Sec-WebSocket-Version: 13\r\n\r\n")
+                await writer.drain()
+                status, headers = await client._read_head(reader)
+                assert status == 404, status  # not 101 Switching Protocols
+                body = await reader.readexactly(
+                    int(headers["content-length"]))
+                writer.write(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+                await writer.drain()
+                after, _ = await client._read_head(reader)
+            finally:
+                await client._discard(writer)
+            return headers, json.loads(body), after
+
+        headers, payload, after = run_served(handler)
+        assert headers["connection"] == "keep-alive"
+        assert payload["error"]["type"] == "ProtocolError"
+        assert "/v1/ws" in payload["error"]["message"]
+        assert after == 200
+
     @pytest.mark.parametrize("declared, status", [
         (b"abc", 400), (b"-5", 400), (b"99999999999", 413)])
     def test_unframeable_content_length_is_answered_then_closed(
@@ -896,7 +921,7 @@ class TestBacklogOrderOverHttp:
 
 
 # ----------------------------------------------------------------------
-# streaming over chunked HTTP and the websocket
+# streaming over chunked HTTP
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def stream_rig():
@@ -947,24 +972,6 @@ class TestStreaming:
             streamed_any = streamed_any or bool(pairs)
         assert streamed_any, "no query streamed a single verified prefix"
 
-    def test_websocket_query_and_stream_match_plain_http(self, stream_rig):
-        engine, twin, queries = stream_rig
-        expected = twin.execute(queries[1])
-
-        async def handler(service, server, client):
-            async with client.websocket() as ws:
-                plain = await ws.query(queries[1])
-                streamed, pairs = await ws.stream(queries[1])
-                return plain, streamed, pairs
-
-        plain, streamed, pairs = run_served(handler, engine=engine)
-        assert plain.tids == expected.tids
-        assert plain.scores == expected.scores
-        assert streamed.tids == expected.tids
-        assert streamed.scores == expected.scores
-        assert pairs == list(zip(streamed.tids,
-                                 streamed.scores))[:len(pairs)]
-
     def test_stream_timeout_surfaces_as_typed_error_frame(self):
         engine = SlowStubEngine(delay=0.5)
 
@@ -987,9 +994,6 @@ class TestStreaming:
                 "POST", "/v1/query/stream",
                 {"query": encode_query(simple_query())})
             frames = [json.loads(line) for line in body.splitlines()]
-            async with client.websocket() as ws:
-                with pytest.raises(ServiceOverloadedError):
-                    await ws.stream(simple_query())
             engine.release.set()
             await asyncio.gather(*held)
             return status, frames, engine.executed
@@ -1001,20 +1005,6 @@ class TestStreaming:
         assert [frame["frame"] for frame in frames] == ["error"]
         assert frames[0]["error"]["type"] == "ServiceOverloadedError"
         assert executed == ["primer", "waiting"]  # no stream reached it
-
-    def test_websocket_error_frames_carry_request_ids(self):
-        async def handler(service, server, client):
-            async with client.websocket() as ws:
-                bad = TopKQuery(Predicate.of(), "unregistered", 3)
-                with pytest.raises(ProtocolError):
-                    await ws.query(bad)
-                # The session survives the failed request.
-                result = await ws.query(simple_query())
-                return result
-
-        result = run_served(handler)
-        assert result.tids == (1, 2)
-
 
 class _FakeWriter:
     """The write half of a socket that goes nowhere."""
@@ -1065,61 +1055,6 @@ class TestClientFraming:
                     await client.healthz()
 
         asyncio.run(main())
-
-    def test_a_wrong_websocket_accept_is_a_protocol_error(self):
-        raw = (b"HTTP/1.1 101 Switching Protocols\r\nUpgrade: websocket\r\n"
-               b"Connection: Upgrade\r\nSec-WebSocket-Accept: "
-               + ws_accept("not the key the client sent").encode("latin-1")
-               + b"\r\n\r\n")
-
-        async def main():
-            with pytest.raises(ProtocolError, match="Sec-WebSocket-Accept"):
-                async with _answering(raw).websocket():
-                    pass
-
-        asyncio.run(main())
-
-
-def _fragment(opcode: int, payload: bytes, fin: bool) -> bytes:
-    frame = WebSocketSession._frame(opcode, payload)
-    return frame if fin else bytes([frame[0] & 0x7F]) + frame[1:]
-
-
-class TestWebsocketFraming:
-    """Unframeable websocket input is answered with a close code."""
-
-    @pytest.mark.parametrize("raw, code", [
-        pytest.param(_fragment(0x3, b"x", True), 1002, id="bad-opcode"),
-        pytest.param(_fragment(0x1, b"\xff\xfe\xfd", True), 1007,
-                     id="not-utf8"),
-        # Refused from the declared length: no payload is ever sent.
-        pytest.param(bytes([0x81, 0x80 | 127]) + (1 << 40).to_bytes(8, "big"),
-                     1009, id="frame-of-2^40-bytes"),
-        # Each fragment fits max_body_bytes (64 below); their sum does not.
-        pytest.param(_fragment(0x1, b"a" * 40, False)
-                     + _fragment(0x0, b"a" * 40, True)[:2],
-                     1009, id="fragments-above-the-limit"),
-    ])
-    def test_close_frame_then_close_and_the_server_survives(
-            self, raw, code, caplog):
-        async def handler(service, server, client):
-            async with client.websocket() as ws:
-                ws._writer.write(raw)
-                await ws._writer.drain()
-                head = await asyncio.wait_for(ws._reader.readexactly(2),
-                                              timeout=10.0)
-                payload = await ws._reader.readexactly(head[1] & 0x7F)
-                closed = await ws._reader.read() == b""
-            healthy = (await client._request("GET", "/healthz"))[0]
-            return head[0], int.from_bytes(payload[:2], "big"), closed, healthy
-
-        with caplog.at_level(logging.ERROR, logger="asyncio"):
-            got = run_served(handler,
-                             net_config=NetConfig(max_body_bytes=64))
-        assert got == (0x88, code, True, 200)
-        assert not [record for record in caplog.records
-                    if "Unhandled" in record.getMessage()]
-
 
 # ----------------------------------------------------------------------
 # observability endpoints

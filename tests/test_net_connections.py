@@ -16,9 +16,7 @@ a clock:
   handler task, no open connection and no reference to the engine;
 * **bounded heads** — an oversized or flooded request head is a ``431``
   envelope after a bounded number of bytes read, an EOF inside a head a
-  silent close;
-* **websocket masking** — the one big-integer XOR equals the per-byte
-  reference.
+  silent close.
 """
 
 from __future__ import annotations
@@ -27,18 +25,16 @@ import asyncio
 import gc
 import json
 import logging
-import random
 import socket
 import time
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.engine import Executor
 from repro.functions import LinearFunction
 from repro.net import AsyncQueryClient, NetConfig, QueryServer
-from repro.net.protocol import RemoteServerError, encode_query, ws_mask
+from repro.net.protocol import RemoteServerError, encode_query
 from repro.query import Predicate, QueryResult, TopKQuery
 from repro.serve import QueryService, RequestTimeoutError
 from repro.workloads import SyntheticSpec, generate_relation
@@ -402,16 +398,3 @@ class TestBoundedHeads:
         with caplog.at_level(logging.ERROR, logger="asyncio"):
             assert serve(scenario) == (b"", "ok", 0)
         assert not caplog.records
-
-
-# ----------------------------------------------------------------------
-# websocket masking
-# ----------------------------------------------------------------------
-@settings(max_examples=60, deadline=None)
-@given(size=st.one_of(st.integers(0, 64), st.integers(0, 70_000)),
-       mask=st.binary(min_size=4, max_size=4), seed=st.integers(0, 2 ** 32))
-def test_ws_mask_equals_the_per_byte_reference(size, mask, seed):
-    payload = random.Random(seed).randbytes(size)
-    masked = ws_mask(payload, mask)
-    assert masked == bytes(b ^ mask[i % 4] for i, b in enumerate(payload))
-    assert ws_mask(masked, mask) == payload

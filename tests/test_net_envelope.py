@@ -3,7 +3,7 @@
 * **envelope fields** — ``timeout`` must be a finite positive number,
   ``priority`` and ``client_id`` strings, ``allow_partial`` a boolean and
   a batch's ``queries`` an array; anything else is a ``ProtocolError``
-  400 naming the field, over HTTP and over the websocket alike (a list,
+  400 naming the field, on every POST route alike (a list,
   a string, an int beyond the float range or a NaN ``timeout`` used to
   answer 500, or 504 "timed out after nans");
 * **response bytes** — the server encodes a result's ``extra`` in one
@@ -75,25 +75,23 @@ class TestEnvelopeFields:
         async def handler(service, server, client):
             status, _, body = await client._request("POST", "/v1/query",
                                                     envelope)
+            stream_status, _, stream_body = await client._request(
+                "POST", "/v1/query/stream", envelope)
             batch = dict(envelope, queries=[envelope.pop("query")])
             batch_status = (await client._request(
                 "POST", "/v1/query/batch", batch))[0]
-            async with client.websocket() as ws:
-                await ws._send(dict(envelope, id=7,
-                                    query=encode_query(simple_query())))
-                frame = await ws._await_frame(7)
             healthy = (await client._request("GET", "/healthz"))[0]
-            return status, json.loads(body)["error"], batch_status, frame, \
-                healthy
+            return (status, json.loads(body)["error"], stream_status,
+                    json.loads(stream_body)["error"], batch_status, healthy)
 
-        status, error, batch_status, frame, healthy = run_served(handler)
+        status, error, stream_status, stream_error, batch_status, healthy = \
+            run_served(handler)
         assert (status, error["type"], batch_status, healthy) == (
             400, "ProtocolError", 400, 200)
         assert repr(field) in error["message"]
-        assert frame["frame"] == "error" and frame["id"] == 7
-        assert (frame["error"]["type"], frame["error"]["status"]) == (
-            "ProtocolError", 400)
-        assert repr(field) in frame["error"]["message"]
+        # The stream route refuses the envelope before its chunked head.
+        assert (stream_status, stream_error["type"]) == (400, "ProtocolError")
+        assert repr(field) in stream_error["message"]
 
     @pytest.mark.parametrize("queries", [{"q": 1}, "x", 3])
     def test_a_batch_whose_queries_are_not_an_array_is_a_400(self, queries):

@@ -405,24 +405,23 @@ def test_chaos_parity_thread_scatter(spec_index):
             retry_policy=RetryPolicy(max_attempts=14, base_delay=0.0002,
                                      cap_delay=0.001, budget=None,
                                      jitter_seed=count))
-        with engine:
-            for query, (tids, scores) in zip(queries, oracle):
-                gathered = engine.execute(query)
-                assert gathered.tids == tids, (count, injector.fired)
-                assert gathered.scores == scores, count
-                assert "degraded" not in gathered.extra, count
-            # Replay the batch path under fresh chaos: fused-group legs
-            # retry and recover just like solo legs.
-            engine.fault_injector = FaultInjector(
-                seed=4300 + 10 * spec_index + count,
-                rates={"worker.crash.pre": 0.35, "worker.crash.post": 0.2},
-                max_faults=12)
-            manager.invalidate_caches()
-            fused = engine.execute_many(queries)
-            for result, (tids, scores) in zip(fused, oracle):
-                assert result.tids == tids, count
-                assert result.scores == scores, count
-            # A vacuous chaos run proves nothing: the injectors must
-            # actually have planted faults for the parity to mean much.
-            assert injector.total_fired > 0, (count, injector.fired)
-            assert engine.fault_injector.total_fired > 0, count
+        for query, (tids, scores) in zip(queries, oracle):
+            gathered = engine.execute(query)
+            assert gathered.tids == tids, (count, injector.fired)
+            assert gathered.scores == scores, count
+            assert "degraded" not in gathered.extra, count
+        # Replay the batch path under fresh chaos: fused-group legs
+        # retry and recover just like solo legs.
+        engine.fault_injector = FaultInjector(
+            seed=4300 + 10 * spec_index + count,
+            rates={"worker.crash.pre": 0.35, "worker.crash.post": 0.2},
+            max_faults=12)
+        manager.invalidate_caches()
+        fused = engine.execute_many(queries)
+        for result, (tids, scores) in zip(fused, oracle):
+            assert result.tids == tids, count
+            assert result.scores == scores, count
+        # A vacuous chaos run proves nothing: the injectors must
+        # actually have planted faults for the parity to mean much.
+        assert injector.total_fired > 0, (count, injector.fired)
+        assert engine.fault_injector.total_fired > 0, count

@@ -155,29 +155,26 @@ def test_a_shard_profile_folded_in_place_drops_the_decisions():
     relation = generate_relation(SyntheticSpec(
         num_tuples=1200, num_selection_dims=3, num_ranking_dims=2,
         cardinality=8, seed=112))
-    manager, engine = make_sharded_engine(
+    manager, _ = make_sharded_engine(
         relation, 2, block_size=100, with_signature=False, with_skyline=False)
     queries = [q for q in corpus(relation) if isinstance(q, TopKQuery)]
-    try:
-        executors = [manager.executor_for(shard) for shard in manager.shards]
-        for executor in executors:
-            for query in queries:
-                executor.plan(query)
-        rng = np.random.default_rng(3)
-        for _ in range(6):
-            row = {dim: int(rng.integers(0, 8))
-                   for dim in relation.selection_dims}
-            row.update({dim: float(rng.random())
-                        for dim in relation.ranking_dims})
-            manager.insert(row)
-            for shard, executor in zip(manager.shards, executors):
-                assert manager.executor_for(shard) is executor
-                assert executor.statistics.of(shard.relation) is shard.stats
-                assert_plans_like_a_fresh_planner(executor, queries)
-                inputs = executor.plan(queries[0]).details["cost_inputs"]
-                assert f"num_tuples={shard.relation.num_tuples} " in inputs
-    finally:
-        engine.close()
+    executors = [manager.executor_for(shard) for shard in manager.shards]
+    for executor in executors:
+        for query in queries:
+            executor.plan(query)
+    rng = np.random.default_rng(3)
+    for _ in range(6):
+        row = {dim: int(rng.integers(0, 8))
+               for dim in relation.selection_dims}
+        row.update({dim: float(rng.random())
+                    for dim in relation.ranking_dims})
+        manager.insert(row)
+        for shard, executor in zip(manager.shards, executors):
+            assert manager.executor_for(shard) is executor
+            assert executor.statistics.of(shard.relation) is shard.stats
+            assert_plans_like_a_fresh_planner(executor, queries)
+            inputs = executor.plan(queries[0]).details["cost_inputs"]
+            assert f"num_tuples={shard.relation.num_tuples} " in inputs
 
 
 def test_a_registry_change_drops_the_decisions():

@@ -215,9 +215,9 @@ class RecordingLegs(InProcessLegs):
         super().__init__(manager)
         self.threads = set()
 
-    def run(self, shard, queries, leg_span, deadline):
+    def run(self, shard, queries, leg_span):
         self.threads.add(threading.current_thread().name)
-        return super().run(shard, queries, leg_span, deadline)
+        return super().run(shard, queries, leg_span)
 
 
 class TestServingParity:

@@ -589,12 +589,12 @@ class TestBatchAndCache:
                                            function=shared)
         queries += [TopKQuery(Predicate.of(), sum_function(["N1", "N2"]), 8),
                     SkylineQuery(Predicate.of(A2=1), ("N1", "N2"))]
-        with build_engine(relation, "hash", num_shards) as engine:
-            for query in queries[:2]:
-                engine.execute(query)
-            engine.execute_many(queries + queries[:3])
-            engine.manager.invalidate_caches()  # the next batch runs legs
-            engine.execute_many(queries)
+        engine = build_engine(relation, "hash", num_shards)
+        for query in queries[:2]:
+            engine.execute(query)
+        engine.execute_many(queries + queries[:3])
+        engine.manager.invalidate_caches()  # the next batch runs legs
+        engine.execute_many(queries)
         built = engine.manager.built_executors()
         assert len(built) == num_shards
         for stats in [executor.metrics_snapshot()
