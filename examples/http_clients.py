@@ -26,7 +26,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.engine import Executor
+from repro.engine import CostModel, Executor
 from repro.functions import LinearFunction
 from repro.net import (
     AsyncQueryClient,
@@ -44,8 +44,11 @@ def build_engine():
     relation = generate_relation(SyntheticSpec(
         num_tuples=8000, num_selection_dims=3, num_ranking_dims=2,
         cardinality=8, seed=13))
+    # The paper's cost constants keep the grid, which streams, chosen for
+    # the streamed top-k (the time-fitted defaults send it to a scan).
     return Executor.for_relation(relation, block_size=200,
-                                 with_signature=False, with_skyline=False)
+                                 with_signature=False, with_skyline=False,
+                                 cost_model=CostModel(**CostModel.PAPER))
 
 
 async def interactive_session(client: AsyncQueryClient) -> None:

@@ -14,12 +14,11 @@ eviction releases the references along with the bound.
 
 :class:`ResultCache` sits one level up: it memoizes entire query results
 under a canonical *query key* (:func:`query_cache_key`) so a repeated query
-skips planning and execution altogether.  Answers are held packed (tids as
-little-endian int64 bytes, a top-k's scores as the wire's little-endian
-doubles): 16 B per ranked tuple.  Because cached answers go stale
-when the data changes, anything that mutates the underlying relation (the
-shard manager's ``insert``/``reshard``, for example) must call
-:meth:`ResultCache.invalidate`.
+skips planning and execution — once the key comes back, as the ranking
+cube materializes only what recurring query shapes reuse.  Answers are
+held packed (tids as little-endian int64 bytes, a top-k's scores as the
+wire's doubles): 16 B per ranked tuple.  Anything that mutates the
+underlying relation must call :meth:`ResultCache.invalidate`.
 """
 
 from __future__ import annotations
@@ -31,18 +30,14 @@ import threading
 from collections import OrderedDict
 from typing import Mapping, Optional, Tuple
 
+MAX_BOUNDS = 262144  # bounds a LowerBoundCache holds
+MAX_RESULTS = 4096  # answers a ResultCache holds, and key hashes it recalls
+
 
 class LowerBoundCache:
-    """LRU cache of block lower bounds, shared across queries.
+    """LRU cache of block lower bounds, shared across queries."""
 
-    Parameters
-    ----------
-    max_entries:
-        Maximum number of cached bounds; ``<= 0`` means unbounded.
-    """
-
-    def __init__(self, max_entries: int = 262144) -> None:
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         # key -> (bound, grid, function): the pinned objects live and die
         # with their entry.
         self._bounds: "OrderedDict[Tuple[int, int, int], Tuple[float, object, object]]" \
@@ -69,9 +64,8 @@ class LowerBoundCache:
         bound = float(function.lower_bound(grid.block_box(bid)))
         with self._lock:
             self._bounds[key] = (bound, grid, function)
-            if self.max_entries > 0:
-                while len(self._bounds) > self.max_entries:
-                    self._bounds.popitem(last=False)
+            while len(self._bounds) > MAX_BOUNDS:
+                self._bounds.popitem(last=False)
         return bound
 
     def clear(self) -> None:
@@ -191,7 +185,7 @@ def partition_batch(queries, cache: Optional["ResultCache"]):
     * ``unit_index`` — key → position in ``units``;
     * ``followers`` — batch repeats of an already-listed unit, to resolve
       against the cache after the units ran (re-executing only under a
-      cache that refuses to retain results).
+      cache that refuses to retain results), announced to the cache.
     """
     results = [None] * len(queries)
     units = []
@@ -205,6 +199,7 @@ def partition_batch(queries, cache: Optional["ResultCache"]):
                 results[i] = hit
                 continue
             if key in unit_index:
+                cache.expect(key)  # the unit's answer serves this repeat
                 followers.append((i, query, key))
                 continue
             unit_index[key] = len(units)
@@ -252,15 +247,14 @@ def _unpacked(entry, **tags):
 class ResultCache:
     """LRU cache of whole query results, keyed by :func:`query_cache_key`.
 
-    Parameters
-    ----------
-    max_entries:
-        Maximum number of cached results; ``<= 0`` means unbounded.
-    """
+    A new key's answer is handed back unpacked and only the key's hash is
+    recorded (a collision can only admit early), so a query hits from its
+    third arrival, or its second inside one batch.  Invalidation keeps the
+    record: a dropped key is kept again at its next miss."""
 
-    def __init__(self, max_entries: int = 4096) -> None:
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         self._results: "OrderedDict[Tuple[object, ...], object]" = OrderedDict()
+        self._seen: "OrderedDict[int, None]" = OrderedDict()
         # Shared by concurrent serving-layer batches and the (serialized)
         # write path's invalidation hooks; the lock keeps the LRU dict and
         # its counters coherent across threads.
@@ -281,24 +275,31 @@ class ResultCache:
             return cached
 
     def lookup(self, key: Tuple[object, ...]):
-        """Cache-aware read: an unpacked copy of the hit, or ``None`` on miss.
-
-        Hits come back as fresh results (tids and scores unpacked into new
-        tuples, ``extra`` rebuilt, tagged ``result_cache="hit"``) so
-        callers mutating the returned result can never poison the entry.
-        """
+        """An unpacked copy of the hit (fresh tuples and ``extra``, tagged
+        ``result_cache="hit"``, so no caller can poison the entry), or
+        ``None`` on a miss."""
         cached = self.get(key)
         return None if cached is None else _unpacked(cached, result_cache="hit")
 
-    def store(self, key: Tuple[object, ...], result) -> None:
-        """Cache ``result`` packed, evicting the LRU entry when full, and
-        tag it as a miss."""
-        entry = _packed(result)
+    def expect(self, key: Tuple[object, ...]) -> bool:
+        """Record ``key`` as seen, so its next answer is kept; whether it
+        was seen before."""
+        seen, sighting = self._seen, hash(key)
         with self._lock:
-            self._results[key] = entry
-            self._results.move_to_end(key)
-            if self.max_entries > 0:
-                while len(self._results) > self.max_entries:
+            again = seen.pop(sighting, False) is None
+            seen[sighting] = None  # newest last, the oldest drops first
+            if len(seen) > MAX_RESULTS:
+                seen.popitem(last=False)
+            return again
+
+    def store(self, key: Tuple[object, ...], result) -> None:
+        """Tag ``result`` a miss; keep it packed if ``key`` was seen before."""
+        if self.expect(key):
+            entry = _packed(result)
+            with self._lock:
+                self._results[key] = entry
+                self._results.move_to_end(key)
+                while len(self._results) > MAX_RESULTS:
                     self._results.popitem(last=False)
         result.extra["result_cache"] = "miss"
 
@@ -319,10 +320,9 @@ class ResultCache:
             if row is None:
                 self._results.clear()
                 return
-            survivors = OrderedDict(
+            self._results = OrderedDict(
                 (key, result) for key, result in self._results.items()
                 if self._row_excluded(key, row))
-            self._results = survivors
 
     @staticmethod
     def _row_excluded(key: Tuple[object, ...],

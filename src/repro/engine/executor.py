@@ -130,11 +130,11 @@ class Executor:
         returned result is identical either way.
 
         Results of cacheable queries (top-k and skyline) are memoized in
-        :attr:`result_cache` under their canonical query key; a repeat of
-        the same logical query — same predicate, same function by value,
-        same ``k`` — returns the cached answer without planning or
-        execution (``extra["result_cache"]`` says which happened).  Cached
-        results keep the statistics of the run that produced them.
+        :attr:`result_cache` under their canonical query key; from its third
+        arrival the same logical query (same predicate, function by value
+        and ``k``) returns the cached answer without planning or execution
+        (``extra["result_cache"]`` says which happened), with the
+        statistics of the run that produced it.
 
         ``parent_span`` threads an enabled trace through (the span tree
         gains ``engine.execute`` → ``engine.plan`` / ``engine.run``

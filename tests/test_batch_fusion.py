@@ -361,6 +361,7 @@ class TestPredicateAwareInvalidation:
         from repro.query import QueryResult
 
         for key in self.entry_keys().values():
+            cache.store(key, QueryResult(tids=(), scores=()))  # recorded
             cache.store(key, QueryResult(tids=(), scores=()))
 
     def test_row_aware_drop_keeps_provably_unaffected_entries(self):
@@ -397,6 +398,7 @@ class TestPredicateAwareInvalidation:
         hot = TopKQuery(Predicate.of(A1=4), function, 5)
         cold = TopKQuery(Predicate.of(A1=1), function, 5)
         broad = TopKQuery(Predicate.of(), function, 5)
+        engine.execute_many([hot, cold, broad])  # first arrivals: recorded
         engine.execute_many([hot, cold, broad])
         hits_before = engine.metrics_snapshot()["shard.result_hits"]
 
@@ -425,6 +427,7 @@ class TestPredicateAwareInvalidation:
         queries = [TopKQuery(Predicate.of(A1=value),
                              sum_function(["N1", "N2"]), 4)
                    for value in range(3)]
+        engine.execute_many(queries)  # the first arrivals are only recorded
         engine.execute_many(queries)
         assert engine.metrics_snapshot()["shard.result_entries"] == 3.0
         manager.reshard(HashShardingPolicy(2))

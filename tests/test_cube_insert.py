@@ -317,6 +317,7 @@ def test_insert_keeps_the_bound_cache_warm_and_drops_only_affected_results():
         Predicate.of(A1=0),
         ExpressionFunction(Var("N1") + 2.0 * Var("N2"),
                            shape=FunctionShape.MONOTONE), 5)
+    executor.execute(hit), executor.execute(spared)  # first arrivals: recorded
     executor.execute(hit), executor.execute(spared)
     assert executor.execute(unbatched).extra["backend"] == "ranking-cube"
     bounds = len(executor.bound_cache)

@@ -15,6 +15,7 @@ from repro.engine import (
     RankingCubeBackend,
     TableScanBackend,
     kind_of,
+    query_cache_key,
 )
 from repro.errors import PlanningError
 from repro.functions import LinearFunction, SquaredDistanceFunction
@@ -263,10 +264,12 @@ class TestBoundCacheAndBatch:
             assert alone.tids == batched.tids
             assert alone.scores == batched.scores
 
-    def test_cache_counts_and_clear(self):
+    def test_cache_counts_and_clear(self, monkeypatch):
+        from repro.engine import cache as cache_module
         from repro.partition.grid import GridPartition  # noqa: F401 (doc import)
 
-        cache = LowerBoundCache(max_entries=2)
+        monkeypatch.setattr(cache_module, "MAX_BOUNDS", 2)
+        cache = LowerBoundCache()
 
         class FakeGrid:
             def block_box(self, bid):
@@ -330,6 +333,7 @@ class TestBoundCacheAndBatch:
                                          with_skyline=False)
         query = TopKQuery(Predicate.of(A1=1),
                           LinearFunction(["N1", "N2"], [1.0, 1.0]), 4)
+        executor.execute(query)  # the first arrival is only recorded
         warm = executor.execute(query)  # fills the result cache
         plan_calls = []
         inner_plan = executor.planner.plan
@@ -387,6 +391,8 @@ class TestResultCache:
         executor = Executor.for_relation(relation, block_size=200)
         query = TopKQuery(Predicate.of(A1=1),
                           LinearFunction(["N1", "N2"], [1.0, 2.0]), 5)
+        # A key seen before is kept at its next miss.
+        executor.result_cache.expect(query_cache_key(query))
         first = executor.execute(query)
         assert first.extra["result_cache"] == "miss"
         # A logically identical query (new objects) is served from cache.
@@ -403,6 +409,7 @@ class TestResultCache:
     def test_cached_result_copies_do_not_alias(self, relation):
         executor = Executor.for_relation(relation, block_size=200)
         query = SkylineQuery(Predicate.of(A1=1), ("N1", "N2"))
+        executor.execute(query)  # the first arrival is only recorded
         first = executor.execute(query)
         first.extra["poison"] = True
         second = executor.execute(query)
@@ -413,6 +420,7 @@ class TestResultCache:
         executor = Executor.for_relation(relation, block_size=200)
         query = TopKQuery(Predicate.of(A2=1),
                           LinearFunction(["N1"], [1.0]), 3)
+        executor.execute(query)  # the first arrival is only recorded
         executor.execute(query)
         assert executor.metrics_snapshot()["engine.result_entries"] == 1.0
         executor.invalidate_results()

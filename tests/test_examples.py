@@ -23,3 +23,7 @@ def test_the_example_runs_to_exit_code_zero(script):
         [sys.executable, os.path.join(EXAMPLES_DIR, script)],
         capture_output=True, text=True, timeout=60)
     assert completed.returncode == 0, completed.stderr
+    if script == "http_clients.py":  # the grid streams proven prefixes
+        assert "[stream] ranks " in completed.stdout
+        assert "(0 of" not in completed.stdout
+

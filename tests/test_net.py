@@ -579,6 +579,8 @@ def test_a_result_cache_hit_over_the_wire_decodes_as_the_miss():
             async with QueryServer(service, NetConfig()) as server:
                 async with AsyncQueryClient("127.0.0.1",
                                             server.port) as client:
+                    for q in queries:  # the first arrivals are only recorded
+                        await client.query(q)
                     misses = [await client.query(q) for q in queries]
                     hits = [await client.query(q) for q in queries]
                 return misses, hits
@@ -1102,6 +1104,7 @@ class TestOpsEndpoints:
 
         async def handler(service, server, client):
             await client.query_many(queries)  # one fused group
+            await client.query(queries[0])  # a second miss keeps the answer
             await client.query(queries[0])  # a front-door result-cache hit
             stats = await client.stats()
             scraped = dict(line.rsplit(" ", 1) for line

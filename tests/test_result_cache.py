@@ -8,12 +8,18 @@ answers, skylines and tids beyond 32 bits included — that the entry
 cannot be reached through a result handed out, that row-aware
 invalidation drops exactly the entries the inserted row may affect, and
 that ``<layer>.result_bytes`` counts 8 B per packed number.
+
+The cache keeps an answer only once its key comes back (the first store
+under a key only records its hash), so the tests that read an entry
+store it twice; ``TestAdmission`` pins that rule at both front doors.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -73,6 +79,7 @@ class TestHitIsTheMiss:
                            disk_accesses=3, tuples_evaluated=7,
                            extra={"backend": "ranking-cube"})
         key = topk_key(max(len(pairs), 1))
+        cache.store(key, miss)  # the key's first miss is only recorded
         cache.store(key, miss)
         hit = cache.lookup(key)
         assert type(hit) is QueryResult
@@ -87,6 +94,7 @@ class TestHitIsTheMiss:
     def test_a_skyline_hit_is_the_miss(self, skyline):
         cache = ResultCache()
         miss = SkylineResult(tids=skyline, nodes_expanded=4)
+        cache.store(skyline_key(), miss)  # first miss: recorded only
         cache.store(skyline_key(), miss)
         hit = cache.lookup(skyline_key())
         assert type(hit) is SkylineResult
@@ -99,6 +107,7 @@ class TestHitIsTheMiss:
         scores = SPECIAL + (5e-324, -1.7976931348623157e308)
         miss = QueryResult(tids=tuple(range(2**31, 2**31 + len(scores))),
                            scores=scores)
+        cache.store(topk_key(len(scores)), miss)  # first miss: recorded only
         cache.store(topk_key(len(scores)), miss)
         hit = cache.lookup(topk_key(len(scores)))
         assert score_bits(hit.scores) == score_bits(scores)
@@ -115,6 +124,7 @@ class TestHitIsTheMiss:
             SkylineQuery(Predicate.of(A2=1), ("N1", "N2")),
         ]
         for query in queries:
+            engine.execute(query)  # the first arrival is only recorded
             miss = engine.execute(query)
             hit = engine.execute(query)
             assert (miss.extra["result_cache"], hit.extra["result_cache"]) \
@@ -133,6 +143,7 @@ class TestEntriesArePacked:
                    for value in range(5)]
         queries += [SkylineQuery(Predicate.of(A3=value), ("N1", "N2"))
                     for value in range(3)]
+        engine.execute_many(queries)  # the first arrivals are only recorded
         engine.execute_many(queries)
         assert len(engine.result_cache) == len(queries)
         for query in queries:
@@ -147,6 +158,7 @@ class TestEntriesArePacked:
         key = topk_key(3)
         miss = QueryResult(tids=(4, 2, 9), scores=(-0.0, 1.5, math.inf),
                            extra={"backend": "table-scan"})
+        cache.store(key, miss)  # the key's first miss is only recorded
         cache.store(key, miss)
         entry = cache.get(key)
         packed = (entry.tids, entry.scores, dict(entry.extra))
@@ -185,6 +197,7 @@ class TestRowAwareInvalidation:
             key = query_cache_key(query)
             result = (QueryResult(tids=tuple(range(k)), scores=(0.5,) * k)
                       if is_topk else SkylineResult(tids=(k,)))
+            cache.store(key, result)  # first miss: recorded only
             cache.store(key, result)
             keys.append((key, conditions))
         entries = {key: cache.get(key) for key, _ in keys}
@@ -211,10 +224,13 @@ class TestResultBytes:
     def test_the_gauge_counts_eight_bytes_per_packed_number(self):
         cache = ResultCache()
         assert published(cache) == 0.0
-        cache.store(topk_key(500), QueryResult(
-            tids=tuple(range(500)), scores=tuple(float(i) for i in range(500))))
+        for _ in range(2):  # the key's first miss is only recorded
+            cache.store(topk_key(500), QueryResult(
+                tids=tuple(range(500)),
+                scores=tuple(float(i) for i in range(500))))
         assert published(cache) == 8000.0
-        cache.store(skyline_key(), SkylineResult(tids=tuple(range(37))))
+        for _ in range(2):
+            cache.store(skyline_key(), SkylineResult(tids=tuple(range(37))))
         assert published(cache) == 8000.0 + 8 * 37
         # Storing under a held key replaces the entry, it does not add one.
         cache.store(skyline_key(), SkylineResult(tids=(1, 2)))
@@ -228,11 +244,13 @@ class TestResultBytes:
         engine = Executor.for_relation(relation, block_size=100,
                                        with_signature=False,
                                        with_skyline=False)
+        engine.execute(query)  # the first arrival is only recorded
         engine.execute(query)
         assert engine.metrics_snapshot()["engine.result_bytes"] == 160.0
         manager, sharded = make_sharded_engine(
             relation, 2, block_size=100, with_signature=False,
             with_skyline=False)
+        sharded.execute(query)  # the first arrival is only recorded
         sharded.execute(query)
         snapshot = sharded.metrics_snapshot()
         assert snapshot["shard.result_bytes"] == 160.0
@@ -240,3 +258,140 @@ class TestResultBytes:
         assert snapshot["engine.result_bytes"] == 0.0
         manager.reshard(manager.policy)
         assert sharded.metrics_snapshot()["shard.result_bytes"] == 0.0
+
+
+# ----------------------------------------------------------------------
+# admission: an answer is kept only once its key comes back
+# ----------------------------------------------------------------------
+@pytest.fixture(params=["engine", "shard"])
+def front_door(request, relation):
+    """``(front door, its metrics layer)``: an unsharded stack, or two
+    shards behind a scatter front door."""
+    if request.param == "engine":
+        return Executor.for_relation(relation, block_size=100,
+                                     with_signature=False,
+                                     with_skyline=False), "engine"
+    _, sharded = make_sharded_engine(relation, 2, block_size=100,
+                                     with_signature=False,
+                                     with_skyline=False)
+    return sharded, "shard"
+
+
+def distinct_queries(count: int):
+    return [TopKQuery(Predicate.of(A1=i % 5),
+                      LinearFunction(["N1", "N2"], [1.0, 1.0 + i]), 5)
+            for i in range(count)]
+
+
+def gauges(front, layer: str):
+    snapshot = front.metrics_snapshot()
+    return {name: snapshot[f"{layer}.result_{name}"]
+            for name in ("entries", "bytes", "hits", "misses")}
+
+
+class TestAdmission:
+    def test_one_off_queries_hold_nothing(self, front_door):
+        front, layer = front_door
+        queries = distinct_queries(20)
+        for query in queries[:10]:
+            assert front.execute(query).extra["result_cache"] == "miss"
+        front.execute_many(queries[10:])
+        assert gauges(front, layer) == {
+            "entries": 0.0, "bytes": 0.0, "hits": 0.0, "misses": 20.0}
+
+    def test_the_second_miss_is_kept_and_the_third_arrival_hits(
+            self, front_door):
+        front, layer = front_door
+        query = distinct_queries(1)[0]
+        first = front.execute(query)
+        assert gauges(front, layer)["entries"] == 0.0
+        second = front.execute(query)
+        assert second.extra["result_cache"] == "miss"
+        assert gauges(front, layer)["entries"] == 1.0
+        third = front.execute(query)
+        assert third.extra["result_cache"] == "hit"
+        for earlier in (first, second):
+            assert tid_bits(third.tids) == tid_bits(earlier.tids)
+            assert score_bits(third.scores) == score_bits(earlier.scores)
+
+    def test_a_repeat_inside_one_batch_hits_without_re_executing(
+            self, front_door):
+        front, layer = front_door
+        repeated, once = distinct_queries(2)
+        stored = []
+        store = front.result_cache.store
+        front.result_cache.store = lambda key, result: (
+            stored.append(key), store(key, result))
+        results = front.execute_many([repeated, once, repeated])
+        assert len(stored) == 2  # each distinct query ran once
+        assert [r.extra["result_cache"] for r in results] == [
+            "miss", "miss", "hit"]
+        assert tid_bits(results[2].tids) == tid_bits(results[0].tids)
+        assert score_bits(results[2].scores) == score_bits(results[0].scores)
+        assert gauges(front, layer)["entries"] == 1.0  # ``once`` is not kept
+
+    def test_an_invalidated_key_is_kept_again_at_its_next_miss(
+            self, front_door):
+        front, layer = front_door
+        query = distinct_queries(1)[0]
+        front.execute(query), front.execute(query)
+        assert gauges(front, layer)["entries"] == 1.0
+        front.result_cache.invalidate(row={"A1": 0})
+        assert gauges(front, layer)["entries"] == 0.0
+        assert front.execute(query).extra["result_cache"] == "miss"
+        assert gauges(front, layer)["entries"] == 1.0
+        assert front.execute(query).extra["result_cache"] == "hit"
+
+    def test_the_record_of_seen_keys_is_bounded(self, front_door,
+                                                monkeypatch):
+        from repro.engine import cache as cache_module
+
+        monkeypatch.setattr(cache_module, "MAX_RESULTS", 4)
+        front, layer = front_door
+        queries = distinct_queries(10)
+        for query in queries:
+            front.execute(query)
+            assert len(front.result_cache._seen) <= 4
+        # The oldest keys fell out of the record: a repeat is a first
+        # sighting again; the newest are still on it and are kept.
+        front.execute(queries[0])
+        assert gauges(front, layer)["entries"] == 0.0
+        front.execute(queries[-1])
+        assert gauges(front, layer)["entries"] == 1.0
+        assert len(front.result_cache._seen) == 4
+
+    def test_concurrent_stores_and_lookups_keep_both_bounds(self,
+                                                            monkeypatch):
+        from repro.engine import cache as cache_module
+
+        monkeypatch.setattr(cache_module, "MAX_RESULTS", 16)
+        cache = ResultCache()
+        keys = [topk_key(k) for k in range(1, 41)]
+        wrong = []
+
+        def work(seed: int) -> None:
+            for step in range(3000):
+                k = (seed * 7 + step * 13) % 40 + 1
+                if step % 3:
+                    cache.store(keys[k - 1], QueryResult(
+                        tids=tuple(range(k)), scores=(0.5,) * k))
+                else:
+                    hit = cache.lookup(keys[k - 1])
+                    if hit is not None and hit.tids != tuple(range(k)):
+                        wrong.append(k)
+
+        threads = [threading.Thread(target=work, args=(seed,))
+                   for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert len(cache) <= 16 and len(cache._seen) <= 16
+        assert cache.hits + cache.misses == 4 * 1000

@@ -602,7 +602,9 @@ class TestWritePath:
         async def run():
             config = ServiceConfig(max_batch_size=512, max_linger=0.05)
             async with QueryService(engine, config) as service:
-                # Warm the result cache for both predicates.
+                # Warm the result cache for both predicates (their first
+                # arrivals are only recorded).
+                await service.submit_many([hot, cold])
                 await service.submit_many([hot, cold])
                 # Queue the cold query again, then mutate while it lingers.
                 queued = asyncio.ensure_future(service.submit(cold))
@@ -701,6 +703,7 @@ class TestStatsViews:
     def test_merged_scatter_cache_stats(self, relation):
         manager, engine = make_engine(relation, num_shards=3)
         queries = mixed_workload()
+        engine.execute_many(queries)  # the first arrivals are only recorded
         engine.execute_many(queries)
         engine.execute_many(queries)  # repeats: front-door hits
         stats = engine.metrics_snapshot()
@@ -728,6 +731,7 @@ class TestStatsViews:
     def test_service_snapshot_merges_engine_and_service(self, relation):
         _, engine = make_engine(relation)
         queries = mixed_workload()
+        engine.execute_many(queries)  # the first arrivals are only recorded
 
         async def run():
             async with QueryService(engine,
@@ -765,8 +769,9 @@ class TestStatsViews:
         _, engine = make_engine(relation, num_shards=3)
         function = sum_function(["N1", "N2"])
         warm = [TopKQuery(Predicate.of(), function, k) for k in (2, 5, 8)]
-        # Fusion the engine did *before* the service attached...
-        engine.execute_many(warm)
+        # Fusion the engine did *before* the service attached (the batch
+        # repeats ``warm[0]``, so its answer is kept)...
+        engine.execute_many(warm + warm[:1])
         assert engine.metrics_snapshot()["shard.fused_queries"] == 3.0
         other = LinearFunction(["N1", "N2"], [2.0, 1.0])
 

@@ -315,6 +315,7 @@ class TestMutation:
     def test_insert_invalidates_result_caches(self):
         _, manager, engine = self._fresh()
         query = TopKQuery(Predicate.of(A1=1), sum_function(["N1", "N2"]), 3)
+        engine.execute(query)  # the first arrival is only recorded
         engine.execute(query)
         engine.execute(query)
         assert engine.metrics_snapshot()["shard.result_hits"] == 1.0
@@ -571,6 +572,7 @@ class TestBatchAndCache:
         _, engine = make_sharded_engine(relation, 3, range_dim="A1",
                                         block_size=60)
         queries = pruned_predicate_queries(relation, "A1", k=5)
+        engine.execute_many(queries)  # the first arrivals are only recorded
         results = engine.execute_many(queries)
         assert len(results) == len(queries)
         assert all(r.extra["result_cache"] == "miss" for r in results)
@@ -613,6 +615,9 @@ class TestBatchAndCache:
         batch = queries + [TopKQuery(query.predicate,
                                      sum_function(["N1", "N2"]), query.k)
                            for query in queries[:2]]  # value-equal repeats
+        # The first arrivals of the keys the batch does not repeat are only
+        # recorded.
+        engine.execute_many(queries[2:])
         first = engine.execute_many(batch)
         distinct = {query_cache_key(query) for query in batch}
         assert len(distinct) == len(queries)
@@ -634,6 +639,7 @@ class TestBatchAndCache:
                           LinearFunction(["N1", "N2"], [1.0, 2.0]), 5)
         twin = TopKQuery(Predicate.of(A1=1),
                          LinearFunction(["N1", "N2"], [1.0, 2.0]), 5)
+        engine.execute(first)  # the first arrival is only recorded
         engine.execute(first)
         result = engine.execute(twin)
         assert result.extra["result_cache"] == "hit"
