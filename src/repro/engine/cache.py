@@ -17,8 +17,9 @@ under a canonical *query key* (:func:`query_cache_key`) so a repeated query
 skips planning and execution — once the key comes back, as the ranking
 cube materializes only what recurring query shapes reuse.  Answers are
 held packed (tids as little-endian int64 bytes, a top-k's scores as the
-wire's doubles): 16 B per ranked tuple.  Anything that mutates the
-underlying relation must call :meth:`ResultCache.invalidate`.
+wire's doubles): 16 B per ranked tuple.  The front door owning a cache
+drops what a relation's new rows can affect (``Executor.sync``) through
+:meth:`ResultCache.invalidate`.
 """
 
 from __future__ import annotations
@@ -175,22 +176,21 @@ def partition_batch(queries, cache: Optional["ResultCache"]):
     Shared by the engine and scatter/gather ``execute_many`` front doors.
     With no ``cache`` nothing is keyed and every query is a unit of its
     own (a scatter leg's batch, already deduplicated at the front door).
-    Returns ``(results, units, unit_index, followers)``:
+    Returns ``(results, units, repeats)``:
 
     * ``results`` — one slot per query, pre-filled with the cache hits
       (``None`` where execution is still needed);
     * ``units`` — ``(submission index, query, key)`` triples to execute
       exactly once each (``key`` is ``None`` for uncacheable queries,
       which are never deduplicated);
-    * ``unit_index`` — key → position in ``units``;
-    * ``followers`` — batch repeats of an already-listed unit, to resolve
-      against the cache after the units ran (re-executing only under a
-      cache that refuses to retain results), announced to the cache.
+    * ``repeats`` — ``(submission index, unit's submission index)`` pairs:
+      batch repeats of a listed unit, answered from its result by
+      :func:`answer_repeats` once the units ran.
     """
     results = [None] * len(queries)
     units = []
-    unit_index = {}
-    followers = []
+    first = {}  # key -> submission index of its unit
+    repeats = []
     for i, query in enumerate(queries):
         key = query_cache_key(query) if cache is not None else None
         if key is not None:
@@ -198,13 +198,20 @@ def partition_batch(queries, cache: Optional["ResultCache"]):
             if hit is not None:
                 results[i] = hit
                 continue
-            if key in unit_index:
-                cache.expect(key)  # the unit's answer serves this repeat
-                followers.append((i, query, key))
+            if key in first:
+                repeats.append((i, first[key]))
                 continue
-            unit_index[key] = len(units)
+            first[key] = i
         units.append((i, query, key))
-    return results, units, unit_index, followers
+    return results, units, repeats
+
+
+def answer_repeats(results, repeats) -> None:
+    """Fill each batch repeat's slot with a copy of its unit's answer,
+    tagged ``result_cache="hit"`` (a unit that failed leaves it empty)."""
+    for i, unit in repeats:
+        if results[unit] is not None:
+            results[i] = _copied(results[unit], result_cache="hit")
 
 
 def _copied(result, **tags):
@@ -249,15 +256,16 @@ class ResultCache:
 
     A new key's answer is handed back unpacked and only the key's hash is
     recorded (a collision can only admit early), so a query hits from its
-    third arrival, or its second inside one batch.  Invalidation keeps the
-    record: a dropped key is kept again at its next miss."""
+    third arrival; a repeat inside one batch is answered from its first
+    arrival's result and is no sighting.  Invalidation keeps the record:
+    a dropped key is kept again at its next miss."""
 
     def __init__(self) -> None:
         self._results: "OrderedDict[Tuple[object, ...], object]" = OrderedDict()
         self._seen: "OrderedDict[int, None]" = OrderedDict()
-        # Shared by concurrent serving-layer batches and the (serialized)
-        # write path's invalidation hooks; the lock keeps the LRU dict and
-        # its counters coherent across threads.
+        # Read by metrics views on other threads while a batch or the
+        # (serialized) write path's sync changes it; the lock keeps the
+        # LRU dict and its counters coherent across threads.
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
@@ -306,14 +314,14 @@ class ResultCache:
     def invalidate(self, row: Optional[Mapping[str, object]] = None) -> None:
         """Drop the cached results the mutation may have changed.
 
-        ``row=None`` (a reshard, an unknown mutation) drops everything.
-        Given the inserted ``row``, only entries the row can *affect* are
-        dropped: an entry survives exactly when its canonical predicate
-        names a selection value the row provably does not carry — such an
-        answer cannot include the new row.  Predicate-free entries (the
-        empty predicate matches every row) and keys whose predicate cannot
-        be recovered are dropped conservatively, so partial invalidation
-        can narrow the blast radius but never serve a stale answer.
+        ``row=None`` (a reshard, a cold start) drops everything.  Given
+        the selection values of an inserted ``row``, only entries the row
+        can *affect* are dropped: an entry survives exactly when its
+        canonical predicate names a selection value the row provably does
+        not carry — such an answer cannot include the new row.
+        Predicate-free entries (the empty predicate matches every row) are
+        dropped, so partial invalidation narrows the blast radius but
+        never serves a stale answer.
         """
         with self._lock:
             self.invalidations += 1
@@ -327,20 +335,10 @@ class ResultCache:
     @staticmethod
     def _row_excluded(key: Tuple[object, ...],
                       row: Mapping[str, object]) -> bool:
-        """Whether ``key``'s predicate provably excludes the inserted row."""
-        for position, part in enumerate(key):
-            if part in ("topk", "skyline") and position + 1 < len(key):
-                conditions = key[position + 1]
-                break
-        else:
-            return False  # unrecognized key shape: drop conservatively
-        try:
-            for dim, value in conditions:
-                if dim in row and int(row[dim]) != int(value):
-                    return True
-        except (TypeError, ValueError):
-            return False  # malformed conditions: drop conservatively
-        return False
+        """Whether ``key``'s predicate provably excludes the inserted row
+        (:func:`query_cache_key` puts the predicate's conditions second)."""
+        return any(dim in row and int(row[dim]) != int(value)
+                   for dim, value in key[1])
 
     def publish(self, metrics, layer: str) -> None:
         """Set the ``<layer>.result_*`` gauges to what the cache holds;

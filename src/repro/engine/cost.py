@@ -7,9 +7,10 @@ what it was missing:
 * :class:`RelationStatistics` — a per-relation profile (row count, distinct
   selection values and their cardinalities, ranking ``[min, max]`` ranges)
   generalizing the shard layer's ``ShardStatistics`` to any relation;
-* :class:`StatisticsCatalog` — a version-checked cache of profiles, owned
-  by the :class:`~repro.engine.Executor` and invalidated together with its
-  result cache, so a mutated relation is re-profiled before it is re-planned;
+* :class:`StatisticsCatalog` — a cache of profiles owned by the
+  :class:`~repro.engine.Executor`, each kept while its row count is the
+  (append-only) relation's, so a grown relation is re-profiled before it
+  is re-planned;
 * :class:`CostModel` — turns a profile plus a concrete query into one
   estimated cost per candidate backend.
 
@@ -190,27 +191,26 @@ class RelationStatistics:
 
 
 class StatisticsCatalog:
-    """Version-checked cache of :class:`RelationStatistics` per relation.
+    """Cache of :class:`RelationStatistics` per relation.
 
-    Keys on object identity but pins the relation and remembers the
-    ``Relation.version`` it profiled, so a recycled ``id()`` can never
-    alias a live entry and a direct ``Relation.append`` transparently
-    triggers re-profiling on the next lookup.  ``invalidate()`` drops
-    everything — the executor calls it alongside its result cache.
+    Keys on object identity but pins the relation, so a recycled ``id()``
+    can never alias a live entry.  A relation is append-only, so a profile
+    whose ``num_tuples`` is the relation's still describes it; a direct
+    ``Relation.append`` triggers re-profiling on the next lookup.
     """
 
     def __init__(self) -> None:
-        self._entries: Dict[int, Tuple[int, RelationStatistics, Relation]] = {}
+        self._entries: Dict[int, Tuple[RelationStatistics, Relation]] = {}
 
     def of(self, relation: Relation) -> RelationStatistics:
-        """The cached profile of ``relation``, recomputed when it mutated."""
+        """The cached profile of ``relation``, recomputed when it grew."""
         entry = self._entries.get(id(relation))
         if entry is not None:
-            version, stats, pinned = entry
-            if pinned is relation and version == relation.version:
+            stats, pinned = entry
+            if pinned is relation and stats.num_tuples == relation.num_tuples:
                 return stats
         stats = RelationStatistics.of(relation)
-        self._entries[id(relation)] = (relation.version, stats, relation)
+        self._entries[id(relation)] = (stats, relation)
         return stats
 
     def seed(self, relation: Relation, stats: RelationStatistics) -> None:
@@ -219,14 +219,11 @@ class StatisticsCatalog:
         The shard manager seeds each shard executor's catalog with the
         shard's own :class:`~repro.shard.stats.ShardStatistics` (a
         :class:`RelationStatistics`), so the cost planner never re-scans a
-        relation the shard layer already profiled.  The entry is pinned to
-        the relation's current version and expires like any other.
+        relation the shard layer already profiled.  It stays valid while
+        the manager folds each routed row into it (``add_row``) and
+        expires like any other once it falls behind.
         """
-        self._entries[id(relation)] = (relation.version, stats, relation)
-
-    def invalidate(self) -> None:
-        """Drop every cached profile (the data underneath changed)."""
-        self._entries.clear()
+        self._entries[id(relation)] = (stats, relation)
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -14,6 +14,10 @@ cost-fed and cached in :meth:`Executor._run_group` only.  A result's
 ``extra["plan"]`` is the :class:`QueryPlan` itself, rendered only where it
 is read (``str(plan)`` is :meth:`QueryPlan.describe`): a scatter leg's
 result is never rendered.
+
+One freshness rule keeps the result cache honest: :meth:`Executor.sync`
+reads the rows appended to a watched (append-only) relation since its last
+count and drops the cached answers they can affect.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from repro.engine.backends import (
 from repro.engine.cache import (
     LowerBoundCache,
     ResultCache,
+    answer_repeats,
     function_fuse_key,
     partition_batch,
     query_cache_key,
@@ -52,9 +57,8 @@ class Executor:
     selection for the default planner; it is ignored when an explicit
     ``planner`` is injected.  The executor owns a
     :class:`~repro.engine.cost.StatisticsCatalog` of per-relation profiles
-    that the cost-based planner reads; the catalog invalidates together
-    with the result cache, so a mutation can never leave stale statistics
-    behind a fresh answer.
+    that the cost-based planner reads; a profile is kept while its row
+    count is the relation's, so an append re-profiles on the next plan.
     """
 
     #: A call runs on its caller's thread and never waits with the GIL
@@ -75,8 +79,8 @@ class Executor:
                                           mode=planner_mode)
         self.bound_cache = LowerBoundCache()
         self.result_cache = ResultCache()
-        self._watched_relations: List[Relation] = []
-        self._watched_versions: Dict[int, int] = {}
+        #: id -> (watched relation, its row count at the last sync).
+        self._watched: Dict[int, Tuple[Relation, int]] = {}
         #: Where engine.* counters/histograms publish; shareable with the
         #: serving layer so one registry covers the whole stack.
         self.metrics = metrics or MetricsRegistry()
@@ -85,7 +89,6 @@ class Executor:
         self._m_queries = self.metrics.counter("engine.queries")
         self._m_batches = self.metrics.counter("engine.batches")
         self._m_tuples = self.metrics.counter("engine.tuples_evaluated")
-        self._m_plans_reused = self.metrics.counter("engine.plans_reused")
         self._m_fused_groups = self.metrics.counter("engine.fused_groups")
         self._m_fused_queries = self.metrics.counter("engine.fused_queries")
         self._m_latency = self.metrics.histogram("engine.latency_seconds")
@@ -97,9 +100,12 @@ class Executor:
     # registration
     # ------------------------------------------------------------------
     def register(self, backend: Backend, replace: bool = False) -> Backend:
-        """Register a backend and hand it the shared lower-bound cache."""
+        """Register a backend, hand it the shared lower-bound cache and
+        watch the relation it answers over."""
         self.registry.register(backend, replace=replace)
         backend.attach_bound_cache(self.bound_cache)
+        if backend.relation is not None:
+            self.watch_relation(backend.relation)
         return backend
 
     @property
@@ -150,9 +156,7 @@ class Executor:
         started = time.perf_counter()
         self._m_queries.inc()
         try:
-            if self._watched_mutated():
-                self.result_cache.invalidate()
-                self.statistics.invalidate()
+            self.sync()
             key = query_cache_key(query) if use_result_cache else None
             if key is not None:
                 hit = self.result_cache.lookup(key)
@@ -224,9 +228,9 @@ class Executor:
         Results come back in submission order.  Cached queries are served
         from the result cache without planning (a fully cached batch plans
         nothing); batch repeats of one canonical :func:`query_cache_key`
-        execute once and hit the cache afterwards, so each distinct logical
-        query is planned exactly once per batch.  The remaining misses are
-        grouped by ``(chosen backend, canonical ranking-function key)`` and
+        copy the answer of its one execution, tagged ``result_cache="hit"``,
+        so each distinct logical query is planned exactly once per batch.
+        The remaining misses are grouped by ``(chosen backend, canonical ranking-function key)`` and
         each group runs exactly as :meth:`execute` runs its group of one;
         a group of two or more is handed to the backend's
         :meth:`~repro.engine.registry.Backend.execute_batch` — fusion-aware
@@ -235,9 +239,8 @@ class Executor:
         everything else falls back to the per-query loop.  Answers are
         bit-identical to looping :meth:`execute` either way.
 
-        Every batch-executed result records ``fused_group_size``, the
-        batch's ``plans_reused``, and its solo-equivalent
-        ``tuples_evaluated`` in ``extra``; the ``tuples_evaluated`` *field*
+        Every batch-executed result records ``fused_group_size`` and its
+        solo-equivalent ``tuples_evaluated`` in ``extra``; the ``tuples_evaluated`` *field*
         of fused results is the query's attributed share of the shared
         work, so summing a batch never double-counts a tuple the sweep
         scored once.
@@ -262,10 +265,8 @@ class Executor:
         try:
             if span:
                 span.set("batch_size", len(queries))
-            if self._watched_mutated():
-                self.result_cache.invalidate()
-                self.statistics.invalidate()
-            results, units, unit_index, followers = partition_batch(
+            self.sync()
+            results, units, repeats = partition_batch(
                 queries, self.result_cache if use_result_cache else None)
 
             plans = [self._plan_traced(query, span)
@@ -287,22 +288,7 @@ class Executor:
                 for position, result in zip(members, group_results):
                     results[units[position][0]] = result
 
-            batch_plans_reused = 0
-            for i, query, key in followers:
-                hit = self.result_cache.lookup(key)
-                if hit is None:
-                    # A cache that refuses to retain results (or evicted
-                    # the entry already): mirror the looped path — reuse
-                    # the hoisted plan and re-execute.
-                    self._m_plans_reused.inc()
-                    batch_plans_reused += 1
-                    [hit] = self._run_group(
-                        span, [(query, plans[unit_index[key]], key)],
-                        batch=True)
-                results[i] = hit
-
-            for result in results:
-                result.extra["plans_reused"] = float(batch_plans_reused)
+            answer_repeats(results, repeats)
             return results
         finally:
             self._m_latency.observe(time.perf_counter() - started)
@@ -373,14 +359,15 @@ class Executor:
     def statistics_for(self, relation: Relation) -> RelationStatistics:
         """The cached :class:`RelationStatistics` profile of ``relation``.
 
-        Profiles are recomputed when the relation's version changed, so a
-        direct ``Relation.append`` is reflected on the next lookup.
+        Profiles are recomputed when the relation's row count changed, so
+        a direct ``Relation.append`` is reflected on the next lookup.
         """
         return self.statistics.of(relation)
 
     def observed(self) -> List[MetricsRegistry]:
         """This engine's registry, its cache gauges set to what the caches
-        hold now (``engine.bound_*`` and ``engine.result_*``)."""
+        hold now (``engine.bound_*`` and ``engine.result_*``), synced first."""
+        self.sync()
         bound = self.bound_cache
         for name, value in (("entries", len(bound)), ("hits", bound.hits),
                             ("misses", bound.misses)):
@@ -405,30 +392,16 @@ class Executor:
 
         return analyze_with(self, query, "engine.explain_analyze")
 
-    def invalidate_results(self, row: Optional[Mapping[str, object]] = None,
-                           ) -> None:
-        """Drop cached results and statistics; call after the data changed.
-
-        The shard manager invokes this on every ``insert``/``reshard`` so
-        neither a stale answer nor a stale relation profile can be served
-        after a mutation.  When the mutation is a single inserted ``row``,
-        passing it narrows the result-cache drop to the entries the row can
-        affect (see :meth:`ResultCache.invalidate`); statistics are always
-        re-profiled — even a non-matching row changes the relation's count.
-        """
-        self.result_cache.invalidate(row=row)
-        self.statistics.invalidate()
-
     def insert(self, relation: Relation, tid: int,
                row: Mapping[str, object]) -> bool:
-        """Bring the stack up to date with row ``tid`` just appended.
+        """Bring the backends up to date with row ``tid`` just appended.
 
         Every backend over ``relation`` that ``maintains_inserts`` absorbs
         the row; one that does not (or a join's, over several relations)
-        is marked ``stale`` and the planner no longer routes to it.
-        :meth:`note_mutation` then drops only the cached answers the row
-        can affect; the executor, its planner and its bound cache stay.
-        Returns whether no backend is stale (nothing to rebuild).
+        is marked ``stale`` and the planner no longer routes to it.  The
+        caches learn of the row from :meth:`sync`; the executor, its
+        planner and its bound cache stay.  Returns whether no backend is
+        stale (nothing to rebuild).
         """
         for backend in self.registry:
             if backend.maintains_inserts:
@@ -436,56 +409,43 @@ class Executor:
                     backend.insert(tid, row)
             elif backend.relation in (relation, None):
                 backend.stale = True
-        self.note_mutation(relation, row=row)
         return not any(backend.stale for backend in self.registry)
+
+    def sync(self) -> None:
+        """Drop the cached answers the rows appended to a watched relation
+        since the last sync can affect (see :meth:`ResultCache.invalidate`).
+
+        Reads and metrics views sync first; the serving layer syncs right
+        after a write, so the drop lands on the write's time.
+        """
+        for ident, (relation, seen) in self._watched.items():
+            rows = relation.num_tuples
+            if rows != seen:
+                for tid in range(seen, rows):
+                    self.result_cache.invalidate(
+                        row=relation.selection_values(tid))
+                # Counted only once dropped: a metrics view syncing on
+                # another thread may drop twice, never serve a stale entry.
+                self._watched[ident] = (relation, rows)
 
     def note_mutation(self, relation: Relation,
                       row: Optional[Mapping[str, object]] = None) -> None:
-        """Record an out-of-band mutation of ``relation`` right away.
-
-        :meth:`insert` ends with this, and callers that append to a watched
-        relation directly call it instead of letting
-        :meth:`_watched_mutated` discover the version change on the next
-        query: syncing the watched version *first* lets the invalidation
-        stay predicate-aware (``row=...``) — the deferred discovery path
-        can only widen it to a blanket clear.  It only syncs the caches;
-        it is :meth:`insert` that shows the row to the backends.
-        """
-        if id(relation) in self._watched_versions:
-            self._watched_versions[id(relation)] = relation.version
-        self.invalidate_results(row=row)
+        """After a direct append to a watched relation: :meth:`sync` (the
+        relation's new rows say what changed, so the arguments add
+        nothing)."""
+        self.sync()
 
     def watch_relation(self, relation: Relation) -> None:
-        """Auto-invalidate cached results whenever ``relation`` mutates.
+        """Have :meth:`sync` read the rows appended to ``relation``.
 
-        ``for_relation`` wires this up for the relation it builds over, so
-        after a direct ``Relation.append`` (the incremental maintenance
-        path) the next execution re-runs instead of replaying a
-        pre-mutation answer.  Scope of the guarantee: watching keeps the
-        *caches* honest, nothing more.  A row reaches the
-        backends through :meth:`insert`, which the write paths
-        (``ShardManager.insert``, ``QueryService.insert``) call: the grid
-        cube absorbs it in place and the scan backends read the live
-        relation, so the default stack answers over the current rows.
-        Backends with ``maintains_inserts = False`` (``repro.paper``'s
-        signature cube and BBS over its R-tree, ranked joins) answer from
-        the rows they were built over; :meth:`insert` marks them stale (the
-        shard manager then rebuilds that shard's stack), and after a bare
-        ``Relation.append`` nothing does.  Custom stacks should call
-        this for every relation their backends serve.
+        :meth:`register` watches every backend's relation; a ranked join's
+        stack watches each relation it spans.  Watching keeps the *caches*
+        honest, nothing more: a row reaches the backends through
+        :meth:`insert`, which the write paths (``ShardManager.insert``,
+        ``QueryService.insert``) call, and a backend that cannot absorb it
+        is marked stale; after a bare ``Relation.append`` nothing is.
         """
-        if id(relation) not in self._watched_versions:
-            self._watched_relations.append(relation)
-            self._watched_versions[id(relation)] = relation.version
-
-    def _watched_mutated(self) -> bool:
-        """Whether any watched relation changed since the last check."""
-        changed = False
-        for relation in self._watched_relations:
-            if self._watched_versions[id(relation)] != relation.version:
-                self._watched_versions[id(relation)] = relation.version
-                changed = True
-        return changed
+        self._watched.setdefault(id(relation), (relation, relation.num_tuples))
 
     # ------------------------------------------------------------------
     # convenience constructors
@@ -533,5 +493,4 @@ class Executor:
             from repro.skyline import BooleanFirstSkyline
 
             executor.register(SkylineScanBackend(BooleanFirstSkyline(relation)))
-        executor.watch_relation(relation)
         return executor

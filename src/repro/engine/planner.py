@@ -34,7 +34,7 @@ over a copy of its details.  Kept decisions live as long as what they were
 derived from: the registered backends, their priorities and staleness, the
 cost model object, and the profile of every relation a backend answers
 over — the object the statistics provider hands out, which every
-invalidation replaces, plus its row count, which an in-place fold
+re-profile replaces, plus its row count, which an in-place fold
 (``ShardStatistics.add_row``) raises.  Any difference drops them all; no
 hook exists.  Lists the cost model cannot price (custom adapters, joins)
 and static mode are decided afresh every time.
@@ -69,9 +69,8 @@ class Planner:
         :class:`~repro.engine.cost.CostModel`).
     statistics:
         ``relation -> RelationStatistics`` provider.  The executor injects
-        its own :class:`~repro.engine.cost.StatisticsCatalog` so profiles
-        invalidate together with its result cache; a standalone planner
-        builds a private catalog.
+        its own :class:`~repro.engine.cost.StatisticsCatalog`, so the two
+        share profiles; a standalone planner builds a private catalog.
     mode:
         ``MODE_COST`` (default) or ``MODE_STATIC``.
     """

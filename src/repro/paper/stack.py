@@ -203,7 +203,6 @@ def register_paper_backends(executor: Executor, relation: Relation, *,
     executor.register(SignatureCubeBackend(SignatureTopKExecutor(cube)))
     executor.register(SkylineBackend(SkylineEngine(cube)))
     executor.planner.cost_model = model
-    executor.watch_relation(relation)
     return cube
 
 

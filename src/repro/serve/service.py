@@ -25,8 +25,9 @@
   ``holds_gil``, else on the service's own ``repro-serve`` thread (a
   scatter engine runs its shard legs inside that one call);
 * ``await service.insert(row)`` / ``await service.reshard(policy)`` take
-  the engine slot a batch takes, so the invalidation hooks a mutation
-  fires can never race a sweep that is half way through the old data.
+  the engine slot a batch takes, and the engine syncs its caches in the
+  same call, so the drop can never race a sweep that is half way through
+  the old data.
 
 Every response's ``extra`` carries the serving provenance next to the
 engine's usual fields: ``queue_wait`` (seconds from admission to
@@ -685,13 +686,21 @@ class QueryService:
 
         A writer takes the engine slot, as a batch does: it waits out
         the in-flight call, no batch is drained until it is done, and
-        writers serialize among themselves — so the invalidation hooks
-        the mutation fires can never race a sweep.  Requests still in the
+        writers serialize among themselves.  The engine syncs its caches
+        in the same call, right after the write, so the drop lands on the
+        write's time and never races a sweep.  Requests still in the
         queue execute after it, against the post-mutation data and caches.
         """
         self._require_running()
+        sync = getattr(self.engine, "sync", lambda: None)
+
+        def write():
+            applied = apply()
+            sync()
+            return applied
+
         async with self._engine_slot:
-            return await self._in_executor(apply, inline=inline)
+            return await self._in_executor(write, inline=inline)
 
     def _require_running(self) -> None:
         if self._loop is None:

@@ -10,7 +10,7 @@ entry points:
 * :class:`~repro.shard.manager.ShardManager` — materializes the per-shard
   sub-relations, their :class:`~repro.shard.stats.ShardStatistics`, and
   lazily-built per-shard engine stacks (``Executor.for_relation``), and
-  routes ``insert``/``reshard`` with cache invalidation;
+  routes ``insert``/``reshard``;
 * :class:`~repro.shard.scatter.ScatterGatherExecutor` — the same
   ``execute`` / ``execute_many`` / ``plan`` / ``explain`` surface as
   :class:`repro.engine.Executor`, behind it ONE scatter algorithm (a solo

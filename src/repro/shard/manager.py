@@ -8,20 +8,20 @@ per-shard engine stacks lazily through ``Executor.for_relation`` — a shard
 the planner always prunes never pays index construction.
 
 Mutation goes through the manager: :meth:`insert` routes a new row to its
-owning shard and :meth:`reshard` re-splits under a new policy.  An insert
-is absorbed by the owner's built stack in place (``Executor.insert``: the
-grid cube gains one page entry per structure, its caches stay warm); only
-a stack holding a backend that cannot maintain inserts is dropped and
-rebuilt on its next use, as every stack is on a reshard.  Both fire the
-registered invalidation hooks so every result cache layered on top
-(per-shard and scatter/gather) is cleared before a stale answer can be
-served.
+owning shard and :meth:`reshard` re-splits under a new policy (a new
+:attr:`ShardManager.shards` list).  An insert is absorbed by the owner's
+built stack in place (``Executor.insert``: the grid cube gains one page
+entry per structure, its caches stay warm) and folded into the shard's
+statistics; only a stack holding a backend that cannot maintain inserts is
+dropped and rebuilt on its next use, as every stack is on a reshard.  The
+manager tells no cache: each front door (a shard's stack over its
+sub-relation, a scatter/gather executor over the base relation) finds the
+new rows by their count when it syncs.
 """
 
 from __future__ import annotations
 
 import inspect
-import weakref
 
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional
@@ -72,7 +72,6 @@ class ShardManager:
         self._executor_factory = executor_factory
         self._executor_kwargs = executor_kwargs
         self._executors: Dict[int, Executor] = {}
-        self._invalidation_hooks: List[Callable[[], None]] = []
         self.shards: List[Shard] = []
         self._split()
 
@@ -137,59 +136,6 @@ class ShardManager:
         return dict(self._executors)
 
     # ------------------------------------------------------------------
-    # invalidation plumbing
-    # ------------------------------------------------------------------
-    def add_invalidation_hook(
-            self, hook: Callable[[Optional[Mapping[str, object]]], None],
-            ) -> None:
-        """Register a callback fired whenever managed data changes.
-
-        Hooks receive one argument: the inserted row when the mutation was
-        a single :meth:`insert` (so layered caches can invalidate
-        predicate-aware, dropping only the entries the row can affect), or
-        ``None`` for a blanket change (``reshard``, explicit flush).
-
-        Bound methods are held via :class:`weakref.WeakMethod`, so a
-        discarded caller (e.g. a per-request scatter/gather executor) is
-        dropped automatically instead of leaking through the manager; plain
-        callables are held strongly.
-        """
-        try:
-            self._invalidation_hooks.append(weakref.WeakMethod(hook))
-        except TypeError:
-            self._invalidation_hooks.append(lambda: hook)
-
-    def _invalidate(self, row: Optional[Mapping[str, object]] = None,
-                    absorbed: Optional[int] = None) -> None:
-        for index, executor in self._executors.items():
-            if index != absorbed:
-                # Executor.insert already invalidated the absorbing stack.
-                executor.invalidate_results(row=row)
-            # Invalidation also drops the executor's statistics catalog,
-            # but every shard's ShardStatistics are exact (insert folds
-            # the row into its owner's) — re-seed them rather than
-            # letting the next plan re-scan the shard.
-            catalog = getattr(executor, "statistics", None)
-            if catalog is not None:
-                shard = self.shards[index]
-                catalog.seed(shard.relation, shard.stats)
-        alive = []
-        for ref in self._invalidation_hooks:
-            hook = ref()
-            if hook is not None:
-                hook(row)
-                alive.append(ref)
-        self._invalidation_hooks = alive
-
-    def invalidate_caches(self) -> None:
-        """Flush every result cache in the stack: per-shard and hooked.
-
-        Mutations call this automatically; benchmarks call it explicitly to
-        time real scatter/gather execution instead of memoized answers.
-        """
-        self._invalidate()
-
-    # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
     def insert(self, row: Mapping[str, object]) -> int:
@@ -198,8 +144,7 @@ class ShardManager:
         Returns the new global tid.  The owning shard's built engine stack
         absorbs the row in place; one holding a backend that cannot (see
         :meth:`~repro.engine.Executor.insert`) is dropped untouched and
-        rebuilt on its next leg, so every backend covers the shard again.  Every invalidation hook fires,
-        so no cached result the row can affect survives the insert.
+        rebuilt on its next leg, so every backend covers the shard again.
         """
         global_tid = self.relation.append(row)
         owner = self.policy.shard_for_row(self.relation, row, global_tid)
@@ -213,20 +158,15 @@ class ShardManager:
             shard.stats = ShardStatistics.of(owner, shard.relation)
         else:
             shard.stats.add_row(row)
-        absorbed = None
         executor = self._executors.get(owner)
-        if executor is not None:
-            # A stack that would go stale is dropped before any backend writes.
-            if (all(backend.maintains_inserts for backend in executor.registry)
-                    and executor.insert(shard.relation, local_tid, row)):
-                absorbed = owner
-            else:
-                del self._executors[owner]
-        self._invalidate(row=row, absorbed=absorbed)
+        # A stack that would go stale is dropped before any backend writes.
+        if executor is not None and not (
+                all(backend.maintains_inserts for backend in executor.registry)
+                and executor.insert(shard.relation, local_tid, row)):
+            del self._executors[owner]
         return global_tid
 
     def reshard(self, policy: ShardingPolicy) -> None:
         """Re-split the base relation under ``policy``, dropping all stacks."""
         self.policy = policy
         self._split()
-        self._invalidate()

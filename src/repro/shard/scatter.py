@@ -34,6 +34,10 @@ pruned with their reasons, the legs skipped by the gather bound, the leg
 order, and the backend each consulted shard chose — the whole scatter is
 explainable end-to-end, just like a single-engine plan.
 
+The front door's result cache follows the engine's freshness rule: the
+base relation's new rows drop the answers they can affect, a reshard drops
+everything (:meth:`ScatterGatherExecutor.sync`).
+
 Every leg is tried by ``self.guard`` (:mod:`repro.fault.guard`), and
 ``allow_partial`` degrades a scatter with dead shards into the exact
 answer over the survivors, flagged in ``extra`` and never cached; no
@@ -49,6 +53,7 @@ import numpy as np
 
 from repro.engine.cache import (
     ResultCache,
+    answer_repeats,
     function_fuse_key,
     partition_batch,
     query_cache_key,
@@ -132,7 +137,9 @@ class ScatterGatherExecutor:
         self.legs: LegRunner = legs or InProcessLegs(manager)
         self.cost_model = cost_model or CostModel()
         self.result_cache = ResultCache()
-        self._relation_version = manager.relation.version
+        # What the cache has seen: the shard list and the base row count.
+        self._shards = manager.shards
+        self._rows = manager.relation.num_tuples
         #: ``shard.*`` series of the scatter front door itself; the
         #: per-shard engines keep their own ``engine.*`` registries,
         #: merged on demand (see :meth:`observed`).
@@ -153,7 +160,6 @@ class ScatterGatherExecutor:
         if fault_injector is not None:
             self.fault_injector = fault_injector
         self.allow_partial = bool(allow_partial)
-        manager.add_invalidation_hook(self._on_mutation)
 
     @property
     def fault_injector(self):
@@ -172,47 +178,30 @@ class ScatterGatherExecutor:
         return (type(self.legs) is InProcessLegs
                 and self.guard.policy is None and self.fault_injector is None)
 
-    def _on_mutation(self, row=None) -> None:
-        """Manager-fired invalidation: predicate-aware drop + version sync.
+    def sync(self) -> None:
+        """Drop the cached answers the base relation's new rows can affect,
+        everything after a reshard (a new ``manager.shards`` list).
 
-        A manager-routed ``insert`` hands the row through, so only cached
-        answers the row can affect are dropped (see
-        :meth:`~repro.engine.cache.ResultCache.invalidate`); blanket
-        changes (``reshard``, explicit flushes) pass ``None`` and clear
-        everything.  Recording the base relation's version here keeps
-        :meth:`_check_base_relation` from re-clearing the survivors — that
-        path now only fires for mutations that bypassed the manager.
+        Rows appended to the base relation directly never reach the
+        shards: while the shards do not cover it, every call raises a
+        :class:`~repro.errors.PlanningError` until a reshard.
         """
-        total = sum(s.relation.num_tuples for s in self.manager.shards)
-        if total == self.manager.relation.num_tuples:
-            # Only sync while the shards still cover the base relation; a
-            # desync (an out-of-band append followed by a routed insert)
-            # must keep failing loudly in _check_base_relation.
-            self._relation_version = self.manager.relation.version
-        self.result_cache.invalidate(row=row)
-
-    def _check_base_relation(self) -> None:
-        """Detect base-relation mutation and refuse to serve from stale shards.
-
-        Mutations routed through the manager keep the shard sub-relations in
-        sync; a direct ``Relation.append`` on the base relation does not, so
-        answers computed from the shards would silently miss the new rows.
-        Detect the version change, drop the result cache, and — if the shard
-        row counts no longer add up — fail loudly instead of wrongly.
-        """
-        if self.manager.relation.version == self._relation_version:
+        manager = self.manager
+        rows = manager.relation.num_tuples
+        if manager.shards is self._shards and rows == self._rows:
             return
-        total = sum(s.relation.num_tuples for s in self.manager.shards)
-        if total != self.manager.relation.num_tuples:
-            # Do NOT record the new version: every subsequent call must
-            # re-detect the desync and keep raising until reshard() (or a
-            # manager-routed insert) restores coverage.
+        if sum(s.relation.num_tuples for s in manager.shards) != rows:
             raise PlanningError(
                 "the base relation was mutated outside the ShardManager "
                 "(shard row counts no longer cover it); route inserts "
                 "through ShardManager.insert() or call reshard()")
-        self._relation_version = self.manager.relation.version
-        self.result_cache.invalidate()
+        if manager.shards is not self._shards:
+            self.result_cache.invalidate()
+        else:
+            for tid in range(self._rows, rows):
+                self.result_cache.invalidate(
+                    row=manager.relation.selection_values(tid))
+        self._shards, self._rows = manager.shards, rows
 
     # ------------------------------------------------------------------
     # shard pruning
@@ -267,7 +256,7 @@ class ScatterGatherExecutor:
         their stacks if needed) so the per-shard backend choice is exact,
         not guessed.
         """
-        self._check_base_relation()
+        self.sync()
         consulted, pruned = self._scatter_set(query)
         shard_plans = {
             shard.index: self.legs.plan(shard, query)
@@ -321,7 +310,7 @@ class ScatterGatherExecutor:
         answer.  ``allow_partial`` overrides the executor's default
         partiality for this call (see the class docstring).
         """
-        self._check_base_relation()
+        self.sync()
         span = (parent_span.child("shard.execute")
                 if parent_span is not None
                 else self.tracer.trace("shard.execute"))
@@ -364,9 +353,10 @@ class ScatterGatherExecutor:
         member's solo order, so a member's ``shards_skipped`` / work
         counters may differ from its solo run even though the k-th-score
         skip bound is applied per query and answers stay bit-identical.
-        Members of a group of two or more record ``fused_group_size``,
-        the legs' aggregated ``plans_reused``, and the solo-equivalent
-        ``tuples_evaluated`` in ``extra``.
+        Members of a group of two or more record ``fused_group_size`` and
+        the solo-equivalent ``tuples_evaluated`` in ``extra``.  A batch
+        repeat copies its first arrival's answer (or failure), tagged
+        ``result_cache="hit"``.
 
         Failures are *contained*: a leg failure for one group fails only
         that group's queries — the rest of the batch completes — and the
@@ -377,7 +367,7 @@ class ScatterGatherExecutor:
         queries = list(queries)
         if not queries:
             return []
-        self._check_base_relation()
+        self.sync()
         span = (parent_span.child("shard.execute_many")
                 if parent_span is not None
                 else self.tracer.trace("shard.execute_many"))
@@ -390,7 +380,7 @@ class ScatterGatherExecutor:
             call = self.guard.call(
                 deadline, self.allow_partial if allow_partial is None
                 else bool(allow_partial), self.fault_injector)
-            results, units, _, followers = partition_batch(
+            results, units, repeats = partition_batch(
                 queries, self.result_cache)
             errors: Dict[int, Exception] = {}
 
@@ -414,12 +404,9 @@ class ScatterGatherExecutor:
                 groups.setdefault(fuse_key, []).append(unit)
             for group in groups.values():
                 scatter(group)
-            for i, query, key in followers:
-                hit = self.result_cache.lookup(key)
-                if hit is not None:
-                    results[i] = hit
-                else:
-                    scatter([(i, query, key)])
+            answer_repeats(results, repeats)
+            errors.update((i, errors[unit]) for i, unit in repeats
+                          if unit in errors)
             if errors:
                 raise PartialBatchError(results, errors)
             return results
@@ -592,9 +579,6 @@ class ScatterGatherExecutor:
                 f"backends={result.extra['shard_backends']}]")
             if not solo:
                 result.extra["fused_group_size"] = float(len(group))
-                result.extra["plans_reused"] = sum(
-                    float(res.extra.get("plans_reused", 0.0))
-                    for res in shard_results)
                 result.extra["tuples_evaluated"] = sum(
                     float(res.extra.get("tuples_evaluated",
                                         res.tuples_evaluated))
@@ -713,8 +697,13 @@ class ScatterGatherExecutor:
         stacks' caches) and ``shard.shards_built`` (lazily built stacks
         the statistics always pruned are absent) — then every shard
         engine's the leg runner has observed; merged, their ``engine.*``
-        series sum over the shards.
+        series sum over the shards.  Synced first; a desynced stack still
+        reports (its next query raises).
         """
+        try:
+            self.sync()
+        except PlanningError:
+            pass
         self.result_cache.publish(self.metrics, "shard")
         self.metrics.gauge("shard.shards_built").set(
             len(self.manager.built_executors()))

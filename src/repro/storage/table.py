@@ -13,6 +13,11 @@ whole columns, while the query engines address individual tuples by their
 ``tid`` (0-based row position, matching the thesis).  Equality selections
 read per-value posting lists (ascending tids), the boolean-first
 baseline's tid lists of Sections 3.5.1 and 4.4.1.
+
+A relation is append-only, as the thesis maintains its cubes under inserts
+only (Chapter 4): :meth:`Relation.append` is its one mutation, so a cache
+over it (an engine's result cache, its statistics catalog) learns what is
+new from the row count alone.
 """
 
 from __future__ import annotations
@@ -143,7 +148,6 @@ class Relation:
         self._selection = _frozen_columns(selection_data)
         self._ranking = _frozen_columns(ranking_data)
         self._postings: Dict[int, Dict[int, np.ndarray]] = {}
-        self._version = 0
 
     # ------------------------------------------------------------------
     # constructors
@@ -162,15 +166,6 @@ class Relation:
     def num_tuples(self) -> int:
         """Number of tuples (``T`` in the thesis)."""
         return self._selection.shape[0]
-
-    @property
-    def version(self) -> int:
-        """Mutation counter: bumped by :meth:`append`.
-
-        Caches layered over the relation (the engine's result cache)
-        compare versions to detect that their entries went stale.
-        """
-        return self._version
 
     def __len__(self) -> int:
         return self.num_tuples
@@ -276,7 +271,6 @@ class Relation:
         for column, postings in self._postings.items():
             value = int(selection[0, column])
             postings[value] = _frozen(np.append(postings.get(value, _NO_TIDS), tid))
-        self._version += 1
         return tid
 
     def project(self, selection_dims: Sequence[str],

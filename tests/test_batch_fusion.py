@@ -2,8 +2,7 @@
 
 Covers the three fused layers (grid sweep, signature traversal, scatter
 legs) against their per-query loops, the batch observability fields
-(``fused_group_size``, ``plans_reused``, solo-equivalent
-``tuples_evaluated``), the shared-work accounting (summing a fused batch
+(``fused_group_size``, solo-equivalent ``tuples_evaluated``), the shared-work accounting (summing a fused batch
 never double-counts a tuple scored once), the predicate-aware
 ``ResultCache.invalidate(row=...)`` under write traffic, and the tunable
 ``CostModel(**constants)`` constructor.
@@ -18,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.cube import RankingCube
-from repro.engine import CostModel, Executor, ResultCache
+from repro.engine import CostModel, Executor, ResultCache, query_cache_key
 from repro.functions import Add, ExpressionFunction, Mul, Var
 from repro.functions.distance import SquaredDistanceFunction
 from repro.functions.linear import LinearFunction, sum_function
@@ -74,7 +73,6 @@ class TestEngineBatchFusion:
             assert batched.extra["tuples_evaluated"] == float(
                 alone.tuples_evaluated)
             assert batched.extra["fused_group_size"] == float(len(queries))
-            assert batched.extra["plans_reused"] == 0.0
         stats = fused_engine.metrics_snapshot()
         assert stats["engine.fused_groups"] == 1.0
         assert stats["engine.fused_queries"] == float(len(queries))
@@ -136,7 +134,7 @@ class TestEngineBatchFusion:
         queries = [TopKQuery(Predicate.of(), expr, k) for k in (2, 6)]
         fused = engine.execute_many(queries)
         assert all(r.extra["fused_group_size"] == 2.0 for r in fused)
-        engine.invalidate_results()
+        engine.result_cache.invalidate()
         for query, batched in zip(queries, fused):
             alone = engine.execute(query)
             assert alone.tids == batched.tids
@@ -308,7 +306,6 @@ class TestScatterBatchFusion:
             assert alone.tids == batched.tids
             assert alone.scores == batched.scores
             assert batched.extra["fused_group_size"] == float(len(queries))
-            assert "plans_reused" in batched.extra
             assert "tuples_evaluated" in batched.extra
             # Prune decisions stay per query in the fused scatter.
             assert (batched.extra["shards_consulted"]
@@ -342,20 +339,23 @@ class TestScatterBatchFusion:
         assert results[1].extra["result_cache"] == "hit"
         assert results[2].extra["result_cache"] == "hit"
         assert results[0].tids == results[1].tids == results[2].tids
-        assert engine.metrics_snapshot()["shard.result_hits"] == 2.0
+        # Each repeat is a copy of the first arrival's answer, with its
+        # own ``extra``; the cache was not asked for it.
+        assert results[1].extra is not results[0].extra
+        assert engine.metrics_snapshot()["shard.result_hits"] == 0.0
 
 
 class TestPredicateAwareInvalidation:
     def entry_keys(self):
-        return {
-            "match": (7, "topk", (("A1", 1),), ("LinearFunction",), 5),
-            "other_value": (7, "topk", (("A1", 2),), ("LinearFunction",), 5),
-            "other_dim": (7, "topk", (("A2", 9),), ("LinearFunction",), 5),
-            "empty": (7, "topk", (), ("LinearFunction",), 5),
-            "skyline_match": (7, "skyline", (("A1", 1),), ("N1", "N2"), None),
-            "skyline_other": (7, "skyline", (("A1", 3),), ("N1", "N2"), None),
-            "weird": (7, "something-else"),
-        }
+        function = sum_function(["N1", "N2"])
+        return {name: query_cache_key(query) for name, query in {
+            "match": TopKQuery(Predicate.of(A1=1), function, 5),
+            "other_value": TopKQuery(Predicate.of(A1=2), function, 5),
+            "other_dim": TopKQuery(Predicate.of(A2=9), function, 5),
+            "empty": TopKQuery(Predicate.of(), function, 5),
+            "skyline_match": SkylineQuery(Predicate.of(A1=1), ("N1", "N2")),
+            "skyline_other": SkylineQuery(Predicate.of(A1=3), ("N1", "N2")),
+        }.items()}
 
     def fill(self, cache):
         from repro.query import QueryResult
@@ -373,7 +373,6 @@ class TestPredicateAwareInvalidation:
         assert cache.get(keys["match"]) is None
         assert cache.get(keys["empty"]) is None
         assert cache.get(keys["skyline_match"]) is None
-        assert cache.get(keys["weird"]) is None  # unknown shape: conservative
         # …while provably unaffected entries survive.
         assert cache.get(keys["other_value"]) is not None
         assert cache.get(keys["other_dim"]) is not None

@@ -318,10 +318,12 @@ class TestBoundCacheAndBatch:
         other = TopKQuery(Predicate.of(A1=2),
                           LinearFunction(["N1", "N2"], [1.0, 1.0]), 4)
         results = executor.execute_many([query, other, query, query])
-        # Even with every result re-executed (no result cache), the two
-        # distinct logical queries are planned exactly once each.
+        # With no answer kept by the cache, the two distinct logical
+        # queries are planned exactly once each, and the repeats copy the
+        # first arrival's answer.
         assert len(plan_calls) == 2
-        assert executor.metrics_snapshot()["engine.plans_reused"] == 2.0
+        assert [r.extra["result_cache"] for r in results] == [
+            "miss", "miss", "hit", "hit"]
         assert results[0].tids == results[2].tids == results[3].tids
         assert results[0].scores == results[3].scores
         alone = executor.execute(query)
@@ -343,7 +345,6 @@ class TestBoundCacheAndBatch:
         # Every occurrence hits the result cache; hoisting is lazy, so no
         # plan is ever computed and no reuse is (over)counted.
         assert plan_calls == []
-        assert executor.metrics_snapshot()["engine.plans_reused"] == 0.0
         assert all(r.extra["result_cache"] == "hit" for r in results)
         assert results[0].tids == warm.tids
 
@@ -361,7 +362,6 @@ class TestBoundCacheAndBatch:
         executor.execute_many([query, query])
         # No canonical key means no safe sharing: each occurrence plans.
         assert len(plan_calls) == 2
-        assert executor.metrics_snapshot()["engine.plans_reused"] == 0.0
 
     def test_cached_results_identical_to_uncached(self, relation):
         plain = RankingCube(relation, block_size=200)
@@ -416,14 +416,14 @@ class TestResultCache:
         assert second.extra["result_cache"] == "hit"
         assert "poison" not in second.extra
 
-    def test_invalidate_results_drops_entries(self, relation):
+    def test_invalidate_drops_entries(self, relation):
         executor = Executor.for_relation(relation, block_size=200)
         query = TopKQuery(Predicate.of(A2=1),
                           LinearFunction(["N1"], [1.0]), 3)
         executor.execute(query)  # the first arrival is only recorded
         executor.execute(query)
         assert executor.metrics_snapshot()["engine.result_entries"] == 1.0
-        executor.invalidate_results()
+        executor.result_cache.invalidate()
         assert executor.metrics_snapshot()["engine.result_entries"] == 0.0
         assert executor.execute(query).extra["result_cache"] == "miss"
 
@@ -514,15 +514,6 @@ class TestResultCache:
         # value, so its selectivity is no longer zero.
         assert after.selectivity(Predicate.of(A1=55)) > 0.0
         assert before.selectivity(Predicate.of(A1=55)) == 0.0
-
-    def test_invalidate_results_drops_statistics_catalog(self, relation):
-        executor = Executor.for_relation(relation, block_size=200,
-                                         with_signature=False,
-                                         with_skyline=False)
-        executor.statistics_for(relation)
-        assert len(executor.statistics) == 1
-        executor.invalidate_results()
-        assert len(executor.statistics) == 0
 
     def test_unkeyable_function_is_never_cached(self, relation, executor):
         from repro.engine import query_cache_key

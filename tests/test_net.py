@@ -530,7 +530,7 @@ def test_http_wire_parity_unsharded_and_sharded(spec_index):
             # result reproduces the local result's encoding except for
             # per-request serving metadata.
             volatile = ("queue_wait", "batch_size", "fused_group_size",
-                        "plans_reused", "result_cache")
+                        "result_cache")
             local_env = encode_result(local)
             wire_env = encode_result(wire)
             for env in (local_env, wire_env):

@@ -308,9 +308,9 @@ class TestNullObjects:
         queries = distinct_serving_queries(relation)
 
         def answers():
-            engine.invalidate_results()
+            engine.result_cache.invalidate()
             solo = [engine.execute(query) for query in queries]
-            engine.invalidate_results()
+            engine.result_cache.invalidate()
             return [(result.tids, result.scores)
                     for result in solo + engine.execute_many(queries)]
 
@@ -365,7 +365,7 @@ class TestExplainAnalyzeEngine:
             engine.tracer = NULL_TRACER
 
     def test_cost_feedback_counters(self, engine):
-        engine.invalidate_results()
+        engine.result_cache.invalidate()
         for value in range(4):
             engine.execute(TopKQuery(
                 Predicate.of(A1=value % 4),

@@ -253,12 +253,11 @@ def test_fused_batch_matches_loop_and_oracle(universe, spec_index):
     ]
     oracle = [brute_force_topk(relation, query) for query in batch]
 
-    engine.invalidate_results()
+    engine.result_cache.invalidate()
     fused = engine.execute_many(batch)
     for query, result, (tids, scores) in zip(batch, fused, oracle):
         assert result.tids == tids, engine.explain(query)
         assert result.scores == scores, engine.explain(query)
-        assert "plans_reused" in result.extra
         assert result.extra.get("fused_group_size", 0.0) >= 1.0
     # The two expression-function queries share one function object, so
     # whenever the planner routes them to the same backend they form a
@@ -266,7 +265,7 @@ def test_fused_batch_matches_loop_and_oracle(universe, spec_index):
     # sizes > 1 are pinned deterministically in tests/test_batch_fusion.py.)
 
     for count, scatter in sharded.items():
-        scatter.manager.invalidate_caches()
+        scatter.result_cache.invalidate()
         gathered = scatter.execute_many(batch)
         for query, result, (tids, scores) in zip(batch, gathered, oracle):
             assert result.tids == tids, (count, scatter.explain(query))
@@ -287,12 +286,12 @@ def test_fused_batch_matches_loop_and_oracle(universe, spec_index):
                 result.extra["shards_pruned"])
 
     for count, scatter in sharded.items():
-        scatter.manager.invalidate_caches()
+        scatter.result_cache.invalidate()
         together = scatter.execute_many(mixed)
         for query, member, expected in zip(mixed, together, mixed_oracle):
-            scatter.manager.invalidate_caches()
+            scatter.result_cache.invalidate()
             solo = scatter.execute(query)
-            scatter.manager.invalidate_caches()
+            scatter.result_cache.invalidate()
             (single,) = scatter.execute_many([query])
             assert answer(solo)[:2] == expected, count
             assert answer(member) == answer(solo), count
@@ -316,12 +315,12 @@ def test_traced_execution_keeps_oracle_parity(universe, spec_index):
     oracle = [brute_force_topk(relation, query) for query in batch]
     try:
         engine.tracer = Tracer(ring_size=8)
-        engine.invalidate_results()
+        engine.result_cache.invalidate()
         for query, (tids, scores) in zip(batch, oracle):
             traced = engine.execute(query)
             assert traced.tids == tids, engine.explain(query)
             assert traced.scores == scores, engine.explain(query)
-        engine.invalidate_results()
+        engine.result_cache.invalidate()
         fused = engine.execute_many(batch)
         for query, result, (tids, scores) in zip(batch, fused, oracle):
             assert result.tids == tids, engine.explain(query)
@@ -330,12 +329,12 @@ def test_traced_execution_keeps_oracle_parity(universe, spec_index):
 
         for count, scatter in sharded.items():
             scatter.tracer = Tracer(ring_size=8)
-            scatter.manager.invalidate_caches()
+            scatter.result_cache.invalidate()
             for query, (tids, scores) in zip(batch, oracle):
                 gathered = scatter.execute(query)
                 assert gathered.tids == tids, (count, scatter.explain(query))
                 assert gathered.scores == scores, count
-            scatter.manager.invalidate_caches()
+            scatter.result_cache.invalidate()
             gathered_batch = scatter.execute_many(batch)
             for result, (tids, scores) in zip(gathered_batch, oracle):
                 assert result.tids == tids, count
@@ -416,7 +415,7 @@ def test_chaos_parity_thread_scatter(spec_index):
             seed=4300 + 10 * spec_index + count,
             rates={"worker.crash.pre": 0.35, "worker.crash.post": 0.2},
             max_faults=12)
-        manager.invalidate_caches()
+        engine.result_cache.invalidate()
         fused = engine.execute_many(queries)
         for result, (tids, scores) in zip(fused, oracle):
             assert result.tids == tids, count

@@ -141,7 +141,7 @@ def test_an_insert_replaces_the_profile_and_with_it_every_decision():
                for query in queries)
     # A2=999 was provably absent; now one row carries it.
     assert "selectivity=0 " not in executor.plan(absent).details["cost_inputs"]
-    # A bare append nobody reported: the catalog's version check replaces
+    # A bare append nobody reported: the catalog's row-count check replaces
     # the profile on the next lookup.
     relation.append(dict(row, A2=2))
     assert_plans_like_a_fresh_planner(executor, queries)

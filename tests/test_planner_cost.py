@@ -168,8 +168,7 @@ class TestRelationStatistics:
         assert refreshed.num_tuples == 201
         assert 77 in refreshed.selection_values["A1"]
         assert refreshed.ranking_ranges["N1"][1] == 2.0
-        catalog.invalidate()
-        assert len(catalog) == 0
+        assert catalog.of(rel) is refreshed
 
 
 class TestCostBasedSelection:

@@ -7,7 +7,9 @@ equals the miss bit for bit — NaN payloads, ``-0.0``, ``±inf``, empty
 answers, skylines and tids beyond 32 bits included — that the entry
 cannot be reached through a result handed out, that row-aware
 invalidation drops exactly the entries the inserted row may affect, and
-that ``<layer>.result_bytes`` counts 8 B per packed number.
+that ``<layer>.result_bytes`` counts 8 B per packed number.  ``TestFreshness``
+pins that each front door drops what a relation's new rows can affect when
+it syncs, and nothing else.
 
 The cache keeps an answer only once its key comes back (the first store
 under a key only records its hash), so the tests that read an entry
@@ -16,6 +18,7 @@ store it twice; ``TestAdmission`` pins that rule at both front doors.
 
 from __future__ import annotations
 
+import asyncio
 import math
 import struct
 import sys
@@ -25,9 +28,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import Executor, ResultCache, query_cache_key
+from repro.errors import PlanningError
 from repro.functions import LinearFunction
 from repro.obs import MetricsRegistry
 from repro.query import Predicate, QueryResult, SkylineQuery, TopKQuery
+from repro.serve import QueryService
+from repro.shard import ScatterGatherExecutor
 from repro.skyline.engine import SkylineResult
 from repro.workloads import SyntheticSpec, generate_relation, make_sharded_engine
 
@@ -328,7 +334,8 @@ class TestAdmission:
             "miss", "miss", "hit"]
         assert tid_bits(results[2].tids) == tid_bits(results[0].tids)
         assert score_bits(results[2].scores) == score_bits(results[0].scores)
-        assert gauges(front, layer)["entries"] == 1.0  # ``once`` is not kept
+        # A batch repeat is no sighting: neither first arrival is kept.
+        assert gauges(front, layer)["entries"] == 0.0
 
     def test_an_invalidated_key_is_kept_again_at_its_next_miss(
             self, front_door):
@@ -395,3 +402,110 @@ class TestAdmission:
         assert wrong == []
         assert len(cache) <= 16 and len(cache._seen) <= 16
         assert cache.hits + cache.misses == 4 * 1000
+
+
+# ----------------------------------------------------------------------
+# freshness: each front door reads the new rows off the relation
+# ----------------------------------------------------------------------
+def private_relation(seed: int):
+    """A relation of its own: the tests below append to it."""
+    return generate_relation(SyntheticSpec(
+        num_tuples=600, num_selection_dims=3, num_ranking_dims=2,
+        cardinality=5, seed=seed))
+
+
+def per_value_queries():
+    function = LinearFunction(["N1", "N2"], [1.0, 1.0])
+    return [TopKQuery(Predicate.of(A1=value), function, 3)
+            for value in range(5)]
+
+
+def warmed(front, queries):
+    """``front`` with every query's answer kept (each arrives twice)."""
+    for _ in range(2):
+        front.execute_many(queries)
+    return front
+
+
+BEST_ROW = {"A1": 2, "A2": 0, "A3": 0, "N1": -1.0, "N2": -1.0}
+
+
+class TestFreshness:
+    def test_a_direct_append_drops_only_the_entries_it_can_affect(self):
+        relation = private_relation(91)
+        queries = per_value_queries()
+        engine = warmed(Executor.for_relation(
+            relation, block_size=100, with_signature=False,
+            with_skyline=False), queries)
+        tid = relation.append(BEST_ROW)  # nobody told the engine
+        engine.registry.unregister("ranking-cube")  # the cube predates it
+        results = engine.execute_many(queries)
+        assert [r.extra["result_cache"] for r in results] == [
+            "hit", "hit", "miss", "hit", "hit"]
+        assert results[2].tids[0] == tid
+        assert engine.metrics_snapshot()["engine.result_invalidations"] == 1.0
+
+    def test_a_routed_insert_leaves_the_other_shard_stacks_alone(self):
+        relation = private_relation(92)
+        manager, sharded = make_sharded_engine(
+            relation, 4, block_size=100, with_signature=False,
+            with_skyline=False)
+        warmed(sharded, per_value_queries())
+        assert len(manager.built_executors()) == 4
+        tid = manager.insert(BEST_ROW)
+        (owner,) = [shard.index for shard in manager.shards
+                    if shard.tid_map[-1] == tid]
+        for index, executor in manager.built_executors().items():
+            assert executor.metrics_snapshot()[
+                "engine.result_invalidations"] == float(index == owner)
+
+    def test_two_front_doors_over_one_manager_see_each_others_inserts(self):
+        relation = private_relation(93)
+        manager, first = make_sharded_engine(
+            relation, 3, block_size=100, with_signature=False,
+            with_skyline=False)
+        second = ScatterGatherExecutor(manager)
+        queries = per_value_queries()
+        fronts = [warmed(first, queries), warmed(second, queries)]
+
+        async def insert_through(front, row):
+            async with QueryService(front) as service:
+                return await service.insert(row)
+
+        for writer, reader in (fronts, fronts[::-1]):
+            row = dict(BEST_ROW, N1=BEST_ROW["N1"] - relation.num_tuples)
+            tid = asyncio.run(insert_through(writer, row))
+            # The writer dropped on the write's time; the reader drops
+            # when it syncs, and only the entry the row can enter.
+            assert writer.metrics_snapshot()["shard.result_entries"] == 4.0
+            assert len(reader.result_cache) == 5
+            reader.sync()
+            assert len(reader.result_cache) == 4
+            for front in fronts:
+                results = front.execute_many(queries)
+                assert [r.extra["result_cache"] for r in results] == [
+                    "hit", "hit", "miss", "hit", "hit"]
+                assert results[2].tids[0] == tid
+                warmed(front, queries)
+
+    def test_metric_views_sync_before_they_read(self):
+        relation = private_relation(94)
+        engine = warmed(Executor.for_relation(
+            relation, block_size=100, with_signature=False,
+            with_skyline=False), per_value_queries())
+        relation.append(BEST_ROW)
+        snapshot = engine.metrics_snapshot()
+        assert snapshot["engine.result_entries"] == 4.0
+        assert snapshot["engine.result_invalidations"] == 1.0
+
+        # A desynced scatter still reports (what ``/v1/stats`` serves);
+        # its next query fails loudly.
+        manager, sharded = make_sharded_engine(
+            private_relation(95), 2, block_size=100,
+            with_signature=False, with_skyline=False)
+        warmed(sharded, per_value_queries())
+        manager.relation.append(BEST_ROW)  # past the manager
+        snapshot = QueryService(sharded).metrics_snapshot()
+        assert snapshot["shard.result_entries"] == 5.0
+        with pytest.raises(PlanningError, match="outside the ShardManager"):
+            sharded.execute(per_value_queries()[0])

@@ -716,8 +716,8 @@ class TestStatsViews:
         built = manager.built_executors()
         assert len(built) == 3
         for name in ("engine.bound_hits", "engine.bound_misses",
-                     "engine.bound_entries", "engine.plans_reused",
-                     "engine.fused_queries", "engine.queries"):
+                     "engine.bound_entries", "engine.fused_queries",
+                     "engine.queries"):
             assert stats[name] == sum(executor.metrics_snapshot()[name]
                                       for executor in built.values())
 
@@ -769,9 +769,10 @@ class TestStatsViews:
         _, engine = make_engine(relation, num_shards=3)
         function = sum_function(["N1", "N2"])
         warm = [TopKQuery(Predicate.of(), function, k) for k in (2, 5, 8)]
-        # Fusion the engine did *before* the service attached (the batch
-        # repeats ``warm[0]``, so its answer is kept)...
-        engine.execute_many(warm + warm[:1])
+        # Fusion the engine did *before* the service attached (``warm[0]``
+        # arrived before, so its answer is kept)...
+        engine.execute(warm[0])
+        engine.execute_many(warm)
         assert engine.metrics_snapshot()["shard.fused_queries"] == 3.0
         other = LinearFunction(["N1", "N2"], [2.0, 1.0])
 
