@@ -15,7 +15,7 @@ index is kept.  Pages are immutable once handed out, like cuboid pages (see
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -117,10 +117,6 @@ class BaseBlockTable:
             return (np.empty(0, dtype=np.int64),
                     np.empty((0, len(self.dims)), dtype=np.float64))
         return self.buffer.read(page_id)
-
-    def non_empty_bids(self) -> List[int]:
-        """Base blocks that actually contain tuples."""
-        return sorted(self._block_pages)
 
     def num_blocks(self) -> int:
         """Number of non-empty base blocks."""

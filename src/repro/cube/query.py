@@ -11,7 +11,7 @@ are still examined so the canonical (score, tid) tie-break sees every
 candidate).
 
 One sweep, :meth:`GridTopKExecutor.execute_fused`, serves a group of one or
-more same-function queries; ``execute`` is that sweep over a group of one.
+more same-function queries; a lone query is its group of one.
 The halt test reads the k-th score once per popped block, so each query's
 :class:`TopKAccumulator` holds its best k as one sorted array and merges a
 block's survivors into it with one stable sort.
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import math
 import time
 from typing import List, Optional, Sequence, Set, Tuple
 
@@ -86,9 +87,10 @@ class TopKAccumulator:
         by one.
         """
         keep = scores <= self._kth
-        tids = tids[keep]
-        if len(tids):
-            self._added.append(_pairs(tids, scores[keep]))
+        count = np.count_nonzero(keep)
+        if count:
+            pairs = _pairs(tids, scores)
+            self._added.append(pairs if count == len(pairs) else pairs[keep])
 
     def _merged(self) -> np.ndarray:
         """The kept run, with every offer since the last read merged in."""
@@ -96,11 +98,14 @@ class TopKAccumulator:
             if self._tids:
                 self._added.append(_pairs(self._tids, self._scores))
                 self._tids, self._scores = [], []
-            merged = np.concatenate([self._kept, *self._added])
+            # The first offers are the accumulator's own fresh array.
+            merged = (self._added[0] if not len(self._kept) and len(self._added) == 1
+                      else np.concatenate([self._kept, *self._added]))
             merged.sort(kind="stable")
-            self._kept = merged[:self.k]
-            if len(self._kept) == self.k:
-                self._kth = float(self._kept[-1].real)
+            if len(merged) >= self.k:
+                merged = merged[:self.k]
+                self._kth = merged.item(-1).real
+            self._kept = merged
             self._added = []
             self._ordered = None
         return self._kept
@@ -108,7 +113,8 @@ class TopKAccumulator:
     @property
     def kth_score(self) -> float:
         """Current k-th best score (``+inf`` until k tuples have been seen)."""
-        self._merged()
+        if self._added or self._tids:
+            self._merged()
         return self._kth
 
     def is_full(self) -> bool:
@@ -158,27 +164,21 @@ def _pairs(tids, scores) -> np.ndarray:
 def find_start_block(grid: GridPartition, function: RankingFunction) -> int:
     """Base block containing the function's minimizer over the grid domain.
 
-    Semi-monotone functions report their minimum point directly; for other
-    (convex) functions the minimizing domain corner is used, which is exact
-    for linear functions and a sound starting point in general.
+    Semi-monotone functions report their minimum point directly (a
+    coordinate outside the domain lands in the edge bin its clamp would);
+    for other (convex) functions the first lowest-scoring domain corner of
+    :meth:`~repro.partition.grid.GridPartition.corner_bids` is used, which
+    is exact for linear functions and a sound starting point in general.
     """
-    domain = grid.domain()
     minimum = function.minimum_point()
     if minimum is not None:
-        clamped = {
-            dim: domain.interval(dim).clamp(minimum.get(dim, domain.interval(dim).low))
-            for dim in grid.dims
-        }
-        return grid.bid_of_point(clamped)
-    best_corner, best_score = None, float("inf")
-    for corner in domain.project(function.dims).corners():
-        score = function.evaluate_mapping(corner)
+        return grid.bid_of_point({**dict.fromkeys(grid.dims, -math.inf), **minimum})
+    best_bid, best_score = 0, math.inf
+    for values, bid in grid.corner_bids(function.dims):
+        score = function.evaluate(values)
         if score < best_score:
-            best_corner, best_score = corner, score
-    if best_corner is None:
-        return 0
-    point = {dim: best_corner.get(dim, domain.interval(dim).low) for dim in grid.dims}
-    return grid.bid_of_point(point)
+            best_bid, best_score = bid, score
+    return best_bid
 
 
 def _rows_of(block_tids: np.ndarray, tids: np.ndarray):
@@ -244,11 +244,6 @@ class GridTopKExecutor:
         if self.bound_cache is not None:
             return self.bound_cache.lower_bound(self.grid, function, bid)
         return function.lower_bound(self.grid.block_box(bid))
-
-    def execute(self, provider: CellProvider, function: RankingFunction, k: int,
-                on_progress=None) -> QueryResult:
-        """One query: :meth:`execute_fused` over a group of one."""
-        return self.execute_fused(function, [(provider, k)], [on_progress])[0]
 
     def execute_fused(self, function: RankingFunction,
                       requests: Sequence[Tuple[CellProvider, int]],
@@ -325,6 +320,9 @@ class GridTopKExecutor:
         live = len(states)
         popped = peak_frontier = 0
 
+        heappush, heappop = heapq.heappush, heapq.heappop
+        block_arrays, evaluate = self.block_table.block_arrays, function.evaluate_batch
+        neighbors_of = self.grid.neighbors
         while frontier and live:
             if len(frontier) > peak_frontier:
                 peak_frontier = len(frontier)
@@ -358,22 +356,27 @@ class GridTopKExecutor:
                     needs.append((state, tids))
             if not live:
                 break
-            heapq.heappop(frontier)
+            heappop(frontier)
             popped += 1
 
             if needs:
-                block_tids, block_values = self.block_table.block_arrays(bid)
+                block_tids, block_values = block_arrays(bid)
                 if not whole_grid:
                     block_values = block_values[:, dim_index]
-                if len(needs) == 1:
-                    # Single consumer: score its rows straight into its
-                    # accumulator — no union, no attribution mask.
-                    state, tids = needs[0]
-                    rows, tids = _rows_of(block_tids, tids)
-                    state.topk.offer_many(
-                        tids, function.evaluate_batch(block_values[rows]))
-                    state.tuples += len(tids)
+                state, tids = needs[0]
+                if len(needs) == 1 or all(
+                        taken is block_tids for _, taken in needs):
+                    # One consumer, or every consumer takes the whole page:
+                    # score the rows once straight into the accumulators —
+                    # no union, no attribution mask; the first is charged.
+                    if tids is not block_tids:
+                        rows, tids = _rows_of(block_tids, tids)
+                        block_values = block_values[rows]
+                    scores = evaluate(block_values)
                     state.charged += len(tids)
+                    for state, _ in needs:
+                        state.topk.offer_many(tids, scores)
+                        state.tuples += len(tids)
                 else:
                     # The union of the needed rows is scored once; a
                     # consumer takes its rows' scores and is charged for
@@ -385,7 +388,7 @@ class GridTopKExecutor:
                         wanted[rows] = True
                         takers.append((state, rows, tids))
                     scores = np.empty(len(block_tids), dtype=np.float64)
-                    scores[wanted] = function.evaluate_batch(block_values[wanted])
+                    scores[wanted] = evaluate(block_values[wanted])
                     charged = np.zeros(len(block_tids), dtype=bool)
                     for state, rows, tids in takers:
                         state.topk.offer_many(tids, scores[rows])
@@ -394,11 +397,10 @@ class GridTopKExecutor:
                                           - np.count_nonzero(charged[rows]))
                         charged[rows] = True
 
-            for neighbor in self.grid.neighbors(bid):
-                if neighbor in inserted:
-                    continue
-                inserted.add(neighbor)
-                heapq.heappush(frontier, (bound_of(neighbor), neighbor))
+            for neighbor in neighbors_of(bid):
+                if neighbor not in inserted:
+                    inserted.add(neighbor)
+                    heappush(frontier, (bound_of(neighbor), neighbor))
 
         elapsed = time.perf_counter() - start_time
         disk = sum(p.stats.physical_reads - io_before[key]

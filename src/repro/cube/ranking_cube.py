@@ -140,11 +140,6 @@ class RankingCube:
             return providers[0], chosen
         return IntersectionCellProvider(providers), chosen
 
-    def provider_for(self, predicate: Predicate) -> CellProvider:
-        """Build the cell provider answering ``predicate``."""
-        provider, _ = self.plan_for(predicate)
-        return provider
-
     # ------------------------------------------------------------------
     # query execution
     # ------------------------------------------------------------------

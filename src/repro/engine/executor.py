@@ -43,7 +43,7 @@ from repro.engine.cache import (
     partition_batch,
     query_cache_key,
 )
-from repro.engine.cost import CostModel, RelationStatistics, StatisticsCatalog
+from repro.engine.cost import CostModel, StatisticsCatalog
 from repro.engine.plan import MODE_COST, QueryPlan
 
 from repro.engine.planner import Planner
@@ -86,6 +86,7 @@ class Executor:
         self.metrics = metrics or MetricsRegistry()
         #: Off by default: the null tracer's spans are no-op singletons.
         self.tracer = tracer or NULL_TRACER
+        self.planner.decisions = self.metrics.counter("planner.decisions")
         self._m_queries = self.metrics.counter("engine.queries")
         self._m_batches = self.metrics.counter("engine.batches")
         self._m_tuples = self.metrics.counter("engine.tuples_evaluated")
@@ -355,14 +356,6 @@ class Executor:
             if key is not None:
                 self.result_cache.store(key, result)
         return results
-
-    def statistics_for(self, relation: Relation) -> RelationStatistics:
-        """The cached :class:`RelationStatistics` profile of ``relation``.
-
-        Profiles are recomputed when the relation's row count changed, so
-        a direct ``Relation.append`` is reflected on the next lookup.
-        """
-        return self.statistics.of(relation)
 
     def observed(self) -> List[MetricsRegistry]:
         """This engine's registry, its cache gauges set to what the caches

@@ -55,6 +55,7 @@ from repro.engine.plan import (
     QueryPlan,
 )
 from repro.engine.registry import Backend, EngineRegistry, kind_of
+from repro.obs.metrics import MetricsRegistry
 
 
 class Planner:
@@ -88,6 +89,8 @@ class Planner:
         #: ``(what they were derived from, key -> decision)``, swapped as
         #: one pair: a racing thread stores into the dict it looked up in.
         self._kept: Tuple[list, Dict[tuple, QueryPlan]] = ([], {})
+        #: Plans derived afresh; an executor swaps in its registry's counter.
+        self.decisions = MetricsRegistry().counter("planner.decisions")
 
     def plan(self, query) -> QueryPlan:
         """Choose a backend for ``query`` and explain the choice."""
@@ -95,6 +98,7 @@ class Planner:
         kept, key = self._kept_for(kind, query)
         decision = kept.get(key)
         if decision is None:
+            self.decisions.inc()
             decision = self._decide(kind, query)
             # A list the cost model could not price was decided by code
             # the planner cannot see into: never kept.

@@ -47,12 +47,13 @@ class SquaredDistanceFunction(RankingFunction):
 
     def evaluate_batch(self, values: np.ndarray) -> np.ndarray:
         # Same per-dimension accumulation order as ``evaluate`` for bitwise
-        # identical scores.
+        # identical scores; a unit weight skips its multiply (``1.0 * d``
+        # is ``d`` bit for bit).
         values = np.asarray(values, dtype=np.float64)
         total = np.zeros(values.shape[0], dtype=np.float64)
         for j, (weight, target) in enumerate(zip(self.weights, self.targets)):
             diff = values[:, j] - target
-            total += weight * diff * diff
+            total += (diff if weight == 1.0 else weight * diff) * diff
         return total
 
     def lower_bound(self, box: Box) -> float:
@@ -69,7 +70,7 @@ class SquaredDistanceFunction(RankingFunction):
         total = np.zeros(len(lows), dtype=np.float64)
         for j, (weight, target) in enumerate(zip(self.weights, self.targets)):
             diff = _clamp(target, lows[:, j], highs[:, j]) - target
-            total += weight * diff * diff
+            total += (diff if weight == 1.0 else weight * diff) * diff
         return total
 
     @property

@@ -8,7 +8,7 @@ in the TA sense only when every weight is non-negative.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -44,11 +44,13 @@ class LinearFunction(RankingFunction):
 
     def evaluate_batch(self, values: np.ndarray) -> np.ndarray:
         # Accumulate column by column in the same order as ``evaluate`` so
-        # the per-row rounding (and thus the scores) is bitwise identical.
+        # the per-row rounding (and thus the scores) is bitwise identical;
+        # the constant joins after the first product, as addition commutes.
         values = np.asarray(values, dtype=np.float64)
-        total = np.full(values.shape[0], self.constant, dtype=np.float64)
-        for j, weight in enumerate(self.weights):
-            total += weight * values[:, j]
+        total = self.weights[0] * values[:, 0]
+        total += self.constant
+        for j in range(1, len(self.weights)):
+            total += self.weights[j] * values[:, j]
         return total
 
     def lower_bound(self, box: Box) -> float:

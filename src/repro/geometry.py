@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -261,21 +261,3 @@ class Box:
         )
         return f"Box({parts})"
 
-
-def bounding_box(dims: Sequence[str], points: Iterable[Sequence[float]]) -> Box:
-    """Smallest box (over ``dims``) covering every point in ``points``."""
-    lows: Optional[list] = None
-    highs: Optional[list] = None
-    for point in points:
-        if lows is None:
-            lows = list(point)
-            highs = list(point)
-            continue
-        for i, value in enumerate(point):
-            if value < lows[i]:
-                lows[i] = value
-            if value > highs[i]:
-                highs[i] = value
-    if lows is None or highs is None:
-        raise ValueError("cannot bound an empty point set")
-    return Box.from_bounds(dims, lows, highs)

@@ -21,15 +21,20 @@ one place, so the server and the async client cannot drift apart:
   callers can ``except RequestTimeoutError`` exactly like local ones.
 
 Bit-identical round trips are a hard requirement (the wire-parity suite
-enforces them).  A top-k result's ``"scores"`` — the one field whose size
-grows with ``k`` — travel as the doubles themselves: one base64 string of
-little-endian IEEE-754 doubles, rank order, exact by construction (``±inf``
-and ``NaN`` included, and the envelope stays standard JSON).  To read them::
+enforces them).  A top-k result's ``"scores"`` and ``"tids"`` — the two
+fields whose size grows with ``k`` — travel packed, rank order, each one
+base64 string: the scores as little-endian IEEE-754 doubles, exact by
+construction (``±inf`` and ``NaN`` included, and the envelope stays
+standard JSON), the tids as little-endian unsigned ints, 4 bytes each when
+every tid is below 2**32 and 8 bytes each otherwise.  To read them::
 
     raw = base64.b64decode(result["scores"])
     scores = struct.unpack("<%dd" % (len(raw) // 8), raw)  # or numpy.frombuffer(raw, "<f8")
+    raw = base64.b64decode(result["tids"])
+    width = "I" if len(raw) == 4 * len(scores) else "Q"  # 4 or 8 bytes per score
+    tids = struct.unpack("<%d%s" % (len(scores), width), raw)
 
-``tids`` stay JSON integers.  The few floats written as JSON numbers
+A skyline's ``tids`` stay JSON integers.  The few floats written as JSON numbers
 (weights, targets, a stream's prefix entries) survive too: Python's
 ``json`` emits floats via ``repr``, which round-trips every finite double.
 """
@@ -64,14 +69,13 @@ from repro.query import Predicate, QueryResult, SkylineQuery, TopKQuery
 from repro.serve.batcher import DEFAULT_PRIORITY, PRIORITY_CLASSES
 from repro.serve.errors import (
     RequestTimeoutError,
-    ServeError,
     ServiceClosedError,
     ServiceOverloadedError,
     ShardUnavailableError,
 )
 from repro.skyline.engine import SkylineResult
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 
 def decode_priority(value, default: str = DEFAULT_PRIORITY) -> str:
@@ -184,20 +188,19 @@ class FunctionRegistry:
         return sorted(self._functions)
 
 
+#: The binary expression nodes by their wire name.
+_BINARY = {"add": Add, "sub": Sub, "mul": Mul}
+
+
 def _encode_expr(expr: Expr) -> dict:
     if isinstance(expr, Var):
         return {"op": "var", "name": expr.name}
     if isinstance(expr, Const):
         return {"op": "const", "value": expr.value({})}
-    if isinstance(expr, Add):
-        return {"op": "add", "left": _encode_expr(expr.left),
-                "right": _encode_expr(expr.right)}
-    if isinstance(expr, Sub):
-        return {"op": "sub", "left": _encode_expr(expr.left),
-                "right": _encode_expr(expr.right)}
-    if isinstance(expr, Mul):
-        return {"op": "mul", "left": _encode_expr(expr.left),
-                "right": _encode_expr(expr.right)}
+    for op, node in _BINARY.items():
+        if isinstance(expr, node):
+            return {"op": op, "left": _encode_expr(expr.left),
+                    "right": _encode_expr(expr.right)}
     if isinstance(expr, Pow):
         return {"op": "pow", "base": _encode_expr(expr.base),
                 "exponent": int(expr.exponent)}
@@ -214,9 +217,8 @@ def _decode_expr(obj) -> Expr:
         return Var(str(obj["name"]))
     if op == "const":
         return Const(obj["value"])
-    if op in ("add", "sub", "mul"):
-        node = {"add": Add, "sub": Sub, "mul": Mul}[op]
-        return node(_decode_expr(obj["left"]), _decode_expr(obj["right"]))
+    if op in _BINARY:
+        return _BINARY[op](_decode_expr(obj["left"]), _decode_expr(obj["right"]))
     if op == "pow":
         return Pow(_decode_expr(obj["base"]), int(obj["exponent"]))
     if op == "abs":
@@ -377,25 +379,33 @@ def is_degraded(result) -> bool:
     return bool(result.extra.get("degraded"))
 
 
-def _pack_scores(scores: Sequence[float]) -> str:
-    """Doubles → base64 of their little-endian IEEE-754 bytes."""
-    return base64.b64encode(
-        struct.pack("<%dd" % len(scores), *scores)).decode("ascii")
+def _packed(fmt: str, values: Sequence) -> str:
+    """``values`` packed by ``fmt % len(values)``, as base64 text."""
+    return base64.b64encode(struct.pack(fmt % len(values), *values)).decode("ascii")
 
 
-def _unpack_scores(packed) -> Tuple[float, ...]:
-    """Inverse of :func:`_pack_scores`; anything else is a ``ProtocolError``."""
-    if not isinstance(packed, str):
-        raise ProtocolError(
-            "scores must be one base64 string of little-endian doubles")
+def _unpacked(obj, field: str) -> bytes:
+    """The bytes of base64 ``field``; anything else is a ``ProtocolError``."""
     try:
-        raw = base64.b64decode(packed, validate=True)
-    except ValueError as exc:  # binascii.Error is one
-        raise ProtocolError(f"scores are not valid base64: {exc}") from exc
-    if len(raw) % 8:
+        return base64.b64decode(obj.get(field), validate=True)
+    except (TypeError, ValueError) as exc:  # a non-string; binascii.Error
+        raise ProtocolError(f"{field} must be one base64 string: {exc}") from exc
+
+
+def _decode_topk(obj) -> Tuple[Tuple[int, ...], Tuple[float, ...]]:
+    """A top-k result's ``(tids, scores)``: the scores' count sizes the
+    tids, whose bytes must be exactly 4 or 8 per score."""
+    raw = _unpacked(obj, "scores")
+    count, odd = divmod(len(raw), 8)
+    if odd:
         raise ProtocolError(
             f"scores hold {len(raw)} bytes, not a whole number of doubles")
-    return struct.unpack("<%dd" % (len(raw) // 8), raw)
+    scores = struct.unpack("<%dd" % count, raw)
+    raw = _unpacked(obj, "tids")
+    if len(raw) not in (4 * count, 8 * count):
+        raise ProtocolError(f"result carries {len(raw)} tid bytes for {count} scores")
+    width = "I" if len(raw) == 4 * count else "Q"
+    return struct.unpack("<%d%s" % (count, width), raw), scores
 
 
 def _decode_tids(tids) -> Tuple[int, ...]:
@@ -408,9 +418,12 @@ def _decode_tids(tids) -> Tuple[int, ...]:
 def encode_result(result) -> dict:
     """``QueryResult`` / ``SkylineResult`` → response-envelope object."""
     if isinstance(result, QueryResult):
-        return {"result_kind": "topk",
-                "tids": list(result.tids),
-                "scores": _pack_scores(result.scores),
+        try:
+            tids = _packed("<%dI", result.tids)
+        except struct.error:  # a tid at or above 2**32: 8 bytes each
+            tids = _packed("<%dQ", result.tids)
+        return {"result_kind": "topk", "tids": tids,
+                "scores": _packed("<%dd", result.scores),
                 "disk_accesses": int(result.disk_accesses),
                 "states_generated": int(result.states_generated),
                 "peak_heap_size": int(result.peak_heap_size),
@@ -419,8 +432,8 @@ def encode_result(result) -> dict:
                 "extra": _jsonable(result.extra),
                 "degraded": is_degraded(result)}
     if isinstance(result, SkylineResult):
-        return {"result_kind": "skyline",
-                "tids": list(result.tids),
+        return {"result_kind": "skyline",  # its few tids stay JSON ints
+                "tids": [int(tid) for tid in result.tids],
                 "disk_accesses": int(result.disk_accesses),
                 "signature_accesses": int(result.signature_accesses),
                 "peak_heap_size": int(result.peak_heap_size),
@@ -455,11 +468,7 @@ def decode_result(obj):
         raise ProtocolError("result must be an object with a 'result_kind'")
     kind = obj["result_kind"]
     if kind == "topk":
-        tids = _decode_tids(obj.get("tids"))
-        scores = _unpack_scores(obj.get("scores"))
-        if len(tids) != len(scores):
-            raise ProtocolError(
-                f"result carries {len(tids)} tids but {len(scores)} scores")
+        tids, scores = _decode_topk(obj)
         return QueryResult(tids, scores, *_decode_counts(
             obj, "disk_accesses", "states_generated", "peak_heap_size",
             "tuples_evaluated"))

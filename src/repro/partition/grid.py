@@ -14,13 +14,15 @@ expansion in the query algorithm).
 
 A grid never changes after construction (a cube that outgrows its grid
 builds a new one), so ``domain``, ``neighbors``, the un-projected
-``block_box``, ``block_corners`` and ``pid_of_bid`` are kept after their
-first derivation; nothing can invalidate them, so nothing does.
+``block_box``, ``block_corners``, ``corner_bids`` and ``pid_of_bid`` are
+kept after their first derivation; nothing can invalidate them, so nothing
+does.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,11 +50,14 @@ class GridPartition:
         self._bins_per_dim: Tuple[int, ...] = tuple(
             len(self.boundaries[d]) - 1 for d in self.dims
         )
+        #: The boundaries as float lists: a scalar bin is one ``bisect``.
+        self._edges = {d: bounds.tolist() for d, bounds in self.boundaries.items()}
         # Derived-once geometry.  Plain dict get / set: a sweep on another
         # thread can at worst derive an entry twice.
         self._domain: Optional[Box] = None
         self._boxes: Dict[int, Box] = {}
         self._corners: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._corner_bids: Dict[Tuple[str, ...], tuple] = {}
         self._neighbors: Dict[int, Tuple[int, ...]] = {}
         self._pids: Dict[Tuple[int, int], int] = {}
 
@@ -98,16 +103,14 @@ class GridPartition:
             bid //= count
         return tuple(reversed(coords))
 
-    def bin_of_value(self, dim: str, value: float) -> int:
-        """Bin index of one value along one dimension (clamped to the domain)."""
-        bounds = self.boundaries[dim]
-        idx = int(np.searchsorted(bounds, value, side="right")) - 1
-        return min(max(idx, 0), len(bounds) - 2)
-
     def bid_of_point(self, values: Mapping[str, float]) -> int:
-        """Base block containing a point given as ``{dim: value}``."""
-        coords = tuple(self.bin_of_value(dim, values[dim]) for dim in self.dims)
-        return self.bid_of_coords(coords)
+        """Base block containing a point given as ``{dim: value}``; a value
+        outside the domain falls in its edge bin."""
+        bid = 0
+        for dim, count in zip(self.dims, self._bins_per_dim):
+            bin_ = bisect_right(self._edges[dim], values[dim]) - 1
+            bid = bid * count + min(max(bin_, 0), count - 1)
+        return bid
 
     def assign(self, relation: Relation) -> np.ndarray:
         """Base-block id of every tuple in ``relation`` (vectorized)."""
@@ -158,6 +161,19 @@ class GridPartition:
             lows.flags.writeable = highs.flags.writeable = False
             self._corners = lows, highs
         return self._corners
+
+    def corner_bids(self, dims: Tuple[str, ...]) -> tuple:
+        """``(values along dims, bid)`` of each domain corner over ``dims``
+        in ``Box.corners`` order (other dims at their low end); the value
+        lists are shared: read them, never write into them."""
+        kept = self._corner_bids.get(dims)
+        if kept is None:
+            lows = {dim: edges[0] for dim, edges in self._edges.items()}
+            kept = self._corner_bids[dims] = tuple(
+                ([corner[dim] for dim in dims],
+                 self.bid_of_point({**lows, **corner}))
+                for corner in self.domain().project(dims).corners())
+        return kept
 
     def neighbors(self, bid: int) -> Tuple[int, ...]:
         """Base blocks sharing a face with ``bid`` (±1 along one dimension)."""

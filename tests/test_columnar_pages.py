@@ -421,7 +421,7 @@ def test_providers_hand_out_the_brute_force_tids_ascending(seed):
         for cube, kinds in zip(cubes, expected_kinds):
             seen = set()
             for predicate in predicates:
-                provider = cube.provider_for(predicate)
+                provider, _ = cube.plan_for(predicate)
                 seen.add(type(provider))
                 _assert_provider_is_brute_force(cube, provider, predicate)
             assert seen == kinds
@@ -443,10 +443,10 @@ def test_providers_hand_out_the_brute_force_tids_ascending(seed):
 def test_an_empty_first_fragment_spares_the_second_fragments_pages():
     relation = generate_relation(PROVIDER_SPEC)
     cube = build_ranking_fragments(relation, fragment_size=1, block_size=25)
-    probe = cube.provider_for(Predicate.of(A1=0, A2=0))
+    probe, _ = cube.plan_for(Predicate.of(A1=0, A2=0))
     assert isinstance(probe, IntersectionCellProvider)
     first, second = (p.cuboid.dims[0] for p in probe.providers)
-    provider = cube.provider_for(Predicate.of({first: 99, second: 0}))
+    provider, _ = cube.plan_for(Predicate.of({first: 99, second: 0}))
     spared = provider.providers[1].cuboid.buffer
     reads = spared.hits + spared.misses
     for bid in range(cube.grid.num_blocks):
@@ -454,7 +454,7 @@ def test_an_empty_first_fragment_spares_the_second_fragments_pages():
     assert spared.hits + spared.misses == reads
     # The other way round the second fragment is read, and still nothing
     # qualifies.
-    provider = cube.provider_for(Predicate.of({first: 0, second: 99}))
+    provider, _ = cube.plan_for(Predicate.of({first: 0, second: 99}))
     assert all(not len(provider.tids_in_block(bid))
                for bid in range(cube.grid.num_blocks))
     assert spared.hits + spared.misses == reads

@@ -187,7 +187,7 @@ def test_insert_costs_one_write_per_structure_and_keeps_sizes_exact():
         for page_id in range(table.pager.num_pages))
     # Base-block pages stay in strict tid order, so a binary search finds
     # every tid at its row — no side index to keep in step.
-    for bid in table.non_empty_bids():
+    for bid in np.unique(table.bids).tolist():
         tids, values = table.block_arrays(bid)
         assert (np.diff(tids) > 0).all()
         assert tids.searchsorted(tids).tolist() == list(range(len(tids)))
@@ -229,7 +229,7 @@ def test_unseen_cell_and_empty_block_get_fresh_pages():
         cardinality=4, distribution="C", seed=78))
     cube = RankingCube(relation, block_size=40)
     empty = sorted(set(range(cube.grid.num_blocks))
-                   - set(cube.block_table.non_empty_bids()))
+                   - set(cube.block_table.bids.tolist()))
     assert empty
     box = cube.grid.block_box(empty[0])
     row = {dim: 99 for dim in relation.selection_dims}  # unseen everywhere

@@ -11,10 +11,18 @@ from repro.cube import (
     TopKAccumulator,
     all_nonempty_subsets,
     build_ranking_fragments,
+    find_start_block,
     fragment_groups,
 )
 from repro.errors import CubeError, QueryError
-from repro.functions import LinearFunction, SquaredDistanceFunction
+from repro.functions import (
+    ConstrainedFunction,
+    ExpressionFunction,
+    LinearFunction,
+    SquaredDistanceFunction,
+    Var,
+)
+from repro.partition.grid import GridPartition
 from repro.query import Predicate, TopKQuery
 from repro.workloads import SyntheticSpec, generate_relation
 from tests.conftest import brute_force_topk
@@ -111,6 +119,82 @@ def test_any_offers_read_as_a_lexsort_of_everything_offered(scored, k, steps):
             topk.offer(tid, score)
             _assert_is_the_lexsort_oracle(
                 topk, tids[:position], scores[:position])
+
+
+def _corner_walk_start(grid, function):
+    """The start block as the sweep derived it before the grid kept its
+    corners and bisected its edges: ``Box`` corners, ``evaluate_mapping``
+    and one ``np.searchsorted`` per coordinate — the reference."""
+    domain = grid.domain()
+
+    def bid_of(point):
+        coords = []
+        for dim in grid.dims:
+            bounds = grid.boundaries[dim]
+            idx = int(np.searchsorted(bounds, point[dim], side="right")) - 1
+            coords.append(min(max(idx, 0), len(bounds) - 2))
+        return grid.bid_of_coords(coords)
+
+    minimum = function.minimum_point()
+    if minimum is not None:
+        return bid_of({dim: domain.interval(dim).clamp(
+            minimum.get(dim, domain.interval(dim).low)) for dim in grid.dims})
+    best_corner, best_score = None, float("inf")
+    for corner in domain.project(function.dims).corners():
+        score = function.evaluate_mapping(corner)
+        if score < best_score:
+            best_corner, best_score = corner, score
+    if best_corner is None:
+        return 0
+    return bid_of({dim: best_corner.get(dim, domain.interval(dim).low)
+                   for dim in grid.dims})
+
+
+START_DIMS = ("N1", "N2", "N3")
+start_grids = st.lists(
+    st.lists(st.integers(-40, 40), min_size=2, max_size=7, unique=True).map(
+        lambda cuts: np.array(sorted(c / 8 for c in cuts))),
+    min_size=3, max_size=3)
+# Every function reads a permutation of some of the grid's dims.
+start_dims = st.permutations(START_DIMS).flatmap(
+    lambda dims: st.integers(1, 3).map(lambda n: list(dims[:n])))
+# Targets inside, on the edges of and outside the cuts' [-5, 5] range.
+start_values = st.sampled_from([-9.0, -5.0, -1.25, 0.0, -0.0, 0.5, 3.0, 5.0, 9.0])
+
+
+@st.composite
+def start_functions(draw):
+    dims = draw(start_dims)
+
+    def per_dim(strategy):
+        return [draw(strategy) for _ in dims]
+
+    kind = draw(st.sampled_from(["linear", "squared", "expression", "constrained"]))
+    if kind == "linear":  # mixed signs, zeros and ties between corners
+        return LinearFunction(dims, per_dim(st.sampled_from(
+            [-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0])), draw(start_values))
+    if kind == "squared":
+        return SquaredDistanceFunction(dims, per_dim(start_values),
+                                       per_dim(st.sampled_from([0.0, 1.0, 2.5])))
+    first = Var(dims[0])
+    if kind == "expression":  # no minimum point: the corner walk decides
+        return ExpressionFunction((first - draw(start_values)) ** 2 * -1.0
+                                  + 0.5 * first, dims=dims)
+    window = sorted([draw(start_values), draw(start_values)])
+    return ConstrainedFunction(LinearFunction(dims, per_dim(st.sampled_from(
+        [-1.0, 1.0]))), dims[0], *window)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(start_grids, start_functions())
+def test_the_start_block_is_the_corner_walks(cuts, function):
+    """``find_start_block`` over the grid's kept corner bids and bisected
+    edges picks the bid the old per-query corner walk picked — a different
+    start would reorder ties and so move the sweep's counts.  Asked twice:
+    once deriving the corner bids, once reading them kept."""
+    grid = GridPartition(START_DIMS, dict(zip(START_DIMS, cuts)))
+    assert find_start_block(grid, function) == _corner_walk_start(grid, function)
+    assert find_start_block(grid, function) == _corner_walk_start(grid, function)
 
 
 class TestCubeStructure:

@@ -495,8 +495,8 @@ class TestResultCache:
         query = TopKQuery(Predicate.of(A1=1),
                           LinearFunction(["N1", "N2"], [1.0, 1.0]), 3)
         executor.execute(query)  # plans → profiles the relation
-        before = executor.statistics_for(relation)
-        assert executor.statistics_for(relation) is before  # cached
+        before = executor.statistics.of(relation)
+        assert executor.statistics.of(relation) is before  # cached
         assert before.num_tuples == 400
         assert 55 not in before.selection_values["A1"]
         # Mutate directly (the incremental-maintenance path): both the
@@ -505,7 +505,7 @@ class TestResultCache:
         executor.registry.unregister("ranking-cube")  # cube predates the row
         result = executor.execute(query)
         assert result.extra["result_cache"] == "miss"
-        after = executor.statistics_for(relation)
+        after = executor.statistics.of(relation)
         assert after is not before
         assert after.num_tuples == 401
         assert 55 in after.selection_values["A1"]

@@ -140,6 +140,28 @@ def test_lower_bound_batch_is_lower_bound_of_every_block(cuts, function):
     assert batch.tobytes() == one_by_one.tobytes()  # bit for bit, -0.0 included
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(batch_bounded_functions(), st.sampled_from([-0.0, 0.0, 1.0, 2.5]),
+       st.lists(st.sampled_from([-0.0, 0.0, 0.7, -3.0, 5.0, 1e-300, 1e300]),
+                min_size=3, max_size=3), st.integers(0, 2 ** 16))
+def test_evaluate_batch_is_evaluate_of_every_row(function, unit, edge, seed):
+    """Each batch kernel against its own per-row ``evaluate`` (the loop
+    reference), bit for bit: unit and ``-0.0`` weights, signed zeros,
+    underflow and overflow rows included."""
+    if isinstance(function, LinearFunction):
+        function = LinearFunction(function.dims, [unit, *function.weights[1:]],
+                                  constant=function.constant)
+    elif unit >= 0:  # distance weights are non-negative; -0.0 passes
+        function = type(function)(function.dims, function.targets,
+                                  weights=[unit, *function.weights[1:]])
+    rows = np.vstack([random_rows(3, n=40, seed=seed) * 4.0, [edge], [edge[::-1]]])
+    rows = rows[:, :len(function.dims)]
+    with np.errstate(all="ignore"):  # the 1e300 rows overflow on purpose
+        batch = function.evaluate_batch(rows)
+        scalar = np.array([function.evaluate(row) for row in rows])
+    assert batch.tobytes() == scalar.tobytes()
+
+
 def test_functions_without_a_batch_bound_answer_none():
     corners = np.zeros((4, 2)), np.ones((4, 2))
     for name in ("expression", "expression_abs", "constrained"):

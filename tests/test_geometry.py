@@ -7,7 +7,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.geometry import Box, Interval, bounding_box
+from repro.geometry import Box, Interval
 
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False)
@@ -150,10 +150,3 @@ class TestBox:
         b = Box.from_bounds(["x"], [0], [1])
         assert a == b
         assert hash(a) == hash(b)
-
-    def test_bounding_box(self):
-        box = bounding_box(["x", "y"], [(0, 5), (2, 1), (-1, 3)])
-        assert box.interval("x") == Interval(-1, 2)
-        assert box.interval("y") == Interval(1, 5)
-        with pytest.raises(ValueError):
-            bounding_box(["x"], [])

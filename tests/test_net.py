@@ -30,7 +30,9 @@ import json
 import struct
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine import CostModel, Executor
 from repro.functions import (
@@ -255,6 +257,7 @@ class TestProtocolCodec:
         ("extra", "x"),                # dict() raised ValueError
         ("extra", [["plan", "grid"]]),  # ... or built a dict of pairs
         ("extra", None),
+        ("tids", base64.b64encode(b"\0" * 12).decode()),    # 3 tids, 2 scores
     ])
     def test_decode_result_checks_what_it_is_handed(self, field, value):
         topk = json.loads(json.dumps(encode_result(
@@ -272,6 +275,64 @@ class TestProtocolCodec:
                 decode_result(envelope)
         with pytest.raises(ProtocolError):
             decode_result({"result_kind": "skyline", "tids": [3, 1.0]})
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from([0, 1, 500]) | st.integers(0, 40), st.booleans(),
+           st.integers(0, 2 ** 32))
+    def test_a_topk_answer_round_trips_bit_identically(self, k, wide, seed):
+        """Any answer, ``k`` 0 / 1 / 500 included, through ``encode_result``
+        → ``json`` → ``decode_result``: the same tids (4 bytes each when
+        all fit below 2**32, else 8) and the same score bits, ``-0.0``,
+        ``±inf`` and ``NaN`` included."""
+        rng = np.random.default_rng(seed)
+        top = 2 ** 64 if wide else 2 ** 32
+        tids = [int(t) for t in rng.integers(0, top, k, dtype=np.uint64)]
+        if wide and k:
+            tids[int(rng.integers(k))] = int(rng.integers(2 ** 32, top, dtype=np.uint64))
+        specials = np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324])
+        scores = np.where(rng.random(k) < 0.3, rng.choice(specials, k),
+                          rng.standard_normal(k)).tolist()
+        wire = json.dumps(encode_result(QueryResult(tuple(tids), tuple(scores))),
+                          allow_nan=False)
+        width = 8 if any(tid >= 2 ** 32 for tid in tids) else 4
+        assert len(base64.b64decode(json.loads(wire)["tids"])) == width * k
+        back = decode_result(json.loads(wire))
+        assert back.tids == tuple(tids)
+        assert all(type(tid) is int for tid in back.tids)
+        assert (struct.pack("<%dd" % k, *back.scores)
+                == struct.pack("<%dd" % k, *scores))
+
+    @pytest.mark.parametrize("tids", [
+        [1, 2],                                        # the protocol-2 JSON array
+        12,                                            # not a string
+        "not base64!",
+        "AQAAAAIAAAA",                                 # valid characters, bad padding
+        base64.b64encode(b"\0" * 12).decode(),         # 3 tids, 2 scores
+        base64.b64encode(b"\0" * 4).decode(),          # 1 tid, 2 scores
+        base64.b64encode(b"\0" * 10).decode(),         # neither 4n nor 8n
+        base64.b64encode(b"\0" * 24).decode(),         # 3 wide tids, 2 scores
+        "",                                            # no tids, 2 scores
+    ])
+    def test_malformed_packed_tids_are_a_typed_400(self, tids):
+        """A top-k answer's tids are one base64 string of exactly 4 or 8
+        bytes per score: anything else is a ``ProtocolError`` — raised by
+        the decoder, and by the client reading such a reply off HTTP."""
+        envelope = json.loads(json.dumps(encode_result(
+            QueryResult(tids=(1, 2), scores=(0.5, 0.75)))))
+        envelope["tids"] = tids
+        with pytest.raises(ProtocolError) as raised:
+            decode_result(envelope)
+        assert encode_error(raised.value)["error"]["status"] == 400
+        body = json.dumps({"result": envelope}).encode()
+
+        async def main():
+            async with _answering(
+                    b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s"
+                    % (len(body), body)) as client:
+                with pytest.raises(ProtocolError):
+                    await client.query(simple_query())
+
+        asyncio.run(main())
 
     def test_error_envelope_rebuilds_typed_exceptions(self):
         exc = ServiceOverloadedError("queue full", retry_after=1.25)

@@ -34,7 +34,7 @@ import pytest
 from repro.engine import Executor
 from repro.functions import LinearFunction
 from repro.net import AsyncQueryClient, NetConfig, QueryServer
-from repro.net.protocol import RemoteServerError, encode_query
+from repro.net.protocol import RemoteServerError, decode_result, encode_query
 from repro.query import Predicate, QueryResult, TopKQuery
 from repro.serve import QueryService, RequestTimeoutError
 from repro.workloads import SyntheticSpec, generate_relation
@@ -293,11 +293,11 @@ class TestStaleAndClosing:
                     await asyncio.wait_for(closing, 5)
                     await idle.close()
                     return (status, headers["connection"],
-                            json.loads(body)["result"]["tids"],
+                            decode_result(json.loads(body)["result"]).tids,
                             server.metrics.gauge(
                                 "net.active_connections").value)
 
-        assert asyncio.run(main()) == (200, "close", [9], 0)
+        assert asyncio.run(main()) == (200, "close", (9,), 0)
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engine.plan import QueryPlan
 from repro.net import AsyncQueryClient, NetConfig, QueryServer, encode_query
-from repro.net.protocol import encode_result
+from repro.net.protocol import decode_result, encode_result
 from repro.query import QueryResult
 from repro.serve import QueryService
 from repro.skyline.engine import SkylineResult
@@ -111,9 +111,9 @@ class TestEnvelopeFields:
             status, _, body = await client._request("POST", "/v1/query", {
                 "query": encode_query(simple_query()), "timeout": timeout,
                 "priority": "batch", "client_id": "c", "allow_partial": False})
-            return status, json.loads(body)["result"]["tids"]
+            return status, decode_result(json.loads(body)["result"]).tids
 
-        assert run_served(handler) == (200, [1, 2])
+        assert run_served(handler) == (200, (1, 2))
 
 
 # ----------------------------------------------------------------------

@@ -177,6 +177,36 @@ def test_a_shard_profile_folded_in_place_drops_the_decisions():
             assert f"num_tuples={shard.relation.num_tuples} " in inputs
 
 
+def test_a_routed_insert_makes_only_the_owners_next_plan_a_decision():
+    """``planner.decisions`` counts plans derived afresh.  A routed insert
+    changes its owner's ``num_tuples``, part of the kept-decision basis,
+    so the owner's next plan of a kept shape is a decision again, while
+    every other shard's planner still hands that shape out kept."""
+    relation = generate_relation(SyntheticSpec(
+        num_tuples=1200, num_selection_dims=3, num_ranking_dims=2,
+        cardinality=8, seed=112))
+    manager, _ = make_sharded_engine(
+        relation, 4, block_size=100, with_signature=False, with_skyline=False)
+    query = TopKQuery(Predicate.of(A1=1), sum_function(["N1", "N2"]), 5)
+    executors = [manager.executor_for(shard) for shard in manager.shards]
+
+    def plan_everywhere():
+        for executor in executors:
+            executor.plan(query)
+        return [executor.metrics_snapshot()["planner.decisions"]
+                for executor in executors]
+
+    assert plan_everywhere() == [1.0] * 4
+    assert plan_everywhere() == [1.0] * 4  # kept
+    sizes = [shard.relation.num_tuples for shard in manager.shards]
+    manager.insert({"A1": 1, "A2": 2, "A3": 3, "N1": 0.5, "N2": 0.5})
+    grown = [shard.relation.num_tuples - size
+             for shard, size in zip(manager.shards, sizes)]
+    assert sorted(grown) == [0, 0, 0, 1]
+    assert plan_everywhere() == [1.0 + added for added in grown]
+    assert plan_everywhere() == [1.0 + added for added in grown]
+
+
 def test_a_registry_change_drops_the_decisions():
     relation = generate_relation(SPEC)
     executor = paper_stack(relation, block_size=200,
